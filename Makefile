@@ -8,12 +8,12 @@ GO ?= go
 # 74.8%; keep a small buffer for flaky branches).
 COVER_FLOOR ?= 73.0
 
-.PHONY: ci fmt-check vet staticcheck build test race examples serve-smoke dist-smoke load-smoke fuzz-smoke bench alloc-gate cover clean
+.PHONY: ci fmt-check vet staticcheck build test race examples benchmark-check serve-smoke dist-smoke load-smoke fuzz-smoke bench alloc-gate cover clean
 
 # cover runs the full (shuffled) suite with a coverage profile, so ci
 # does not also run the plain `test` target — that would execute the
 # identical suite twice. `race` is a separate instrumented build.
-ci: fmt-check vet staticcheck build cover race examples alloc-gate serve-smoke dist-smoke load-smoke
+ci: fmt-check vet staticcheck build cover race examples benchmark-check alloc-gate serve-smoke dist-smoke load-smoke
 
 # staticcheck runs when the binary is available (CI installs it; local
 # boxes without it skip with a notice instead of failing the build).
@@ -26,8 +26,8 @@ staticcheck:
 
 # fuzz-smoke gives every fuzz target a short budget: parser (text query
 # language), wire decoder, sparse builder/CSR invariants, shard hash
-# ring (determinism / balance / minimal movement). CI runs it after
-# make ci.
+# ring (determinism / balance / minimal movement), store image and
+# import-frame decoders. CI runs it after make ci.
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzFromRows -fuzztime 10s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzRing -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeStoreV2 -fuzztime 15s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -77,6 +78,12 @@ examples:
 		echo "build $$d"; \
 		$(GO) build -o /dev/null "./$$d" || exit 1; \
 	done
+
+# benchmark-check vets and tests the repo benchmark (BENCHMARK.json,
+# benchmark/): a module of its own, so the root ./... patterns above do
+# not reach it.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # serve-smoke exercises the HTTP serving stack for real: generate a
 # dataset, start ustserve, query it remotely (ustquery -remote must

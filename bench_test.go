@@ -26,8 +26,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ust"
@@ -909,28 +911,7 @@ func BenchmarkDistributedEvaluate(b *testing.B) {
 	scanQB := ust.NewRequest(ust.PredicateExists, ust.WithWindow(q),
 		ust.WithStrategy(ust.StrategyQueryBased))
 
-	newDistRouter := func(b *testing.B) *shard.Router {
-		b.Helper()
-		coord := service.New(service.Config{Role: "coordinator"})
-		coordTS := httptest.NewServer(service.NewHandler(coord))
-		b.Cleanup(func() { coord.Close(); coordTS.Close() })
-		clients := make([]*client.Client, 2)
-		for i := range clients {
-			w := service.New(service.Config{
-				Role:    "worker",
-				Options: core.Options{Sweeps: dist.NewSweepClient(coordTS.URL, nil)},
-			})
-			ts := httptest.NewServer(service.NewHandler(w))
-			b.Cleanup(func() { w.Close(); ts.Close() })
-			clients[i] = client.NewWithConfig(ts.URL, client.Config{HTTPClient: ts.Client()})
-		}
-		r, err := dist.NewRouter(db, 2, core.Options{}, "bench", clients)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { r.Close() })
-		return r
-	}
+	newDistRouter := func(b *testing.B) *shard.Router { return benchDistRouter(b, db, nil) }
 	run := func(b *testing.B, eval ust.Evaluator, req ust.Request) {
 		b.Helper()
 		b.ResetTimer()
@@ -964,4 +945,70 @@ func BenchmarkDistributedEvaluate(b *testing.B) {
 	b.Run("qb/workers=2", func(b *testing.B) {
 		run(b, newDistRouter(b), scanQB)
 	})
+}
+
+// benchDistRouter stands up the 2-worker loopback deployment the
+// distributed benchmarks measure: real worker services behind localhost
+// HTTP, a coordinator-side sweep board, and a dist router over db. wrap,
+// when not nil, is put around each worker client's transport.
+func benchDistRouter(b *testing.B, db *ust.Database, wrap func(http.RoundTripper) http.RoundTripper) *shard.Router {
+	b.Helper()
+	coord := service.New(service.Config{Role: "coordinator"})
+	coordTS := httptest.NewServer(service.NewHandler(coord))
+	b.Cleanup(func() { coord.Close(); coordTS.Close() })
+	clients := make([]*client.Client, 2)
+	for i := range clients {
+		w := service.New(service.Config{
+			Role:    "worker",
+			Options: core.Options{Sweeps: dist.NewSweepClient(coordTS.URL, nil)},
+		})
+		ts := httptest.NewServer(service.NewHandler(w))
+		b.Cleanup(func() { w.Close(); ts.Close() })
+		hc := ts.Client()
+		if wrap != nil {
+			hc.Transport = wrap(hc.Transport)
+		}
+		clients[i] = client.NewWithConfig(ts.URL, client.Config{HTTPClient: hc})
+	}
+	r, err := dist.NewRouter(db, 2, core.Options{}, "bench", clients)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { r.Close() })
+	return r
+}
+
+// countingTransport adds up the request body bytes sent through it.
+type countingTransport struct {
+	next  http.RoundTripper
+	bytes *atomic.Int64
+}
+
+func (t countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.bytes.Add(max(req.ContentLength, 0))
+	return t.next.RoundTrip(req)
+}
+
+// BenchmarkDistributedObserve prices one fleet write: an observation
+// appended through the dist router to the worker that owns the object
+// (|D|=1000, |S|=10000, 2 workers over loopback). wireB/op is what the
+// coordinator sends per write — the import frame — which is the number
+// that says whether a write costs O(object) or O(chain): the Table I
+// chain alone encodes to ~880 KB.
+func BenchmarkDistributedObserve(b *testing.B) {
+	db := benchDB(b, 1000, 10000)
+	var sent atomic.Int64
+	r := benchDistRouter(b, db, func(next http.RoundTripper) http.RoundTripper {
+		return countingTransport{next: next, bytes: &sent}
+	})
+	sent.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		obs := ust.Observation{Time: 1 + i/1000, PDF: markov.PointDistribution(10000, (7*i)%10000)}
+		if err := r.Observe(i%1000, obs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sent.Load())/float64(b.N), "wireB/op")
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,15 +19,19 @@ import (
 type Backend struct {
 	c       *client.Client
 	dataset string
-	// chain is the default chain import batches are staged against
-	// (store images need one); the shadow's default chain.
-	chain *markov.Chain
+	// frames encodes import batches against what the worker dataset
+	// holds. Not locked: Import calls on one backend never overlap (the
+	// router serializes them, and the generation fence presumes an
+	// order).
+	frames *store.FrameEncoder
 }
 
 // NewBackend wraps a worker dataset as a shard backend. chain is the
-// default chain of the database the shard serves a slice of.
+// default chain of the database the shard serves a slice of; the worker
+// dataset was created over it (bootstrap), so import frames only ever
+// name it.
 func NewBackend(c *client.Client, dataset string, chain *markov.Chain) *Backend {
-	return &Backend{c: c, dataset: dataset, chain: chain}
+	return &Backend{c: c, dataset: dataset, frames: store.NewFrameEncoder(chain)}
 }
 
 func (b *Backend) Evaluate(ctx context.Context, req core.Request) (*core.Response, error) {
@@ -57,29 +60,32 @@ func (b *Backend) AggregateFactors(ctx context.Context, req core.Request) (*core
 	return b.c.Factors(ctx, b.dataset, req)
 }
 
-// Import ships a migration batch to the worker: the objects are encoded
-// as a store image (insertion order preserved — the order the router
-// hands them in is the order the worker's database adopts, which is
-// what keeps the worker's emission order identical to the coordinator
-// shadow's) and applied under the generation fence.
+// Import ships a batch to the worker as one object frame (insertion
+// order preserved — the order the router hands the objects in is the
+// order the worker's database adopts, which is what keeps the worker's
+// emission order identical to the coordinator shadow's), applied under
+// the generation fence.
 func (b *Backend) Import(ctx context.Context, gen uint64, objs []*core.Object) error {
 	if len(objs) == 0 {
 		return nil
 	}
-	if b.chain == nil {
-		return fmt.Errorf("dist: backend for %q has no chain to encode against", b.dataset)
-	}
-	batch := core.NewDatabase(b.chain)
-	for _, o := range objs {
-		if err := batch.Add(o); err != nil {
-			return fmt.Errorf("dist: staging import batch: %w", err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := store.SaveDatabase(&buf, batch); err != nil {
+	frame, err := b.frames.Encode(objs)
+	if err != nil {
 		return fmt.Errorf("dist: encoding import batch: %w", err)
 	}
-	return b.c.ImportObjects(ctx, b.dataset, gen, buf.Bytes())
+	return b.sendFrame(ctx, gen, frame)
+}
+
+// sendFrame applies an encoded frame on the worker. After a failure
+// nothing is assumed about which own chains the worker holds, so a lost
+// frame or a worker answering "unknown fingerprint" costs one inline
+// re-send, not every later write.
+func (b *Backend) sendFrame(ctx context.Context, gen uint64, frame []byte) error {
+	err := b.c.ImportObjects(ctx, b.dataset, gen, frame)
+	if err != nil {
+		b.frames.Reset()
+	}
+	return err
 }
 
 func (b *Backend) Evict(ctx context.Context, gen uint64, ids []int) error {

@@ -44,6 +44,13 @@ type fleet struct {
 // protocol. Workers join the coordinator's sweep tier over HTTP.
 func newFleet(t *testing.T, db *core.Database, res spatial.Resolver, shards int, workerOpts core.Options) *fleet {
 	t.Helper()
+	return newFleetVia(t, db, res, shards, workerOpts, nil)
+}
+
+// newFleetVia is newFleet with every worker client's transport wrapped
+// by via (nil: unwrapped) — how tests see what the coordinator sends.
+func newFleetVia(t *testing.T, db *core.Database, res spatial.Resolver, shards int, workerOpts core.Options, via func(http.RoundTripper) http.RoundTripper) *fleet {
+	t.Helper()
 	coord := service.New(service.Config{Role: "coordinator"})
 	coordTS := httptest.NewServer(service.NewHandler(coord))
 	t.Cleanup(func() { coord.Close(); coordTS.Close() })
@@ -60,7 +67,11 @@ func newFleet(t *testing.T, db *core.Database, res spatial.Resolver, shards int,
 		ts := httptest.NewServer(service.NewHandler(wsvc))
 		t.Cleanup(func() { wsvc.Close(); ts.Close() })
 		f.workers = append(f.workers, wsvc)
-		f.clients = append(f.clients, client.NewWithConfig(ts.URL, client.Config{HTTPClient: ts.Client()}))
+		hc := ts.Client()
+		if via != nil {
+			hc.Transport = via(hc.Transport)
+		}
+		f.clients = append(f.clients, client.NewWithConfig(ts.URL, client.Config{HTTPClient: hc}))
 	}
 	router, err := dist.NewRouter(db, shards, core.Options{}, "conf", f.clients)
 	if err != nil {

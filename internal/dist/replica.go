@@ -194,13 +194,23 @@ func (b *ReplicatedBackend) EvaluateSeq(ctx context.Context, req core.Request) i
 	}
 }
 
-// Import mirrors the batch to every non-stale replica. The call
-// succeeds while at least one replica applied it; a replica that
-// failed is marked stale and drops out of the read set for good (its
-// slice is missing a fenced generation — re-admitting it would need a
-// full rebuild, which is rebalance territory, not the write path's).
+// Import mirrors the batch to every non-stale replica: the frame is
+// encoded once, by the primary's encoder — every replica's dataset was
+// created over the same chain and receives every frame, so they hold
+// the same chains — and the same bytes go to each. The call succeeds
+// while at least one replica applied it; a replica that failed is
+// marked stale and drops out of the read set for good (its slice is
+// missing a fenced generation — re-admitting it would need a full
+// rebuild, which is rebalance territory, not the write path's).
 func (b *ReplicatedBackend) Import(ctx context.Context, gen uint64, objs []*core.Object) error {
-	return b.mirror(ctx, func(r *Backend) error { return r.Import(ctx, gen, objs) })
+	if len(objs) == 0 {
+		return nil
+	}
+	frame, err := b.replicas[0].frames.Encode(objs)
+	if err != nil {
+		return fmt.Errorf("dist: encoding import batch: %w", err)
+	}
+	return b.mirror(ctx, func(r *Backend) error { return r.sendFrame(ctx, gen, frame) })
 }
 
 // Evict mirrors the eviction to every non-stale replica, under the same

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -140,7 +142,12 @@ func NewHandler(svc *Service) http.Handler {
 	})
 	handle("PUT /v1/datasets/{name}", "datasets", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		if err := svc.Load(name, io.LimitReader(r.Body, maxUploadBody)); err != nil {
+		image, err := readUpload(w, r, maxUploadBody)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		if err := svc.loadImage(name, image); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -174,6 +181,34 @@ func NewHandler(svc *Service) http.Handler {
 
 func wireInfo(in Info) wire.DatasetInfo {
 	return wire.DatasetInfo{Name: in.Name, Objects: in.Objects, States: in.States, Version: in.Version}
+}
+
+// readUpload reads a binary request body of at most limit bytes. A
+// longer body fails with ErrBodyTooLarge — never a truncated read handed
+// on to be misreported as a corrupt image — and a declared
+// Content-Length sizes the buffer exactly (store images are adopted by
+// the dataset; a doubling read would pin up to twice the image).
+func readUpload(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", ErrBodyTooLarge, r.ContentLength, limit)
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	var data []byte
+	var err error
+	if r.ContentLength >= 0 {
+		data = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(body, data)
+	} else {
+		data, err = io.ReadAll(body)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, fmt.Errorf("%w: limit %d", ErrBodyTooLarge, limit)
+	case err != nil:
+		return nil, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err)
+	}
+	return data, nil
 }
 
 // decodeEnvelope reads and strictly decodes a query envelope body. The
@@ -436,9 +471,9 @@ func (s *Service) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: bad gen parameter: %v", wire.ErrDecode, err))
 		return
 	}
-	image, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBody))
+	image, err := readUpload(w, r, maxUploadBody)
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err))
+		writeError(w, err)
 		return
 	}
 	if err := s.ImportObjects(r.PathValue("name"), gen, image); err != nil {
@@ -553,6 +588,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrBodyTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, wire.ErrDecode), errors.Is(err, ErrNoResolver),
 		errors.Is(err, ErrBadIngest), errors.Is(err, store.ErrCorrupt),
 		errors.Is(err, core.ErrAggregateStream):
@@ -602,6 +639,10 @@ func (s *Service) writeMetrics(w http.ResponseWriter) {
 	mf("ust_evaluations_total", "Evaluations actually executed.", "counter", st.Evaluations, "")
 	mf("ust_rejected_total", "Requests rejected by admission control.", "counter", st.Rejected, "")
 	mf("ust_ingest_total", "Observation/object mutations.", "counter", st.Ingests, "")
+	mf("ust_import_bytes_total", "Bytes of import frames applied (fleet writes and migration).", "counter", s.imports.bytes.Load(), "")
+	mf("ust_import_objects_total", "Objects upserted through import frames.", "counter", s.imports.objects.Load(), "")
+	fmt.Fprint(w, "# HELP ust_import_duration_seconds Time to decode and apply one import frame.\n# TYPE ust_import_duration_seconds histogram\n")
+	s.imports.duration.write(w, "ust_import_duration_seconds", "")
 	mf("ust_subscription_updates_total", "Subscription updates delivered.", "counter", st.Updates, "")
 	mf("ust_subscriptions", "Active subscriptions.", "gauge", st.Subscriptions, "")
 	mf("ust_in_flight", "Evaluations currently holding an admission slot.", "gauge", st.InFlight, "")
@@ -612,6 +653,19 @@ func (s *Service) writeMetrics(w http.ResponseWriter) {
 		label := promLabel(info.Name)
 		fmt.Fprintf(w, "ust_dataset_objects{dataset=\"%s\"} %d\n", label, info.Objects)
 		fmt.Fprintf(w, "ust_dataset_version{dataset=\"%s\"} %d\n", label, info.Version)
+		// A coordinator's datasets are served by a router over remote
+		// shards; it counts the writes and migrations that did not reach
+		// each one.
+		ds, err := s.dataset(info.Name)
+		if err != nil {
+			continue
+		}
+		if router, ok := ds.engine.(interface{ ImportFailures() map[int]uint64 }); ok {
+			failures := router.ImportFailures()
+			for _, shard := range slices.Sorted(maps.Keys(failures)) {
+				fmt.Fprintf(w, "ust_shard_import_failures_total{dataset=\"%s\",shard=\"%d\"} %d\n", label, shard, failures[shard])
+			}
+		}
 	}
 	s.httpMetrics.write(w)
 }

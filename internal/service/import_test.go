@@ -1,0 +1,196 @@
+package service
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"testing"
+
+	"ust/internal/core"
+	"ust/internal/markov"
+	"ust/internal/store"
+)
+
+// otherChain is a 3-state chain the paper dataset does not hold.
+func otherChain(t *testing.T) *markov.Chain {
+	t.Helper()
+	c, err := markov.FromDense([][]float64{
+		{0.5, 0.5, 0},
+		{0, 0.5, 0.5},
+		{0.5, 0, 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestImportFrameRejections pins what a worker refuses and what a
+// refusal costs: a frame naming a fingerprint the dataset does not
+// hold, a reference with the wrong |S|, a truncated frame and a
+// bit-flipped one each fail with ErrBadIngest, and none of them moves
+// the dataset, its version or the generation fence.
+func TestImportFrameRejections(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	db := paperDB(t)
+	if err := svc.Create("d", db, nil); err != nil {
+		t.Fatal(err)
+	}
+	def := db.DefaultChain()
+	obj := core.MustObject(500, nil, core.Observation{Time: 0, PDF: markov.PointDistribution(3, 1)})
+	good, err := store.NewFrameEncoder(def).Encode([]*core.Object{obj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := store.NewFrameEncoder(otherChain(t)).Encode([]*core.Object{obj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The CHR0 payload follows the 12-byte header and the 4-byte tag:
+	// fingerprint, then |S|.
+	wrongStates := bytes.Clone(good)
+	binary.LittleEndian.PutUint64(wrongStates[24:], 4)
+	binary.LittleEndian.PutUint32(wrongStates[len(wrongStates)-4:], crc32.ChecksumIEEE(wrongStates[:len(wrongStates)-8]))
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x10
+
+	before, _ := svc.Info("d")
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		anchor error
+	}{
+		{"unknown fingerprint", foreign, store.ErrUnknownChain},
+		{"|S| mismatch", wrongStates, store.ErrCorrupt},
+		{"truncated", good[:len(good)-5], store.ErrCorrupt},
+		{"bit-flipped", flipped, store.ErrCorrupt},
+	} {
+		err := svc.ImportObjects("d", 7, tc.frame)
+		if !errors.Is(err, ErrBadIngest) || !errors.Is(err, tc.anchor) {
+			t.Fatalf("%s: %v, want ErrBadIngest anchored on %v", tc.name, err, tc.anchor)
+		}
+		if after, _ := svc.Info("d"); after != before {
+			t.Fatalf("%s: dataset moved from %+v to %+v", tc.name, before, after)
+		}
+	}
+	ds, err := svc.dataset("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.lastGen != 0 {
+		t.Fatalf("rejected frames moved the fence to %d", ds.lastGen)
+	}
+	// The fence did not move, so the lowest generation still lands.
+	if err := svc.ImportObjects("d", 1, good); err != nil {
+		t.Fatalf("good frame after the rejections: %v", err)
+	}
+	if after, _ := svc.Info("d"); after.Objects != before.Objects+1 {
+		t.Fatalf("good frame: %d objects, want %d", after.Objects, before.Objects+1)
+	}
+}
+
+// TestImportMetrics pins the worker-side write-path counters: bytes and
+// objects of applied frames and one histogram sample per frame, with
+// rejected frames counting nowhere.
+func TestImportMetrics(t *testing.T) {
+	svc, base := distTestServer(t, Config{Role: "worker"})
+	info, _ := svc.Info("d")
+	ds, _ := svc.dataset("d")
+	enc := store.NewFrameEncoder(ds.db.DefaultChain())
+	total := 0
+	for gen := uint64(1); gen <= 2; gen++ {
+		frame, err := enc.Encode([]*core.Object{
+			core.MustObject(500, nil, core.Observation{Time: int(gen), PDF: markov.PointDistribution(info.States, 1)}),
+			core.MustObject(501, nil, core.Observation{Time: int(gen), PDF: markov.PointDistribution(info.States, 2)}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.ImportObjects("d", gen, frame); err != nil {
+			t.Fatal(err)
+		}
+		total += len(frame)
+	}
+	if err := svc.ImportObjects("d", 3, []byte("not a frame")); err == nil {
+		t.Fatal("garbage frame was accepted")
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"ust_import_bytes_total " + strconv.Itoa(total),
+		"ust_import_objects_total 4",
+		"ust_import_duration_seconds_count 2",
+		`ust_import_duration_seconds_bucket{le="+Inf"} 2`,
+	} {
+		if !strings.Contains(string(body), want+"\n") {
+			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestUploadLimit pins the body bound of the binary endpoints: a body
+// past the limit is a 413 with ErrBodyTooLarge — declared
+// (Content-Length) or not (chunked) — never a truncated read reported
+// as a corrupt image, and a body within the limit is read whole.
+func TestUploadLimit(t *testing.T) {
+	read := func(body io.Reader, declared int64, limit int64) ([]byte, int, error) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/datasets/d/import?gen=1", body)
+		r.ContentLength = declared
+		w := httptest.NewRecorder()
+		data, err := readUpload(w, r, limit)
+		if err != nil {
+			writeError(w, err)
+		}
+		return data, w.Code, err
+	}
+	payload := bytes.Repeat([]byte("x"), 100)
+	if data, _, err := read(bytes.NewReader(payload), 100, 100); err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("declared body at the limit: %d bytes, err %v", len(data), err)
+	}
+	if data, _, err := read(bytes.NewReader(payload), -1, 100); err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("chunked body at the limit: %d bytes, err %v", len(data), err)
+	}
+	for name, declared := range map[string]int64{"declared": 100, "chunked": -1} {
+		_, code, err := read(bytes.NewReader(payload), declared, 99)
+		if !errors.Is(err, ErrBodyTooLarge) || code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s body past the limit: err %v, status %d, want ErrBodyTooLarge and 413", name, err, code)
+		}
+	}
+	// A declared length the body does not deliver is a bad request, not
+	// a short image.
+	if _, code, err := read(bytes.NewReader(payload[:40]), 100, 100); err == nil || code != http.StatusBadRequest {
+		t.Fatalf("short body: err %v, status %d, want 400", err, code)
+	}
+}
+
+// TestShardImportFailuresMetric pins the coordinator-side counter: a
+// dataset served by a shard router exposes one
+// ust_shard_import_failures_total series per shard.
+func TestShardImportFailuresMetric(t *testing.T) {
+	_, base := distTestServer(t, Config{Role: "coordinator", Shards: 2})
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		`ust_shard_import_failures_total{dataset="d",shard="0"} 0`,
+		`ust_shard_import_failures_total{dataset="d",shard="1"} 0`,
+	} {
+		if !strings.Contains(string(body), want+"\n") {
+			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}

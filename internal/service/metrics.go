@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +49,40 @@ func (h *durationHist) observe(d time.Duration) {
 	if d > 0 {
 		h.sumNs.Add(uint64(d))
 	}
+}
+
+// write emits the histogram's bucket, sum and count lines under name.
+// labels is empty or a comma-terminated label list.
+func (h *durationHist) write(w io.Writer, name, labels string) {
+	var cum uint64
+	for i, ub := range durationBuckets {
+		cum += h.buckets[i].Load()
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, labels, ub, cum)
+	}
+	cum += h.buckets[len(durationBuckets)].Load()
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
+	set := strings.TrimSuffix(labels, ",")
+	if set != "" {
+		set = "{" + set + "}"
+	}
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, set, float64(h.sumNs.Load())/1e9)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, h.count.Load())
+}
+
+// importMetrics prices the fleet write path where it lands: bytes and
+// objects accepted through ImportObjects (single writes, sync batches
+// and rebalance migration alike) and the time each batch took to decode
+// and apply under the dataset lock. Failed imports count nowhere here;
+// the coordinator counts them per shard.
+type importMetrics struct {
+	bytes, objects atomic.Uint64
+	duration       durationHist
+}
+
+func (m *importMetrics) record(bytes, objects int, d time.Duration) {
+	m.bytes.Add(uint64(bytes))
+	m.objects.Add(uint64(objects))
+	m.duration.observe(d)
 }
 
 type durationKey struct{ endpoint, outcome string }
@@ -143,16 +178,8 @@ func (m *httpMetrics) write(w io.Writer) {
 			m.mu.RLock()
 			h := m.durations[k]
 			m.mu.RUnlock()
-			labels := fmt.Sprintf("endpoint=\"%s\",outcome=\"%s\"", promLabel(k.endpoint), promLabel(k.outcome))
-			var cum uint64
-			for i, ub := range durationBuckets {
-				cum += h.buckets[i].Load()
-				fmt.Fprintf(w, "ust_request_duration_seconds_bucket{%s,le=\"%g\"} %d\n", labels, ub, cum)
-			}
-			cum += h.buckets[len(durationBuckets)].Load()
-			fmt.Fprintf(w, "ust_request_duration_seconds_bucket{%s,le=\"+Inf\"} %d\n", labels, cum)
-			fmt.Fprintf(w, "ust_request_duration_seconds_sum{%s} %g\n", labels, float64(h.sumNs.Load())/1e9)
-			fmt.Fprintf(w, "ust_request_duration_seconds_count{%s} %d\n", labels, h.count.Load())
+			h.write(w, "ust_request_duration_seconds",
+				fmt.Sprintf("endpoint=\"%s\",outcome=\"%s\",", promLabel(k.endpoint), promLabel(k.outcome)))
 		}
 	}
 	if len(ckeys) > 0 {

@@ -50,6 +50,9 @@ var (
 	// object, dimension mismatch, duplicate id/time, …) — a caller
 	// mistake, not a server fault.
 	ErrBadIngest = errors.New("service: bad ingest")
+	// ErrBodyTooLarge: a binary upload (dataset image, import frame)
+	// exceeds the server's body limit; HTTP 413.
+	ErrBodyTooLarge = errors.New("service: request body too large")
 	// ErrStaleGeneration: an Import/Evict carried a migration generation
 	// the dataset has already applied — a replayed or reordered transfer,
 	// rejected so a rebalance can never double-apply.
@@ -181,6 +184,7 @@ type Service struct {
 	evaluations atomic.Uint64
 	rejected    atomic.Uint64
 	ingests     atomic.Uint64
+	imports     importMetrics
 	subs        atomic.Int64
 	updates     atomic.Uint64
 	inFlight    atomic.Int64
@@ -201,10 +205,10 @@ type dataset struct {
 	resolver spatial.Resolver
 	// lastGen is the highest migration generation applied through
 	// ImportObjects/EvictObjects; earlier generations are rejected with
-	// ErrStaleGeneration. chains canonicalizes imported own-chain objects
-	// by content fingerprint so a migrated chain group stays one group
-	// (store v2 images encode each own chain separately). Both are
-	// touched only under mu exclusive.
+	// ErrStaleGeneration. chains maps content fingerprint → canonical
+	// chain: import frames reference chains through it, and own chains
+	// that arrive inline are canonicalized by it so a migrated chain
+	// group stays one group. Both are touched only under mu exclusive.
 	lastGen uint64
 	chains  map[uint64]*markov.Chain
 
@@ -334,7 +338,13 @@ func (s *Service) Load(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	db, err := store.LoadDatabaseMapped(data)
+	return s.loadImage(name, data)
+}
+
+// loadImage registers the database decoded from a complete store image,
+// which the dataset owns from here on.
+func (s *Service) loadImage(name string, image []byte) error {
+	db, err := store.LoadDatabaseMapped(image)
 	if err != nil {
 		return err
 	}
@@ -576,20 +586,22 @@ func (s *Service) AggregateFactors(ctx context.Context, name string, req core.Re
 // ImportObjects upserts a store-encoded batch of objects into the named
 // dataset under migration generation gen. Generations must strictly
 // increase per dataset; a replayed or reordered transfer fails with
-// ErrStaleGeneration and changes nothing. Own-chain objects are
-// canonicalized by chain fingerprint so a chain group split across
-// transfer batches (the store encodes each own chain separately)
-// re-merges into one group — which is what keeps the worker's emission
-// order identical to the coordinator's shadow.
+// ErrStaleGeneration and changes nothing. The batch is an object frame
+// (store.FrameEncoder) or a full image: chains travelling by
+// reference resolve against the dataset's fingerprint table — the
+// canonical pointers, so nothing is decoded to compare a hash — and
+// chains travelling inline are canonicalized by fingerprint, so a chain
+// group split across transfer batches re-merges into one group, which
+// is what keeps the worker's emission order identical to the
+// coordinator's shadow. A fingerprint the dataset does not hold, like
+// any undecodable batch, fails with ErrBadIngest and changes nothing.
 func (s *Service) ImportObjects(name string, gen uint64, image []byte) error {
 	ds, err := s.dataset(name)
 	if err != nil {
 		return err
 	}
-	batch, err := store.LoadDatabaseMapped(image)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadIngest, err)
-	}
+	start := time.Now()
+	objects := 0
 	ds.mu.Lock()
 	err = func() error {
 		if ds.single == nil {
@@ -597,6 +609,11 @@ func (s *Service) ImportObjects(name string, gen uint64, image []byte) error {
 		}
 		if gen <= ds.lastGen {
 			return fmt.Errorf("%w: generation %d already applied (at %d)", ErrStaleGeneration, gen, ds.lastGen)
+		}
+		chains := ds.chainsLocked()
+		batch, derr := store.DecodeObjectFrame(image, func(fp uint64) *markov.Chain { return chains[fp] })
+		if derr != nil {
+			return fmt.Errorf("%w: %w", ErrBadIngest, derr)
 		}
 		if batch.DefaultChain().Fingerprint() != ds.db.DefaultChain().Fingerprint() {
 			return fmt.Errorf("%w: import batch default chain differs from dataset %q", ErrBadIngest, name)
@@ -617,6 +634,7 @@ func (s *Service) ImportObjects(name string, gen uint64, image []byte) error {
 			}
 		}
 		ds.lastGen = gen
+		objects = batch.Len()
 		return nil
 	}()
 	ds.mu.Unlock()
@@ -624,18 +642,15 @@ func (s *Service) ImportObjects(name string, gen uint64, image []byte) error {
 		return err
 	}
 	s.ingests.Add(1)
+	s.imports.record(len(image), objects, time.Since(start))
 	ds.notifySubs()
 	return nil
 }
 
-// canonicalizeLocked maps an imported object's own chain to the
-// dataset's canonical chain of the same fingerprint — registering it as
-// canonical on first sight — so equal chains stay pointer-identical.
-// Requires ds.mu held exclusively.
-func (ds *dataset) canonicalizeLocked(o *core.Object) (*core.Object, error) {
-	if o.Chain == nil {
-		return o, nil
-	}
+// chainsLocked returns the dataset's fingerprint → canonical chain
+// table, building it on first use from the default chain and the chains
+// of the objects already held. Requires ds.mu held exclusively.
+func (ds *dataset) chainsLocked() map[uint64]*markov.Chain {
 	if ds.chains == nil {
 		ds.chains = map[uint64]*markov.Chain{}
 		def := ds.db.DefaultChain()
@@ -647,10 +662,22 @@ func (ds *dataset) canonicalizeLocked(o *core.Object) (*core.Object, error) {
 			}
 		}
 	}
+	return ds.chains
+}
+
+// canonicalizeLocked maps an imported object's own chain to the
+// dataset's canonical chain of the same fingerprint — registering it as
+// canonical on first sight — so equal chains stay pointer-identical.
+// Requires ds.mu held exclusively.
+func (ds *dataset) canonicalizeLocked(o *core.Object) (*core.Object, error) {
+	if o.Chain == nil {
+		return o, nil
+	}
+	chains := ds.chainsLocked()
 	fp := o.Chain.Fingerprint()
-	canon, ok := ds.chains[fp]
+	canon, ok := chains[fp]
 	if !ok {
-		ds.chains[fp] = o.Chain
+		chains[fp] = o.Chain
 		return o, nil
 	}
 	if canon == o.Chain {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
 	"sync"
 
 	"ust/internal/core"
@@ -75,6 +76,8 @@ type Router struct {
 	// topoGen fences Import/Evict calls: it increments on every mirror
 	// batch, so a worker can reject a stale or replayed migration op.
 	topoGen uint64
+	// importFailures counts failed Import batches by shard label.
+	importFailures map[int]uint64
 
 	ordMu  sync.Mutex
 	orders map[bool]*orderIndex // emission orders, keyed by "insertion order"
@@ -140,6 +143,8 @@ func NewWithBackends(db *core.Database, shards int, opts core.Options, factory B
 		factory: factory,
 		byLabel: map[int]int{},
 		orders:  map[bool]*orderIndex{},
+
+		importFailures: map[int]uint64{},
 	}
 	for _, label := range ring.Shards() {
 		if err := r.addMemberLocked(label); err != nil {
@@ -210,10 +215,11 @@ func (r *Router) CacheStats() core.CacheStats {
 }
 
 // syncLocked brings every shard up to the full database's generation:
-// each object is routed to its ring owner, added or swapped on the
-// shadow when its pointer changed, and the changes are mirrored to the
-// backends in one Import batch per member. Requires r.mu held
-// exclusively.
+// each object is routed to its ring owner, the objects whose pointer
+// changed are mirrored to the backends in one Import batch per member,
+// and a member's shadow adopts its batch only once its backend has — so
+// a failed batch is found again, whole, by the next sync. Requires r.mu
+// held exclusively.
 func (r *Router) syncLocked() error {
 	v := r.full.Version()
 	if r.synced == v {
@@ -222,33 +228,58 @@ func (r *Router) syncLocked() error {
 	pending := make([][]*core.Object, len(r.members))
 	for _, o := range r.full.Objects() {
 		mi := r.memberOf(o.ID)
-		m := r.members[mi]
-		switch cur := m.db.Get(o.ID); {
-		case cur == o: // unchanged
-			continue
-		case cur == nil:
-			if err := m.db.Add(o); err != nil {
-				return err
-			}
-		default:
-			if err := m.db.ReplaceObject(o); err != nil {
-				return err
-			}
+		if r.members[mi].db.Get(o.ID) != o {
+			pending[mi] = append(pending[mi], o)
 		}
-		pending[mi] = append(pending[mi], o)
 	}
 	for mi, objs := range pending {
 		if len(objs) == 0 {
 			continue
 		}
-		r.topoGen++
-		if err := r.members[mi].backend.Import(context.Background(), r.topoGen, objs); err != nil {
+		if err := r.importLocked(r.members[mi], objs); err != nil {
 			return err
 		}
 	}
 	r.synced = v
 	r.invalidateOrders()
 	return nil
+}
+
+// importLocked mirrors objs to m's backend under the next migration
+// generation and, once the backend has applied them, upserts them into
+// m's shadow. A failed import is counted against the shard and leaves
+// the shadow as it was. Requires r.mu held exclusively.
+func (r *Router) importLocked(m *member, objs []*core.Object) error {
+	r.topoGen++
+	if err := m.backend.Import(context.Background(), r.topoGen, objs); err != nil {
+		r.importFailures[m.label]++
+		return err
+	}
+	for _, o := range objs {
+		var err error
+		if m.db.Get(o.ID) == nil {
+			err = m.db.Add(o)
+		} else {
+			err = m.db.ReplaceObject(o)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ImportFailures returns, per shard label, how many Import batches the
+// shard's backend has failed — writes and migrations that did not reach
+// it. Every live shard has an entry.
+func (r *Router) ImportFailures() map[int]uint64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := maps.Clone(r.importFailures)
+	for _, m := range r.members {
+		out[m.label] += 0
+	}
+	return out
 }
 
 func (r *Router) invalidateOrders() {
@@ -277,29 +308,28 @@ func (r *Router) acquire() (release func(), err error) {
 
 // --- ingest ---------------------------------------------------------------
 
-// applyLocked routes one just-mutated object to its owning shard and
-// stamps the router synced — the O(1) ingest path, sparing the full
-// syncLocked rescan when the caller knows exactly what changed.
-// Requires r.mu held exclusively and r.synced current BEFORE the full-
-// database mutation.
-func (r *Router) applyLocked(o *core.Object) error {
-	m := r.members[r.memberOf(o.ID)]
-	var err error
-	if m.db.Get(o.ID) == nil {
-		err = m.db.Add(o)
-	} else {
-		err = m.db.ReplaceObject(o)
-	}
+// writeLocked commits one object the caller has just put into the full
+// database — prev is the version it replaced, nil for an insert — to its
+// owning shard and stamps the router synced: the O(1) ingest path,
+// sparing the full syncLocked rescan when the caller knows exactly what
+// changed. When the shard's backend refuses the object the full
+// database is put back as it was, so a failed write changes nothing:
+// the coordinator never plans or orders over an object its worker does
+// not hold. Requires r.mu held exclusively and r.synced current BEFORE
+// the full-database mutation.
+func (r *Router) writeLocked(o, prev *core.Object) error {
+	err := r.importLocked(r.members[r.memberOf(o.ID)], []*core.Object{o})
 	if err != nil {
-		return err
-	}
-	r.topoGen++
-	if err := m.backend.Import(context.Background(), r.topoGen, []*core.Object{o}); err != nil {
-		return err
+		// Undoing a mutation that just succeeded cannot fail.
+		if prev == nil {
+			_ = r.full.Remove(o.ID)
+		} else {
+			_ = r.full.ReplaceObject(prev)
+		}
 	}
 	r.synced = r.full.Version()
 	r.invalidateOrders()
-	return nil
+	return err
 }
 
 // Add inserts a new object, routing it to its owning shard. Queries are
@@ -314,7 +344,7 @@ func (r *Router) Add(o *core.Object) error {
 	if err := r.full.Add(o); err != nil {
 		return err
 	}
-	return r.applyLocked(o)
+	return r.writeLocked(o, nil)
 }
 
 // ReplaceObject swaps in a new version of an existing object on both
@@ -325,10 +355,11 @@ func (r *Router) ReplaceObject(o *core.Object) error {
 	if err := r.syncLocked(); err != nil {
 		return err
 	}
+	prev := r.full.Get(o.ID)
 	if err := r.full.ReplaceObject(o); err != nil {
 		return err
 	}
-	return r.applyLocked(o)
+	return r.writeLocked(o, prev)
 }
 
 // Observe appends an observation to an existing object — the standing
@@ -350,7 +381,7 @@ func (r *Router) Observe(objectID int, obs core.Observation) error {
 	if err := r.full.ReplaceObject(updated); err != nil {
 		return err
 	}
-	return r.applyLocked(updated)
+	return r.writeLocked(updated, o)
 }
 
 // --- live rebalance ---------------------------------------------------------
@@ -388,6 +419,7 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("shard: backend for shard %d: %w", label, err)
 	}
+	joining := &member{label: label, db: shadow, backend: backend}
 
 	// Collect the moving slice in full-database order, so the new
 	// shard's shadow (and its worker mirror) list objects in the same
@@ -399,10 +431,6 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 			continue
 		}
 		src := r.memberOf(o.ID)
-		if err := shadow.Add(o); err != nil {
-			_ = backend.Close()
-			return 0, err
-		}
 		moved = append(moved, o)
 		evictFrom[src] = append(evictFrom[src], o.ID)
 	}
@@ -410,8 +438,7 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 	// Push to the new worker BEFORE evicting from the old owners: an
 	// import failure aborts with every object still owned somewhere.
 	if len(moved) > 0 {
-		r.topoGen++
-		if err := backend.Import(context.Background(), r.topoGen, moved); err != nil {
+		if err := r.importLocked(joining, moved); err != nil {
 			_ = backend.Close()
 			return 0, fmt.Errorf("shard: migrating %d objects to shard %d: %w", len(moved), label, err)
 		}
@@ -431,7 +458,7 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 			return 0, fmt.Errorf("shard: evicting %d objects from shard %d: %w", len(ids), m.label, err)
 		}
 	}
-	r.members = append(r.members, &member{label: label, db: shadow, backend: backend})
+	r.members = append(r.members, joining)
 	r.byLabel[label] = len(r.members) - 1
 	r.ring = next
 	r.invalidateOrders()
@@ -463,17 +490,13 @@ func (r *Router) Shrink(label int) error {
 	pending := make([][]*core.Object, len(r.members))
 	for _, o := range departing.db.Objects() {
 		dst := r.byLabel[next.Owner(o.ID)]
-		if err := r.members[dst].db.Add(o); err != nil {
-			return err
-		}
 		pending[dst] = append(pending[dst], o)
 	}
 	for dst, objs := range pending {
 		if len(objs) == 0 {
 			continue
 		}
-		r.topoGen++
-		if err := r.members[dst].backend.Import(context.Background(), r.topoGen, objs); err != nil {
+		if err := r.importLocked(r.members[dst], objs); err != nil {
 			return fmt.Errorf("shard: migrating %d objects to shard %d: %w", len(objs), r.members[dst].label, err)
 		}
 	}

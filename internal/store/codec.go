@@ -61,7 +61,7 @@ func SaveDatabase(w io.Writer, db *core.Database) error {
 	out.u32(formatVersion2)
 	out.u32(2)
 	writeChainSection(out, db.DefaultChain())
-	writeColumnarSection(out, db)
+	writeColumnarSection(out, db.Objects(), segments(db), nil)
 	return out.finish()
 }
 

@@ -8,24 +8,40 @@
 //	version  uint32   1 or 2
 //	count    uint32   number of sections
 //	sections          repeated count times:
-//	  tag    [4]byte  "CHN0" | "OBJ0" | "OBC0"
+//	  tag    [4]byte  "CHN0" | "CHR0" | "OBJ0" | "OBC0"
 //	  payload          tag-specific encoding
 //	footer   uint32   0xC5C5C5C5 guard
 //	crc      uint32   CRC-32 (IEEE) over everything before the footer
 //
-// The CHN0 payload is a CSR transition matrix. Version 1 stores objects
-// row-wise in OBJ0 (ids, observation times, sparse pdfs as
-// (count, idx..., val...) with every integer a full uint64). Version 2
-// stores them columnar in OBC0: the observation set as delta-encoded
-// parallel arrays — object ids, observation counts, times, support
-// lengths, support state ids — in varint blocks, followed by one raw
-// little-endian float64 probability column padded to an 8-aligned file
-// offset. The columnar layout is both smaller (varints + deltas) and
-// the unit of the zero-copy load path: LoadDatabaseMapped adopts the
-// probability column and carves per-object segments out of shared
-// arenas instead of allocating per observation. Writers emit version 2
-// (SaveDatabase) unless asked for 1 (SaveDatabaseV1); readers accept
-// both.
+//	tag   payload                                    written by
+//	CHN0  the default chain inline: a CSR            SaveChain, SaveDatabase,
+//	      transition matrix                          SaveDatabaseV1
+//	CHR0  the default chain by reference:            FrameEncoder
+//	      u64 fingerprint, u64 |S|
+//	OBJ0  objects row-wise (version 1)               SaveDatabaseV1
+//	OBC0  objects columnar (version 2)               SaveDatabase,
+//	                                                 FrameEncoder
+//
+// A database image is one chain section followed by one object section.
+// An image with CHN0 is self-contained (a file, a dataset upload); one
+// with CHR0 is an object frame — what a fleet write ships to a worker
+// that already holds the chain — and decodes only through
+// DecodeObjectFrame with a resolver that knows the fingerprint
+// (markov.Chain.Fingerprint). Both are the same envelope and the same
+// decoder; LoadDatabaseMapped is DecodeObjectFrame without a resolver.
+//
+// Version 1 stores objects row-wise in OBJ0 (ids, observation times,
+// sparse pdfs as (count, idx..., val...) with every integer a full
+// uint64). Version 2 stores them columnar in OBC0: the observation set
+// as delta-encoded parallel arrays — object ids, observation counts,
+// times, support lengths, support state ids — in varint blocks, followed
+// by one raw little-endian float64 probability column padded to an
+// 8-aligned file offset. The columnar layout is both smaller (varints +
+// deltas) and the unit of the zero-copy load path: LoadDatabaseMapped
+// adopts the probability column and carves per-object segments out of
+// shared arenas instead of allocating per observation. Writers emit
+// version 2 (SaveDatabase) unless asked for 1 (SaveDatabaseV1); readers
+// accept both.
 package store
 
 import (
@@ -44,6 +60,7 @@ import (
 var (
 	magic       = [4]byte{'U', 'S', 'T', 'D'}
 	tagChain    = [4]byte{'C', 'H', 'N', '0'}
+	tagChainRef = [4]byte{'C', 'H', 'R', '0'}
 	tagObjects  = [4]byte{'O', 'B', 'J', '0'}
 	tagColumnar = [4]byte{'O', 'B', 'C', '0'}
 )
@@ -56,6 +73,11 @@ const (
 
 // ErrCorrupt is wrapped by all integrity failures.
 var ErrCorrupt = errors.New("store: corrupt file")
+
+// ErrUnknownChain is wrapped when an image references a chain by a
+// fingerprint that neither the decoder's resolver nor the image itself
+// holds.
+var ErrUnknownChain = errors.New("store: unknown chain fingerprint")
 
 // writer tracks CRC over everything written.
 type writer struct {

@@ -50,3 +50,52 @@ func FuzzDecodeStoreV2(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeObjectFrame hammers the frame decoder — what a worker runs
+// on every /import body — with arbitrary bytes against a receiver that
+// holds the default chain and one own chain. Seeds: frames with the own
+// chain inline and by reference, a full image, truncations, and
+// CRC-valid frames with a corrupt interior (so the section parser is
+// reached, not just the checksum gate). The contract: never panic;
+// failures are ErrCorrupt, ErrUnknownChain or a clean
+// unsupported-version error; whatever decodes re-encodes as a frame.
+func FuzzDecodeObjectFrame(f *testing.F) {
+	db := testDB(f) // object 7 carries its own chain
+	def, own := db.DefaultChain(), db.Get(7).Chain
+	enc := NewFrameEncoder(def)
+	inline, err := enc.Encode(db.Objects())
+	if err != nil {
+		f.Fatal(err)
+	}
+	byRef, err := enc.Encode(db.Objects())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(inline)
+	f.Add(byRef)
+	f.Add(saveV2(f, db))
+	for _, cut := range []int{0, 12, 16, 31, 32, len(byRef) / 2, len(byRef) - 9, len(byRef) - 1} {
+		f.Add(byRef[:cut])
+	}
+	for at := 12; at < len(byRef)-8; at += 7 {
+		bad := append([]byte(nil), byRef...)
+		bad[at] ^= 0xff
+		fixupCRC(bad)
+		f.Add(bad)
+	}
+	resolve := resolverOf(def, own)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeObjectFrame(data, resolve)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnknownChain) &&
+				!bytes.Contains([]byte(err.Error()), []byte("unsupported version")) {
+				t.Fatalf("decode error outside the contract: %v", err)
+			}
+			return
+		}
+		if _, err := NewFrameEncoder(got.DefaultChain()).Encode(got.Objects()); err != nil {
+			t.Fatalf("decoded frame failed to re-encode: %v", err)
+		}
+	})
+}

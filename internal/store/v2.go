@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"ust/internal/core"
@@ -22,7 +23,12 @@ import (
 //	  lens     per observation: support size (uvarint, >=1)
 //	  states   per observation: first state id absolute, then deltas
 //	  chains   u64 count, then per own-chain object:
-//	           uvarint object index, u64 CSR byte length, CSR payload
+//	           uvarint object index, u64 byte length, then either the
+//	           CSR payload or — when the length is exactly chainRefLen —
+//	           a chain reference (u64 fingerprint, u64 |S|), the same
+//	           payload as a CHR0 section. A CSR payload is never that
+//	           short (its header alone is 40 bytes). Only object frames
+//	           (FrameEncoder) write references.
 //	  probs    u8 padLen, padLen zero bytes, then one raw little-endian
 //	           float64 per support entry. padLen is chosen at write time
 //	           so the float column starts at a file offset that is a
@@ -42,13 +48,79 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// LoadDatabaseMapped decodes a complete in-memory store image (any
-// version). For version-2 images the probability column is adopted
-// zero-copy when its file offset is 8-aligned in data: the returned
-// database's observation pdfs and columnar segments alias data, so the
-// caller must not modify the buffer for the lifetime of the database.
-// Misaligned or big-endian loads transparently fall back to copying.
+// LoadDatabaseMapped decodes a complete, self-contained in-memory store
+// image (any version). For version-2 images the probability column is
+// adopted zero-copy when its file offset is 8-aligned in data: the
+// returned database's observation pdfs and columnar segments alias data,
+// so the caller must not modify the buffer for the lifetime of the
+// database. Misaligned or big-endian loads transparently fall back to
+// copying.
 func LoadDatabaseMapped(data []byte) (*core.Database, error) {
+	return DecodeObjectFrame(data, nil)
+}
+
+// FrameEncoder encodes the object frames sent to one receiver: version-2
+// images whose chains travel by reference — fingerprint and |S| — once
+// the receiver holds them, so a frame is O(objects) where a full image
+// is O(chain). The default chain always travels by reference (a CHR0
+// section); the receiver was created over it. An object's own chain
+// travels inline in the first frame that needs it and by reference from
+// then on, within that frame included. Not safe for concurrent use.
+type FrameEncoder struct {
+	def  *markov.Chain
+	held map[uint64]bool // fingerprints the receiver is taken to hold
+}
+
+// NewFrameEncoder returns an encoder for a receiver that holds def, the
+// default chain of the database the objects belong to.
+func NewFrameEncoder(def *markov.Chain) *FrameEncoder {
+	e := &FrameEncoder{def: def}
+	e.Reset()
+	return e
+}
+
+// Reset forgets every own chain sent so far, so the next frames carry
+// them inline again — for when a frame may not have arrived. A receiver
+// that already holds a chain canonicalizes the repeat by fingerprint.
+func (e *FrameEncoder) Reset() { e.held = map[uint64]bool{e.def.Fingerprint(): true} }
+
+// Encode returns objs as one frame, in slice order. The objects need no
+// database: their column segments are derived from the boxed pdfs, bit
+// for bit.
+func (e *FrameEncoder) Encode(objs []*core.Object) ([]byte, error) {
+	var buf bytes.Buffer
+	out := newWriter(&buf)
+	out.write(magic[:])
+	out.u32(formatVersion2)
+	out.u32(2)
+	out.write(tagChainRef[:])
+	out.write(chainRef(e.def))
+	segs := make([]core.ObsSeg, len(objs))
+	for i, o := range objs {
+		segs[i] = extractSeg(o)
+	}
+	writeColumnarSection(out, objs, segs, func(fp uint64) bool {
+		known := e.held[fp]
+		e.held[fp] = true
+		return known
+	})
+	if err := out.finish(); err != nil {
+		e.Reset() // held may name chains of a frame that never existed
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeObjectFrame decodes a store image whose chains may travel by
+// reference: every CHR0 section and own-chain reference is looked up
+// through resolve (then among the chains the image itself carries
+// inline) and must name a chain of the stated |S|. A fingerprint nobody
+// holds fails with ErrUnknownChain (ErrCorrupt when resolve is nil: a
+// self-contained image may not point outside itself). A full image —
+// every chain inline — decodes identically with any resolver, including
+// nil; that is LoadDatabaseMapped, whose aliasing contract applies here
+// too.
+func DecodeObjectFrame(data []byte, resolve func(fingerprint uint64) *markov.Chain) (*core.Database, error) {
 	version, sections, body, err := envelope(data)
 	if err != nil {
 		return nil, err
@@ -57,29 +129,64 @@ func LoadDatabaseMapped(data []byte) (*core.Database, error) {
 	case formatVersion:
 		return loadV1(newReader(bytes.NewReader(body[12:])), sections)
 	case formatVersion2:
-		return loadV2(body, sections)
+		return loadV2(body, sections, resolve)
 	default:
 		return nil, fmt.Errorf("store: unsupported version %d (supported: %d, %d)",
 			version, formatVersion, formatVersion2)
 	}
 }
 
-// writeColumnarSection emits the OBC0 section, preferring the database's
-// maintained column plane (bit-faithful to the boxed pdfs) and falling
-// back to extraction for objects without a current segment.
-func writeColumnarSection(out *writer, db *core.Database) {
-	out.write(tagColumnar[:])
-	objs := db.Objects()
-	out.u64(uint64(len(objs)))
+// chainRefLen is the byte length of a chain reference: u64 fingerprint,
+// u64 |S|.
+const chainRefLen = 16
 
-	segs := make([]core.ObsSeg, len(objs))
-	for i, o := range objs {
-		if seg, ok := db.Columns().Segment(o.ID); ok && seg.Len() == len(o.Observations) {
-			segs[i] = seg
-			continue
-		}
-		segs[i] = extractSeg(o)
+func chainRef(c *markov.Chain) []byte {
+	ref := make([]byte, chainRefLen)
+	binary.LittleEndian.PutUint64(ref, c.Fingerprint())
+	binary.LittleEndian.PutUint64(ref[8:], uint64(c.NumStates()))
+	return ref
+}
+
+// chainLookup resolves chain references for one image: the caller's
+// resolver first (its chains are the receiver's canonical pointers),
+// then the chains the image carried inline so far.
+type chainLookup struct {
+	resolve func(uint64) *markov.Chain
+	inline  []*markov.Chain
+}
+
+func (l *chainLookup) deref(ref []byte) (*markov.Chain, error) {
+	fp := binary.LittleEndian.Uint64(ref)
+	states := binary.LittleEndian.Uint64(ref[8:])
+	var ch *markov.Chain
+	if l.resolve != nil {
+		ch = l.resolve(fp)
 	}
+	for i := 0; ch == nil && i < len(l.inline); i++ {
+		if l.inline[i].Fingerprint() == fp {
+			ch = l.inline[i]
+		}
+	}
+	switch {
+	case ch == nil && l.resolve == nil:
+		return nil, fmt.Errorf("%w: self-contained image references chain %#x", ErrCorrupt, fp)
+	case ch == nil:
+		return nil, fmt.Errorf("%w %#x", ErrUnknownChain, fp)
+	}
+	if uint64(ch.NumStates()) != states {
+		return nil, fmt.Errorf("%w: chain %#x referenced over %d states, held over %d",
+			ErrCorrupt, fp, states, ch.NumStates())
+	}
+	return ch, nil
+}
+
+// writeColumnarSection emits the OBC0 section for objs, whose column
+// segments are segs. With known nil every own chain is written inline
+// (a self-contained image); otherwise a chain whose fingerprint known
+// reports as held by the receiver is written as a reference.
+func writeColumnarSection(out *writer, objs []*core.Object, segs []core.ObsSeg, known func(uint64) bool) {
+	out.write(tagColumnar[:])
+	out.u64(uint64(len(objs)))
 
 	// ids
 	out.block(func(b *writer) {
@@ -151,9 +258,10 @@ func writeColumnarSection(out *writer, db *core.Database) {
 			if o.Chain == nil {
 				continue
 			}
-			payload, err := csrBytes(o.Chain.Matrix())
-			if err != nil {
-				b.err = err
+			var payload []byte
+			if known != nil && known(o.Chain.Fingerprint()) {
+				payload = chainRef(o.Chain)
+			} else if payload, b.err = csrBytes(o.Chain.Matrix()); b.err != nil {
 				return
 			}
 			b.uvarint(uint64(i))
@@ -184,8 +292,26 @@ func writeColumnarSection(out *writer, db *core.Database) {
 	}
 }
 
+// segments returns the column segment of every object of db, preferring
+// the database's maintained column plane (bit-faithful to the boxed
+// pdfs) and falling back to extraction for objects without a current
+// segment.
+func segments(db *core.Database) []core.ObsSeg {
+	objs := db.Objects()
+	segs := make([]core.ObsSeg, len(objs))
+	for i, o := range objs {
+		if seg, ok := db.Columns().Segment(o.ID); ok && seg.Len() == len(o.Observations) {
+			segs[i] = seg
+			continue
+		}
+		segs[i] = extractSeg(o)
+	}
+	return segs
+}
+
 // extractSeg derives a column segment from an object's boxed pdfs — the
-// writer's fallback when the database has no current plane entry.
+// writer's path for objects without a current plane entry (every object
+// of a frame: frames are encoded without a database).
 func extractSeg(o *core.Object) core.ObsSeg {
 	seg := core.ObsSeg{
 		Times: make([]int32, len(o.Observations)),
@@ -193,7 +319,10 @@ func extractSeg(o *core.Object) core.ObsSeg {
 	}
 	for k, ob := range o.Observations {
 		seg.Times[k] = int32(ob.Time)
-		for _, s := range ob.PDF.Support() {
+		sup := ob.PDF.Support()
+		seg.IDs = slices.Grow(seg.IDs, len(sup))
+		seg.Probs = slices.Grow(seg.Probs, len(sup))
+		for _, s := range sup {
 			seg.IDs = append(seg.IDs, int32(s))
 			seg.Probs = append(seg.Probs, ob.PDF.P(s))
 		}
@@ -336,8 +465,9 @@ func skimColumnar(d *v2Decoder) (*columnarBlocks, error) {
 }
 
 // loadV2 decodes a version-2 body.
-func loadV2(body []byte, sections uint32) (*core.Database, error) {
+func loadV2(body []byte, sections uint32, resolve func(uint64) *markov.Chain) (*core.Database, error) {
 	d := &v2Decoder{body: body, off: 12}
+	chains := &chainLookup{resolve: resolve}
 	var chain *markov.Chain
 	var cb *columnarBlocks
 	for i := uint32(0); i < sections; i++ {
@@ -354,7 +484,16 @@ func loadV2(body []byte, sections uint32) (*core.Database, error) {
 				return nil, err
 			}
 			chain = c
+			chains.inline = append(chains.inline, c)
 			d.off += before - br.Len()
+		case tagChainRef:
+			ref, err := d.take(chainRefLen)
+			if err != nil {
+				return nil, err
+			}
+			if chain, err = chains.deref(ref); err != nil {
+				return nil, err
+			}
 		case tagColumnar:
 			if cb, err = skimColumnar(d); err != nil {
 				return nil, err
@@ -372,14 +511,14 @@ func loadV2(body []byte, sections uint32) (*core.Database, error) {
 	if cb == nil {
 		return nil, fmt.Errorf("%w: no object section", ErrCorrupt)
 	}
-	return decodeColumnar(cb, chain)
+	return decodeColumnar(cb, chain, chains)
 }
 
 // decodeColumnar materializes the database from skimmed blocks: shared
 // arenas for every per-observation slice, the probability column adopted
 // zero-copy when aligned, and the column plane pre-seeded so Database.Add
 // claims each segment instead of re-deriving it.
-func decodeColumnar(cb *columnarBlocks, chain *markov.Chain) (*core.Database, error) {
+func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup) (*core.Database, error) {
 	n := int(cb.count)
 
 	// Object ids.
@@ -447,6 +586,12 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain) (*core.Database, er
 		if err != nil {
 			return nil, err
 		}
+		if clen == chainRefLen {
+			if ownChains[int(idx)], err = chains.deref(payload); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		br := bytes.NewReader(payload)
 		ch, err := readChain(newRawReader(br))
 		if err != nil {
@@ -456,6 +601,7 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain) (*core.Database, er
 			return nil, fmt.Errorf("%w: %d trailing bytes after chain", ErrCorrupt, br.Len())
 		}
 		ownChains[int(idx)] = ch
+		chains.inline = append(chains.inline, ch)
 	}
 	if err := cur.mustEnd(); err != nil {
 		return nil, err

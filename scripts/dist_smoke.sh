@@ -4,10 +4,12 @@
 # and diffed byte-for-byte against in-process evaluation, including a
 # count aggregate (factors pooled over the wire, folded coordinator-
 # side). Also checks /readyz gating, the ust_role / ust_ring_members
-# metrics, that killing a worker yields a clean error (not a hang), and
-# a graceful fleet shutdown. A second phase starts a replicated fleet
-# (3 workers, -replicas 2), kills a worker mid-run, and requires queries
-# to KEEP succeeding byte-identically while ust_worker_healthy flips.
+# metrics, that writes through the coordinator stay under a per-write
+# byte budget on the workers' import counters, that killing a worker
+# yields a clean error (not a hang), and a graceful fleet shutdown. A
+# second phase starts a replicated fleet (3 workers, -replicas 2), kills
+# a worker mid-run, and requires queries to KEEP succeeding
+# byte-identically while ust_worker_healthy flips.
 # `make dist-smoke` runs this; CI runs it via `make ci`.
 set -eu
 
@@ -101,6 +103,37 @@ curl -fsS "$CO_BASE/metrics" >"$TMP/co-metrics.out"
 grep -q 'ust_role{role="coordinator"} 1' "$TMP/co-metrics.out"
 grep -q 'ust_ring_members 2' "$TMP/co-metrics.out"
 curl -fsS "$W0_BASE/metrics" | grep -q 'ust_role{role="worker"} 1'
+
+echo "dist-smoke: ingest through the coordinator ships objects, not the chain"
+# Every write reaches its worker as an import frame that names the chain
+# by fingerprint. The workers' own counters must show it: the bytes the
+# writes below add stay under a per-write budget that the 2000-state
+# chain (~170 KB encoded) would blow through many times over.
+WRITES=8
+WRITE_BUDGET=4096
+import_total() {
+    b0=$(curl -fsS "$W0_BASE/metrics" | awk -v m="$1" '$1 == m {print $2}')
+    b1=$(curl -fsS "$W1_BASE/metrics" | awk -v m="$1" '$1 == m {print $2}')
+    echo $((b0 + b1))
+}
+BYTES_BEFORE=$(import_total ust_import_bytes_total)
+OBJS_BEFORE=$(import_total ust_import_objects_total)
+w=0
+while [ "$w" -lt "$WRITES" ]; do
+    curl -fsS -X POST "$CO_BASE/v1/datasets/smoke/observe" \
+        -d "{\"object\": $((w * 7)), \"time\": 40, \"states\": [$((100 + w)), $((900 + w))], \"probs\": [0.5, 0.5]}" >/dev/null
+    w=$((w+1))
+done
+BYTES=$(( $(import_total ust_import_bytes_total) - BYTES_BEFORE ))
+OBJS=$(( $(import_total ust_import_objects_total) - OBJS_BEFORE ))
+if [ "$OBJS" -ne "$WRITES" ]; then
+    echo "dist-smoke: $WRITES writes imported $OBJS objects on the workers"; exit 1
+fi
+if [ "$BYTES" -le 0 ] || [ "$BYTES" -gt $((WRITES * WRITE_BUDGET)) ]; then
+    echo "dist-smoke: $WRITES writes shipped $BYTES bytes, budget $WRITE_BUDGET per write"; exit 1
+fi
+curl -fsS "$W0_BASE/metrics" | grep -q '^ust_import_duration_seconds_count '
+curl -fsS "$CO_BASE/metrics" | grep -q 'ust_shard_import_failures_total{dataset="smoke",shard="0"} 0'
 
 echo "dist-smoke: killing worker 1 — queries fail cleanly, the fleet stays up"
 kill -9 "$W1_PID"; W1_PID=""
