@@ -8,7 +8,7 @@ GO ?= go
 # 74.8%; keep a small buffer for flaky branches).
 COVER_FLOOR ?= 73.0
 
-.PHONY: ci fmt-check vet staticcheck build test race examples benchmark-check serve-smoke dist-smoke load-smoke fuzz-smoke bench alloc-gate cover clean
+.PHONY: ci fmt-check vet staticcheck build test race examples benchmark-check serve-smoke dist-smoke load-smoke fuzz-smoke bench alloc-gate cover loc clean
 
 # cover runs the full (shuffled) suite with a coverage profile, so ci
 # does not also run the plain `test` target — that would execute the
@@ -127,6 +127,12 @@ alloc-gate:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkIngest' -benchmem -benchtime=100x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkIngest < .gate.jsonl
 	@rm -f .gate.jsonl
+
+# loc prints the non-test Go lines per package directory and the total
+# (benchmark/ excluded): the figure ROADMAP item 3's deletions are
+# counted in.
+loc:
+	@./scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

@@ -73,9 +73,7 @@ func runExists(b *testing.B, db *ust.Database, q ust.Query, s ust.Strategy, mcSa
 	e := ust.NewEngine(db, ust.Options{Strategy: s, MonteCarloSamples: mcSamples})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Exists(q); err != nil {
-			b.Fatalf("Exists: %v", err)
-		}
+		ask(b, e, ust.PredicateExists, q)
 	}
 }
 
@@ -195,15 +193,22 @@ func BenchmarkFig9dAccuracy(b *testing.B) {
 	db := benchDB(b, 100, 10000)
 	e := core.NewEngine(db, core.Options{})
 	w := gen.DefaultWindow()
-	q := ust.NewQuery(w.States(10000), ust.Interval(20, 29))
+	region := w.States(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// The Markov model: one exact pass over the whole window. The
+		// independence model: 1 − Π_t (1 − P∃(o, S□, {t})) from one
+		// single-timestamp request per window timestamp (uncached, so
+		// every iteration pays for its sweeps).
+		ask(b, e, ust.PredicateExists, ust.NewQuery(region, ust.Interval(20, 29)),
+			ust.WithStrategy(ust.StrategyObjectBased))
+		missAll := map[int]float64{}
 		for _, o := range db.Objects() {
-			if _, err := e.ExistsOB(o, q); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.ExistsIndependent(o, q); err != nil {
-				b.Fatal(err)
+			missAll[o.ID] = 1
+		}
+		for t := 20; t <= 29; t++ {
+			for _, r := range ask(b, e, ust.PredicateExists, ust.NewQuery(region, []int{t}), ust.WithCache(false)) {
+				missAll[r.ObjectID] *= 1 - r.Prob
 			}
 		}
 	}
@@ -219,23 +224,17 @@ func benchPredicates(b *testing.B, strategy ust.Strategy) {
 		e := ust.NewEngine(db, ust.Options{Strategy: strategy})
 		b.Run(fmt.Sprintf("win=%d/exists", winLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Exists(q); err != nil {
-					b.Fatal(err)
-				}
+				ask(b, e, ust.PredicateExists, q)
 			}
 		})
 		b.Run(fmt.Sprintf("win=%d/forall", winLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.ForAll(q); err != nil {
-					b.Fatal(err)
-				}
+				ask(b, e, ust.PredicateForAll, q)
 			}
 		})
 		b.Run(fmt.Sprintf("win=%d/ktimes", winLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.KTimes(q); err != nil {
-					b.Fatal(err)
-				}
+				ask(b, e, ust.PredicateKTimes, q)
 			}
 		})
 	}
@@ -323,7 +322,6 @@ func BenchmarkAblationAugmented(b *testing.B) {
 	}
 	db := ust.NewDatabase(ds.Chain)
 	db.AddSimple(0, ds.Objects[0])
-	o := db.Objects()[0]
 	e := core.NewEngine(db, core.Options{})
 	q := benchQuery(p.NumStates)
 	init := ds.Objects[0].Clone()
@@ -331,9 +329,7 @@ func BenchmarkAblationAugmented(b *testing.B) {
 
 	b.Run("implicit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := e.ExistsOB(o, q); err != nil {
-				b.Fatal(err)
-			}
+			ask(b, e, ust.PredicateExists, q, ust.WithStrategy(ust.StrategyObjectBased))
 		}
 	})
 	b.Run("materialized", func(b *testing.B) {
@@ -357,7 +353,6 @@ func BenchmarkAblationKTimesAugmented(b *testing.B) {
 	}
 	db := ust.NewDatabase(ds.Chain)
 	db.AddSimple(0, ds.Objects[0])
-	o := db.Objects()[0]
 	e := core.NewEngine(db, core.Options{})
 	q := benchQuery(p.NumStates)
 	init := ds.Objects[0].Clone()
@@ -365,9 +360,7 @@ func BenchmarkAblationKTimesAugmented(b *testing.B) {
 
 	b.Run("efficient", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := e.KTimesOB(o, q); err != nil {
-				b.Fatal(err)
-			}
+			ask(b, e, ust.PredicateKTimes, q, ust.WithStrategy(ust.StrategyObjectBased))
 		}
 	})
 	b.Run("materialized", func(b *testing.B) {
@@ -428,38 +421,11 @@ func BenchmarkAblationParallelOB(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.ExistsOBParallel(q, workers); err != nil {
-					b.Fatal(err)
-				}
+				ask(b, e, ust.PredicateExists, q,
+					ust.WithStrategy(ust.StrategyObjectBased), ust.WithParallelism(workers))
 			}
 		})
 	}
-}
-
-// BenchmarkAblationThresholdPruning measures the early-termination
-// forward pass (Section V-C pruning) against the exact pass.
-func BenchmarkAblationThresholdPruning(b *testing.B) {
-	db := benchDB(b, 100, 10000)
-	e := core.NewEngine(db, core.Options{})
-	q := benchQuery(10000)
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, o := range db.Objects() {
-				if _, err := e.ExistsOB(o, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("threshold=0.1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, o := range db.Objects() {
-				if _, _, err := e.ExistsOBBounds(o, q, 0.1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // --- Kernel layer: score cache and filter–refine (this repo's ---------

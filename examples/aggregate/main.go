@@ -105,13 +105,6 @@ func main() {
 		fmt.Printf("  t=%2d  E=%.3f  P(>=2)=%.4f  %s\n",
 			pt.Time, pt.Mean, pt.Tail, bar(pt.Mean/3))
 	}
-
-	// Sanity: the legacy scalar answer is the PMF's mean, bit for bit.
-	mean, err := engine.ExpectedCount(window)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nExpectedCount = %.6f (== E[count] above)\n", mean)
 }
 
 // commuteChain drifts traffic toward the dock in the east: moves that

@@ -10,9 +10,9 @@
 // The example demonstrates the paper's suggested remedies:
 //
 //  1. cluster vehicles by class and bound each cluster with an
-//     interval chain (ClusteredExists) — most vehicles are decided
+//     interval chain (ExistsThresholdClustered) — most vehicles are decided
 //     against the threshold without touching their individual chains;
-//  2. let the cost planner pick a strategy per query (ExistsAuto);
+//  2. let the cost planner pick a strategy per query (WithAutoPlan);
 //  3. compare against exact per-object evaluation to show the pruned
 //     result is identical.
 package main

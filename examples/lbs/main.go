@@ -51,7 +51,6 @@ func main() {
 		ust.WithRegion(foodCourt, index),
 		ust.WithTimeRange(3, 7),
 	}
-	query := ust.NewQuery(index.Search(foodCourt), ust.Interval(3, 7))
 	engine := ust.NewEngine(db, ust.Options{})
 	ctx := context.Background()
 
@@ -86,41 +85,42 @@ func main() {
 	fmt.Printf("\nfootfall reach (P(visit) ≥ 0.2): %d customers\n", reach)
 
 	// --- Dwell profile of the best target (PSTkQ). ---
+	// One ktimes request answers every customer; the best target's
+	// visit-count distribution is its Result.Dist.
 	if len(targets) > 0 {
-		best := db.Get(targets[0].ObjectID)
-		dist, err := engine.KTimesOB(best, query)
+		best := targets[0].ObjectID
+		dwell, err := engine.Evaluate(ctx, ust.NewRequest(ust.PredicateKTimes, window...))
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\ndwell profile of customer %d (minutes in food court during window):\n", best.ID)
-		expected := 0.0
-		for k, p := range dist {
-			expected += float64(k) * p
-			if p > 0.001 {
-				fmt.Printf("  %d min: %.3f\n", k, p)
+		for _, r := range dwell.Results {
+			if r.ObjectID != best {
+				continue
 			}
+			fmt.Printf("\ndwell profile of customer %d (minutes in food court during window):\n", best)
+			expected := 0.0
+			for k, p := range r.Dist {
+				expected += float64(k) * p
+				if p > 0.001 {
+					fmt.Printf("  %d min: %.3f\n", k, p)
+				}
+			}
+			fmt.Printf("  expected dwell: %.2f of 5 minutes\n", expected)
 		}
-		fmt.Printf("  expected dwell: %.2f of 5 minutes\n", expected)
 	}
 
-	// --- Early-termination bounds (Section V-C pruning). ---
-	// Decide "P∃ ≥ 0.5?" for one customer without a full evaluation.
-	if db.Len() > 0 {
-		o := db.Objects()[0]
-		lo, hi, err := engine.ExistsOBBounds(o, query, 0.5)
-		if err != nil {
-			log.Fatal(err)
-		}
-		verdict := "undecided"
-		switch {
-		case lo >= 0.5:
-			verdict = "YES (lower bound reached threshold)"
-		case hi < 0.5:
-			verdict = "NO (upper bound fell below threshold)"
-		}
-		fmt.Printf("\nthreshold test for customer %d: P∃ ∈ [%.3f, %.3f] -> %s\n",
-			o.ID, lo, hi, verdict)
+	// --- Threshold test with filter–refine (Section V-C pruning). ---
+	// "Who has P∃ ≥ 0.5?" Cheap reachability bounds decide most
+	// customers without an exact evaluation; Response.Filter reports
+	// the funnel.
+	likely, err := engine.Evaluate(ctx, ust.NewRequest(ust.PredicateExists,
+		append(window, ust.WithThreshold(0.5))...))
+	if err != nil {
+		log.Fatal(err)
 	}
+	f := likely.Filter
+	fmt.Printf("\nthreshold test (P(visit) ≥ 0.5): %d customers qualify; of %d candidates, %d decided by bounds alone, %d evaluated exactly\n",
+		len(likely.Results), f.Candidates, f.Pruned, f.Refined)
 }
 
 // wanderChain builds a lazy random walk: with probability stay the

@@ -97,17 +97,23 @@ func main() {
 	}
 
 	// 4. Dwell analysis (PSTkQ): of the top vehicle, how many of the six
-	// window minutes will it spend inside the zone? A single-object
-	// question uses the per-object API.
-	top := db.Get(topResp.Results[0].ObjectID)
-	dist, err := engine.KTimesOB(top, ust.NewQuery(zone, ust.Interval(10, 15)))
+	// window minutes will it spend inside the zone? One ktimes request
+	// answers the fleet; the top vehicle's distribution is its
+	// Result.Dist.
+	top := topResp.Results[0].ObjectID
+	dwell, err := engine.Evaluate(ctx, ust.NewRequest(ust.PredicateKTimes, window...))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ndwell distribution for vehicle %d (minutes inside the zone):\n", top.ID)
-	for k, p := range dist {
-		if p > 0.001 {
-			fmt.Printf("  %d min: %.4f\n", k, p)
+	for _, r := range dwell.Results {
+		if r.ObjectID != top {
+			continue
+		}
+		fmt.Printf("\ndwell distribution for vehicle %d (minutes inside the zone):\n", top)
+		for k, p := range r.Dist {
+			if p > 0.001 {
+				fmt.Printf("  %d min: %.4f\n", k, p)
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package ust_test
 
 // Facade coverage for the surfaces PR 3 exported: the persistence
-// codec (SaveDatabase/LoadDatabase), the standing-query Monitor, the
-// Service layer and the wire request codec.
+// codec (SaveDatabase/LoadDatabase), standing queries, the Service
+// layer and the wire request codec.
 
 import (
 	"bytes"
@@ -51,15 +51,9 @@ func TestFacadePersistRoundTrip(t *testing.T) {
 	}
 
 	q := ust.NewQuery([]int{0, 1}, []int{2, 3})
-	want, err := ust.NewEngine(db, ust.Options{}).Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := ask(t, ust.NewEngine(db, ust.Options{}), ust.PredicateExists, q)
 	for name, loaded := range map[string]*ust.Database{"binary": fromBin, "json": fromJSON} {
-		got, gerr := ust.NewEngine(loaded, ust.Options{}).Exists(q)
-		if gerr != nil {
-			t.Fatalf("%s: %v", name, gerr)
-		}
+		got := ask(t, ust.NewEngine(loaded, ust.Options{}), ust.PredicateExists, q)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s round-trip changed results: %+v vs %+v", name, got, want)
 		}
@@ -74,35 +68,54 @@ func TestFacadePersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFacadeMonitor drives one monitoring round through the facade's
+// standing query, Service.Subscribe: snapshot, a new sighting, and an
+// incremental refresh that must equal a fresh evaluation.
 func TestFacadeMonitor(t *testing.T) {
-	db := facadeDB(t)
-	engine := ust.NewEngine(db, ust.Options{})
-	q := ust.NewQuery([]int{0, 1}, []int{2, 3})
-	var mon *ust.Monitor = engine.NewMonitor(q)
-	first, err := mon.Results()
+	svc := ust.NewService(ust.ServiceConfig{})
+	defer svc.Close()
+	if err := svc.Create("d", facadeDB(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := ust.NewRequest(ust.PredicateExists, ust.WithStates([]int{0, 1}), ust.WithTimes([]int{2, 3}))
+	fresh := func() map[int]ust.Result {
+		t.Helper()
+		resp, err := svc.Evaluate(ctx, "d", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[int]ust.Result{}
+		for _, r := range resp.Results {
+			out[r.ObjectID] = r
+		}
+		return out
+	}
+	sub, err := svc.Subscribe(ctx, "d", req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.Exists(q)
-	if err != nil {
+	defer sub.Close()
+
+	state := map[int]ust.Result{}
+	first := <-sub.Updates()
+	for _, r := range first.Results {
+		state[r.ObjectID] = r
+	}
+	if want := fresh(); !first.Full || !reflect.DeepEqual(state, want) {
+		t.Fatalf("snapshot %+v != fresh %+v", first, want)
+	}
+
+	if err := svc.Observe("d", 1, ust.Observation{Time: 1, PDF: ust.PointDistribution(3, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first, want) {
-		t.Fatalf("monitor %+v != exists %+v", first, want)
+	up := <-sub.Updates()
+	if up.Full || len(up.Results) != 1 || up.Results[0].ObjectID != 1 {
+		t.Fatalf("refresh should carry object 1 alone: %+v", up)
 	}
-	if err := mon.Observe(1, ust.Observation{Time: 1, PDF: ust.PointDistribution(3, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	refreshed, err := mon.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := engine.Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(refreshed, fresh) {
-		t.Fatalf("incremental monitor %+v != fresh %+v", refreshed, fresh)
+	state[1] = up.Results[0]
+	if want := fresh(); !reflect.DeepEqual(state, want) {
+		t.Fatalf("incremental state %+v != fresh %+v", state, want)
 	}
 }
 

@@ -6,6 +6,7 @@ package ust_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -38,16 +39,9 @@ func TestEndToEndLifecycle(t *testing.T) {
 	fresh := ust.NewEngine(db, ust.Options{})
 	loaded := ust.NewEngine(reloaded, ust.Options{})
 
-	wantExists, err := fresh.Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantExists := ask(t, fresh, ust.PredicateExists, q)
 	for _, strategy := range []ust.Strategy{ust.StrategyQueryBased, ust.StrategyObjectBased} {
-		e := ust.NewEngine(reloaded, ust.Options{Strategy: strategy})
-		got, err := e.Exists(q)
-		if err != nil {
-			t.Fatalf("%v over reloaded db: %v", strategy, err)
-		}
+		got := ask(t, loaded, ust.PredicateExists, q, ust.WithStrategy(strategy))
 		for i := range wantExists {
 			if math.Abs(got[i].Prob-wantExists[i].Prob) > 1e-9 {
 				t.Fatalf("%v: object %d drifted across persistence: %g vs %g",
@@ -57,7 +51,9 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 
 	// 4. Aggregates and rankings line up.
-	count, err := loaded.ExpectedCount(q)
+	ctx := context.Background()
+	count, err := loaded.Evaluate(ctx, ust.NewAggRequest(ust.PredicateExists,
+		ust.AggSpec{Kind: ust.AggCount}, ust.WithWindow(q)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,27 +61,41 @@ func TestEndToEndLifecycle(t *testing.T) {
 	for _, r := range wantExists {
 		sum += r.Prob
 	}
-	if math.Abs(count-sum) > 1e-9 {
-		t.Errorf("ExpectedCount %g != Σ P %g", count, sum)
+	if math.Abs(count.Agg.Mean-sum) > 1e-9 {
+		t.Errorf("expected count %g != Σ P %g", count.Agg.Mean, sum)
 	}
-	top, err := loaded.TopKExists(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := ask(t, loaded, ust.PredicateExists, q, ust.WithTopK(5))
 	for i := 1; i < len(top); i++ {
 		if top[i].Prob > top[i-1].Prob {
 			t.Error("TopK not sorted")
 		}
 	}
 
-	// 5. A monitor over the reloaded database refreshes incrementally
-	// as a new sighting arrives.
-	mon := loaded.NewMonitor(q)
-	before, err := mon.Results()
+	// 5. A standing query over the reloaded database refreshes
+	// incrementally as a new sighting arrives.
+	svc := ust.NewService(ust.ServiceConfig{})
+	defer svc.Close()
+	if err := svc.Create("fleet", reloaded, nil); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := svc.Subscribe(ctx, "fleet", ust.NewRequest(ust.PredicateExists, ust.WithWindow(q)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := before[0].ObjectID
+	defer sub.Close()
+	before := <-sub.Updates()
+	if !before.Full || len(before.Results) != reloaded.Len() {
+		t.Fatalf("snapshot covers %d of %d objects (full=%v)", len(before.Results), reloaded.Len(), before.Full)
+	}
+	// Watch the likeliest visitor: a sighting moves its probability, and
+	// only a changed result produces a refresh.
+	best := before.Results[0]
+	for _, r := range before.Results {
+		if r.Prob > best.Prob {
+			best = r
+		}
+	}
+	target := best.ObjectID
 	// Observe the object where its own forecast says it most likely is,
 	// so the new sighting is guaranteed consistent with the model.
 	marginal, err := loaded.Marginal(reloaded.Get(target), 20)
@@ -94,25 +104,18 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 	likely, _ := marginal.Mode()
 	obs := ust.PointDistribution(p.NumStates, likely)
-	if err := mon.Observe(target, ust.Observation{Time: 20, PDF: obs}); err != nil {
+	if err := svc.Observe("fleet", target, ust.Observation{Time: 20, PDF: obs}); err != nil {
 		t.Fatalf("observe: %v", err)
 	}
-	after, err := mon.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("result set size changed: %d vs %d", len(after), len(before))
+	after := <-sub.Updates()
+	if after.Full || len(after.Results) != 1 || after.Results[0].ObjectID != target {
+		t.Fatalf("refresh should carry the observed object alone: %+v", after)
 	}
 	// The updated object must now match a fresh multi-observation
 	// evaluation.
-	freshP, err := loaded.ExistsOB(reloaded.Get(target), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range after {
-		if r.ObjectID == target && math.Abs(r.Prob-freshP) > 1e-9 {
-			t.Errorf("monitor cache stale for object %d: %g vs %g", target, r.Prob, freshP)
+	for _, r := range ask(t, loaded, ust.PredicateExists, q, ust.WithStrategy(ust.StrategyObjectBased)) {
+		if r.ObjectID == target && math.Abs(after.Results[0].Prob-r.Prob) > 1e-9 {
+			t.Errorf("standing query stale for object %d: %g vs %g", target, after.Results[0].Prob, r.Prob)
 		}
 	}
 
@@ -166,10 +169,7 @@ func TestEndToEndHeterogeneousFleet(t *testing.T) {
 	if decided != 12 {
 		t.Errorf("identical chains should decide all 12 by bounds, got %d", decided)
 	}
-	exact, err := engine.ExistsThreshold(q, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := ask(t, engine, ust.PredicateExists, q, ust.WithThreshold(0.4))
 	if len(pruned) != len(exact) {
 		t.Errorf("pruned found %d, exact %d", len(pruned), len(exact))
 	}

@@ -176,47 +176,40 @@ func TestAggPMFPropertiesQuick(t *testing.T) {
 	}
 }
 
-// TestExpectedCountAggPin: the rerouted ExpectedCount must reproduce
-// the legacy accumulation — a plain sum of per-object stream
-// probabilities in emission order — bit for bit.
+// TestExpectedCountAggPin: the expected count Σ_o P∃(o) is the mean of
+// the count aggregate. Each object's Bernoulli factor carries the same
+// bit-exact P∃ the per-object stream emits, so the plain sum over
+// factors in emission order reproduces the sum of streamed probabilities
+// bit for bit, and Agg.Mean agrees with it to float tolerance.
 func TestExpectedCountAggPin(t *testing.T) {
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, q := randomAggInstance(rng)
-		legacy := 0.0
-		for r, err := range e.EvaluateSeq(context.Background(), NewRequest(PredicateExists, WithWindow(q))) {
+		streamed := 0.0
+		for r, err := range e.EvaluateSeq(ctx, NewRequest(PredicateExists, WithWindow(q))) {
 			if err != nil {
 				return false
 			}
-			legacy += r.Prob
+			streamed += r.Prob
 		}
-		got, err := e.ExpectedCount(q)
+		count := NewAggRequest(PredicateExists, AggSpec{Kind: AggCount}, WithWindow(q))
+		fs, err := e.AggregateFactors(ctx, count)
 		if err != nil {
 			return false
 		}
-		return got == legacy
+		factors := 0.0
+		for _, f := range fs.Factors {
+			factors += f.Coeffs[1]
+		}
+		resp, err := e.Evaluate(ctx, count)
+		if err != nil {
+			return false
+		}
+		return factors == streamed && math.Abs(resp.Agg.Mean-streamed) <= 1e-12*(1+streamed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-
-	// And the documented consistency: ExpectedCount equals the PMF mean
-	// to float tolerance.
-	db := NewDatabase(paperChainV(t))
-	db.MustAdd(MustObject(1, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 1)}))
-	db.MustAdd(MustObject(2, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 2)}))
-	e := NewEngine(db, Options{})
-	want, err := e.ExpectedCount(paperQueryV())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := e.Evaluate(context.Background(), NewAggRequest(PredicateExists,
-		AggSpec{Kind: AggCount}, WithWindow(paperQueryV())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(resp.Agg.Mean-want) > 1e-12 {
-		t.Fatalf("PMF mean %g, ExpectedCount %g", resp.Agg.Mean, want)
 	}
 }
 

@@ -131,10 +131,10 @@ func ExistsAtom(opts ...RequestOption) Expr { return atomFromOptions(false, opts
 func ForAllAtom(opts ...RequestOption) Expr { return atomFromOptions(true, opts) }
 
 // And is the conjunction of its operands.
-func And(operands ...Expr) Expr { return Expr{op: ExprAnd, kids: copyExprs(operands)} }
+func And(operands ...Expr) Expr { return Expr{op: ExprAnd, kids: append([]Expr(nil), operands...)} }
 
 // Or is the disjunction of its operands.
-func Or(operands ...Expr) Expr { return Expr{op: ExprOr, kids: copyExprs(operands)} }
+func Or(operands ...Expr) Expr { return Expr{op: ExprOr, kids: append([]Expr(nil), operands...)} }
 
 // Not negates an expression.
 func Not(operand Expr) Expr { return Expr{op: ExprNot, kids: []Expr{operand}} }
@@ -143,20 +143,13 @@ func Not(operand Expr) Expr { return Expr{op: ExprNot, kids: []Expr{operand}} }
 // operand's time window must end strictly before the next one's begins
 // ("reaches A during [5,10], then B during [20,30]"). The ordering is
 // validated when the request is evaluated.
-func Then(operands ...Expr) Expr { return Expr{op: ExprThen, kids: copyExprs(operands)} }
-
-func copyExprs(in []Expr) []Expr {
-	if len(in) == 0 {
-		return nil
-	}
-	return append([]Expr(nil), in...)
-}
+func Then(operands ...Expr) Expr { return Expr{op: ExprThen, kids: append([]Expr(nil), operands...)} }
 
 // Op returns the node kind.
 func (x Expr) Op() ExprOp { return x.op }
 
 // Operands returns a copy of the node's children (empty for atoms).
-func (x Expr) Operands() []Expr { return copyExprs(x.kids) }
+func (x Expr) Operands() []Expr { return append([]Expr(nil), x.kids...) }
 
 // Atom returns the leaf payload; ok is false for combinator nodes.
 func (x Expr) Atom() (a ExprAtom, ok bool) {

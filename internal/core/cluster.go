@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ust/internal/markov"
@@ -213,26 +214,15 @@ func (e *Engine) BuildClusterIndex(clusters []int) (*ClusterIndex, error) {
 	return idx, nil
 }
 
-// ClusteredExists evaluates PST∃Q for a database of heterogeneous
-// chains against threshold tau, using one interval envelope per cluster
-// of chains to decide whole clusters cheaply. clusters maps each object
-// index (position in db.Objects()) to a cluster id; objects in an
-// undecided cluster fall back to exact per-chain evaluation.
+// ExistsThresholdClustered evaluates PST∃Q for a database of
+// heterogeneous chains against threshold tau, using one interval
+// envelope per cluster of chains (idx, from BuildClusterIndex) to decide
+// whole clusters cheaply; objects in an undecided cluster fall back to
+// exact per-chain evaluation.
 //
 // The return is the set of objects with P∃ ≥ tau (exact, not bounded),
 // plus the number of objects decided by the cluster bounds alone —
-// the pruning effectiveness measure. For repeated queries over the same
-// clustering, build the index once with BuildClusterIndex and call
-// ExistsThresholdClustered.
-func (e *Engine) ClusteredExists(q Query, tau float64, clusters []int) (qualifying []Result, pruned int, err error) {
-	idx, err := e.BuildClusterIndex(clusters)
-	if err != nil {
-		return nil, 0, err
-	}
-	return e.ExistsThresholdClustered(q, tau, idx)
-}
-
-// ExistsThresholdClustered is ClusteredExists over a prebuilt index.
+// the pruning effectiveness measure.
 func (e *Engine) ExistsThresholdClustered(q Query, tau float64, idx *ClusterIndex) (qualifying []Result, pruned int, err error) {
 	objs := e.db.Objects()
 	if len(idx.labels) != len(objs) {
@@ -240,6 +230,14 @@ func (e *Engine) ExistsThresholdClustered(q Query, tau float64, idx *ClusterInde
 	}
 	clusters := idx.labels
 	envelopes := idx.envelopes
+	exact := func(o *Object) (float64, error) {
+		ch := e.db.ChainOf(o)
+		w, cerr := compile(q, ch.NumStates())
+		if cerr != nil {
+			return 0, cerr
+		}
+		return existsOBOne(context.Background(), ch, o, w, e.pool)
+	}
 	// One backward interval sweep per (cluster, observation time); each
 	// object is then bounded with two dot products.
 	type scoreKey struct{ cid, t0 int }
@@ -248,7 +246,7 @@ func (e *Engine) ExistsThresholdClustered(q Query, tau float64, idx *ClusterInde
 	for i, o := range objs {
 		if len(o.Observations) != 1 {
 			// Multi-observation objects are always evaluated exactly.
-			p, oerr := e.ExistsOB(o, q)
+			p, oerr := exact(o)
 			if oerr != nil {
 				return nil, 0, oerr
 			}
@@ -282,13 +280,13 @@ func (e *Engine) ExistsThresholdClustered(q Query, tau float64, idx *ClusterInde
 			pruned++
 			// Decided qualifying; still report the exact probability so
 			// downstream consumers see a usable number.
-			p, oerr := e.ExistsOB(o, q)
+			p, oerr := exact(o)
 			if oerr != nil {
 				return nil, 0, oerr
 			}
 			qualifying = append(qualifying, Result{ObjectID: o.ID, Prob: p})
 		default:
-			p, oerr := e.ExistsOB(o, q)
+			p, oerr := exact(o)
 			if oerr != nil {
 				return nil, 0, oerr
 			}

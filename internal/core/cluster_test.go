@@ -102,11 +102,11 @@ func TestClusterBoundsBracketEveryMemberQuick(t *testing.T) {
 			db := NewDatabase(c)
 			o := MustObject(1, nil, Observation{Time: 0, PDF: init.Clone()})
 			db.MustAdd(o)
-			p, perr := NewEngine(db, Options{}).ExistsOB(o, q)
+			r, perr := askOne(NewEngine(db, Options{}), o.ID, PredicateExists, q, ob)
 			if perr != nil {
 				return false
 			}
-			if p < lo-1e-9 || p > hi+1e-9 {
+			if p := r.Prob; p < lo-1e-9 || p > hi+1e-9 {
 				return false
 			}
 		}
@@ -115,6 +115,16 @@ func TestClusterBoundsBracketEveryMemberQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// clusteredExists builds the cluster index for the labels and runs the
+// threshold query over it.
+func clusteredExists(e *Engine, q Query, tau float64, clusters []int) ([]Result, int, error) {
+	idx, err := e.BuildClusterIndex(clusters)
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.ExistsThresholdClustered(q, tau, idx)
 }
 
 func TestClusteredExistsMatchesExact(t *testing.T) {
@@ -140,22 +150,18 @@ func TestClusteredExistsMatchesExact(t *testing.T) {
 	q := NewQuery([]int{2, 3}, []int{2, 3, 4})
 	const tau = 0.3
 
-	got, pruned, err := e.ClusteredExists(q, tau, clusters)
+	got, pruned, err := clusteredExists(e, q, tau, clusters)
 	if err != nil {
-		t.Fatalf("ClusteredExists: %v", err)
+		t.Fatalf("clustered exists: %v", err)
 	}
 	if pruned < 0 {
 		t.Fatalf("negative pruned count %d", pruned)
 	}
 	// Reference: exact per-object evaluation.
 	want := map[int]float64{}
-	for _, o := range db.Objects() {
-		p, perr := e.ExistsOB(o, q)
-		if perr != nil {
-			t.Fatalf("exact: %v", perr)
-		}
+	for id, p := range probs(t, e, PredicateExists, q, ob) {
 		if p >= tau {
-			want[o.ID] = p
+			want[id] = p
 		}
 	}
 	gotIDs := map[int]bool{}
@@ -180,7 +186,7 @@ func TestClusteredExistsMatchesExact(t *testing.T) {
 func TestClusteredExistsLabelMismatch(t *testing.T) {
 	db, _ := paperDB(t)
 	e := NewEngine(db, Options{})
-	if _, _, err := e.ClusteredExists(paperQueryV(), 0.5, []int{0, 1}); err == nil {
+	if _, _, err := clusteredExists(e, paperQueryV(), 0.5, []int{0, 1}); err == nil {
 		t.Error("wrong label count accepted")
 	}
 }
@@ -196,9 +202,9 @@ func TestTightEnvelopePrunesEffectively(t *testing.T) {
 		clusters = append(clusters, 0)
 	}
 	e := NewEngine(db, Options{})
-	_, pruned, err := e.ClusteredExists(paperQueryV(), 0.5, clusters)
+	_, pruned, err := clusteredExists(e, paperQueryV(), 0.5, clusters)
 	if err != nil {
-		t.Fatalf("ClusteredExists: %v", err)
+		t.Fatalf("clustered exists: %v", err)
 	}
 	if pruned != 10 {
 		t.Errorf("pruned = %d, want 10 (zero-width envelope decides everything)", pruned)

@@ -91,7 +91,7 @@ func TestExistsOBMatchesBruteForceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o, q := randomInstance(rng)
-		ob, err := e.ExistsOB(o, q)
+		exact, err := obProb(e, o, PredicateExists, q)
 		if err != nil {
 			return false
 		}
@@ -99,7 +99,7 @@ func TestExistsOBMatchesBruteForceQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(ob-bf.PExists) < 1e-9
+		return math.Abs(exact-bf.PExists) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -110,15 +110,15 @@ func TestExistsQBMatchesOBQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o, q := randomInstance(rng)
-		ob, err := e.ExistsOB(o, q)
+		viaOB, err := obProb(e, o, PredicateExists, q)
 		if err != nil {
 			return false
 		}
-		res, err := e.ExistsQB(q)
+		res, err := ask(e, PredicateExists, q, qb)
 		if err != nil {
 			return false
 		}
-		return math.Abs(ob-res[0].Prob) < 1e-9
+		return math.Abs(viaOB-res[0].Prob) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -129,7 +129,7 @@ func TestAugmentedMatchesImplicitQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o, q := randomInstance(rng)
-		implicit, err := e.ExistsOB(o, q)
+		implicit, err := obProb(e, o, PredicateExists, q)
 		if err != nil {
 			return false
 		}
@@ -156,7 +156,7 @@ func TestForAllComplementIdentityQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o, q := randomInstance(rng)
-		fa, err := e.ForAllOB(o, q)
+		fa, err := obProb(e, o, PredicateForAll, q)
 		if err != nil {
 			return false
 		}
@@ -179,7 +179,7 @@ func TestForAllComplementIdentityQuick(t *testing.T) {
 				comp = append(comp, s)
 			}
 		}
-		escape, err := e.ExistsOB(o, NewQuery(comp, q.Times))
+		escape, err := obProb(e, o, PredicateExists, NewQuery(comp, q.Times))
 		if err != nil {
 			return false
 		}
@@ -194,7 +194,7 @@ func TestKTimesInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o, q := randomInstance(rng)
-		dist, err := e.KTimesOB(o, q)
+		dist, err := obDist(e, o, q)
 		if err != nil {
 			return false
 		}
@@ -207,7 +207,7 @@ func TestKTimesInvariantsQuick(t *testing.T) {
 			return false
 		}
 		// P∃ = Σ_{k≥1} P(k).
-		ob, err := e.ExistsOB(o, q)
+		exists, err := obProb(e, o, PredicateExists, q)
 		if err != nil {
 			return false
 		}
@@ -215,11 +215,11 @@ func TestKTimesInvariantsQuick(t *testing.T) {
 		for _, p := range dist[1:] {
 			atLeastOnce += p
 		}
-		if math.Abs(ob-atLeastOnce) > 1e-9 {
+		if math.Abs(exists-atLeastOnce) > 1e-9 {
 			return false
 		}
 		// P∀ = P(k = |T□|).
-		fa, err := e.ForAllOB(o, q)
+		fa, err := obProb(e, o, PredicateForAll, q)
 		if err != nil {
 			return false
 		}
@@ -247,16 +247,16 @@ func TestKTimesQBMatchesOBQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o, q := randomInstance(rng)
-		ob, err := e.KTimesOB(o, q)
+		viaOB, err := obDist(e, o, q)
 		if err != nil {
 			return false
 		}
-		qb, err := e.KTimesQB(q)
+		viaQB, err := ask(e, PredicateKTimes, q, qb)
 		if err != nil {
 			return false
 		}
-		for k := range ob {
-			if math.Abs(ob[k]-qb[0].Dist[k]) > 1e-9 {
+		for k := range viaOB {
+			if math.Abs(viaOB[k]-viaQB[0].Dist[k]) > 1e-9 {
 				return false
 			}
 		}
@@ -289,7 +289,7 @@ func TestMultiObsMatchesBruteForceQuick(t *testing.T) {
 		e := NewEngine(db, Options{})
 
 		q := NewQuery([]int{rng.Intn(n)}, []int{1 + rng.Intn(horizon)})
-		got, err := e.ExistsOB(o, q)
+		got, err := obProb(e, o, PredicateExists, q)
 		if err != nil {
 			// Inconsistent observations are possible in random setups;
 			// brute force must then fail too.
@@ -325,7 +325,7 @@ func TestThreeObservationsMatchBruteForce(t *testing.T) {
 		db.MustAdd(o)
 		e := NewEngine(db, Options{})
 		q := NewQuery([]int{1, 2}, []int{1, 3})
-		got, gotErr := e.ExistsOB(o, q)
+		got, gotErr := obProb(e, o, PredicateExists, q)
 		bf, bfErr := BruteForce(chain, o, q)
 		if (gotErr == nil) != (bfErr == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, gotErr, bfErr)
@@ -348,7 +348,7 @@ func TestObservationAfterWindowStillReweights(t *testing.T) {
 	db.MustAdd(single)
 	e := NewEngine(db, Options{})
 	q := NewQuery([]int{0, 1}, []int{1, 2})
-	pSingle, err := e.ExistsOB(single, q)
+	pSingle, err := obProb(e, single, PredicateExists, q)
 	if err != nil {
 		t.Fatalf("single obs: %v", err)
 	}
@@ -383,9 +383,9 @@ func TestMonteCarloConvergesToExact(t *testing.T) {
 	e := NewEngine(db, Options{})
 	q := NewQuery([]int{2, 3}, []int{2, 3, 4})
 
-	exact, err := e.ExistsOB(o, q)
+	exact, err := obProb(e, o, PredicateExists, q)
 	if err != nil {
-		t.Fatalf("ExistsOB: %v", err)
+		t.Fatalf("exists OB: %v", err)
 	}
 	est, err := MonteCarloExists(chain, o, q, 200000, rng)
 	if err != nil {
@@ -396,9 +396,9 @@ func TestMonteCarloConvergesToExact(t *testing.T) {
 		t.Errorf("MC estimate %g vs exact %g", est, exact)
 	}
 
-	exactFA, err := e.ForAllOB(o, q)
+	exactFA, err := obProb(e, o, PredicateForAll, q)
 	if err != nil {
-		t.Fatalf("ForAllOB: %v", err)
+		t.Fatalf("forall OB: %v", err)
 	}
 	estFA, err := MonteCarloForAll(chain, o, q, 200000, rng)
 	if err != nil {
@@ -408,9 +408,9 @@ func TestMonteCarloConvergesToExact(t *testing.T) {
 		t.Errorf("MC for-all estimate %g vs exact %g", estFA, exactFA)
 	}
 
-	exactK, err := e.KTimesOB(o, q)
+	exactK, err := obDist(e, o, q)
 	if err != nil {
-		t.Fatalf("KTimesOB: %v", err)
+		t.Fatalf("ktimes OB: %v", err)
 	}
 	estK, err := MonteCarloKTimes(chain, o, q, 200000, rng)
 	if err != nil {
@@ -435,7 +435,7 @@ func TestMonteCarloMultiObsWeighting(t *testing.T) {
 	db.MustAdd(o)
 	e := NewEngine(db, Options{})
 	q := NewQuery([]int{0, 1}, []int{1, 2})
-	exact, err := e.ExistsOB(o, q)
+	exact, err := obProb(e, o, PredicateExists, q)
 	if err != nil {
 		t.Fatalf("exact: %v", err)
 	}
@@ -502,11 +502,11 @@ func TestTrajectoryObservationsConsistent(t *testing.T) {
 	}
 	e := NewEngine(db, Options{})
 	q := NewQuery(Interval(40, 80), Interval(3, 7))
+	if _, err := ask(e, PredicateExists, q, ob); err != nil {
+		t.Fatalf("observations reported inconsistent: %v", err)
+	}
 	for id, tr := range trs {
 		o := db.Get(id)
-		if _, err := e.ExistsOB(o, q); err != nil {
-			t.Fatalf("object %d: observations reported inconsistent: %v", id, err)
-		}
 		for _, tt := range []int{2, 7} {
 			post, err := PosteriorAt(chain, o.Observations, tt)
 			if err != nil {

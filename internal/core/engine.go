@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
 	"ust/internal/sparse"
 )
@@ -53,8 +51,8 @@ type Options struct {
 	// results are reproducible unless the caller randomizes.
 	MonteCarloSeed int64
 	// CacheBytes bounds the engine-wide score cache that shares backward
-	// sweeps across requests, Monitors and the CLIs (approximate payload
-	// bytes, LRU beyond it). 0 selects DefaultCacheBytes; negative
+	// sweeps across requests, subscriptions and the CLIs (approximate
+	// payload bytes, LRU beyond it). 0 selects DefaultCacheBytes; negative
 	// disables engine-side caching entirely. Individual requests can opt
 	// out with WithCache(false).
 	CacheBytes int
@@ -82,9 +80,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine evaluates probabilistic spatio-temporal queries over a
-// database. Evaluate and EvaluateSeq are the primary entry points; the
-// per-variant methods (Exists, ForAll, KTimes, …) are compatibility
-// wrappers over them.
+// database. Evaluate, EvaluateSeq and their batch forms are the query
+// surface: every predicate, strategy and ranking is a Request.
 type Engine struct {
 	db   *Database
 	opts Options
@@ -141,56 +138,4 @@ type Result struct {
 	ObjectID int
 	Prob     float64
 	Dist     []float64 `json:",omitempty"`
-}
-
-// KResult is a per-object PSTkQ distribution: Dist[k] is the probability
-// of being inside the window at exactly k query timestamps.
-type KResult struct {
-	ObjectID int
-	Dist     []float64
-}
-
-// Exists answers the PST∃Q (Definition 2) for every object, using the
-// engine's default strategy. Thin wrapper over Evaluate.
-func (e *Engine) Exists(q Query) ([]Result, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateExists, WithWindow(q)))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// ForAll answers the PST∀Q (Definition 3) for every object. Thin
-// wrapper over Evaluate.
-func (e *Engine) ForAll(q Query) ([]Result, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateForAll, WithWindow(q)))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// KTimes answers the PSTkQ (Definition 4) for every object. Thin
-// wrapper over Evaluate.
-func (e *Engine) KTimes(q Query) ([]KResult, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateKTimes, WithWindow(q)))
-	if err != nil {
-		return nil, err
-	}
-	return toKResults(resp.Results), nil
-}
-
-// ExistsThreshold returns the objects whose PST∃Q probability is at
-// least tau, sorted by descending probability. It is the natural
-// "retrieve qualifying icebergs" entry point. Thin wrapper over
-// Evaluate (which leaves threshold results in evaluation order).
-func (e *Engine) ExistsThreshold(q Query, tau float64) ([]Result, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateExists,
-		WithWindow(q), WithThreshold(tau)))
-	if err != nil {
-		return nil, err
-	}
-	out := resp.Results
-	sort.Slice(out, func(a, b int) bool { return better(out[a], out[b]) })
-	return out, nil
 }

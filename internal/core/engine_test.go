@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"ust/internal/markov"
@@ -12,22 +14,36 @@ func TestEngineStrategies(t *testing.T) {
 	q := paperQueryV()
 	for _, s := range []Strategy{StrategyQueryBased, StrategyObjectBased} {
 		e := NewEngine(db, Options{Strategy: s})
-		res, err := e.Exists(q)
-		if err != nil {
-			t.Fatalf("%v Exists: %v", s, err)
-		}
+		res := mustAsk(t, e, PredicateExists, q)
 		if math.Abs(res[0].Prob-0.864) > tol {
 			t.Errorf("%v P∃ = %g, want 0.864", s, res[0].Prob)
 		}
 	}
 	// Monte-Carlo: approximate but in the ballpark with enough samples.
 	e := NewEngine(db, Options{Strategy: StrategyMonteCarlo, MonteCarloSamples: 100000})
-	res, err := e.Exists(q)
-	if err != nil {
-		t.Fatalf("MC Exists: %v", err)
-	}
+	res := mustAsk(t, e, PredicateExists, q)
 	if math.Abs(res[0].Prob-0.864) > 0.01 {
 		t.Errorf("MC P∃ = %g, want ≈ 0.864", res[0].Prob)
+	}
+}
+
+// TestEngineSurface pins the exported method set of *Engine: queries go
+// through Evaluate and its stream/batch forms, so a new way to ask the
+// same question fails here with its name.
+func TestEngineSurface(t *testing.T) {
+	want := []string{
+		"AggregateFactors", "BuildClusterIndex", "CacheStats", "Database",
+		"Evaluate", "EvaluateBatch", "EvaluateBatchSeq", "EvaluateSeq",
+		"ExistsThresholdClustered", "InvalidateCache", "Marginal",
+		"PlanRequest", "WarmBatch",
+	}
+	typ := reflect.TypeOf(&Engine{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name) // exported only, sorted by name
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("*Engine exports %d methods %v, want the %d on the allow-list %v", len(got), got, len(want), want)
 	}
 }
 
@@ -45,42 +61,27 @@ func TestStrategyString(t *testing.T) {
 func TestEngineForAllStrategiesAgree(t *testing.T) {
 	db, _ := paperDB(t)
 	q := paperQueryV()
-	qb, err := NewEngine(db, Options{Strategy: StrategyQueryBased}).ForAll(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob, err := NewEngine(db, Options{Strategy: StrategyObjectBased}).ForAll(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(qb[0].Prob-ob[0].Prob) > tol {
-		t.Errorf("QB ForAll %g != OB ForAll %g", qb[0].Prob, ob[0].Prob)
+	viaQB := mustAsk(t, NewEngine(db, Options{Strategy: StrategyQueryBased}), PredicateForAll, q)
+	viaOB := mustAsk(t, NewEngine(db, Options{Strategy: StrategyObjectBased}), PredicateForAll, q)
+	if math.Abs(viaQB[0].Prob-viaOB[0].Prob) > tol {
+		t.Errorf("QB ForAll %g != OB ForAll %g", viaQB[0].Prob, viaOB[0].Prob)
 	}
 }
 
 func TestEngineKTimesStrategiesAgree(t *testing.T) {
 	db, _ := paperDB(t)
 	q := paperQueryV()
-	qb, err := NewEngine(db, Options{Strategy: StrategyQueryBased}).KTimes(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob, err := NewEngine(db, Options{Strategy: StrategyObjectBased}).KTimes(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range qb[0].Dist {
-		if math.Abs(qb[0].Dist[k]-ob[0].Dist[k]) > tol {
-			t.Errorf("k=%d: QB %g != OB %g", k, qb[0].Dist[k], ob[0].Dist[k])
+	viaQB := mustAsk(t, NewEngine(db, Options{Strategy: StrategyQueryBased}), PredicateKTimes, q)
+	viaOB := mustAsk(t, NewEngine(db, Options{Strategy: StrategyObjectBased}), PredicateKTimes, q)
+	for k := range viaQB[0].Dist {
+		if math.Abs(viaQB[0].Dist[k]-viaOB[0].Dist[k]) > tol {
+			t.Errorf("k=%d: QB %g != OB %g", k, viaQB[0].Dist[k], viaOB[0].Dist[k])
 		}
 	}
-	mc, err := NewEngine(db, Options{Strategy: StrategyMonteCarlo, MonteCarloSamples: 100000}).KTimes(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range qb[0].Dist {
-		if math.Abs(mc[0].Dist[k]-qb[0].Dist[k]) > 0.01 {
-			t.Errorf("k=%d: MC %g too far from exact %g", k, mc[0].Dist[k], qb[0].Dist[k])
+	mc := mustAsk(t, NewEngine(db, Options{Strategy: StrategyMonteCarlo, MonteCarloSamples: 100000}), PredicateKTimes, q)
+	for k := range viaQB[0].Dist {
+		if math.Abs(mc[0].Dist[k]-viaQB[0].Dist[k]) > 0.01 {
+			t.Errorf("k=%d: MC %g too far from exact %g", k, mc[0].Dist[k], viaQB[0].Dist[k])
 		}
 	}
 }
@@ -91,44 +92,44 @@ func TestEmptyQuerySides(t *testing.T) {
 
 	// Empty time set.
 	qNoTimes := NewQuery([]int{0, 1}, nil)
-	if p, err := e.ExistsOB(o, qNoTimes); err != nil || p != 0 {
-		t.Errorf("P∃ with empty T = (%g, %v), want (0, nil)", p, err)
+	if r, err := askOne(e, o.ID, PredicateExists, qNoTimes, ob); err != nil || r.Prob != 0 {
+		t.Errorf("P∃ with empty T = (%g, %v), want (0, nil)", r.Prob, err)
 	}
-	if p, err := e.ForAllOB(o, qNoTimes); err != nil || p != 1 {
-		t.Errorf("P∀ with empty T = (%g, %v), want (1, nil)", p, err)
+	if r, err := askOne(e, o.ID, PredicateForAll, qNoTimes, ob); err != nil || r.Prob != 1 {
+		t.Errorf("P∀ with empty T = (%g, %v), want (1, nil)", r.Prob, err)
 	}
-	if dist, err := e.KTimesOB(o, qNoTimes); err != nil || len(dist) != 1 || dist[0] != 1 {
-		t.Errorf("k-dist with empty T = (%v, %v), want ([1], nil)", dist, err)
+	if r, err := askOne(e, o.ID, PredicateKTimes, qNoTimes, ob); err != nil || len(r.Dist) != 1 || r.Dist[0] != 1 {
+		t.Errorf("k-dist with empty T = (%v, %v), want ([1], nil)", r.Dist, err)
 	}
-	res, err := e.Exists(qNoTimes)
+	res, err := ask(e, PredicateExists, qNoTimes)
 	if err != nil || res[0].Prob != 0 {
 		t.Errorf("engine Exists with empty T = %v, %v", res, err)
 	}
-	resFA, err := e.ForAll(qNoTimes)
+	resFA, err := ask(e, PredicateForAll, qNoTimes)
 	if err != nil || resFA[0].Prob != 1 {
 		t.Errorf("engine ForAll with empty T = %v, %v", resFA, err)
 	}
 
 	// Empty state set: can never be inside.
 	qNoStates := NewQuery(nil, []int{1, 2})
-	if p, err := e.ExistsOB(o, qNoStates); err != nil || p != 0 {
-		t.Errorf("P∃ with empty S = (%g, %v), want (0, nil)", p, err)
+	if r, err := askOne(e, o.ID, PredicateExists, qNoStates, ob); err != nil || r.Prob != 0 {
+		t.Errorf("P∃ with empty S = (%g, %v), want (0, nil)", r.Prob, err)
 	}
-	if p, err := e.ForAllOB(o, qNoStates); err != nil || p != 0 {
-		t.Errorf("P∀ with empty S = (%g, %v), want (0, nil)", p, err)
+	if r, err := askOne(e, o.ID, PredicateForAll, qNoStates, ob); err != nil || r.Prob != 0 {
+		t.Errorf("P∀ with empty S = (%g, %v), want (0, nil)", r.Prob, err)
 	}
 }
 
 func TestQueryValidation(t *testing.T) {
-	db, o := paperDB(t)
+	db, _ := paperDB(t)
 	e := NewEngine(db, Options{})
-	if _, err := e.ExistsOB(o, NewQuery([]int{99}, []int{1})); err == nil {
+	if _, err := ask(e, PredicateExists, NewQuery([]int{99}, []int{1}), ob); err == nil {
 		t.Error("out-of-range query state accepted")
 	}
-	if _, err := e.ExistsOB(o, Query{States: []int{0}, Times: []int{-1}}); err == nil {
+	if _, err := ask(e, PredicateExists, Query{States: []int{0}, Times: []int{-1}}, ob); err == nil {
 		t.Error("negative query time accepted")
 	}
-	if _, err := e.ExistsQB(NewQuery([]int{99}, []int{1})); err == nil {
+	if _, err := ask(e, PredicateExists, NewQuery([]int{99}, []int{1}), qb); err == nil {
 		t.Error("QB accepted out-of-range state")
 	}
 }
@@ -139,13 +140,13 @@ func TestObservedAfterHorizonErrors(t *testing.T) {
 	db.MustAdd(late)
 	e := NewEngine(db, Options{})
 	q := NewQuery([]int{0}, []int{2, 3})
-	if _, err := e.ExistsOB(late, q); err == nil {
+	if _, err := ask(e, PredicateExists, q, ob); err == nil {
 		t.Error("OB accepted observation after horizon")
 	}
-	if _, err := e.ExistsQB(q); err == nil {
+	if _, err := ask(e, PredicateExists, q, qb); err == nil {
 		t.Error("QB accepted observation after horizon")
 	}
-	if _, err := e.KTimesOB(late, q); err == nil {
+	if _, err := ask(e, PredicateKTimes, q, ob); err == nil {
 		t.Error("KTimes accepted observation after horizon")
 	}
 }
@@ -188,25 +189,14 @@ func TestMixedChainGroups(t *testing.T) {
 	e := NewEngine(db, Options{})
 	q := paperQueryV()
 
-	qbRes, err := e.ExistsQB(q)
-	if err != nil {
-		t.Fatalf("ExistsQB: %v", err)
-	}
-	if len(qbRes) != 3 {
-		t.Fatalf("got %d results, want 3", len(qbRes))
-	}
-	byID := map[int]float64{}
-	for _, r := range qbRes {
-		byID[r.ObjectID] = r.Prob
+	byID := probs(t, e, PredicateExists, q, qb)
+	if len(byID) != 3 {
+		t.Fatalf("got %d results, want 3", len(byID))
 	}
 	// Cross-check each against OB.
-	for _, o := range db.Objects() {
-		ob, err := e.ExistsOB(o, q)
-		if err != nil {
-			t.Fatalf("ExistsOB(%d): %v", o.ID, err)
-		}
-		if math.Abs(ob-byID[o.ID]) > tol {
-			t.Errorf("object %d: QB %g != OB %g", o.ID, byID[o.ID], ob)
+	for id, want := range probs(t, e, PredicateExists, q, ob) {
+		if math.Abs(want-byID[id]) > tol {
+			t.Errorf("object %d: QB %g != OB %g", id, byID[id], want)
 		}
 	}
 	// Objects 1 and 2 start identically but follow different chains:
@@ -225,18 +215,11 @@ func TestObserveAtDifferentTimes(t *testing.T) {
 	db.MustAdd(MustObject(3, nil, Observation{Time: 2, PDF: markov.PointDistribution(3, 1)}))
 	e := NewEngine(db, Options{})
 	q := paperQueryV()
-	res, err := e.ExistsQB(q)
-	if err != nil {
-		t.Fatalf("ExistsQB: %v", err)
-	}
+	res := mustAsk(t, e, PredicateExists, q, qb)
+	viaOB := probs(t, e, PredicateExists, q, ob)
 	for _, r := range res {
-		o := db.Get(r.ObjectID)
-		ob, err := e.ExistsOB(o, q)
-		if err != nil {
-			t.Fatalf("ExistsOB(%d): %v", o.ID, err)
-		}
-		if math.Abs(ob-r.Prob) > tol {
-			t.Errorf("object %d: QB %g != OB %g", o.ID, r.Prob, ob)
+		if math.Abs(viaOB[r.ObjectID]-r.Prob) > tol {
+			t.Errorf("object %d: QB %g != OB %g", r.ObjectID, r.Prob, viaOB[r.ObjectID])
 		}
 	}
 	// An object observed at t=2 standing at s2 ∈ S□: immediate hit.
@@ -251,10 +234,9 @@ func TestExistsThreshold(t *testing.T) {
 	db.MustAdd(MustObject(2, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 0)}))
 	db.MustAdd(MustObject(3, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 2)}))
 	e := NewEngine(db, Options{})
-	res, err := e.ExistsThreshold(paperQueryV(), 0.5)
-	if err != nil {
-		t.Fatalf("ExistsThreshold: %v", err)
-	}
+	// A threshold alone keeps evaluation order; with WithTopK the
+	// qualifying objects come back ranked.
+	res := mustAsk(t, e, PredicateExists, paperQueryV(), WithThreshold(0.5), WithTopK(db.Len()))
 	if len(res) == 0 {
 		t.Fatal("no objects above threshold")
 	}
@@ -263,6 +245,9 @@ func TestExistsThreshold(t *testing.T) {
 			t.Error("results not sorted descending")
 		}
 	}
+	if unranked := mustAsk(t, e, PredicateExists, paperQueryV(), WithThreshold(0.5)); len(unranked) != len(res) {
+		t.Errorf("threshold alone kept %d objects, ranked %d", len(unranked), len(res))
+	}
 	for _, r := range res {
 		if r.Prob < 0.5 {
 			t.Errorf("object %d below threshold: %g", r.ObjectID, r.Prob)
@@ -270,45 +255,48 @@ func TestExistsThreshold(t *testing.T) {
 	}
 }
 
+// TestExistsOBBoundsBracket pins the bracketing forward pass behind
+// threshold and top-k refinement (existsOBRefine): hit mass is a lower
+// bound, hit plus free mass an upper bound, so a pass either proves the
+// answer outside the band and stops, or finishes with the exact value.
 func TestExistsOBBoundsBracket(t *testing.T) {
 	db, o := paperDB(t)
-	e := NewEngine(db, Options{})
-	q := paperQueryV()
-	exact := 0.864
-
-	// τ well below the true value: must terminate early with lo ≥ τ and
-	// a valid bracket.
-	lo, hi, err := e.ExistsOBBounds(o, q, 0.2)
+	chain := db.ChainOf(o)
+	w, err := compile(paperQueryV(), chain.NumStates())
 	if err != nil {
-		t.Fatalf("bounds: %v", err)
+		t.Fatal(err)
 	}
-	if lo < 0.2 && hi >= 0.2 {
-		t.Errorf("τ=0.2 not decided: [%g, %g]", lo, hi)
-	}
-	if exact < lo-tol || exact > hi+tol {
-		t.Errorf("bracket [%g, %g] excludes exact %g", lo, hi, exact)
-	}
-
-	// τ above the max possible: must terminate (possibly early) with
-	// hi < τ.
-	lo, hi, err = e.ExistsOBBounds(o, q, 0.99)
-	if err != nil {
-		t.Fatalf("bounds: %v", err)
-	}
-	if hi >= 0.99 {
-		t.Errorf("τ=0.99 should be refuted, bracket [%g, %g]", lo, hi)
-	}
-	if exact < lo-tol || exact > hi+tol {
-		t.Errorf("bracket [%g, %g] excludes exact %g", lo, hi, exact)
+	const exact = 0.864
+	refine := func(mass, rejectBelow, rejectAbove float64) (float64, bool) {
+		t.Helper()
+		init := o.First().PDF.Vec().Clone()
+		init.Scale(mass)
+		p, qualified, rerr := existsOBRefine(context.Background(), chain, init, 0, w, rejectBelow, rejectAbove, nil)
+		if rerr != nil {
+			t.Fatalf("refine: %v", rerr)
+		}
+		return p, qualified
 	}
 
-	// τ between: full evaluation, lo == hi == exact.
-	lo, hi, err = e.ExistsOBBounds(o, q, 0.87)
-	if err != nil {
-		t.Fatalf("bounds: %v", err)
+	// τ well below the true value: nothing to refute, the pass completes
+	// with the exact probability.
+	if p, ok := refine(1, 0.2, 2); !ok || math.Abs(p-exact) > tol {
+		t.Errorf("τ=0.2: (%g, %v), want (%g, true)", p, ok, exact)
 	}
-	if math.Abs(lo-exact) > tol || math.Abs(hi-exact) > tol {
-		t.Errorf("exact bracket = [%g, %g], want [%g, %g]", lo, hi, exact, exact)
+	// A rejection bar above the hit mass already absorbed at t=2 (0.32):
+	// refuted by the lower bound before the last step.
+	if _, ok := refine(1, -1, 0.3); ok {
+		t.Error("rejectAbove=0.3 should be refuted by the lower bound")
+	}
+	// Hit plus free mass can never exceed the mass that entered the
+	// pass: half the mass cannot reach τ=0.9, refuted by the upper bound.
+	if _, ok := refine(0.5, 0.9, 2); ok {
+		t.Error("τ=0.9 on half the mass should be refuted by the upper bound")
+	}
+	// τ just above the true value cannot be refuted while free mass
+	// remains: the pass completes and the caller compares the exact value.
+	if p, ok := refine(1, 0.87, 2); !ok || math.Abs(p-exact) > tol {
+		t.Errorf("τ=0.87: (%g, %v), want (%g, true)", p, ok, exact)
 	}
 }
 
@@ -396,19 +384,29 @@ func TestIndependenceModelOverestimates(t *testing.T) {
 	db.MustAdd(o)
 	e := NewEngine(db, Options{})
 
+	// The independence model from per-timestamp marginals:
+	// 1 − Π_{t ∈ T□} (1 − P(o(t) ∈ S□)).
 	region := Interval(8, 12)
+	indepExists := func(times []int) float64 {
+		missAll := 1.0
+		for _, tt := range times {
+			m, merr := e.Marginal(o, tt)
+			if merr != nil {
+				t.Fatalf("marginal at %d: %v", tt, merr)
+			}
+			in := 0.0
+			for _, s := range region {
+				in += m.P(s)
+			}
+			missAll *= 1 - in
+		}
+		return 1 - missAll
+	}
 	firstBias, lastBias := math.NaN(), 0.0
 	for _, winLen := range []int{2, 4, 6, 8} {
-		q := NewQuery(region, Interval(6, 6+winLen-1))
-		exact, err := e.ExistsOB(o, q)
-		if err != nil {
-			t.Fatalf("exact: %v", err)
-		}
-		indep, err := e.ExistsIndependent(o, q)
-		if err != nil {
-			t.Fatalf("indep: %v", err)
-		}
-		bias := indep - exact
+		times := Interval(6, 6+winLen-1)
+		exact := probs(t, e, PredicateExists, NewQuery(region, times), ob)[o.ID]
+		bias := indepExists(times) - exact
 		if bias < -1e-12 {
 			t.Errorf("window %d: independence model underestimated (bias %g)", winLen, bias)
 		}
@@ -423,19 +421,20 @@ func TestIndependenceModelOverestimates(t *testing.T) {
 }
 
 func TestForAllIndependent(t *testing.T) {
-	// For a single-timestamp window both models coincide.
+	// For a single-timestamp window the independence model and the
+	// Markov model coincide: P∀, P∃ and the marginal mass inside the
+	// region at that timestamp are one number.
 	db, o := paperDB(t)
 	e := NewEngine(db, Options{})
 	q := NewQuery([]int{0, 1}, []int{2})
-	exact, err := e.ForAllOB(o, q)
+	forAll := probs(t, e, PredicateForAll, q, ob)[o.ID]
+	exists := probs(t, e, PredicateExists, q, ob)[o.ID]
+	m, err := e.Marginal(o, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indep, err := e.ForAllIndependent(o, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(exact-indep) > tol {
-		t.Errorf("single-timestamp: exact %g != indep %g", exact, indep)
+	indep := m.P(0) + m.P(1)
+	if math.Abs(forAll-indep) > tol || math.Abs(exists-indep) > tol {
+		t.Errorf("single-timestamp: forall %g, exists %g, marginal mass %g", forAll, exists, indep)
 	}
 }

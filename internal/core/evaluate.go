@@ -22,8 +22,7 @@ func errEventuallyMultiObs(o *Object) error {
 // Evaluate and EvaluateSeq are the single entry points of the query
 // API: every predicate (exists / forall / ktimes / eventually), every
 // strategy (query-based / object-based / Monte-Carlo) and every ranking
-// (threshold / top-k) is expressed through a Request. The legacy
-// per-variant Engine methods are thin wrappers over these two.
+// (threshold / top-k) is expressed through a Request.
 
 // Evaluator is the query surface every engine implementation serves:
 // the in-process Engine, the shard router, and (shape-wise) the remote
@@ -109,7 +108,7 @@ func (e *Engine) prepare(req Request) (*evalPlan, error) {
 	if req.autoPlan {
 		switch req.Predicate {
 		case PredicateExists, PredicateForAll:
-			plans, perr := e.PlanExists(p.query)
+			plans, perr := e.planExists(p.query)
 			if perr != nil {
 				return nil, perr
 			}
@@ -642,9 +641,7 @@ func (e *Engine) streamKTimesMC(ctx context.Context, plan *evalPlan) iter.Seq2[R
 
 // streamEventually is the unbounded-horizon core: one ctx-aware
 // fixed-point sweep per chain group — shared through the score cache —
-// then a dot product per object. (The legacy per-object ExistsEventually
-// recomputed the sweep per object; the grouped evaluation amortizes it
-// across the database.)
+// then a dot product per object.
 func (e *Engine) streamEventually(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		region := sortedSet(plan.query.States)

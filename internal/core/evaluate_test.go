@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -102,10 +103,7 @@ func TestRequestStrategyOverride(t *testing.T) {
 	if resp.Strategy != StrategyQueryBased {
 		t.Fatalf("response strategy = %v, want query-based", resp.Strategy)
 	}
-	want, err := exact.Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustAsk(t, exact, PredicateExists, q)
 	for i := range want {
 		if !reflect.DeepEqual(resp.Results[i], want[i]) {
 			t.Fatalf("override result %d = %+v, want exact %+v", i, resp.Results[i], want[i])
@@ -119,84 +117,6 @@ func TestRequestStrategyOverride(t *testing.T) {
 	}
 	if resp.Strategy != StrategyMonteCarlo {
 		t.Fatalf("default strategy = %v, want monte-carlo", resp.Strategy)
-	}
-}
-
-// TestLegacyWrappersMatchEvaluate: every legacy method must return
-// exactly what the equivalent Request produces.
-func TestLegacyWrappersMatchEvaluate(t *testing.T) {
-	db := evalTestDB(t, 60, 500)
-	e := NewEngine(db, Options{})
-	ctx := context.Background()
-	q := NewQuery(Interval(80, 130), Interval(6, 10))
-
-	mustEval := func(req Request) *Response {
-		resp, err := e.Evaluate(ctx, req)
-		if err != nil {
-			t.Fatalf("Evaluate: %v", err)
-		}
-		return resp
-	}
-
-	exists, err := e.Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(exists, mustEval(NewRequest(PredicateExists, WithWindow(q))).Results) {
-		t.Error("Exists differs from Evaluate")
-	}
-
-	forAll, err := e.ForAll(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(forAll, mustEval(NewRequest(PredicateForAll, WithWindow(q))).Results) {
-		t.Error("ForAll differs from Evaluate")
-	}
-
-	kt, err := e.KTimes(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(kt, toKResults(mustEval(NewRequest(PredicateKTimes, WithWindow(q))).Results)) {
-		t.Error("KTimes differs from Evaluate")
-	}
-
-	topK, err := e.TopKExists(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(topK, mustEval(NewRequest(PredicateExists, WithWindow(q), WithTopK(5))).Results) {
-		t.Error("TopKExists differs from Evaluate")
-	}
-
-	par, err := e.ExistsOBParallel(q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, mustEval(NewRequest(PredicateExists, WithWindow(q),
-		WithStrategy(StrategyObjectBased), WithParallelism(4))).Results) {
-		t.Error("ExistsOBParallel differs from Evaluate")
-	}
-
-	// ExistsThreshold sorts; Evaluate keeps evaluation order. The sets
-	// and the per-object values must agree.
-	thr, err := e.ExistsThreshold(q, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := mustEval(NewRequest(PredicateExists, WithWindow(q), WithThreshold(0.1))).Results
-	if len(thr) != len(flat) {
-		t.Fatalf("ExistsThreshold %d results, Evaluate %d", len(thr), len(flat))
-	}
-	byID := map[int]float64{}
-	for _, r := range flat {
-		byID[r.ObjectID] = r.Prob
-	}
-	for _, r := range thr {
-		if p, ok := byID[r.ObjectID]; !ok || p != r.Prob {
-			t.Fatalf("ExistsThreshold object %d = %g, Evaluate %g (present %v)", r.ObjectID, r.Prob, p, ok)
-		}
 	}
 }
 
@@ -291,7 +211,7 @@ func TestParallelErrorDeterministic(t *testing.T) {
 
 	var first string
 	for run := 0; run < 8; run++ {
-		_, err := e.ExistsOBParallel(q, 4)
+		_, err := ask(e, PredicateExists, q, ob, WithParallelism(4))
 		if err == nil {
 			t.Fatal("parallel evaluation ignored failing objects")
 		}
@@ -324,7 +244,7 @@ func TestParallelFirstObjectError(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.ExistsOBParallel(q, 4)
+		_, err := ask(e, PredicateExists, q, ob, WithParallelism(4))
 		done <- err
 	}()
 	select {
@@ -390,21 +310,14 @@ func TestMonteCarloLegacyOrderMixedChains(t *testing.T) {
 	e := NewEngine(db, Options{Strategy: StrategyMonteCarlo, MonteCarloSamples: 50, MonteCarloSeed: 4})
 	q := paperQueryV()
 
-	res, err := e.Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustAsk(t, e, PredicateExists, q)
 	for i, r := range res {
 		if r.ObjectID != i {
 			t.Fatalf("result %d is object %d; serial MC must run in database order", i, r.ObjectID)
 		}
 	}
 	// The shared-rng sequence is deterministic: a second run matches.
-	again, err := e.Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, again) {
+	if again := mustAsk(t, e, PredicateExists, q); !reflect.DeepEqual(res, again) {
 		t.Fatal("serial Monte-Carlo is not reproducible at a fixed seed")
 	}
 }
@@ -458,7 +371,7 @@ func TestRegionRequest(t *testing.T) {
 }
 
 // TestEventuallyGrouped: the grouped eventually-evaluation must match
-// the per-object legacy path.
+// a per-object fixed point computed directly from the kernel.
 func TestEventuallyGrouped(t *testing.T) {
 	db := evalTestDB(t, 25, 200)
 	e := NewEngine(db, Options{})
@@ -472,7 +385,7 @@ func TestEventuallyGrouped(t *testing.T) {
 		t.Fatalf("%d results for %d objects", len(resp.Results), db.Len())
 	}
 	for _, r := range resp.Results {
-		want, err := e.ExistsEventually(db.Get(r.ObjectID), region, 2000, 1e-10)
+		want, err := eventuallyOne(db, db.Get(r.ObjectID), region, 2000, 1e-10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,10 +405,7 @@ func TestKTimesResultProb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exists, err := e.Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exists := mustAsk(t, e, PredicateExists, q)
 	for i, r := range resp.Results {
 		if len(r.Dist) != len(q.Times)+1 {
 			t.Fatalf("object %d: dist has %d entries, want %d", r.ObjectID, len(r.Dist), len(q.Times)+1)
@@ -517,11 +427,27 @@ func TestRequestValidation(t *testing.T) {
 	bad := []Request{
 		NewRequest(Predicate(99), WithStates([]int{1}), WithTimes([]int{1})),
 		NewRequest(PredicateExists, WithStates([]int{1}), WithTimes([]int{1}), WithThreshold(1.5)),
+		NewRequest(PredicateExists, WithStates([]int{1}), WithTimes([]int{1}), WithThreshold(math.NaN())),
+		NewRequest(PredicateExists, WithStates([]int{1}), WithTimes([]int{1}), WithThreshold(math.NaN()), ob),
+		NewRequest(PredicateEventually, WithStates([]int{1}), WithHittingLimits(0, math.NaN())),
 		NewRequest(PredicateEventually, WithStates([]int{1}), WithStrategy(StrategyMonteCarlo)),
 	}
 	for i, req := range bad {
 		if _, err := e.Evaluate(ctx, req); err == nil {
 			t.Errorf("bad request %d accepted", i)
 		}
+	}
+
+	// Parallelism hints: a request without WithParallelism (hint 0) and
+	// WithParallelism(1) run serially; WithParallelism(≤ 0) stores −1,
+	// which resolves to GOMAXPROCS.
+	if got := ResolveWorkers(0); got != 1 {
+		t.Errorf("ResolveWorkers(0) = %d, want 1 (serial)", got)
+	}
+	if got := ResolveWorkers(3); got != 3 {
+		t.Errorf("ResolveWorkers(3) = %d, want 3", got)
+	}
+	if hint := NewRequest(PredicateExists, WithParallelism(0)).ParallelismHint(); hint != -1 || ResolveWorkers(hint) != runtime.GOMAXPROCS(0) {
+		t.Errorf("WithParallelism(0) stored hint %d resolving to %d workers, want −1 and GOMAXPROCS", hint, ResolveWorkers(hint))
 	}
 }

@@ -21,18 +21,13 @@ import (
 // which converges monotonically from h ≡ 0 (it is exactly the
 // query-based sweep with the region pinned every step).
 
-// HittingScores returns, for every state s, the probability that a
+// hittingScores returns, for every state s, the probability that a
 // world starting at s ever reaches the region within maxSteps
 // transitions; with maxSteps large enough this converges to the true
 // hitting probability (convergence is checked against tol and reported
 // via the returned step count; steps == maxSteps with err == nil means
-// tolerance was not reached — the scores are then a lower bound).
-func HittingScores(chain *markov.Chain, regionStates []int, maxSteps int, tol float64) (*sparse.Vec, int, error) {
-	return hittingScores(context.Background(), chain, regionStates, maxSteps, tol)
-}
-
-// hittingScores is the ctx-aware fixed-point kernel behind
-// HittingScores; it checks ctx once per backward sweep.
+// tolerance was not reached — the scores are then a lower bound). It
+// checks ctx once per backward sweep.
 func hittingScores(ctx context.Context, chain *markov.Chain, regionStates []int, maxSteps int, tol float64) (*sparse.Vec, int, error) {
 	n := chain.NumStates()
 	maxSteps, tol = hittingLimits(n, maxSteps, tol)
@@ -90,29 +85,4 @@ func hittingLimits(n, maxSteps int, tol float64) (int, float64) {
 		tol = 1e-12
 	}
 	return maxSteps, tol
-}
-
-// ExistsEventually returns the probability that the object ever enters
-// the region after (or at) its first observation. maxSteps/tol as in
-// HittingScores; defaults apply when ≤ 0. Only single-observation
-// objects are supported (the unbounded pass has no natural place to
-// fuse later observations).
-func (e *Engine) ExistsEventually(o *Object, regionStates []int, maxSteps int, tol float64) (float64, error) {
-	if len(o.Observations) > 1 {
-		return 0, fmt.Errorf("core: ExistsEventually supports single-observation objects; object %d has %d", o.ID, len(o.Observations))
-	}
-	ch := e.db.ChainOf(o)
-	scores, _, err := HittingScores(ch, regionStates, maxSteps, tol)
-	if err != nil {
-		return 0, err
-	}
-	init := o.First().PDF.Clone()
-	if init.Vec().Normalize() == 0 {
-		return 0, errZeroMass(o.ID)
-	}
-	p := init.Vec().Dot(scores)
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,13 +32,25 @@ func gamblersRuin(t testing.TB, n int, p float64) *markov.Chain {
 	return c
 }
 
+// eventuallyOne is the per-object oracle for PredicateEventually: the
+// hitting fixed point dotted with the object's normalized observation.
+func eventuallyOne(db *Database, o *Object, region []int, maxSteps int, tol float64) (float64, error) {
+	scores, _, err := hittingScores(context.Background(), db.ChainOf(o), region, maxSteps, tol)
+	if err != nil {
+		return 0, err
+	}
+	init := o.First().PDF.Clone()
+	init.Vec().Normalize()
+	return math.Min(init.Vec().Dot(scores), 1), nil
+}
+
 func TestHittingScoresGamblersRuinFair(t *testing.T) {
 	// Fair walk: P(hit n before 0 | start i) = i/n.
 	const n = 10
 	chain := gamblersRuin(t, n, 0.5)
-	scores, steps, err := HittingScores(chain, []int{n}, 100000, 1e-12)
+	scores, steps, err := hittingScores(context.Background(), chain, []int{n}, 100000, 1e-12)
 	if err != nil {
-		t.Fatalf("HittingScores: %v", err)
+		t.Fatalf("hittingScores: %v", err)
 	}
 	if steps == 0 {
 		t.Fatal("no iterations")
@@ -56,7 +69,7 @@ func TestHittingScoresGamblersRuinBiased(t *testing.T) {
 	p := 0.6
 	r := (1 - p) / p
 	chain := gamblersRuin(t, n, p)
-	scores, _, err := HittingScores(chain, []int{n}, 100000, 1e-13)
+	scores, _, err := hittingScores(context.Background(), chain, []int{n}, 100000, 1e-13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +85,17 @@ func TestExistsEventually(t *testing.T) {
 	const n = 10
 	chain := gamblersRuin(t, n, 0.5)
 	db := NewDatabase(chain)
-	o := MustObject(1, nil, Observation{Time: 0, PDF: markov.PointDistribution(n+1, 3)})
-	db.MustAdd(o)
-	e := NewEngine(db, Options{})
-	got, err := e.ExistsEventually(o, []int{n}, 100000, 1e-13)
-	if err != nil {
-		t.Fatalf("ExistsEventually: %v", err)
-	}
-	if math.Abs(got-0.3) > 1e-6 {
-		t.Errorf("P(eventually) = %g, want 0.3", got)
-	}
+	db.MustAdd(MustObject(1, nil, Observation{Time: 0, PDF: markov.PointDistribution(n+1, 3)}))
 	// Starting inside the region: certain.
-	atGoal := MustObject(2, nil, Observation{Time: 0, PDF: markov.PointDistribution(n+1, n)})
-	db.MustAdd(atGoal)
-	if p, err := e.ExistsEventually(atGoal, []int{n}, 0, 0); err != nil || p != 1 {
-		t.Errorf("from inside region: (%g, %v), want 1", p, err)
+	db.MustAdd(MustObject(2, nil, Observation{Time: 0, PDF: markov.PointDistribution(n+1, n)}))
+	e := NewEngine(db, Options{})
+	goal := NewQuery([]int{n}, nil)
+	got := probs(t, e, PredicateEventually, goal, WithHittingLimits(100000, 1e-13))
+	if math.Abs(got[1]-0.3) > 1e-6 {
+		t.Errorf("P(eventually) = %g, want 0.3", got[1])
+	}
+	if p := probs(t, e, PredicateEventually, goal)[2]; p != 1 {
+		t.Errorf("from inside region: %g, want 1", p)
 	}
 }
 
@@ -99,15 +108,15 @@ func TestExistsEventuallyDominatesFiniteWindowQuick(t *testing.T) {
 		if len(q.States) == 0 {
 			return true
 		}
-		ever, err := e.ExistsEventually(o, q.States, 2000, 1e-12)
+		ever, err := askOne(e, o.ID, PredicateEventually, NewQuery(q.States, nil), WithHittingLimits(2000, 1e-12))
 		if err != nil {
 			return false
 		}
-		finite, err := e.ExistsOB(o, NewQuery(q.States, Interval(0, 12)))
+		finite, err := obProb(e, o, PredicateExists, NewQuery(q.States, Interval(0, 12)))
 		if err != nil {
 			return false
 		}
-		return finite <= ever+1e-9
+		return finite <= ever.Prob+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -123,18 +132,18 @@ func TestExistsEventuallyRejectsMultiObs(t *testing.T) {
 	)
 	db.MustAdd(o)
 	e := NewEngine(db, Options{})
-	if _, err := e.ExistsEventually(o, []int{0}, 0, 0); err == nil {
+	if _, err := ask(e, PredicateEventually, NewQuery([]int{0}, nil)); err == nil {
 		t.Error("multi-observation object accepted")
 	}
 }
 
 func TestHittingScoresValidation(t *testing.T) {
 	chain := paperChainV(t)
-	if _, _, err := HittingScores(chain, []int{5}, 0, 0); err == nil {
+	if _, _, err := hittingScores(context.Background(), chain, []int{5}, 0, 0); err == nil {
 		t.Error("out-of-range region state accepted")
 	}
 	// Irreducible chain: every state eventually reaches the region.
-	scores, _, err := HittingScores(chain, []int{0}, 10000, 1e-14)
+	scores, _, err := hittingScores(context.Background(), chain, []int{0}, 10000, 1e-14)
 	if err != nil {
 		t.Fatal(err)
 	}

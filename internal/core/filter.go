@@ -17,8 +17,8 @@ import (
 // unfiltered streams use, so filtered and unfiltered results are
 // byte-identical — the filter can only skip work, never change answers.
 //
-// For the object-based strategy the refine step additionally uses the
-// ExistsOBBounds bracketing: the forward pass aborts as soon as the
+// For the object-based strategy the refine step additionally brackets
+// the forward pass (existsOBRefine): it aborts as soon as the
 // accumulated ◆ mass proves the object falls outside the acceptance
 // band (Section V-C's pruning), again without affecting survivors'
 // values.
@@ -120,7 +120,7 @@ func refineOne(ctx context.Context, plan *evalPlan, k *kern, o *Object, bar floa
 	return r, true, err
 }
 
-// obExistsRefine is the OB refine step with ExistsOBBounds-style
+// obExistsRefine is the OB refine step with lower/upper-bound
 // bracketing against the acceptance bar: P(result) < bar is proven as
 // early as the bracket allows, skipping the rest of the forward pass.
 // Ineligible shapes (k = 0, multi-observation, after-horizon, bar ≤ 0)

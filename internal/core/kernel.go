@@ -15,11 +15,9 @@ import (
 // vector family, the unbounded-horizon hitting fixed point, and the
 // boolean reachability envelopes that bound them from above and below.
 // kern binds one chain and compiled window to the engine's shared score
-// cache and buffer pool so that Evaluate, EvaluateSeq, Monitor, the
-// experiment harness and the CLIs all share the same sweeps instead of
-// each owning private ones (previously qbGroupEval in querybased.go,
-// a private map in streamKTimesQB, and Monitor's evals map — three
-// uncoordinated caches of the same data).
+// cache and buffer pool so that Evaluate, EvaluateSeq, subscriptions,
+// the experiment harness and the CLIs all share the same sweeps instead
+// of each owning private ones.
 //
 // A kern is cheap to construct (no precomputation). Concurrent Evaluate
 // calls each build their own kern over the same underlying cache, which
@@ -53,8 +51,8 @@ type kern struct {
 	prog     *exprProg
 	exprTree *Expr
 	// local memoizes sweeps within this kern's lifetime (one chain group
-	// of one request, or one Monitor). It serves two purposes: with the
-	// engine cache bypassed it preserves the historical one-sweep-per-
+	// of one request). It serves two purposes: with the engine cache
+	// bypassed it preserves the historical one-sweep-per-
 	// distinct-time behavior (WithCache(false) must never degrade QB
 	// evaluation to a sweep per object), and with the engine cache on it
 	// short-circuits the per-object lookups — a scan over a million
@@ -156,9 +154,9 @@ func (k *kern) fetchTier(ctx context.Context, key scoreKey, compute func() (scor
 
 func (k *kern) memo(key scoreKey, v scoreValue) {
 	if key.kind.genSensitive() {
-		// Long-lived kerns (Monitor) would serve such entries across
-		// database generations; only the engine cache knows how to
-		// expire them. Every kind cached today is insensitive.
+		// A kern that outlives a database generation would serve such
+		// entries stale; only the engine cache knows how to expire
+		// them. Every kind cached today is insensitive.
 		return
 	}
 	k.mu.Lock()
@@ -170,8 +168,8 @@ func (k *kern) memo(key scoreKey, v scoreValue) {
 }
 
 // kernel builds the sweep kernel for one chain group under a prepared
-// plan. plan may be nil (Monitor, legacy wrappers): caching is then on
-// whenever the engine has a cache, and traffic goes unreported.
+// plan. plan may be nil (Marginal): caching is then on whenever the
+// engine has a cache, and traffic goes unreported.
 func (e *Engine) kernel(chain *markov.Chain, w *window, plan *evalPlan) *kern {
 	k := &kern{chain: chain, w: w, pool: e.pool, fpool: e.fpool, cols: e.db.cols}
 	if e.cache != nil && (plan == nil || plan.useCache) {
@@ -387,8 +385,9 @@ func (k *kern) existsLower(ctx context.Context, o *Object) (lo float64, ok bool,
 // --- exact per-object evaluators -----------------------------------------
 //
 // These are THE per-object evaluation cores: the unfiltered streams, the
-// filter–refine paths and Monitor all call the same functions, which is
-// what makes pruned and unpruned results byte-identical by construction.
+// filter–refine paths and the aggregates all call the same functions,
+// which is what makes pruned and unpruned results byte-identical by
+// construction.
 
 // existsExact answers one object with the query-based strategy (backward
 // scoring sweep + dot product), handling the k = 0, multi-observation
@@ -553,4 +552,26 @@ func (k *kern) posteriorOf(o *Object, t int) (*markov.Distribution, error) {
 		return nil, err
 	}
 	return markov.FromVec(v.vecs[0].Clone()), nil
+}
+
+// Marginal returns the exact marginal distribution P(o, t) of an object
+// at time t ≥ its first observation time. It is the only entry to the
+// cached posterior: for multi-observation objects the smoothed
+// posterior comes from the columnar kernel and repeat marginals of an
+// unchanged object are served from the score cache under its
+// construction serial.
+func (e *Engine) Marginal(o *Object, t int) (*markov.Distribution, error) {
+	ch := e.db.ChainOf(o)
+	if len(o.Observations) > 1 {
+		return e.kernel(ch, nil, nil).posteriorOf(o, t)
+	}
+	first := o.First()
+	if t < first.Time {
+		return nil, errObservedAfterHorizon(o.ID, first.Time, t)
+	}
+	init := first.PDF.Clone()
+	if init.Vec().Normalize() == 0 {
+		return nil, errZeroMass(o.ID)
+	}
+	return markov.FromVec(ch.Evolve(init.Vec(), t-first.Time)), nil
 }

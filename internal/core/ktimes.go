@@ -18,20 +18,9 @@ import (
 // query timestamp shifts the in-window columns down one row (the visit
 // count increments).
 
-// KTimesOB computes the full k-distribution for one object with the
-// object-based forward algorithm. The returned slice has |T□|+1 entries;
-// entry k is P(object inside S□ at exactly k query timestamps).
-func (e *Engine) KTimesOB(o *Object, q Query) ([]float64, error) {
-	ch := e.db.ChainOf(o)
-	w, err := compile(q, ch.NumStates())
-	if err != nil {
-		return nil, err
-	}
-	return kTimesOne(context.Background(), ch, o, w, e.pool)
-}
-
-// kTimesOne is the shared per-object PSTkQ kernel over a compiled
-// window.
+// kTimesOne is the per-object PSTkQ kernel of the object-based forward
+// algorithm over a compiled window. The returned slice has |T□|+1
+// entries; entry k is P(object inside S□ at exactly k query timestamps).
 func kTimesOne(ctx context.Context, ch *markov.Chain, o *Object, w *window, pool *sparse.VecPool) ([]float64, error) {
 	if w.k == 0 {
 		return []float64{1}, nil
@@ -114,31 +103,12 @@ func shiftDown(rows []*sparse.Vec, w *window) {
 	}
 }
 
-// KTimesQB computes the k-distribution for every object in the database
-// with a query-based backward sweep. For each chain group it maintains
-// |T□|+1 backward vectors B_k, where B_k(t)[s] is the probability that a
-// world at state s at time t visits the window at exactly k of the query
+// The query-based PSTkQ sweep maintains, per chain group, |T□|+1
+// backward vectors B_k, where B_k(t)[s] is the probability that a world
+// at state s at time t visits the window at exactly k of the query
 // timestamps in (t, horizon]; stepping back INTO a query timestamp
 // first re-indexes in-window states to consume one visit. Each object is
-// then answered with |T□|+1 dot products. Thin wrapper over Evaluate.
-func (e *Engine) KTimesQB(q Query) ([]KResult, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateKTimes,
-		WithWindow(q), WithStrategy(StrategyQueryBased)))
-	if err != nil {
-		return nil, err
-	}
-	return toKResults(resp.Results), nil
-}
-
-// toKResults converts unified ktimes Results into the legacy KResult
-// form.
-func toKResults(results []Result) []KResult {
-	out := make([]KResult, len(results))
-	for i, r := range results {
-		out[i] = KResult{ObjectID: r.ObjectID, Dist: r.Dist}
-	}
-	return out
-}
+// then answered with |T□|+1 dot products.
 
 // kTimesBackward produces the scoring vectors B_0 … B_K at time t0,
 // checking ctx once per backward step. The returned vectors are owned by

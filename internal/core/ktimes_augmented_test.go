@@ -35,7 +35,7 @@ func TestKTimesAugmentedMatchesEfficientQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o, q := randomInstance(rng)
-		efficient, err := e.KTimesOB(o, q)
+		efficient, err := obDist(e, o, q)
 		if err != nil {
 			return false
 		}

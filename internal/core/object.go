@@ -101,7 +101,7 @@ func MustObject(id int, chain *markov.Chain, obs ...Observation) *Object {
 // WithObservation returns a copy of the object with one more
 // observation added, keeping the time order — the single place the
 // "append a sighting to an immutable object" sequence lives (used by
-// Monitor, the service ingest path and the shard router). Only the new
+// the service ingest path and the shard router). Only the new
 // observation is validated (the existing ones were validated when o was
 // built) and the observation slice is copied exactly once, into its
 // sorted position; historically this path copied the slice twice and
@@ -195,13 +195,13 @@ func (db *Database) Add(o *Object) error {
 
 // Version returns the database's mutation generation. It advances on
 // every insert and observation update; caches keyed on derived state
-// (the engine's score cache, a Monitor's per-object results) compare
+// (the engine's score cache, a subscription's last results) compare
 // generations to decide staleness.
 func (db *Database) Version() uint64 { return db.version.Load() }
 
 // ReplaceObject swaps in a new version of an existing object (same ID),
 // preserving database order, and advances the generation. It is the
-// observation-update entry point used by Monitor.Observe.
+// observation-update entry point used by Service.Observe.
 func (db *Database) ReplaceObject(updated *Object) error {
 	if updated == nil {
 		return fmt.Errorf("core: nil object")

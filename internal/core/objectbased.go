@@ -37,17 +37,10 @@ func sweepHits(v *sparse.Vec, w *window) float64 {
 
 // existsForward computes P∃(o, S□, T□) for an initial distribution
 // observed at time t0, stepping forward to the query horizon. It is the
-// shared kernel of the OB strategy. stopAt, when in (0, 1], allows early
-// termination as soon as the accumulated hit probability reaches it; the
-// returned value is then a lower bound (Section V-C's "sufficiently
-// large ◆" pruning). Use stopAt > 1 (or 0, normalized to >1) for the
-// exact result. The pass checks ctx once per forward step and aborts
-// with ctx.Err() on cancellation. Scratch buffers come from pool (nil is
-// allowed).
-func existsForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t0 int, w *window, stopAt float64, pool *sparse.VecPool) (float64, error) {
-	if stopAt <= 0 {
-		stopAt = 2 // never reached: exact evaluation
-	}
+// shared kernel of the OB strategy. The pass checks ctx once per forward
+// step and aborts with ctx.Err() on cancellation. Scratch buffers come
+// from pool (nil is allowed).
+func existsForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t0 int, w *window, pool *sparse.VecPool) (float64, error) {
 	cur := pool.Get(init.Len())
 	cur.CopyFrom(init)
 	next := pool.Get(init.Len())
@@ -63,9 +56,6 @@ func existsForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		if hit >= stopAt {
-			break
-		}
 		if cur.NNZ() == 0 {
 			break // every world already absorbed
 		}
@@ -78,24 +68,9 @@ func existsForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t
 	return hit, nil
 }
 
-// ExistsOB answers the PST∃Q for a single-observation object by the
-// object-based strategy. Objects with multiple observations are routed
-// through the multi-observation kernel (Section VI) automatically.
-func (e *Engine) ExistsOB(o *Object, q Query) (float64, error) {
-	ch := e.db.ChainOf(o)
-	w, err := compile(q, ch.NumStates())
-	if err != nil {
-		return 0, err
-	}
-	return e.existsOB(context.Background(), o, ch, w)
-}
-
-func (e *Engine) existsOB(ctx context.Context, o *Object, ch *markov.Chain, w *window) (float64, error) {
-	return existsOBOne(ctx, ch, o, w, e.pool)
-}
-
-// existsOBOne is the free-standing OB core shared by the engine wrappers
-// and the kernel layer.
+// existsOBOne is the per-object OB core: single-observation objects run
+// the forward pass, objects with several observations are routed
+// through the multi-observation kernel (Section VI).
 func existsOBOne(ctx context.Context, ch *markov.Chain, o *Object, w *window, pool *sparse.VecPool) (float64, error) {
 	if w.k == 0 {
 		return 0, nil
@@ -112,65 +87,7 @@ func existsOBOne(ctx context.Context, ch *markov.Chain, o *Object, w *window, po
 	if mass == 0 {
 		return 0, fmt.Errorf("core: object %d has zero-mass observation", o.ID)
 	}
-	return existsForward(ctx, ch, init.Vec(), first.Time, w, 0, pool)
-}
-
-// ExistsOBBounds runs the object-based forward pass with early
-// termination against a probability threshold τ: it stops as soon as the
-// query probability is provably ≥ τ (lower bound reached) or provably
-// < τ (upper bound fell below). It returns the bracket [lo, hi] around
-// the true probability at the moment of termination; lo == hi means the
-// evaluation ran to completion. Only single-observation objects are
-// eligible.
-func (e *Engine) ExistsOBBounds(o *Object, q Query, tau float64) (lo, hi float64, err error) {
-	ch := e.db.ChainOf(o)
-	w, cerr := compile(q, ch.NumStates())
-	if cerr != nil {
-		return 0, 0, cerr
-	}
-	if w.k == 0 {
-		return 0, 0, nil
-	}
-	if len(o.Observations) > 1 {
-		p, merr := existsMultiObs(context.Background(), ch, o.Observations, w)
-		return p, p, merr
-	}
-	first := o.First()
-	if first.Time > w.horizon {
-		return 0, 0, fmt.Errorf("core: object %d observed at t=%d, after query horizon %d", o.ID, first.Time, w.horizon)
-	}
-	init := first.PDF.Clone()
-	init.Vec().Normalize()
-
-	cur := init.Vec()
-	hit := 0.0
-	// remainingQueryTimes counts query timestamps not yet processed;
-	// once zero, the remaining free mass can never be absorbed.
-	remaining := w.k
-	if w.atTime(first.Time) {
-		hit += sweepHits(cur, w)
-		remaining--
-	}
-	next := sparse.NewVec(cur.Len())
-	for t := first.Time; t < w.horizon; t++ {
-		free := cur.Sum()
-		if hit >= tau {
-			return hit, hit + free, nil // provably ≥ τ
-		}
-		if hit+free < tau {
-			return hit, hit + free, nil // provably < τ
-		}
-		if cur.NNZ() == 0 || remaining == 0 {
-			break
-		}
-		ch.Step(next, cur)
-		cur, next = next, cur
-		if w.atTime(t + 1) {
-			hit += sweepHits(cur, w)
-			remaining--
-		}
-	}
-	return hit, hit, nil
+	return existsForward(ctx, ch, init.Vec(), first.Time, w, pool)
 }
 
 // existsOBRefine is the filter–refine variant of the OB forward pass
@@ -178,12 +95,12 @@ func (e *Engine) ExistsOBBounds(o *Object, q Query, tau float64) (lo, hi float64
 // falls outside [rejectBelow, rejectAbove] and stops early (qualified =
 // false, p meaningless), or runs to completion and returns the exact
 // probability — bit-identical to existsForward's, since the loop body is
-// the same arithmetic in the same order. The proof side is the
-// ExistsOBBounds bracketing: the accumulated hit mass is a lower bound,
-// hit plus the free (unabsorbed) mass an upper bound. Rejection widens
-// the band by boundSlack so float rounding can only make the filter keep
-// more, never drop a qualifying object. Disable a side with rejectBelow
-// ≤ 0 / rejectAbove ≥ 1+.
+// the same arithmetic in the same order. The proof side brackets the
+// answer: the accumulated hit mass is a lower bound, hit plus the free
+// (unabsorbed) mass an upper bound. Rejection widens the band by
+// boundSlack so float rounding can only make the filter keep more, never
+// drop a qualifying object. Disable a side with rejectBelow ≤ 0 /
+// rejectAbove ≥ 1+.
 func existsOBRefine(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t0 int, w *window, rejectBelow, rejectAbove float64, pool *sparse.VecPool) (p float64, qualified bool, err error) {
 	cur := pool.Get(init.Len())
 	cur.CopyFrom(init)
@@ -216,22 +133,4 @@ func existsOBRefine(ctx context.Context, chain *markov.Chain, init *sparse.Vec, 
 		}
 	}
 	return hit, true, nil
-}
-
-// ForAllOB answers the PST∀Q by the complement identity of Section VII:
-// P∀(o, S□, T□) = 1 − P∃(o, S \ S□, T□).
-func (e *Engine) ForAllOB(o *Object, q Query) (float64, error) {
-	ch := e.db.ChainOf(o)
-	w, err := compile(q, ch.NumStates())
-	if err != nil {
-		return 0, err
-	}
-	if w.k == 0 {
-		return 1, nil // vacuously inside for all of zero timestamps
-	}
-	pEscape, err := e.existsOB(context.Background(), o, ch, w.complemented())
-	if err != nil {
-		return 0, err
-	}
-	return 1 - pEscape, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -49,9 +50,9 @@ const tol = 1e-12
 func TestPaperRunningExampleOB(t *testing.T) {
 	db, o := paperDB(t)
 	e := NewEngine(db, Options{})
-	got, err := e.ExistsOB(o, paperQueryV())
+	got, err := obProb(e, o, PredicateExists, paperQueryV())
 	if err != nil {
-		t.Fatalf("ExistsOB: %v", err)
+		t.Fatalf("exists OB: %v", err)
 	}
 	if math.Abs(got-0.864) > tol {
 		t.Errorf("P∃ via OB = %.12f, want 0.864", got)
@@ -61,10 +62,7 @@ func TestPaperRunningExampleOB(t *testing.T) {
 func TestPaperRunningExampleQB(t *testing.T) {
 	db, _ := paperDB(t)
 	e := NewEngine(db, Options{})
-	res, err := e.ExistsQB(paperQueryV())
-	if err != nil {
-		t.Fatalf("ExistsQB: %v", err)
-	}
+	res := mustAsk(t, e, PredicateExists, paperQueryV(), qb)
 	if len(res) != 1 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -76,11 +74,14 @@ func TestPaperRunningExampleQB(t *testing.T) {
 func TestPaperBackwardScoresExample2(t *testing.T) {
 	// Section V-B works the backward vectors explicitly:
 	// P(t=0) = (0.96, 0.864, 0.928, 1).
-	db, _ := paperDB(t)
-	e := NewEngine(db, Options{})
-	scores, err := e.ExistsQBScores(db.DefaultChain(), paperQueryV(), 0)
+	chain := paperChainV(t)
+	w, err := compile(paperQueryV(), chain.NumStates())
 	if err != nil {
-		t.Fatalf("ExistsQBScores: %v", err)
+		t.Fatal(err)
+	}
+	scores, err := hitScores(context.Background(), chain, w, 0, nil)
+	if err != nil {
+		t.Fatalf("hitScores: %v", err)
 	}
 	want := []float64{0.96, 0.864, 0.928}
 	for s, w := range want {
@@ -146,9 +147,9 @@ func TestPaperKTimesExample(t *testing.T) {
 	// P(0 visits) = 0.136, P(1) = 0.672, P(2) = 0.192.
 	db, o := paperDB(t)
 	e := NewEngine(db, Options{})
-	dist, err := e.KTimesOB(o, paperQueryV())
+	dist, err := obDist(e, o, paperQueryV())
 	if err != nil {
-		t.Fatalf("KTimesOB: %v", err)
+		t.Fatalf("ktimes OB: %v", err)
 	}
 	want := []float64{0.136, 0.672, 0.192}
 	if len(dist) != len(want) {
@@ -160,10 +161,7 @@ func TestPaperKTimesExample(t *testing.T) {
 		}
 	}
 	// The QB variant must agree.
-	kres, err := e.KTimesQB(paperQueryV())
-	if err != nil {
-		t.Fatalf("KTimesQB: %v", err)
-	}
+	kres := mustAsk(t, e, PredicateKTimes, paperQueryV(), qb)
 	for k, w := range want {
 		if math.Abs(kres[0].Dist[k]-w) > tol {
 			t.Errorf("QB P(%d visits) = %.12f, want %g", k, kres[0].Dist[k], w)
@@ -199,9 +197,9 @@ func TestPaperMultiObsExample(t *testing.T) {
 	db.MustAdd(o)
 	e := NewEngine(db, Options{})
 	q := NewQuery([]int{0, 1}, []int{1, 2})
-	got, err := e.ExistsOB(o, q)
+	got, err := obProb(e, o, PredicateExists, q)
 	if err != nil {
-		t.Fatalf("ExistsOB: %v", err)
+		t.Fatalf("exists OB: %v", err)
 	}
 	if got != 0 {
 		t.Errorf("P∃ = %g, want exactly 0", got)
@@ -231,9 +229,9 @@ func TestPaperMultiObsIntermediateVectors(t *testing.T) {
 	db.MustAdd(oSingle)
 	e := NewEngine(db, Options{})
 	q := NewQuery([]int{0, 1}, []int{1, 2})
-	got, err := e.ExistsOB(oSingle, q)
+	got, err := obProb(e, oSingle, PredicateExists, q)
 	if err != nil {
-		t.Fatalf("ExistsOB: %v", err)
+		t.Fatalf("exists OB: %v", err)
 	}
 	if math.Abs(got-0.8) > tol {
 		t.Errorf("P∃ without obs2 = %.12f, want 0.8 (= 0.4 + 0.4)", got)
@@ -246,25 +244,22 @@ func TestPaperFootnote2StartInsideWindow(t *testing.T) {
 	db, o := paperDB(t)
 	e := NewEngine(db, Options{})
 	q := NewQuery([]int{0, 1}, []int{0})
-	got, err := e.ExistsOB(o, q)
+	got, err := obProb(e, o, PredicateExists, q)
 	if err != nil {
-		t.Fatalf("ExistsOB: %v", err)
+		t.Fatalf("exists OB: %v", err)
 	}
 	if got != 1 {
 		t.Errorf("P∃ with t0 in window = %g, want 1", got)
 	}
 	// QB path must agree (score pinning at t0).
-	res, err := e.ExistsQB(q)
-	if err != nil {
-		t.Fatalf("ExistsQB: %v", err)
-	}
+	res := mustAsk(t, e, PredicateExists, q, qb)
 	if res[0].Prob != 1 {
 		t.Errorf("QB P∃ with t0 in window = %g, want 1", res[0].Prob)
 	}
 	// And the k-times footnote 3: the distribution starts at k=1.
-	dist, err := e.KTimesOB(o, q)
+	dist, err := obDist(e, o, q)
 	if err != nil {
-		t.Fatalf("KTimesOB: %v", err)
+		t.Fatalf("ktimes OB: %v", err)
 	}
 	if math.Abs(dist[1]-1) > tol || dist[0] != 0 {
 		t.Errorf("k-dist with t0 in window = %v, want [0 1]", dist)

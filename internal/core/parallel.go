@@ -107,17 +107,3 @@ func parallelOrdered[T any](ctx context.Context, n, workers int, fn func(ctx con
 		}
 	}
 }
-
-// ExistsOBParallel evaluates the PST∃Q for every object with the
-// object-based strategy fanned out over workers goroutines
-// (workers ≤ 0 selects GOMAXPROCS). Results are in evaluation order, as
-// with Evaluate. The first per-object error cancels all remaining work
-// and is returned deterministically (lowest object index wins).
-func (e *Engine) ExistsOBParallel(q Query, workers int) ([]Result, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateExists,
-		WithWindow(q), WithStrategy(StrategyObjectBased), WithParallelism(workers)))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}

@@ -49,9 +49,9 @@ func estimateAvgRowNNZ(c *markov.Chain) float64 {
 	return float64(c.NNZ()) / float64(n)
 }
 
-// PlanExists returns cost estimates for evaluating the given PST∃Q over
+// planExists returns cost estimates for evaluating the given PST∃Q over
 // the database with each exact strategy, ordered best-first.
-func (e *Engine) PlanExists(q Query) ([]CostEstimate, error) {
+func (e *Engine) planExists(q Query) ([]CostEstimate, error) {
 	horizon := q.Horizon()
 	var obOps, qbOps float64
 	obSweeps, qbSweeps := 0, 0
@@ -313,58 +313,4 @@ func (e *Engine) WarmBatch(ctx context.Context, reqs []Request) error {
 		plans[i], _ = e.prepare(req)
 	}
 	return e.warmBatch(ctx, plans)
-}
-
-// ExistsAuto evaluates the PST∃Q with the strategy the planner
-// predicts to be cheaper. It returns the results and the chosen
-// strategy. Thin wrapper over Evaluate with WithAutoPlan.
-func (e *Engine) ExistsAuto(q Query) ([]Result, Strategy, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateExists,
-		WithWindow(q), WithAutoPlan()))
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Results, resp.Strategy, nil
-}
-
-// ExpectedCount returns the expected number of database objects
-// satisfying the PST∃Q — Σ_o P∃(o). This is the paper's "predict the
-// number of cars that will be in a congested road segment after 10-15
-// minutes" aggregate. It rides the aggregate subsystem's factor
-// decomposition (aggregate.go): each object's Bernoulli factor carries
-// the same bit-exact P∃ the per-object stream emits, and the plain sum
-// over factors in emission order reproduces the historical accumulation
-// exactly — one counting code path, pinned by TestExpectedCountAggPin.
-func (e *Engine) ExpectedCount(q Query) (float64, error) {
-	fs, err := e.AggregateFactors(context.Background(),
-		NewAggRequest(PredicateExists, AggSpec{Kind: AggCount}, WithWindow(q)))
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, f := range fs.Factors {
-		sum += f.Coeffs[1]
-	}
-	return sum, nil
-}
-
-// AtLeastKTimes returns, for one object, the probability of being
-// inside the window at k or more query timestamps: the tail of the
-// PSTkQ distribution. k = 1 coincides with PST∃Q; k = |T□| with PST∀Q.
-func (e *Engine) AtLeastKTimes(o *Object, q Query, k int) (float64, error) {
-	if k <= 0 {
-		return 1, nil
-	}
-	dist, err := e.KTimesOB(o, q)
-	if err != nil {
-		return 0, err
-	}
-	if k >= len(dist) {
-		return 0, nil
-	}
-	tail := 0.0
-	for _, p := range dist[k:] {
-		tail += p
-	}
-	return tail, nil
 }

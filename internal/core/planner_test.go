@@ -20,11 +20,11 @@ func TestPlanExistsPrefersQBOnLargeDB(t *testing.T) {
 	}
 	e := NewEngine(db, Options{})
 	q := NewQuery(Interval(100, 120), Interval(20, 25))
-	plans, err := e.PlanExists(q)
+	chosen, plans, err := e.PlanRequest(NewRequest(PredicateExists, WithWindow(q), WithAutoPlan()))
 	if err != nil {
-		t.Fatalf("PlanExists: %v", err)
+		t.Fatalf("PlanRequest: %v", err)
 	}
-	if plans[0].Strategy != StrategyQueryBased {
+	if plans[0].Strategy != StrategyQueryBased || chosen != StrategyQueryBased {
 		t.Errorf("large DB plan = %v, want query-based", plans[0].Strategy)
 	}
 	if plans[0].Ops >= plans[1].Ops {
@@ -44,11 +44,11 @@ func TestPlanExistsPrefersOBOnSingleObjectShortHorizon(t *testing.T) {
 	// One object, two-step horizon: the forward pass touches a handful
 	// of entries while the backward sweep touches the whole matrix.
 	q := NewQuery(Interval(100, 120), []int{2})
-	plans, err := e.PlanExists(q)
+	chosen, plans, err := e.PlanRequest(NewRequest(PredicateExists, WithWindow(q), WithAutoPlan()))
 	if err != nil {
-		t.Fatalf("PlanExists: %v", err)
+		t.Fatalf("PlanRequest: %v", err)
 	}
-	if plans[0].Strategy != StrategyObjectBased {
+	if plans[0].Strategy != StrategyObjectBased || chosen != StrategyObjectBased {
 		t.Errorf("single-object plan = %v, want object-based", plans[0].Strategy)
 	}
 }
@@ -57,19 +57,22 @@ func TestExistsAutoMatchesExact(t *testing.T) {
 	db, o := paperDB(t)
 	e := NewEngine(db, Options{})
 	q := paperQueryV()
-	res, chosen, err := e.ExistsAuto(q)
+	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateExists, WithWindow(q), WithAutoPlan()))
 	if err != nil {
-		t.Fatalf("ExistsAuto: %v", err)
+		t.Fatalf("auto-planned exists: %v", err)
 	}
-	if chosen != StrategyQueryBased && chosen != StrategyObjectBased {
-		t.Errorf("auto chose %v", chosen)
+	if resp.Strategy != StrategyQueryBased && resp.Strategy != StrategyObjectBased {
+		t.Errorf("auto chose %v", resp.Strategy)
 	}
-	exact, err := e.ExistsOB(o, q)
+	if len(resp.Plans) != 2 || resp.Plans[0].Strategy != resp.Strategy {
+		t.Errorf("plans %+v do not lead with the chosen strategy %v", resp.Plans, resp.Strategy)
+	}
+	exact, err := obProb(e, o, PredicateExists, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res[0].Prob-exact) > tol {
-		t.Errorf("auto result %g != exact %g", res[0].Prob, exact)
+	if math.Abs(resp.Results[0].Prob-exact) > tol {
+		t.Errorf("auto result %g != exact %g", resp.Results[0].Prob, exact)
 	}
 }
 
@@ -78,42 +81,55 @@ func TestExpectedCount(t *testing.T) {
 	db.MustAdd(MustObject(1, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 1)})) // 0.864
 	db.MustAdd(MustObject(2, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 1)})) // 0.864
 	e := NewEngine(db, Options{})
-	got, err := e.ExpectedCount(paperQueryV())
+	// The paper's "how many cars will be in the congested segment"
+	// aggregate, Σ_o P∃(o), is the mean of the count distribution.
+	resp, err := e.Evaluate(context.Background(), NewAggRequest(PredicateExists,
+		AggSpec{Kind: AggCount}, WithWindow(paperQueryV())))
 	if err != nil {
-		t.Fatalf("ExpectedCount: %v", err)
+		t.Fatalf("count aggregate: %v", err)
 	}
-	if math.Abs(got-2*0.864) > tol {
-		t.Errorf("ExpectedCount = %g, want %g", got, 2*0.864)
+	if got := resp.Agg.Mean; math.Abs(got-2*0.864) > tol {
+		t.Errorf("expected count = %g, want %g", got, 2*0.864)
 	}
 }
 
 func TestAtLeastKTimes(t *testing.T) {
+	// "Inside at k or more query timestamps" is the tail sum of the
+	// PSTkQ distribution: k = 0 is certain, k = 1 coincides with PST∃Q,
+	// k = |T□| with PST∀Q, anything beyond is impossible.
 	db, o := paperDB(t)
 	e := NewEngine(db, Options{})
 	q := paperQueryV()
-	// k = 0: certain.
-	if p, err := e.AtLeastKTimes(o, q, 0); err != nil || p != 1 {
-		t.Errorf("AtLeastKTimes(0) = (%g, %v)", p, err)
-	}
-	// k = 1 == PST∃Q.
-	p1, err := e.AtLeastKTimes(o, q, 1)
+	dist, err := obDist(e, o, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p1-0.864) > tol {
-		t.Errorf("AtLeastKTimes(1) = %g, want 0.864", p1)
+	atLeast := func(k int) float64 {
+		tail := 0.0
+		for _, p := range dist[min(k, len(dist)):] {
+			tail += p
+		}
+		return tail
 	}
-	// k = |T□| == PST∀Q (via k-dist tail).
-	p2, err := e.AtLeastKTimes(o, q, 2)
+	if p := atLeast(0); math.Abs(p-1) > tol {
+		t.Errorf("at least 0 visits = %g, want 1", p)
+	}
+	exists, err := obProb(e, o, PredicateExists, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p2-0.192) > tol {
-		t.Errorf("AtLeastKTimes(2) = %g, want 0.192", p2)
+	if p := atLeast(1); math.Abs(p-0.864) > tol || math.Abs(p-exists) > tol {
+		t.Errorf("at least 1 visit = %g, want 0.864 (P∃ = %g)", p, exists)
 	}
-	// k beyond the window: impossible.
-	if p, err := e.AtLeastKTimes(o, q, 3); err != nil || p != 0 {
-		t.Errorf("AtLeastKTimes(3) = (%g, %v), want 0", p, err)
+	forAll, err := obProb(e, o, PredicateForAll, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := atLeast(2); math.Abs(p-0.192) > tol || math.Abs(p-forAll) > tol {
+		t.Errorf("at least 2 visits = %g, want 0.192 (P∀ = %g)", p, forAll)
+	}
+	if p := atLeast(3); p != 0 {
+		t.Errorf("at least 3 visits = %g, want 0", p)
 	}
 }
 
@@ -134,7 +150,7 @@ func TestExistsOBParallelMatchesSequential(t *testing.T) {
 	}
 	seq := seqResp.Results
 	for _, workers := range []int{1, 4, 0} {
-		par, err := e.ExistsOBParallel(q, workers)
+		par, err := ask(e, PredicateExists, q, ob, WithParallelism(workers))
 		if err != nil {
 			t.Fatalf("parallel(%d): %v", workers, err)
 		}
@@ -156,7 +172,7 @@ func TestExistsOBParallelPropagatesError(t *testing.T) {
 	db := NewDatabase(paperChainV(t))
 	db.MustAdd(MustObject(1, nil, Observation{Time: 10, PDF: markov.PointDistribution(3, 0)}))
 	e := NewEngine(db, Options{})
-	if _, err := e.ExistsOBParallel(NewQuery([]int{0}, []int{2}), 4); err == nil {
+	if _, err := ask(e, PredicateExists, NewQuery([]int{0}, []int{2}), ob, WithParallelism(4)); err == nil {
 		t.Error("late observation not reported by parallel evaluation")
 	}
 }
@@ -167,16 +183,9 @@ func TestExistsOBParallelMixedChains(t *testing.T) {
 	db.MustAdd(MustObject(2, paperChainVI(t), Observation{Time: 0, PDF: markov.PointDistribution(3, 1)}))
 	e := NewEngine(db, Options{})
 	q := paperQueryV()
-	par, err := e.ExistsOBParallel(q, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range par {
-		want, err := e.ExistsOB(db.Get(r.ObjectID), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(r.Prob-want) > tol {
+	serial := probs(t, e, PredicateExists, q, ob)
+	for _, r := range mustAsk(t, e, PredicateExists, q, ob, WithParallelism(2)) {
+		if want := serial[r.ObjectID]; math.Abs(r.Prob-want) > tol {
 			t.Errorf("object %d: parallel %g != exact %g", r.ObjectID, r.Prob, want)
 		}
 	}
@@ -184,8 +193,8 @@ func TestExistsOBParallelMixedChains(t *testing.T) {
 
 func TestConcurrentReadOnlyQueries(t *testing.T) {
 	// Engines over a shared database must support concurrent read-only
-	// querying once the transposes are warmed (ExistsOBParallel warms
-	// them; plain QB readers arriving concurrently afterwards are
+	// querying once the transposes are warmed (parallel OB evaluation
+	// warms them; plain QB readers arriving concurrently afterwards are
 	// safe). Run under -race in CI.
 	p := gen.Params{NumObjects: 60, NumStates: 800, ObjectSpread: 3, StateSpread: 4, MaxStep: 20, Seed: 13}
 	ds := gen.MustGenerate(p)
@@ -197,17 +206,14 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 	ds.Chain.Transposed() // warm before sharing
 
 	q := NewQuery(Interval(100, 140), Interval(5, 9))
-	want, err := e.ExistsQB(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustAsk(t, e, PredicateExists, q, qb)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := e.ExistsQB(q)
+			got, err := ask(e, PredicateExists, q, qb)
 			if err != nil {
 				errs <- err
 				return

@@ -61,47 +61,3 @@ func hitScores(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool
 func pinRegion(score *sparse.Vec, w *window) {
 	w.eachRegionState(func(s int) { score.Set(s, 1) })
 }
-
-// ExistsQB answers the PST∃Q for every object in the database using the
-// query-based strategy: one backward sweep per (chain, observation time)
-// pair, then one dot product per object. Multi-observation objects fall
-// back to the forward multi-observation kernel, preserving exactness.
-// Thin wrapper over Evaluate.
-func (e *Engine) ExistsQB(q Query) ([]Result, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateExists,
-		WithWindow(q), WithStrategy(StrategyQueryBased)))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// ForAllQB answers the PST∀Q for every object via the complement
-// identity, sharing the query-based machinery. Thin wrapper over
-// Evaluate.
-func (e *Engine) ForAllQB(q Query) ([]Result, error) {
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateForAll,
-		WithWindow(q), WithStrategy(StrategyQueryBased)))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// ExistsQBScores exposes the raw scoring vector for a chain at a given
-// observation time: entry s is the probability that an object starting
-// at s at time t0 satisfies the query. Useful for visualization and for
-// answering "which starting positions are dangerous" questions directly.
-// Served through the engine's score cache when enabled; the returned
-// vector is a private copy the caller may mutate freely.
-func (e *Engine) ExistsQBScores(chain *markov.Chain, q Query, t0 int) (*sparse.Vec, error) {
-	w, err := compile(q, chain.NumStates())
-	if err != nil {
-		return nil, err
-	}
-	score, err := e.kernel(chain, w, nil).existsScoreAt(context.Background(), t0)
-	if err != nil {
-		return nil, err
-	}
-	return score.Clone(), nil
-}

@@ -2,15 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ust/internal/spatial"
 )
 
 // The unified query surface. A Request is one self-contained question —
 // predicate kind × spatio-temporal window × execution hints — and
-// Engine.Evaluate / Engine.EvaluateSeq are the only entry points needed
-// to ask it. The legacy per-variant Engine methods (Exists, ExistsQB,
-// ExistsThreshold, TopKExists, …) are thin wrappers over this surface.
+// Engine.Evaluate / Engine.EvaluateSeq (and their batch forms) are the
+// only entry points that ask it.
 
 // Predicate identifies the query predicate of a Request.
 type Predicate int
@@ -227,7 +227,10 @@ func WithTopK(k int) RequestOption {
 }
 
 // WithParallelism fans per-object work out over the given number of
-// goroutines (≤ 0 selects GOMAXPROCS). Only the object-based and
+// goroutines. workers ≤ 0 is stored as the hint −1, which ResolveWorkers
+// turns into GOMAXPROCS at evaluation time; a request that never calls
+// WithParallelism carries the hint 0 and runs serially (ResolveWorkers(0)
+// == 1), as does WithParallelism(1). Only the object-based and
 // Monte-Carlo strategies parallelize; the query-based strategy's
 // per-object work is already a dot product.
 func WithParallelism(workers int) RequestOption {
@@ -434,8 +437,13 @@ func (r Request) validate() error {
 	if r.topK < 0 {
 		return fmt.Errorf("core: top-k needs k ≥ 1, got %d", r.topK)
 	}
-	if r.threshold != nil && (*r.threshold < 0 || *r.threshold > 1) {
+	// Written as a positive range test so NaN (which fails every
+	// comparison) is rejected instead of silently admitting every object.
+	if r.threshold != nil && !(*r.threshold >= 0 && *r.threshold <= 1) {
 		return fmt.Errorf("core: threshold %g outside [0, 1]", *r.threshold)
+	}
+	if math.IsNaN(r.tol) {
+		return fmt.Errorf("core: hitting tolerance is NaN")
 	}
 	if r.mcSamples < 0 {
 		return fmt.Errorf("core: Monte-Carlo needs a positive sample count, got %d", r.mcSamples)

@@ -13,8 +13,8 @@ import (
 // vector(s) for one (chain, compiled window, observation time) — depends
 // on nothing else: not on the object being answered, not on the rest of
 // the database. That makes it the natural unit of sharing across
-// repeated Evaluate calls, standing Monitors, the experiment harness and
-// ustquery sessions against one engine. The cache is a concurrency-safe,
+// repeated Evaluate calls, subscription refreshes, the experiment
+// harness and ustquery sessions against one engine. The cache is a concurrency-safe,
 // size-bounded LRU over those sweep results plus the boolean
 // reachability envelopes the filter stage derives from the same keys.
 //

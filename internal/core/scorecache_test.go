@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -316,30 +317,21 @@ func TestConcurrentEvaluateSharedCache(t *testing.T) {
 	}
 }
 
-// TestMonitorSharedCacheIdentical pins Monitor's incremental refresh to
-// fresh full evaluations across a stream of observation updates — the
-// fold-onto-shared-cache refactor must not change a single bit.
+// TestMonitorSharedCacheIdentical pins the monitoring workload — one
+// standing window re-read after every observation update — to fresh
+// uncached evaluations across a stream of updates: sweeps stay in the
+// shared cache over database generations, updated objects are re-keyed by
+// construction serial, and not a single bit may differ.
 func TestMonitorSharedCacheIdentical(t *testing.T) {
 	db := cacheTestDB(t, 40, 15, 6)
 	e := NewEngine(db, Options{})
 	q := NewQuery(Interval(4, 9), Interval(3, 8))
-	m := e.NewMonitor(q)
 
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 5; round++ {
-		got, err := m.Results()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Dirty() != 0 {
-			t.Fatalf("round %d: %d dirty after Results", round, m.Dirty())
-		}
+		got := mustAsk(t, e, PredicateExists, q)
 		// Fresh engine over the same database = ground truth.
-		fresh := NewEngine(db, Options{CacheBytes: -1})
-		want, err := fresh.Exists(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustAsk(t, NewEngine(db, Options{CacheBytes: -1}), PredicateExists, q)
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d results, want %d", round, len(got), len(want))
 		}
@@ -348,17 +340,84 @@ func TestMonitorSharedCacheIdentical(t *testing.T) {
 				t.Fatalf("round %d: result %d = %+v, want %+v", round, i, got[i], want[i])
 			}
 		}
-		// Feed a new observation to a random object.
-		id := rng.Intn(db.Len())
-		last := db.Get(id).Last()
-		// A broad (uniform) sighting stays consistent with any motion
-		// model; a random point sighting could be impossible.
-		if err := m.Observe(id, Observation{Time: last.Time + 1 + rng.Intn(2), PDF: markov.UniformOver(40, Interval(0, 39))}); err != nil {
+		// Feed a new observation to a random object. A broad (uniform)
+		// sighting stays consistent with any motion model; a random
+		// point sighting could be impossible.
+		o := db.Get(rng.Intn(db.Len()))
+		updated, err := o.WithObservation(Observation{Time: o.Last().Time + 1 + rng.Intn(2), PDF: markov.UniformOver(40, Interval(0, 39))})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Dirty() != 1 {
-			t.Fatalf("round %d: Dirty = %d, want 1", round, m.Dirty())
+		if err := db.ReplaceObject(updated); err != nil {
+			t.Fatal(err)
 		}
+	}
+}
+
+// TestMonitorObserveUpdatesOnlyThatObject is the Section VI scenario as
+// one monitoring round: a second observation at t=3 collapses object 1's
+// probability from 0.8 to 0, and re-reading the standing window through
+// the warm cache changes — and recomputes — that object alone.
+func TestMonitorObserveUpdatesOnlyThatObject(t *testing.T) {
+	db := NewDatabase(paperChainVI(t))
+	db.MustAdd(MustObject(1, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 0)}))
+	db.MustAdd(MustObject(2, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 0)}))
+	e := NewEngine(db, Options{})
+	q := NewQuery([]int{0, 1}, []int{1, 2})
+	before := probs(t, e, PredicateExists, q)
+	if math.Abs(before[1]-0.8) > tol {
+		t.Fatalf("initial P = %g, want 0.8", before[1])
+	}
+
+	updated, err := db.Get(1).WithObservation(Observation{Time: 3, PDF: markov.PointDistribution(3, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ReplaceObject(updated); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateExists, WithWindow(q)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := map[int]float64{}
+	for _, r := range resp.Results {
+		after[r.ObjectID] = r.Prob
+	}
+	if after[1] != 0 {
+		t.Errorf("object 1 after second observation: P = %g, want 0", after[1])
+	}
+	if after[2] != before[2] {
+		t.Errorf("object 2 changed: P = %g, was %g", after[2], before[2])
+	}
+	if resp.Cache.Misses > 1 || resp.Cache.Hits == 0 {
+		t.Errorf("re-read should miss on object 1's evaluation alone: %+v", resp.Cache)
+	}
+	if got := len(db.Get(1).Observations); got != 2 {
+		t.Errorf("object 1 has %d observations, want 2", got)
+	}
+}
+
+// TestMonitorTrack: an object added between two reads of a standing
+// window shows up in the second read; duplicate ids are refused.
+func TestMonitorTrack(t *testing.T) {
+	db, _ := paperDB(t)
+	e := NewEngine(db, Options{})
+	q := paperQueryV()
+	mustAsk(t, e, PredicateExists, q)
+	newObj := MustObject(42, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 1)})
+	if err := db.Add(newObj); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	res := mustAsk(t, e, PredicateExists, q)
+	if len(res) != 2 {
+		t.Fatalf("%d results after Add, want 2", len(res))
+	}
+	if math.Abs(res[1].Prob-0.864) > tol {
+		t.Errorf("tracked object P = %g, want 0.864", res[1].Prob)
+	}
+	if err := db.Add(newObj); err == nil {
+		t.Error("duplicate Add accepted")
 	}
 }
 

@@ -1,30 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"sort"
-)
-
-// Ranked retrieval. The heap machinery here backs WithTopK in Evaluate;
-// TopKExists and RankedExists are compatibility wrappers.
-
-// TopKExists returns the k objects with the highest PST∃Q probability,
-// sorted descending (ties break toward smaller object id). It evaluates
-// with the engine's default strategy and keeps only a k-sized min-heap,
-// so memory stays O(k) regardless of database size. Thin wrapper over
-// Evaluate.
-func (e *Engine) TopKExists(q Query, k int) ([]Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: top-k needs k ≥ 1, got %d", k)
-	}
-	resp, err := e.Evaluate(context.Background(), NewRequest(PredicateExists,
-		WithWindow(q), WithTopK(k)))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
+// Ranked retrieval: the comparator and heap behind WithTopK.
 
 // better reports whether a ranks above b: higher probability first,
 // then smaller id.
@@ -53,15 +29,4 @@ func (h *resultMinHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// RankedExists returns every object sorted by descending PST∃Q
-// probability: TopKExists with k = |D|, provided for reporting flows.
-func (e *Engine) RankedExists(q Query) ([]Result, error) {
-	all, err := e.Exists(q)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(all, func(a, b int) bool { return better(all[a], all[b]) })
-	return all, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -26,21 +27,17 @@ func TestTopKExistsMatchesFullSort(t *testing.T) {
 	e := NewEngine(db, Options{})
 	q := NewQuery(Interval(100, 160), Interval(8, 12))
 
-	ranked, err := e.RankedExists(q)
-	if err != nil {
-		t.Fatalf("RankedExists: %v", err)
-	}
+	// The reference ranking: every object, fully sorted.
+	ranked := mustAsk(t, e, PredicateExists, q)
+	sort.Slice(ranked, func(a, b int) bool { return better(ranked[a], ranked[b]) })
 	for _, k := range []int{1, 5, 37, 120, 500} {
-		top, err := e.TopKExists(q, k)
-		if err != nil {
-			t.Fatalf("TopKExists(%d): %v", k, err)
-		}
+		top := mustAsk(t, e, PredicateExists, q, WithTopK(k))
 		want := k
 		if want > len(ranked) {
 			want = len(ranked)
 		}
 		if len(top) != want {
-			t.Fatalf("TopKExists(%d) returned %d results", k, len(top))
+			t.Fatalf("top-%d returned %d results", k, len(top))
 		}
 		for i := range top {
 			if top[i].ObjectID != ranked[i].ObjectID || math.Abs(top[i].Prob-ranked[i].Prob) > 1e-12 {
@@ -53,8 +50,8 @@ func TestTopKExistsMatchesFullSort(t *testing.T) {
 func TestTopKExistsInvalidK(t *testing.T) {
 	db, _ := paperDB(t)
 	e := NewEngine(db, Options{})
-	if _, err := e.TopKExists(paperQueryV(), 0); err == nil {
-		t.Error("k=0 accepted")
+	if _, err := ask(e, PredicateExists, paperQueryV(), WithTopK(-1)); err == nil {
+		t.Error("k=-1 accepted")
 	}
 }
 
@@ -65,10 +62,7 @@ func TestTopKOrderingTieBreak(t *testing.T) {
 		db.MustAdd(MustObject(id, nil, Observation{Time: 0, PDF: markov.PointDistribution(3, 1)}))
 	}
 	e := NewEngine(db, Options{})
-	top, err := e.TopKExists(paperQueryV(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := mustAsk(t, e, PredicateExists, paperQueryV(), WithTopK(3))
 	if top[0].ObjectID != 1 || top[1].ObjectID != 2 || top[2].ObjectID != 3 {
 		t.Errorf("tie-break order wrong: %v", top)
 	}
@@ -83,7 +77,7 @@ func TestExistsMonotoneInWindowQuick(t *testing.T) {
 		if len(q.States) == 0 || len(q.Times) == 0 {
 			return true
 		}
-		base, err := e.ExistsOB(o, q)
+		base, err := obProb(e, o, PredicateExists, q)
 		if err != nil {
 			return false
 		}
@@ -95,7 +89,7 @@ func TestExistsMonotoneInWindowQuick(t *testing.T) {
 		}
 		for s := 0; s < n; s++ {
 			if !inQ[s] {
-				bigger, err := e.ExistsOB(o, NewQuery(append(append([]int(nil), q.States...), s), q.Times))
+				bigger, err := obProb(e, o, PredicateExists, NewQuery(append(append([]int(nil), q.States...), s), q.Times))
 				if err != nil || bigger < base-1e-12 {
 					return false
 				}
@@ -104,7 +98,7 @@ func TestExistsMonotoneInWindowQuick(t *testing.T) {
 		}
 		// Grow the time window by one timestamp.
 		extended := append(append([]int(nil), q.Times...), q.Horizon()+1)
-		bigger, err := e.ExistsOB(o, NewQuery(q.States, extended))
+		bigger, err := obProb(e, o, PredicateExists, NewQuery(q.States, extended))
 		if err != nil {
 			return false
 		}
@@ -122,12 +116,12 @@ func TestForAllMonotoneQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o, q := randomInstance(rng)
-		base, err := e.ForAllOB(o, q)
+		base, err := obProb(e, o, PredicateForAll, q)
 		if err != nil {
 			return false
 		}
 		extended := append(append([]int(nil), q.Times...), q.Horizon()+1)
-		smaller, err := e.ForAllOB(o, NewQuery(q.States, extended))
+		smaller, err := obProb(e, o, PredicateForAll, NewQuery(q.States, extended))
 		if err != nil {
 			return false
 		}
@@ -141,7 +135,7 @@ func TestForAllMonotoneQuick(t *testing.T) {
 		}
 		for s := 0; s < n; s++ {
 			if !inQ[s] {
-				bigger, err := e.ForAllOB(o, NewQuery(append(append([]int(nil), q.States...), s), q.Times))
+				bigger, err := obProb(e, o, PredicateForAll, NewQuery(append(append([]int(nil), q.States...), s), q.Times))
 				if err != nil || bigger < base-1e-12 {
 					return false
 				}

@@ -80,7 +80,7 @@ func runFig8a(ctx context.Context, cfg Config) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"MC-n100 uses the paper's 100 samples/object (σ up to 5 points — barely usable answers)",
 		"MC-acc uses enough samples for ~0.5-point accuracy; the paper's MC ≫ OB ≫ QB ordering holds there",
-		"the paper's Matlab MC was interpreter-bound; compiled Go sampling narrows the n=100 gap (see EXPERIMENTS.md)",
+		"the paper's Matlab MC was interpreter-bound; compiled Go sampling narrows the n=100 gap (the drivers are in internal/exp; `ustbench -list` names them)",
 	)
 	rep.Elapsed = time.Since(start)
 	return rep, nil

@@ -149,25 +149,39 @@ func runFig9d(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	w := gen.DefaultWindow()
 	region := w.States(p.NumStates)
+	// The independence model (Section II, Figure 1b) treats the object's
+	// location at each timestamp as an independent random variable:
+	// P∃_indep = 1 − Π_{t ∈ T□} (1 − P(o(t) ∈ S□)), where P(o(t) ∈ S□) is
+	// the single-timestamp P∃(o, S□, {t}). missAll carries the product
+	// per object; each window extends the previous one by one timestamp,
+	// so every marginal is evaluated once.
+	missAll := map[int]float64{}
+	for _, o := range db.Objects() {
+		missAll[o.ID] = 1
+	}
 	for winLen := 1; winLen <= 10; winLen++ {
-		q := core.NewQuery(region, core.Interval(w.TimeLo, w.TimeLo+winLen-1))
+		last := w.TimeLo + winLen - 1
+		at, err := e.Evaluate(ctx, core.NewRequest(core.PredicateExists,
+			core.WithStates(region), core.WithTimes([]int{last})))
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range at.Results {
+			missAll[r.ObjectID] *= 1 - r.Prob
+		}
+		exact, err := e.Evaluate(ctx, core.NewRequest(core.PredicateExists,
+			core.WithStates(region), core.WithTimeRange(w.TimeLo, last),
+			core.WithStrategy(core.StrategyObjectBased)))
+		if err != nil {
+			return nil, err
+		}
 		var sumExact, sumIndep float64
 		var nonZero int
-		for _, o := range db.Objects() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			exact, err := e.ExistsOB(o, q)
-			if err != nil {
-				return nil, err
-			}
-			indep, err := e.ExistsIndependent(o, q)
-			if err != nil {
-				return nil, err
-			}
-			if exact > 0 || indep > 0 {
+		for _, r := range exact.Results {
+			indep := 1 - missAll[r.ObjectID]
+			if r.Prob > 0 || indep > 0 {
 				nonZero++
-				sumExact += exact
+				sumExact += r.Prob
 				sumIndep += indep
 			}
 		}

@@ -32,10 +32,9 @@ type Update struct {
 }
 
 // Subscription is a standing query over one dataset: updates arrive on
-// Updates() as observations are ingested. It generalizes the classic
-// Monitor from a pull-based, exists-only, single-goroutine helper to a
-// push API covering every predicate, strategy and ranking a Request can
-// express; like Monitor, refreshes ride the engine's shared score cache
+// Updates() as observations are ingested. It is the one standing-query
+// mechanism: a push API covering every predicate, strategy and ranking
+// a Request can express. Refreshes ride the engine's shared score cache
 // so only per-object work is recomputed.
 type Subscription struct {
 	svc *Service

@@ -363,7 +363,7 @@ func (r *Router) ReplaceObject(o *core.Object) error {
 }
 
 // Observe appends an observation to an existing object — the standing
-// ingest primitive, mirroring Monitor.Observe and Service.Observe.
+// ingest primitive, mirroring Service.Observe.
 func (r *Router) Observe(objectID int, obs core.Observation) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

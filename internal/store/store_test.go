@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -26,6 +27,17 @@ func testChain(t testing.TB) *markov.Chain {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// exists answers the PST∃Q over q for every object of db.
+func exists(t testing.TB, db *core.Database, q core.Query) []core.Result {
+	t.Helper()
+	resp, err := core.NewEngine(db, core.Options{}).Evaluate(context.Background(),
+		core.NewRequest(core.PredicateExists, core.WithWindow(q)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Results
 }
 
 func testDB(t testing.TB) *core.Database {
@@ -125,14 +137,8 @@ func TestRoundTripPreservesQueryResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.NewQuery([]int{0, 1}, []int{2, 3})
-	before, err := core.NewEngine(db, core.Options{}).Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := core.NewEngine(loaded, core.Options{}).Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := exists(t, db, q)
+	after := exists(t, loaded, q)
 	for i := range before {
 		if before[i].ObjectID != after[i].ObjectID || math.Abs(before[i].Prob-after[i].Prob) > 1e-12 {
 			t.Errorf("result %d changed across persistence: %+v vs %+v", i, before[i], after[i])

@@ -307,14 +307,8 @@ func TestV2PreservesQueryResultsQuick(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := core.NewQuery([]int{1, 2, 3, 4}, []int{2, 3, 4})
-		want, err := core.NewEngine(db, core.Options{}).Exists(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.NewEngine(loaded, core.Options{}).Exists(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := exists(t, db, q)
+		got := exists(t, loaded, q)
 		if len(want) != len(got) {
 			t.Fatalf("seed %d: %d results, want %d", seed, len(got), len(want))
 		}

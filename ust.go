@@ -32,8 +32,14 @@
 // Evaluate answers every predicate (exists / forall / ktimes /
 // eventually) with every strategy and ranking through a single Request
 // value; EvaluateSeq streams the same results one object at a time for
-// scans too large to materialize. The per-variant methods (Exists,
-// ForAll, KTimes, TopKExists, …) remain as thin wrappers.
+// scans too large to materialize. That is the whole query surface of an
+// Engine: ranking is WithThreshold / WithTopK, the expected count is the
+// mean of an AggCount request, "at least k visits" is the tail of a
+// ktimes Result.Dist, and a standing query is Service.Subscribe. Two
+// things sit beside it on purpose: Engine.Marginal (the per-timestamp
+// posterior of one object) and Engine.BuildClusterIndex +
+// ExistsThresholdClustered (interval-envelope pruning for databases
+// where every object has its own chain, which Evaluate does not cover).
 //
 // Objects may carry multiple observations; queries between (or after)
 // observations are answered by conditioning on all of them (Bayesian
@@ -42,8 +48,9 @@
 //
 // The implementation reduces every query to sparse vector-matrix
 // products over the chain with an absorbing "hit" state folded in
-// implicitly; see DESIGN.md for the architecture and EXPERIMENTS.md for
-// the reproduction of the paper's evaluation.
+// implicitly; see DESIGN.md for the architecture, and internal/exp
+// (driven by `ustbench -list` / `ustbench -fig …`) for the reproduction
+// of the paper's evaluation.
 package ust
 
 import (
@@ -88,8 +95,6 @@ type (
 	// Result is a per-object probability (plus the visit-count
 	// distribution for ktimes-requests).
 	Result = core.Result
-	// KResult is a per-object k-times distribution.
-	KResult = core.KResult
 	// Strategy selects the evaluation plan.
 	Strategy = core.Strategy
 	// WorldStats is the exact brute-force aggregate over possible
@@ -116,11 +121,6 @@ type (
 	// FilterReport is one evaluation's filter–refine funnel
 	// (Response.Filter).
 	FilterReport = core.FilterReport
-	// Monitor is a continuous (standing) PST∃Q: register a window once
-	// with Engine.NewMonitor, feed observations as they arrive, read
-	// refreshed results incrementally. For a push-based, concurrent
-	// alternative covering every predicate, see Service.Subscribe.
-	Monitor = core.Monitor
 	// Expr is a composable predicate expression: exists/forall atoms,
 	// each with its own window, combined with And/Or/Not/Then and
 	// evaluated exactly (correlations included) via NewExprRequest.
@@ -264,7 +264,7 @@ func WithThreshold(tau float64) RequestOption { return core.WithThreshold(tau) }
 func WithTopK(k int) RequestOption { return core.WithTopK(k) }
 
 // WithParallelism fans per-object work out over workers goroutines
-// (≤ 0 selects GOMAXPROCS).
+// (≤ 0 selects GOMAXPROCS; a request without the option runs serially).
 func WithParallelism(workers int) RequestOption { return core.WithParallelism(workers) }
 
 // WithMonteCarloBudget overrides the Monte-Carlo sample budget and seed

@@ -1,6 +1,7 @@
 package ust_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,12 +28,21 @@ func paperSetup(t testing.TB) (*ust.Database, *ust.Engine) {
 	return db, ust.NewEngine(db, ust.Options{})
 }
 
+// ask answers pred over window q for every object through
+// Engine.Evaluate, the way README consumers do.
+func ask(t testing.TB, engine *ust.Engine, pred ust.Predicate, q ust.Query, opts ...ust.RequestOption) []ust.Result {
+	t.Helper()
+	resp, err := engine.Evaluate(context.Background(),
+		ust.NewRequest(pred, append([]ust.RequestOption{ust.WithWindow(q)}, opts...)...))
+	if err != nil {
+		t.Fatalf("%v: %v", pred, err)
+	}
+	return resp.Results
+}
+
 func TestQuickstartExample(t *testing.T) {
 	_, engine := paperSetup(t)
-	res, err := engine.Exists(ust.NewQuery([]int{0, 1}, []int{2, 3}))
-	if err != nil {
-		t.Fatalf("Exists: %v", err)
-	}
+	res := ask(t, engine, ust.PredicateExists, ust.NewQuery([]int{0, 1}, []int{2, 3}))
 	if math.Abs(res[0].Prob-0.864) > 1e-12 {
 		t.Errorf("quickstart P∃ = %v, want 0.864", res[0].Prob)
 	}
@@ -42,18 +52,9 @@ func TestPublicAPIAllPredicates(t *testing.T) {
 	db, engine := paperSetup(t)
 	q := ust.NewQuery(ust.Interval(0, 1), ust.Interval(2, 3))
 
-	exists, err := engine.Exists(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forAll, err := engine.ForAll(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kTimes, err := engine.KTimes(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exists := ask(t, engine, ust.PredicateExists, q)
+	forAll := ask(t, engine, ust.PredicateForAll, q)
+	kTimes := ask(t, engine, ust.PredicateKTimes, q)
 	// Consistency among the three predicates.
 	if math.Abs((1-kTimes[0].Dist[0])-exists[0].Prob) > 1e-12 {
 		t.Error("Exists != 1 - P(0 visits)")
@@ -79,11 +80,7 @@ func TestPublicAPIStrategiesAgree(t *testing.T) {
 	var probs []float64
 	for _, s := range []ust.Strategy{ust.StrategyQueryBased, ust.StrategyObjectBased} {
 		engine := ust.NewEngine(db, ust.Options{Strategy: s})
-		res, err := engine.Exists(q)
-		if err != nil {
-			t.Fatalf("strategy %v: %v", s, err)
-		}
-		probs = append(probs, res[0].Prob)
+		probs = append(probs, ask(t, engine, ust.PredicateExists, q)[0].Prob)
 	}
 	if math.Abs(probs[0]-probs[1]) > 1e-12 {
 		t.Errorf("strategies disagree: %v", probs)
@@ -111,10 +108,7 @@ func TestPublicAPIMultiObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := ust.NewEngine(db, ust.Options{})
-	res, err := engine.Exists(ust.NewQuery([]int{0, 1}, []int{1, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := ask(t, engine, ust.PredicateExists, ust.NewQuery([]int{0, 1}, []int{1, 2}))
 	if res[0].Prob != 0 {
 		t.Errorf("multi-obs P∃ = %v, want 0 (paper Section VI)", res[0].Prob)
 	}
@@ -185,9 +179,7 @@ func TestPublicAPIWorkloadGeneration(t *testing.T) {
 		t.Errorf("generated db: %d objects, %d states", db.Len(), db.DefaultChain().NumStates())
 	}
 	engine := ust.NewEngine(db, ust.Options{})
-	if _, err := engine.Exists(ust.NewQuery(ust.Interval(100, 120), ust.Interval(5, 8))); err != nil {
-		t.Fatal(err)
-	}
+	ask(t, engine, ust.PredicateExists, ust.NewQuery(ust.Interval(100, 120), ust.Interval(5, 8)))
 
 	trs, err := ust.GenerateTrajectories(db.DefaultChain(), 3, ust.TrajectoryParams{
 		Horizon:          6,
@@ -204,9 +196,7 @@ func TestPublicAPIWorkloadGeneration(t *testing.T) {
 	if err := db.Add(o); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Exists(ust.NewQuery(ust.Interval(100, 120), ust.Interval(2, 5))); err != nil {
-		t.Fatal(err)
-	}
+	ask(t, engine, ust.PredicateExists, ust.NewQuery(ust.Interval(100, 120), ust.Interval(2, 5)))
 }
 
 func TestPublicAPIStructuralAnalysis(t *testing.T) {
@@ -254,26 +244,31 @@ func TestPublicAPIPolygonRegion(t *testing.T) {
 }
 
 func TestPublicAPIMonitorAndTopK(t *testing.T) {
-	db, _ := paperSetup(t)
-	engine := ust.NewEngine(db, ust.Options{})
+	// The monitoring trio of the paper's applications through the public
+	// API: a standing query (Service.Subscribe), the most likely object
+	// (WithTopK) and the expected count (the mean of a count aggregate).
+	db, engine := paperSetup(t)
 	q := ust.NewQuery([]int{0, 1}, []int{2, 3})
-	mon := engine.NewMonitor(q)
-	res, err := mon.Results()
+	svc := ust.NewService(ust.ServiceConfig{})
+	defer svc.Close()
+	if err := svc.Create("paper", db, nil); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := svc.Subscribe(context.Background(), "paper", ust.NewRequest(ust.PredicateExists, ust.WithWindow(q)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res[0].Prob-0.864) > 1e-12 {
-		t.Errorf("monitor P = %g", res[0].Prob)
+	defer sub.Close()
+	if snap := <-sub.Updates(); !snap.Full || len(snap.Results) != 1 || math.Abs(snap.Results[0].Prob-0.864) > 1e-12 {
+		t.Errorf("standing query snapshot = %+v", snap)
 	}
-	top, err := engine.TopKExists(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := ask(t, engine, ust.PredicateExists, q, ust.WithTopK(1))
 	if len(top) != 1 || math.Abs(top[0].Prob-0.864) > 1e-12 {
 		t.Errorf("TopK = %v", top)
 	}
-	count, err := engine.ExpectedCount(q)
-	if err != nil || math.Abs(count-0.864) > 1e-12 {
-		t.Errorf("ExpectedCount = (%g, %v)", count, err)
+	resp, err := engine.Evaluate(context.Background(), ust.NewAggRequest(ust.PredicateExists,
+		ust.AggSpec{Kind: ust.AggCount}, ust.WithWindow(q)))
+	if err != nil || math.Abs(resp.Agg.Mean-0.864) > 1e-12 {
+		t.Errorf("expected count = (%+v, %v)", resp, err)
 	}
 }
