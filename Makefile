@@ -27,7 +27,8 @@ staticcheck:
 # fuzz-smoke gives every fuzz target a short budget: parser (text query
 # language), wire decoder, sparse builder/CSR invariants, shard hash
 # ring (determinism / balance / minimal movement), store image and
-# import-frame decoders. CI runs it after make ci.
+# import-frame decoders, sweep-tier payload decoder. CI runs it after
+# make ci.
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
@@ -36,6 +37,7 @@ fuzz-smoke:
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzRing -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeStoreV2 -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSweepValue -fuzztime 15s
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

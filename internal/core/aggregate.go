@@ -147,7 +147,7 @@ func (e *Engine) AggregateFactors(ctx context.Context, req Request) (*FactorSet,
 		return nil, err
 	}
 	fs.Strategy, fs.Plans = plan.strategy, plan.plans
-	fs.Cache, fs.Filter = plan.cacheRep, plan.filterRep
+	fs.Cache, fs.Filter = plan.cacheRep.report(), plan.filterRep
 	return fs, nil
 }
 

@@ -363,7 +363,7 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 		if err != nil {
 			return err
 		}
-		e.cache.put(units[0].key, scoreValue{vecs: []*sparse.Vec{score}})
+		e.cache.board.Put(units[0].key, scoreValue{vecs: []*sparse.Vec{score}})
 		return nil
 	}
 	sch := newFusedSchedule(units, maxFusedColumns)
@@ -420,13 +420,13 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 				continue
 			}
 			if lane, ok := sch.aliases[ui]; ok {
-				e.cache.put(u.key, scoreValue{vecs: []*sparse.Vec{extract(cur, lane)}})
+				e.cache.board.Put(u.key, scoreValue{vecs: []*sparse.Vec{extract(cur, lane)}})
 				resolve(cur, lane)
 				continue
 			}
 			k := sch.laneOf[ui]
 			if k < active && !extracted[k] {
-				e.cache.put(u.key, scoreValue{vecs: []*sparse.Vec{extract(cur, k)}})
+				e.cache.board.Put(u.key, scoreValue{vecs: []*sparse.Vec{extract(cur, k)}})
 				extracted[k] = true
 				resolve(cur, k)
 			}
@@ -541,13 +541,13 @@ func (e *Engine) fusedMaskSweeps(ctx context.Context, chain *markov.Chain, units
 				continue
 			}
 			if lane, ok := sch.aliases[ui]; ok {
-				e.cache.put(u.key, scoreValue{bits: extract(cur, lane)})
+				e.cache.board.Put(u.key, scoreValue{bits: extract(cur, lane)})
 				resolve(cur, lane)
 				continue
 			}
 			k := sch.laneOf[ui]
 			if k < active && !extracted[k] {
-				e.cache.put(u.key, scoreValue{bits: extract(cur, k)})
+				e.cache.board.Put(u.key, scoreValue{bits: extract(cur, k)})
 				extracted[k] = true
 				resolve(cur, k)
 			}

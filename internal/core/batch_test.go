@@ -187,9 +187,9 @@ func TestFusedSweepBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, u := range units {
-		v, ok := e.cache.get(u.key, nil)
-		if !ok {
-			t.Fatalf("unit %d not cached", i)
+		v, lease, err := e.cache.board.Acquire(ctx, u.key)
+		if err != nil || lease != 0 {
+			t.Fatalf("unit %d not cached (lease %d, err %v)", i, lease, err)
 		}
 		want, err := hitScores(ctx, chain, wants[i].w, wants[i].t0, nil)
 		if err != nil {

@@ -61,8 +61,8 @@ type Options struct {
 	// router, or independent engines over related databases — compute
 	// each distinct sweep once between them. Overrides CacheBytes.
 	Cache *SharedCache
-	// Sweeps, when set, extends the score cache's per-key single-flight
-	// across process boundaries: wireable sweep kinds consult the tier
+	// Sweeps, when set, extends the score cache's per-key lease across
+	// process boundaries: wireable sweep kinds consult the tier
 	// after a local miss, adopting a peer's payload or computing under a
 	// fleet-wide lease (sweeptier.go). Requires caching to be enabled;
 	// with the cache disabled the tier is ignored.
@@ -88,7 +88,7 @@ type Engine struct {
 	// cache shares backward-sweep results engine-wide (nil when
 	// disabled); pool recycles sweep scratch buffers and fpool the flat
 	// lane blocks of the columnar multi-observation kernels.
-	cache *scoreCache
+	cache *SharedCache
 	pool  *sparse.VecPool
 	fpool *sparse.FloatPool
 }
@@ -101,10 +101,9 @@ func NewEngine(db *Database, opts Options) *Engine {
 	e := &Engine{db: db, opts: opts.withDefaults(), pool: &sparse.VecPool{}, fpool: &sparse.FloatPool{}}
 	switch {
 	case e.opts.Cache != nil:
-		e.opts.Cache.attach(db)
-		e.cache = e.opts.Cache.cache
+		e.cache = e.opts.Cache
 	case e.opts.CacheBytes > 0:
-		e.cache = newScoreCache(e.opts.CacheBytes, db.Version)
+		e.cache = NewSharedCache(e.opts.CacheBytes)
 	}
 	return e
 }
@@ -118,15 +117,16 @@ func (e *Engine) CacheStats() CacheStats {
 	if e.cache == nil {
 		return CacheStats{}
 	}
-	return e.cache.snapshot()
+	return e.cache.Stats()
 }
 
-// InvalidateCache drops every cached sweep immediately. Mutations
-// through the Database already expire entries generation-wise; this is
-// the manual override for callers mutating state the engine cannot see.
+// InvalidateCache drops every cached sweep immediately. No mutation
+// through the Database needs it — cache keys cannot go stale
+// (scorecache.go); this is the manual override for callers mutating
+// state the keys cannot see.
 func (e *Engine) InvalidateCache() {
 	if e.cache != nil {
-		e.cache.invalidate()
+		e.cache.Invalidate()
 	}
 }
 

@@ -80,7 +80,7 @@ type evalPlan struct {
 	seed      int64
 	useCache  bool
 	useFilter bool
-	cacheRep  CacheReport
+	cacheRep  cacheTally
 	filterRep FilterReport
 }
 
@@ -178,7 +178,7 @@ func (e *Engine) evaluatePlan(ctx context.Context, plan *evalPlan) (*Response, e
 			return nil, err
 		}
 		resp.Agg = a
-		resp.Cache, resp.Filter = plan.cacheRep, plan.filterRep
+		resp.Cache, resp.Filter = plan.cacheRep.report(), plan.filterRep
 		return resp, nil
 	}
 
@@ -188,7 +188,7 @@ func (e *Engine) evaluatePlan(ctx context.Context, plan *evalPlan) (*Response, e
 			return nil, err
 		}
 		resp.Results = out
-		resp.Cache, resp.Filter = plan.cacheRep, plan.filterRep
+		resp.Cache, resp.Filter = plan.cacheRep.report(), plan.filterRep
 		return resp, nil
 	}
 
@@ -200,7 +200,7 @@ func (e *Engine) evaluatePlan(ctx context.Context, plan *evalPlan) (*Response, e
 		results = append(results, r)
 	}
 	resp.Results = results
-	resp.Cache, resp.Filter = plan.cacheRep, plan.filterRep
+	resp.Cache, resp.Filter = plan.cacheRep.report(), plan.filterRep
 	return resp, nil
 }
 
@@ -276,47 +276,17 @@ func (e *Engine) EvaluateSeq(ctx context.Context, req Request) iter.Seq2[Result,
 	return e.stream(ctx, plan)
 }
 
-// stream dispatches to the per-predicate/per-strategy evaluation cores
-// and applies threshold filtering. Filter-eligible threshold requests
-// route through the filter–refine core (filter.go), which skips exact
-// evaluation of objects that provably cannot reach the threshold.
+// stream picks the per-object function for the plan's predicate and
+// strategy, hands it to one of the two scan drivers (scan for the exact
+// strategies, scanMC for sampling) and applies threshold filtering.
+// Filter-eligible threshold requests route through the filter–refine
+// core (filter.go), which skips exact evaluation of objects that
+// provably cannot reach the threshold.
 func (e *Engine) stream(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
 	if plan.req.topK <= 0 && plan.req.threshold != nil && plan.filterEligible() {
 		return e.streamFilteredThreshold(ctx, plan)
 	}
-	var inner iter.Seq2[Result, error]
-	switch plan.req.Predicate {
-	case PredicateExpr:
-		switch plan.strategy {
-		case StrategyObjectBased:
-			inner = e.streamExprOB(ctx, plan)
-		case StrategyMonteCarlo:
-			inner = e.streamExprMC(ctx, plan)
-		default:
-			inner = e.streamExprQB(ctx, plan)
-		}
-	case PredicateEventually:
-		inner = e.streamEventually(ctx, plan)
-	case PredicateKTimes:
-		switch plan.strategy {
-		case StrategyObjectBased:
-			inner = e.streamKTimesOB(ctx, plan)
-		case StrategyMonteCarlo:
-			inner = e.streamKTimesMC(ctx, plan)
-		default:
-			inner = e.streamKTimesQB(ctx, plan)
-		}
-	default: // exists / forall
-		forAll := plan.req.Predicate == PredicateForAll
-		switch plan.strategy {
-		case StrategyObjectBased:
-			inner = e.streamExistsOB(ctx, plan, forAll)
-		case StrategyMonteCarlo:
-			inner = e.streamExistsMC(ctx, plan, forAll)
-		default:
-			inner = e.streamExistsQB(ctx, plan, forAll)
-		}
-	}
+	inner := e.unfiltered(ctx, plan)
 	if plan.req.threshold == nil {
 		return inner
 	}
@@ -337,25 +307,107 @@ func (e *Engine) stream(ctx context.Context, plan *evalPlan) iter.Seq2[Result, e
 	}
 }
 
-// streamExistsQB is the query-based core: one ctx-aware backward sweep
-// per (chain, observation time) — shared through the score cache — then
-// a dot product per object.
-func (e *Engine) streamExistsQB(ctx context.Context, plan *evalPlan, forAll bool) iter.Seq2[Result, error] {
+// unfiltered is the predicate × strategy switch. The query-based
+// strategy is serial whatever WithParallelism says — its per-object
+// work is a dot product; the object-based one fans out when asked, and
+// the kernels whose forward pass reads the transpose (exists, ktimes —
+// not the augmented expression pass, which only steps forward) pre-build
+// it so the workers' lazy initialization cannot race.
+func (e *Engine) unfiltered(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
+	pred := plan.req.Predicate
+	if plan.strategy == StrategyMonteCarlo && pred != PredicateEventually {
+		return e.scanMC(ctx, plan)
+	}
+	ob := plan.strategy == StrategyObjectBased
+	workers := 1
+	if ob {
+		workers = plan.workers
+	}
+	switch pred {
+	case PredicateExpr:
+		perObject := (*kern).exprExact
+		if ob {
+			perObject = (*kern).exprOBExact
+		}
+		return e.scan(ctx, workers, false, func(grp chainGroup) (*kern, error) {
+			return e.exprGroupKernel(grp, plan)
+		}, perObject)
+	case PredicateEventually:
+		region := sortedSet(plan.query.States)
+		return e.scan(ctx, 1, false, func(grp chainGroup) (*kern, error) {
+			k := e.kernel(grp.chain, nil, plan)
+			var err error
+			k.hitting, err = k.hittingFor(ctx, region, plan.req.maxSteps, plan.req.tol)
+			return k, err
+		}, (*kern).eventuallyExact)
+	case PredicateKTimes:
+		perObject := (*kern).ktimesQBExact
+		if ob {
+			perObject = (*kern).ktimesOBExact
+		}
+		return e.scan(ctx, workers, ob, func(grp chainGroup) (*kern, error) {
+			return e.groupKernel(grp, plan, false)
+		}, perObject)
+	default: // exists / forall
+		forAll := pred == PredicateForAll
+		perObject := func(k *kern, ctx context.Context, o *Object) (Result, error) {
+			return k.existsExact(ctx, o, forAll)
+		}
+		if ob {
+			perObject = func(k *kern, ctx context.Context, o *Object) (Result, error) {
+				return k.obExistsExact(ctx, o, forAll)
+			}
+		}
+		return e.scan(ctx, workers, ob, func(grp chainGroup) (*kern, error) {
+			return e.groupKernel(grp, plan, forAll)
+		}, perObject)
+	}
+}
+
+// scan is the one loop of the exact strategies: chain groups in order,
+// one kernel per group, perObject over the group's objects — serially,
+// or through parallelOrdered when workers > 1 (in-order delivery, the
+// lowest-index error). warm pre-builds the group chain's transpose
+// before a fan-out. A group's kernel is built when the scan reaches the
+// group, so a window that fails to compile against a later group's
+// state space surfaces after the earlier groups' results — the same
+// rule for every strategy and worker count, and the one the filter
+// loops (filter.go) follow.
+func (e *Engine) scan(ctx context.Context, workers int, warm bool,
+	kernelFor func(chainGroup) (*kern, error),
+	perObject func(*kern, context.Context, *Object) (Result, error)) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		for _, grp := range e.db.groupByChain() {
-			k, err := e.groupKernel(grp, plan, forAll)
+			k, err := kernelFor(grp)
 			if err != nil {
 				yield(Result{}, err)
 				return
+			}
+			if workers > 1 {
+				if warm {
+					grp.chain.Transposed()
+				}
+				for r, err := range parallelOrdered(ctx, len(grp.objects), workers, func(ctx context.Context, i int) (Result, error) {
+					return perObject(k, ctx, grp.objects[i])
+				}) {
+					if err != nil {
+						yield(Result{}, err)
+						return
+					}
+					if !yield(r, nil) {
+						return
+					}
+				}
+				continue
 			}
 			for _, o := range grp.objects {
 				if err := ctx.Err(); err != nil {
 					yield(Result{}, err)
 					return
 				}
-				r, oerr := k.existsExact(ctx, o, forAll)
-				if oerr != nil {
-					yield(Result{}, oerr)
+				r, err := perObject(k, ctx, o)
+				if err != nil {
+					yield(Result{}, err)
 					return
 				}
 				if !yield(r, nil) {
@@ -379,139 +431,87 @@ func (e *Engine) groupKernel(grp chainGroup, plan *evalPlan, complement bool) (*
 	return e.kernel(grp.chain, w, plan), nil
 }
 
-// obTask is one unit of object-based work: an object bound to its chain
-// group's kernel.
-type obTask struct {
-	o *Object
-	k *kern
-}
-
-// obTasks flattens the database into evaluation order with one kernel
-// per chain group. complement selects the PST∀Q view. warm pre-builds
-// each chain's transpose so concurrent lazy initialization cannot race
-// when workers share the chain; serial paths skip it.
-func (e *Engine) obTasks(plan *evalPlan, complement, warm bool) ([]obTask, error) {
-	tasks := make([]obTask, 0, e.db.Len())
-	for _, grp := range e.db.groupByChain() {
-		k, err := e.groupKernel(grp, plan, complement)
+// mcSampler compiles the plan's predicate against one chain and returns
+// the per-object sampler (no kernel — sampling neither caches nor
+// filters).
+func (plan *evalPlan) mcSampler(chain *markov.Chain) (func(context.Context, *Object, *rand.Rand) (Result, error), error) {
+	if plan.req.Predicate == PredicateExpr {
+		prog, err := compileExpr(*plan.expr, chain.NumStates())
 		if err != nil {
 			return nil, err
 		}
-		if warm {
-			grp.chain.Transposed()
-		}
-		for _, o := range grp.objects {
-			tasks = append(tasks, obTask{o: o, k: k})
-		}
+		return func(ctx context.Context, o *Object, rng *rand.Rand) (Result, error) {
+			p, err := exprMCRun(ctx, chain, o, prog, plan.samples, rng)
+			return Result{ObjectID: o.ID, Prob: p}, err
+		}, nil
 	}
-	return tasks, nil
+	w, err := compile(plan.query, chain.NumStates())
+	if err != nil {
+		return nil, err
+	}
+	if plan.req.Predicate == PredicateKTimes {
+		return func(ctx context.Context, o *Object, rng *rand.Rand) (Result, error) {
+			dist, err := monteCarloKTimesRun(ctx, chain, o, w, plan.samples, rng)
+			if err != nil {
+				return Result{}, err
+			}
+			return kTimesResult(o.ID, dist), nil
+		}, nil
+	}
+	pred := predicateExists
+	if plan.req.Predicate == PredicateForAll {
+		pred = predicateForAll
+	}
+	return func(ctx context.Context, o *Object, rng *rand.Rand) (Result, error) {
+		p, err := monteCarloRun(ctx, chain, o, w, plan.samples, rng, pred)
+		return Result{ObjectID: o.ID, Prob: p}, err
+	}, nil
 }
 
-// streamExistsOB is the object-based core: a ctx-aware forward pass per
-// object, optionally fanned out over plan.workers goroutines with
-// in-order delivery.
-func (e *Engine) streamExistsOB(ctx context.Context, plan *evalPlan, forAll bool) iter.Seq2[Result, error] {
+// scanMC is the one loop of the Monte-Carlo strategy. It walks the
+// database in insertion order (not chain-group order) with one compiled
+// sampler per distinct chain, all compiled before the first sample: the
+// rng sequence is part of the observable output, and the serial shared
+// rng has always consumed objects in database order. Serial evaluation
+// shares one deterministic rng across objects; parallel evaluation
+// derives an independent per-object seed so results stay reproducible
+// regardless of scheduling.
+func (e *Engine) scanMC(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
-		tasks, err := e.obTasks(plan, forAll, plan.workers > 1)
-		if err != nil {
-			yield(Result{}, err)
-			return
-		}
-		eval := func(ctx context.Context, i int) (Result, error) {
-			return tasks[i].k.obExistsExact(ctx, tasks[i].o, forAll)
-		}
-		if plan.workers > 1 {
-			parallelOrdered(ctx, len(tasks), plan.workers, eval)(yield)
-			return
-		}
-		for i := range tasks {
-			if err := ctx.Err(); err != nil {
+		objects := e.db.Objects()
+		samplers := map[*markov.Chain]func(context.Context, *Object, *rand.Rand) (Result, error){}
+		for _, o := range objects {
+			ch := e.db.ChainOf(o)
+			if _, ok := samplers[ch]; ok {
+				continue
+			}
+			sample, err := plan.mcSampler(ch)
+			if err != nil {
 				yield(Result{}, err)
 				return
 			}
-			r, oerr := eval(ctx, i)
-			if oerr != nil {
-				yield(Result{}, oerr)
-				return
-			}
-			if !yield(r, nil) {
-				return
-			}
-		}
-	}
-}
-
-// mcTask is one unit of Monte-Carlo work: an object bound to its chain
-// and compiled window (no kernel — sampling neither caches nor filters).
-type mcTask struct {
-	o     *Object
-	chain *markov.Chain
-	w     *window
-}
-
-// mcTasks flattens the database in insertion order (not chain-group
-// order) with one compiled window per distinct chain: the Monte-Carlo
-// rng sequence is part of the observable output, and the serial shared
-// rng has always consumed objects in database order.
-func (e *Engine) mcTasks(q Query) ([]mcTask, error) {
-	windows := map[*markov.Chain]*window{}
-	tasks := make([]mcTask, 0, e.db.Len())
-	for _, o := range e.db.Objects() {
-		ch := e.db.ChainOf(o)
-		w, ok := windows[ch]
-		if !ok {
-			var err error
-			w, err = compile(q, ch.NumStates())
-			if err != nil {
-				return nil, err
-			}
-			windows[ch] = w
-		}
-		tasks = append(tasks, mcTask{o: o, chain: ch, w: w})
-	}
-	return tasks, nil
-}
-
-// streamExistsMC is the Monte-Carlo core. Serial evaluation shares one
-// deterministic rng across objects in database order (the legacy
-// behaviour); parallel evaluation derives an independent per-object
-// seed so results stay reproducible regardless of scheduling.
-func (e *Engine) streamExistsMC(ctx context.Context, plan *evalPlan, forAll bool) iter.Seq2[Result, error] {
-	pred := predicateExists
-	if forAll {
-		pred = predicateForAll
-	}
-	return func(yield func(Result, error) bool) {
-		tasks, err := e.mcTasks(plan.query)
-		if err != nil {
-			yield(Result{}, err)
-			return
+			samplers[ch] = sample
 		}
 		if plan.workers > 1 {
-			eval := func(ctx context.Context, i int) (Result, error) {
-				t := tasks[i]
-				rng := rand.New(rand.NewSource(perObjectSeed(plan.seed, t.o.ID)))
-				p, merr := monteCarloRun(ctx, t.chain, t.o, t.w, plan.samples, rng, pred)
-				if merr != nil {
-					return Result{}, merr
-				}
-				return Result{ObjectID: t.o.ID, Prob: p}, nil
-			}
-			parallelOrdered(ctx, len(tasks), plan.workers, eval)(yield)
+			parallelOrdered(ctx, len(objects), plan.workers, func(ctx context.Context, i int) (Result, error) {
+				o := objects[i]
+				rng := rand.New(rand.NewSource(perObjectSeed(plan.seed, o.ID)))
+				return samplers[e.db.ChainOf(o)](ctx, o, rng)
+			})(yield)
 			return
 		}
 		rng := rand.New(rand.NewSource(plan.seed))
-		for _, t := range tasks {
+		for _, o := range objects {
 			if err := ctx.Err(); err != nil {
 				yield(Result{}, err)
 				return
 			}
-			p, merr := monteCarloRun(ctx, t.chain, t.o, t.w, plan.samples, rng, pred)
-			if merr != nil {
-				yield(Result{}, merr)
+			r, err := samplers[e.db.ChainOf(o)](ctx, o, rng)
+			if err != nil {
+				yield(Result{}, err)
 				return
 			}
-			if !yield(Result{ObjectID: t.o.ID, Prob: p}, nil) {
+			if !yield(r, nil) {
 				return
 			}
 		}
@@ -535,146 +535,4 @@ func kTimesResult(objectID int, dist []float64) Result {
 		p = 1 - dist[0]
 	}
 	return Result{ObjectID: objectID, Prob: p, Dist: dist}
-}
-
-// streamKTimesQB is the query-based PSTkQ core: |T□|+1 backward vectors
-// per (chain, observation time) — shared through the score cache — then
-// |T□|+1 dot products per object.
-func (e *Engine) streamKTimesQB(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		for _, grp := range e.db.groupByChain() {
-			k, err := e.groupKernel(grp, plan, false)
-			if err != nil {
-				yield(Result{}, err)
-				return
-			}
-			for _, o := range grp.objects {
-				if err := ctx.Err(); err != nil {
-					yield(Result{}, err)
-					return
-				}
-				r, oerr := k.ktimesQBExact(ctx, o)
-				if oerr != nil {
-					yield(Result{}, oerr)
-					return
-				}
-				if !yield(r, nil) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// streamKTimesOB is the object-based PSTkQ core: one ctx-aware forward
-// pass per object over the (|T□|+1)-row count matrix, optionally fanned
-// out over plan.workers goroutines.
-func (e *Engine) streamKTimesOB(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		tasks, err := e.obTasks(plan, false, plan.workers > 1)
-		if err != nil {
-			yield(Result{}, err)
-			return
-		}
-		eval := func(ctx context.Context, i int) (Result, error) {
-			return tasks[i].k.ktimesOBExact(ctx, tasks[i].o)
-		}
-		if plan.workers > 1 {
-			parallelOrdered(ctx, len(tasks), plan.workers, eval)(yield)
-			return
-		}
-		for i := range tasks {
-			if err := ctx.Err(); err != nil {
-				yield(Result{}, err)
-				return
-			}
-			r, kerr := eval(ctx, i)
-			if kerr != nil {
-				yield(Result{}, kerr)
-				return
-			}
-			if !yield(r, nil) {
-				return
-			}
-		}
-	}
-}
-
-// streamKTimesMC is the Monte-Carlo PSTkQ core.
-func (e *Engine) streamKTimesMC(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		tasks, err := e.mcTasks(plan.query)
-		if err != nil {
-			yield(Result{}, err)
-			return
-		}
-		if plan.workers > 1 {
-			eval := func(ctx context.Context, i int) (Result, error) {
-				t := tasks[i]
-				rng := rand.New(rand.NewSource(perObjectSeed(plan.seed, t.o.ID)))
-				dist, merr := monteCarloKTimesRun(ctx, t.chain, t.o, t.w, plan.samples, rng)
-				if merr != nil {
-					return Result{}, merr
-				}
-				return kTimesResult(t.o.ID, dist), nil
-			}
-			parallelOrdered(ctx, len(tasks), plan.workers, eval)(yield)
-			return
-		}
-		rng := rand.New(rand.NewSource(plan.seed))
-		for _, t := range tasks {
-			if err := ctx.Err(); err != nil {
-				yield(Result{}, err)
-				return
-			}
-			dist, merr := monteCarloKTimesRun(ctx, t.chain, t.o, t.w, plan.samples, rng)
-			if merr != nil {
-				yield(Result{}, merr)
-				return
-			}
-			if !yield(kTimesResult(t.o.ID, dist), nil) {
-				return
-			}
-		}
-	}
-}
-
-// streamEventually is the unbounded-horizon core: one ctx-aware
-// fixed-point sweep per chain group — shared through the score cache —
-// then a dot product per object.
-func (e *Engine) streamEventually(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		region := sortedSet(plan.query.States)
-		for _, grp := range e.db.groupByChain() {
-			k := e.kernel(grp.chain, nil, plan)
-			scores, err := k.hittingFor(ctx, region, plan.req.maxSteps, plan.req.tol)
-			if err != nil {
-				yield(Result{}, err)
-				return
-			}
-			for _, o := range grp.objects {
-				if err := ctx.Err(); err != nil {
-					yield(Result{}, err)
-					return
-				}
-				if len(o.Observations) > 1 {
-					yield(Result{}, errEventuallyMultiObs(o))
-					return
-				}
-				pdf := o.First().PDF.Vec()
-				mass := pdf.Sum()
-				if mass == 0 {
-					yield(Result{}, errZeroMass(o.ID))
-					return
-				}
-				p := pdf.Dot(scores) / mass
-				if p > 1 {
-					p = 1
-				}
-				if !yield(Result{ObjectID: o.ID, Prob: p}, nil) {
-					return
-				}
-			}
-		}
-	}
 }

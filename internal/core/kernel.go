@@ -29,12 +29,12 @@ import (
 type kern struct {
 	chain *markov.Chain
 	w     *window
-	cache *scoreCache // nil: engine-wide caching disabled for this request
+	cache *SharedCache // nil: engine-wide caching disabled for this request
 	// tier, when set alongside cache, coordinates sweep computation
 	// fleet-wide (sweeptier.go): wireable kinds consult it after a local
 	// miss, adopting a peer's payload or computing under a lease.
 	tier  SweepTier
-	rep   *CacheReport
+	rep   *cacheTally
 	pool  *sparse.VecPool
 	fpool *sparse.FloatPool
 	// cols is the owning database's columnar observation plane; the
@@ -50,6 +50,9 @@ type kern struct {
 	// resolved tree the filter bounds fold over.
 	prog     *exprProg
 	exprTree *Expr
+	// hitting is set instead of w for eventually-requests: the group's
+	// fixed-point hitting vector, fetched once when the kernel is built.
+	hitting *sparse.Vec
 	// local memoizes sweeps within this kern's lifetime (one chain group
 	// of one request). It serves two purposes: with the engine cache
 	// bypassed it preserves the historical one-sweep-per-
@@ -68,15 +71,19 @@ type kern struct {
 }
 
 // fetch returns the payload for key, computing it at most once per
-// distinct key across every engine sharing the cache: the request-local
-// memo answers first, then — under the cache's per-key single-flight
-// lock — the engine cache, then compute. Concurrent evaluations that
-// miss the same key serialize on it, so exactly one runs compute and
-// the rest observe a hit; holders of different keys never contend, and
-// a waiter whose own context ends while queued behind another caller's
-// sweep returns ctx.Err() instead of overstaying its deadline. A
+// distinct key across every engine sharing the cache — and, with a
+// sweep tier, across the fleet. The request-local memo answers first;
+// then the cache board either serves the value (a hit) or grants this
+// caller the key's lease (a miss) while every concurrent caller of the
+// same key waits — a waiter whose own context ends returns ctx.Err()
+// instead of overstaying its deadline behind another caller's sweep.
+// Under the lease, a wireable kind asks the tier, which is advisory: a
+// peer's payload settles the lease without computing (and turns the
+// miss back into a hit), while a payload that fails to decode, an
+// Acquire error or an empty grant all degrade to local compute. A
 // compute failure (typically the caller's context cancelling mid-sweep)
-// releases the key so the next waiter computes with its own context.
+// releases both leases, so the next waiter — here or on a peer —
+// computes with its own context at once.
 func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreValue, error)) (scoreValue, error) {
 	k.mu.Lock()
 	v, ok := k.local[key]
@@ -92,73 +99,54 @@ func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreVal
 		k.memo(key, v)
 		return v, nil
 	}
-	// Optimistic read first: warm keys answer with one cache-mutex
-	// acquisition and no per-key serialization. A miss here is
-	// uncounted — the locked get below records the real outcome.
-	if v, ok := k.cache.tryGet(key, k.rep); ok {
-		k.memo(key, v)
-		return v, nil
-	}
-	unlock, err := k.cache.lock(ctx, key)
+	board := k.cache.board
+	v, lease, err := board.Acquire(ctx, key)
 	if err != nil {
 		return scoreValue{}, err
 	}
-	defer unlock()
-	if v, ok := k.cache.get(key, k.rep); ok {
+	if lease == 0 {
+		k.rep.hit()
 		k.memo(key, v)
 		return v, nil
 	}
+	k.rep.miss()
+	// The board has no TTL: settle the lease on every way out, a panic
+	// in compute included (Release after Fill is a no-op).
+	defer board.Release(key, lease)
+
+	var sk SweepKey
+	var tierLease string
 	if k.tier != nil && key.kind.wireable() {
-		return k.fetchTier(ctx, key, compute)
+		sk = SweepKey{Chain: k.chain.Fingerprint(), Kind: uint8(key.kind), Sig: key.sig, T0: int64(key.t0)}
+		payload, granted, aerr := k.tier.Acquire(ctx, sk)
+		if aerr == nil && payload != nil {
+			if peer, derr := decodeSweepValue(payload, k.chain.NumStates()); derr == nil {
+				board.Fill(key, lease, peer)
+				k.cache.adopted.Add(1)
+				k.rep.adopted()
+				k.memo(key, peer)
+				return peer, nil
+			}
+		}
+		tierLease = granted
 	}
 	v, err = compute()
 	if err != nil {
-		return scoreValue{}, err
-	}
-	k.memo(key, v)
-	k.cache.put(key, v)
-	return v, nil
-}
-
-// fetchTier resolves a locally missed, wireable sweep through the
-// networked tier. It runs under the cache's per-key lock, so at most one
-// goroutine per process talks to the tier about a given key. The tier is
-// advisory: a peer payload that fails to decode, an Acquire error or an
-// empty grant all degrade to local compute, and a failed compute under a
-// held lease releases it so a waiting peer takes over at once.
-func (k *kern) fetchTier(ctx context.Context, key scoreKey, compute func() (scoreValue, error)) (scoreValue, error) {
-	sk := SweepKey{Chain: k.chain.Fingerprint(), Kind: uint8(key.kind), Sig: key.sig, T0: int64(key.t0)}
-	payload, lease, aerr := k.tier.Acquire(ctx, sk)
-	if aerr == nil && payload != nil {
-		if v, derr := decodeSweepValue(payload, k.chain.NumStates()); derr == nil {
-			k.memo(key, v)
-			k.cache.adopt(key, v, k.rep)
-			return v, nil
-		}
-	}
-	v, err := compute()
-	if err != nil {
-		if lease != "" {
-			k.tier.Release(ctx, sk, lease)
+		if tierLease != "" {
+			k.tier.Release(ctx, sk, tierLease)
 		}
 		return scoreValue{}, err
 	}
 	k.memo(key, v)
-	k.cache.put(key, v)
-	if lease != "" {
+	board.Fill(key, lease, v)
+	if tierLease != "" {
 		// Best-effort publish: a Fill error only costs peers a recompute.
-		_ = k.tier.Fill(ctx, sk, lease, encodeSweepValue(v))
+		_ = k.tier.Fill(ctx, sk, tierLease, encodeSweepValue(v))
 	}
 	return v, nil
 }
 
 func (k *kern) memo(key scoreKey, v scoreValue) {
-	if key.kind.genSensitive() {
-		// A kern that outlives a database generation would serve such
-		// entries stale; only the engine cache knows how to expire
-		// them. Every kind cached today is insensitive.
-		return
-	}
 	k.mu.Lock()
 	if k.local == nil {
 		k.local = map[scoreKey]scoreValue{}
@@ -498,6 +486,24 @@ func (k *kern) ktimesOBExact(ctx context.Context, o *Object) (Result, error) {
 		return Result{}, err
 	}
 	return kTimesResult(o.ID, dist), nil
+}
+
+// eventuallyExact answers one object's unbounded-horizon hitting
+// probability: the pdf dotted with the group's hitting vector.
+func (k *kern) eventuallyExact(_ context.Context, o *Object) (Result, error) {
+	if len(o.Observations) > 1 {
+		return Result{}, errEventuallyMultiObs(o)
+	}
+	pdf := o.First().PDF.Vec()
+	mass := pdf.Sum()
+	if mass == 0 {
+		return Result{}, errZeroMass(o.ID)
+	}
+	p := pdf.Dot(k.hitting) / mass
+	if p > 1 {
+		p = 1
+	}
+	return Result{ObjectID: o.ID, Prob: p}, nil
 }
 
 // regionPins returns the window's region state list, materialized once

@@ -149,15 +149,13 @@ type Database struct {
 	// Maintained by Add/ReplaceObject; pre-seeded by the store's mapped
 	// load path.
 	cols *ObsColumns
-	// version counts mutations (inserts and observation updates). The
-	// engine's score cache tags entries with the version current when
-	// they were computed and lazily expires entries from older
-	// generations — the generation-based invalidation that keeps cached
-	// sweeps and standing queries honest across updates. Databases are
-	// not safe for concurrent mutation (reads may be concurrent); the
-	// version itself is atomic so generation checks — including a
-	// SharedCache polling several databases — race-freely observe
-	// mutations made to OTHER databases under their own locks.
+	// version counts mutations (inserts and observation updates): the
+	// generation a subscription, the service's request coalescing and
+	// the shard router's sync compare to decide staleness. (The engine's
+	// score cache does not need it — its keys cannot go stale.)
+	// Databases are not safe for concurrent mutation (reads may be
+	// concurrent); the version itself is atomic so a reader race-freely
+	// observes mutations made under another holder's lock.
 	version atomic.Uint64
 }
 
@@ -194,8 +192,8 @@ func (db *Database) Add(o *Object) error {
 }
 
 // Version returns the database's mutation generation. It advances on
-// every insert and observation update; caches keyed on derived state
-// (the engine's score cache, a subscription's last results) compare
+// every insert and observation update; holders of derived state (a
+// subscription's last results, the shard router's shadows) compare
 // generations to decide staleness.
 func (db *Database) Version() uint64 { return db.version.Load() }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"iter"
 	"math/rand"
 
 	"ust/internal/markov"
@@ -414,16 +413,17 @@ func exprMCRun(ctx context.Context, chain *markov.Chain, o *Object, prog *exprPr
 
 // --- kernel integration ----------------------------------------------------
 
-// exprKernel builds the kernel for one chain group of an expression
-// plan: the expression is compiled against the group's state space and
-// bound to the engine cache.
-func (e *Engine) exprKernel(chain *markov.Chain, plan *evalPlan) (*kern, error) {
-	prog, err := compileExpr(*plan.expr, chain.NumStates())
+// exprGroupKernel builds the kernel for one chain group of an
+// expression plan: the expression is compiled against the group's state
+// space and bound, with the resolved tree the filter bounds fold over,
+// to the engine cache.
+func (e *Engine) exprGroupKernel(grp chainGroup, plan *evalPlan) (*kern, error) {
+	prog, err := compileExpr(*plan.expr, grp.chain.NumStates())
 	if err != nil {
 		return nil, err
 	}
-	k := e.kernel(chain, nil, plan)
-	k.prog = prog
+	k := e.kernel(grp.chain, nil, plan)
+	k.prog, k.exprTree = prog, plan.expr
 	return k, nil
 }
 
@@ -581,145 +581,4 @@ func min1(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// --- stream cores ----------------------------------------------------------
-
-// streamExprQB is the query-based compound core: one augmented backward
-// family per (chain, observation time) — shared through the score cache
-// — then a flag-aware dot product per object.
-func (e *Engine) streamExprQB(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		for _, grp := range e.db.groupByChain() {
-			k, err := e.exprGroupKernel(grp, plan)
-			if err != nil {
-				yield(Result{}, err)
-				return
-			}
-			for _, o := range grp.objects {
-				if err := ctx.Err(); err != nil {
-					yield(Result{}, err)
-					return
-				}
-				r, oerr := k.exprExact(ctx, o)
-				if oerr != nil {
-					yield(Result{}, oerr)
-					return
-				}
-				if !yield(r, nil) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// exprGroupKernel compiles the plan's expression for one chain group.
-func (e *Engine) exprGroupKernel(grp chainGroup, plan *evalPlan) (*kern, error) {
-	k, err := e.exprKernel(grp.chain, plan)
-	if err != nil {
-		return nil, err
-	}
-	k.exprTree = plan.expr
-	return k, nil
-}
-
-// streamExprOB is the object-based compound core: one augmented forward
-// pass per object, optionally fanned out over plan.workers goroutines.
-func (e *Engine) streamExprOB(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		tasks := make([]obTask, 0, e.db.Len())
-		for _, grp := range e.db.groupByChain() {
-			k, err := e.exprGroupKernel(grp, plan)
-			if err != nil {
-				yield(Result{}, err)
-				return
-			}
-			// No transpose warm here: the augmented forward pass only
-			// ever steps forward (chain.Step), unlike the OB exists
-			// kernel.
-			for _, o := range grp.objects {
-				tasks = append(tasks, obTask{o: o, k: k})
-			}
-		}
-		eval := func(ctx context.Context, i int) (Result, error) {
-			return tasks[i].k.exprOBExact(ctx, tasks[i].o)
-		}
-		if plan.workers > 1 {
-			parallelOrdered(ctx, len(tasks), plan.workers, eval)(yield)
-			return
-		}
-		for i := range tasks {
-			if err := ctx.Err(); err != nil {
-				yield(Result{}, err)
-				return
-			}
-			r, oerr := eval(ctx, i)
-			if oerr != nil {
-				yield(Result{}, oerr)
-				return
-			}
-			if !yield(r, nil) {
-				return
-			}
-		}
-	}
-}
-
-// streamExprMC is the Monte-Carlo compound core, following the exists-
-// query convention: serial evaluation shares one deterministic rng in
-// database insertion order; parallel evaluation derives per-object
-// seeds.
-func (e *Engine) streamExprMC(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		progs := map[*markov.Chain]*exprProg{}
-		type task struct {
-			o     *Object
-			chain *markov.Chain
-			prog  *exprProg
-		}
-		tasks := make([]task, 0, e.db.Len())
-		for _, o := range e.db.Objects() {
-			ch := e.db.ChainOf(o)
-			prog, ok := progs[ch]
-			if !ok {
-				var err error
-				prog, err = compileExpr(*plan.expr, ch.NumStates())
-				if err != nil {
-					yield(Result{}, err)
-					return
-				}
-				progs[ch] = prog
-			}
-			tasks = append(tasks, task{o: o, chain: ch, prog: prog})
-		}
-		if plan.workers > 1 {
-			eval := func(ctx context.Context, i int) (Result, error) {
-				t := tasks[i]
-				rng := rand.New(rand.NewSource(perObjectSeed(plan.seed, t.o.ID)))
-				p, merr := exprMCRun(ctx, t.chain, t.o, t.prog, plan.samples, rng)
-				if merr != nil {
-					return Result{}, merr
-				}
-				return Result{ObjectID: t.o.ID, Prob: p}, nil
-			}
-			parallelOrdered(ctx, len(tasks), plan.workers, eval)(yield)
-			return
-		}
-		rng := rand.New(rand.NewSource(plan.seed))
-		for _, t := range tasks {
-			if err := ctx.Err(); err != nil {
-				yield(Result{}, err)
-				return
-			}
-			p, merr := exprMCRun(ctx, t.chain, t.o, t.prog, plan.samples, rng)
-			if merr != nil {
-				yield(Result{}, merr)
-				return
-			}
-			if !yield(Result{ObjectID: t.o.ID, Prob: p}, nil) {
-				return
-			}
-		}
-	}
 }

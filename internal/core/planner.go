@@ -179,7 +179,7 @@ func (e *Engine) warmBatch(ctx context.Context, plans []*evalPlan) error {
 	perChain := map[*markov.Chain]*chainUnits{}
 	chains := []*markov.Chain{}
 	add := func(chain *markov.Chain, key scoreKey, w *window, t0 int) {
-		if seen[key] || e.cache.contains(key) {
+		if seen[key] || e.cache.board.Contains(key) {
 			return
 		}
 		seen[key] = true

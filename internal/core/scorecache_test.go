@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -134,39 +133,39 @@ func TestCachedResultsIdenticalAcrossPredicates(t *testing.T) {
 	}
 }
 
-// TestScoreCacheGenerationInvalidation exercises the generation rail
-// directly: entries of a generation-sensitive kind expire when the
-// database mutates, generation-independent kinds (every sweep kind)
-// revalidate in place, and InvalidateCache drops everything.
+// TestScoreCacheGenerationInvalidation: a database mutation expires
+// nothing (no cache key can go stale — TestCacheSurvivesObservationUpdate
+// pins the end-to-end half), and Invalidate, the manual override, drops
+// everything and counts it as Expired.
 func TestScoreCacheGenerationInvalidation(t *testing.T) {
-	gen := uint64(0)
-	c := newScoreCache(1<<20, func() uint64 { return gen })
-	chain := markov.MustChain(sparse.Identity(4).NormalizeRows())
+	db := cacheTestDB(t, 4, 1, 1)
+	c := NewSharedCache(1 << 20)
+	e := NewEngine(db, Options{Cache: c})
+	chain := db.DefaultChain()
 	vec := sparse.NewVec(4)
+	ctx := context.Background()
 
 	sweepKey := scoreKey{chain: chain, kind: kindExists, sig: 1, t0: 0}
-	const kindSensitiveTest scoreKind = 200 // unknown kinds default to sensitive
-	sensKey := scoreKey{chain: chain, kind: kindSensitiveTest, sig: 2, t0: 0}
-	c.put(sweepKey, scoreValue{vecs: []*sparse.Vec{vec}})
-	c.put(sensKey, scoreValue{vecs: []*sparse.Vec{vec}})
+	maskKey := scoreKey{chain: chain, kind: kindPossible, sig: 1, t0: 0}
+	c.board.Put(sweepKey, scoreValue{vecs: []*sparse.Vec{vec}})
+	c.board.Put(maskKey, scoreValue{bits: sparse.NewBitset(4)})
 
-	gen++ // a database mutation
-	if _, ok := c.get(sweepKey, nil); !ok {
-		t.Fatalf("generation-independent sweep expired on mutation")
+	if err := db.AddSimple(99, markov.PointDistribution(4, 0)); err != nil { // a database mutation
+		t.Fatal(err)
 	}
-	if _, ok := c.get(sensKey, nil); ok {
-		t.Fatalf("generation-sensitive entry survived mutation")
+	if _, lease, _ := c.board.Acquire(ctx, sweepKey); lease != 0 {
+		t.Fatalf("sweep expired on mutation")
 	}
-	if s := c.snapshot(); s.Expired != 1 {
-		t.Fatalf("Expired = %d, want 1 (%+v)", s.Expired, s)
+	if s := c.Stats(); s.Expired != 0 || s.Entries != 2 {
+		t.Fatalf("mutation touched the cache: %+v", s)
 	}
 
-	c.invalidate()
-	if _, ok := c.get(sweepKey, nil); ok {
+	e.InvalidateCache()
+	if c.board.Contains(sweepKey) || c.board.Contains(maskKey) {
 		t.Fatalf("manual invalidate left entries behind")
 	}
-	if s := c.snapshot(); s.Entries != 0 || s.Bytes != 0 {
-		t.Fatalf("invalidate left residency: %+v", s)
+	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 || s.Expired != 2 {
+		t.Fatalf("after invalidate: %+v, want no residency and Expired = 2", s)
 	}
 }
 
@@ -418,41 +417,5 @@ func TestMonitorTrack(t *testing.T) {
 	}
 	if err := db.Add(newObj); err == nil {
 		t.Error("duplicate Add accepted")
-	}
-}
-
-// TestKeyLockHonorsWaiterContext pins the single-flight lock's
-// context-awareness: a caller queued behind another holder of the same
-// key gives up with ctx.Err() when its own context ends, instead of
-// stalling for the leader's sweep; and the abandoned reservation does
-// not leak the lock entry.
-func TestKeyLockHonorsWaiterContext(t *testing.T) {
-	c := newScoreCache(1<<20, func() uint64 { return 0 })
-	key := scoreKey{kind: kindExists, sig: 1, t0: 0}
-
-	unlock, err := c.lock(context.Background(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, werr := c.lock(ctx, key); werr == nil {
-		t.Fatal("waiter acquired a held key with a dead context")
-	} else if !errors.Is(werr, context.Canceled) {
-		t.Fatalf("waiter error = %v, want context.Canceled", werr)
-	}
-	unlock()
-
-	// The abandoned waiter must not have leaked its refcount: the key
-	// re-acquires immediately and the lock table is empty when released.
-	unlock2, err := c.lock(context.Background(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unlock2()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.locks) != 0 {
-		t.Fatalf("lock table leaked %d entries", len(c.locks))
 	}
 }

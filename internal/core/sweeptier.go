@@ -11,13 +11,14 @@ import (
 
 // The networked sweep tier. Within one process the score cache already
 // guarantees each distinct backward sweep is computed at most once —
-// the per-key single-flight lock serializes concurrent missers and the
-// LRU serves everyone after. Across processes that guarantee evaporates:
+// the board's per-key lease serializes concurrent missers and the LRU
+// serves everyone after. Across processes that guarantee evaporates:
 // N workers answering slices of the same query each run the same sweep.
-// SweepTier is the generalization of the per-key lock to a fleet: a
-// coordinator-granted LEASE on (chain fingerprint, kind, signature, t0)
-// so exactly one worker computes, plus a payload channel so the rest
-// adopt the bytes instead of recomputing. The tier is strictly an
+// SweepTier is the same lease granted fleet-wide: a coordinator-granted
+// LEASE on (chain fingerprint, kind, signature, t0) so exactly one
+// worker computes, plus a payload channel so the rest adopt the bytes
+// instead of recomputing (the coordinator's side is a second Board —
+// service.SweepBoard). The tier is strictly an
 // optimization layer — every error path degrades to local compute, so a
 // dead coordinator slows the fleet down but never wedges or corrupts it.
 //

@@ -211,6 +211,17 @@ func readUpload(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, er
 	return data, nil
 }
 
+// readJSONBody reads a JSON request body of at most limit bytes — a
+// longer one is refused with ErrBodyTooLarge, never truncated — and
+// strictly decodes it.
+func readJSONBody(w http.ResponseWriter, r *http.Request, limit int64, into any) error {
+	body, err := readUpload(w, r, limit)
+	if err != nil {
+		return err
+	}
+	return wire.StrictUnmarshal(body, into)
+}
+
 // decodeEnvelope reads and strictly decodes a query envelope body. The
 // request may arrive in either form: the structured wire shape
 // ("request") or the text query language ("query"), parsed server-side
@@ -373,16 +384,11 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err))
-		return
-	}
 	var payload struct {
 		Object int `json:"object"`
 		wire.Observation
 	}
-	if err := wire.StrictUnmarshal(body, &payload); err != nil {
+	if err := readJSONBody(w, r, maxRequestBody, &payload); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -405,13 +411,8 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleTrack(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err))
-		return
-	}
 	var payload wire.Object
-	if err := wire.StrictUnmarshal(body, &payload); err != nil {
+	if err := readJSONBody(w, r, maxRequestBody, &payload); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -484,13 +485,8 @@ func (s *Service) handleImport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleEvict(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err))
-		return
-	}
 	var ev wire.Evict
-	if err := wire.StrictUnmarshal(body, &ev); err != nil {
+	if err := readJSONBody(w, r, maxRequestBody, &ev); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -509,13 +505,8 @@ func (s *Service) handleEvict(w http.ResponseWriter, r *http.Request) {
 // back to local compute on its own deadline.
 
 func (s *Service) handleSweepAcquire(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err))
-		return
-	}
 	var req wire.SweepAcquire
-	if err := wire.StrictUnmarshal(body, &req); err != nil {
+	if err := readJSONBody(w, r, maxRequestBody, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -528,13 +519,8 @@ func (s *Service) handleSweepAcquire(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSweepFill(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBody))
-	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err))
-		return
-	}
 	var req wire.SweepFill
-	if err := wire.StrictUnmarshal(body, &req); err != nil {
+	if err := readJSONBody(w, r, s.sweeps.fillBodyLimit(), &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -546,13 +532,8 @@ func (s *Service) handleSweepFill(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSweepRelease(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err))
-		return
-	}
 	var req wire.SweepRelease
-	if err := wire.StrictUnmarshal(body, &req); err != nil {
+	if err := readJSONBody(w, r, maxRequestBody, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -646,9 +627,19 @@ func (s *Service) writeMetrics(w http.ResponseWriter) {
 	mf("ust_subscription_updates_total", "Subscription updates delivered.", "counter", st.Updates, "")
 	mf("ust_subscriptions", "Active subscriptions.", "gauge", st.Subscriptions, "")
 	mf("ust_in_flight", "Evaluations currently holding an admission slot.", "gauge", st.InFlight, "")
-	mf("ust_score_cache_hits_total", "Engine score-cache hits across datasets.", "counter", cs.Hits, "")
-	mf("ust_score_cache_misses_total", "Engine score-cache misses across datasets.", "counter", cs.Misses, "")
-	mf("ust_score_cache_bytes", "Engine score-cache residency across datasets.", "gauge", cs.Bytes, "")
+	board := func(prefix, what string, entries, bytes int, counters ...boardCounter) {
+		for _, c := range counters {
+			mf(prefix+"_"+c.name+"_total", what+" "+c.name+".", "counter", c.n, "")
+		}
+		mf(prefix+"_entries", what+" values resident.", "gauge", entries, "")
+		mf(prefix+"_bytes", what+" bytes resident.", "gauge", bytes, "")
+	}
+	board("ust_score_cache", "Engine score cache, across datasets:", cs.Entries, cs.Bytes,
+		boardCounter{"hits", cs.Hits}, boardCounter{"misses", cs.Misses}, boardCounter{"evictions", cs.Evictions})
+	bs := s.sweeps.Stats()
+	board("ust_sweep_board", "Sweep lease board:", bs.Entries, bs.Bytes,
+		boardCounter{"leases", bs.Leases}, boardCounter{"fills", bs.Fills}, boardCounter{"served", bs.Served},
+		boardCounter{"takeovers", bs.Takeovers}, boardCounter{"evictions", bs.Evictions})
 	for _, info := range s.Datasets() {
 		label := promLabel(info.Name)
 		fmt.Fprintf(w, "ust_dataset_objects{dataset=\"%s\"} %d\n", label, info.Objects)
@@ -668,6 +659,13 @@ func (s *Service) writeMetrics(w http.ResponseWriter) {
 		}
 	}
 	s.httpMetrics.write(w)
+}
+
+// boardCounter is one lifetime counter of a compute-once board (the
+// engines' score cache, the sweep lease board) as /metrics names it.
+type boardCounter struct {
+	name string
+	n    uint64
 }
 
 // promLabel escapes a label value per the Prometheus text exposition

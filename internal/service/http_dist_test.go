@@ -7,12 +7,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"ust/internal/core"
 	"ust/internal/markov"
@@ -77,7 +79,14 @@ func TestMetricsRoleAndRing(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{`ust_role{role="coordinator"} 1`, "ust_ring_members 3"} {
+	for _, want := range []string{`ust_role{role="coordinator"} 1`, "ust_ring_members 3",
+		// Both compute-once boards report through one helper.
+		"ust_score_cache_hits_total 0", "ust_score_cache_misses_total 0", "ust_score_cache_evictions_total 0",
+		"ust_score_cache_entries 0", "ust_score_cache_bytes 0",
+		"ust_sweep_board_leases_total 0", "ust_sweep_board_fills_total 0", "ust_sweep_board_served_total 0",
+		"ust_sweep_board_takeovers_total 0", "ust_sweep_board_evictions_total 0",
+		"ust_sweep_board_entries 0", "ust_sweep_board_bytes 0",
+	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
@@ -295,5 +304,66 @@ func TestSweepEndpoints(t *testing.T) {
 	}
 	if st := svc.Sweeps().Stats(); st.Fills != 1 || st.Served != 1 || st.Leases != 2 {
 		t.Fatalf("board stats: %+v", st)
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"ust_sweep_board_leases_total 2", "ust_sweep_board_fills_total 1",
+		"ust_sweep_board_served_total 1", "ust_sweep_board_entries 1", "ust_sweep_board_bytes 3"} {
+		if !strings.Contains(string(metrics), want+"\n") {
+			t.Fatalf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+}
+
+// TestSweepFillBounds pins the two bounds on what a fill may make the
+// coordinator hold. A body past the limit derived from the board's
+// budget is refused with 413 — not silently truncated at 1 GiB and then
+// misreported as a decode error. A payload that fits the body limit but
+// not the board's whole budget is refused too, and its lease released,
+// so a waiter computes locally at once instead of the board retaining
+// what it could never hold beside anything else.
+func TestSweepFillBounds(t *testing.T) {
+	svc := New(Config{})
+	svc.sweeps = NewSweepBoard(time.Minute, 1<<10) // TTL long enough that expiry cannot rescue the test
+	ts := httptest.NewServer(NewHandler(svc))
+	t.Cleanup(func() { svc.Close(); ts.Close() })
+	key := core.SweepKey{Chain: 9, Kind: 1, Sig: 0xf111, T0: 3}
+
+	fill := func(lease string, payloadBytes int) int {
+		t.Helper()
+		body, err := json.Marshal(wire.SweepFill{Key: key, Lease: lease, Payload: make([]byte, payloadBytes)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/sweeps/fill", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	_, lease, err := svc.sweeps.Acquire(t.Context(), key)
+	if err != nil || lease == "" {
+		t.Fatalf("acquire: lease %q err %v", lease, err)
+	}
+	if got := fill(lease, 16<<10); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("fill body past the limit: %d, want 413", got)
+	}
+	if got := fill(lease, 2<<10); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("fill payload past the board budget: %d, want 413", got)
+	}
+	if st := svc.sweeps.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Fills != 0 {
+		t.Fatalf("board retained an over-budget payload: %+v", st)
+	}
+	ctx, cancel := context.WithTimeout(t.Context(), 5*time.Second)
+	defer cancel()
+	if _, again, err := svc.sweeps.Acquire(ctx, key); err != nil || again == "" || again == lease {
+		t.Fatalf("acquire after the refused fill: lease %q err %v, want a fresh lease at once", again, err)
 	}
 }

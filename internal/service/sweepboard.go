@@ -1,59 +1,39 @@
 package service
 
 import (
-	"container/list"
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
-	"sync"
+	"strconv"
+	"strings"
 	"time"
 
 	"ust/internal/core"
 )
 
 // SweepBoard is the coordinator side of the networked sweep tier: the
-// score cache's per-key single-flight lock generalized to a fleet. Each
-// key is either FILLED (a worker published the payload; everyone adopts
-// it) or LEASED (exactly one worker holds the computation right; the
-// rest long-poll). Leases expire, so a worker that dies mid-sweep stalls
-// waiters for at most the TTL before one of them takes over — the tier
-// degrades, it never wedges.
+// compute-once board the engine's score cache is built on (core.Board),
+// instantiated over wire keys and encoded payloads so that it serves a
+// fleet. Each key is either FILLED (a worker published the payload;
+// everyone adopts it) or LEASED (exactly one worker holds the
+// computation right; the rest long-poll). Leases expire, so a worker
+// that dies mid-sweep stalls waiters for at most the TTL before one of
+// them takes over — the tier degrades, it never wedges. Evicting a
+// payload forgets the key; the next Acquire re-leases it and the fleet
+// recomputes.
 //
-// Filled payloads live in an LRU bounded by a byte budget. Evicting a
-// payload forgets the key entirely; the next Acquire re-leases it and
-// the fleet recomputes, which is exactly the score cache's own eviction
-// semantics one level up.
+// The adapter adds what the wire needs: string lease tokens, an error
+// for a stale one, and a refusal of payloads the budget could never
+// hold.
 type SweepBoard struct {
-	mu       sync.Mutex
-	entries  map[core.SweepKey]*boardEntry
-	lru      *list.List // filled entries, most recent at front
-	bytes    int
+	board    *core.Board[core.SweepKey, []byte]
 	maxBytes int
-	ttl      time.Duration
-	leaseSeq uint64
-
-	// counters, snapshotted by Stats for tests and /metrics.
-	leases    uint64
-	fills     uint64
-	served    uint64
-	takeovers uint64
 }
 
-type boardEntry struct {
-	key     core.SweepKey
-	payload []byte // non-nil once filled
-	lease   string // non-empty while leased
-	expires time.Time
-	// wake is closed when the entry's state changes (fill, release,
-	// expiry takeover) and replaced with a fresh channel on re-lease, so
-	// long-polling waiters block on exactly one state transition.
-	wake chan struct{}
-	el   *list.Element // LRU position once filled
-}
-
-// ErrStaleLease rejects a Fill or Release under a token that is not the
-// key's current lease — the board expired it and granted a takeover, so
-// the late worker's payload is dropped (the takeover's fill wins).
+// ErrStaleLease rejects a Fill under a token that is not the key's
+// current lease — the board expired it and granted a takeover, so the
+// late worker's payload is dropped (the takeover's fill wins).
 var ErrStaleLease = errors.New("service: stale sweep lease")
 
 const (
@@ -71,120 +51,63 @@ func NewSweepBoard(ttl time.Duration, maxBytes int) *SweepBoard {
 		maxBytes = defaultSweepBytes
 	}
 	return &SweepBoard{
-		entries:  make(map[core.SweepKey]*boardEntry),
-		lru:      list.New(),
+		board:    core.NewBoard[core.SweepKey](maxBytes, ttl, func(p []byte) int { return len(p) }),
 		maxBytes: maxBytes,
-		ttl:      ttl,
 	}
+}
+
+// leaseID parses a lease token ("L<n>") back to the board's lease; a
+// malformed token maps to 0, which is never a live lease.
+func leaseID(token string) uint64 {
+	id, _ := strconv.ParseUint(strings.TrimPrefix(token, "L"), 10, 64)
+	return id
 }
 
 // Acquire implements core.SweepTier. It returns the payload when the
 // sweep is already filled, a lease token when the caller should compute,
 // and blocks (until ctx ends) while another worker holds the lease.
 func (b *SweepBoard) Acquire(ctx context.Context, key core.SweepKey) ([]byte, string, error) {
-	for {
-		b.mu.Lock()
-		e := b.entries[key]
-		if e == nil {
-			e = &boardEntry{key: key, wake: make(chan struct{})}
-			b.entries[key] = e
-		}
-		if e.payload != nil {
-			b.lru.MoveToFront(e.el)
-			b.served++
-			payload := e.payload
-			b.mu.Unlock()
-			return payload, "", nil
-		}
-		now := time.Now()
-		if e.lease == "" || now.After(e.expires) {
-			if e.lease != "" {
-				// Expired holder: wake its waiters onto the new grant.
-				b.takeovers++
-				close(e.wake)
-				e.wake = make(chan struct{})
-			}
-			b.leaseSeq++
-			e.lease = fmt.Sprintf("L%d", b.leaseSeq)
-			e.expires = now.Add(b.ttl)
-			b.leases++
-			lease := e.lease
-			b.mu.Unlock()
-			return nil, lease, nil
-		}
-		wake := e.wake
-		wait := time.Until(e.expires)
-		b.mu.Unlock()
-
-		timer := time.NewTimer(wait)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, "", ctx.Err()
-		case <-wake:
-			timer.Stop()
-		case <-timer.C:
-			// Lease expired with no fill: loop and take over.
-		}
+	payload, lease, err := b.board.Acquire(ctx, key)
+	if err != nil || lease == 0 {
+		return payload, "", err
 	}
+	return nil, "L" + strconv.FormatUint(lease, 10), nil
 }
 
 // Fill implements core.SweepTier: publish the payload computed under a
-// held lease and wake every waiter.
+// held lease and wake every waiter. A payload larger than the board's
+// whole budget is refused and the lease released, so waiters compute
+// locally instead of the board retaining what it could never hold
+// beside anything else.
 func (b *SweepBoard) Fill(_ context.Context, key core.SweepKey, lease string, payload []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.entries[key]
-	if e == nil || e.payload != nil || e.lease != lease {
+	if len(payload) > b.maxBytes {
+		b.board.Release(key, leaseID(lease))
+		return fmt.Errorf("%w: sweep payload of %d bytes, board budget %d", ErrBodyTooLarge, len(payload), b.maxBytes)
+	}
+	if !b.board.Fill(key, leaseID(lease), payload) {
 		return ErrStaleLease
 	}
-	e.payload = payload
-	e.lease = ""
-	e.el = b.lru.PushFront(e)
-	b.bytes += len(payload)
-	b.fills++
-	close(e.wake)
-	for b.bytes > b.maxBytes && b.lru.Len() > 1 {
-		old := b.lru.Back()
-		ev := old.Value.(*boardEntry)
-		b.lru.Remove(old)
-		b.bytes -= len(ev.payload)
-		delete(b.entries, ev.key)
-	}
 	return nil
+}
+
+// fillBodyLimit bounds a /v1/sweeps/fill body: the largest payload the
+// board accepts, base64-encoded, plus room for the JSON around it.
+func (b *SweepBoard) fillBodyLimit() int64 {
+	return int64(base64.StdEncoding.EncodedLen(b.maxBytes)) + 4<<10
 }
 
 // Release implements core.SweepTier: abandon a held lease so a waiter
 // takes over immediately instead of waiting out the TTL.
 func (b *SweepBoard) Release(_ context.Context, key core.SweepKey, lease string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.entries[key]
-	if e == nil || e.payload != nil || e.lease != lease {
-		return
-	}
-	e.lease = ""
-	e.expires = time.Time{}
-	close(e.wake)
-	e.wake = make(chan struct{})
+	b.board.Release(key, leaseID(lease))
 }
 
-// SweepBoardStats is a snapshot of the board's counters.
-type SweepBoardStats struct {
-	// Leases counts granted computation rights; Fills the payloads
-	// published; Served the Acquires answered from a filled payload;
-	// Takeovers the leases re-granted after their holder expired.
-	Leases, Fills, Served, Takeovers uint64
-	// Entries and Bytes describe the filled-payload LRU.
-	Entries, Bytes int
-}
+// SweepBoardStats is a snapshot of the board's counters: Leases counts
+// granted computation rights, Fills the payloads published, Served the
+// Acquires answered from a filled payload, Takeovers the leases
+// re-granted after their holder expired; Entries and Bytes describe the
+// filled-payload LRU.
+type SweepBoardStats = core.BoardStats
 
 // Stats snapshots the board's counters.
-func (b *SweepBoard) Stats() SweepBoardStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return SweepBoardStats{
-		Leases: b.leases, Fills: b.fills, Served: b.served, Takeovers: b.takeovers,
-		Entries: b.lru.Len(), Bytes: b.bytes,
-	}
-}
+func (b *SweepBoard) Stats() SweepBoardStats { return b.board.Stats() }

@@ -35,7 +35,7 @@ import (
 //     therefore deterministic and independent of the shard count, and
 //     matches any single engine run with WithParallelism(≥2).
 //   - Response.Cache and Response.Filter sum the shard responses; the
-//     shared cache's single-flight keeps the summed Misses equal to
+//     shared cache's per-key lease keeps the summed Misses equal to
 //     the single-engine count (each distinct sweep computes once).
 //   - Auto-planned requests are planned once against the full database,
 //     so every shard runs the strategy a single engine would have

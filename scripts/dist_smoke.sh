@@ -104,6 +104,14 @@ grep -q 'ust_role{role="coordinator"} 1' "$TMP/co-metrics.out"
 grep -q 'ust_ring_members 2' "$TMP/co-metrics.out"
 curl -fsS "$W0_BASE/metrics" | grep -q 'ust_role{role="worker"} 1'
 
+echo "dist-smoke: the sweep tier was really used — a second process adopted a sweep over HTTP"
+# Both workers answered slices of the same queries above, so each distinct
+# sweep was leased by one of them and served to the other.
+for m in ust_sweep_board_leases_total ust_sweep_board_served_total; do
+    n=$(awk -v m="$m" '$1 == m {print $2}' "$TMP/co-metrics.out")
+    [ "${n:-0}" -ge 1 ] || { echo "dist-smoke: $m = ${n:-missing}, want >= 1"; exit 1; }
+done
+
 echo "dist-smoke: ingest through the coordinator ships objects, not the chain"
 # Every write reaches its worker as an import frame that names the chain
 # by fingerprint. The workers' own counters must show it: the bytes the
