@@ -25,7 +25,8 @@ staticcheck:
 	fi
 
 # fuzz-smoke gives every fuzz target a short budget: parser (text query
-# language), wire decoder, sparse builder/CSR invariants, shard hash
+# language), wire decoder, sparse builder/CSR invariants and the
+# VecMat/MatVec/CopyFrom kernels against their naive references, shard hash
 # ring (determinism / balance / minimal movement), store image and
 # import-frame decoders, sweep-tier payload decoder. CI runs it after
 # make ci.
@@ -34,6 +35,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzBuilderCSR -fuzztime 15s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzFromRows -fuzztime 10s
+	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzVecMat -fuzztime 15s
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzRing -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeStoreV2 -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
@@ -120,14 +122,17 @@ bench:
 	@$(GO) run ./cmd/benchjson -o BENCH.json < .bench.jsonl
 	@rm -f .bench.jsonl
 
-# alloc-gate re-runs the ingest benchmark and fails ci when its
-# allocs/op regresses more than 20% past the BENCH.json baseline — the
-# single-copy WithObservation + column-reuse ingest path stays cheap by
-# construction, not by convention. Missing baseline entries (fresh
-# checkout, renamed benchmark) pass with a notice.
+# alloc-gate re-runs the ingest benchmark and the object-based scan
+# benchmark and fails ci when their allocs/op regress more than 20% past
+# the BENCH.json baseline — the single-copy WithObservation +
+# column-reuse ingest path and the pooled, clone-free forward pass stay
+# cheap by construction, not by convention. Missing baseline entries
+# (fresh checkout, renamed benchmark) pass with a notice.
 alloc-gate:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkIngest' -benchmem -benchtime=100x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkIngest < .gate.jsonl
+	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkScanOB' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkScanOB < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total

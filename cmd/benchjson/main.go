@@ -75,6 +75,22 @@ type Result struct {
 //	BenchmarkFoo/sub-8   	     123	   4567 ns/op	  89 B/op	  2 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
+// procsSuffix is the -GOMAXPROCS suffix `go test` appends to benchmark
+// names when GOMAXPROCS > 1.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
+
+// gateKey identifies a result across runs: package and name, a
+// benchmark's without its -GOMAXPROCS suffix — the gated allocation
+// counts do not depend on it, and a baseline recorded on a one-CPU box
+// carries none.
+func gateKey(r Result) string {
+	name := r.Name
+	if strings.HasPrefix(name, "Benchmark") {
+		name = procsSuffix.ReplaceAllString(name, "")
+	}
+	return r.Package + " " + name
+}
+
 func main() {
 	out := flag.String("o", "BENCH.json", "output path for the JSON summary ('' = don't write)")
 	baseline := flag.String("baseline", "", "prior summary to gate against")
@@ -254,7 +270,7 @@ func runGate(results []Result, baselinePath, gate, metric string, tolerance floa
 	}
 	byKey := map[string]Result{}
 	for _, r := range base {
-		byKey[r.Package+" "+r.Name] = r
+		byKey[gateKey(r)] = r
 	}
 
 	checked := 0
@@ -268,7 +284,7 @@ func runGate(results []Result, baselinePath, gate, metric string, tolerance floa
 			fmt.Fprintf(os.Stderr, "benchjson: gate notice: %s has no %q metric (run with -benchmem?)\n", r.Name, metric)
 			continue
 		}
-		b, ok := byKey[r.Package+" "+r.Name]
+		b, ok := byKey[gateKey(r)]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "benchjson: gate notice: %s not in baseline, skipped\n", r.Name)
 			continue

@@ -34,7 +34,9 @@
 // Threshold and top-k queries run through the engine's filter–refine
 // path, and repeated evaluations share backward sweeps via the score
 // cache; the per-query cache/filter statistics are reported on stderr.
-// -no-cache / -no-filter disable either (results are identical).
+// -no-cache / -no-filter disable either (results are identical; with
+// -strategy ob, -no-filter also runs the paper's unclipped forward pass,
+// whose answers agree with the clipped ones to 1e-12).
 //
 // State and time ranges accept "lo-hi" intervals or comma-separated
 // lists ("100-120" or "5,9,13" or a mix: "1-3,7"). -times is optional
@@ -82,7 +84,7 @@ func main() {
 	stream := flag.Bool("stream", false, "stream results as they are produced (unranked)")
 	asJSON := flag.Bool("json", false, "emit JSON (NDJSON with -stream) instead of a table")
 	noCache := flag.Bool("no-cache", false, "bypass the engine score cache")
-	noFilter := flag.Bool("no-filter", false, "disable filter–refine pruning for threshold/top-k")
+	noFilter := flag.Bool("no-filter", false, "disable filter–refine pruning for threshold/top-k and reach-cone clipping of object-based passes")
 	flag.Parse()
 
 	if (*dbPath == "") == (*remote == "") {

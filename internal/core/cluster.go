@@ -236,7 +236,7 @@ func (e *Engine) ExistsThresholdClustered(q Query, tau float64, idx *ClusterInde
 		if cerr != nil {
 			return 0, cerr
 		}
-		return existsOBOne(context.Background(), ch, o, w, e.pool)
+		return e.kernel(ch, w, nil).obExists(context.Background(), o)
 	}
 	// One backward interval sweep per (cluster, observation time); each
 	// object is then bounded with two dot products.

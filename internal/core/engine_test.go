@@ -271,7 +271,7 @@ func TestExistsOBBoundsBracket(t *testing.T) {
 		t.Helper()
 		init := o.First().PDF.Vec().Clone()
 		init.Scale(mass)
-		p, qualified, rerr := existsOBRefine(context.Background(), chain, init, 0, w, rejectBelow, rejectAbove, nil)
+		p, qualified, rerr := existsOBRefine(context.Background(), chain, forwardSeed{pdf: init, mass: 1}, w, rejectBelow, rejectAbove, nil)
 		if rerr != nil {
 			t.Fatalf("refine: %v", rerr)
 		}

@@ -130,9 +130,9 @@ func (k *kern) obExistsRefine(ctx context.Context, o *Object, forAll bool, bar f
 		r, err := k.obExistsExact(ctx, o, forAll)
 		return r, true, err
 	}
-	init := o.First().PDF.Clone()
-	if init.Vec().Normalize() == 0 {
-		return Result{}, false, errZeroMass(o.ID)
+	seed, err := k.seedFor(ctx, o)
+	if err != nil {
+		return Result{}, false, err
 	}
 	// The pass computes P∃ over k.w (the complemented window for PST∀Q).
 	// Result < bar translates to: exists — P∃ < bar (reject below);
@@ -141,7 +141,7 @@ func (k *kern) obExistsRefine(ctx context.Context, o *Object, forAll bool, bar f
 	if forAll {
 		rejectBelow, rejectAbove = -1, 1-bar
 	}
-	p, qualified, err := existsOBRefine(ctx, k.chain, init.Vec(), o.First().Time, k.w, rejectBelow, rejectAbove, k.pool)
+	p, qualified, err := existsOBRefine(ctx, k.chain, seed, k.w, rejectBelow, rejectAbove, k.pool)
 	if err != nil || !qualified {
 		return Result{}, false, err
 	}

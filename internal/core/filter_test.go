@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ust/internal/markov"
@@ -49,10 +50,30 @@ func responsesEqual(t *testing.T, label string, got, want *Response) {
 	}
 }
 
+// ranked applies a request's threshold (tau < 0: none) and top-k (k = 0:
+// none) to a plain scan's results, the way the engine does.
+func ranked(results []Result, tau float64, k int) *Response {
+	var out []Result
+	for _, r := range results {
+		if r.Prob >= tau {
+			out = append(out, r)
+		}
+	}
+	if k > 0 {
+		sort.SliceStable(out, func(i, j int) bool { return better(out[i], out[j]) })
+		out = out[:min(k, len(out))]
+	}
+	return &Response{Results: out}
+}
+
 // TestFilterRefineMatchesExact is the randomized cross-validation of the
 // acceptance criteria: for every predicate × strategy × ranking shape,
 // the filter–refine path must return results byte-identical to the
-// unpruned exact path.
+// unpruned exact path. Under the object-based strategy the unpruned
+// path of the same pass is the plain scan ranked afterwards —
+// WithFilterRefine(false) there also switches the forward pass to its
+// paper-literal, unclipped form, which TestClippedMatchesUnclipped holds
+// the clipped one against.
 func TestFilterRefineMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	predicates := []Predicate{PredicateExists, PredicateForAll, PredicateKTimes}
@@ -97,6 +118,14 @@ func TestFilterRefineMatchesExact(t *testing.T) {
 						t.Fatalf("WithFilterRefine(false) still reported a funnel: %+v", exact.Filter)
 					}
 					label := pred.String() + "/" + strat.String()
+					if strat == StrategyObjectBased {
+						plain, err := e.Evaluate(context.Background(), NewRequest(pred,
+							WithStates(states), WithTimes(times), WithStrategy(strat)))
+						if err != nil {
+							t.Fatalf("trial %d %v/%v plain: %v", trial, pred, strat, err)
+						}
+						exact = ranked(plain.Results, []float64{tau, -1, tau}[ri], []int{0, k, k}[ri])
+					}
 					responsesEqual(t, label, filtered, exact)
 				}
 			}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"ust/internal/markov"
 )
 
 // Every test asks its questions the way callers do: one Request through
@@ -68,4 +70,14 @@ func probs(t testing.TB, e *Engine, pred Predicate, q Query, opts ...RequestOpti
 		out[r.ObjectID] = r.Prob
 	}
 	return out
+}
+
+// existsMultiObs computes P∃ for an observation list (sorted by time)
+// with the columnar kernel through a transient row→column conversion —
+// what the kern layer does over the database's columnar plane.
+func existsMultiObs(ctx context.Context, chain *markov.Chain, obs []Observation, w *window) (float64, error) {
+	if len(obs) == 0 {
+		return 0, fmt.Errorf("core: no observations")
+	}
+	return existsMultiObsSeg(ctx, chain, segFromObservations(obs), w, nil, nil)
 }

@@ -37,6 +37,11 @@ type kern struct {
 	rep   *cacheTally
 	pool  *sparse.VecPool
 	fpool *sparse.FloatPool
+	// clip makes the object-based forward passes drop frontier mass that
+	// has left the window's reach cone (coneFrom). It rides the plan's
+	// filter–refine toggle: WithFilterRefine(false) is the paper-literal
+	// pass, and the oracle the clipped one is tested against.
+	clip bool
 	// cols is the owning database's columnar observation plane; the
 	// multi-observation and posterior kernels consume its column blocks
 	// directly instead of walking boxed pdfs.
@@ -96,6 +101,7 @@ func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreVal
 		if err != nil {
 			return scoreValue{}, err
 		}
+		v.trim()
 		k.memo(key, v)
 		return v, nil
 	}
@@ -137,6 +143,7 @@ func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreVal
 		}
 		return scoreValue{}, err
 	}
+	v.trim()
 	k.memo(key, v)
 	board.Fill(key, lease, v)
 	if tierLease != "" {
@@ -160,6 +167,7 @@ func (k *kern) memo(key scoreKey, v scoreValue) {
 // engine has a cache, and traffic goes unreported.
 func (e *Engine) kernel(chain *markov.Chain, w *window, plan *evalPlan) *kern {
 	k := &kern{chain: chain, w: w, pool: e.pool, fpool: e.fpool, cols: e.db.cols}
+	k.clip = plan != nil && plan.useFilter
 	if e.cache != nil && (plan == nil || plan.useCache) {
 		k.cache = e.cache
 		k.tier = e.opts.Sweeps
@@ -258,7 +266,7 @@ func (k *kern) maskAt(ctx context.Context, t0 int, kind scoreKind) (*sparse.Bits
 func (k *kern) maskFor(ctx context.Context, w *window, t0 int, kind scoreKind) (*sparse.Bitset, error) {
 	key := scoreKey{chain: k.chain, kind: kind, sig: w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		m, merr := supportEnvelope(ctx, k.chain, w, t0, kind == kindCertain)
+		m, merr := supportEnvelope(ctx, k.chain, w, t0, kind == kindCertain, nil)
 		if merr != nil {
 			return scoreValue{}, merr
 		}
@@ -270,10 +278,33 @@ func (k *kern) maskFor(ctx context.Context, w *window, t0 int, kind scoreKind) (
 	return v.bits, nil
 }
 
+// coneFrom returns the window's reach cone from t0 on: the possible-
+// envelope at every t ∈ [t0, horizon], indexed t−t0, from one boolean
+// backward sweep (cone[0] is possibleMaskAt(t0), bit for bit). Fetched
+// like any sweep — request memo, then the board — but never shipped
+// over the sweep tier. nil when the kern does not clip. Requires a
+// non-empty window and t0 ≤ horizon.
+func (k *kern) coneFrom(ctx context.Context, t0 int) ([]*sparse.Bitset, error) {
+	if !k.clip {
+		return nil, nil
+	}
+	key := scoreKey{chain: k.chain, kind: kindCone, sig: k.w.signature(), t0: t0}
+	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
+		cone := make([]*sparse.Bitset, k.w.horizon-t0+1)
+		if _, cerr := supportEnvelope(ctx, k.chain, k.w, t0, false, cone); cerr != nil {
+			return scoreValue{}, cerr
+		}
+		return scoreValue{cone: cone}, nil
+	})
+	return v.cone, err
+}
+
 // supportEnvelope runs the boolean shadow of the backward sweep: the
 // same loop shape as hitScores, propagating supports instead of mass.
-// certain selects the all-successors (lower-bound) propagation.
-func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int, certain bool) (*sparse.Bitset, error) {
+// certain selects the all-successors (lower-bound) propagation. A
+// non-nil trail (horizon−t0+1 long) keeps the envelope of every time
+// the sweep passes: trail[t−t0] is what the sweep down to t returns.
+func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int, certain bool, trail []*sparse.Bitset) (*sparse.Bitset, error) {
 	n := chain.NumStates()
 	m := sparse.NewBitset(n)
 	if w.k == 0 || w.horizon < t0 {
@@ -287,15 +318,30 @@ func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int
 		if w.atTime(t) {
 			orRegion(m, w)
 		}
+		if trail != nil {
+			trail[t-t0] = m.Clone()
+		}
 		if certain {
 			chain.StepBackCertain(next, m)
 		} else {
 			chain.StepBackSupport(next, m)
 		}
+		if m.Count() == n && next.Count() == n {
+			// The full set steps back onto itself, so it is the envelope of
+			// every earlier time as well (the complemented windows of PST∀Q
+			// get here within a step or two).
+			for i := 0; trail != nil && i < t-t0; i++ {
+				trail[i] = next
+			}
+			return next, nil
+		}
 		m, next = next, m
 	}
 	if w.atTime(t0) {
 		orRegion(m, w)
+	}
+	if trail != nil {
+		trail[0] = m
 	}
 	return m, nil
 }
@@ -422,24 +468,10 @@ func (k *kern) existsDot(ctx context.Context, o *Object) (float64, error) {
 }
 
 // obExistsExact answers one object with the object-based strategy (a
-// forward pass), handling the PST∀Q complement edge cases exactly like
-// the historical stream core. The kern's window must already be the
-// complemented one for forAll requests.
+// forward pass). The kern's window must already be the complemented one
+// for forAll requests (an empty window then answers 1 − 0).
 func (k *kern) obExistsExact(ctx context.Context, o *Object, forAll bool) (Result, error) {
-	if forAll && k.w.k == 0 {
-		return Result{ObjectID: o.ID, Prob: 1}, nil
-	}
-	var p float64
-	var err error
-	if k.w.k > 0 && len(o.Observations) > 1 {
-		// Multi-observation conditioning has no separate OB form — both
-		// strategies run the same doubled-space pass (existsOBOne routes
-		// here too), so the kern intercepts to consume the columnar
-		// plane and share cached per-object results across strategies.
-		p, err = k.multiObsExists(ctx, o)
-	} else {
-		p, err = existsOBOne(ctx, k.chain, o, k.w, k.pool)
-	}
+	p, err := k.obExists(ctx, o)
 	if err != nil {
 		return Result{}, err
 	}
@@ -478,10 +510,55 @@ func (k *kern) ktimesQBExact(ctx context.Context, o *Object) (Result, error) {
 	return kTimesResult(o.ID, dist), nil
 }
 
+// obExists is the per-object OB core over the kern's window:
+// single-observation objects run the forward pass. Multi-observation
+// conditioning has no separate OB form — both strategies run the same
+// doubled-space pass (Section VI), consuming the columnar plane and
+// sharing cached per-object results across strategies.
+func (k *kern) obExists(ctx context.Context, o *Object) (float64, error) {
+	if k.w.k == 0 {
+		return 0, nil
+	}
+	if len(o.Observations) > 1 {
+		return k.multiObsExists(ctx, o)
+	}
+	seed, err := k.seedFor(ctx, o)
+	if err != nil {
+		return 0, err
+	}
+	return existsForward(ctx, k.chain, seed, k.w, k.pool)
+}
+
+// seedFor validates a single-observation object for a forward pass over
+// the kern's (non-empty) window and assembles what the pass starts from.
+func (k *kern) seedFor(ctx context.Context, o *Object) (forwardSeed, error) {
+	first := o.First()
+	if first.Time > k.w.horizon {
+		return forwardSeed{}, errObservedAfterHorizon(o.ID, first.Time, k.w.horizon)
+	}
+	pdf := first.PDF.Vec()
+	mass := pdf.Sum()
+	if mass == 0 {
+		return forwardSeed{}, errZeroMass(o.ID)
+	}
+	cone, err := k.coneFrom(ctx, first.Time)
+	return forwardSeed{pdf: pdf, mass: mass, t0: first.Time, cone: cone}, err
+}
+
 // ktimesOBExact answers one object's PSTkQ distribution with the
 // object-based count-matrix forward pass.
 func (k *kern) ktimesOBExact(ctx context.Context, o *Object) (Result, error) {
-	dist, err := kTimesOne(ctx, k.chain, o, k.w, k.pool)
+	if k.w.k == 0 {
+		return kTimesResult(o.ID, []float64{1}), nil
+	}
+	if len(o.Observations) > 1 {
+		return Result{}, errKTimesMultiObs(o)
+	}
+	seed, err := k.seedFor(ctx, o)
+	if err != nil {
+		return Result{}, err
+	}
+	dist, err := kTimesForward(ctx, k.chain, seed, k.w, k.pool)
 	if err != nil {
 		return Result{}, err
 	}
@@ -575,9 +652,11 @@ func (e *Engine) Marginal(o *Object, t int) (*markov.Distribution, error) {
 	if t < first.Time {
 		return nil, errObservedAfterHorizon(o.ID, first.Time, t)
 	}
-	init := first.PDF.Clone()
-	if init.Vec().Normalize() == 0 {
+	// One |S| copy: normalized in place, then stepped by Advance, which
+	// owns it (Evolve would clone the clone).
+	init := first.PDF.Vec().Clone()
+	if init.Normalize() == 0 {
 		return nil, errZeroMass(o.ID)
 	}
-	return markov.FromVec(ch.Evolve(init.Vec(), t-first.Time)), nil
+	return markov.FromVec(ch.Advance(init, t-first.Time)), nil
 }

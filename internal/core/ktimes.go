@@ -18,34 +18,24 @@ import (
 // query timestamp shifts the in-window columns down one row (the visit
 // count increments).
 
-// kTimesOne is the per-object PSTkQ kernel of the object-based forward
-// algorithm over a compiled window. The returned slice has |T□|+1
-// entries; entry k is P(object inside S□ at exactly k query timestamps).
-func kTimesOne(ctx context.Context, ch *markov.Chain, o *Object, w *window, pool *sparse.VecPool) ([]float64, error) {
-	if w.k == 0 {
-		return []float64{1}, nil
-	}
-	if len(o.Observations) > 1 {
-		return nil, errKTimesMultiObs(o)
-	}
-	first := o.First()
-	if first.Time > w.horizon {
-		return nil, errObservedAfterHorizon(o.ID, first.Time, w.horizon)
-	}
-	init := first.PDF.Clone()
-	if init.Vec().Normalize() == 0 {
-		return nil, errZeroMass(o.ID)
-	}
-	return kTimesForward(ctx, ch, init.Vec(), first.Time, w, pool)
-}
-
-// kTimesForward steps the count matrix forward, checking ctx once per
-// transition. All |T□|+2 scratch rows come from pool (nil allowed) and
-// return to it.
-func kTimesForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t0 int, w *window, pool *sparse.VecPool) ([]float64, error) {
+// kTimesForward is the per-object PSTkQ kernel of the object-based
+// forward algorithm over a compiled (non-empty) window: it steps the
+// count matrix forward from the seed, checking ctx once per transition.
+// The returned slice has |T□|+1 entries; entry k is P(object inside S□
+// at exactly k query timestamps). All |T□|+2 scratch rows come from pool
+// (nil allowed) and return to it.
+//
+// With a reach cone the pass clips every row before it steps: mass that
+// has left the cone can never enter S□ at a query time again, so its
+// visit count is final — it is parked in out[k] instead of being carried
+// to the horizon. The parked mass joins the sum in a different order
+// than the unclipped pass adds it, so clipped distributions agree with
+// unclipped ones to rounding (1e-12), not to the bit.
+func kTimesForward(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window, pool *sparse.VecPool) ([]float64, error) {
 	n := chain.NumStates()
 	rows := make([]*sparse.Vec, w.k+1)
-	for i := range rows {
+	rows[0] = seed.start(pool)
+	for i := 1; i < len(rows); i++ {
 		rows[i] = pool.Get(n)
 	}
 	buf := pool.Get(n)
@@ -55,11 +45,11 @@ func kTimesForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t
 		}
 		pool.Put(buf)
 	}()
-	rows[0].CopyFrom(init)
-	if w.atTime(t0) {
+	out := make([]float64, w.k+1)
+	if w.atTime(seed.t0) {
 		shiftDown(rows, w)
 	}
-	for t := t0; t < w.horizon; t++ {
+	for t := seed.t0; t < w.horizon; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -67,6 +57,7 @@ func kTimesForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t
 		// stepping them would be wasted work but correct. Step every
 		// non-empty row.
 		for i := range rows {
+			out[i] += seed.clip(rows[i], t)
 			if rows[i].NNZ() == 0 {
 				continue
 			}
@@ -77,9 +68,8 @@ func kTimesForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t
 			shiftDown(rows, w)
 		}
 	}
-	out := make([]float64, w.k+1)
 	for i, r := range rows {
-		out[i] = r.Sum()
+		out[i] += r.Sum()
 	}
 	return out, nil
 }

@@ -25,19 +25,6 @@ import (
 // leaves the possible-worlds ratio P(B)/(P(B)+P(C)) (Equation 1)
 // unchanged while avoiding per-step rounding.
 
-// existsMultiObs computes P∃ for an object with ≥ 1 observations.
-// Observation list must be sorted by time (Object guarantees this).
-// Checks ctx once per forward step. It delegates to the columnar kernel
-// (colkernel.go) through a transient row→column conversion; callers with
-// access to the database's columnar plane (the kern layer) skip the
-// conversion and add per-object caching on top.
-func existsMultiObs(ctx context.Context, chain *markov.Chain, obs []Observation, w *window) (float64, error) {
-	if len(obs) == 0 {
-		return 0, fmt.Errorf("core: no observations")
-	}
-	return existsMultiObsSeg(ctx, chain, segFromObservations(obs), w, nil, nil)
-}
-
 // existsMultiObsRow is the historical Vec-based pass, kept as the
 // cross-validation and benchmark baseline for the columnar kernel.
 func existsMultiObsRow(ctx context.Context, chain *markov.Chain, obs []Observation, w *window) (float64, error) {

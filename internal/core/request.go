@@ -273,9 +273,18 @@ func WithCache(enabled bool) RequestOption {
 // WithFilterRefine toggles the filter–refine stage for WithThreshold /
 // WithTopK requests on the exact strategies: cheap reachability-envelope
 // bounds prune objects that provably cannot qualify before any exact
-// per-object evaluation runs. On by default; results are identical
-// either way (the filter is strictly conservative), so the switch exists
-// for benchmarking and fallback. Response.Filter reports the funnel.
+// per-object evaluation runs. On by default; the filter is strictly
+// conservative, so the switch exists for benchmarking and fallback.
+// Response.Filter reports the funnel.
+//
+// The same toggle governs the object-based forward pass, ranked or not:
+// on, every pass drops the frontier mass that has left the window's
+// reach cone (the envelope the filter bounds with, kept for every
+// timestamp); off, it is the paper's algorithm as written — one full
+// pass per object. Query-based and Monte-Carlo answers do not depend on
+// the toggle at all; object-based exists/forall answers agree to the bit
+// while the unclipped frontier stays sparse and within 1e-12 otherwise,
+// PSTkQ distributions within 1e-12.
 func WithFilterRefine(enabled bool) RequestOption {
 	return func(r *Request) { r.useFilter = &enabled }
 }

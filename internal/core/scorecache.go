@@ -55,6 +55,11 @@ const (
 	// (multiobs.go); sig is serial-based like kindMultiObs, t0 is the
 	// query time.
 	kindPosterior
+	// kindCone: the reach cone of a window — its possible-envelope at
+	// every time from t0 to the horizon (kern.coneFrom), which the
+	// object-based forward passes clip their frontier against. Local
+	// only: it never travels over the sweep tier.
+	kindCone
 )
 
 // scoreKey identifies one cached sweep. The chain pointer is identity:
@@ -68,12 +73,14 @@ type scoreKey struct {
 }
 
 // scoreValue is the payload of one entry: float vectors for exact
-// sweeps, bitsets for envelopes, bare scalars for per-object results.
+// sweeps, bitsets for envelopes (one, or a reach cone's one per
+// timestamp), bare scalars for per-object results.
 // Cached payloads are shared and must be treated as immutable by every
 // reader.
 type scoreValue struct {
 	vecs    []*sparse.Vec
 	bits    *sparse.Bitset
+	cone    []*sparse.Bitset
 	scalars []float64
 }
 
@@ -86,7 +93,19 @@ func (v scoreValue) bytes() int {
 	if v.bits != nil {
 		b += 8 * v.bits.Words()
 	}
+	for _, m := range v.cone {
+		b += 8 * m.Words()
+	}
 	return b
+}
+
+// trim drops what the sweep's vectors kept only to be refilled as pool
+// scratch (sparse.Vec.Trim): a computed payload is retained, and bytes
+// counts its backing arrays alone.
+func (v scoreValue) trim() {
+	for _, vec := range v.vecs {
+		vec.Trim()
+	}
 }
 
 // CacheStats is a snapshot of the engine score cache's lifetime

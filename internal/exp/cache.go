@@ -36,7 +36,8 @@ func extKernelSizes(s Scale) (numObjects []int, numStates, repeats int) {
 // runExtKernel sweeps |D| and measures, per database size: a repeated
 // PST∃Q with and without the score cache, and top-k retrieval with and
 // without filter–refine pruning (plus the fraction of objects that
-// needed exact refinement).
+// needed exact refinement), and one object-based scan with and without
+// reach-cone clipping.
 func runExtKernel(ctx context.Context, cfg Config) (*Report, error) {
 	start := time.Now()
 	sizes, numStates, repeats := extKernelSizes(cfg.Scale)
@@ -44,10 +45,11 @@ func runExtKernel(ctx context.Context, cfg Config) (*Report, error) {
 		ID:     "ext-kernel",
 		Title:  "score cache and filter–refine on repeated/ranked queries",
 		XLabel: "|D|",
-		Series: []string{"uncached(s)", "cached(s)", "topk(s)", "topk-pruned(s)", "refined(%)"},
+		Series: []string{"uncached(s)", "cached(s)", "topk(s)", "topk-pruned(s)", "refined(%)", "ob(s)", "ob-clipped(s)"},
 		Notes: []string{
 			"uncached/cached: identical PST∃Q evaluated `repeats` times per engine",
 			"topk: k=20 ranked retrieval, filter–refine off vs on (byte-identical results)",
+			"ob/ob-clipped: one object-based PST∃Q scan, the paper's full forward passes vs passes clipped to the reach cone",
 		},
 	}
 	w := gen.DefaultWindow()
@@ -110,7 +112,23 @@ func runExtKernel(ctx context.Context, cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.AddRow(float64(numObjects), uncached, cached, topk, topkPruned, refinedPct)
+
+		scanOB := func(opts ...core.RequestOption) (float64, error) {
+			e := core.NewEngine(db, core.Options{})
+			return timeIt(func() error {
+				_, err := e.Evaluate(ctx, base.With(append(opts, core.WithStrategy(core.StrategyObjectBased))...))
+				return err
+			})
+		}
+		ob, err := scanOB(core.WithFilterRefine(false))
+		if err != nil {
+			return nil, err
+		}
+		obClipped, err := scanOB()
+		if err != nil {
+			return nil, err
+		}
+		rep.AddRow(float64(numObjects), uncached, cached, topk, topkPruned, refinedPct, ob, obClipped)
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil

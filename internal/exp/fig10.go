@@ -63,21 +63,21 @@ func runFig10(ctx context.Context, cfg Config, id string, strategy core.Strategy
 	for _, winLen := range fig10WindowLengths(cfg.Scale) {
 		q := core.NewQuery(region, core.Interval(w.TimeLo, w.TimeLo+winLen-1))
 		tK, err := timeIt(func() error {
-			_, err := e.Evaluate(ctx, core.NewRequest(core.PredicateKTimes, core.WithWindow(q)))
+			_, err := e.Evaluate(ctx, core.NewRequest(core.PredicateKTimes, core.WithWindow(q), paperPass))
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		tExists, err := timeIt(func() error {
-			_, err := e.Evaluate(ctx, core.NewRequest(core.PredicateExists, core.WithWindow(q)))
+			_, err := e.Evaluate(ctx, core.NewRequest(core.PredicateExists, core.WithWindow(q), paperPass))
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		tForAll, err := timeIt(func() error {
-			_, err := e.Evaluate(ctx, core.NewRequest(core.PredicateForAll, core.WithWindow(q)))
+			_, err := e.Evaluate(ctx, core.NewRequest(core.PredicateForAll, core.WithWindow(q), paperPass))
 			return err
 		})
 		if err != nil {

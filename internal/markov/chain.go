@@ -102,10 +102,16 @@ func (c *Chain) StepBack(dst, x *sparse.Vec) { sparse.VecMat(dst, x, c.Transpose
 // for one-off distribution evolution on large spaces.
 func (c *Chain) MStep(m int) *sparse.CSR { return sparse.MatPow(c.m, m) }
 
-// Evolve returns the distribution after steps transitions from init,
-// allocating two scratch vectors internally: P(o, t+steps) = P(o,t)·Mˢ.
+// Evolve returns the distribution after steps transitions from init:
+// P(o, t+steps) = P(o,t)·Mˢ. init is left untouched.
 func (c *Chain) Evolve(init *sparse.Vec, steps int) *sparse.Vec {
-	cur := init.Clone()
+	return c.Advance(init.Clone(), steps)
+}
+
+// Advance is Evolve on a vector the caller hands over: cur is stepped
+// in place of a private copy and must not be used afterwards. One more
+// scratch vector is allocated when steps > 0.
+func (c *Chain) Advance(cur *sparse.Vec, steps int) *sparse.Vec {
 	if steps == 0 {
 		return cur
 	}
@@ -114,6 +120,7 @@ func (c *Chain) Evolve(init *sparse.Vec, steps int) *sparse.Vec {
 		c.Step(next, cur)
 		cur, next = next, cur
 	}
+	cur.Trim()
 	return cur
 }
 

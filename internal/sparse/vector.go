@@ -27,7 +27,8 @@ const DenseThreshold = 0.25
 // number of non-zero entries is small it additionally tracks the support
 // (indices of non-zero entries) so that consumers can iterate in O(nnz).
 // Once the support grows past DenseThreshold*Len() the vector flips to
-// dense mode and the support list is abandoned.
+// dense mode and the support list is abandoned (VecMat and MatVec keep
+// its storage on their destination for the next refill; see Trim).
 //
 // The zero value is not usable; construct with NewVec.
 type Vec struct {
@@ -124,11 +125,15 @@ func (v *Vec) Add(i int, x float64) {
 }
 
 func (v *Vec) maybeDensify() {
-	if !v.dense && float64(len(v.supp)) > DenseThreshold*float64(len(v.data)) {
+	if !v.dense && len(v.supp) > v.denseLimit() {
 		v.dense = true
 		v.supp = nil
 	}
 }
+
+// denseLimit is the largest support size a sparse-mode vector keeps:
+// one more entry flips it dense.
+func (v *Vec) denseLimit() int { return int(DenseThreshold * float64(len(v.data))) }
 
 // Reset zeroes the vector and restores sparse mode, reusing storage.
 func (v *Vec) Reset() {
@@ -143,6 +148,16 @@ func (v *Vec) Reset() {
 	}
 	v.supp = v.supp[:0]
 	v.dense = false
+}
+
+// Trim releases storage a vector keeps only for reuse as scratch: the
+// kernels leave a dense-mode destination its support list's capacity, so
+// that the next Reset-and-refill of a pooled vector grows nothing. Call it
+// on a vector that is retained instead of recycled (a cached sweep).
+func (v *Vec) Trim() {
+	if v.dense {
+		v.supp = nil
+	}
 }
 
 // Clone returns a deep copy of v.
@@ -164,11 +179,58 @@ func (v *Vec) CopyFrom(w *Vec) {
 		panic(fmt.Sprintf("sparse: CopyFrom dimension mismatch %d != %d", v.Len(), w.Len()))
 	}
 	v.Reset()
-	copy(v.data, w.data)
-	v.dense = w.dense
-	if !w.dense {
-		v.supp = append(v.supp[:0], w.supp...)
+	if w.dense {
+		copy(v.data, w.data)
+		v.dense = true
+		return
 	}
+	// A sparse source is zero off its support list: copy that, not |S|.
+	for _, i := range w.supp {
+		v.data[i] = w.data[i]
+	}
+	v.supp = append(v.supp, w.supp...)
+}
+
+// Restrict zeroes every entry outside keep and returns the mass it
+// removed. The surviving support keeps its order (and a dense-mode
+// vector stays dense), so iteration over what is left visits the same
+// entries in the same sequence as before. A vector that already lies
+// inside keep costs one bit test per support entry (per 64 states when
+// dense) and no write.
+func (v *Vec) Restrict(keep *Bitset) float64 {
+	if v.Len() != keep.n {
+		panic(fmt.Sprintf("sparse: Restrict dimension mismatch %d != %d", v.Len(), keep.n))
+	}
+	dropped := 0.0
+	if v.dense {
+		for wi, w := range keep.words {
+			out := ^w
+			if wi == len(keep.words)-1 && keep.n&63 != 0 {
+				out &= 1<<uint(keep.n&63) - 1 // bits past the dimension are nobody's
+			}
+			for ; out != 0; out &= out - 1 {
+				i := wi<<6 + trailingZeros(out)
+				dropped += v.data[i]
+				v.data[i] = 0
+			}
+		}
+		return dropped
+	}
+	first := 0
+	for first < len(v.supp) && keep.Has(v.supp[first]) {
+		first++
+	}
+	out := v.supp[:first]
+	for _, i := range v.supp[first:] {
+		if keep.Has(i) {
+			out = append(out, i)
+		} else {
+			dropped += v.data[i]
+			v.data[i] = 0
+		}
+	}
+	v.supp = out
+	return dropped
 }
 
 // Range calls fn for every non-zero entry. Order is unspecified in sparse

@@ -287,8 +287,13 @@ func WithCache(enabled bool) RequestOption { return core.WithCache(enabled) }
 
 // WithFilterRefine toggles the filter–refine stage for threshold/top-k
 // requests on the exact strategies (on by default): cheap reachability
-// bounds prune objects before any exact evaluation, with byte-identical
-// results. Response.Filter reports the funnel.
+// bounds prune objects before any exact evaluation, and
+// Response.Filter reports the funnel. The same toggle governs the
+// object-based forward pass of any request: on, each pass is clipped to
+// the window's reach cone; off, it is the paper's full pass per object.
+// Query-based and Monte-Carlo answers are identical either way;
+// object-based ones agree to 1e-12 (to the bit while the unclipped
+// frontier stays sparse).
 func WithFilterRefine(enabled bool) RequestOption { return core.WithFilterRefine(enabled) }
 
 // --- compound expressions -------------------------------------------------
