@@ -25,7 +25,9 @@ staticcheck:
 	fi
 
 # fuzz-smoke gives every fuzz target a short budget: parser (text query
-# language), wire decoder, sparse builder/CSR invariants and the
+# language), wire request decoder, the wire result decoders (response and
+# factor set, stream line and update — each differential against
+# encoding/json), sparse builder/CSR invariants and the
 # VecMat/MatVec/CopyFrom kernels against their naive references, shard hash
 # ring (determinism / balance / minimal movement), store image and
 # import-frame decoders, sweep-tier payload decoder. CI runs it after
@@ -33,6 +35,8 @@ staticcheck:
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeResponse -fuzztime 15s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeStreamLine -fuzztime 15s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzBuilderCSR -fuzztime 15s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzFromRows -fuzztime 10s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzVecMat -fuzztime 15s
@@ -122,17 +126,20 @@ bench:
 	@$(GO) run ./cmd/benchjson -o BENCH.json < .bench.jsonl
 	@rm -f .bench.jsonl
 
-# alloc-gate re-runs the ingest benchmark and the object-based scan
-# benchmark and fails ci when their allocs/op regress more than 20% past
-# the BENCH.json baseline — the single-copy WithObservation +
-# column-reuse ingest path and the pooled, clone-free forward pass stay
-# cheap by construction, not by convention. Missing baseline entries
-# (fresh checkout, renamed benchmark) pass with a notice.
+# alloc-gate re-runs the ingest benchmark, the object-based scan
+# benchmark and the HTTP serving benchmark and fails ci when their
+# allocs/op regress more than 20% past the BENCH.json baseline — the
+# single-copy WithObservation + column-reuse ingest path, the pooled,
+# clone-free forward pass and the append-encoded, single-pass result
+# codec stay cheap by construction, not by convention. Missing baseline
+# entries (fresh checkout, renamed benchmark) pass with a notice.
 alloc-gate:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkIngest' -benchmem -benchtime=100x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkIngest < .gate.jsonl
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkScanOB' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkScanOB < .gate.jsonl
+	@$(GO) test . -run '^$$' -bench 'BenchmarkServeHTTPQuery' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkServeHTTPQuery < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total

@@ -550,22 +550,32 @@ func BenchmarkServeHTTPQuery(b *testing.B) {
 			}
 		}
 	})
-	b.Run("http", func(b *testing.B) {
-		svc := ust.NewService(ust.ServiceConfig{})
-		defer svc.Close()
-		if err := svc.Create("bench", db, nil); err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(ust.NewServiceHandler(svc))
-		defer ts.Close()
-		c := client.New(ts.URL, ts.Client())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Query(ctx, "bench", req); err != nil {
+	// http is a top-20 answer; http-scan answers every object (1000
+	// results), so the response codec carries the cost.
+	for _, tc := range []struct {
+		name string
+		req  ust.Request
+	}{
+		{"http", req},
+		{"http-scan", ust.NewRequest(ust.PredicateExists, ust.WithWindow(q))},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			svc := ust.NewService(ust.ServiceConfig{})
+			defer svc.Close()
+			if err := svc.Create("bench", db, nil); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			ts := httptest.NewServer(ust.NewServiceHandler(svc))
+			defer ts.Close()
+			c := client.New(ts.URL, ts.Client())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Query(ctx, "bench", tc.req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("http-stream", func(b *testing.B) {
 		svc := ust.NewService(ust.ServiceConfig{})
 		defer svc.Close()

@@ -404,12 +404,30 @@ func (c *Client) postQuery(ctx context.Context, body []byte) (*ust.Response, err
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
 	return wire.DecodeResponse(data)
+}
+
+// maxSizedBody bounds the read buffer a declared Content-Length may size
+// up front; a longer (or undeclared) body grows as it arrives, so a
+// lying header cannot make the client allocate more than it receives.
+const maxSizedBody = 64 << 20
+
+// readBody reads and closes a response body, in one exactly sized read
+// when the server declared its length.
+func readBody(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	if n := resp.ContentLength; n > 0 && n <= maxSizedBody {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // Factors fetches the factor decomposition of an aggregate request —
@@ -425,8 +443,7 @@ func (c *Client) Factors(ctx context.Context, dataset string, req ust.Request) (
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -476,12 +493,12 @@ func (c *Client) QueryStream(ctx context.Context, dataset string, req ust.Reques
 		return err
 	}
 	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
+	lr := lineReader{br: bufio.NewReader(resp.Body)}
 	for {
-		line, rerr := readLine(br)
+		line, rerr := lr.next()
 		if len(line) > 0 {
-			var sl wire.StreamLine
-			if err := json.Unmarshal(line, &sl); err != nil {
+			sl, err := wire.DecodeStreamLine(line)
+			if err != nil {
 				return fmt.Errorf("client: bad stream line: %w", err)
 			}
 			switch {
@@ -504,11 +521,28 @@ func (c *Client) QueryStream(ctx context.Context, dataset string, req ust.Reques
 	}
 }
 
-// readLine reads one NDJSON line of arbitrary length (a subscription
+// lineReader reads NDJSON lines of arbitrary length (a subscription
 // snapshot is a single line carrying the full result set, so no fixed
-// per-line cap is safe), trimmed of surrounding whitespace.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
+// per-line cap is safe). A line that fits the bufio.Reader's buffer is
+// returned in place; a longer one is assembled in long, which grows to
+// the longest line seen. Either way the line is valid only until the
+// next call.
+type lineReader struct {
+	br   *bufio.Reader
+	long []byte
+}
+
+// next returns the next line, trimmed of surrounding whitespace.
+func (lr *lineReader) next() ([]byte, error) {
+	line, err := lr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		lr.long = append(lr.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = lr.br.ReadSlice('\n')
+			lr.long = append(lr.long, line...)
+		}
+		line = lr.long
+	}
 	return bytes.TrimSpace(line), err
 }
 
@@ -555,12 +589,12 @@ func (c *Client) Subscribe(ctx context.Context, dataset string, req ust.Request)
 		defer close(sub.updates)
 		defer resp.Body.Close()
 		defer cancel()
-		br := bufio.NewReader(resp.Body)
+		lr := lineReader{br: bufio.NewReader(resp.Body)}
 		for {
-			line, rerr := readLine(br)
+			line, rerr := lr.next()
 			if len(line) > 0 {
-				var wu wire.Update
-				if err := json.Unmarshal(line, &wu); err != nil {
+				wu, err := wire.DecodeUpdate(line)
+				if err != nil {
 					sub.fail(fmt.Errorf("client: bad update line: %w", err))
 					return
 				}

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ust/internal/core"
@@ -42,56 +43,163 @@ import (
 //	POST   /v1/sweeps/fill              publish payload under a lease
 //	POST   /v1/sweeps/release           abandon a lease
 //
-// Streaming responses flush per line; closing the connection cancels
-// the evaluation (the request context propagates into the engine).
+// Result bodies are appended by wire's hand codec into pooled buffers.
+// Streaming responses batch their lines (see lineWriter); closing the
+// connection cancels the evaluation (the request context propagates
+// into the engine).
 
 // maxRequestBody bounds JSON request bodies (dataset uploads are
-// allowed maxUploadBody). streamWriteTimeout bounds each single NDJSON
-// write: a client that stops reading gets its connection killed instead
-// of pinning server resources — for /v1/query/stream that matters
-// doubly, because the generator holds the dataset's read lock while
-// streaming and a stalled reader would otherwise block ingest (and,
-// through RWMutex writer priority, every other query on the dataset)
+// allowed maxUploadBody). streamWriteTimeout bounds each NDJSON flush:
+// a client that stops reading gets its connection killed instead of
+// pinning server resources — for /v1/query/stream that matters doubly,
+// because the generator holds the dataset's read lock while streaming
+// and a stalled reader would otherwise block ingest (and, through
+// RWMutex writer priority, every other query on the dataset)
 // indefinitely.
+//
+// streamFlushBytes and streamFlushAge are the stream flush policy: a
+// /v1/query/stream line waits in a buffer until the buffer holds
+// streamFlushBytes, until its oldest line is streamFlushAge old, or
+// until a terminal (error or done) line goes out with it — one write
+// and one flush per batch instead of per line, at the price of at most
+// streamFlushAge before the first result of a slow stream is seen.
 const (
 	maxRequestBody     = 16 << 20
 	maxUploadBody      = 1 << 30
 	streamWriteTimeout = 30 * time.Second
+	streamFlushBytes   = 16 << 10
+	streamFlushAge     = 5 * time.Millisecond
 )
 
-// lineWriter wraps per-line NDJSON writing with a fresh write deadline
-// per line and an optional flush.
+// bodyBufs recycles the buffers result bodies and stream batches are
+// encoded into; buffers grown past maxPooledBuf are left to the GC so
+// one huge answer does not stay pinned.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 1 << 20
+
+func putBodyBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		*bp = (*bp)[:0]
+		bodyBufs.Put(bp)
+	}
+}
+
+// lineWriter writes the NDJSON lines of one streaming response under
+// the flush policy above. The handler's appends and the age timer's
+// flushes are serialised by mu, so the ResponseWriter is only ever used
+// by one goroutine at a time and never after close.
 type lineWriter struct {
-	w   http.ResponseWriter
-	rc  *http.ResponseController
-	enc *json.Encoder
-	fl  http.Flusher
+	w  http.ResponseWriter
+	rc *http.ResponseController
+	fl http.Flusher
+
+	mu       sync.Mutex
+	buf      *[]byte     // lines not yet written
+	timer    *time.Timer // flushes buf once its oldest line is streamFlushAge old
+	over     bool        // a write failed or close ran: nothing more goes out
+	panicked any         // a panic out of an age flush, re-raised on the handler's goroutine
 }
 
 func newLineWriter(w http.ResponseWriter) *lineWriter {
-	lw := &lineWriter{w: w, rc: http.NewResponseController(w), enc: json.NewEncoder(w)}
+	lw := &lineWriter{w: w, rc: http.NewResponseController(w), buf: bodyBufs.Get().(*[]byte)}
 	lw.fl, _ = w.(http.Flusher)
 	return lw
 }
 
-// clearDeadline removes the per-line write deadline so a keep-alive
-// connection is not poisoned for its next request.
-func (lw *lineWriter) clearDeadline() {
-	lw.rc.SetWriteDeadline(time.Time{}) //nolint:errcheck
+// line appends the line enc encodes and applies the flush policy; flush
+// sends it now, with every line before it. It reports false once the
+// stream is over: the client went away or stalled past
+// streamWriteTimeout, or the line could not be encoded.
+func (lw *lineWriter) line(flush bool, enc func([]byte) ([]byte, error)) bool {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	lw.repanic()
+	if lw.over {
+		return false
+	}
+	pending := len(*lw.buf) > 0
+	buf, err := enc(*lw.buf)
+	if err != nil {
+		lw.flushLocked()
+		lw.over = true
+		return false
+	}
+	*lw.buf = buf
+	switch {
+	case flush || len(buf) >= streamFlushBytes:
+		return lw.flushLocked()
+	case pending:
+	case lw.timer == nil:
+		lw.timer = time.AfterFunc(streamFlushAge, lw.flushAged)
+	default:
+		lw.timer.Reset(streamFlushAge)
+	}
+	return true
 }
 
-// writeLine encodes one NDJSON line and flushes it, bounded by
-// streamWriteTimeout. Returns false when the client went away (or
-// stalled past the deadline).
-func (lw *lineWriter) writeLine(v any) bool {
+// flushAged is the age timer's callback. A ResponseWriter may abort a
+// response by panicking (http.ErrAbortHandler); net/http recovers that
+// only on the handler's goroutine, so the panic is handed back there.
+func (lw *lineWriter) flushAged() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.over {
+		return
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			lw.panicked, lw.over = p, true
+		}
+	}()
+	lw.flushLocked()
+}
+
+func (lw *lineWriter) repanic() {
+	if p := lw.panicked; p != nil {
+		lw.panicked = nil
+		panic(p)
+	}
+}
+
+// flushLocked writes and flushes the buffered lines under a fresh write
+// deadline.
+func (lw *lineWriter) flushLocked() bool {
+	if lw.timer != nil {
+		lw.timer.Stop()
+	}
+	if len(*lw.buf) == 0 {
+		return true
+	}
 	lw.rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)) //nolint:errcheck // unsupported writers just stay unbounded
-	if err := lw.enc.Encode(v); err != nil {
+	_, err := lw.w.Write(*lw.buf)
+	*lw.buf = (*lw.buf)[:0]
+	if err != nil {
+		lw.over = true
 		return false
 	}
 	if lw.fl != nil {
 		lw.fl.Flush()
 	}
 	return true
+}
+
+// close ends the stream: a pending age flush is cancelled (lines still
+// buffered are dropped — every completed stream ends with a flushed
+// terminal line), a panic out of one is re-raised, and the write
+// deadline is cleared so a keep-alive connection is not poisoned for its
+// next request.
+func (lw *lineWriter) close() {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	lw.over = true
+	if lw.timer != nil {
+		lw.timer.Stop()
+	}
+	lw.rc.SetWriteDeadline(time.Time{}) //nolint:errcheck
+	putBodyBuf(lw.buf)
+	lw.buf = nil
+	lw.repanic()
 }
 
 // NewHandler builds the HTTP front end over svc. Every route is
@@ -226,13 +334,10 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, limit int64, into any)
 // request may arrive in either form: the structured wire shape
 // ("request") or the text query language ("query"), parsed server-side
 // — the same compound queries, rankings and strategy hints either way.
-func decodeEnvelope(r *http.Request) (string, core.Request, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-	if err != nil {
-		return "", core.Request{}, fmt.Errorf("%w: reading body: %v", wire.ErrDecode, err)
-	}
+// A body over maxRequestBody is refused with ErrBodyTooLarge.
+func decodeEnvelope(w http.ResponseWriter, r *http.Request) (string, core.Request, error) {
 	var env wire.QueryEnvelope
-	if err := wire.StrictUnmarshal(body, &env); err != nil {
+	if err := readJSONBody(w, r, maxRequestBody, &env); err != nil {
 		return "", core.Request{}, err
 	}
 	switch {
@@ -256,7 +361,7 @@ func decodeEnvelope(r *http.Request) (string, core.Request, error) {
 }
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
-	name, req, err := decodeEnvelope(r)
+	name, req, err := decodeEnvelope(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -266,16 +371,11 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	out, err := wire.FromResponse(resp)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeEncoded(w, func(b []byte) ([]byte, error) { return wire.AppendResponse(b, resp) })
 }
 
 func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	name, req, err := decodeEnvelope(r)
+	name, req, err := decodeEnvelope(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -297,9 +397,9 @@ func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		lw := newLineWriter(w)
-		defer lw.clearDeadline()
-		if lw.writeLine(wire.StreamLine{Agg: out.Agg}) {
-			lw.writeLine(wire.StreamLine{Done: true})
+		defer lw.close()
+		if lw.line(false, streamLine(wire.StreamLine{Agg: out.Agg})) {
+			lw.line(true, streamLine(wire.StreamLine{Done: true}))
 		}
 		return
 	}
@@ -316,11 +416,13 @@ func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	lw := newLineWriter(w)
-	defer lw.clearDeadline()
+	defer lw.close()
 	count := 0
 	emit := func(res core.Result) bool {
-		wr := wire.FromResult(res)
-		if !lw.writeLine(wire.StreamLine{Result: &wr}) {
+		if !lw.line(false, func(b []byte) ([]byte, error) {
+			wr := wire.FromResult(res)
+			return wire.AppendStreamLine(b, wire.StreamLine{Result: &wr})
+		}) {
 			return false // client went away or stalled
 		}
 		count++
@@ -336,7 +438,7 @@ func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			if serr != nil {
-				lw.writeLine(wire.StreamLine{Error: serr.Error()})
+				lw.line(true, streamLine(wire.StreamLine{Error: serr.Error()}))
 				return
 			}
 			if !emit(res) {
@@ -344,11 +446,16 @@ func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	lw.writeLine(wire.StreamLine{Done: true, Count: count})
+	lw.line(true, streamLine(wire.StreamLine{Done: true, Count: count}))
+}
+
+// streamLine is the encoder of one fixed stream line.
+func streamLine(sl wire.StreamLine) func([]byte) ([]byte, error) {
+	return func(b []byte) ([]byte, error) { return wire.AppendStreamLine(b, sl) }
 }
 
 func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	name, req, err := decodeEnvelope(r)
+	name, req, err := decodeEnvelope(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -361,24 +468,15 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	defer sub.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	lw := newLineWriter(w)
-	defer lw.clearDeadline()
+	defer lw.close()
 	for up := range sub.Updates() {
-		line := wire.Update{
-			Seq:     up.Seq,
-			Version: up.Version,
-			Full:    up.Full,
-			Results: wire.FromResults(up.Results),
-			Removed: up.Removed,
-		}
-		if line.Results == nil {
-			line.Results = []wire.Result{}
-		}
-		if !lw.writeLine(line) {
+		head := wire.Update{Seq: up.Seq, Version: up.Version, Full: up.Full, Removed: up.Removed}
+		if !lw.line(true, func(b []byte) ([]byte, error) { return wire.AppendUpdate(b, head, up.Results) }) {
 			return // client went away or stalled
 		}
 	}
 	if err := sub.Err(); err != nil {
-		lw.writeLine(wire.Update{Error: err.Error()})
+		lw.line(true, func(b []byte) ([]byte, error) { return wire.AppendUpdate(b, wire.Update{Error: err.Error()}, nil) })
 	}
 }
 
@@ -446,7 +544,7 @@ func (s *Service) handleTrack(w http.ResponseWriter, r *http.Request) {
 // decomposition of an aggregate request, for the coordinator to fold in
 // canonical order across workers.
 func (s *Service) handleFactors(w http.ResponseWriter, r *http.Request) {
-	name, req, err := decodeEnvelope(r)
+	name, req, err := decodeEnvelope(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -456,12 +554,7 @@ func (s *Service) handleFactors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	out, err := wire.FromFactorSet(fs)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeEncoded(w, func(b []byte) ([]byte, error) { return wire.AppendFactorSet(b, fs) })
 }
 
 // handleImport applies one migration batch: binary store bytes in the
@@ -577,6 +670,24 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, wire.ErrorBody{Error: err.Error()})
+}
+
+// writeEncoded answers 200 with the JSON body enc appends, declared by
+// Content-Length. A body that cannot be encoded is a 500.
+func writeEncoded(w http.ResponseWriter, enc func([]byte) ([]byte, error)) {
+	bp := bodyBufs.Get().(*[]byte)
+	defer putBodyBuf(bp)
+	body, err := enc(*bp)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	*bp = body
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // a client that went away has nobody to tell
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -8,6 +10,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"ust/internal/core"
+	"ust/internal/wire"
 )
 
 // TestStreamStatusOnBadRequest pins that request-level failures on the
@@ -118,5 +124,131 @@ func TestMetricsShowCoalescing(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestOversizedEnvelopeIs413 pins that every route taking a query
+// envelope refuses a body over maxRequestBody as too large, instead of
+// decoding a truncated prefix and reporting it as malformed. The body
+// travels chunked, so the limit is enforced while reading, not from a
+// declared length.
+func TestOversizedEnvelopeIs413(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	if err := svc.Create("d", paperDB(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	body := bytes.Repeat([]byte("x"), maxRequestBody+1)
+	copy(body, `{"dataset":"d","query":"`)
+	copy(body[len(body)-2:], `"}`)
+	for _, route := range []string{"/v1/query", "/v1/query/stream", "/v1/subscribe", "/v1/factors"} {
+		resp, err := http.Post(ts.URL+route, "application/json", io.MultiReader(bytes.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d for a %d-byte envelope, want 413", route, resp.StatusCode, len(body))
+		}
+	}
+}
+
+// TestStreamFlushesAgedLine pins the age arm of the stream flush policy:
+// a result line must not wait in the batch buffer while the engine is
+// busy with the next one. The engine yields one result and then blocks;
+// the line must reach the client well before the engine is released.
+func TestStreamFlushesAgedLine(t *testing.T) {
+	release := make(chan struct{})
+	svc := New(Config{Engines: func(string, *core.Database) (Evaluator, Ingester, error) {
+		return fakeEngine{first: core.Result{ObjectID: 7, Prob: 0.25}, release: release}, nil, nil
+	}})
+	defer svc.Close()
+	if err := svc.Create("d", paperDB(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	defer close(release) // before ts.Close, which waits for the handler
+
+	type line struct {
+		data []byte
+		err  error
+	}
+	got := make(chan line, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json",
+			strings.NewReader(`{"dataset":"d","request":{"predicate":"exists","states":[0],"times":[1]}}`))
+		if err != nil {
+			got <- line{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+		got <- line{data, err}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain until the handler ends
+	}()
+	select {
+	case l := <-got:
+		if l.err != nil {
+			t.Fatal(l.err)
+		}
+		sl, err := wire.DecodeStreamLine(l.data)
+		if err != nil || sl.Result == nil || sl.Result.Object != 7 {
+			t.Fatalf("first line %q (%v), want object 7's result", l.data, err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("the first result line did not arrive within 100 ms while the engine was busy")
+	}
+}
+
+// abortingWriter aborts the response on its first write, the way a
+// proxy or fault injector does: panic(http.ErrAbortHandler).
+type abortingWriter struct {
+	http.ResponseWriter
+	once    *sync.Once
+	aborted chan struct{}
+}
+
+func (w abortingWriter) Write([]byte) (int, error) {
+	w.once.Do(func() { close(w.aborted) })
+	panic(http.ErrAbortHandler)
+}
+
+// TestStreamAbortDuringAgedFlush pins that an abort raised by the
+// ResponseWriter during an age flush — on the timer's goroutine, where
+// net/http cannot recover it — is handed back to the handler: the
+// connection is cut and the process survives.
+func TestStreamAbortDuringAgedFlush(t *testing.T) {
+	release := make(chan struct{})
+	svc := New(Config{Engines: func(string, *core.Database) (Evaluator, Ingester, error) {
+		return fakeEngine{first: core.Result{ObjectID: 7}, release: release}, nil, nil
+	}})
+	defer svc.Close()
+	if err := svc.Create("d", paperDB(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	aborted := make(chan struct{})
+	h := NewHandler(svc)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(abortingWriter{ResponseWriter: w, once: new(sync.Once), aborted: aborted}, r)
+	}))
+	defer ts.Close()
+
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json",
+			strings.NewReader(`{"dataset":"d","request":{"predicate":"exists","states":[0],"times":[1]}}`))
+		if err == nil {
+			_, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	<-aborted      // the age flush hit the abort while the engine is blocked
+	close(release) // the handler's next line re-raises it
+	if err := <-errc; err == nil {
+		t.Fatal("the stream completed although its writer aborted")
 	}
 }

@@ -196,7 +196,7 @@ func (m *httpMetrics) write(w io.Writer) {
 
 // statusWriter captures the response status for instrumentation while
 // staying transparent to streaming handlers: Flush forwards, and Unwrap
-// lets http.ResponseController reach the per-line write deadlines the
+// lets http.ResponseController reach the per-flush write deadlines the
 // NDJSON handlers set.
 type statusWriter struct {
 	http.ResponseWriter

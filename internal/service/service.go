@@ -779,9 +779,9 @@ var testHookEvalStart func()
 // the service deadline, admission control and single-flight coalescing
 // applied. Identical concurrent requests (same dataset, same canonical
 // wire encoding, same database version) share one evaluation; each
-// caller receives its own copy of the result slice. Response.Results
-// entries may share Dist slices across callers — treat them as
-// read-only.
+// caller receives its own copy of the result slice (a caller nobody
+// joined receives the evaluation's own). Response.Results entries may
+// share Dist slices across callers — treat them as read-only.
 func (s *Service) Evaluate(ctx context.Context, name string, req core.Request) (*core.Response, error) {
 	ds, err := s.dataset(name)
 	if err != nil {
@@ -822,11 +822,14 @@ func (s *Service) Evaluate(ctx context.Context, name string, req core.Request) (
 	if dl, has := ctx.Deadline(); has {
 		timeout = time.Until(dl)
 	}
-	resp, err := s.flight.do(ctx, key, timeout, run)
+	resp, shared, err := s.flight.do(ctx, key, timeout, run)
 	if err != nil {
 		return nil, err
 	}
-	return shareResponse(resp), nil
+	if shared {
+		resp = shareResponse(resp)
+	}
+	return resp, nil
 }
 
 // flightKey derives the single-flight key: dataset identity, database
@@ -844,9 +847,10 @@ func (s *Service) flightKey(ds *dataset, req core.Request) (string, bool) {
 	return fmt.Sprintf("%s\x00%d\x00%s", ds.name, version, enc), true
 }
 
-// shareResponse hands one coalesced result to one caller: the Response
-// struct and the Results/Plans slices are copied so independent callers
-// can sort or truncate freely; Dist payloads stay shared (read-only).
+// shareResponse hands one coalesced result to one of the callers that
+// share it: the Response struct and the Results/Plans slices are copied
+// so independent callers can sort or truncate freely; Dist payloads stay
+// shared (read-only).
 func shareResponse(resp *core.Response) *core.Response {
 	cp := *resp
 	if resp.Results != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"reflect"
 	"sync"
 	"testing"
@@ -234,6 +235,103 @@ func TestSingleFlightCoalesces(t *testing.T) {
 		t.Fatal("coalesced callers share a Results slice")
 	}
 }
+
+// TestSingleFlightCopiesOnlySharedResponses pins when a response is
+// copied: each of two coalesced callers owns its Results (a mutation by
+// one stays invisible to the other), while a caller nobody joined gets
+// the evaluation's own response, with no copy.
+func TestSingleFlightCopiesOnlySharedResponses(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	if err := svc.Create("d", widerDB(t, 4), nil); err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var enterOnce sync.Once
+	testHookEvalStart = func() {
+		enterOnce.Do(func() { close(entered) })
+		<-release
+	}
+	var leader, follower *core.Response
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		if leader, err = svc.Evaluate(context.Background(), "d", existsReq()); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-entered
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		if follower, err = svc.Evaluate(context.Background(), "d", existsReq()); err != nil {
+			t.Error(err)
+		}
+	}()
+	waitFor(t, "the follower to join", func() bool { return svc.Stats().Coalesced == 1 })
+	close(release)
+	wg.Wait()
+	testHookEvalStart = nil
+	if t.Failed() {
+		return
+	}
+	want := follower.Results[0]
+	leader.Results[0] = core.Result{ObjectID: -1}
+	if follower.Results[0].ObjectID != want.ObjectID {
+		t.Fatal("the leader's mutation shows in the follower's results")
+	}
+	follower.Results[1] = core.Result{ObjectID: -2}
+	if leader.Results[1].ObjectID == -2 {
+		t.Fatal("the follower's mutation shows in the leader's results")
+	}
+
+	fixed := &core.Response{Results: []core.Result{{ObjectID: 1, Prob: 0.5}}, Strategy: core.StrategyQueryBased}
+	own := New(Config{Engines: func(string, *core.Database) (Evaluator, Ingester, error) {
+		return fakeEngine{resp: fixed}, nil, nil
+	}})
+	defer own.Close()
+	if err := own.Create("d", paperDB(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := own.Evaluate(context.Background(), "d", existsReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != fixed || &got.Results[0] != &fixed.Results[0] {
+		t.Fatal("an uncoalesced evaluation's response was copied")
+	}
+}
+
+// fakeEngine is a dataset engine that answers Evaluate with resp and
+// streams first, then blocks until release closes (or the request is
+// cancelled).
+type fakeEngine struct {
+	resp    *core.Response
+	first   core.Result
+	release chan struct{}
+}
+
+func (e fakeEngine) Evaluate(context.Context, core.Request) (*core.Response, error) {
+	return e.resp, nil
+}
+
+func (e fakeEngine) EvaluateSeq(ctx context.Context, _ core.Request) iter.Seq2[core.Result, error] {
+	return func(yield func(core.Result, error) bool) {
+		if !yield(e.first, nil) {
+			return
+		}
+		select {
+		case <-e.release:
+		case <-ctx.Done():
+		}
+	}
+}
+
+func (fakeEngine) CacheStats() core.CacheStats { return core.CacheStats{} }
 
 func TestSingleFlightAbandonedByAllWaiters(t *testing.T) {
 	svc := New(Config{})

@@ -19,11 +19,15 @@ import (
 // heterogeneous deadlines.
 
 // flightCall is one in-flight evaluation with its waiter registry.
+// joined counts the callers that joined the leader, under the group's
+// mutex; the key is forgotten before done closes, so by then the count
+// is final and readable without the lock.
 type flightCall struct {
 	done    chan struct{}
 	resp    *core.Response
 	err     error
 	waiters int
+	joined  int
 	cancel  context.CancelFunc
 }
 
@@ -37,14 +41,15 @@ type flightGroup struct {
 }
 
 // do returns the response of the evaluation identified by key, starting
-// it when absent. timeout, when positive, bounds the detached
-// evaluation itself — the callers' own deadlines only bound their
-// waiting.
+// it when absent, and whether that response went to more than one
+// caller. timeout, when positive, bounds the detached evaluation itself
+// — the callers' own deadlines only bound their waiting.
 func (g *flightGroup) do(ctx context.Context, key string, timeout time.Duration,
-	fn func(context.Context) (*core.Response, error)) (resp *core.Response, err error) {
+	fn func(context.Context) (*core.Response, error)) (resp *core.Response, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		c.waiters++
+		c.joined++
 		g.mu.Unlock()
 		if g.coalesced != nil {
 			g.coalesced.Add(1)
@@ -81,10 +86,10 @@ func (g *flightGroup) do(ctx context.Context, key string, timeout time.Duration,
 // the key immediately (not when fn eventually returns): a later caller
 // with a live context must start a fresh evaluation, never inherit the
 // cancellation error of a call everyone abandoned.
-func (g *flightGroup) wait(ctx context.Context, key string, c *flightCall) (*core.Response, error) {
+func (g *flightGroup) wait(ctx context.Context, key string, c *flightCall) (*core.Response, bool, error) {
 	select {
 	case <-c.done:
-		return c.resp, c.err
+		return c.resp, c.joined > 0, c.err
 	case <-ctx.Done():
 		g.mu.Lock()
 		c.waiters--
@@ -96,6 +101,6 @@ func (g *flightGroup) wait(ctx context.Context, key string, c *flightCall) (*cor
 		if abandoned {
 			c.cancel()
 		}
-		return nil, ctx.Err()
+		return nil, false, ctx.Err()
 	}
 }

@@ -97,15 +97,6 @@ func (w FactorSet) ToFactorSet() (*core.FactorSet, error) {
 	return fs, nil
 }
 
-// DecodeFactorSet strictly unmarshals a wire FactorSet.
-func DecodeFactorSet(data []byte) (*core.FactorSet, error) {
-	var w FactorSet
-	if err := StrictUnmarshal(data, &w); err != nil {
-		return nil, err
-	}
-	return w.ToFactorSet()
-}
-
 // --- sweep lease protocol -------------------------------------------------
 
 // SweepKey names one backward sweep in process-independent terms. The

@@ -12,6 +12,30 @@
 // errors, never panics. The one lossy spot is deliberate: a Request's
 // Resolver (an in-process index) cannot travel; regions are encoded
 // geometrically and the server re-attaches its dataset's resolver.
+//
+// The shapes that carry results — Response, StreamLine, Update and
+// FactorSet — have a hand-written codec (codec.go), because they are
+// what a served request spends its time on:
+//
+//   - Encoding (AppendResponse, AppendStreamLine, AppendUpdate,
+//     AppendFactorSet) appends to a byte slice straight from core
+//     values. Its output is byte-identical to encoding/json's Encoder on
+//     the wire struct: same field order, same omitempty/omitzero rules,
+//     same float text ('f' format, 'e' outside [1e-6, 1e21) with e-07
+//     written e-7), same string escaping, same trailing newline.
+//   - Decoding (DecodeResponse, DecodeStreamLine, DecodeUpdate,
+//     DecodeFactorSet) is one strict pass over the bytes, with no
+//     reflection and no separate validity scan. It accepts a subset of
+//     what StrictUnmarshal accepts into the same struct, with the same
+//     values bit for bit. It is stricter in that it rejects unknown,
+//     case-folded and duplicate member names, null where the encoder
+//     never writes one, trailing data of any kind, non-integer or
+//     overflowing ids and counts, and numbers outside float64's range.
+//     Arrays are capped at maxWireInts elements.
+//
+// The exported wire structs and their From*/To* converters stay the
+// documented shape and the reference the codec is tested against;
+// each result shape has exactly one decoder.
 package wire
 
 import (
@@ -860,13 +884,4 @@ func (w Response) ToResponse() (*core.Response, error) {
 		resp.Agg = a
 	}
 	return resp, nil
-}
-
-// DecodeResponse strictly unmarshals a wire Response.
-func DecodeResponse(data []byte) (*core.Response, error) {
-	var w Response
-	if err := StrictUnmarshal(data, &w); err != nil {
-		return nil, err
-	}
-	return w.ToResponse()
 }
