@@ -26,9 +26,9 @@
 // /v1/sweeps; point each worker's -sweep-tier at the coordinator so the
 // fleet computes each distinct backward sweep exactly once.
 //
-// -replicas k (coordinator mode) places every shard on its top-k
-// workers by the rendezvous ring: writes mirror to all replicas under
-// the generation fence, and reads go to the primary with automatic
+// -replicas k (coordinator mode) places replica j of shard l on worker
+// (l+j) mod W: writes mirror to all replicas under the generation
+// fence, and reads go to the primary with automatic
 // failover to the next live replica on connection failure or
 // probe-declared death — byte-identical results either way, so a
 // killed worker costs availability of nothing. The coordinator probes
@@ -74,6 +74,7 @@ import (
 	"ust/internal/core"
 	"ust/internal/dist"
 	"ust/internal/service"
+	"ust/internal/shard"
 )
 
 func main() {
@@ -137,9 +138,8 @@ func main() {
 		}
 		ringMembers = n
 		if *replicas > 1 {
-			// Replicated placement: each shard lives on its top-k workers
-			// by the worker rendezvous ring; reads fail over in owner
-			// order, gated by the active health prober.
+			// Replica j of shard l lives on worker (l+j) mod W; reads fail
+			// over in that order, gated by the active health prober.
 			prober = dist.NewProber(clients, workers, dist.ProberConfig{Interval: *probeEvery})
 			cfg.WorkerHealth = func() []service.WorkerHealth {
 				snap := prober.Snapshot()
@@ -149,21 +149,13 @@ func main() {
 				}
 				return out
 			}
-			cfg.Engines = func(name string, db *core.Database) (service.Evaluator, service.Ingester, error) {
-				router, err := dist.NewReplicatedRouter(db, n, core.Options{CacheBytes: *cacheBytes}, name, clients, *replicas, prober)
-				if err != nil {
-					return nil, nil, err
-				}
-				return router, router, nil
+		}
+		cfg.Engines = func(name string, db *core.Database) (service.Evaluator, service.Ingester, error) {
+			router, err := shard.NewWithBackends(db, n, core.Options{CacheBytes: *cacheBytes}, dist.Factory(name, clients, *replicas, prober))
+			if err != nil {
+				return nil, nil, err
 			}
-		} else {
-			cfg.Engines = func(name string, db *core.Database) (service.Evaluator, service.Ingester, error) {
-				router, err := dist.NewRouter(db, n, core.Options{CacheBytes: *cacheBytes}, name, clients)
-				if err != nil {
-					return nil, nil, err
-				}
-				return router, router, nil
-			}
+			return router, router, nil
 		}
 	}
 	cfg.Role = role

@@ -38,7 +38,6 @@ import (
 	"ust/internal/core"
 	"ust/internal/dist"
 	"ust/internal/service"
-	"ust/internal/shard"
 )
 
 func main() {
@@ -121,9 +120,7 @@ func main() {
 	// the answer is still byte-identical, then shrink it back out.
 	w2, c2 := newWorker()
 	defer w2.Close()
-	label, err := router.Grow(func(label int, shadow *core.Database) (shard.Backend, error) {
-		return dist.Factory("demo", []*client.Client{c2})(label, shadow)
-	})
+	label, err := router.Grow(dist.Factory("demo", []*client.Client{c2}, 1, nil))
 	if err != nil {
 		log.Fatal(err)
 	}

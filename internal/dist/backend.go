@@ -9,13 +9,16 @@ import (
 	"ust/client"
 	"ust/internal/core"
 	"ust/internal/markov"
+	"ust/internal/shard"
 	"ust/internal/store"
 )
 
 // Backend is one remote shard: the shard.Backend surface dispatched to
 // a ustserve worker's dataset over the wire contract. Results come back
 // with the exact float64 bits the worker computed, so the router's
-// merge stays byte-identical to the in-process case.
+// merge stays byte-identical to the in-process case. Read errors are
+// classified (see classify), so a shard.Replicated over Backends fails
+// over exactly when another worker could answer.
 type Backend struct {
 	c       *client.Client
 	dataset string
@@ -34,8 +37,34 @@ func NewBackend(c *client.Client, dataset string, chain *markov.Chain) *Backend 
 	return &Backend{c: c, dataset: dataset, frames: store.NewFrameEncoder(chain)}
 }
 
+// unavailable marks an error with shard.ErrUnavailable without changing
+// its text.
+type unavailable struct{ error }
+
+func (e unavailable) Unwrap() []error { return []error{e.error, shard.ErrUnavailable} }
+
+// classify marks the "this worker, right now" read errors with
+// shard.ErrUnavailable: transport failures (connection refused or
+// reset, a stream cut without its done marker) and gateway-class
+// statuses (502/503/504, a worker mid-restart or draining).
+// Deterministic evaluation errors (HTTP 500, a server-reported stream
+// error) reproduce identically on every replica, and a 429 is
+// backpressure, not a fault; those pass through unmarked.
+func classify(err error) error {
+	var se *client.ServerStreamError
+	var ae *client.APIError
+	switch {
+	case err == nil, errors.As(err, &se):
+		return err
+	case errors.As(err, &ae) && ae.Status != 502 && ae.Status != 503 && ae.Status != 504:
+		return err
+	}
+	return unavailable{err}
+}
+
 func (b *Backend) Evaluate(ctx context.Context, req core.Request) (*core.Response, error) {
-	return b.c.Query(ctx, b.dataset, req)
+	resp, err := b.c.Query(ctx, b.dataset, req)
+	return resp, classify(err)
 }
 
 // errStopSeq aborts the underlying HTTP stream when the seq consumer
@@ -51,13 +80,14 @@ func (b *Backend) EvaluateSeq(ctx context.Context, req core.Request) iter.Seq2[c
 			return nil
 		})
 		if err != nil && !errors.Is(err, errStopSeq) {
-			yield(core.Result{}, err)
+			yield(core.Result{}, classify(err))
 		}
 	}
 }
 
 func (b *Backend) AggregateFactors(ctx context.Context, req core.Request) (*core.FactorSet, error) {
-	return b.c.Factors(ctx, b.dataset, req)
+	fs, err := b.c.Factors(ctx, b.dataset, req)
+	return fs, classify(err)
 }
 
 // Import ships a batch to the worker as one object frame (insertion
@@ -73,19 +103,14 @@ func (b *Backend) Import(ctx context.Context, gen uint64, objs []*core.Object) e
 	if err != nil {
 		return fmt.Errorf("dist: encoding import batch: %w", err)
 	}
-	return b.sendFrame(ctx, gen, frame)
-}
-
-// sendFrame applies an encoded frame on the worker. After a failure
-// nothing is assumed about which own chains the worker holds, so a lost
-// frame or a worker answering "unknown fingerprint" costs one inline
-// re-send, not every later write.
-func (b *Backend) sendFrame(ctx context.Context, gen uint64, frame []byte) error {
-	err := b.c.ImportObjects(ctx, b.dataset, gen, frame)
-	if err != nil {
+	// After a failure nothing is assumed about which own chains the
+	// worker holds, so a lost frame or a worker answering "unknown
+	// fingerprint" costs one inline re-send, not every later write.
+	if err := b.c.ImportObjects(ctx, b.dataset, gen, frame); err != nil {
 		b.frames.Reset()
+		return err
 	}
-	return err
+	return nil
 }
 
 func (b *Backend) Evict(ctx context.Context, gen uint64, ids []int) error {

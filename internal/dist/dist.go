@@ -1,12 +1,14 @@
 // Package dist is the multi-process deployment of the sharded engine:
-// shard.Backend implemented over the pinned wire contract, so a
-// shard.Router can drive ustserve worker processes — or a mix of
+// shard.Backend implemented over the pinned wire contract (Backend), so
+// a shard.Router can drive ustserve worker processes — or a mix of
 // workers and in-process engines — behind the same rendezvous ring that
-// serves the single-process case. The coordinator keeps the router's
-// shadow bookkeeping; workers hold the data slices, receive them
-// through the generation-fenced Import/Evict migration protocol, and
-// share backward sweeps through the networked lease tier
-// (core.SweepTier over /v1/sweeps).
+// serves the single-process case. Factory places shards, and their
+// replicas, on workers: a replicated shard is the generic
+// shard.Replicated over Backends, gated by the Prober's health view.
+// The coordinator keeps the router's shadow bookkeeping; workers hold
+// the data slices, receive them through the generation-fenced
+// Import/Evict migration protocol, and share backward sweeps through
+// the networked lease tier (core.SweepTier over /v1/sweeps).
 //
 // Topology:
 //
@@ -37,23 +39,40 @@ import (
 )
 
 // Factory returns a shard.BackendFactory whose shards are remote
-// ustserve workers: shard label i is served by workers[i mod len],
-// under the dataset name "<base>.shard<label>". Each new shard's
-// dataset is created empty on its worker (same default chain as the
-// router's database); an already-existing dataset is adopted as-is —
-// which is how deployments pre-create worker datasets with a spatial
-// resolver so region queries ground remotely.
-func Factory(base string, workers []*client.Client) shard.BackendFactory {
+// ustserve workers: replica j of shard label l is served by
+// workers[(l+j) mod W], under the dataset name "<base>.shard<l>", with
+// replicas clamped to [1, W]. Each worker is thus the primary of every
+// W-th label, and a dead primary's reads fall to its successor. With
+// one replica a shard is the bare Backend; with more it is a
+// shard.Replicated whose reads demote workers prober declares dead
+// (prober may be nil). Each replica's dataset is created empty on its
+// worker (same default chain as the router's database); an
+// already-existing dataset is adopted as-is — which is how deployments
+// pre-create worker datasets with a spatial resolver so region queries
+// ground remotely.
+func Factory(base string, workers []*client.Client, replicas int, prober *Prober) shard.BackendFactory {
 	return func(label int, shadow *core.Database) (shard.Backend, error) {
-		if len(workers) == 0 {
+		w := len(workers)
+		if w == 0 {
 			return nil, fmt.Errorf("dist: no workers")
 		}
-		c := workers[label%len(workers)]
 		name := fmt.Sprintf("%s.shard%d", base, label)
-		if err := bootstrap(c, name, shadow); err != nil {
-			return nil, err
+		reps := make([]shard.Backend, max(1, min(replicas, w)))
+		for j := range reps {
+			c := workers[(label+j)%w]
+			if err := bootstrap(c, name, shadow); err != nil {
+				return nil, err
+			}
+			reps[j] = NewBackend(c, name, shadow.DefaultChain())
 		}
-		return NewBackend(c, name, shadow.DefaultChain()), nil
+		if len(reps) == 1 {
+			return reps[0], nil
+		}
+		var healthy func(int) bool
+		if prober != nil {
+			healthy = func(j int) bool { return prober.Healthy((label + j) % w) }
+		}
+		return shard.NewReplicated(reps, healthy), nil
 	}
 }
 
@@ -78,9 +97,9 @@ func bootstrap(c *client.Client, name string, shadow *core.Database) error {
 	return nil
 }
 
-// NewRouter builds a shard.Router whose every shard is a remote worker:
-// the coordinator's engine. base names the worker-side datasets
-// ("<base>.shard<label>").
+// NewRouter builds a shard.Router whose every shard is one remote
+// worker: the unreplicated coordinator engine. base names the
+// worker-side datasets ("<base>.shard<label>").
 func NewRouter(db *core.Database, shards int, opts core.Options, base string, workers []*client.Client) (*shard.Router, error) {
-	return shard.NewWithBackends(db, shards, opts, Factory(base, workers))
+	return shard.NewWithBackends(db, shards, opts, Factory(base, workers, 1, nil))
 }

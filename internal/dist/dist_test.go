@@ -212,9 +212,7 @@ func TestDistributedRebalance(t *testing.T) {
 	ts := httptest.NewServer(service.NewHandler(wsvc))
 	t.Cleanup(func() { wsvc.Close(); ts.Close() })
 	grownClient := client.NewWithConfig(ts.URL, client.Config{HTTPClient: ts.Client()})
-	label, err := f.router.Grow(func(label int, shadow *core.Database) (shard.Backend, error) {
-		return dist.Factory("conf", []*client.Client{grownClient})(label, shadow)
-	})
+	label, err := f.router.Grow(dist.Factory("conf", []*client.Client{grownClient}, 1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

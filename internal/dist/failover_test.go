@@ -41,9 +41,9 @@ type repFleet struct {
 
 // newReplicatedFleet builds the deployment. Every worker pre-creates
 // every shard dataset with the resolver (so region queries ground
-// remotely wherever the shard lands); the replicated factory adopts the
-// ones the rendezvous placement actually uses. wrap, when non-nil, may
-// wrap each worker's handler (fault injection).
+// remotely wherever the shard lands); Factory adopts the ones its
+// placement actually uses. wrap, when non-nil, may wrap each worker's
+// handler (fault injection).
 func newReplicatedFleet(t *testing.T, db *core.Database, res spatial.Resolver, shards, workerCount, replicas int, wrap func(i int, h http.Handler) http.Handler) *repFleet {
 	t.Helper()
 	f := &repFleet{}
@@ -81,7 +81,7 @@ func newReplicatedFleet(t *testing.T, db *core.Database, res spatial.Resolver, s
 	t.Cleanup(func() { coord.Close(); coordTS.Close() })
 	f.coord = client.NewWithConfig(coordTS.URL, client.Config{HTTPClient: coordTS.Client()})
 
-	router, err := dist.NewReplicatedRouter(db, shards, core.Options{}, "conf", f.clients, replicas, f.prober)
+	router, err := shard.NewWithBackends(db, shards, core.Options{}, dist.Factory("conf", f.clients, replicas, f.prober))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +97,55 @@ func (f *repFleet) kill(i int) {
 	f.servers[i].Close()
 }
 
-// primaryOf recomputes the replicated factory's placement: the worker
-// index that is shard `label`'s first owner on a fleet of workerCount
-// workers (the same rendezvous ring ReplicatedFactory builds).
+// primaryOf recomputes Factory's placement: the worker index serving
+// shard `label`'s first replica on a fleet of workerCount workers.
 func primaryOf(t *testing.T, label, workerCount, replicas int) int {
 	t.Helper()
-	wring, err := shard.NewRing(workerCount)
-	if err != nil {
-		t.Fatal(err)
+	return label % workerCount
+}
+
+// TestReplicaPlacementBalanced pins the placement rule's balance: with
+// W workers and W shards, at one or two replicas, each worker is the
+// primary of exactly one shard — so one scan through the router sends
+// exactly one query to every worker, and no worker idles while another
+// answers for several shards.
+func TestReplicaPlacementBalanced(t *testing.T) {
+	db, _ := conformance.NewDataset()
+	scan := core.NewRequest(core.PredicateExists,
+		core.WithStates(core.Interval(40, 55)), core.WithTimes(core.Interval(5, 8)))
+	for _, w := range []int{2, 3, 4} {
+		for _, k := range []int{1, 2} {
+			t.Run(fmt.Sprintf("workers=%d/replicas=%d", w, k), func(t *testing.T) {
+				queries := make([]atomic.Int32, w)
+				clients := make([]*client.Client, w)
+				for i := range clients {
+					wsvc := service.New(service.Config{Role: "worker"})
+					h := service.NewHandler(wsvc)
+					ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+						if r.URL.Path == "/v1/query" {
+							queries[i].Add(1)
+						}
+						h.ServeHTTP(rw, r)
+					}))
+					t.Cleanup(func() { wsvc.Close(); ts.Close() })
+					clients[i] = client.NewWithConfig(ts.URL, client.Config{HTTPClient: ts.Client()})
+				}
+				router, err := shard.NewWithBackends(db, w, core.Options{}, dist.Factory("conf", clients, k, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { router.Close() })
+				if _, err := router.Evaluate(context.Background(), scan); err != nil {
+					t.Fatal(err)
+				}
+				for i := range queries {
+					if n := queries[i].Load(); n != 1 {
+						t.Errorf("worker %d answered %d shard queries, want 1 (primary of exactly one shard)", i, n)
+					}
+				}
+			})
+		}
 	}
-	return wring.Owners(label, replicas)[0]
 }
 
 // waitHealthy polls the prober until worker i's state matches want.
@@ -152,7 +191,7 @@ func TestReplicatedConformanceKilledWorker(t *testing.T) {
 	if want := fmt.Sprintf("ust_worker_healthy{worker=\"%s\"} 0\n", f.names[victim]); !strings.Contains(m, want) {
 		t.Fatalf("metrics missing %q:\n%s", want, m)
 	}
-	if want := fmt.Sprintf("ust_worker_healthy{worker=\"%s\"} 1\n", f.names[0]); !strings.Contains(m, want) {
+	if want := fmt.Sprintf("ust_worker_healthy{worker=\"%s\"} 1\n", f.names[(victim+1)%4]); !strings.Contains(m, want) {
 		t.Fatalf("metrics missing %q:\n%s", want, m)
 	}
 

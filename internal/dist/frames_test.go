@@ -17,7 +17,6 @@ import (
 	"ust/internal/gen"
 	"ust/internal/markov"
 	"ust/internal/service"
-	"ust/internal/shard"
 	"ust/internal/store"
 )
 
@@ -146,9 +145,7 @@ func TestOwnChainMigratesByFingerprint(t *testing.T) {
 	log := &importLog{}
 	hc.Transport = log.wrap(hc.Transport)
 	grown := client.NewWithConfig(ts.URL, client.Config{HTTPClient: hc})
-	if _, err := f.router.Grow(func(label int, shadow *core.Database) (shard.Backend, error) {
-		return dist.Factory("conf", []*client.Client{grown})(label, shadow)
-	}); err != nil {
+	if _, err := f.router.Grow(dist.Factory("conf", []*client.Client{grown}, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 

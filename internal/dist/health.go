@@ -8,17 +8,6 @@ import (
 	"ust/client"
 )
 
-// HealthView reports worker liveness to the replicated read path: reads
-// skip workers the view declares dead and fail over to the next
-// replica. A nil view treats every worker as healthy — connection-level
-// failover still applies, the probe only removes dead workers from the
-// first-choice read set proactively.
-type HealthView interface {
-	// Healthy reports whether worker i (by index into the fleet's
-	// client slice) is currently serving reads.
-	Healthy(i int) bool
-}
-
 // ProberConfig tunes the coordinator's active health prober.
 type ProberConfig struct {
 	// Interval is the probe period per worker. 0 means 1s.
@@ -44,8 +33,8 @@ type ProberConfig struct {
 //
 // Workers start LIVE (the fleet was reachable when configured; a dead
 // worker fails its first probes and transitions within
-// FailThreshold·Interval). The prober implements HealthView for the
-// replicated read path and Snapshot for metrics exposition.
+// FailThreshold·Interval). Healthy gates the replicated read path
+// (Factory) and Snapshot feeds metrics exposition.
 type Prober struct {
 	clients []*client.Client
 	names   []string
@@ -156,7 +145,10 @@ func (p *Prober) record(i int, ok bool) {
 	}
 }
 
-// Healthy implements HealthView.
+// Healthy reports whether worker i (by index into the fleet's client
+// slice) is currently serving reads. A dead worker is demoted to last
+// resort, not removed: failover on errors still applies, the probe only
+// takes it out of the first-choice read set proactively.
 func (p *Prober) Healthy(i int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

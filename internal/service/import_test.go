@@ -96,6 +96,36 @@ func TestImportFrameRejections(t *testing.T) {
 	}
 }
 
+// TestRefusedEvictionChangesNothing pins eviction as all or nothing: a
+// batch naming one unknown id (or one id twice) fails with ErrBadIngest
+// and leaves the object count and the generation fence as they were,
+// so the held object is still evictable at the next generation.
+func TestRefusedEvictionChangesNothing(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	if err := svc.Create("d", widerDB(t, 24), nil); err != nil {
+		t.Fatal(err)
+	}
+	const held = 5
+	for _, ids := range [][]int{{held, 987654321}, {held, held}} {
+		if err := svc.EvictObjects("d", 1, ids); !errors.Is(err, ErrBadIngest) {
+			t.Fatalf("evict %v: %v, want ErrBadIngest", ids, err)
+		}
+		if info, _ := svc.Info("d"); info.Objects != 24 {
+			t.Fatalf("refused evict %v left %d objects, want 24", ids, info.Objects)
+		}
+		if ds, _ := svc.dataset("d"); ds.lastGen != 0 {
+			t.Fatalf("refused evict %v moved the fence to %d", ids, ds.lastGen)
+		}
+	}
+	if err := svc.EvictObjects("d", 1, []int{held}); err != nil {
+		t.Fatalf("evicting the held object after the refusals: %v", err)
+	}
+	if info, _ := svc.Info("d"); info.Objects != 23 {
+		t.Fatalf("after the evict: %d objects, want 23", info.Objects)
+	}
+}
+
 // TestImportMetrics pins the worker-side write-path counters: bytes and
 // objects of applied frames and one histogram sample per frame, with
 // rejected frames counting nowhere.

@@ -687,9 +687,10 @@ func (ds *dataset) canonicalizeLocked(o *core.Object) (*core.Object, error) {
 }
 
 // EvictObjects removes the given object ids from the named dataset
-// under migration generation gen (same fence as ImportObjects). Unknown
-// ids fail — an eviction for an object the worker never held means the
-// topology drifted.
+// under migration generation gen (same fence as ImportObjects). An
+// unknown or repeated id refuses the whole batch and changes nothing —
+// an eviction for an object the worker never held means the topology
+// drifted.
 func (s *Service) EvictObjects(name string, gen uint64, ids []int) error {
 	ds, err := s.dataset(name)
 	if err != nil {
@@ -703,10 +704,15 @@ func (s *Service) EvictObjects(name string, gen uint64, ids []int) error {
 		if gen <= ds.lastGen {
 			return fmt.Errorf("%w: generation %d already applied (at %d)", ErrStaleGeneration, gen, ds.lastGen)
 		}
+		seen := make(map[int]bool, len(ids))
 		for _, id := range ids {
-			if rerr := ds.db.Remove(id); rerr != nil {
-				return fmt.Errorf("%w: %v", ErrBadIngest, rerr)
+			if ds.db.Get(id) == nil || seen[id] {
+				return fmt.Errorf("%w: cannot evict object %d: unknown or repeated", ErrBadIngest, id)
 			}
+			seen[id] = true
+		}
+		for _, id := range ids {
+			_ = ds.db.Remove(id) // checked above
 		}
 		ds.lastGen = gen
 		return nil

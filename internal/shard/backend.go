@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"iter"
 
 	"ust/internal/core"
@@ -10,10 +11,16 @@ import (
 // Backend is one shard as the router drives it: the evaluation surface
 // the fan-out and merge layers call, plus the mirroring surface that
 // keeps the shard's copy of its slice in step with the router's shadow.
-// An in-process shard is a core.Engine over the shadow database itself
-// (LocalBackend); a remote shard dispatches the same calls to a ustserve
-// worker process over the pinned wire contract (internal/dist). The
-// router treats both identically — a ring can mix them freely.
+// It is the only backend shape. An in-process shard is a core.Engine
+// over the shadow database itself (LocalBackend); a remote shard
+// dispatches the same calls to a ustserve worker process over the pinned
+// wire contract (internal/dist); a replicated shard is a Replicated over
+// any backends. The router treats all of them identically — a ring can
+// mix them freely.
+//
+// A read error another copy of the same slice could answer — the copy
+// is unreachable or going away, not wrong — is marked with
+// ErrUnavailable (errors.Is); Replicated fails over on exactly those.
 type Backend interface {
 	// Evaluate, EvaluateSeq and AggregateFactors answer requests over
 	// the shard's slice, exactly like the corresponding core.Engine
@@ -35,6 +42,12 @@ type Backend interface {
 	// on Router.Close.
 	Close() error
 }
+
+// ErrUnavailable marks a backend error as "this copy, right now": a
+// transport failure or a copy restarting or draining. Every other error
+// is deterministic — byte-identical engines would reproduce it on any
+// copy — and surfaces as-is.
+var ErrUnavailable = errors.New("shard: backend unavailable")
 
 // LocalBackend is the in-process shard: a core.Engine over the router's
 // shadow database for that shard. Import and Evict are no-ops — the

@@ -67,41 +67,6 @@ func (r *Ring) Owner(id int) int {
 	return best
 }
 
-// Owners returns the top-k shard labels for the id by descending
-// rendezvous score (ties toward the smaller label, matching Owner), so
-// Owners(id, 1)[0] == Owner(id) and the full list is a deterministic
-// replica placement: removing any prefix of dead owners leaves the
-// next-best owner, exactly the shard a ring without the dead labels
-// would pick. k is clamped to the ring size.
-func (r *Ring) Owners(id, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	k = min(k, len(r.shards))
-	type scored struct {
-		label int
-		score uint64
-	}
-	ranked := make([]scored, len(r.shards))
-	for i, h := range r.hashed {
-		ranked[i] = scored{label: r.shards[i], score: mix(h, uint64(int64(id)))}
-	}
-	slices.SortFunc(ranked, func(a, b scored) int {
-		if a.score != b.score {
-			if a.score > b.score {
-				return -1
-			}
-			return 1
-		}
-		return a.label - b.label
-	})
-	out := make([]int, k)
-	for i := range out {
-		out[i] = ranked[i].label
-	}
-	return out
-}
-
 // Grown returns a ring with one more shard, labeled max(labels)+1.
 // Only ids won by the new shard change owner.
 func (r *Ring) Grown() *Ring {

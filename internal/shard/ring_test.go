@@ -48,50 +48,6 @@ func TestRingGrowRelabels(t *testing.T) {
 	}
 }
 
-func TestRingOwners(t *testing.T) {
-	r, _ := NewRing(5)
-	for id := -100; id < 1000; id += 3 {
-		owners := r.Owners(id, 3)
-		if len(owners) != 3 {
-			t.Fatalf("Owners(%d, 3) returned %d labels", id, len(owners))
-		}
-		if owners[0] != r.Owner(id) {
-			t.Fatalf("Owners(%d)[0] = %d, Owner = %d", id, owners[0], r.Owner(id))
-		}
-		seen := map[int]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("Owners(%d, 3) has duplicate label %d: %v", id, o, owners)
-			}
-			seen[o] = true
-		}
-		// Failover contract: drop the primary from the ring and the
-		// survivor ring's owner must be the second replica.
-		shrunk, err := r.Shrunk(owners[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := shrunk.Owner(id); got != owners[1] {
-			t.Fatalf("id %d: ring minus primary owns %d, Owners[1] = %d", id, got, owners[1])
-		}
-	}
-}
-
-func TestRingOwnersClamp(t *testing.T) {
-	r, _ := NewRing(2)
-	if got := r.Owners(7, 10); len(got) != 2 {
-		t.Fatalf("Owners clamp: got %v", got)
-	}
-	if got := r.Owners(7, 0); got != nil {
-		t.Fatalf("Owners(_, 0) = %v, want nil", got)
-	}
-	// All shards must appear exactly once in the full owner list.
-	full := r.Owners(7, 2)
-	if (full[0] == full[1]) || (full[0] != 0 && full[0] != 1) {
-		t.Fatalf("full owner list malformed: %v", full)
-	}
-}
-
 func TestRingBalance(t *testing.T) {
 	r, _ := NewRing(8)
 	counts := make([]int, 8)

@@ -78,6 +78,9 @@ type Router struct {
 	topoGen uint64
 	// importFailures counts failed Import batches by shard label.
 	importFailures map[int]uint64
+	// broken, once set by a rebalance that failed part-way, is returned
+	// by every later read and write (see "live rebalance" below).
+	broken error
 
 	ordMu  sync.Mutex
 	orders map[bool]*orderIndex // emission orders, keyed by "insertion order"
@@ -218,9 +221,12 @@ func (r *Router) CacheStats() core.CacheStats {
 // each object is routed to its ring owner, the objects whose pointer
 // changed are mirrored to the backends in one Import batch per member,
 // and a member's shadow adopts its batch only once its backend has — so
-// a failed batch is found again, whole, by the next sync. Requires r.mu
-// held exclusively.
+// a failed batch is found again, whole, by the next sync. A broken
+// router refuses here. Requires r.mu held exclusively.
 func (r *Router) syncLocked() error {
+	if r.broken != nil {
+		return r.broken
+	}
 	v := r.full.Version()
 	if r.synced == v {
 		return nil
@@ -289,11 +295,12 @@ func (r *Router) invalidateOrders() {
 }
 
 // acquire takes the evaluation (shared) lock, first adopting any
-// out-of-band database mutations under the exclusive lock.
+// out-of-band database mutations under the exclusive lock (where a
+// broken router refuses).
 func (r *Router) acquire() (release func(), err error) {
 	for {
 		r.mu.RLock()
-		if r.synced == r.full.Version() {
+		if r.synced == r.full.Version() && r.broken == nil {
 			return r.mu.RUnlock, nil
 		}
 		r.mu.RUnlock()
@@ -393,10 +400,16 @@ func (r *Router) Observe(objectID int, obs core.Observation) error {
 // rebalance byte-identical to a single engine. The rendezvous ring
 // guarantees minimal movement: growing moves only the ids the new shard
 // wins, shrinking only the ids the departing shard owned. Mirror calls
-// to remote backends carry the router's migration generation; a failure
-// mid-migration returns an error and leaves the router's shadows and
-// the failing worker potentially divergent — callers should treat a
-// failed rebalance as fatal for the topology and rebuild it.
+// to remote backends carry the router's migration generation.
+//
+// A rebalance that fails part-way fails loudly. Once a backend the
+// router already serves from has refused a migration step, the shadows
+// and the backends may disagree — across several sources no ordering of
+// shadow and backend steps avoids that — so the router is broken: that
+// call and every later read and write return one error naming the step
+// and wrapping its cause, and the topology must be rebuilt. Only Grow's
+// import into the joining backend, which nothing reads yet, fails
+// harmlessly. Grow closes the joining backend on every failure.
 
 // Grow adds one shard, labeled max(labels)+1, building its backend via
 // factory (nil selects the factory the router was constructed with) and
@@ -448,14 +461,13 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 			continue
 		}
 		m := r.members[src]
-		for _, id := range ids {
-			if err := m.db.Remove(id); err != nil {
-				return 0, err
-			}
-		}
 		r.topoGen++
 		if err := m.backend.Evict(context.Background(), r.topoGen, ids); err != nil {
-			return 0, fmt.Errorf("shard: evicting %d objects from shard %d: %w", len(ids), m.label, err)
+			_ = backend.Close()
+			return 0, r.breakLocked(fmt.Sprintf("evicting %d objects from shard %d", len(ids), m.label), err)
+		}
+		for _, id := range ids {
+			_ = m.db.Remove(id) // synced: the owner's shadow holds every id it owns
 		}
 	}
 	r.members = append(r.members, joining)
@@ -497,11 +509,8 @@ func (r *Router) Shrink(label int) error {
 			continue
 		}
 		if err := r.importLocked(r.members[dst], objs); err != nil {
-			return fmt.Errorf("shard: migrating %d objects to shard %d: %w", len(objs), r.members[dst].label, err)
+			return r.breakLocked(fmt.Sprintf("migrating %d objects to shard %d", len(objs), r.members[dst].label), err)
 		}
-	}
-	if err := departing.backend.Close(); err != nil {
-		return err
 	}
 	r.members = append(r.members[:di], r.members[di+1:]...)
 	r.byLabel = make(map[int]int, len(r.members))
@@ -510,7 +519,15 @@ func (r *Router) Shrink(label int) error {
 	}
 	r.ring = next
 	r.invalidateOrders()
-	return nil
+	return departing.backend.Close()
+}
+
+// breakLocked records a rebalance that failed at step after mutating
+// backends and returns the error every later call will get. Requires
+// r.mu held exclusively.
+func (r *Router) breakLocked(step string, err error) error {
+	r.broken = fmt.Errorf("shard: router broken by a failed rebalance (%s); rebuild the topology: %w", step, err)
+	return r.broken
 }
 
 // --- evaluation -----------------------------------------------------------
@@ -612,7 +629,7 @@ func (r *Router) evaluateLocked(ctx context.Context, p *prep) (*core.Response, e
 	if spec, ok := p.req.AggregateHint(); ok {
 		return r.aggregateLocked(ctx, p, spec)
 	}
-	resps, err := r.fanout(ctx, p)
+	resps, err := fanout(ctx, r.members, p, Backend.Evaluate)
 	if err != nil {
 		return nil, r.canonicalError(ctx, p, err)
 	}
@@ -648,7 +665,7 @@ func (r *Router) evaluateLocked(ctx context.Context, p *prep) (*core.Response, e
 // mathematically equal but change the tree shape, and with it the
 // float64 rounding.
 func (r *Router) aggregateLocked(ctx context.Context, p *prep, spec core.AggSpec) (*core.Response, error) {
-	sets, err := r.fanoutFactors(ctx, p)
+	sets, err := fanout(ctx, r.members, p, Backend.AggregateFactors)
 	if err != nil {
 		return nil, err
 	}
@@ -673,20 +690,21 @@ func (r *Router) aggregateLocked(ctx context.Context, p *prep, spec core.AggSpec
 	return resp, nil
 }
 
-// fanoutFactors collects per-shard aggregate factor sets, at most
-// p.workers concurrently — the aggregate twin of fanout. Factors never
-// leave the process here; the router's members are in-process engines,
-// and remote topologies aggregate behind their own engine instead.
-func (r *Router) fanoutFactors(ctx context.Context, p *prep) ([]*core.FactorSet, error) {
+// fanout runs call — Backend.Evaluate or Backend.AggregateFactors — with
+// the prepared request on every member, at most p.workers concurrently.
+// A failing shard cancels its siblings; the first real failure by shard
+// index wins, with cancellation-induced errors losing to any real one
+// (Evaluate canonicalizes it further, see canonicalError).
+func fanout[T any](ctx context.Context, members []*member, p *prep, call func(Backend, context.Context, core.Request) (T, error)) ([]T, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sets := make([]*core.FactorSet, len(r.members))
-	errs := make([]error, len(r.members))
+	out := make([]T, len(members))
+	errs := make([]error, len(members))
 	sem := make(chan struct{}, p.workers)
 	var wg sync.WaitGroup
-	for s, m := range r.members {
+	for s, m := range members {
 		wg.Add(1)
-		go func(s int, b Backend) {
+		go func() {
 			defer wg.Done()
 			select {
 			case sem <- struct{}{}:
@@ -695,17 +713,17 @@ func (r *Router) fanoutFactors(ctx context.Context, p *prep) ([]*core.FactorSet,
 				errs[s] = ctx.Err()
 				return
 			}
-			sets[s], errs[s] = b.AggregateFactors(ctx, p.req)
+			out[s], errs[s] = call(m.backend, ctx, p.req)
 			if errs[s] != nil {
 				cancel()
 			}
-		}(s, m.backend)
+		}()
 	}
 	wg.Wait()
 	if err := firstRealError(errs); err != nil {
 		return nil, err
 	}
-	return sets, nil
+	return out, nil
 }
 
 // firstRealError picks the surfaced fan-out error: the first real
@@ -751,42 +769,6 @@ func (r *Router) canonicalError(ctx context.Context, p *prep, err error) error {
 		}
 	}
 	return err
-}
-
-// fanout runs the prepared request on every shard, at most p.workers
-// concurrently. A failing shard cancels its siblings; the error it
-// returns is canonicalized by the caller (canonicalError) — here the
-// first real failure by shard index wins, with cancellation-induced
-// errors losing to any real one.
-func (r *Router) fanout(ctx context.Context, p *prep) ([]*core.Response, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resps := make([]*core.Response, len(r.members))
-	errs := make([]error, len(r.members))
-	sem := make(chan struct{}, p.workers)
-	var wg sync.WaitGroup
-	for s, m := range r.members {
-		wg.Add(1)
-		go func(s int, b Backend) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[s] = ctx.Err()
-				return
-			}
-			resps[s], errs[s] = b.Evaluate(ctx, p.req)
-			if errs[s] != nil {
-				cancel()
-			}
-		}(s, m.backend)
-	}
-	wg.Wait()
-	if err := firstRealError(errs); err != nil {
-		return nil, err
-	}
-	return resps, nil
 }
 
 // EvaluateSeq streams the merged results one object at a time, in the

@@ -15,14 +15,20 @@ import (
 // copyBackend is a shard that keeps its own copy of the slice, as a
 // remote worker does: it holds only what Import gave it, so a write the
 // router believes in but never delivered shows up as a wrong answer.
-// While failImports > 0 an Import fails without applying anything.
+// While failImports > 0 an Import fails without applying anything; the
+// same holds for Evict and failEvicts (nil: never).
 type copyBackend struct {
 	db          *core.Database
 	engine      *core.Engine
 	failImports *int
+	failEvicts  *int
+	closed      bool
 }
 
-var errImportDown = errors.New("import refused")
+var (
+	errImportDown = errors.New("import refused")
+	errEvictDown  = errors.New("evict refused")
+)
 
 func (b *copyBackend) Evaluate(ctx context.Context, req core.Request) (*core.Response, error) {
 	return b.engine.Evaluate(ctx, req)
@@ -56,6 +62,10 @@ func (b *copyBackend) Import(_ context.Context, _ uint64, objs []*core.Object) e
 }
 
 func (b *copyBackend) Evict(_ context.Context, _ uint64, ids []int) error {
+	if b.failEvicts != nil && *b.failEvicts > 0 {
+		*b.failEvicts--
+		return errEvictDown
+	}
 	for _, id := range ids {
 		if err := b.db.Remove(id); err != nil {
 			return err
@@ -64,7 +74,7 @@ func (b *copyBackend) Evict(_ context.Context, _ uint64, ids []int) error {
 	return nil
 }
 
-func (b *copyBackend) Close() error { return nil }
+func (b *copyBackend) Close() error { b.closed = true; return nil }
 
 // TestFailedWriteChangesNothing pins the write path's failure contract
 // against a shard that refuses one Import: the write returns the error,
@@ -168,4 +178,91 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 			same(t, "after the retried write", router, oracleDB)
 		})
 	}
+}
+
+// TestFailedRebalanceFailsLoudly pins the rebalance failure contract
+// over copy-holding shards. grow: a source shard refuses its Evict after
+// the joining shard took the moving objects, so shadows and shards may
+// disagree — Grow, and every later write and read, return one error
+// naming the step and wrapping the refusal. grow-joining-import: the
+// joining shard refuses the moving objects before any serving shard was
+// touched — Grow fails, the router answers as before, and the next Grow
+// succeeds. Either way the joining backend is closed.
+func TestFailedRebalanceFailsLoudly(t *testing.T) {
+	req := core.NewRequest(core.PredicateExists,
+		core.WithStates(core.Interval(40, 55)), core.WithTimes(core.Interval(5, 8)))
+	build := func(t *testing.T) (*Router, *core.Database, *[]*copyBackend, *int, *int) {
+		t.Helper()
+		db, _ := conformance.NewDataset()
+		var built []*copyBackend
+		failImports, failEvicts := new(int), new(int)
+		router, err := NewWithBackends(db, 2, core.Options{}, func(_ int, shadow *core.Database) (Backend, error) {
+			own := core.NewDatabase(shadow.DefaultChain())
+			b := &copyBackend{db: own, engine: core.NewEngine(own, core.Options{}), failImports: failImports, failEvicts: failEvicts}
+			built = append(built, b)
+			return b, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { router.Close() })
+		return router, db, &built, failImports, failEvicts
+	}
+	oracle := func(t *testing.T, db *core.Database) []core.Result {
+		t.Helper()
+		want, err := core.NewEngine(db, core.Options{}).Evaluate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want.Results
+	}
+
+	t.Run("grow", func(t *testing.T) {
+		router, db, built, _, failEvicts := build(t)
+		*failEvicts = 1
+		_, growErr := router.Grow(nil)
+		if !errors.Is(growErr, errEvictDown) || *failEvicts != 0 {
+			t.Fatalf("grow against a refusing source: %v, want the evict error", growErr)
+		}
+		if joining := (*built)[len(*built)-1]; !joining.closed {
+			t.Fatal("the joining backend was left open")
+		}
+		loud := func(stage string, err error) {
+			t.Helper()
+			if err == nil || err.Error() != growErr.Error() {
+				t.Fatalf("%s after the failed grow: %v, want %v", stage, err, growErr)
+			}
+		}
+		loud("observe", router.Observe(db.Objects()[3].ID, core.Observation{Time: 10, PDF: markov.PointDistribution(64, 45)}))
+		loud("add", router.Add(core.MustObject(9001, nil, core.Observation{Time: 4, PDF: markov.PointDistribution(64, 45)})))
+		_, err := router.Evaluate(context.Background(), req)
+		loud("evaluate", err)
+		for _, err := range router.EvaluateSeq(context.Background(), req) {
+			loud("stream", err)
+			break
+		}
+		_, err = router.Grow(nil)
+		loud("grow", err)
+	})
+
+	t.Run("grow-joining-import", func(t *testing.T) {
+		router, db, built, failImports, _ := build(t)
+		*failImports = 1
+		if _, err := router.Grow(nil); !errors.Is(err, errImportDown) {
+			t.Fatalf("grow against a refusing joiner: %v, want the import error", err)
+		}
+		if joining := (*built)[len(*built)-1]; !joining.closed {
+			t.Fatal("the joining backend was left open")
+		}
+		got, err := router.Evaluate(context.Background(), req)
+		if err != nil || !reflect.DeepEqual(got.Results, oracle(t, db)) {
+			t.Fatalf("router after a harmless failed grow: err %v, results diverged", err)
+		}
+		if _, err := router.Grow(nil); err != nil {
+			t.Fatalf("retried grow: %v", err)
+		}
+		if got, err = router.Evaluate(context.Background(), req); err != nil || !reflect.DeepEqual(got.Results, oracle(t, db)) {
+			t.Fatalf("router after the retried grow: err %v, results diverged", err)
+		}
+	})
 }

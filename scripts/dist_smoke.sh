@@ -7,9 +7,10 @@
 # metrics, that writes through the coordinator stay under a per-write
 # byte budget on the workers' import counters, that killing a worker
 # yields a clean error (not a hang), and a graceful fleet shutdown. A
-# second phase starts a replicated fleet (3 workers, -replicas 2), kills
-# a worker mid-run, and requires queries to KEEP succeeding
-# byte-identically while ust_worker_healthy flips.
+# second phase starts a replicated fleet (3 workers, -replicas 2),
+# checks every worker is some shard's primary, kills a worker mid-run,
+# and requires queries to KEEP succeeding byte-identically — the first
+# one through a read failover — while ust_worker_healthy flips.
 # `make dist-smoke` runs this; CI runs it via `make ci`.
 set -eu
 
@@ -217,10 +218,29 @@ echo "dist-smoke: replicated fleet matches in-process before the kill"
 "$TMP/ustquery" -remote "$RC_BASE" -dataset smoke -states 100-140 -times 10-14 -top 5 >"$TMP/rep-before.out"
 diff "$TMP/rep-before.out" "$TMP/local.out"
 
+# reads BASE: the evaluations a worker has served (ust_requests_total).
+reads() {
+    curl -fsS "$1/metrics" | awk '$1 == "ust_requests_total" {print $2}'
+}
+echo "dist-smoke: every worker is a shard's primary — each served a read"
+# Replica j of shard l lives on worker (l+j) mod 3, so the query above
+# reached all three workers, one shard each.
+for base in "$R0_BASE" "$R1_BASE" "$R2_BASE"; do
+    n=$(reads "$base")
+    [ "${n:-0}" -ge 1 ] || { echo "dist-smoke: $base served ${n:-no} reads, want >= 1"; exit 1; }
+done
+
 echo "dist-smoke: killing a replica-holding worker — queries must KEEP succeeding"
 kill -9 "$R2_PID"; R2_PID=""
+R0_BEFORE=$(reads "$R0_BASE")
 "$TMP/ustquery" -remote "$RC_BASE" -dataset smoke -states 100-140 -times 10-14 -top 5 >"$TMP/rep-after.out"
 diff "$TMP/rep-after.out" "$TMP/local.out"
+# R0 answers its own shard 0 and shard 2, whose primary (R2) just died:
+# the query crossed a read failover.
+R0_READS=$(( $(reads "$R0_BASE") - R0_BEFORE ))
+if [ "$R0_READS" -ne 2 ]; then
+    echo "dist-smoke: R0 served $R0_READS reads for one query after the kill, want 2 (own shard + failover)"; exit 1
+fi
 "$TMP/ustquery" -remote "$RC_BASE" -dataset smoke -q "$TQ" >"$TMP/rep-text.out"
 diff "$TMP/rep-text.out" "$TMP/text-local.out"
 "$TMP/ustquery" -remote "$RC_BASE" -dataset smoke -q "$AQ" >"$TMP/rep-agg.out"
