@@ -127,12 +127,15 @@ bench:
 	@rm -f .bench.jsonl
 
 # alloc-gate re-runs the ingest benchmark, the object-based scan
-# benchmark and the HTTP serving benchmark and fails ci when their
-# allocs/op regress more than 20% past the BENCH.json baseline — the
-# single-copy WithObservation + column-reuse ingest path, the pooled,
-# clone-free forward pass and the append-encoded, single-pass result
-# codec stay cheap by construction, not by convention. Missing baseline
-# entries (fresh checkout, renamed benchmark) pass with a notice.
+# benchmark, the HTTP serving benchmark and the fleet write benchmark and
+# fails ci when their allocs/op regress more than 20% past the BENCH.json
+# baseline — the single-copy WithObservation + column-reuse ingest path,
+# the pooled, clone-free forward pass, the append-encoded, single-pass
+# result codec and the coordinator's write path (catalogue, no shadow
+# database; gated on B/op too, where an object-sized copy per write
+# shows) stay cheap by construction, not by convention.
+# Missing baseline entries (fresh checkout, renamed benchmark) pass with
+# a notice.
 alloc-gate:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkIngest' -benchmem -benchtime=100x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkIngest < .gate.jsonl
@@ -140,6 +143,9 @@ alloc-gate:
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkScanOB < .gate.jsonl
 	@$(GO) test . -run '^$$' -bench 'BenchmarkServeHTTPQuery' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkServeHTTPQuery < .gate.jsonl
+	@$(GO) test . -run '^$$' -bench 'BenchmarkDistributedObserve' -benchmem -benchtime=200x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkDistributedObserve < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkDistributedObserve -gate-metric B/op < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total

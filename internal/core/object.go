@@ -151,7 +151,7 @@ type Database struct {
 	cols *ObsColumns
 	// version counts mutations (inserts and observation updates): the
 	// generation a subscription, the service's request coalescing and
-	// the shard router's sync compare to decide staleness. (The engine's
+	// the shard router's writer check compare to decide staleness. (The engine's
 	// score cache does not need it — its keys cannot go stale.)
 	// Databases are not safe for concurrent mutation (reads may be
 	// concurrent); the version itself is atomic so a reader race-freely
@@ -193,7 +193,7 @@ func (db *Database) Add(o *Object) error {
 
 // Version returns the database's mutation generation. It advances on
 // every insert and observation update; holders of derived state (a
-// subscription's last results, the shard router's shadows) compare
+// subscription's last results, the shard router's catalogue) compare
 // generations to decide staleness.
 func (db *Database) Version() uint64 { return db.version.Load() }
 

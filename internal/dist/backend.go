@@ -93,8 +93,8 @@ func (b *Backend) AggregateFactors(ctx context.Context, req core.Request) (*core
 // Import ships a batch to the worker as one object frame (insertion
 // order preserved — the order the router hands the objects in is the
 // order the worker's database adopts, which is what keeps the worker's
-// emission order identical to the coordinator shadow's), applied under
-// the generation fence.
+// emission order the one the router's catalogue predicts), applied
+// under the generation fence.
 func (b *Backend) Import(ctx context.Context, gen uint64, objs []*core.Object) error {
 	if len(objs) == 0 {
 		return nil

@@ -5,15 +5,15 @@
 // serves the single-process case. Factory places shards, and their
 // replicas, on workers: a replicated shard is the generic
 // shard.Replicated over Backends, gated by the Prober's health view.
-// The coordinator keeps the router's shadow bookkeeping; workers hold
-// the data slices, receive them through the generation-fenced
+// Workers hold the data slices — the coordinator keeps only the router's
+// catalogue of them — receive them through the generation-fenced
 // Import/Evict migration protocol, and share backward sweeps through
 // the networked lease tier (core.SweepTier over /v1/sweeps).
 //
 // Topology:
 //
 //	client ──HTTP──▶ coordinator (ustserve -coordinator)
-//	                   │ shard.Router: ring, planner, merge, fold
+//	                   │ shard.Router: ring, planner, catalogue, merge, fold
 //	        ┌──────────┼──────────┐
 //	      worker0    worker1    worker2   (ustserve -dataset …)
 //	        └──────────┴──────────┘
@@ -34,6 +34,7 @@ import (
 
 	"ust/client"
 	"ust/internal/core"
+	"ust/internal/markov"
 	"ust/internal/shard"
 	"ust/internal/store"
 )
@@ -51,7 +52,7 @@ import (
 // pre-create worker datasets with a spatial resolver so region queries
 // ground remotely.
 func Factory(base string, workers []*client.Client, replicas int, prober *Prober) shard.BackendFactory {
-	return func(label int, shadow *core.Database) (shard.Backend, error) {
+	return func(label int, def *markov.Chain) (shard.Backend, error) {
 		w := len(workers)
 		if w == 0 {
 			return nil, fmt.Errorf("dist: no workers")
@@ -60,10 +61,10 @@ func Factory(base string, workers []*client.Client, replicas int, prober *Prober
 		reps := make([]shard.Backend, max(1, min(replicas, w)))
 		for j := range reps {
 			c := workers[(label+j)%w]
-			if err := bootstrap(c, name, shadow); err != nil {
+			if err := bootstrap(c, name, def); err != nil {
 				return nil, err
 			}
-			reps[j] = NewBackend(c, name, shadow.DefaultChain())
+			reps[j] = NewBackend(c, name, def)
 		}
 		if len(reps) == 1 {
 			return reps[0], nil
@@ -77,11 +78,11 @@ func Factory(base string, workers []*client.Client, replicas int, prober *Prober
 }
 
 // bootstrap creates the worker-side dataset when it does not exist yet:
-// an empty database over the shadow's default chain, populated through
-// the router's Import mirroring afterwards. An existing dataset (HTTP
-// 409) is adopted.
-func bootstrap(c *client.Client, name string, shadow *core.Database) error {
-	empty := core.NewDatabase(shadow.DefaultChain())
+// an empty database over the router's default chain, populated through
+// the router's Import calls afterwards. An existing dataset (HTTP 409)
+// is adopted.
+func bootstrap(c *client.Client, name string, def *markov.Chain) error {
+	empty := core.NewDatabase(def)
 	var buf bytes.Buffer
 	if err := store.SaveDatabase(&buf, empty); err != nil {
 		return fmt.Errorf("dist: encoding bootstrap image: %w", err)

@@ -217,8 +217,8 @@ func TestReplicatedIngestSurvivesKilledWorker(t *testing.T) {
 			t.Fatalf("observe object %d after worker death: %v", o.ID, err)
 		}
 	}
-	// The router's shadow db mutated in place; a fresh engine over it is
-	// the reference for the post-ingest state.
+	// The router wrote its full database in place; a fresh engine over
+	// it is the reference for the post-ingest state.
 	ref := core.NewEngine(db, core.Options{})
 	req := core.NewRequest(core.PredicateExists,
 		core.WithStates(core.Interval(10, 50)), core.WithTimes(core.Interval(4, 9)))

@@ -16,6 +16,7 @@ import (
 
 	"ust/internal/core"
 	"ust/internal/markov"
+	"ust/internal/shard"
 	"ust/internal/store"
 	"ust/internal/wire"
 	"ust/query"
@@ -757,15 +758,16 @@ func (s *Service) writeMetrics(w http.ResponseWriter) {
 		fmt.Fprintf(w, "ust_dataset_version{dataset=\"%s\"} %d\n", label, info.Version)
 		// A coordinator's datasets are served by a router over remote
 		// shards; it counts the writes and migrations that did not reach
-		// each one.
+		// each one, and the replicas that missed one.
 		ds, err := s.dataset(info.Name)
 		if err != nil {
 			continue
 		}
-		if router, ok := ds.engine.(interface{ ImportFailures() map[int]uint64 }); ok {
-			failures := router.ImportFailures()
-			for _, shard := range slices.Sorted(maps.Keys(failures)) {
-				fmt.Fprintf(w, "ust_shard_import_failures_total{dataset=\"%s\",shard=\"%d\"} %d\n", label, shard, failures[shard])
+		if router, ok := ds.engine.(*shard.Router); ok {
+			status := router.ImportFailures()
+			for _, l := range slices.Sorted(maps.Keys(status)) {
+				fmt.Fprintf(w, "ust_shard_import_failures_total{dataset=\"%s\",shard=\"%d\"} %d\n", label, l, status[l].Failures)
+				fmt.Fprintf(w, "ust_shard_stale_replicas{dataset=\"%s\",shard=\"%d\"} %d\n", label, l, status[l].StaleReplicas)
 			}
 		}
 	}

@@ -204,9 +204,10 @@ func TestUploadLimit(t *testing.T) {
 	}
 }
 
-// TestShardImportFailuresMetric pins the coordinator-side counter: a
-// dataset served by a shard router exposes one
-// ust_shard_import_failures_total series per shard.
+// TestShardImportFailuresMetric pins the coordinator-side write-path
+// series: a dataset served by a shard router exposes one
+// ust_shard_import_failures_total and one ust_shard_stale_replicas
+// series per shard.
 func TestShardImportFailuresMetric(t *testing.T) {
 	_, base := distTestServer(t, Config{Role: "coordinator", Shards: 2})
 	resp, err := http.Get(base + "/metrics")
@@ -218,6 +219,8 @@ func TestShardImportFailuresMetric(t *testing.T) {
 	for _, want := range []string{
 		`ust_shard_import_failures_total{dataset="d",shard="0"} 0`,
 		`ust_shard_import_failures_total{dataset="d",shard="1"} 0`,
+		`ust_shard_stale_replicas{dataset="d",shard="0"} 0`,
+		`ust_shard_stale_replicas{dataset="d",shard="1"} 0`,
 	} {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

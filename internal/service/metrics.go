@@ -70,7 +70,7 @@ func (h *durationHist) write(w io.Writer, name, labels string) {
 }
 
 // importMetrics prices the fleet write path where it lands: bytes and
-// objects accepted through ImportObjects (single writes, sync batches
+// objects accepted through ImportObjects (single writes, set-up batches
 // and rebalance migration alike) and the time each batch took to decode
 // and apply under the dataset lock. Failed imports count nowhere here;
 // the coordinator counts them per shard.

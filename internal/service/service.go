@@ -592,8 +592,8 @@ func (s *Service) AggregateFactors(ctx context.Context, name string, req core.Re
 // canonical pointers, so nothing is decoded to compare a hash — and
 // chains travelling inline are canonicalized by fingerprint, so a chain
 // group split across transfer batches re-merges into one group, which
-// is what keeps the worker's emission order identical to the
-// coordinator's shadow. A fingerprint the dataset does not hold, like
+// is what keeps the worker's emission order the one the coordinator's
+// catalogue predicts. A fingerprint the dataset does not hold, like
 // any undecodable batch, fails with ErrBadIngest and changes nothing.
 func (s *Service) ImportObjects(name string, gen uint64, image []byte) error {
 	ds, err := s.dataset(name)

@@ -1,18 +1,25 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"ust/internal/core"
 	"ust/internal/markov"
+	"ust/internal/wire"
 )
 
 // TestShardedServiceEndToEnd wires Config.Shards through the service
 // layer: evaluation and streaming answer byte-identically to a single
 // engine, ingest through Observe/Track reaches the owning shard (the
-// router resyncs lazily on the next evaluation), subscriptions refresh
+// service writes through the router), subscriptions refresh
 // through the sharded backend, and Engine() refuses to pretend a
 // sharded dataset has a single engine.
 func TestShardedServiceEndToEnd(t *testing.T) {
@@ -100,5 +107,55 @@ func TestShardedServiceEndToEnd(t *testing.T) {
 	}
 	if len(after.Results) != len(want.Results)+1 {
 		t.Fatalf("tracked object missing: %d results, want %d", len(after.Results), len(want.Results)+1)
+	}
+}
+
+// TestShardedHugeTopKOverHTTP sends a top_k no database can fill —
+// math.MaxInt — to a two-shard service over HTTP: the answer is every
+// result, ranked exactly as a single engine ranks them, and the server
+// stays up.
+func TestShardedHugeTopKOverHTTP(t *testing.T) {
+	svc := New(Config{Shards: 2})
+	defer svc.Close()
+	if err := svc.Create("d", widerDB(t, 12), nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	req := existsReq().With(core.WithTopK(math.MaxInt))
+	want, err := core.NewEngine(widerDB(t, 12), core.Options{}).Evaluate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, err := wire.FromRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(wire.QueryEnvelope{Dataset: "d", Request: &wr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, raw)
+		}
+		got, err := wire.DecodeResponse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("round %d: %d results, single engine %d", round, len(got.Results), len(want.Results))
+		}
+		for i, r := range want.Results {
+			if got.Results[i].ObjectID != r.ObjectID || got.Results[i].Prob != r.Prob {
+				t.Fatalf("round %d: result %d is %+v, single engine %+v", round, i, got.Results[i], r)
+			}
+		}
 	}
 }

@@ -36,18 +36,23 @@ type orderIndex struct {
 	shardRanks [][]int
 }
 
-// buildOrder derives the index from the full database and the shard
-// members. insertion selects database insertion order (Monte-Carlo);
+// buildOrder derives the index from the full database and the members'
+// catalogues, which list each shard's ids in its database's insertion
+// order. insertion selects database insertion order (Monte-Carlo);
 // otherwise chain-group order.
 func buildOrder(full *core.Database, members []*member, insertion bool) *orderIndex {
-	seq := emissionOrder(full, insertion)
+	all := make([]int, 0, full.Len())
+	for _, o := range full.Objects() {
+		all = append(all, o.ID)
+	}
+	seq := emissionOrder(full, all, insertion)
 	ord := &orderIndex{n: len(seq), rank: make(map[int]int, len(seq))}
 	for i, id := range seq {
 		ord.rank[id] = i
 	}
 	ord.shardRanks = make([][]int, len(members))
 	for s, m := range members {
-		sub := emissionOrder(m.db, insertion)
+		sub := emissionOrder(full, m.ids, insertion)
 		ranks := make([]int, len(sub))
 		for i, id := range sub {
 			ranks[i] = ord.rank[id]
@@ -57,41 +62,38 @@ func buildOrder(full *core.Database, members []*member, insertion bool) *orderIn
 	return ord
 }
 
-// emissionOrder lists a database's object ids in the order the engine's
-// streams emit them.
-func emissionOrder(db *core.Database, insertion bool) []int {
-	objs := db.Objects()
-	ids := make([]int, 0, len(objs))
+// emissionOrder lists ids, given in a database's insertion order, in the
+// order an engine over that database emits them; full resolves each
+// id's chain.
+func emissionOrder(full *core.Database, ids []int, insertion bool) []int {
 	if insertion {
-		for _, o := range objs {
-			ids = append(ids, o.ID)
-		}
 		return ids
 	}
 	idx := map[*markov.Chain]int{}
 	var groups [][]int
-	for _, o := range objs {
-		ch := db.ChainOf(o)
+	for _, id := range ids {
+		ch := full.ChainOf(full.Get(id))
 		gi, ok := idx[ch]
 		if !ok {
 			gi = len(groups)
 			idx[ch] = gi
 			groups = append(groups, nil)
 		}
-		groups[gi] = append(groups[gi], o.ID)
+		groups[gi] = append(groups[gi], id)
 	}
+	out := make([]int, 0, len(ids))
 	for _, g := range groups {
-		ids = append(ids, g...)
+		out = append(out, g...)
 	}
-	return ids
+	return out
 }
 
 // mergeByRank restores shard batch results to global emission order.
 // Ranks are dense unique integers, so this is a single linear placement
 // into a rank-indexed scratch slice plus a compaction — no comparison
 // sort, no per-comparison map lookups. A result for an id the order
-// index does not know (an out-of-band database mutation mid-flight)
-// fails loudly, matching mergeScan's handling of the same breach.
+// index does not know (a backend answering for an object it was never
+// given) fails loudly, matching mergeScan's handling of the same breach.
 func mergeByRank(ord *orderIndex, resps []*core.Response) ([]core.Result, error) {
 	total := 0
 	for _, sr := range resps {
@@ -150,16 +152,19 @@ func (h *headHeap) Pop() interface{} {
 // a k-way heap merge under the engine's exact tie-break order. Each
 // shard list is already sorted by better (the engine's ranked output),
 // and every shard returned its local top k, so the global top k is a
-// prefix of the merged order.
+// prefix of the merged order. The output is sized from the results
+// present, never from k alone: k comes from the request.
 func mergeTopK(k int, lists [][]core.Result) []core.Result {
 	h := &headHeap{lists: lists}
+	total := 0
 	for s, l := range lists {
 		if len(l) > 0 {
 			h.heads = append(h.heads, headRef{list: s})
 		}
+		total += len(l)
 	}
 	heap.Init(h)
-	out := make([]core.Result, 0, k)
+	out := make([]core.Result, 0, min(k, total))
 	for len(out) < k && h.Len() > 0 {
 		top := h.heads[0]
 		out = append(out, h.lists[top.list][top.pos])

@@ -14,17 +14,23 @@ import (
 	"ust/internal/markov"
 )
 
-// faulty is one replica under seeded fault injection, over a
-// copy-holding backend. With err set, every read fails with it: a batch
-// read at once, a stream after m results, m drawn per stream from
-// [0, maxM] by the replica's seeded rng. With refuse set, every write
-// fails. Faults are armed after the router is built, so every replica
-// starts with the whole slice.
+// faulty is one in-process backend — a LocalBackend, holding only what
+// Import gave it — under seeded fault injection. With err set, every
+// read fails with it: a batch read at once, a stream after m results, m
+// drawn per stream from [0, maxM] by the backend's seeded rng. With
+// refuse set, every write fails. failImports and failEvicts, when not
+// nil, are budgets the backends holding them share: while one is
+// positive, an Import (Evict) fails without applying anything and takes
+// one from it. Faults are armed after the router is built, so every
+// backend starts with its whole slice.
 type faulty struct {
 	Backend
 	err    error
 	maxM   int
 	refuse bool
+
+	failImports, failEvicts *int
+	closed                  bool
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -32,7 +38,27 @@ type faulty struct {
 	replays int // streams cut after m > 0 results
 }
 
-var errRefused = errors.New("write refused")
+// newFaulty returns a fault-free faulty over an empty LocalBackend on
+// def, its rng seeded by the shard label and replica index.
+func newFaulty(def *markov.Chain, label, replica int) *faulty {
+	local, _ := LocalFactory(core.Options{})(label, def)
+	return &faulty{Backend: local, rng: rand.New(rand.NewPCG(uint64(label), uint64(replica)))}
+}
+
+var (
+	errRefused    = errors.New("write refused")
+	errImportDown = errors.New("import refused")
+	errEvictDown  = errors.New("evict refused")
+)
+
+// spend takes one from a write budget, reporting whether one was left.
+func spend(budget *int) bool {
+	if budget == nil || *budget <= 0 {
+		return false
+	}
+	*budget--
+	return true
+}
 
 // read counts one read call and draws its fault: whether it fails and,
 // for a stream, after how many results.
@@ -93,33 +119,40 @@ func (f *faulty) EvaluateSeq(ctx context.Context, req core.Request) iter.Seq2[co
 }
 
 func (f *faulty) Import(ctx context.Context, gen uint64, objs []*core.Object) error {
-	if f.refuse {
+	switch {
+	case f.refuse:
 		return errRefused
+	case spend(f.failImports):
+		return errImportDown
 	}
 	return f.Backend.Import(ctx, gen, objs)
 }
 
 func (f *faulty) Evict(ctx context.Context, gen uint64, ids []int) error {
-	if f.refuse {
+	switch {
+	case f.refuse:
 		return errRefused
+	case spend(f.failEvicts):
+		return errEvictDown
 	}
 	return f.Backend.Evict(ctx, gen, ids)
 }
 
+func (f *faulty) Close() error {
+	f.closed = true
+	return f.Backend.Close()
+}
+
 // replicatedRouter builds a router over db whose every shard is a
-// Replicated over k in-process copy-holding replicas, and returns each
-// shard's replicas by label.
+// Replicated over k in-process replicas, and returns each shard's
+// replicas by label.
 func replicatedRouter(t *testing.T, db *core.Database, shards, k int) (*Router, map[int][]*faulty) {
 	t.Helper()
 	reps := map[int][]*faulty{}
-	router, err := NewWithBackends(db, shards, core.Options{}, func(label int, shadow *core.Database) (Backend, error) {
+	router, err := NewWithBackends(db, shards, core.Options{}, func(label int, def *markov.Chain) (Backend, error) {
 		backends := make([]Backend, k)
 		for j := range backends {
-			own := core.NewDatabase(shadow.DefaultChain())
-			f := &faulty{
-				Backend: &copyBackend{db: own, engine: core.NewEngine(own, core.Options{}), failImports: new(int)},
-				rng:     rand.New(rand.NewPCG(uint64(label), uint64(j))),
-			}
+			f := newFaulty(def, label, j)
 			reps[label] = append(reps[label], f)
 			backends[j] = f
 		}
@@ -228,6 +261,11 @@ func TestReplicatedFailover(t *testing.T) {
 		for label, rs := range reps {
 			if after, _ := rs[0].counts(); after != before[label] {
 				t.Fatalf("shard %d: the stale replica served %d reads", label, after-before[label])
+			}
+		}
+		for label, st := range router.ImportFailures() {
+			if st != (ImportStatus{StaleReplicas: 1}) {
+				t.Fatalf("shard %d: import status %+v, want one stale replica and no failed import", label, st)
 			}
 		}
 	})

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
+	"slices"
 	"sync"
 
 	"ust/internal/core"
@@ -51,33 +51,34 @@ import (
 //     cannot be yielded); the prefix is still deterministic for a
 //     given shard count.
 //
-// Ingest goes through Add / ReplaceObject / Observe, which keep the
-// full database and the owning shard in step while excluding queries.
-// Mutating the underlying database directly is permitted only while no
-// query is in flight; the router adopts such out-of-band mutations
-// lazily (generation check) before the next evaluation.
+// The shards hold their slices; the router keeps the full database, for
+// planning, and per shard a catalogue of the ids it holds. Ingest goes
+// through Add / ReplaceObject / Observe, which write the full database
+// and the owning shard together while excluding queries. The router is
+// the database's only writer from construction on: a mutation made
+// behind it fails the next read or write with an error naming both
+// database versions, and the router does not resync.
 type Router struct {
 	full    *core.Database
 	planner *core.Engine // full-database engine: planning + batch warming
 	ring    *Ring
-	opts    core.Options
 	cache   *core.SharedCache
 	factory BackendFactory // builds backends for shards Grow adds
 
-	// mu serializes ingest/resync/rebalance (exclusive) against
-	// evaluation (shared), mirroring the service layer's per-dataset
-	// lock. Holding it exclusively across a migration is also what makes
-	// queries during migration trivially byte-identical: no query ever
-	// observes a half-moved slice.
+	// mu serializes ingest/rebalance (exclusive) against evaluation
+	// (shared), mirroring the service layer's per-dataset lock. Holding
+	// it exclusively across a migration is also what makes queries
+	// during migration trivially byte-identical: no query ever observes
+	// a half-moved slice.
 	mu      sync.RWMutex
 	members []*member
 	byLabel map[int]int // ring label → index into members
-	synced  uint64
-	// topoGen fences Import/Evict calls: it increments on every mirror
-	// batch, so a worker can reject a stale or replayed migration op.
+	// synced is the full database's version as of the router's last
+	// write; any other version means a mutation the shards never saw.
+	synced uint64
+	// topoGen fences Import/Evict calls: it increments on every batch,
+	// so a worker can reject a stale or replayed migration op.
 	topoGen uint64
-	// importFailures counts failed Import batches by shard label.
-	importFailures map[int]uint64
 	// broken, once set by a rebalance that failed part-way, is returned
 	// by every later read and write (see "live rebalance" below).
 	broken error
@@ -88,18 +89,16 @@ type Router struct {
 
 var _ core.Evaluator = (*Router)(nil)
 
-// member is one shard: the router-side shadow of its slice of the
-// database plus the backend answering for it. Shadow databases share
-// object and chain pointers with the full database — objects are
-// immutable, chains are shared by design (score cache keys are
-// chain-identity). For a local backend the shadow IS the shard's
-// database; for a remote backend it is the router's bookkeeping copy,
-// kept in step with the worker through Import/Evict mirroring, and the
-// source of the emission-order indexes the merge layer needs.
+// member is one shard: its backend, which holds the shard's slice, and
+// the router's catalogue of that slice — the ids the backend accepted,
+// in the backend's insertion order. The objects themselves are read from
+// the full database; the catalogue is what the merge layer's emission
+// orders and a rebalance need.
 type member struct {
-	label   int
-	db      *core.Database
-	backend Backend
+	label    int
+	ids      []int
+	backend  Backend
+	failures uint64 // Import batches the backend refused
 }
 
 // New builds an in-process router over db with the given shard count.
@@ -124,7 +123,9 @@ func normalizeOpts(opts core.Options) core.Options {
 // NewWithBackends builds a router whose shards come from factory —
 // the mixed-topology constructor: the factory may return in-process
 // engines (LocalFactory), remote worker proxies (internal/dist), or a
-// mix, keyed by shard label. The factory is retained for Grow.
+// mix, keyed by shard label. Every object of db is imported into its
+// owning shard before the router is returned. The factory is retained
+// for Grow.
 func NewWithBackends(db *core.Database, shards int, opts core.Options, factory BackendFactory) (*Router, error) {
 	if db == nil {
 		return nil, fmt.Errorf("shard: nil database")
@@ -141,46 +142,47 @@ func NewWithBackends(db *core.Database, shards int, opts core.Options, factory B
 		full:    db,
 		planner: core.NewEngine(db, opts),
 		ring:    ring,
-		opts:    opts,
 		cache:   opts.Cache,
 		factory: factory,
 		byLabel: map[int]int{},
 		orders:  map[bool]*orderIndex{},
-
-		importFailures: map[int]uint64{},
+		synced:  db.Version(),
 	}
 	for _, label := range ring.Shards() {
-		if err := r.addMemberLocked(label); err != nil {
+		backend, err := factory(label, db.DefaultChain())
+		if err != nil {
+			r.closeMembers()
+			return nil, fmt.Errorf("shard: backend for shard %d: %w", label, err)
+		}
+		r.members = append(r.members, &member{label: label, backend: backend})
+		r.byLabel[label] = len(r.members) - 1
+	}
+	parts := make([][]*core.Object, len(r.members))
+	for _, o := range db.Objects() {
+		mi := r.memberOf(o.ID)
+		parts[mi] = append(parts[mi], o)
+	}
+	for mi, objs := range parts {
+		if len(objs) == 0 {
+			continue
+		}
+		if err := r.importLocked(r.members[mi], objs, true); err != nil {
 			r.closeMembers()
 			return nil, err
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.syncLocked(); err != nil {
-		r.closeMembers()
-		return nil, err
-	}
 	return r, nil
 }
 
-// addMemberLocked creates the shadow database and backend for a new
-// shard label and appends it to the member list.
-func (r *Router) addMemberLocked(label int) error {
-	shadow := core.NewDatabase(r.full.DefaultChain())
-	backend, err := r.factory(label, shadow)
-	if err != nil {
-		return fmt.Errorf("shard: backend for shard %d: %w", label, err)
-	}
-	r.members = append(r.members, &member{label: label, db: shadow, backend: backend})
-	r.byLabel[label] = len(r.members) - 1
-	return nil
-}
-
-func (r *Router) closeMembers() {
+// closeMembers closes every backend and returns the first error.
+func (r *Router) closeMembers() error {
+	var first error
 	for _, m := range r.members {
-		_ = m.backend.Close()
+		if err := m.backend.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
 // memberOf returns the index of the member owning id under the current
@@ -197,17 +199,8 @@ func (r *Router) Labels() []int { return r.ring.Shards() }
 func (r *Router) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var first error
-	for _, m := range r.members {
-		if err := m.backend.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return r.closeMembers()
 }
-
-// Database returns the full (unsharded) database the router serves.
-func (r *Router) Database() *core.Database { return r.full }
 
 // CacheStats snapshots the fleet-wide shared score cache counters.
 func (r *Router) CacheStats() core.CacheStats {
@@ -217,73 +210,62 @@ func (r *Router) CacheStats() core.CacheStats {
 	return r.cache.Stats()
 }
 
-// syncLocked brings every shard up to the full database's generation:
-// each object is routed to its ring owner, the objects whose pointer
-// changed are mirrored to the backends in one Import batch per member,
-// and a member's shadow adopts its batch only once its backend has — so
-// a failed batch is found again, whole, by the next sync. A broken
-// router refuses here. Requires r.mu held exclusively.
-func (r *Router) syncLocked() error {
+// checkLocked returns the error every read and write gets from a router
+// that can no longer answer like a single engine: a failed rebalance
+// broke it, or its database changed behind it. Requires r.mu held.
+func (r *Router) checkLocked() error {
 	if r.broken != nil {
 		return r.broken
 	}
-	v := r.full.Version()
-	if r.synced == v {
-		return nil
+	if v := r.full.Version(); v != r.synced {
+		return fmt.Errorf("shard: database mutated behind the router (version %d, router wrote %d); ingest through the router", v, r.synced)
 	}
-	pending := make([][]*core.Object, len(r.members))
-	for _, o := range r.full.Objects() {
-		mi := r.memberOf(o.ID)
-		if r.members[mi].db.Get(o.ID) != o {
-			pending[mi] = append(pending[mi], o)
-		}
-	}
-	for mi, objs := range pending {
-		if len(objs) == 0 {
-			continue
-		}
-		if err := r.importLocked(r.members[mi], objs); err != nil {
-			return err
-		}
-	}
-	r.synced = v
-	r.invalidateOrders()
 	return nil
 }
 
-// importLocked mirrors objs to m's backend under the next migration
-// generation and, once the backend has applied them, upserts them into
-// m's shadow. A failed import is counted against the shard and leaves
-// the shadow as it was. Requires r.mu held exclusively.
-func (r *Router) importLocked(m *member, objs []*core.Object) error {
+// importLocked ships objs to m's backend under the next migration
+// generation. Once the backend has accepted them, their ids join m's
+// catalogue at its end, where the backend's insertion order put them —
+// unless added is false, for an upsert of ids m already holds, which keep
+// their place in both. A failed import is counted against the shard and
+// leaves the catalogue as it was. Requires r.mu held exclusively.
+func (r *Router) importLocked(m *member, objs []*core.Object, added bool) error {
 	r.topoGen++
 	if err := m.backend.Import(context.Background(), r.topoGen, objs); err != nil {
-		r.importFailures[m.label]++
+		m.failures++
 		return err
 	}
-	for _, o := range objs {
-		var err error
-		if m.db.Get(o.ID) == nil {
-			err = m.db.Add(o)
-		} else {
-			err = m.db.ReplaceObject(o)
-		}
-		if err != nil {
-			return err
+	if added {
+		for _, o := range objs {
+			m.ids = append(m.ids, o.ID)
 		}
 	}
 	return nil
 }
 
-// ImportFailures returns, per shard label, how many Import batches the
-// shard's backend has failed — writes and migrations that did not reach
-// it. Every live shard has an entry.
-func (r *Router) ImportFailures() map[int]uint64 {
+// ImportStatus is one shard's write-path record: the Import batches
+// (writes and migrations) its backend refused, and the replicas of a
+// Replicated shard that missed a write and are never read again.
+type ImportStatus struct {
+	Failures      uint64
+	StaleReplicas int
+}
+
+// ImportFailures returns every live shard's ImportStatus by label.
+func (r *Router) ImportFailures() map[int]ImportStatus {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := maps.Clone(r.importFailures)
+	out := make(map[int]ImportStatus, len(r.members))
 	for _, m := range r.members {
-		out[m.label] += 0
+		st := ImportStatus{Failures: m.failures}
+		if rb, ok := m.backend.(*Replicated); ok {
+			for _, stale := range rb.staleMarks() {
+				if stale {
+					st.StaleReplicas++
+				}
+			}
+		}
+		out[m.label] = st
 	}
 	return out
 }
@@ -294,38 +276,37 @@ func (r *Router) invalidateOrders() {
 	r.ordMu.Unlock()
 }
 
-// acquire takes the evaluation (shared) lock, first adopting any
-// out-of-band database mutations under the exclusive lock (where a
-// broken router refuses).
+// acquire takes the evaluation (shared) lock, refusing as checkLocked
+// does.
 func (r *Router) acquire() (release func(), err error) {
-	for {
-		r.mu.RLock()
-		if r.synced == r.full.Version() && r.broken == nil {
-			return r.mu.RUnlock, nil
-		}
+	r.mu.RLock()
+	if err := r.checkLocked(); err != nil {
 		r.mu.RUnlock()
-		r.mu.Lock()
-		err := r.syncLocked()
-		r.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
+	return r.mu.RUnlock, nil
 }
 
 // --- ingest ---------------------------------------------------------------
 
-// writeLocked commits one object the caller has just put into the full
-// database — prev is the version it replaced, nil for an insert — to its
-// owning shard and stamps the router synced: the O(1) ingest path,
-// sparing the full syncLocked rescan when the caller knows exactly what
-// changed. When the shard's backend refuses the object the full
-// database is put back as it was, so a failed write changes nothing:
-// the coordinator never plans or orders over an object its worker does
-// not hold. Requires r.mu held exclusively and r.synced current BEFORE
-// the full-database mutation.
-func (r *Router) writeLocked(o, prev *core.Object) error {
-	err := r.importLocked(r.members[r.memberOf(o.ID)], []*core.Object{o})
+// write is the one ingest path. Under the exclusive lock it applies
+// mutate to the full database — which validates, and returns the object
+// written and, for a replacement, the version it replaced — then imports
+// the object into its owning shard. When the shard's backend refuses it
+// the full database is put back as it was, so a failed write changes
+// nothing: the coordinator never plans or orders over an object its
+// worker does not hold.
+func (r *Router) write(mutate func() (o, prev *core.Object, err error)) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.checkLocked(); err != nil {
+		return err
+	}
+	o, prev, err := mutate()
+	if err != nil {
+		return err
+	}
+	err = r.importLocked(r.members[r.memberOf(o.ID)], []*core.Object{o}, prev == nil)
 	if err != nil {
 		// Undoing a mutation that just succeeded cannot fail.
 		if prev == nil {
@@ -343,52 +324,32 @@ func (r *Router) writeLocked(o, prev *core.Object) error {
 // excluded for the duration (ingest is exclusive, as in the service
 // layer).
 func (r *Router) Add(o *core.Object) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.syncLocked(); err != nil {
-		return err
-	}
-	if err := r.full.Add(o); err != nil {
-		return err
-	}
-	return r.writeLocked(o, nil)
+	return r.write(func() (*core.Object, *core.Object, error) { return o, nil, r.full.Add(o) })
 }
 
 // ReplaceObject swaps in a new version of an existing object on both
 // the full database and its owning shard.
 func (r *Router) ReplaceObject(o *core.Object) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.syncLocked(); err != nil {
-		return err
-	}
-	prev := r.full.Get(o.ID)
-	if err := r.full.ReplaceObject(o); err != nil {
-		return err
-	}
-	return r.writeLocked(o, prev)
+	return r.write(func() (*core.Object, *core.Object, error) {
+		prev := r.full.Get(o.ID)
+		return o, prev, r.full.ReplaceObject(o)
+	})
 }
 
 // Observe appends an observation to an existing object — the standing
 // ingest primitive, mirroring Service.Observe.
 func (r *Router) Observe(objectID int, obs core.Observation) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.syncLocked(); err != nil {
-		return err
-	}
-	o := r.full.Get(objectID)
-	if o == nil {
-		return fmt.Errorf("shard: unknown object %d", objectID)
-	}
-	updated, err := o.WithObservation(obs)
-	if err != nil {
-		return err
-	}
-	if err := r.full.ReplaceObject(updated); err != nil {
-		return err
-	}
-	return r.writeLocked(updated, o)
+	return r.write(func() (*core.Object, *core.Object, error) {
+		o := r.full.Get(objectID)
+		if o == nil {
+			return nil, nil, fmt.Errorf("shard: unknown object %d", objectID)
+		}
+		updated, err := o.WithObservation(obs)
+		if err != nil {
+			return nil, nil, err
+		}
+		return updated, o, r.full.ReplaceObject(updated)
+	})
 }
 
 // --- live rebalance ---------------------------------------------------------
@@ -399,15 +360,16 @@ func (r *Router) Observe(objectID int, obs core.Observation) error {
 // observable intermediate state, which is what keeps results during a
 // rebalance byte-identical to a single engine. The rendezvous ring
 // guarantees minimal movement: growing moves only the ids the new shard
-// wins, shrinking only the ids the departing shard owned. Mirror calls
-// to remote backends carry the router's migration generation.
+// wins, shrinking only the ids the departing shard owned. Every move is
+// an Import/Evict batch under the router's migration generation, and a
+// catalogue changes only once its backend has accepted the batch.
 //
 // A rebalance that fails part-way fails loudly. Once a backend the
-// router already serves from has refused a migration step, the shadows
-// and the backends may disagree — across several sources no ordering of
-// shadow and backend steps avoids that — so the router is broken: that
-// call and every later read and write return one error naming the step
-// and wrapping its cause, and the topology must be rebuilt. Only Grow's
+// router already serves from has refused a migration step, the
+// catalogues and the backends may disagree — across several sources no
+// ordering of steps avoids that — so the router is broken: that call
+// and every later read and write return one error naming the step and
+// wrapping its cause, and the topology must be rebuilt. Only Grow's
 // import into the joining backend, which nothing reads yet, fails
 // harmlessly. Grow closes the joining backend on every failure.
 
@@ -418,7 +380,7 @@ func (r *Router) Observe(objectID int, obs core.Observation) error {
 func (r *Router) Grow(factory BackendFactory) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.syncLocked(); err != nil {
+	if err := r.checkLocked(); err != nil {
 		return 0, err
 	}
 	if factory == nil {
@@ -427,16 +389,14 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 	next := r.ring.Grown()
 	labels := next.Shards()
 	label := labels[len(labels)-1]
-	shadow := core.NewDatabase(r.full.DefaultChain())
-	backend, err := factory(label, shadow)
+	backend, err := factory(label, r.full.DefaultChain())
 	if err != nil {
 		return 0, fmt.Errorf("shard: backend for shard %d: %w", label, err)
 	}
-	joining := &member{label: label, db: shadow, backend: backend}
+	joining := &member{label: label, backend: backend}
 
-	// Collect the moving slice in full-database order, so the new
-	// shard's shadow (and its worker mirror) list objects in the same
-	// relative order every other shard does.
+	// Collect the moving slice in full-database order, so the new shard
+	// lists objects in the same relative order every other shard does.
 	var moved []*core.Object
 	evictFrom := make([][]int, len(r.members))
 	for _, o := range r.full.Objects() {
@@ -448,10 +408,10 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 		evictFrom[src] = append(evictFrom[src], o.ID)
 	}
 
-	// Push to the new worker BEFORE evicting from the old owners: an
+	// Push to the new shard BEFORE evicting from the old owners: an
 	// import failure aborts with every object still owned somewhere.
 	if len(moved) > 0 {
-		if err := r.importLocked(joining, moved); err != nil {
+		if err := r.importLocked(joining, moved, true); err != nil {
 			_ = backend.Close()
 			return 0, fmt.Errorf("shard: migrating %d objects to shard %d: %w", len(moved), label, err)
 		}
@@ -466,9 +426,7 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 			_ = backend.Close()
 			return 0, r.breakLocked(fmt.Sprintf("evicting %d objects from shard %d", len(ids), m.label), err)
 		}
-		for _, id := range ids {
-			_ = m.db.Remove(id) // synced: the owner's shadow holds every id it owns
-		}
+		m.ids = slices.DeleteFunc(m.ids, func(id int) bool { return next.Owner(id) == label })
 	}
 	r.members = append(r.members, joining)
 	r.byLabel[label] = len(r.members) - 1
@@ -483,7 +441,7 @@ func (r *Router) Grow(factory BackendFactory) (int, error) {
 func (r *Router) Shrink(label int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.syncLocked(); err != nil {
+	if err := r.checkLocked(); err != nil {
 		return err
 	}
 	next, err := r.ring.Shrunk(label)
@@ -496,19 +454,18 @@ func (r *Router) Shrink(label int) error {
 	}
 	departing := r.members[di]
 
-	// Redistribute in the departing shadow's order (a subsequence of
-	// full-database order, so destination shadows append consistently
-	// with what a fresh sync would build).
+	// Redistribute in the departing shard's order; each destination
+	// appends its batch, in the backend and in the catalogue alike.
 	pending := make([][]*core.Object, len(r.members))
-	for _, o := range departing.db.Objects() {
-		dst := r.byLabel[next.Owner(o.ID)]
-		pending[dst] = append(pending[dst], o)
+	for _, id := range departing.ids {
+		dst := r.byLabel[next.Owner(id)]
+		pending[dst] = append(pending[dst], r.full.Get(id))
 	}
 	for dst, objs := range pending {
 		if len(objs) == 0 {
 			continue
 		}
-		if err := r.importLocked(r.members[dst], objs); err != nil {
+		if err := r.importLocked(r.members[dst], objs, true); err != nil {
 			return r.breakLocked(fmt.Sprintf("migrating %d objects to shard %d", len(objs), r.members[dst].label), err)
 		}
 	}
@@ -833,33 +790,19 @@ func (r *Router) EvaluateBatch(ctx context.Context, reqs []core.Request) ([]*cor
 // per-shard evaluations all hit instead of warming N times.
 func (r *Router) EvaluateBatchSeq(ctx context.Context, reqs []core.Request) iter.Seq[core.BatchItem] {
 	return func(yield func(core.BatchItem) bool) {
+		// A refused acquire or a failed warm-up is every item's error.
 		release, err := r.acquire()
-		if err != nil {
-			for i := range reqs {
-				if !yield(core.BatchItem{Index: i, Err: err}) {
-					return
-				}
-			}
-			return
+		if err == nil {
+			defer release()
+			err = r.planner.WarmBatch(ctx, reqs)
 		}
-		defer release()
-		preps := make([]*prep, len(reqs))
-		errs := make([]error, len(reqs))
 		for i, req := range reqs {
-			preps[i], errs[i] = r.prepareLocked(req)
-		}
-		if werr := r.planner.WarmBatch(ctx, reqs); werr != nil {
-			for i := range reqs {
-				if !yield(core.BatchItem{Index: i, Err: werr}) {
-					return
+			item := core.BatchItem{Index: i, Err: err}
+			if err == nil {
+				var p *prep
+				if p, item.Err = r.prepareLocked(req); item.Err == nil {
+					item.Response, item.Err = r.evaluateLocked(ctx, p)
 				}
-			}
-			return
-		}
-		for i := range reqs {
-			item := core.BatchItem{Index: i, Err: errs[i]}
-			if errs[i] == nil {
-				item.Response, item.Err = r.evaluateLocked(ctx, preps[i])
 			}
 			if !yield(item) {
 				return

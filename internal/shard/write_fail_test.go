@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"iter"
 	"reflect"
 	"testing"
 
@@ -11,70 +10,6 @@ import (
 	"ust/internal/core"
 	"ust/internal/markov"
 )
-
-// copyBackend is a shard that keeps its own copy of the slice, as a
-// remote worker does: it holds only what Import gave it, so a write the
-// router believes in but never delivered shows up as a wrong answer.
-// While failImports > 0 an Import fails without applying anything; the
-// same holds for Evict and failEvicts (nil: never).
-type copyBackend struct {
-	db          *core.Database
-	engine      *core.Engine
-	failImports *int
-	failEvicts  *int
-	closed      bool
-}
-
-var (
-	errImportDown = errors.New("import refused")
-	errEvictDown  = errors.New("evict refused")
-)
-
-func (b *copyBackend) Evaluate(ctx context.Context, req core.Request) (*core.Response, error) {
-	return b.engine.Evaluate(ctx, req)
-}
-
-func (b *copyBackend) EvaluateSeq(ctx context.Context, req core.Request) iter.Seq2[core.Result, error] {
-	return b.engine.EvaluateSeq(ctx, req)
-}
-
-func (b *copyBackend) AggregateFactors(ctx context.Context, req core.Request) (*core.FactorSet, error) {
-	return b.engine.AggregateFactors(ctx, req)
-}
-
-func (b *copyBackend) Import(_ context.Context, _ uint64, objs []*core.Object) error {
-	if *b.failImports > 0 {
-		*b.failImports--
-		return errImportDown
-	}
-	for _, o := range objs {
-		var err error
-		if b.db.Get(o.ID) == nil {
-			err = b.db.Add(o)
-		} else {
-			err = b.db.ReplaceObject(o)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *copyBackend) Evict(_ context.Context, _ uint64, ids []int) error {
-	if b.failEvicts != nil && *b.failEvicts > 0 {
-		*b.failEvicts--
-		return errEvictDown
-	}
-	for _, id := range ids {
-		if err := b.db.Remove(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *copyBackend) Close() error { b.closed = true; return nil }
 
 // TestFailedWriteChangesNothing pins the write path's failure contract
 // against a shard that refuses one Import: the write returns the error,
@@ -144,9 +79,10 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 			oracleDB, _ := conformance.NewDataset()
 			target = db.Objects()[2].ID // default chain, observed at t=2
 			fail := 0
-			router, err := NewWithBackends(db, 2, core.Options{}, func(_ int, shadow *core.Database) (Backend, error) {
-				own := core.NewDatabase(shadow.DefaultChain())
-				return &copyBackend{db: own, engine: core.NewEngine(own, core.Options{}), failImports: &fail}, nil
+			router, err := NewWithBackends(db, 2, core.Options{}, func(label int, def *markov.Chain) (Backend, error) {
+				f := newFaulty(def, label, 0)
+				f.failImports = &fail
+				return f, nil
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -164,8 +100,8 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 			}
 			same(t, "after the failed write", router, oracleDB)
 			failed := uint64(0)
-			for _, n := range router.ImportFailures() {
-				failed += n
+			for _, st := range router.ImportFailures() {
+				failed += st.Failures
 			}
 			if failed != 1 || len(router.ImportFailures()) != 2 {
 				t.Fatalf("import failures %v, want one failure over two shards", router.ImportFailures())
@@ -181,9 +117,9 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 }
 
 // TestFailedRebalanceFailsLoudly pins the rebalance failure contract
-// over copy-holding shards. grow: a source shard refuses its Evict after
-// the joining shard took the moving objects, so shadows and shards may
-// disagree — Grow, and every later write and read, return one error
+// over shards that hold their own slices. grow: a source shard refuses
+// its Evict after the joining shard took the moving objects, so the
+// catalogues and the shards may disagree — Grow, and every later write and read, return one error
 // naming the step and wrapping the refusal. grow-joining-import: the
 // joining shard refuses the moving objects before any serving shard was
 // touched — Grow fails, the router answers as before, and the next Grow
@@ -191,16 +127,16 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 func TestFailedRebalanceFailsLoudly(t *testing.T) {
 	req := core.NewRequest(core.PredicateExists,
 		core.WithStates(core.Interval(40, 55)), core.WithTimes(core.Interval(5, 8)))
-	build := func(t *testing.T) (*Router, *core.Database, *[]*copyBackend, *int, *int) {
+	build := func(t *testing.T) (*Router, *core.Database, *[]*faulty, *int, *int) {
 		t.Helper()
 		db, _ := conformance.NewDataset()
-		var built []*copyBackend
+		var built []*faulty
 		failImports, failEvicts := new(int), new(int)
-		router, err := NewWithBackends(db, 2, core.Options{}, func(_ int, shadow *core.Database) (Backend, error) {
-			own := core.NewDatabase(shadow.DefaultChain())
-			b := &copyBackend{db: own, engine: core.NewEngine(own, core.Options{}), failImports: failImports, failEvicts: failEvicts}
-			built = append(built, b)
-			return b, nil
+		router, err := NewWithBackends(db, 2, core.Options{}, func(label int, def *markov.Chain) (Backend, error) {
+			f := newFaulty(def, label, 0)
+			f.failImports, f.failEvicts = failImports, failEvicts
+			built = append(built, f)
+			return f, nil
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,9 @@
 # second phase starts a replicated fleet (3 workers, -replicas 2),
 # checks every worker is some shard's primary, kills a worker mid-run,
 # and requires queries to KEEP succeeding byte-identically — the first
-# one through a read failover — while ust_worker_healthy flips.
+# one through a read failover — while ust_worker_healthy flips, and
+# writes after the kill to succeed while ust_shard_stale_replicas
+# reports the dead worker's copies.
 # `make dist-smoke` runs this; CI runs it via `make ci`.
 set -eu
 
@@ -257,6 +259,20 @@ curl -fsS "$RC_BASE/metrics" | grep -q "ust_worker_healthy{worker=\"$R0_BASE\"} 
 echo "dist-smoke: queries still succeed after the probe declared the death"
 "$TMP/ustquery" -remote "$RC_BASE" -dataset smoke -states 100-140 -times 10-14 -top 5 >"$TMP/rep-dead.out"
 diff "$TMP/rep-dead.out" "$TMP/local.out"
+
+echo "dist-smoke: writes after the kill succeed and report the victim's replicas stale"
+# Shard 0 lives on R0 and R1; shards 1 and 2 each keep one replica on the
+# dead R2, which misses these writes and is never read again.
+w=0
+while [ "$w" -lt 8 ]; do
+    curl -fsS -X POST "$RC_BASE/v1/datasets/smoke/observe" \
+        -d "{\"object\": $((w * 7)), \"time\": 40, \"states\": [$((100 + w)), $((900 + w))], \"probs\": [0.5, 0.5]}" >/dev/null
+    w=$((w+1))
+done
+curl -fsS "$RC_BASE/metrics" >"$TMP/rc-metrics.out"
+grep -q 'ust_shard_stale_replicas{dataset="smoke",shard="0"} 0' "$TMP/rc-metrics.out"
+grep -q 'ust_shard_stale_replicas{dataset="smoke",shard="[12]"} 1' "$TMP/rc-metrics.out" ||
+    { echo "dist-smoke: no stale replica reported"; grep ust_shard_ "$TMP/rc-metrics.out"; exit 1; }
 
 for pid in "$RC_PID" "$R0_PID" "$R1_PID"; do
     kill -TERM "$pid" 2>/dev/null || true
