@@ -127,13 +127,15 @@ bench:
 	@rm -f .bench.jsonl
 
 # alloc-gate re-runs the ingest benchmark, the object-based scan
-# benchmark, the HTTP serving benchmark and the fleet write benchmark and
-# fails ci when their allocs/op regress more than 20% past the BENCH.json
-# baseline — the single-copy WithObservation + column-reuse ingest path,
-# the pooled, clone-free forward pass, the append-encoded, single-pass
-# result codec and the coordinator's write path (catalogue, no shadow
-# database; gated on B/op too, where an object-sized copy per write
-# shows) stay cheap by construction, not by convention.
+# benchmark, the HTTP serving benchmark, the fleet write benchmark and
+# the mapped store load and fails ci when their allocs/op regress more
+# than 20% past the BENCH.json baseline — the single-copy WithObservation
+# + column-reuse ingest path, the pooled, clone-free forward pass, the
+# append-encoded, single-pass result codec, the coordinator's write path
+# (catalogue, no shadow database) and loaded pdfs that view their column
+# segment stay cheap by construction, not by convention. The write path
+# and the load are gated on B/op too, where an object-sized copy per
+# write or an |S|-wide array per loaded pdf shows.
 # Missing baseline entries (fresh checkout, renamed benchmark) pass with
 # a notice.
 alloc-gate:
@@ -146,6 +148,9 @@ alloc-gate:
 	@$(GO) test . -run '^$$' -bench 'BenchmarkDistributedObserve' -benchmem -benchtime=200x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkDistributedObserve < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkDistributedObserve -gate-metric B/op < .gate.jsonl
+	@$(GO) test ./internal/store -run '^$$' -bench 'BenchmarkLoadDatabase/v2-mapped$$' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped -gate-metric B/op < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total

@@ -331,8 +331,8 @@ func BenchmarkAblationAugmented(b *testing.B) {
 	db.AddSimple(0, ds.Objects[0])
 	e := core.NewEngine(db, core.Options{})
 	q := benchQuery(p.NumStates)
-	init := ds.Objects[0].Clone()
-	init.Vec().Normalize()
+	init := ds.Objects[0].Vec().Clone()
+	init.Normalize()
 
 	b.Run("implicit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -341,7 +341,7 @@ func BenchmarkAblationAugmented(b *testing.B) {
 	})
 	b.Run("materialized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ExistsOBAugmented(ds.Chain, q.States, q.Times, init.Vec(), 0); err != nil {
+			if _, err := core.ExistsOBAugmented(ds.Chain, q.States, q.Times, init, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -362,8 +362,8 @@ func BenchmarkAblationKTimesAugmented(b *testing.B) {
 	db.AddSimple(0, ds.Objects[0])
 	e := core.NewEngine(db, core.Options{})
 	q := benchQuery(p.NumStates)
-	init := ds.Objects[0].Clone()
-	init.Vec().Normalize()
+	init := ds.Objects[0].Vec().Clone()
+	init.Normalize()
 
 	b.Run("efficient", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -372,7 +372,7 @@ func BenchmarkAblationKTimesAugmented(b *testing.B) {
 	})
 	b.Run("materialized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.KTimesOBAugmented(ds.Chain, q.States, q.Times, init.Vec(), 0); err != nil {
+			if _, err := core.KTimesOBAugmented(ds.Chain, q.States, q.Times, init, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -401,7 +401,7 @@ func BenchmarkAblationAliasSampler(b *testing.B) {
 		b.Run(fmt.Sprintf("spread=%d/linear", cfg.spread), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				ds.Chain.SamplePath(init.Vec(), steps, rng)
+				ds.Chain.SamplePath(init, steps, rng)
 			}
 		})
 		b.Run(fmt.Sprintf("spread=%d/alias", cfg.spread), func(b *testing.B) {

@@ -23,6 +23,7 @@ import (
 
 	"ust/internal/core"
 	"ust/internal/markov"
+	"ust/internal/sparse"
 	"ust/internal/spatial"
 )
 
@@ -119,7 +120,8 @@ func NewMultiObsDataset() (*core.Database, spatial.Resolver) {
 			pdf = markov.PointDistribution(64, s)
 		}
 		obs := []core.Observation{{Time: t0, PDF: pdf}}
-		cur := pdf.Clone().Vec()
+		cur := sparse.NewVec(64)
+		pdf.CopyTo(cur)
 		cur.Normalize()
 		t := t0
 		for k := 1; k < 3+i%2; k++ {
@@ -134,7 +136,8 @@ func NewMultiObsDataset() (*core.Database, spatial.Resolver) {
 			next := reachableSpread(supp, max(2, len(supp)*(2+(i+k)%2)/4))
 			opdf := markov.UniformOver(64, next)
 			obs = append(obs, core.Observation{Time: t, PDF: opdf})
-			cur = opdf.Clone().Vec()
+			cur = sparse.NewVec(64)
+			opdf.CopyTo(cur)
 			cur.Normalize()
 		}
 		db.MustAdd(core.MustObject(id, own, obs...))
@@ -170,7 +173,8 @@ func reachableSpread(supp []int, want int) []int {
 // feeds these through each implementation's ingest surface.
 func NextObservation(db *core.Database, o *core.Object) core.Observation {
 	ch := db.ChainOf(o)
-	cur := o.Last().PDF.Clone().Vec()
+	cur := sparse.NewVec(ch.NumStates())
+	o.Last().PDF.CopyTo(cur)
 	cur.Normalize()
 	const dt = 2
 	evolved := ch.Evolve(cur, dt)

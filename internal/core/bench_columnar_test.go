@@ -102,7 +102,7 @@ func posteriorFixture(b *testing.B, n, nObs int) (*markov.Chain, []Observation, 
 		sort.Ints(supp)
 		pdf := markov.UniformOver(n, supp)
 		obs = append(obs, Observation{Time: 3 * k, PDF: pdf})
-		cur = pdf.Clone().Vec()
+		cur = pdf.Vec().Clone()
 		cur.Normalize()
 	}
 	return chain, obs, segFromObservations(obs)

@@ -74,10 +74,11 @@ func newClipCase(rng *rand.Rand) clipCase {
 		for i := range weights {
 			weights[i] = 0.25 + 3*rng.Float64() // unnormalized: the pass scales by 1/mass
 		}
-		pdf := markov.NewDistribution(n)
+		v := sparse.NewVec(n)
 		for i, s := range states {
-			pdf.Vec().Set(s, weights[i])
+			v.Set(s, weights[i])
 		}
+		pdf := markov.FromVec(v)
 		t0 := rng.Intn(4)
 		maxT0 = max(maxT0, t0)
 		db.MustAdd(MustObject(id, nil, Observation{Time: t0, PDF: pdf}))
@@ -178,7 +179,7 @@ func TestClippedMatchesUnclipped(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pm.MassOn(o.First().PDF.Vec()) == 0 {
+				if o.First().PDF.MassOn(pm) == 0 {
 					sawUnreachable++
 					if p := got.Prob; (pred == PredicateExists && p != 0) || (pred == PredicateForAll && p != 1) {
 						t.Fatalf("seed %d %v object %d: out of reach, answered %v", seed, pred, o.ID, p)

@@ -266,8 +266,7 @@ func (e *Engine) ExistsThresholdClustered(q Query, tau float64, idx *ClusterInde
 			sp = scorePair{lo: loV, hi: hiV}
 			scores[key] = sp
 		}
-		x := first.PDF.Vec().Clone()
-		x.Normalize()
+		x, _ := first.PDF.Normalized()
 		lo := x.Dot(sp.lo)
 		hi := x.Dot(sp.hi)
 		if hi > 1 {

@@ -277,7 +277,8 @@ func transferHitsFlat(cur []float64, pins []int32) {
 // gather/scatter observation fusion, then — when observations exist
 // after t — one flat backward likelihood sweep that reuses its two lane
 // buffers instead of allocating a vector per step like the row path.
-func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, fpool *sparse.FloatPool) (*markov.Distribution, error) {
+// The result is a fresh vector the caller owns.
+func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, fpool *sparse.FloatPool) (*sparse.Vec, error) {
 	if seg.Len() == 0 {
 		return nil, fmt.Errorf("core: no observations")
 	}
@@ -387,7 +388,7 @@ func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, fpool *sparse.FloatP
 		for i, v := range atT {
 			data[i] = v * inv
 		}
-		return markov.FromVec(sparse.AdoptDense(data)), nil
+		return sparse.AdoptDense(data), nil
 	}
 	supp := make([]int, 0, nnz)
 	for i, v := range atT {
@@ -396,7 +397,7 @@ func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, fpool *sparse.FloatP
 			supp = append(supp, i)
 		}
 	}
-	return markov.FromVec(sparse.AdoptSparse(data, supp)), nil
+	return sparse.AdoptSparse(data, supp), nil
 }
 
 // segForObject returns the database plane's segment for exactly this

@@ -2,15 +2,15 @@ package core
 
 import "ust/internal/markov"
 
-// The columnar observation plane. Observations live twice: as the
-// row-oriented []Observation on each Object (the pinned public surface
-// every evaluator, the wire codec and the shard router see) and as
-// per-object column segments — parallel times/support/mass arrays — that
-// the vectorized multi-observation and posterior kernels consume and the
-// store's v2 format serializes as delta-encoded blocks. The Database
-// keeps the plane in sync on Add/ReplaceObject; the store's mapped load
-// path pre-seeds it so bulk ingest never re-derives columns from boxed
-// pdfs.
+// The columnar observation plane: per-object column segments — parallel
+// times/support/mass arrays — beside the row-oriented []Observation on
+// each Object (the pinned public surface every evaluator, the wire codec
+// and the shard router see). The vectorized multi-observation and
+// posterior kernels consume the segments and the store's v2 format
+// serializes them as delta-encoded blocks. The Database keeps the plane
+// in sync on Add/ReplaceObject. The store's mapped load path pre-seeds
+// it, and each loaded pdf is a view over its segment's columns, so a
+// loaded observation is stored once.
 
 // ObsSeg is one object's observations in columnar form: four parallel
 // arrays. Entry k of Times is the k-th observation's timestamp;
@@ -44,11 +44,7 @@ func segFromObservations(obs []Observation) ObsSeg {
 	}
 	for k, ob := range obs {
 		seg.Times[k] = int32(ob.Time)
-		sup := ob.PDF.Support()
-		for _, s := range sup {
-			seg.IDs = append(seg.IDs, int32(s))
-			seg.Probs = append(seg.Probs, ob.PDF.P(s))
-		}
+		seg.IDs, seg.Probs = ob.PDF.AppendColumns(seg.IDs, seg.Probs)
 		seg.Off[k+1] = int32(len(seg.IDs))
 	}
 	return seg
@@ -83,11 +79,7 @@ func reuseSeg(prev *Object, prevSeg ObsSeg, updated *Object) ObsSeg {
 			seg.IDs = append(seg.IDs, ids...)
 			seg.Probs = append(seg.Probs, probs...)
 		} else {
-			sup := ob.PDF.Support()
-			for _, s := range sup {
-				seg.IDs = append(seg.IDs, int32(s))
-				seg.Probs = append(seg.Probs, ob.PDF.P(s))
-			}
+			seg.IDs, seg.Probs = ob.PDF.AppendColumns(seg.IDs, seg.Probs)
 		}
 		seg.Off[k+1] = int32(len(seg.IDs))
 	}

@@ -234,9 +234,9 @@ func TestColumnarKernelsMatchRow(t *testing.T) {
 			continue
 		}
 		for s := 0; s < n; s++ {
-			if math.Abs(cd.P(s)-rd.P(s)) > 1e-12 {
+			if math.Abs(cd.At(s)-rd.P(s)) > 1e-12 {
 				t.Fatalf("trial %d: posterior(t=%d) state %d: columnar %g, row %g",
-					trial, tq, s, cd.P(s), rd.P(s))
+					trial, tq, s, cd.At(s), rd.P(s))
 			}
 		}
 	}

@@ -133,13 +133,13 @@ func TestAugmentedMatchesImplicitQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		init := o.First().PDF.Clone()
-		init.Vec().Normalize()
-		aug, err := ExistsOBAugmented(e.db.ChainOf(o), q.States, q.Times, init.Vec(), 0)
+		init := o.First().PDF.Vec().Clone()
+		init.Normalize()
+		aug, err := ExistsOBAugmented(e.db.ChainOf(o), q.States, q.Times, init, 0)
 		if err != nil {
 			return false
 		}
-		augQB, err := ExistsQBAugmented(e.db.ChainOf(o), q.States, q.Times, init.Vec(), 0)
+		augQB, err := ExistsQBAugmented(e.db.ChainOf(o), q.States, q.Times, init, 0)
 		if err != nil {
 			return false
 		}

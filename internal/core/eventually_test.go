@@ -39,9 +39,8 @@ func eventuallyOne(db *Database, o *Object, region []int, maxSteps int, tol floa
 	if err != nil {
 		return 0, err
 	}
-	init := o.First().PDF.Clone()
-	init.Vec().Normalize()
-	return math.Min(init.Vec().Dot(scores), 1), nil
+	init, _ := o.First().PDF.Normalized()
+	return math.Min(init.Dot(scores), 1), nil
 }
 
 func TestHittingScoresGamblersRuinFair(t *testing.T) {

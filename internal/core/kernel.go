@@ -382,12 +382,12 @@ func (k *kern) existsUpper(ctx context.Context, o *Object) (hi float64, ok bool,
 	if err != nil {
 		return 1, false, err
 	}
-	pdf := o.First().PDF.Vec()
-	mass := pdf.Sum()
+	pdf := o.First().PDF
+	mass := pdf.Mass()
 	if mass <= 0 {
 		return 1, false, nil
 	}
-	raw := pm.MassOn(pdf)
+	raw := pdf.MassOn(pm)
 	if raw == 0 {
 		return 0, true, nil
 	}
@@ -404,12 +404,12 @@ func (k *kern) existsLower(ctx context.Context, o *Object) (lo float64, ok bool,
 	if err != nil {
 		return 0, false, err
 	}
-	pdf := o.First().PDF.Vec()
-	mass := pdf.Sum()
+	pdf := o.First().PDF
+	mass := pdf.Mass()
 	if mass <= 0 {
 		return 0, false, nil
 	}
-	lo = cm.MassOn(pdf)/mass - boundSlack
+	lo = pdf.MassOn(cm)/mass - boundSlack
 	if lo < 0 {
 		lo = 0
 	}
@@ -455,8 +455,8 @@ func (k *kern) existsDot(ctx context.Context, o *Object) (float64, error) {
 	if first.Time > k.w.horizon {
 		return 0, errObservedAfterHorizon(o.ID, first.Time, k.w.horizon)
 	}
-	pdf := first.PDF.Vec()
-	mass := pdf.Sum()
+	pdf := first.PDF
+	mass := pdf.Mass()
 	if mass == 0 {
 		return 0, errZeroMass(o.ID)
 	}
@@ -498,8 +498,8 @@ func (k *kern) ktimesQBExact(ctx context.Context, o *Object) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pdf := first.PDF.Vec()
-	mass := pdf.Sum()
+	pdf := first.PDF
+	mass := pdf.Mass()
 	if mass == 0 {
 		return Result{}, errZeroMass(o.ID)
 	}
@@ -536,8 +536,8 @@ func (k *kern) seedFor(ctx context.Context, o *Object) (forwardSeed, error) {
 	if first.Time > k.w.horizon {
 		return forwardSeed{}, errObservedAfterHorizon(o.ID, first.Time, k.w.horizon)
 	}
-	pdf := first.PDF.Vec()
-	mass := pdf.Sum()
+	pdf := first.PDF
+	mass := pdf.Mass()
 	if mass == 0 {
 		return forwardSeed{}, errZeroMass(o.ID)
 	}
@@ -571,8 +571,8 @@ func (k *kern) eventuallyExact(_ context.Context, o *Object) (Result, error) {
 	if len(o.Observations) > 1 {
 		return Result{}, errEventuallyMultiObs(o)
 	}
-	pdf := o.First().PDF.Vec()
-	mass := pdf.Sum()
+	pdf := o.First().PDF
+	mass := pdf.Mass()
 	if mass == 0 {
 		return Result{}, errZeroMass(o.ID)
 	}
@@ -620,21 +620,21 @@ func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 
 // posteriorOf returns the object's smoothed posterior at time t through
 // the columnar kernel, cached per (object serial, t). The cached vector
-// is shared; the returned distribution wraps a clone so callers may
-// Fuse/mutate it like the historical PosteriorAt result.
+// is shared; the returned distribution is packed from it, so callers may
+// Fuse it like the historical PosteriorAt result.
 func (k *kern) posteriorOf(o *Object, t int) (*markov.Distribution, error) {
 	key := scoreKey{chain: k.chain, kind: kindPosterior, sig: fnvMix(fnvOffset, o.serial), t0: t}
 	v, err := k.fetch(context.Background(), key, func() (scoreValue, error) {
-		d, derr := posteriorAtSeg(k.chain, segForObject(k.cols, o), t, k.fpool)
-		if derr != nil {
-			return scoreValue{}, derr
+		post, perr := posteriorAtSeg(k.chain, segForObject(k.cols, o), t, k.fpool)
+		if perr != nil {
+			return scoreValue{}, perr
 		}
-		return scoreValue{vecs: []*sparse.Vec{d.Vec()}}, nil
+		return scoreValue{vecs: []*sparse.Vec{post}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return markov.FromVec(v.vecs[0].Clone()), nil
+	return markov.FromVec(v.vecs[0]), nil
 }
 
 // Marginal returns the exact marginal distribution P(o, t) of an object
@@ -653,8 +653,9 @@ func (e *Engine) Marginal(o *Object, t int) (*markov.Distribution, error) {
 		return nil, errObservedAfterHorizon(o.ID, first.Time, t)
 	}
 	// One |S| copy: normalized in place, then stepped by Advance, which
-	// owns it (Evolve would clone the clone).
-	init := first.PDF.Vec().Clone()
+	// owns it.
+	init := sparse.NewVec(ch.NumStates())
+	first.PDF.CopyTo(init)
 	if init.Normalize() == 0 {
 		return nil, errZeroMass(o.ID)
 	}

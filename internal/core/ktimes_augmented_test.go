@@ -39,9 +39,9 @@ func TestKTimesAugmentedMatchesEfficientQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		init := o.First().PDF.Clone()
-		init.Vec().Normalize()
-		augmented, err := KTimesOBAugmented(e.db.ChainOf(o), q.States, q.Times, init.Vec(), 0)
+		init := o.First().PDF.Vec().Clone()
+		init.Normalize()
+		augmented, err := KTimesOBAugmented(e.db.ChainOf(o), q.States, q.Times, init, 0)
 		if err != nil {
 			return false
 		}

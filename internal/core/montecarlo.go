@@ -67,7 +67,7 @@ func monteCarloRun(ctx context.Context, chain *markov.Chain, o *Object, w *windo
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		path := chain.SamplePath(first.PDF.Vec(), steps, rng)
+		path := chain.SamplePath(first.PDF, steps, rng)
 		weight := 1.0
 		if multi {
 			// Importance weight: likelihood of the later observations
@@ -145,7 +145,7 @@ func monteCarloKTimesRun(ctx context.Context, chain *markov.Chain, o *Object, w 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		path := chain.SamplePath(first.PDF.Vec(), steps, rng)
+		path := chain.SamplePath(first.PDF, steps, rng)
 		visits := 0
 		for t, st := range path {
 			if w.atTime(first.Time+t) && w.inRegion(st) {

@@ -39,7 +39,7 @@ func sweepHits(v *sparse.Vec, w *window) float64 {
 // own pooled working copy, so no per-object |S| clone), its mass, the
 // observation time, and the window's reach cone from that time on.
 type forwardSeed struct {
-	pdf  *sparse.Vec
+	pdf  *markov.Distribution
 	mass float64
 	t0   int
 	// cone[t-t0] is the possible-envelope at time t ∈ [t0, horizon]: the
@@ -52,8 +52,8 @@ type forwardSeed struct {
 // pdf/mass — the bits Normalize on a clone of the pdf produces (the same
 // sum, the same 1/sum scaling, in the same order).
 func (s forwardSeed) start(pool *sparse.VecPool) *sparse.Vec {
-	cur := pool.Get(s.pdf.Len())
-	cur.CopyFrom(s.pdf)
+	cur := pool.Get(s.pdf.NumStates())
+	s.pdf.CopyTo(cur)
 	cur.Scale(1 / s.mass)
 	return cur
 }

@@ -267,7 +267,7 @@ func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 i
 // at state s starts with flag word deltas[t0][s] (events at the
 // observation time itself, footnote 3 of the paper applied per atom).
 // The result is unnormalized — callers divide by the pdf mass.
-func (prog *exprProg) exprDot(init *sparse.Vec, family []*sparse.Vec, t0 int) float64 {
+func (prog *exprProg) exprDot(init *markov.Distribution, family []*sparse.Vec, t0 int) float64 {
 	d := prog.deltas[t0]
 	p := 0.0
 	init.Range(func(s int, x float64) {
@@ -297,10 +297,10 @@ func clamp01(p float64) float64 {
 // never reached), stepped jointly to the horizon; events move mass to
 // higher flag words in place. The returned value is the accepted mass,
 // unnormalized — callers divide by the pdf mass.
-func exprForward(ctx context.Context, chain *markov.Chain, init *sparse.Vec, t0 int, prog *exprProg, pool *sparse.VecPool) (float64, error) {
+func exprForward(ctx context.Context, chain *markov.Chain, init *markov.Distribution, t0 int, prog *exprProg, pool *sparse.VecPool) (float64, error) {
 	if prog.horizon < t0 {
 		if prog.accept[0] {
-			return init.Sum(), nil
+			return init.Mass(), nil
 		}
 		return 0, nil
 	}
@@ -397,7 +397,7 @@ func exprMCRun(ctx context.Context, chain *markov.Chain, o *Object, prog *exprPr
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		path := chain.SamplePath(first.PDF.Vec(), steps, rng)
+		path := chain.SamplePath(first.PDF, steps, rng)
 		bits := 0
 		for t, s := range path {
 			if d := prog.deltas[first.Time+t]; d != nil {
@@ -456,8 +456,8 @@ func (k *kern) exprExact(ctx context.Context, o *Object) (Result, error) {
 		// by the all-unfired flag word, vacuously.
 		return Result{ObjectID: o.ID, Prob: k.prog.constResult()}, nil
 	}
-	pdf := first.PDF.Vec()
-	mass := pdf.Sum()
+	pdf := first.PDF
+	mass := pdf.Mass()
 	if mass == 0 {
 		return Result{}, errZeroMass(o.ID)
 	}
@@ -475,8 +475,8 @@ func (k *kern) exprOBExact(ctx context.Context, o *Object) (Result, error) {
 		return Result{}, errExprMultiObs(o)
 	}
 	first := o.First()
-	pdf := first.PDF.Vec()
-	mass := pdf.Sum()
+	pdf := first.PDF
+	mass := pdf.Mass()
 	if mass == 0 {
 		return Result{}, errZeroMass(o.ID)
 	}
@@ -511,8 +511,8 @@ func (k *kern) exprBounds(ctx context.Context, o *Object) (lo, hi float64, ok bo
 		return 0, 1, false, nil
 	}
 	t0 := o.First().Time
-	pdf := o.First().PDF.Vec()
-	mass := pdf.Sum()
+	pdf := o.First().PDF
+	mass := pdf.Mass()
 	if mass <= 0 {
 		return 0, 1, false, nil
 	}
@@ -526,7 +526,7 @@ func (k *kern) exprBounds(ctx context.Context, o *Object) (lo, hi float64, ok bo
 		if merr != nil {
 			return 0, 1, false, merr
 		}
-		fired[i] = [2]float64{cm.MassOn(pdf) / mass, pm.MassOn(pdf) / mass}
+		fired[i] = [2]float64{pdf.MassOn(cm) / mass, pdf.MassOn(pm) / mass}
 	}
 	idx := 0
 	lo, hi = foldBounds(*k.exprTree, &idx, fired)

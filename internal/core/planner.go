@@ -74,7 +74,7 @@ func (e *Engine) planExists(q Query) ([]CostEstimate, error) {
 			// and roughly doubles-by-locality each step until it
 			// saturates at n. Model as min(n, spread + steps·rowNNZ·2),
 			// averaged over the pass (half the final support).
-			spread := float64(o.First().PDF.Vec().NNZ())
+			spread := float64(o.First().PDF.NNZ())
 			finalSupp := spread + steps*rowNNZ*2
 			if finalSupp > n {
 				finalSupp = n
@@ -124,7 +124,7 @@ func annotateFilterOps(plans []CostEstimate, e *Engine, q Query) {
 			}
 			times[first.Time] = true
 			// One mask-mass dot per object over its observation support.
-			ops += float64(first.PDF.Vec().NNZ())
+			ops += float64(first.PDF.NNZ())
 		}
 		for t0 := range times {
 			ops += float64(horizon-t0) * float64(grp.chain.NNZ())

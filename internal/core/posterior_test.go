@@ -43,9 +43,8 @@ func bruteForcePosterior(chain *markov.Chain, obs []Observation, t int) ([]float
 			walk(tau+1, next, prob*p, atT)
 		})
 	}
-	init := obs[0].PDF.Clone()
-	init.Vec().Normalize()
-	init.Vec().Range(func(s int, p float64) { walk(obs[0].Time, s, p, s) })
+	init, _ := obs[0].PDF.Normalized()
+	init.Range(func(s int, p float64) { walk(obs[0].Time, s, p, s) })
 	if total == 0 {
 		return nil, errZeroMass(0)
 	}

@@ -89,11 +89,11 @@ func BruteForceExpr(chain *markov.Chain, o *Object, x Expr) (float64, error) {
 		})
 	}
 
-	init := first.PDF.Clone()
-	if init.Vec().Normalize() == 0 {
+	init, mass := first.PDF.Normalized()
+	if mass == 0 {
 		return 0, errZeroMass(o.ID)
 	}
-	init.Vec().Range(func(s int, p float64) {
+	init.Range(func(s int, p float64) {
 		walk(first.Time, s, p, 0)
 	})
 	if totalMass == 0 {
@@ -165,11 +165,11 @@ func BruteForce(chain *markov.Chain, o *Object, q Query) (*WorldStats, error) {
 		})
 	}
 
-	init := first.PDF.Clone()
-	if init.Vec().Normalize() == 0 {
+	init, mass := first.PDF.Normalized()
+	if mass == 0 {
 		return nil, errZeroMass(o.ID)
 	}
-	init.Vec().Range(func(s int, p float64) {
+	init.Range(func(s int, p float64) {
 		walk(first.Time, s, p, 0)
 	})
 

@@ -85,7 +85,7 @@ func GenerateTrajectory(chain *markov.Chain, p TrajectoryParams, rng *rand.Rand)
 	}
 	n := chain.NumStates()
 	start := markov.PointDistribution(n, rng.Intn(n))
-	path := chain.SamplePath(start.Vec(), p.Horizon, rng)
+	path := chain.SamplePath(start, p.Horizon, rng)
 
 	tr := &Trajectory{Path: path}
 	for _, t := range p.ObservationTimes {

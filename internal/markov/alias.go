@@ -112,7 +112,7 @@ func (s *Sampler) SampleStep(i int, rng *rand.Rand) int {
 // drawn from init.
 func (s *Sampler) SamplePath(init *Distribution, steps int, rng *rand.Rand) []int {
 	path := make([]int, steps+1)
-	path[0] = SampleFrom(init.Vec(), rng)
+	path[0] = SampleFrom(init, rng)
 	for t := 0; t < steps; t++ {
 		path[t+1] = s.SampleStep(path[t], rng)
 	}

@@ -174,7 +174,7 @@ func (c *Chain) SampleStep(i int, rng *rand.Rand) int {
 
 // SamplePath draws a trajectory of length steps+1 starting from a state
 // drawn from init. The returned slice holds the state at t = 0…steps.
-func (c *Chain) SamplePath(init *sparse.Vec, steps int, rng *rand.Rand) []int {
+func (c *Chain) SamplePath(init *Distribution, steps int, rng *rand.Rand) []int {
 	path := make([]int, steps+1)
 	path[0] = SampleFrom(init, rng)
 	for t := 0; t < steps; t++ {
@@ -183,17 +183,17 @@ func (c *Chain) SamplePath(init *sparse.Vec, steps int, rng *rand.Rand) []int {
 	return path
 }
 
-// SampleFrom draws a state index from the distribution vec. The vector
-// must have positive mass; it need not be normalized.
-func SampleFrom(vec *sparse.Vec, rng *rand.Rand) int {
-	total := vec.Sum()
+// SampleFrom draws a state index from the distribution d. It must have
+// positive mass; it need not be normalized.
+func SampleFrom(d *Distribution, rng *rand.Rand) int {
+	total := d.Mass()
 	if total <= 0 {
 		panic("markov: SampleFrom on zero-mass distribution")
 	}
 	u := rng.Float64() * total
 	acc := 0.0
 	chosen := -1
-	vec.Range(func(i int, x float64) {
+	d.Range(func(i int, x float64) {
 		if chosen >= 0 {
 			return
 		}
@@ -204,7 +204,7 @@ func SampleFrom(vec *sparse.Vec, rng *rand.Rand) int {
 	})
 	if chosen < 0 {
 		// Floating-point slack: fall back to the last non-zero state.
-		vec.Range(func(i int, x float64) { chosen = i })
+		d.Range(func(i int, x float64) { chosen = i })
 	}
 	return chosen
 }

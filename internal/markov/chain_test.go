@@ -170,8 +170,7 @@ func TestSampleStepDistributionConverges(t *testing.T) {
 func TestSamplePathRespectsSupport(t *testing.T) {
 	c := paperChain(t)
 	rng := rand.New(rand.NewSource(1))
-	init := sparse.NewVec(3)
-	init.Set(1, 1)
+	init := PointDistribution(3, 1)
 	for trial := 0; trial < 200; trial++ {
 		path := c.SamplePath(init, 5, rng)
 		if len(path) != 6 {
@@ -194,7 +193,7 @@ func TestSampleFromZeroMassPanics(t *testing.T) {
 			t.Fatal("SampleFrom on empty distribution did not panic")
 		}
 	}()
-	SampleFrom(sparse.NewVec(3), rand.New(rand.NewSource(1)))
+	SampleFrom(NewDistribution(3), rand.New(rand.NewSource(1)))
 }
 
 func TestSampleStepDanglingStateSelfLoops(t *testing.T) {

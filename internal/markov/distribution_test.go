@@ -148,8 +148,7 @@ func TestFuseCommutesQuick(t *testing.T) {
 }
 
 func TestValidateDetectsNonUnitMass(t *testing.T) {
-	d := NewDistribution(3)
-	d.Vec().Set(0, 0.5)
+	d := FromVec(sparse.NewVecFrom([]float64{0.5, 0, 0}))
 	if err := d.Validate(1e-9); err == nil {
 		t.Error("half-mass distribution validated")
 	}
@@ -158,14 +157,13 @@ func TestValidateDetectsNonUnitMass(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	d := PointDistribution(3, 1)
 	c := d.Clone()
-	c.Vec().Set(1, 0)
-	c.Vec().Set(0, 1)
-	if d.P(1) != 1 {
+	c.Fuse(PointDistribution(3, 0))
+	if d.P(1) != 1 || c.Mass() != 0 {
 		t.Error("Clone aliases original")
 	}
 }
 
-func TestFromVecShares(t *testing.T) {
+func TestFromVecCopies(t *testing.T) {
 	v := sparse.NewVec(3)
 	v.Set(2, 1)
 	d := FromVec(v)
@@ -173,8 +171,8 @@ func TestFromVecShares(t *testing.T) {
 		t.Error("FromVec lost data")
 	}
 	v.Set(2, 0.5)
-	if d.P(2) != 0.5 {
-		t.Error("FromVec should share storage")
+	if d.P(2) != 1 {
+		t.Error("FromVec should not retain v")
 	}
 }
 
@@ -194,15 +192,15 @@ func TestSupportAscending(t *testing.T) {
 }
 
 func randomDistribution(rng *rand.Rand, n int) *Distribution {
-	d := NewDistribution(n)
+	v := sparse.NewVec(n)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < 0.5 {
-			d.Vec().Set(i, rng.Float64()+1e-6)
+			v.Set(i, rng.Float64()+1e-6)
 		}
 	}
-	if d.Mass() == 0 {
-		d.Vec().Set(rng.Intn(n), 1)
+	if v.Sum() == 0 {
+		v.Set(rng.Intn(n), 1)
 	}
-	d.Vec().Normalize()
-	return d
+	v.Normalize()
+	return FromVec(v)
 }

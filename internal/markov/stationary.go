@@ -36,9 +36,8 @@ func Stationary(c *Chain, maxIter int, tol float64) (*Distribution, int, error) 
 	for iter := 1; iter <= maxIter; iter++ {
 		c.Step(next, cur)
 		if l1Dist(cur, next) < tol {
-			out := next.Clone()
-			out.Normalize()
-			return FromVec(out), iter, nil
+			next.Normalize()
+			return FromVec(next), iter, nil
 		}
 		cur, next = next, cur
 	}
@@ -55,12 +54,14 @@ func MixingTime(c *Chain, start int, pi *Distribution, maxSteps int, tol float64
 	if tol <= 0 {
 		tol = 1e-3
 	}
-	cur := PointDistribution(c.NumStates(), start).Vec()
-	next := sparse.NewVec(c.NumStates())
+	n := c.NumStates()
+	cur, next, target := sparse.NewVec(n), sparse.NewVec(n), sparse.NewVec(n)
+	PointDistribution(n, start).CopyTo(cur)
+	pi.CopyTo(target)
 	for step := 1; step <= maxSteps; step++ {
 		c.Step(next, cur)
 		cur, next = next, cur
-		if l1Dist(cur, pi.Vec()) < tol {
+		if l1Dist(cur, target) < tol {
 			return step, nil
 		}
 	}

@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -79,6 +81,7 @@ func FromRows(rows, cols int, row func(i int) (idx []int, vals []float64)) *CSR 
 		j int
 		x float64
 	}
+	byCol := func(a, b pair) int { return cmp.Compare(a.j, b.j) }
 	var scratch []pair
 	for i := 0; i < rows; i++ {
 		idx, vals := row(i)
@@ -95,7 +98,11 @@ func FromRows(rows, cols int, row func(i int) (idx []int, vals []float64)) *CSR 
 			}
 			scratch = append(scratch, pair{j, vals[k]})
 		}
-		sort.Slice(scratch, func(p, q int) bool { return scratch[p].j < scratch[q].j })
+		// Rows usually arrive sorted (every decoded chain does); checking
+		// first, and sorting without reflection, keeps a row allocation-free.
+		if !slices.IsSortedFunc(scratch, byCol) {
+			slices.SortFunc(scratch, byCol)
+		}
 		for k := 1; k < len(scratch); k++ {
 			if scratch[k].j == scratch[k-1].j {
 				panic(fmt.Sprintf("sparse: FromRows row %d has duplicate column %d", i, scratch[k].j))

@@ -55,9 +55,10 @@ func AdoptDense(data []float64) *Vec {
 
 // AdoptSparse wraps a dense backing array and its support list — taking
 // ownership of both, no copy — as a sparse-mode vector: the O(1)
-// constructor for column-materialized payloads (the store's mapped load
-// path carves pdf backings and support lists out of shared arenas). The
-// caller warrants that supp lists exactly the non-zero indices of data
+// constructor for computed payloads that already have both (a decoded
+// sweep-tier payload, a column kernel's posterior). Stored pdfs do not
+// take this shape: they are Packed, with no |S|-wide array. The caller
+// warrants that supp lists exactly the non-zero indices of data
 // (stale zero entries are tolerated, duplicates are not) and must not
 // touch either slice afterwards. Vectors whose support exceeds the
 // DenseThreshold stay in sparse mode; that is a performance statement,

@@ -292,19 +292,29 @@ func writeObjectsSection(out *writer, db *core.Database) {
 
 // readObjects decodes the object section into a deferred insertion
 // function; the database cannot be built until the chain section is
-// known, and sections may arrive in either order.
+// known, and sections may arrive in either order. The pdfs are built
+// there too, once each one's stated dimension is checked against its
+// object's chain: building first would let a stated |S| — a number, not
+// bytes — size the construction.
 func readObjects(in *reader) (func(*core.Database) error, error) {
-	count := in.u64()
-	if in.err != nil || count > maxSliceLen {
-		return nil, fmt.Errorf("%w: bad object count", ErrCorrupt)
+	// An object takes at least 28 bytes: id, chain flag, observation count
+	// and one observation's time.
+	count := in.count(28)
+	if in.err != nil {
+		return nil, fmt.Errorf("%w: bad object count: %v", ErrCorrupt, in.err)
+	}
+	type obsRec struct {
+		time, states int
+		idx          []int
+		vals         []float64
 	}
 	type objRec struct {
 		id    int
 		chain *markov.Chain
-		obs   []core.Observation
+		obs   []obsRec
 	}
 	recs := make([]objRec, 0, count)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		var rec objRec
 		rec.id = int(in.u64())
 		hasChain := in.u32()
@@ -330,23 +340,34 @@ func readObjects(in *reader) (func(*core.Database) error, error) {
 			if nU == 0 || nU > maxSliceLen {
 				return nil, fmt.Errorf("%w: observation pdf over %d states", ErrCorrupt, nU)
 			}
-			n := int(nU)
 			idx := in.ints()
 			vals := in.floats()
 			if in.err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrCorrupt, in.err)
 			}
-			pdf, err := markov.WeightedOver(n, idx, vals)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad observation pdf: %v", ErrCorrupt, err)
-			}
-			rec.obs = append(rec.obs, core.Observation{Time: tm, PDF: pdf})
+			rec.obs = append(rec.obs, obsRec{time: tm, states: int(nU), idx: idx, vals: vals})
 		}
 		recs = append(recs, rec)
 	}
 	return func(db *core.Database) error {
 		for _, rec := range recs {
-			o, err := core.NewObject(rec.id, rec.chain, rec.obs...)
+			states := db.DefaultChain().NumStates()
+			if rec.chain != nil {
+				states = rec.chain.NumStates()
+			}
+			obs := make([]core.Observation, len(rec.obs))
+			for k, ob := range rec.obs {
+				if ob.states != states {
+					return fmt.Errorf("%w: object %d observation over %d states, chain has %d",
+						ErrCorrupt, rec.id, ob.states, states)
+				}
+				pdf, err := markov.WeightedOver(ob.states, ob.idx, ob.vals)
+				if err != nil {
+					return fmt.Errorf("%w: bad observation pdf: %v", ErrCorrupt, err)
+				}
+				obs[k] = core.Observation{Time: ob.time, PDF: pdf}
+			}
+			o, err := core.NewObject(rec.id, rec.chain, obs...)
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}

@@ -192,22 +192,29 @@ func (w *writer) finish() error {
 	return w.w.Flush()
 }
 
-// reader tracks CRC over everything read before the footer.
+// reader tracks CRC over everything read before the footer, and how
+// many bytes are left: a length prefix may not claim more elements than
+// that, so what a corrupt prefix can make the decoder allocate is
+// bounded by the bytes present.
 type reader struct {
-	r   io.Reader
-	crc hash.Hash32
-	err error
+	r    io.Reader
+	crc  hash.Hash32
+	err  error
+	left int
+	// word receives fixed-width integers: a local array would escape
+	// through the io.Reader and hash interfaces, one allocation per read.
+	word [8]byte
 }
 
-func newReader(r io.Reader) *reader {
-	return &reader{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+func newReader(r *bytes.Reader) *reader {
+	return &reader{r: bufio.NewReader(r), crc: crc32.NewIEEE(), left: r.Len()}
 }
 
 // newRawReader wraps r without buffering, so the caller can measure
 // exactly how many bytes a nested decode consumed (the v2 loader parses
 // the chain section in place).
-func newRawReader(r io.Reader) *reader {
-	return &reader{r: r, crc: crc32.NewIEEE()}
+func newRawReader(r *bytes.Reader) *reader {
+	return &reader{r: r, crc: crc32.NewIEEE(), left: r.Len()}
 }
 
 func (r *reader) read(p []byte) bool {
@@ -218,24 +225,37 @@ func (r *reader) read(p []byte) bool {
 	if r.err != nil {
 		return false
 	}
+	r.left -= len(p)
 	r.crc.Write(p)
 	return true
 }
 
-func (r *reader) u32() uint32 {
-	var b [4]byte
-	if !r.read(b[:]) {
+// count reads a length prefix for elements of at least size bytes each
+// and checks it against the bytes left.
+func (r *reader) count(size int) int {
+	n := r.u64()
+	if r.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b[:])
+	if n > uint64(r.left/size) {
+		r.err = fmt.Errorf("%w: %d elements of %d bytes, %d bytes left", ErrCorrupt, n, size, r.left)
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) u32() uint32 {
+	if !r.read(r.word[:4]) {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(r.word[:4])
 }
 
 func (r *reader) u64() uint64 {
-	var b [8]byte
-	if !r.read(b[:]) {
+	if !r.read(r.word[:]) {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b[:])
+	return binary.LittleEndian.Uint64(r.word[:])
 }
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
@@ -245,12 +265,8 @@ func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 const maxSliceLen = 1 << 31
 
 func (r *reader) ints() []int {
-	n := r.u64()
+	n := r.count(8)
 	if r.err != nil {
-		return nil
-	}
-	if n > maxSliceLen {
-		r.err = fmt.Errorf("%w: slice length %d", ErrCorrupt, n)
 		return nil
 	}
 	out := make([]int, n)
@@ -266,12 +282,8 @@ func (r *reader) ints() []int {
 }
 
 func (r *reader) floats() []float64 {
-	n := r.u64()
+	n := r.count(8)
 	if r.err != nil {
-		return nil
-	}
-	if n > maxSliceLen {
-		r.err = fmt.Errorf("%w: slice length %d", ErrCorrupt, n)
 		return nil
 	}
 	out := make([]float64, n)

@@ -3,14 +3,37 @@ package store
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+
+	"ust/internal/core"
+	"ust/internal/markov"
+	"ust/internal/sparse"
 )
+
+// decodeAllocLimit is the most decoding data may allocate: a linear
+// bound in the bytes present. Every element a decoder sizes an
+// allocation from costs at least one byte of the image — an observation
+// at least eleven (time, length, state, 8-byte mass) — so a count or a
+// state-space size trusted from a header, which would buy |S| floats per
+// observation, breaks it by orders of magnitude.
+func decodeAllocLimit(data []byte) uint64 { return 1<<16 + 128*uint64(len(data)) }
+
+// decodeAlloc returns what decode allocated, in bytes.
+func decodeAlloc(decode func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
 
 // FuzzDecodeStoreV2 hammers the mapped decoder with arbitrary bytes,
 // seeded with valid v1 and v2 images and systematic truncations. The
 // contract: never panic, never allocate unboundedly; failures are
 // ErrCorrupt (or a clean unsupported-version error), and any input that
-// decodes successfully must re-encode successfully.
+// decodes successfully must re-encode successfully. Decoding allocates
+// within decodeAllocLimit.
 func FuzzDecodeStoreV2(f *testing.F) {
 	db := testDB(f)
 	var v2, v1 bytes.Buffer
@@ -37,7 +60,11 @@ func FuzzDecodeStoreV2(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := LoadDatabaseMapped(data)
+		var loaded *core.Database
+		var err error
+		if grew, limit := decodeAlloc(func() { loaded, err = LoadDatabaseMapped(data) }), decodeAllocLimit(data); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(data), grew, limit)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !bytes.Contains([]byte(err.Error()), []byte("unsupported version")) {
 				t.Fatalf("decode error outside the contract: %v", err)
@@ -58,7 +85,8 @@ func FuzzDecodeStoreV2(f *testing.F) {
 // CRC-valid frames with a corrupt interior (so the section parser is
 // reached, not just the checksum gate). The contract: never panic;
 // failures are ErrCorrupt, ErrUnknownChain or a clean
-// unsupported-version error; whatever decodes re-encodes as a frame.
+// unsupported-version error; whatever decodes re-encodes as a frame;
+// decoding allocates within decodeAllocLimit.
 func FuzzDecodeObjectFrame(f *testing.F) {
 	db := testDB(f) // object 7 carries its own chain
 	def, own := db.DefaultChain(), db.Get(7).Chain
@@ -86,7 +114,11 @@ func FuzzDecodeObjectFrame(f *testing.F) {
 	resolve := resolverOf(def, own)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeObjectFrame(data, resolve)
+		var got *core.Database
+		var err error
+		if grew, limit := decodeAlloc(func() { got, err = DecodeObjectFrame(data, resolve) }), decodeAllocLimit(data); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(data), grew, limit)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnknownChain) &&
 				!bytes.Contains([]byte(err.Error()), []byte("unsupported version")) {
@@ -98,4 +130,34 @@ func FuzzDecodeObjectFrame(f *testing.F) {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
 	})
+}
+
+// TestDecodeAllocBoundedByBytes pins the allocation bound on a
+// well-formed image: two thousand one-state observations over a
+// 10⁴-state chain. Materializing each pdf as a dense |S| array would
+// allocate 2 000 × 10⁴ × 8 B = 160 MB for an image of ~270 KB.
+func TestDecodeAllocBoundedByBytes(t *testing.T) {
+	const states, objects = 10_000, 2_000
+	b := sparse.NewBuilder(states, states)
+	for s := 0; s < states; s++ {
+		b.Add(s, (s+1)%states, 1)
+	}
+	db := core.NewDatabase(markov.MustChain(b.Build()))
+	for i := 0; i < objects; i++ {
+		db.MustAdd(core.MustObject(i, nil, core.Observation{Time: i % 7, PDF: markov.PointDistribution(states, 5*i)}))
+	}
+	image := saveV2(t, db)
+	var loaded *core.Database
+	var err error
+	grew := decodeAlloc(func() { loaded, err = LoadDatabaseMapped(image) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() != objects {
+		t.Fatalf("loaded %d objects, want %d", loaded.Len(), objects)
+	}
+	if limit := decodeAllocLimit(image); grew > limit {
+		t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(image), grew, limit)
+	}
+	t.Logf("decoding %d bytes allocated %d bytes", len(image), grew)
 }

@@ -116,8 +116,7 @@ func assertDatabasesEqual(t *testing.T, want, got *core.Database) {
 				t.Errorf("object %d obs %d time %d, want %d", wo.ID, k, gob.Time, wob.Time)
 			}
 			// Loading normalizes pdfs; compare normalized.
-			wpdf := wob.PDF.Clone()
-			wpdf.Vec().Normalize()
+			wpdf, _ := wob.PDF.Normalized()
 			if !gob.PDF.Vec().Equal(wpdf.Vec(), 1e-12) {
 				t.Errorf("object %d obs %d pdf mismatch", wo.ID, k)
 			}

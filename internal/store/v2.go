@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"unsafe"
 
 	"ust/internal/core"
@@ -319,13 +318,7 @@ func extractSeg(o *core.Object) core.ObsSeg {
 	}
 	for k, ob := range o.Observations {
 		seg.Times[k] = int32(ob.Time)
-		sup := ob.PDF.Support()
-		seg.IDs = slices.Grow(seg.IDs, len(sup))
-		seg.Probs = slices.Grow(seg.Probs, len(sup))
-		for _, s := range sup {
-			seg.IDs = append(seg.IDs, int32(s))
-			seg.Probs = append(seg.Probs, ob.PDF.P(s))
-		}
+		seg.IDs, seg.Probs = ob.PDF.AppendColumns(seg.IDs, seg.Probs)
 		seg.Off[k+1] = int32(len(seg.IDs))
 	}
 	return seg
@@ -517,8 +510,16 @@ func loadV2(body []byte, sections uint32, resolve func(uint64) *markov.Chain) (*
 // decodeColumnar materializes the database from skimmed blocks: shared
 // arenas for every per-observation slice, the probability column adopted
 // zero-copy when aligned, and the column plane pre-seeded so Database.Add
-// claims each segment instead of re-deriving it.
+// claims each segment instead of re-deriving it. Each observation pdf is
+// a view over its segment's support and mass columns, so the plane is
+// the only copy of a loaded observation. Every element an arena is sized
+// for costs at least one byte of its block, and the counts are checked
+// against the block lengths before anything is allocated: what a corrupt
+// image can make the decoder allocate is linear in its length.
 func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup) (*core.Database, error) {
+	if cb.count > uint64(len(cb.ids)) || cb.count > uint64(len(cb.counts)) {
+		return nil, fmt.Errorf("%w: %d objects in %d id bytes", ErrCorrupt, cb.count, len(cb.ids))
+	}
 	n := int(cb.count)
 
 	// Object ids.
@@ -555,8 +556,8 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 	if err := cur.mustEnd(); err != nil {
 		return nil, err
 	}
-	if totalObs > maxSliceLen {
-		return nil, fmt.Errorf("%w: %d observations", ErrCorrupt, totalObs)
+	if totalObs > len(cb.times) || totalObs > len(cb.lens) {
+		return nil, fmt.Errorf("%w: %d observations in %d time bytes", ErrCorrupt, totalObs, len(cb.times))
 	}
 
 	// Own chains (decoded before state ids: they set the per-object
@@ -653,8 +654,8 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 	if err := cur.mustEnd(); err != nil {
 		return nil, err
 	}
-	if totalSupp > maxSliceLen {
-		return nil, fmt.Errorf("%w: %d support entries", ErrCorrupt, totalSupp)
+	if totalSupp > len(cb.states) || 8*totalSupp >= len(cb.probs) {
+		return nil, fmt.Errorf("%w: %d support entries in %d state bytes", ErrCorrupt, totalSupp, len(cb.states))
 	}
 
 	// Support state ids, delta-decoded and range-checked against each
@@ -725,22 +726,8 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 		}
 	}
 
-	// Materialize. One arena per slice kind: per-observation work is a
-	// scatter into the shared dense arena plus two small struct
-	// allocations (Vec + Distribution) — never a fresh dense vector.
-	denseTotal := 0
-	for i := 0; i < n; i++ {
-		states := chain.NumStates()
-		if ch, ok := ownChains[i]; ok {
-			states = ch.NumStates()
-		}
-		denseTotal += counts[i] * states
-		if denseTotal > maxSliceLen {
-			return nil, fmt.Errorf("%w: dense backing overflow", ErrCorrupt)
-		}
-	}
-	denseArena := make([]float64, denseTotal)
-	suppArena := make([]int, totalSupp)
+	// Materialize. One arena per slice kind; per observation, one small
+	// Distribution that views its slice of the id and prob columns.
 	obsArena := make([]core.Observation, totalObs)
 
 	cols := core.NewObsColumns()
@@ -750,7 +737,7 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 		obs   []core.Observation
 	}
 	recs := make([]objRec, n)
-	obsIdx, suppIdx, denseIdx := 0, 0, 0
+	obsIdx, suppIdx := 0, 0
 	for i := 0; i < n; i++ {
 		states := chain.NumStates()
 		ownChain := ownChains[i]
@@ -763,20 +750,13 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 		offArena = offArena[counts[i]+1:]
 		for k := 0; k < counts[i]; k++ {
 			l := int(lens[obsIdx])
-			supp := suppArena[suppIdx : suppIdx+l]
-			dense := denseArena[denseIdx : denseIdx+states]
-			for j := 0; j < l; j++ {
-				s := int(idArena[suppIdx+j])
-				supp[j] = s
-				dense[s] = probs[suppIdx+j]
-			}
+			end := suppIdx + l
 			obsArena[obsIdx] = core.Observation{
 				Time: int(timesArena[obsIdx]),
-				PDF:  markov.FromVec(sparse.AdoptSparse(dense, supp)),
+				PDF:  markov.FromColumns(states, idArena[suppIdx:end:end], probs[suppIdx:end:end]),
 			}
 			off[k+1] = off[k] + int32(l)
-			suppIdx += l
-			denseIdx += states
+			suppIdx = end
 			obsIdx++
 		}
 		cols.AppendSeg(ids[i], core.ObsSeg{

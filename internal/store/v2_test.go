@@ -12,6 +12,7 @@ import (
 	"ust/internal/core"
 	"ust/internal/gen"
 	"ust/internal/markov"
+	"ust/internal/sparse"
 )
 
 // fixupCRC recomputes a test-mutated file's footer CRC so the mutation
@@ -36,7 +37,9 @@ func genDB(t testing.TB, p gen.Params) *core.Database {
 		// The added sighting must be consistent with the motion model:
 		// observe a couple of states the chain can actually reach.
 		dt := 2 + i%3
-		reachable := ds.Chain.Evolve(ds.Objects[i].Vec(), dt).Support()
+		init := sparse.NewVec(p.NumStates)
+		ds.Objects[i].CopyTo(init)
+		reachable := ds.Chain.Advance(init, dt).Support()
 		if len(reachable) > 2 {
 			reachable = reachable[:2]
 		}
