@@ -30,8 +30,9 @@ staticcheck:
 # encoding/json), sparse builder/CSR invariants and the
 # VecMat/MatVec/CopyFrom kernels against their naive references, shard hash
 # ring (determinism / balance / minimal movement), store image and
-# import-frame decoders, sweep-tier payload decoder. CI runs it after
-# make ci.
+# import-frame decoders, sweep-tier payload decoder, and the query-based
+# sweeps against their dense references and possible-worlds enumeration.
+# CI runs it after make ci.
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
@@ -44,6 +45,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeStoreV2 -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSweepValue -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzQBSweeps -fuzztime 15s
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -135,7 +137,9 @@ bench:
 # (catalogue, no shadow database) and loaded pdfs that view their column
 # segment stay cheap by construction, not by convention. The write path
 # and the load are gated on B/op too, where an object-sized copy per
-# write or an |S|-wide array per loaded pdf shows.
+# write or an |S|-wide array per loaded pdf shows, and so are the
+# query-based sweeps, where a per-sweep |S|×K block or a per-chain table
+# of M^j·1 vectors would show.
 # Missing baseline entries (fresh checkout, renamed benchmark) pass with
 # a notice.
 alloc-gate:
@@ -151,6 +155,8 @@ alloc-gate:
 	@$(GO) test ./internal/store -run '^$$' -bench 'BenchmarkLoadDatabase/v2-mapped$$' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped -gate-metric B/op < .gate.jsonl
+	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkQBSweep' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkQBSweep -gate-metric B/op < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total

@@ -223,25 +223,29 @@ func BenchmarkFig9dAccuracy(b *testing.B) {
 
 // --- Figure 10: predicates under OB and QB. -------------------------------
 
+// benchPredicates times one evaluation per predicate and window length.
+// The score cache is off, so that every QB iteration pays for its sweep
+// (the engine is shared across b.N) instead of timing dot products.
 func benchPredicates(b *testing.B, strategy ust.Strategy) {
 	db := benchDB(b, 100, 10000)
 	w := gen.DefaultWindow()
+	uncached := ust.WithCache(false)
 	for _, winLen := range []int{2, 6, 10} {
 		q := ust.NewQuery(w.States(10000), ust.Interval(20, 20+winLen-1))
 		e := ust.NewEngine(db, ust.Options{Strategy: strategy})
 		b.Run(fmt.Sprintf("win=%d/exists", winLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ask(b, e, ust.PredicateExists, q, paperPass)
+				ask(b, e, ust.PredicateExists, q, paperPass, uncached)
 			}
 		})
 		b.Run(fmt.Sprintf("win=%d/forall", winLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ask(b, e, ust.PredicateForAll, q, paperPass)
+				ask(b, e, ust.PredicateForAll, q, paperPass, uncached)
 			}
 		})
 		b.Run(fmt.Sprintf("win=%d/ktimes", winLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ask(b, e, ust.PredicateKTimes, q, paperPass)
+				ask(b, e, ust.PredicateKTimes, q, paperPass, uncached)
 			}
 		})
 	}

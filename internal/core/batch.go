@@ -141,8 +141,8 @@ func fusedWidth(numStates int) int {
 }
 
 // fusedLane is one column of a fused block: a unit plus its activation
-// schedule. Leaders start at their own horizon with an empty column
-// exactly like hitScores; followers — units whose window is a SUFFIX of
+// schedule. Leaders start at their own horizon exactly like hitScores's
+// lane; followers — units whose window is a SUFFIX of
 // their leader's (same region, times equal above the follower's first
 // timestamp) — share the leader's descent down to that first timestamp
 // and only then fork a copy for their remaining unpinned steps. A
@@ -348,9 +348,10 @@ func newFusedSchedule(units []sweepUnit, width int) *fusedSchedule {
 // chain, arbitrary windows and observation times — in one pass down the
 // absolute time axis and publishes each resulting scoring vector to the
 // score cache. Columns join the block at their activation time (the
-// descending sort makes live columns a prefix): leaders empty at their
-// horizon exactly like hitScores, followers as a copy of their leader's
-// column at the fork point. Each column replays exactly the addition
+// descending sort makes live columns a prefix): leaders at their horizon
+// exactly like hitScores's lane (held against the same far value),
+// followers as a copy of their leader's column at the fork point. Each
+// column replays exactly the addition
 // sequence of hitScores for its unit — skipped all-zero states,
 // inactive columns and shared suffixes only elide or share identical
 // terms — so the cached vectors are bit-identical to what the serial
@@ -369,38 +370,65 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 	sch := newFusedSchedule(units, maxFusedColumns)
 	n := chain.NumStates()
 	K := len(sch.lanes)
-	extract := func(cur []float64, k int) *sparse.Vec {
+	// A column whose region covers most of S is held against the far
+	// value 1, as hitScores holds it: its leader starts as the horizon's
+	// pin leaves the serial lane, and its pins zero the region instead.
+	far := make([]bool, K)
+	for k, lane := range sch.lanes {
+		far[k] = lane.u.w.coversMost()
+	}
+	// live holds every row of cur that may be non-zero, nextLive the
+	// rows next was last written on: pins, forks, retirements and steps
+	// visit only those, so a step costs the columns' reach, not n·K.
+	cur := make([]float64, n*K)
+	next := make([]float64, n*K)
+	live, nextLive := sparse.NewBitset(n), sparse.NewBitset(n)
+	extract := func(k int) *sparse.Vec {
 		col := make([]float64, n)
 		for s := range col {
 			col[s] = cur[s*K+k]
+			if far[k] {
+				col[s] = max(0, 1-col[s])
+			}
 		}
 		return sparse.AdoptDense(col)
 	}
-	resolve := func(cur []float64, k int) {
+	resolve := func(k int) {
 		sch.pending[k]--
 		if sch.pending[k] == 0 {
-			for s := 0; s < n; s++ {
-				cur[s*K+k] = 0 // retire the column
-			}
+			live.Range(func(s int) { cur[s*K+k] = 0 }) // retire the column
 		}
 	}
 
-	cur := make([]float64, n*K)
-	next := make([]float64, n*K)
 	extracted := make([]bool, K)
 	active := 0 // live-column prefix: lanes[0:active] have act ≥ t
 	mt := chain.Transposed()
 	for t := sch.maxH; ; t-- {
 		newlyActive := active
-		for active < K && sch.lanes[active].act >= t {
-			active++
+		for ; active < K && sch.lanes[active].act >= t; active++ {
+			if k := active; far[k] && sch.lanes[k].leader < 0 {
+				sch.lanes[k].u.w.eachOutsideState(func(s int) {
+					cur[s*K+k] = 1
+					live.Set(s)
+				})
+			}
 		}
 		// Pin every live, unretired column whose window covers t.
 		for k, lane := range sch.lanes[:active] {
-			if sch.pending[k] > 0 && lane.u.w.atTime(t) {
-				for _, s := range sch.pins[k] {
-					cur[int(s)*K+k] = 1
-				}
+			if sch.pending[k] == 0 || !lane.u.w.atTime(t) {
+				continue
+			}
+			if far[k] {
+				live.Range(func(s int) {
+					if lane.u.w.inRegion(s) {
+						cur[s*K+k] = 0
+					}
+				})
+				continue
+			}
+			for _, s := range sch.pins[k] {
+				cur[int(s)*K+k] = 1
+				live.Set(int(s))
 			}
 		}
 		// Fork freshly activated follower columns off their leaders
@@ -408,10 +436,8 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 		// leader pins at the fork time whenever the follower would).
 		for k := newlyActive; k < active; k++ {
 			if l := sch.lanes[k].leader; l >= 0 {
-				for s := 0; s < n; s++ {
-					cur[s*K+k] = cur[s*K+l]
-				}
-				resolve(cur, l)
+				live.Range(func(s int) { cur[s*K+k] = cur[s*K+l] })
+				resolve(l)
 			}
 		}
 		// Extract every unit whose observation time this is.
@@ -420,15 +446,15 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 				continue
 			}
 			if lane, ok := sch.aliases[ui]; ok {
-				e.cache.board.Put(u.key, scoreValue{vecs: []*sparse.Vec{extract(cur, lane)}})
-				resolve(cur, lane)
+				e.cache.board.Put(u.key, scoreValue{vecs: []*sparse.Vec{extract(lane)}})
+				resolve(lane)
 				continue
 			}
 			k := sch.laneOf[ui]
 			if k < active && !extracted[k] {
-				e.cache.board.Put(u.key, scoreValue{vecs: []*sparse.Vec{extract(cur, k)}})
+				e.cache.board.Put(u.key, scoreValue{vecs: []*sparse.Vec{extract(k)}})
 				extracted[k] = true
-				resolve(cur, k)
+				resolve(k)
 			}
 		}
 		if t == sch.minT0 {
@@ -437,8 +463,9 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fusedStepBack(next, cur, mt, K, active)
+		fusedStepBackLive(next, cur, nextLive, live, mt, K, active)
 		cur, next = next, cur
+		live, nextLive = nextLive, live
 	}
 }
 
@@ -474,6 +501,41 @@ func fusedStepBack(dst, x []float64, mt *sparse.CSR, K, active int) {
 			}
 		}
 	}
+}
+
+// fusedStepBackLive is fusedStepBack over the rows in xLive, the only
+// ones of x that can be non-zero, still in ascending order (so the same
+// additions in the same order): a step costs the columns' reach, not
+// n·K. dst is cleared on the rows dstLive held, and dstLive becomes the
+// rows written. The row body is fusedStepBack's, written out again: the
+// dense loop stays call-free for the columnar kernel that shares it.
+func fusedStepBackLive(dst, x []float64, dstLive, xLive *sparse.Bitset, mt *sparse.CSR, K, active int) {
+	dstLive.Range(func(j int) { clear(dst[j*K : j*K+K]) })
+	dstLive.Reset()
+	xLive.Range(func(i int) {
+		xb := x[i*K : i*K+active : i*K+active]
+		nz := false
+		for _, v := range xb {
+			if v != 0 {
+				nz = true
+				break
+			}
+		}
+		if !nz {
+			return
+		}
+		cols, vals := mt.RowSlices(i)
+		vals = vals[:len(cols)]
+		for p, j := range cols {
+			v := vals[p]
+			dstLive.Set(j)
+			db := dst[j*K : j*K+active : j*K+active]
+			db = db[:len(xb)]
+			for c, xc := range xb {
+				db[c] += xc * v
+			}
+		}
+	})
 }
 
 // fusedMaskSweeps runs the boolean reachability-envelope sweeps of all

@@ -85,6 +85,22 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 			ExistsAtom(WithStates([]int{3, 4}), WithTimeRange(2, 6)),
 			Not(ForAllAtom(WithStates([]int{10, 11}), WithTimeRange(3, 5))),
 		)),
+		// Regions on both sides of half the 40 states, so that the swept
+		// lanes are held against both far values, and expressions whose
+		// far value flips at a large fire region's last event.
+		NewRequest(PredicateForAll, WithStates(Interval(0, 29)), WithTimeRange(1, 6)),
+		NewRequest(PredicateForAll, WithStates([]int{5}), WithTimeRange(3, 8), WithTopK(4)),
+		NewRequest(PredicateKTimes, WithStates(Interval(5, 30)), WithTimeRange(2, 7)),
+		NewRequest(PredicateKTimes, WithStates([]int{6, 7}), WithTimes([]int{2, 4, 7}), WithThreshold(0.1)),
+		NewExprRequest(Or(
+			ForAllAtom(WithStates(Interval(0, 24)), WithTimeRange(2, 4)),
+			ExistsAtom(WithStates(Interval(10, 35)), WithTimeRange(4, 8)),
+		), WithTopK(6)),
+		NewExprRequest(Not(And(
+			ForAllAtom(WithStates([]int{12, 13, 14}), WithTimes([]int{2, 5})),
+			ExistsAtom(WithStates([]int{20}), WithTimeRange(3, 6)),
+			ForAllAtom(WithStates(Interval(1, 38)), WithTimeRange(5, 7)),
+		))),
 	)
 
 	// Sequential reference on a fresh engine (cold cache).
@@ -144,10 +160,16 @@ func TestFusedSweepBitIdentical(t *testing.T) {
 		w  *window
 		t0 int
 	}
-	for i := 0; i < 9; i++ {
+	for i := 0; i < 12; i++ {
+		// Every third unit is complemented, and every fourth region covers
+		// most of the states: lanes held against both far values.
+		fill := 0.2
+		if i%4 == 3 {
+			fill = 0.8
+		}
 		var states []int
 		for s := 0; s < 30; s++ {
-			if rng.Float64() < 0.2 {
+			if rng.Float64() < fill {
 				states = append(states, s)
 			}
 		}

@@ -122,8 +122,8 @@ func (ic *IntervalChain) BoundScores(q Query, t0 int) (loScore, hiScore *sparse.
 	bufHi := sparse.NewVec(n)
 	for t := w.horizon; t > t0; t-- {
 		if w.atTime(t) {
-			pinRegion(loScore, w)
-			pinRegion(hiScore, w)
+			pinLane(loScore, w, false)
+			pinLane(hiScore, w, false)
 		}
 		sparse.MatVec(bufLo, ic.lo, loScore)
 		loScore, bufLo = bufLo, loScore
@@ -132,8 +132,8 @@ func (ic *IntervalChain) BoundScores(q Query, t0 int) (loScore, hiScore *sparse.
 		clip1(hiScore)
 	}
 	if w.atTime(t0) {
-		pinRegion(loScore, w)
-		pinRegion(hiScore, w)
+		pinLane(loScore, w, false)
+		pinLane(hiScore, w, false)
 	}
 	return loScore, hiScore, nil
 }

@@ -347,7 +347,7 @@ func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int
 }
 
 // orRegion adds every state of the (possibly inverted) spatial predicate
-// to the set — the boolean twin of pinRegion.
+// to the set — the boolean twin of pinLane.
 func orRegion(b *sparse.Bitset, w *window) {
 	w.eachRegionState(func(s int) { b.Set(s) })
 }
@@ -440,6 +440,9 @@ func (k *kern) existsExact(ctx context.Context, o *Object, forAll bool) (Result,
 	if err != nil {
 		return Result{}, err
 	}
+	// A sweep held against its far value can round a score a last bit
+	// past 1 (querybased.go): answers stay inside [0, 1].
+	p = clamp01(p)
 	if forAll {
 		p = 1 - p
 	}
@@ -505,7 +508,7 @@ func (k *kern) ktimesQBExact(ctx context.Context, o *Object) (Result, error) {
 	}
 	dist := make([]float64, k.w.k+1)
 	for i := range dist {
-		dist[i] = pdf.Dot(backs[i]) / mass
+		dist[i] = clamp01(pdf.Dot(backs[i]) / mass)
 	}
 	return kTimesResult(o.ID, dist), nil
 }

@@ -93,61 +93,81 @@ func shiftDown(rows []*sparse.Vec, w *window) {
 	}
 }
 
-// The query-based PSTkQ sweep maintains, per chain group, |T□|+1
-// backward vectors B_k, where B_k(t)[s] is the probability that a world
-// at state s at time t visits the window at exactly k of the query
-// timestamps in (t, horizon]; stepping back INTO a query timestamp
-// first re-indexes in-window states to consume one visit. Each object is
-// then answered with |T□|+1 dot products.
+// The query-based PSTkQ sweep maintains, per chain group, the backward
+// vectors B_k, where B_k(t)[s] is the probability that a world at state
+// s at time t visits the window at exactly k of the query timestamps in
+// (t, horizon]; stepping back INTO a query timestamp first re-indexes
+// in-window states to consume one visit. Each object is then answered
+// with |T□|+1 dot products.
+//
+// Only B_1 … B_K are swept. Every world makes some number of visits, so
+// B_0 = 1 − Σ_{k≥1} B_k on a row-stochastic chain (querybased.go): B_0 is
+// the lane whose far value is 1, and the offset it would store is the sum
+// of the others. Each B_k with k ≥ 1 lives on the backward reach of S□.
 
 // kTimesBackward produces the scoring vectors B_0 … B_K at time t0,
 // checking ctx once per backward step. The returned vectors are owned by
-// the caller (and typically handed to the score cache); only the swap
-// buffer is pooled.
+// the caller (and typically handed to the score cache).
 func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *sparse.VecPool) ([]*sparse.Vec, error) {
-	n := chain.NumStates()
 	backs := make([]*sparse.Vec, w.k+1)
-	for k := range backs {
-		backs[k] = pool.Get(n)
+	backs[0] = pool.Get(chain.NumStates())
+	if err := visitLanes(ctx, chain, w, t0, backs[1:], pool); err != nil {
+		pool.Put(backs[0])
+		return nil, err
 	}
-	// At the horizon, no future query times remain: every state has
-	// exactly 0 future visits with probability 1.
-	for s := 0; s < n; s++ {
-		backs[0].Set(s, 1)
+	for _, v := range backs[1:] {
+		v.Range(func(s int, x float64) { backs[0].Add(s, x) })
 	}
-	buf := pool.Get(n)
-	for t := w.horizon; t > t0; t-- {
-		if err := ctx.Err(); err != nil {
-			pool.Put(buf)
-			return nil, err
-		}
-		if w.atTime(t) {
-			consumeVisit(backs, w)
-		}
-		// B_k(t-1) = M · B_k(t) for every k.
-		for k := range backs {
-			sparse.MatVec(buf, chain.Matrix(), backs[k])
-			backs[k], buf = buf, backs[k]
-		}
-	}
-	if w.atTime(t0) {
-		consumeVisit(backs, w)
-	}
-	pool.Put(buf)
+	settleFar(backs[0])
 	return backs, nil
 }
 
-// consumeVisit re-indexes the backward vectors at a query timestamp: a
-// world standing inside the window consumes one visit, so B_k[s ∈ S□]
-// becomes B_{k-1}[s ∈ S□], and B_0[s ∈ S□] becomes 0 (a world inside the
-// window cannot have zero visits from here on). Processed top-down so
-// each level moves once.
-func consumeVisit(backs []*sparse.Vec, w *window) {
-	for k := len(backs) - 1; k >= 1; k-- {
-		dst, src := backs[k], backs[k-1]
-		w.eachRegionState(func(s int) { dst.Set(s, src.At(s)) })
+// visitLanes runs the sweep of B_1 … B_K down to t0 into visits (one
+// slot per query timestamp), drawing every vector from pool. On error
+// the vectors are back in the pool.
+func visitLanes(ctx context.Context, chain *markov.Chain, w *window, t0 int, visits []*sparse.Vec, pool *sparse.VecPool) error {
+	n := chain.NumStates()
+	for k := range visits {
+		visits[k] = pool.Get(n)
 	}
-	b0 := backs[0]
-	w.eachRegionState(func(s int) { b0.Set(s, 0) })
-	b0.Compact()
+	buf := pool.Get(n)
+	defer func() { pool.Put(buf) }() // the swap buffer of the last step
+	for t := w.horizon; t > t0; t-- {
+		if err := ctx.Err(); err != nil {
+			for _, v := range visits {
+				pool.Put(v)
+			}
+			return err
+		}
+		if w.atTime(t) {
+			consumeVisit(visits, w)
+		}
+		// B_k(t-1) = M · B_k(t) for every k ≥ 1.
+		for k := range visits {
+			chain.StepBack(buf, visits[k])
+			visits[k], buf = buf, visits[k]
+		}
+	}
+	if w.atTime(t0) {
+		consumeVisit(visits, w)
+	}
+	return nil
+}
+
+// consumeVisit re-indexes B_1 … B_K at a query timestamp: a world
+// standing inside the window consumes one visit, so B_k[s ∈ S□] becomes
+// B_{k-1}[s], with B_0[s] = 1 − Σ_{k≥1} B_k[s] read off the others (and a
+// world inside the window cannot have zero visits from here on). Each
+// state moves top-down, so each level moves once.
+func consumeVisit(visits []*sparse.Vec, w *window) {
+	w.eachRegionState(func(s int) {
+		sum := 0.0
+		for _, v := range visits {
+			sum += v.At(s)
+		}
+		for k := len(visits) - 1; k >= 1; k-- {
+			visits[k].Set(s, visits[k-1].At(s))
+		}
+		visits[0].Set(s, max(0, 1-sum))
+	})
 }

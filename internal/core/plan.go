@@ -23,9 +23,12 @@ import (
 // Both exact strategies run over this augmented space:
 //
 //   - query-based: ONE backward sweep per (chain, observation time)
-//     maintaining 2^m scoring vectors — shared across all objects of
-//     the group through the score cache — then a flag-aware dot product
-//     per object;
+//     producing 2^m scoring vectors — shared across all objects of the
+//     group through the score cache — then a flag-aware dot product per
+//     object. Each lane is held against its far value (querybased.go),
+//     so the sweep costs the backward reach of the atoms' small regions
+//     (a forall-atom's S□, an exists-atom's own region), not |S| per
+//     lane per step;
 //   - object-based: one forward pass per object over the (lazily
 //     materialized) flag-indexed vector family, the direct analogue of
 //     the PSTkQ count-matrix pass in ktimes.go.
@@ -58,7 +61,22 @@ type exprProg struct {
 	// lies in its fire region. Timestamps with identical active-atom
 	// sets share one backing array.
 	deltas map[int][]uint8
+	// events is the backward sweep's form of deltas: per event
+	// timestamp, the word a typical state fires and the few states that
+	// fire another.
+	events map[int]*exprEvent
 	sig    uint64
+}
+
+// exprEvent is one event timestamp's fired-bit masks, stored against
+// the word base that a state outside the backward reach of every small
+// region fires: the active atoms whose fire region covers more than half
+// of S. states lists the states whose word differs from base, ascending,
+// and fired their words.
+type exprEvent struct {
+	base   int
+	states []int
+	fired  []int
 }
 
 // compileExpr compiles a resolved (region-free), validated expression.
@@ -103,7 +121,9 @@ func compileExpr(x Expr, numStates int) (*exprProg, error) {
 		}
 	}
 	prog.deltas = make(map[int][]uint8, len(activeAt))
+	prog.events = make(map[int]*exprEvent, len(activeAt))
 	byActive := map[uint32][]uint8{}
+	eventOf := map[uint32]*exprEvent{}
 	for t, act := range activeAt {
 		arr, ok := byActive[act]
 		if !ok {
@@ -118,8 +138,22 @@ func compileExpr(x Expr, numStates int) (*exprProg, error) {
 				arr[s] = d
 			}
 			byActive[act] = arr
+			ev := &exprEvent{}
+			for i := 0; i < m; i++ {
+				if act&(1<<i) != 0 && prog.fire[i].coversMost() {
+					ev.base |= 1 << i
+				}
+			}
+			for s, d := range arr {
+				if int(d) != ev.base {
+					ev.states = append(ev.states, s)
+					ev.fired = append(ev.fired, int(d))
+				}
+			}
+			eventOf[act] = ev
 		}
 		prog.deltas[t] = arr
+		prog.events[t] = eventOf[act]
 	}
 
 	prog.sig = x.signature(numStates)
@@ -208,59 +242,88 @@ func (prog *exprProg) constResult() float64 {
 // probability that a world at state s at t0, having already accumulated
 // flag word b (events at t0 included), ends up accepted. Requires
 // t0 ≤ prog.horizon.
+//
+// Lane b is held against its far value (querybased.go): the answer of a
+// world that never meets a small region, accept[b ∪ the atoms whose fire
+// region covers more than half of S and still have an event ahead]. It
+// changes only at such an atom's last event, whose gather rewrites the
+// lane anyway, so every lane lives on the backward reach of the small
+// regions — the event states of exprEvent.
 func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, pool *sparse.VecPool) ([]*sparse.Vec, error) {
+	lanes, far, err := exprLanes(ctx, chain, prog, t0, pool)
+	if err != nil {
+		return nil, err
+	}
+	for b, v := range lanes {
+		if far[b] {
+			settleFar(v)
+		}
+	}
+	return lanes, nil
+}
+
+// exprLanes is exprBackward's sweep without the final materialization:
+// the lanes at t0 and which of them are held against the far value 1.
+func exprLanes(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, pool *sparse.VecPool) ([]*sparse.Vec, []bool, error) {
 	n := chain.NumStates()
 	nb := 1 << prog.m
 	cur := make([]*sparse.Vec, nb)
-	release := func(vs []*sparse.Vec) {
-		for _, v := range vs {
-			if v != nil {
-				pool.Put(v)
-			}
-		}
-	}
-	for b := range cur {
-		cur[b] = pool.Get(n)
-		if prog.accept[b] {
-			for s := 0; s < n; s++ {
-				cur[b].Set(s, 1)
-			}
-		}
-	}
 	next := make([]*sparse.Vec, nb)
-	for b := range next {
-		next[b] = pool.Get(n)
+	far := make([]bool, nb)
+	for b := range cur {
+		cur[b], next[b] = pool.Get(n), pool.Get(n)
+		far[b] = prog.accept[b]
 	}
 	gather := pool.Get(n)
 	defer pool.Put(gather)
+	release := func(vs []*sparse.Vec) {
+		for _, v := range vs {
+			pool.Put(v)
+		}
+	}
 
+	ahead := 0 // atoms covering most of S with an event after t
 	for t := prog.horizon; t > t0; t-- {
 		if err := ctx.Err(); err != nil {
 			release(cur)
 			release(next)
-			return nil, err
+			return nil, nil, err
 		}
-		d := prog.deltas[t]
-		for b := 0; b < nb; b++ {
-			src := cur[b]
-			if d != nil {
-				// Gather the event re-indexing at time t: a world arriving
-				// at state s fires d[s], so its continuation value comes
-				// from the b|d[s] family member.
-				gather.CopyFrom(src)
-				for s, ds := range d {
-					if ds != 0 && b|int(ds) != b {
-						gather.Set(s, cur[b|int(ds)].At(s))
-					}
-				}
-				src = gather
+		ev := prog.events[t]
+		if ev == nil {
+			for b := range cur {
+				chain.StepBack(next[b], cur[b])
 			}
-			sparse.MatVec(next[b], chain.Matrix(), src)
+			cur, next = next, cur
+			continue
+		}
+		// Gather the event re-indexing at time t: a world arriving at
+		// state s fires its word there, so its continuation comes from
+		// that member of the family. A typical state fires ev.base, and
+		// lane b|base is held against the same far value as the gathered
+		// lane, so its offset carries over; only the event states are
+		// rewritten.
+		ahead |= ev.base
+		for b := range cur {
+			farB := prog.accept[b|ahead]
+			gather.CopyFrom(cur[b|ev.base])
+			for i, s := range ev.states {
+				src := b | ev.fired[i]
+				x := cur[src].At(s)
+				if far[src] != farB {
+					x = max(0, 1-x)
+				}
+				gather.Set(s, x)
+			}
+			chain.StepBack(next[b], gather)
+		}
+		for b := range far {
+			far[b] = prog.accept[b|ahead]
 		}
 		cur, next = next, cur
 	}
 	release(next)
-	return cur, nil
+	return cur, far, nil
 }
 
 // exprDot answers one object from a backward family: the initial mass

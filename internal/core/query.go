@@ -138,8 +138,14 @@ func fnvMix(h, v uint64) uint64 {
 // eachRegionState calls fn for every state satisfying the (possibly
 // inverted) spatial predicate. Non-inverted windows iterate the compact
 // state list; inverted windows must walk the mask.
-func (w *window) eachRegionState(fn func(s int)) {
-	if !w.invert {
+func (w *window) eachRegionState(fn func(s int)) { w.eachState(w.invert, fn) }
+
+// eachOutsideState calls fn for every state that fails the (possibly
+// inverted) spatial predicate, in ascending order.
+func (w *window) eachOutsideState(fn func(s int)) { w.eachState(!w.invert, fn) }
+
+func (w *window) eachState(invert bool, fn func(s int)) {
+	if !invert {
 		for _, s := range w.states {
 			fn(s)
 		}
@@ -155,6 +161,17 @@ func (w *window) eachRegionState(fn func(s int)) {
 // inRegion reports whether state s satisfies the (possibly inverted)
 // spatial predicate.
 func (w *window) inRegion(s int) bool { return w.mask[s] != w.invert }
+
+// coversMost reports whether the (possibly inverted) spatial predicate
+// holds on more than half of the states: the backward sweeps then hold
+// their lanes against the far value 1 (querybased.go).
+func (w *window) coversMost() bool {
+	size := len(w.states)
+	if w.invert {
+		size = len(w.mask) - size
+	}
+	return 2*size > len(w.mask)
+}
 
 // atTime reports whether timestamp t belongs to T□.
 func (w *window) atTime(t int) bool { return w.timeSet[t] }

@@ -73,8 +73,11 @@ func VecMat(dst, x *Vec, m *CSR) {
 }
 
 // MatVec computes dst = M · x (matrix times column vector). It iterates
-// rows of M densely and is therefore O(nnz(M)); use it when x is dense or
-// when the transposed matrix is unavailable.
+// rows of M densely and is therefore O(nnz(M)) whatever the support of x;
+// use it only when the transposed matrix is unavailable. The backward
+// sweeps step with VecMat over Mᵀ instead, which costs the support; the
+// one engine caller left is the interval-chain bound sweep (core's
+// cluster.go), whose lower and upper matrices have no transpose.
 //
 // dst is reset first and must be distinct from x.
 func MatVec(dst *Vec, m *CSR, x *Vec) {

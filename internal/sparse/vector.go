@@ -414,21 +414,6 @@ func (v *Vec) Equal(w *Vec, tol float64) bool {
 	return true
 }
 
-// MassIn returns Σ_{i ∈ idx} v[i]. Indices may repeat; repeats are counted
-// once (idx is treated as a set via a scratch pass when needed).
-func (v *Vec) MassIn(idx []int) float64 {
-	s := 0.0
-	seen := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		s += v.data[i]
-	}
-	return s
-}
-
 // String renders a compact human-readable form, for debugging and tests.
 func (v *Vec) String() string {
 	idx := v.Support()

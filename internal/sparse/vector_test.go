@@ -262,15 +262,6 @@ func TestVecAddVec(t *testing.T) {
 	}
 }
 
-func TestVecMassIn(t *testing.T) {
-	v := NewVec(5)
-	v.Set(1, 0.25)
-	v.Set(3, 0.5)
-	if got := v.MassIn([]int{1, 3, 3, 4}); math.Abs(got-0.75) > 1e-15 {
-		t.Errorf("MassIn = %g, want 0.75 (duplicates counted once)", got)
-	}
-}
-
 func TestVecMaxAndString(t *testing.T) {
 	v := NewVec(4)
 	if v.Max() != 0 {
