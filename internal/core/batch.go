@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"iter"
+	"math/bits"
 	"runtime"
 	"sort"
 
@@ -284,16 +285,13 @@ func sortedKeys(m map[int]bool) []int {
 }
 
 // fusedSchedule is the shared per-block bookkeeping of both fused
-// kernels: planned lanes, alias extractions, dependency counts and
-// per-lane pin lists (the window's region states materialized once, so
-// inverted forall-windows do not walk the full state mask every step).
+// kernels: planned lanes, alias extractions and dependency counts.
 type fusedSchedule struct {
 	lanes   []fusedLane
 	aliases map[int]int
 	order   []sweepUnit
 	pending []int
 	laneOf  map[int]int
-	pins    [][]int32
 	maxH    int
 	minT0   int
 }
@@ -335,12 +333,6 @@ func newFusedSchedule(units []sweepUnit, width int) *fusedSchedule {
 			}
 		}
 	}
-	sch.pins = make([][]int32, len(sch.lanes))
-	for k, lane := range sch.lanes {
-		var pin []int32
-		lane.u.w.eachRegionState(func(s int) { pin = append(pin, int32(s)) })
-		sch.pins[k] = pin
-	}
 	return sch
 }
 
@@ -372,10 +364,15 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 	K := len(sch.lanes)
 	// A column whose region covers most of S is held against the far
 	// value 1, as hitScores holds it: its leader starts as the horizon's
-	// pin leaves the serial lane, and its pins zero the region instead.
+	// pin leaves the serial lane, and its pins zero the region on the live
+	// rows instead. Only the other columns materialize their region states
+	// as a pin list.
 	far := make([]bool, K)
+	pins := make([][]int32, K)
 	for k, lane := range sch.lanes {
-		far[k] = lane.u.w.coversMost()
+		if far[k] = lane.u.w.coversMost(); !far[k] {
+			pins[k] = regionPins(lane.u.w)
+		}
 	}
 	// live holds every row of cur that may be non-zero, nextLive the
 	// rows next was last written on: pins, forks, retirements and steps
@@ -426,7 +423,7 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 				})
 				continue
 			}
-			for _, s := range sch.pins[k] {
+			for _, s := range pins[k] {
 				cur[int(s)*K+k] = 1
 				live.Set(int(s))
 			}
@@ -463,7 +460,7 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fusedStepBackLive(next, cur, nextLive, live, mt, K, active)
+		fusedStepBack(next, cur, nextLive, live, mt, K, active)
 		cur, next = next, cur
 		live, nextLive = nextLive, live
 	}
@@ -471,71 +468,42 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 
 // fusedStepBack advances the first `active` columns one backward step:
 // the block analogue of chain.StepBack (dst = x · Mᵀ, Gustavson row
-// scatter). The transposed matrix is traversed once; each non-zero
-// updates the live columns contiguously. States whose live columns are
-// all zero are skipped without touching the matrix row at all — early
-// in a sweep most of the state space is.
-func fusedStepBack(dst, x []float64, mt *sparse.CSR, K, active int) {
-	clear(dst)
-	n := mt.Rows()
-	for i := 0; i < n; i++ {
-		xb := x[i*K : i*K+active : i*K+active]
-		nz := false
-		for _, v := range xb {
-			if v != 0 {
-				nz = true
-				break
+// scatter). xLive holds every row of x that can be non-zero; they are
+// visited in ascending order, and a row whose live columns are all zero
+// is skipped without touching the matrix row at all, so a step costs the
+// columns' reach, not n·K. dst is cleared on the rows dstLive held, and
+// dstLive becomes the rows written. The loop makes no call per row or
+// edge (Bitset.Set inlines).
+func fusedStepBack(dst, x []float64, dstLive, xLive *sparse.Bitset, mt *sparse.CSR, K, active int) {
+	dstLive.Range(func(j int) { clear(dst[j*K : j*K+K]) })
+	dstLive.Reset()
+	for wi, w := range xLive.Words64() {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			xb := x[i*K : i*K+active : i*K+active]
+			nz := false
+			for _, v := range xb {
+				if v != 0 {
+					nz = true
+					break
+				}
 			}
-		}
-		if !nz {
-			continue
-		}
-		cols, vals := mt.RowSlices(i)
-		vals = vals[:len(cols)] // equal lengths: lets the compiler drop bounds checks
-		for p, j := range cols {
-			v := vals[p]
-			db := dst[j*K : j*K+active : j*K+active]
-			db = db[:len(xb)]
-			for c, xc := range xb {
-				db[c] += xc * v
+			if !nz {
+				continue
+			}
+			cols, vals := mt.RowSlices(i)
+			vals = vals[:len(cols)] // equal lengths: lets the compiler drop bounds checks
+			for p, j := range cols {
+				v := vals[p]
+				dstLive.Set(j)
+				db := dst[j*K : j*K+active : j*K+active]
+				db = db[:len(xb)]
+				for c, xc := range xb {
+					db[c] += xc * v
+				}
 			}
 		}
 	}
-}
-
-// fusedStepBackLive is fusedStepBack over the rows in xLive, the only
-// ones of x that can be non-zero, still in ascending order (so the same
-// additions in the same order): a step costs the columns' reach, not
-// n·K. dst is cleared on the rows dstLive held, and dstLive becomes the
-// rows written. The row body is fusedStepBack's, written out again: the
-// dense loop stays call-free for the columnar kernel that shares it.
-func fusedStepBackLive(dst, x []float64, dstLive, xLive *sparse.Bitset, mt *sparse.CSR, K, active int) {
-	dstLive.Range(func(j int) { clear(dst[j*K : j*K+K]) })
-	dstLive.Reset()
-	xLive.Range(func(i int) {
-		xb := x[i*K : i*K+active : i*K+active]
-		nz := false
-		for _, v := range xb {
-			if v != 0 {
-				nz = true
-				break
-			}
-		}
-		if !nz {
-			return
-		}
-		cols, vals := mt.RowSlices(i)
-		vals = vals[:len(cols)]
-		for p, j := range cols {
-			v := vals[p]
-			dstLive.Set(j)
-			db := dst[j*K : j*K+active : j*K+active]
-			db = db[:len(xb)]
-			for c, xc := range xb {
-				db[c] += xc * v
-			}
-		}
-	})
 }
 
 // fusedMaskSweeps runs the boolean reachability-envelope sweeps of all
@@ -550,6 +518,10 @@ func fusedStepBackLive(dst, x []float64, dstLive, xLive *sparse.Bitset, mt *spar
 func (e *Engine) fusedMaskSweeps(ctx context.Context, chain *markov.Chain, units []sweepUnit, certain bool) error {
 	sch := newFusedSchedule(units, 64)
 	n := chain.NumStates()
+	pins := make([][]int32, len(sch.lanes))
+	for k, lane := range sch.lanes {
+		pins[k] = regionPins(lane.u.w) // inverted windows: no full-mask walk per step
+	}
 	extract := func(cur []uint64, k int) *sparse.Bitset {
 		bits := sparse.NewBitset(n)
 		bit := uint64(1) << uint(k)
@@ -583,7 +555,7 @@ func (e *Engine) fusedMaskSweeps(ctx context.Context, chain *markov.Chain, units
 		for k, lane := range sch.lanes[:active] {
 			if sch.pending[k] > 0 && lane.u.w.atTime(t) {
 				bit := uint64(1) << uint(k)
-				for _, s := range sch.pins[k] {
+				for _, s := range pins[k] {
 					cur[s] |= bit
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ust/internal/markov"
+	"ust/internal/sparse"
 )
 
 // Batch evaluation must be byte-identical to sequential Evaluate calls
@@ -144,6 +145,73 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 	}
 	for i := range reqs {
 		sameResults(t, "nocache", plain[i].Results, want[i].Results)
+	}
+}
+
+// TestEvaluateBatchMatchesSequentialWide runs the byte-identity check on
+// the benchmark's T1 shape — |S| = 10⁴, five successors within ±20 ids,
+// random weights — where a lane held against the far value 1 stays
+// sparse for many steps: the forall lanes and an exists region covering
+// most of S. (A plain exists lane over a small region is left out: the
+// serial sweep walks it in support-list order, the fused kernel in
+// ascending rows, so it can differ in a last bit once it stays sparse.)
+func TestEvaluateBatchMatchesSequentialWide(t *testing.T) {
+	const n = 10000
+	rng := rand.New(rand.NewSource(31))
+	chain := markov.MustChain(sparse.FromRows(n, n, func(i int) ([]int, []float64) {
+		seen := map[int]bool{}
+		var idx []int
+		var vals []float64
+		for len(idx) < 5 {
+			if j := i - 20 + rng.Intn(41); j >= 0 && j < n && !seen[j] {
+				seen[j] = true
+				idx = append(idx, j)
+				vals = append(vals, 0.1+rng.Float64())
+			}
+		}
+		s := 0.0
+		for _, v := range vals {
+			s += v
+		}
+		for k := range vals {
+			vals[k] /= s
+		}
+		return idx, vals
+	}))
+	build := func() *Engine {
+		orng := rand.New(rand.NewSource(7))
+		db := NewDatabase(chain)
+		for id := 0; id < 40; id++ {
+			a := 4800 + orng.Intn(400)
+			db.MustAdd(MustObject(id, nil, Observation{Time: id % 3, PDF: markov.UniformOver(n, Interval(a, a+4))}))
+		}
+		return NewEngine(db, Options{})
+	}
+	var reqs []Request
+	for i := 0; i < 4; i++ {
+		region := WithStates(Interval(5000+10*i, 5099+10*i))
+		reqs = append(reqs,
+			NewRequest(PredicateForAll, region, WithTimeRange(10+2*i, 25)),
+			NewRequest(PredicateForAll, region, WithTimes([]int{12, 15 + i, 21, 25}), WithTopK(5)),
+			NewRequest(PredicateExists, WithStates(Interval(100*i, 7000+100*i)), WithTimeRange(8, 20+i)),
+		)
+	}
+	ctx := context.Background()
+	seqEngine := build()
+	var want []*Response
+	for _, req := range reqs {
+		resp, err := seqEngine.Evaluate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, resp)
+	}
+	got, err := build().EvaluateBatch(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range reqs {
+		sameResults(t, reqs[i].Predicate.String(), got[i].Results, want[i].Results)
 	}
 }
 

@@ -74,24 +74,27 @@ func maxSupp(seg ObsSeg) int {
 }
 
 // laneFrontier tracks which states carry nonzero lanes across flat
-// steps, so sparse phases cost O(frontier·deg) instead of the O(n) row
-// scan and full-lane clear of fusedStepBack. Every observation fusion
-// collapses the frontier back to the observation's support, and between
-// fusions it grows by at most the out-degree per step, so multi-obs
-// passes spend most of their steps far below the dense threshold. Once
-// the frontier passes a quarter of the state space the kernel flips to
-// the dense fused step (whose fixed O(n) overhead is then amortized)
-// until the next fusion re-sparsifies it.
+// steps, so sparse phases cost O(frontier·deg) instead of O(n). Every
+// observation fusion collapses the frontier back to the observation's
+// support, and between fusions it grows by at most the out-degree per
+// step, so multi-obs passes spend most of their steps far below the
+// dense threshold. Once the frontier passes a quarter of the state space
+// the kernel flips to fusedStepBack over live-row bitsets (ascending
+// rows, no per-step list upkeep) until the next fusion re-sparsifies it.
 //
 // Invariant in sparse mode: both lane buffers are zero outside the
 // frontier — step clears the source lanes behind itself, and reset
-// clears the spare buffer when leaving dense mode.
+// clears the spare buffer when leaving dense mode. In dense mode live
+// and spareLive hold the rows of the source and the other buffer that
+// can be non-zero.
 type laneFrontier struct {
 	rows  []int32 // active states (sparse mode only)
 	spare []int32 // storage for the next frontier
 	stamp []int32 // stamp[s]==epoch ⇒ s already collected for the next frontier
 	epoch int32
 	dense bool
+	// live, spareLive: dense mode's row sets, allocated on first use.
+	live, spareLive *sparse.Bitset
 }
 
 func newLaneFrontier(n int) *laneFrontier {
@@ -113,14 +116,35 @@ func (f *laneFrontier) reset(ids []int32, other []float64) {
 	f.rows = append(f.rows[:0], ids...)
 }
 
+// densify enters dense mode with the source buffer live on rows (every
+// row when rows is nil) and the other buffer zero.
+func (f *laneFrontier) densify(rows []int32) {
+	n := len(f.stamp)
+	if f.live == nil {
+		f.live, f.spareLive = sparse.NewBitset(n), sparse.NewBitset(n)
+	}
+	f.live.Reset()
+	f.spareLive.Reset()
+	if rows == nil {
+		for s := 0; s < n; s++ {
+			f.live.Set(s)
+		}
+	}
+	for _, s := range rows {
+		f.live.Set(int(s))
+	}
+	f.dense = true
+}
+
 // step advances one scatter step dst[j] += x[i]·m[i,j] over the active
-// frontier (or densely once past the threshold). In sparse mode x is
-// cleared behind the scatter, keeping both buffers zero outside the
-// frontier; callers swap dst and x afterwards exactly as with
-// fusedStepBack.
+// frontier (or the dense live rows once past the threshold). In sparse
+// mode x is cleared behind the scatter, keeping both buffers zero
+// outside the frontier; callers swap dst and x afterwards exactly as
+// with fusedStepBack.
 func (f *laneFrontier) step(dst, x []float64, m *sparse.CSR, K, active int) {
 	if f.dense {
-		fusedStepBack(dst, x, m, K, active)
+		fusedStepBack(dst, x, f.spareLive, f.live, m, K, active)
+		f.live, f.spareLive = f.spareLive, f.live
 		return
 	}
 	f.epoch++
@@ -155,7 +179,7 @@ func (f *laneFrontier) step(dst, x []float64, m *sparse.CSR, K, active int) {
 	}
 	f.rows, f.spare = nxt, f.rows
 	if 4*len(f.rows) > len(f.stamp) {
-		f.dense = true
+		f.densify(f.rows)
 	}
 }
 
@@ -348,7 +372,7 @@ func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, fpool *sparse.FloatP
 		for i := range like {
 			like[i] = 1
 		}
-		front.dense = true
+		front.densify(nil)
 		mt := chain.Transposed()
 		obsIdx := seg.Len() - 1
 		for tau := end; tau > t; tau-- {

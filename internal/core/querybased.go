@@ -65,10 +65,12 @@ func hitLane(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *
 		return lane, false, nil
 	}
 	far := w.coversMost()
+	var seen *sparse.Bitset
 	if far {
 		// The lane as the horizon's pin leaves it: a world outside the
 		// region there has not been hit yet.
 		w.eachOutsideState(func(s int) { lane.Set(s, 1) })
+		seen = sparse.NewBitset(n)
 	}
 	next := pool.Get(n)
 	for t := w.horizon; t > t0; t-- {
@@ -79,6 +81,13 @@ func hitLane(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *
 		}
 		if w.atTime(t) {
 			pinLane(lane, w, far)
+		}
+		if far {
+			// The fused batch kernel walks rows in ascending order; a far
+			// lane does too, so EvaluateBatch keeps sequential Evaluate's
+			// bits while the lane is sparse. (A near lane keeps its
+			// support-list order, which its exists answers are pinned to.)
+			lane.SortSupport(seen)
 		}
 		chain.StepBack(next, lane)
 		lane, next = next, lane

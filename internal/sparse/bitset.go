@@ -32,20 +32,27 @@ func (b *Bitset) Len() int { return b.n }
 // Words returns the number of backing 64-bit words (for cost models).
 func (b *Bitset) Words() int { return len(b.words) }
 
-// Set adds i to the set.
+// Set adds i to the set. It inlines, so kernels may call it per edge.
 func (b *Bitset) Set(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("sparse: Bitset.Set(%d) out of range [0,%d)", i, b.n))
+	if uint(i) >= uint(b.n) {
+		b.outOfRange(i)
 	}
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // Clear removes i from the set.
 func (b *Bitset) Clear(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("sparse: Bitset.Clear(%d) out of range [0,%d)", i, b.n))
+	if uint(i) >= uint(b.n) {
+		b.outOfRange(i)
 	}
 	b.words[i>>6] &^= 1 << (uint(i) & 63)
+}
+
+// outOfRange panics for Set and Clear, kept out of line so they inline.
+//
+//go:noinline
+func (b *Bitset) outOfRange(i int) {
+	panic(fmt.Sprintf("sparse: Bitset index %d out of range [0,%d)", i, b.n))
 }
 
 // Has reports whether i is in the set.
