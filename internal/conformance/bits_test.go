@@ -38,15 +38,44 @@ const oracleBits uint64 = 0xa65f8fa8202ba525
 // forced — under both query-based and object-based evaluation, then the
 // multi-observation table again after an ingest round.
 func TestOracleBitsPinned(t *testing.T) {
+	if got := oracleDigest(t, answerDigest); got != oracleBits {
+		t.Fatalf("answer digest %#x, pinned %#x: some answer changed its bits", got, oracleBits)
+	}
+}
+
+// oracleFunnel is the FNV-64a digest of every single-engine response's
+// filter funnel and score-cache traffic over the same tables, engines and
+// strategy variants as oracleBits (see funnelDigest). Both travel on the
+// wire in Response.Filter and Response.Cache; a change that moves an
+// object between pruned and refined, or adds or drops a sweep fetch,
+// moves this constant. Re-record it only for a change that is meant to
+// alter that work, and say so.
+const oracleFunnel uint64 = 0x165e28421e8a31e1
+
+// TestOracleFunnelPinned pins the work each answer took: per response,
+// the filter's Candidates, Pruned and Refined and the cache's Hits and
+// Misses, in the order TestOracleBitsPinned evaluates them.
+func TestOracleFunnelPinned(t *testing.T) {
+	if got := oracleDigest(t, funnelDigest); got != oracleFunnel {
+		t.Fatalf("funnel digest %#x, pinned %#x: some response's filter or cache counts changed", got, oracleFunnel)
+	}
+}
+
+// oracleDigest folds every response of the conformance tables into one
+// digest with fold: the single-observation table over the canonical
+// dataset and over unorderedDataset, then the multi-observation table,
+// then the multi-observation table again after an ingest round.
+func oracleDigest(t *testing.T, fold func(hash.Hash64, core.Request, *core.Response)) uint64 {
+	t.Helper()
 	h := fnv.New64a()
 
 	db, res := NewDataset()
-	digestCases(t, h, core.NewEngine(db, core.Options{}), Cases(res))
-	digestCases(t, h, core.NewEngine(unorderedDataset(), core.Options{}), Cases(res))
+	digestCases(t, h, core.NewEngine(db, core.Options{}), Cases(res), fold)
+	digestCases(t, h, core.NewEngine(unorderedDataset(), core.Options{}), Cases(res), fold)
 
 	mdb, mres := NewMultiObsDataset()
 	cases := MultiObsCases(mres)
-	digestCases(t, h, core.NewEngine(mdb, core.Options{}), cases)
+	digestCases(t, h, core.NewEngine(mdb, core.Options{}), cases, fold)
 	objs := mdb.Objects()
 	for i := 0; i < len(objs); i += 7 {
 		upd, err := objs[i].WithObservation(NextObservation(mdb, objs[i]))
@@ -57,11 +86,8 @@ func TestOracleBitsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	digestCases(t, h, core.NewEngine(mdb, core.Options{}), cases)
-
-	if got := h.Sum64(); got != oracleBits {
-		t.Fatalf("answer digest %#x, pinned %#x: some answer changed its bits", got, oracleBits)
-	}
+	digestCases(t, h, core.NewEngine(mdb, core.Options{}), cases, fold)
+	return h.Sum64()
 }
 
 // unorderedDataset is the canonical dataset's chain mix and ids with
@@ -94,9 +120,9 @@ func unorderedDataset() *core.Database {
 	return db
 }
 
-// digestCases folds every case's answer into h: as written, then under
-// each exact strategy unless the case asks for Monte-Carlo.
-func digestCases(t *testing.T, h hash.Hash64, e *core.Engine, cases []Case) {
+// digestCases folds every case's response into h with fold: as written,
+// then under each exact strategy unless the case asks for Monte-Carlo.
+func digestCases(t *testing.T, h hash.Hash64, e *core.Engine, cases []Case, fold func(hash.Hash64, core.Request, *core.Response)) {
 	t.Helper()
 	for _, c := range cases {
 		variants := []core.Request{c.Req}
@@ -112,15 +138,29 @@ func digestCases(t *testing.T, h hash.Hash64, e *core.Engine, cases []Case) {
 				fmt.Fprintf(h, "error %v;", err)
 				continue
 			}
-			answerDigest(h, resp)
+			fold(h, req, resp)
 		}
 	}
+}
+
+// funnelDigest writes a response's filter funnel and cache traffic. The
+// cache traffic of the parallel object-based fan-out is left out: its
+// workers share one kernel, and workers that miss the kernel's memo of a
+// key together each count a hit on the shared cache, so its Hits depend
+// on scheduling.
+func funnelDigest(h hash.Hash64, req core.Request, r *core.Response) {
+	f, c := r.Filter, r.Cache
+	fmt.Fprintf(h, "f%d/%d/%d;", f.Candidates, f.Pruned, f.Refined)
+	if r.Strategy == core.StrategyObjectBased && core.ResolveWorkers(req.ParallelismHint()) > 1 {
+		return
+	}
+	fmt.Fprintf(h, "c%d/%d;", c.Hits, c.Misses)
 }
 
 // answerDigest writes a response's answer bits: the strategy, every
 // result's id, probability and distribution, the planner's estimates
 // and the aggregate.
-func answerDigest(h hash.Hash64, r *core.Response) {
+func answerDigest(h hash.Hash64, _ core.Request, r *core.Response) {
 	word := func(x uint64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], x)
