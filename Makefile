@@ -139,7 +139,9 @@ bench:
 # and the load are gated on B/op too, where an object-sized copy per
 # write or an |S|-wide array per loaded pdf shows, and so are the
 # query-based sweeps, where a per-sweep |S|×K block or a per-chain table
-# of M^j·1 vectors would show.
+# of M^j·1 vectors would show. The three consumers of the one exact scan
+# loop — top-k, threshold and the count aggregate — are gated on
+# allocs/op, so the loop cannot start allocating per object.
 # Missing baseline entries (fresh checkout, renamed benchmark) pass with
 # a notice.
 alloc-gate:
@@ -157,6 +159,10 @@ alloc-gate:
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped -gate-metric B/op < .gate.jsonl
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkQBSweep' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkQBSweep -gate-metric B/op < .gate.jsonl
+	@$(GO) test . -run '^$$' -bench 'BenchmarkFilterRefine|BenchmarkAggregateCount/engine$$' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkFilterRefineTopK < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkFilterRefineThreshold < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkAggregateCount/engine < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total
