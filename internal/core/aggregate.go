@@ -13,22 +13,22 @@ import (
 // an independent factor polynomial — the Bernoulli (1−p) + p·x of its
 // predicate probability, or its full PSTkQ visit-count distribution —
 // and the product of the factors is the exact generating function of
-// the count. The per-object probabilities come from the SAME exact
-// evaluators the per-object streams use (kernel.go, plan.go), riding
-// the score cache and the fused batch sweeps, so an aggregate answer is
+// the count. The per-object probabilities come from the same per-object
+// stream the per-object requests fold (evaluate.go's scan), riding the
+// score cache and the fused batch sweeps, so an aggregate answer is
 // consistent with the per-object answers to the ulp, and the canonical
 // product (internal/agg) makes the distribution byte-identical across
 // the in-process engine, the shard router and the remote service.
 //
-// The filter–refine integration brackets objects with the reachability
-// envelopes before any exact evaluation: an exists-object whose
-// possible-envelope mass is exactly zero carries the bit-exact zero
-// certificate (kern.existsUpper) and enters the product as the identity
-// factor [1]; a forall-object whose COMPLEMENT-window envelope mass is
-// exactly zero is certain (P∀ = 1 − 0, bit-exactly 1) and enters as the
-// shift factor [0, 1]. Both multiply in O(1) and are bit-identical to
-// what exact refinement would have produced, so pruning can only skip
-// work, never change a coefficient.
+// For exists and forall, scan's filter gate (filter.go) brackets each
+// object with the reachability envelopes before any exact evaluation.
+// The count hands it no bar, so nothing is pruned; the gate answers from
+// its certificate alone. An exists-object whose possible-envelope mass
+// is exactly zero carries the zero certificate (kern.existsUpper) and
+// enters the product as the factor [1, 0]; a forall-object whose
+// COMPLEMENT-window envelope mass is exactly zero is certain (P∀ = 1 −
+// 0, exactly 1) and enters as [0, 1]. Everything else is refined by the
+// exact evaluator.
 
 // AggKind selects the aggregate computed by WithAggregate.
 type AggKind int
@@ -201,80 +201,23 @@ func (e *Engine) factorSet(ctx context.Context, plan *evalPlan, spec AggSpec) (*
 }
 
 // countFactors computes every object's generating factor in the
-// engine's emission order. Exists/forall requests on the exact
-// strategies go through the certificate-aware loop; everything else
-// rides the unmodified per-object stream cores, so strategy semantics
-// (including the Monte-Carlo rng discipline) are exactly those of the
-// per-object request.
+// engine's emission order from the same per-object stream the
+// per-object request runs, so strategy semantics (including the
+// Monte-Carlo rng discipline) are exactly those of that request. A
+// count request carries no threshold, so the bar it hands scan's filter
+// gate is −1: the gate prunes nothing and answers from its certificate
+// alone (see the file comment).
 func (e *Engine) countFactors(ctx context.Context, plan *evalPlan) ([]agg.Factor, error) {
-	pred := plan.req.Predicate
-	if (pred == PredicateExists || pred == PredicateForAll) &&
-		plan.strategy != StrategyMonteCarlo && plan.useFilter &&
-		(plan.strategy != StrategyObjectBased || plan.workers <= 1) {
-		return e.certExistsFactors(ctx, plan, pred == PredicateForAll)
-	}
 	factors := make([]agg.Factor, 0, e.db.Len())
-	for r, err := range e.stream(ctx, plan) {
+	for r, err := range e.stream(ctx, plan, plan.tau) {
 		if err != nil {
 			return nil, err
 		}
-		if pred == PredicateKTimes {
+		if plan.req.Predicate == PredicateKTimes {
 			factors = append(factors, agg.Factor{ID: r.ObjectID, Coeffs: r.Dist})
 			continue
 		}
 		factors = append(factors, agg.Bernoulli(r.ObjectID, r.Prob))
-	}
-	return factors, nil
-}
-
-// certExistsFactors is the filter–refine factor loop for exists/forall
-// on the exact strategies: the envelope bracket answers 0-certain
-// exists-objects and 1-certain forall-objects in O(1) with the
-// bit-exact zero certificate (see the file comment); the undecided
-// middle is refined by the same exact evaluators the plain stream uses.
-// The emitted probabilities are bit-identical to the unfiltered
-// stream's either way, so the factor VALUES never depend on the filter
-// toggle — only the work does.
-func (e *Engine) certExistsFactors(ctx context.Context, plan *evalPlan, forAll bool) ([]agg.Factor, error) {
-	factors := make([]agg.Factor, 0, e.db.Len())
-	for _, grp := range e.db.groupByChain() {
-		k, err := e.groupKernel(grp, plan, forAll)
-		if err != nil {
-			return nil, err
-		}
-		for _, o := range grp.objects {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			plan.filterRep.Candidates++
-			// The kernel window is already complemented for forall, so
-			// the certificate reads: P∃(window) is bit-exactly 0 —
-			// meaning p = 0 for exists and p = 1 − 0 = 1 for forall.
-			ub, ok, err := k.existsUpper(ctx, o)
-			if err != nil {
-				return nil, err
-			}
-			if ok && ub == 0 {
-				plan.filterRep.Pruned++
-				p := 0.0
-				if forAll {
-					p = 1
-				}
-				factors = append(factors, agg.Bernoulli(o.ID, p))
-				continue
-			}
-			var r Result
-			if plan.strategy == StrategyObjectBased {
-				r, err = k.obExistsExact(ctx, o, forAll)
-			} else {
-				r, err = k.existsExact(ctx, o, forAll)
-			}
-			if err != nil {
-				return nil, err
-			}
-			plan.filterRep.Refined++
-			factors = append(factors, agg.Bernoulli(o.ID, r.Prob))
-		}
 	}
 	return factors, nil
 }
@@ -287,6 +230,7 @@ func (e *Engine) certExistsFactors(ctx context.Context, plan *evalPlan, forAll b
 // use — then one dot product per object per timestamp.
 func (e *Engine) occupancyRows(ctx context.Context, plan *evalPlan) (*FactorSet, error) {
 	times := plan.query.Times
+	refine := e.exactPassFor(ctx, plan).refine
 	rows := make([]agg.Factor, 0, e.db.Len())
 	for _, grp := range e.db.groupByChain() {
 		kerns := make([]*kern, len(times))
@@ -303,13 +247,7 @@ func (e *Engine) occupancyRows(ctx context.Context, plan *evalPlan) (*FactorSet,
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				var r Result
-				var err error
-				if plan.strategy == StrategyObjectBased {
-					r, err = kerns[ti].obExistsExact(ctx, o, false)
-				} else {
-					r, err = kerns[ti].existsExact(ctx, o, false)
-				}
+				r, _, err := refine(kerns[ti], ctx, o, -1)
 				if err != nil {
 					return nil, err
 				}

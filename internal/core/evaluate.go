@@ -23,6 +23,12 @@ func errEventuallyMultiObs(o *Object) error {
 // API: every predicate (exists / forall / ktimes / eventually), every
 // strategy (query-based / object-based / Monte-Carlo) and every ranking
 // (threshold / top-k) is expressed through a Request.
+//
+// Every exact evaluation runs one object loop, scan: the plain stream,
+// the thresholded stream, top-k and the count aggregate's factors. Its
+// consumers differ only in the bar they hand the loop's filter gate
+// (filter.go) and in how they fold what it emits. Monte-Carlo sampling
+// runs scanMC, whose rng order is observable output.
 
 // Evaluator is the query surface every engine implementation serves:
 // the in-process Engine, the shard router, and (shape-wise) the remote
@@ -193,7 +199,7 @@ func (e *Engine) evaluatePlan(ctx context.Context, plan *evalPlan) (*Response, e
 	}
 
 	results := make([]Result, 0, e.db.Len())
-	for r, serr := range e.stream(ctx, plan) {
+	for r, serr := range e.stream(ctx, plan, plan.tau) {
 		if serr != nil {
 			return nil, serr
 		}
@@ -205,25 +211,25 @@ func (e *Engine) evaluatePlan(ctx context.Context, plan *evalPlan) (*Response, e
 }
 
 // topK runs ranked retrieval: the stream folded through a k-sized
-// min-heap so memory stays O(k) regardless of database size. When the
-// plan is filter-eligible the fold additionally prunes objects whose
-// upper bound provably cannot displace the current k-th result
-// (filter.go); both paths share the same heap semantics and exact
-// evaluators, so results are identical.
+// min-heap, so memory stays O(k) whatever the database size. The bar it
+// hands the filter gate is the threshold (−1 without one) while the heap
+// has room, then the larger of the threshold and the heap's minimum: an
+// object with upper bound ub < bar has true probability ≤ ub < bar, so
+// it loses every comparison, id tie-breaks included.
 func (e *Engine) topK(ctx context.Context, plan *evalPlan) ([]Result, error) {
+	kk, tau := plan.req.topK, plan.tau()
 	h := &resultMinHeap{}
-	heap.Init(h)
-	if plan.filterEligible() {
-		if err := e.topKFiltered(ctx, plan, h); err != nil {
+	bar := func() float64 {
+		if h.Len() == kk && (*h)[0].Prob > tau {
+			return (*h)[0].Prob
+		}
+		return tau
+	}
+	for r, err := range e.stream(ctx, plan, bar) {
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		for r, serr := range e.stream(ctx, plan) {
-			if serr != nil {
-				return nil, serr
-			}
-			pushTopK(h, plan.req.topK, r)
-		}
+		pushTopK(h, kk, r)
 	}
 	out := make([]Result, h.Len())
 	for i := len(out) - 1; i >= 0; i-- {
@@ -273,20 +279,20 @@ func (e *Engine) EvaluateSeq(ctx context.Context, req Request) iter.Seq2[Result,
 			}
 		}
 	}
-	return e.stream(ctx, plan)
+	return e.stream(ctx, plan, plan.tau)
 }
 
-// stream picks the per-object function for the plan's predicate and
-// strategy, hands it to one of the two scan drivers (scan for the exact
-// strategies, scanMC for sampling) and applies threshold filtering.
-// Filter-eligible threshold requests route through the filter–refine
-// core (filter.go), which skips exact evaluation of objects that
-// provably cannot reach the threshold.
-func (e *Engine) stream(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	if plan.req.topK <= 0 && plan.req.threshold != nil && plan.filterEligible() {
-		return e.streamFilteredThreshold(ctx, plan)
+// stream is the per-object stream every consumer folds: scanMC for
+// sampling, scan for the exact strategies, with the threshold applied
+// on the fly. bar is the consumer's acceptance bar, read by scan's
+// filter gate before each object.
+func (e *Engine) stream(ctx context.Context, plan *evalPlan, bar func() float64) iter.Seq2[Result, error] {
+	var inner iter.Seq2[Result, error]
+	if plan.strategy == StrategyMonteCarlo && plan.req.Predicate != PredicateEventually {
+		inner = e.scanMC(ctx, plan)
+	} else {
+		inner = e.scan(ctx, plan, bar)
 	}
-	inner := e.unfiltered(ctx, plan)
 	if plan.req.threshold == nil {
 		return inner
 	}
@@ -307,88 +313,108 @@ func (e *Engine) stream(ctx context.Context, plan *evalPlan) iter.Seq2[Result, e
 	}
 }
 
-// unfiltered is the predicate × strategy switch. The query-based
+// refineFunc evaluates one object exactly at an acceptance bar.
+// qualified is false only when the evaluation proved the result below
+// bar and stopped early; a bar ≤ 0 asks for the full evaluation.
+type refineFunc func(k *kern, ctx context.Context, o *Object, bar float64) (r Result, qualified bool, err error)
+
+// exactPass is one predicate × strategy pair of the exact strategies:
+// the kernel a chain group compiles to, the exact evaluation of one of
+// its objects, and the workers the object-based passes fan out to
+// (warm: pre-build the chain's transpose first).
+type exactPass struct {
+	kernel  func(chainGroup) (*kern, error)
+	refine  refineFunc
+	workers int
+	warm    bool
+}
+
+// exactPassFor is the one predicate × strategy table. The query-based
 // strategy is serial whatever WithParallelism says — its per-object
 // work is a dot product; the object-based one fans out when asked, and
 // the kernels whose forward pass reads the transpose (exists, ktimes —
 // not the augmented expression pass, which only steps forward) pre-build
-// it so the workers' lazy initialization cannot race.
-func (e *Engine) unfiltered(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	pred := plan.req.Predicate
-	if plan.strategy == StrategyMonteCarlo && pred != PredicateEventually {
-		return e.scanMC(ctx, plan)
-	}
+// it so the workers' lazy initialization cannot race. The object-based
+// exists/forall pass refines with its bracket at the bar; every other
+// pair runs its exact evaluator in full.
+func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 	ob := plan.strategy == StrategyObjectBased
-	workers := 1
+	p := exactPass{workers: 1}
 	if ob {
-		workers = plan.workers
+		p.workers = plan.workers
 	}
-	switch pred {
-	case PredicateExpr:
-		perObject := (*kern).exprExact
-		if ob {
-			perObject = (*kern).exprOBExact
+	full := func(eval func(*kern, context.Context, *Object) (Result, error)) refineFunc {
+		return func(k *kern, ctx context.Context, o *Object, _ float64) (Result, bool, error) {
+			r, err := eval(k, ctx, o)
+			return r, true, err
 		}
-		return e.scan(ctx, workers, false, func(grp chainGroup) (*kern, error) {
-			return e.exprGroupKernel(grp, plan)
-		}, perObject)
+	}
+	switch pred := plan.req.Predicate; pred {
+	case PredicateExpr:
+		p.kernel = func(grp chainGroup) (*kern, error) { return e.exprGroupKernel(grp, plan) }
+		p.refine = full((*kern).exprExact)
+		if ob {
+			p.refine = full((*kern).exprOBExact)
+		}
 	case PredicateEventually:
 		region := sortedSet(plan.query.States)
-		return e.scan(ctx, 1, false, func(grp chainGroup) (*kern, error) {
+		p.workers = 1
+		p.kernel = func(grp chainGroup) (*kern, error) {
 			k := e.kernel(grp.chain, nil, plan)
 			var err error
 			k.hitting, err = k.hittingFor(ctx, region, plan.req.maxSteps, plan.req.tol)
 			return k, err
-		}, (*kern).eventuallyExact)
-	case PredicateKTimes:
-		perObject := (*kern).ktimesQBExact
-		if ob {
-			perObject = (*kern).ktimesOBExact
 		}
-		return e.scan(ctx, workers, ob, func(grp chainGroup) (*kern, error) {
-			return e.groupKernel(grp, plan, false)
-		}, perObject)
-	default: // exists / forall
+		p.refine = full((*kern).eventuallyExact)
+	default: // exists / forall / ktimes
 		forAll := pred == PredicateForAll
-		perObject := func(k *kern, ctx context.Context, o *Object) (Result, error) {
-			return k.existsExact(ctx, o, forAll)
-		}
-		if ob {
-			perObject = func(k *kern, ctx context.Context, o *Object) (Result, error) {
-				return k.obExistsExact(ctx, o, forAll)
+		p.warm = ob
+		p.kernel = func(grp chainGroup) (*kern, error) { return e.groupKernel(grp, plan, forAll) }
+		switch {
+		case pred == PredicateKTimes && ob:
+			p.refine = full((*kern).ktimesOBExact)
+		case pred == PredicateKTimes:
+			p.refine = full((*kern).ktimesQBExact)
+		case ob:
+			p.refine = func(k *kern, ctx context.Context, o *Object, bar float64) (Result, bool, error) {
+				return k.obExistsRefine(ctx, o, forAll, bar)
 			}
+		default:
+			p.refine = full(func(k *kern, ctx context.Context, o *Object) (Result, error) {
+				return k.existsExact(ctx, o, forAll)
+			})
 		}
-		return e.scan(ctx, workers, ob, func(grp chainGroup) (*kern, error) {
-			return e.groupKernel(grp, plan, forAll)
-		}, perObject)
 	}
+	return p
 }
 
 // scan is the one loop of the exact strategies: chain groups in order,
-// one kernel per group, perObject over the group's objects — serially,
-// or through parallelOrdered when workers > 1 (in-order delivery, the
-// lowest-index error). warm pre-builds the group chain's transpose
-// before a fan-out. A group's kernel is built when the scan reaches the
-// group, so a window that fails to compile against a later group's
-// state space surfaces after the earlier groups' results — the same
-// rule for every strategy and worker count, and the one the filter
-// loops (filter.go) follow.
-func (e *Engine) scan(ctx context.Context, workers int, warm bool,
-	kernelFor func(chainGroup) (*kern, error),
-	perObject func(*kern, context.Context, *Object) (Result, error)) iter.Seq2[Result, error] {
+// one kernel per group, one exact pass per object — serially, or through
+// parallelOrdered when the pass fans out (in-order delivery, the
+// lowest-index error). When the plan's filter engages (filtered), each
+// object of the serial loop first passes the gate (filter.go): bounded,
+// then pruned, certified or refined at the consumer's bar. A group's
+// kernel is built when the scan reaches the group, so a window that
+// fails to compile against a later group's state space surfaces after
+// the earlier groups' results — the same rule for every strategy, worker
+// count and consumer.
+func (e *Engine) scan(ctx context.Context, plan *evalPlan, bar func() float64) iter.Seq2[Result, error] {
+	pass := e.exactPassFor(ctx, plan)
+	gated := plan.filtered()
 	return func(yield func(Result, error) bool) {
 		for _, grp := range e.db.groupByChain() {
-			k, err := kernelFor(grp)
+			k, err := pass.kernel(grp)
 			if err != nil {
 				yield(Result{}, err)
 				return
 			}
-			if workers > 1 {
-				if warm {
+			if pass.workers > 1 {
+				if pass.warm {
 					grp.chain.Transposed()
 				}
-				for r, err := range parallelOrdered(ctx, len(grp.objects), workers, func(ctx context.Context, i int) (Result, error) {
-					return perObject(k, ctx, grp.objects[i])
+				for r, err := range parallelOrdered(ctx, len(grp.objects), pass.workers, func(ctx context.Context, i int) (Result, error) {
+					r, _, err := pass.refine(k, ctx, grp.objects[i], -1)
+					return r, err
 				}) {
 					if err != nil {
 						yield(Result{}, err)
@@ -405,12 +431,18 @@ func (e *Engine) scan(ctx context.Context, workers int, warm bool,
 					yield(Result{}, err)
 					return
 				}
-				r, err := perObject(k, ctx, o)
+				var r Result
+				keep := true
+				if gated {
+					r, keep, err = plan.gate(ctx, pass.refine, k, o, bar())
+				} else {
+					r, _, err = pass.refine(k, ctx, o, -1)
+				}
 				if err != nil {
 					yield(Result{}, err)
 					return
 				}
-				if !yield(r, nil) {
+				if keep && !yield(r, nil) {
 					return
 				}
 			}

@@ -1,27 +1,28 @@
 package core
 
-import (
-	"context"
-	"iter"
-)
+import "context"
 
-// The filter–refine path for ranked and thresholded retrieval — the
-// standard architecture for uncertain spatial query processing (Züfle's
-// overview, §filter–refine; Range Queries on Uncertain Data applies it
-// to threshold/top-k retrieval). The filter stage computes, per object,
-// conservative probability bounds from boolean reachability envelopes
-// (kernel.go) that cost bit-ops instead of float sweeps and are shared
-// per (chain, window, observation time) through the score cache. Objects
-// whose bounds prove they cannot qualify are pruned without any exact
-// evaluation; survivors are refined by the SAME exact evaluators the
-// unfiltered streams use, so filtered and unfiltered results are
-// byte-identical — the filter can only skip work, never change answers.
+// The filter–refine path — the standard architecture for uncertain
+// spatial query processing (Züfle's overview, §filter–refine; Range
+// Queries on Uncertain Data applies it to threshold/top-k retrieval) —
+// is a per-object gate inside scan (evaluate.go), the one loop of the
+// exact strategies. The gate bounds each object with conservative
+// probability bounds from boolean reachability envelopes (kernel.go),
+// which cost bit-ops instead of float sweeps and are shared per (chain,
+// window, observation time) through the score cache. It then prunes the
+// object when the bound proves it below the consumer's bar, answers it
+// from the exact-zero certificate, or refines it with the SAME exact
+// evaluator the ungated scan runs, so filtered and unfiltered results
+// are byte-identical — the filter can only skip work, never change
+// answers.
 //
-// For the object-based strategy the refine step additionally brackets
-// the forward pass (existsOBRefine): it aborts as soon as the
-// accumulated ◆ mass proves the object falls outside the acceptance
-// band (Section V-C's pruning), again without affecting survivors'
-// values.
+// The consumer supplies only the bar: the threshold for a thresholded
+// stream, the larger of the threshold and the heap's minimum for top-k,
+// none for the count aggregate, which prunes nothing and reads the gate
+// for its certificates alone. The object-based exists/forall refine
+// brackets the forward pass at the bar (existsOBRefine): it aborts as
+// soon as the accumulated ◆ mass proves the object below it (Section
+// V-C's pruning), again without affecting survivors' values.
 
 // FilterReport summarizes the filter–refine funnel of one evaluation,
 // reported on Response.Filter. Candidates = Pruned + Refined; the ratio
@@ -38,86 +39,94 @@ type FilterReport struct {
 	Refined int
 }
 
-// exactZero reports whether the filter may answer this object with a
-// bit-exact Prob = 0 result instead of refining: the upper bound is the
-// exact zero certificate (see kern.existsUpper) and the predicate's
-// result is plain P∃ with no distribution attached.
-func exactZero(plan *evalPlan, ub float64, ok bool) bool {
-	return ok && ub == 0 && plan.req.Predicate == PredicateExists
+// ranked reports whether the request thresholds or ranks its results.
+func (p *evalPlan) ranked() bool { return p.req.threshold != nil || p.req.topK > 0 }
+
+// tau is the request's threshold, or −1 without one: the bar below
+// which no result qualifies.
+func (p *evalPlan) tau() float64 {
+	if p.req.threshold == nil {
+		return -1
+	}
+	return *p.req.threshold
 }
 
-// filterEligible reports whether this plan runs the filter–refine path.
-// The filter applies to exact strategies only: Monte-Carlo evaluation
-// consumes a shared rng stream whose sequence is part of the observable
-// output, so skipping an object would change every later answer. The
-// parallel OB fan-out keeps its own unfiltered path (bound computation
-// is inherently sequential against the evolving top-k bar).
-func (p *evalPlan) filterEligible() bool {
-	if !p.useFilter {
-		return false
-	}
-	if p.req.topK <= 0 && p.req.threshold == nil {
+// filtered reports whether scan's filter gate engages for this plan: a
+// ranked request over a boundable predicate, or a count aggregate over
+// exists/forall, whose certificates answer objects in O(1). The gate
+// runs on the exact strategies' serial loop only: Monte-Carlo
+// evaluation consumes a shared rng stream whose sequence is part of the
+// observable output, so skipping an object would change every later
+// answer, and the parallel object-based fan-out has no bar to read
+// (the top-k bar evolves object by object).
+func (p *evalPlan) filtered() bool {
+	if !p.useFilter || p.strategy == StrategyMonteCarlo || p.strategy == StrategyObjectBased && p.workers > 1 {
 		return false
 	}
 	switch p.req.Predicate {
-	case PredicateExists, PredicateForAll, PredicateKTimes, PredicateExpr:
-	default:
-		return false
-	}
-	switch p.strategy {
-	case StrategyQueryBased:
-		return true // QB evaluation is serial regardless of workers
-	case StrategyObjectBased:
-		return p.workers <= 1
+	case PredicateExists, PredicateForAll:
+		spec, ok := p.req.AggregateHint()
+		return p.ranked() || ok && spec.Kind == AggCount
+	case PredicateKTimes, PredicateExpr:
+		return p.ranked()
 	default:
 		return false
 	}
 }
 
-// upperBound returns a conservative upper bound on the result
-// probability of o under the plan's predicate, where k is the group
-// kernel over the evaluation window (already complemented for PST∀Q).
-// ok is false when no cheap bound exists and o must be refined.
+// gate is the filter stage of scan for one object: bound it, then prune
+// it below bar, answer it from the exact-zero certificate, or refine it
+// at bar. keep is false when the object cannot qualify. A bar < 0 prunes
+// nothing.
+func (p *evalPlan) gate(ctx context.Context, refine refineFunc, k *kern, o *Object, bar float64) (r Result, keep bool, err error) {
+	p.filterRep.Candidates++
+	ub, ok, err := p.upperBound(ctx, k, o)
+	if err != nil {
+		return Result{}, false, err
+	}
+	if ok && bar >= 0 && ub < bar {
+		p.filterRep.Pruned++
+		return Result{}, false, nil
+	}
+	if ok && ub == 0 && (p.req.Predicate == PredicateExists || !p.ranked()) {
+		// The exact-zero certificate (kern.existsUpper): P∃ over the
+		// kernel's window is bit-exactly 0, so an exists-object answers
+		// 0 and, for the count aggregate, a forall-object 1 − 0 = 1.
+		p.filterRep.Pruned++
+		r = Result{ObjectID: o.ID}
+		if p.req.Predicate == PredicateForAll {
+			r.Prob = 1
+		}
+		return r, true, nil
+	}
+	r, keep, err = refine(k, ctx, o, bar)
+	if err != nil {
+		return Result{}, false, err
+	}
+	p.filterRep.Refined++
+	return r, keep, nil
+}
+
+// upperBound returns the bound the gate reads for o, where k is the
+// group kernel over the evaluation window (already complemented for
+// PST∀Q). ok is false when no cheap bound exists and o must be refined.
 //
 // For exists and ktimes (whose Prob is P(≥1 visit) = P∃) the bound is
-// the initial mass on the possible-envelope. For forall, P∀ = 1 −
-// P∃(complement window), so the bound needs the LOWER bound of the
+// the initial mass on the possible-envelope. For a ranked forall, P∀ =
+// 1 − P∃(complement window), so the bound needs the LOWER bound of the
 // complemented exists-query: the initial mass on the certain-envelope.
-func upperBound(ctx context.Context, plan *evalPlan, k *kern, o *Object) (float64, bool, error) {
-	switch plan.req.Predicate {
-	case PredicateForAll:
+// The count aggregate's forall prunes nothing and reads the
+// possible-envelope of the complement window for its certificate alone.
+func (p *evalPlan) upperBound(ctx context.Context, k *kern, o *Object) (float64, bool, error) {
+	switch {
+	case p.req.Predicate == PredicateExpr:
+		return k.exprUpper(ctx, o)
+	case p.req.Predicate == PredicateForAll && p.ranked():
 		lo, ok, err := k.existsLower(ctx, o)
 		return 1 - lo, ok, err
-	case PredicateExpr:
-		return k.exprUpper(ctx, o)
 	default:
 		return k.existsUpper(ctx, o)
 	}
-}
-
-// refineOne evaluates one surviving object exactly, dispatching on the
-// plan's predicate × strategy — the same evaluators the unfiltered
-// streams call. bar is the current acceptance bar (threshold or top-k
-// floor); the OB exists/forall refine may use it to abort bracketed
-// passes early, reporting qualified = false exactly when the result
-// probability is provably below bar.
-func refineOne(ctx context.Context, plan *evalPlan, k *kern, o *Object, bar float64) (r Result, qualified bool, err error) {
-	forAll := plan.req.Predicate == PredicateForAll
-	switch {
-	case plan.req.Predicate == PredicateKTimes && plan.strategy == StrategyObjectBased:
-		r, err = k.ktimesOBExact(ctx, o)
-	case plan.req.Predicate == PredicateKTimes:
-		r, err = k.ktimesQBExact(ctx, o)
-	case plan.req.Predicate == PredicateExpr && plan.strategy == StrategyObjectBased:
-		r, err = k.exprOBExact(ctx, o)
-	case plan.req.Predicate == PredicateExpr:
-		r, err = k.exprExact(ctx, o)
-	case plan.strategy == StrategyObjectBased:
-		return k.obExistsRefine(ctx, o, forAll, bar)
-	default:
-		r, err = k.existsExact(ctx, o, forAll)
-	}
-	return r, true, err
 }
 
 // obExistsRefine is the OB refine step with lower/upper-bound
@@ -149,135 +158,4 @@ func (k *kern) obExistsRefine(ctx context.Context, o *Object, forAll bool, bar f
 		p = 1 - p
 	}
 	return Result{ObjectID: o.ID, Prob: p}, true, nil
-}
-
-// filterGroupKernel builds the group kernel for the filter paths,
-// dispatching on the plan's predicate: compound expressions compile
-// their augmented program, everything else the (possibly complemented)
-// single window.
-func (e *Engine) filterGroupKernel(grp chainGroup, plan *evalPlan, complement bool) (*kern, error) {
-	if plan.req.Predicate == PredicateExpr {
-		return e.exprGroupKernel(grp, plan)
-	}
-	return e.groupKernel(grp, plan, complement)
-}
-
-// streamFilteredThreshold is the filter–refine core for WithThreshold
-// requests without ranking: objects whose upper bound falls below τ are
-// pruned; survivors are refined exactly and post-filtered exactly like
-// the unfiltered stream.
-func (e *Engine) streamFilteredThreshold(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	tau := *plan.req.threshold
-	forAll := plan.req.Predicate == PredicateForAll
-	return func(yield func(Result, error) bool) {
-		for _, grp := range e.db.groupByChain() {
-			k, err := e.filterGroupKernel(grp, plan, forAll)
-			if err != nil {
-				yield(Result{}, err)
-				return
-			}
-			for _, o := range grp.objects {
-				if err := ctx.Err(); err != nil {
-					yield(Result{}, err)
-					return
-				}
-				plan.filterRep.Candidates++
-				ub, ok, err := upperBound(ctx, plan, k, o)
-				if err != nil {
-					yield(Result{}, err)
-					return
-				}
-				if ok && ub < tau {
-					plan.filterRep.Pruned++
-					continue
-				}
-				if exactZero(plan, ub, ok) { // reachable only when τ = 0
-					plan.filterRep.Pruned++
-					if !yield(Result{ObjectID: o.ID, Prob: 0}, nil) {
-						return
-					}
-					continue
-				}
-				r, qualified, err := refineOne(ctx, plan, k, o, tau)
-				if err != nil {
-					yield(Result{}, err)
-					return
-				}
-				plan.filterRep.Refined++
-				if !qualified || r.Prob < tau {
-					continue
-				}
-				if !yield(r, nil) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// topKFiltered folds the database through the k-bounded min-heap while
-// pruning objects whose upper bound proves they cannot displace the
-// current k-th result. The pruning bar is the heap minimum once the heap
-// is full (strictly: an object with ub < bar has true probability ≤ ub
-// < bar, so it loses every comparison including id tie-breaks), combined
-// with the request threshold when present.
-func (e *Engine) topKFiltered(ctx context.Context, plan *evalPlan, h *resultMinHeap) error {
-	kk := plan.req.topK
-	tau := -1.0
-	if plan.req.threshold != nil {
-		tau = *plan.req.threshold
-	}
-	forAll := plan.req.Predicate == PredicateForAll
-	for _, grp := range e.db.groupByChain() {
-		k, err := e.filterGroupKernel(grp, plan, forAll)
-		if err != nil {
-			return err
-		}
-		for _, o := range grp.objects {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			plan.filterRep.Candidates++
-			// bar: results provably below it cannot enter the answer.
-			// The threshold is inclusive (keep Prob ≥ τ) and the heap
-			// bar exclusive (must strictly beat the minimum), so they
-			// prune at ub < τ and ub < heapMin respectively — both
-			// covered by ub < bar with bar = max(τ, heapMin).
-			bar := tau
-			if h.Len() == kk && (*h)[0].Prob > bar {
-				bar = (*h)[0].Prob
-			}
-			ub, ok, err := upperBound(ctx, plan, k, o)
-			if err != nil {
-				return err
-			}
-			if ok && bar >= 0 && ub < bar {
-				plan.filterRep.Pruned++
-				continue
-			}
-			if exactZero(plan, ub, ok) && tau <= 0 {
-				// The bar could not prune (ties at the current minimum
-				// are resolved by object id), but the result is known
-				// bit-exactly: fold it in without evaluation.
-				plan.filterRep.Pruned++
-				pushTopK(h, kk, Result{ObjectID: o.ID, Prob: 0})
-				continue
-			}
-			refineBar := bar
-			if h.Len() < kk {
-				// The heap still has room: every exact value is needed.
-				refineBar = tau
-			}
-			r, qualified, err := refineOne(ctx, plan, k, o, refineBar)
-			if err != nil {
-				return err
-			}
-			plan.filterRep.Refined++
-			if !qualified || (tau >= 0 && r.Prob < tau) {
-				continue
-			}
-			pushTopK(h, kk, r)
-		}
-	}
-	return nil
 }

@@ -418,10 +418,9 @@ func (k *kern) existsLower(ctx context.Context, o *Object) (lo float64, ok bool,
 
 // --- exact per-object evaluators -----------------------------------------
 //
-// These are THE per-object evaluation cores: the unfiltered streams, the
-// filter–refine paths and the aggregates all call the same functions,
-// which is what makes pruned and unpruned results byte-identical by
-// construction.
+// These are THE per-object evaluation cores: scan (evaluate.go) calls
+// the same function whether its filter gate is engaged or not, which is
+// what makes pruned and unpruned results byte-identical by construction.
 
 // existsExact answers one object with the query-based strategy (backward
 // scoring sweep + dot product), handling the k = 0, multi-observation

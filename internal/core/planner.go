@@ -211,7 +211,7 @@ func (e *Engine) warmBatch(ctx context.Context, plans []*evalPlan) error {
 		// The filter's upper bound reads one envelope per object: the
 		// possible-mask for exists, the certain-mask (of the complemented
 		// window the kernel evaluates) for forall.
-		maskKind, needMask := kindPossible, plan.filterEligible()
+		maskKind, needMask := kindPossible, plan.ranked() && plan.filtered()
 		if forAll {
 			maskKind = kindCertain
 		}
