@@ -30,8 +30,9 @@ staticcheck:
 # encoding/json), sparse builder/CSR invariants and the
 # VecMat/MatVec/CopyFrom kernels against their naive references, shard hash
 # ring (determinism / balance / minimal movement), store image and
-# import-frame decoders, sweep-tier payload decoder, and the query-based
-# sweeps against their dense references and possible-worlds enumeration.
+# import-frame decoders, sweep-tier payload decoder, the query-based
+# sweeps against their dense references and possible-worlds enumeration,
+# and the scan's filter gate against the ungated scan.
 # CI runs it after make ci.
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSweepValue -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzQBSweeps -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFilterRefine -fuzztime 15s
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -166,10 +168,10 @@ alloc-gate:
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total
-# (benchmark/ excluded): the figure ROADMAP item 3's deletions are
-# counted in.
+# (benchmark/ excluded): the figure north star 2's deletions are counted
+# in. `make loc BASE=<ref>` adds the count at that git ref and the delta.
 loc:
-	@./scripts/loc.sh
+	@./scripts/loc.sh $(BASE)
 
 clean:
 	$(GO) clean ./...

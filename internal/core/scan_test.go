@@ -138,9 +138,13 @@ func TestScanExact(t *testing.T) {
 // groups' results — for the query-based strategy, the serial
 // object-based loop and the parallel fan-out alike (at the parent the
 // object-based cores compiled every group before the first result).
+// Every consumer of the loop stops on the same error: a threshold stream
+// delivers exactly the qualifying results before it, top-k none, and the
+// count aggregate fails with it from Evaluate and AggregateFactors.
 func TestScanErrors(t *testing.T) {
 	ctx := context.Background()
 	states, times := WithStates(Interval(10, 25)), WithTimes(Interval(2, 6))
+	const tau = 0.65 // about half of the first group qualifies
 
 	clean := NewEngine(scanTestDB(t), Options{})
 	poisonedDB := scanTestDB(t)
@@ -158,29 +162,67 @@ func TestScanErrors(t *testing.T) {
 	smallDB.MustAdd(MustObject(2000, paperChainV(t), Observation{Time: 0, PDF: markov.PointDistribution(3, 1)}))
 	small := NewEngine(smallDB, Options{})
 
+	qualifying := func(rs []Result) []Result {
+		var out []Result
+		for _, r := range rs {
+			if r.Prob >= tau {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
 	for mode, opts := range exactModes {
 		req := NewRequest(PredicateExists, append([]RequestOption{states, times}, opts...)...)
 		want, err := clean.Evaluate(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		threshold, topK := req.With(WithThreshold(tau)), req.With(WithTopK(5))
+		count := NewAggRequest(PredicateExists, AggSpec{Kind: AggCount}, append([]RequestOption{states, times}, opts...)...)
 
-		_, evalErr := poisoned.Evaluate(ctx, req)
-		got, seqErr := drain(poisoned, req)
-		if evalErr == nil || seqErr == nil || evalErr.Error() != seqErr.Error() {
-			t.Fatalf("%s: poisoned object: Evaluate %v, EvaluateSeq %v, want the same error", mode, evalErr, seqErr)
-		}
-		if !reflect.DeepEqual(got, want.Results[:poisonedAt]) {
-			t.Errorf("%s: %d results before the poisoned object, want exactly the first %d", mode, len(got), poisonedAt)
-		}
+		for _, c := range []struct {
+			name   string
+			e      *Engine
+			before []Result // the plain stream's results before the error
+		}{
+			{"poisoned object", poisoned, want.Results[:poisonedAt]},
+			{"uncompilable group", small, want.Results[:firstGroups]},
+		} {
+			_, evalErr := c.e.Evaluate(ctx, req)
+			got, seqErr := drain(c.e, req)
+			if evalErr == nil || seqErr == nil || evalErr.Error() != seqErr.Error() {
+				t.Fatalf("%s: %s: Evaluate %v, EvaluateSeq %v, want the same error", mode, c.name, evalErr, seqErr)
+			}
+			if !reflect.DeepEqual(got, c.before) {
+				t.Errorf("%s: %s: %d results before the error, want exactly the %d before it", mode, c.name, len(got), len(c.before))
+			}
+			same := func(consumer string, err error) {
+				t.Helper()
+				if err == nil || err.Error() != evalErr.Error() {
+					t.Errorf("%s: %s: %s failed with %v, want the plain stream's %v", mode, c.name, consumer, err, evalErr)
+				}
+			}
 
-		_, evalErr = small.Evaluate(ctx, req)
-		got, seqErr = drain(small, req)
-		if evalErr == nil || seqErr == nil || evalErr.Error() != seqErr.Error() {
-			t.Fatalf("%s: uncompilable group: Evaluate %v, EvaluateSeq %v, want the same error", mode, evalErr, seqErr)
-		}
-		if !reflect.DeepEqual(got, want.Results[:firstGroups]) {
-			t.Errorf("%s: %d results before the uncompilable group, want the %d of the earlier groups", mode, len(got), firstGroups)
+			_, err := c.e.Evaluate(ctx, threshold)
+			same("threshold Evaluate", err)
+			got, err = drain(c.e, threshold)
+			same("threshold EvaluateSeq", err)
+			if wantT := qualifying(c.before); !reflect.DeepEqual(got, wantT) {
+				t.Errorf("%s: %s: threshold stream delivered %d results before the error, want the %d qualifying ones", mode, c.name, len(got), len(wantT))
+			}
+
+			_, err = c.e.Evaluate(ctx, topK)
+			same("top-k Evaluate", err)
+			got, err = drain(c.e, topK)
+			same("top-k EvaluateSeq", err)
+			if len(got) != 0 {
+				t.Errorf("%s: %s: top-k stream delivered %d results before the error, want none", mode, c.name, len(got))
+			}
+
+			_, err = c.e.Evaluate(ctx, count)
+			same("count Evaluate", err)
+			_, err = c.e.AggregateFactors(ctx, count)
+			same("count AggregateFactors", err)
 		}
 	}
 }
