@@ -22,7 +22,7 @@ import (
 //
 // For exists and forall, scan's filter gate (filter.go) brackets each
 // object with the reachability envelopes before any exact evaluation.
-// The count hands it no bar, so nothing is pruned; the gate answers from
+// The count's bar is −1, so nothing is pruned; the gate answers from
 // its certificate alone. An exists-object whose possible-envelope mass
 // is exactly zero carries the zero certificate (kern.existsUpper) and
 // enters the product as the factor [1, 0]; a forall-object whose
@@ -209,7 +209,7 @@ func (e *Engine) factorSet(ctx context.Context, plan *evalPlan, spec AggSpec) (*
 // alone (see the file comment).
 func (e *Engine) countFactors(ctx context.Context, plan *evalPlan) ([]agg.Factor, error) {
 	factors := make([]agg.Factor, 0, e.db.Len())
-	for r, err := range e.stream(ctx, plan, plan.tau) {
+	for r, err := range e.stream(ctx, plan) {
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +230,7 @@ func (e *Engine) countFactors(ctx context.Context, plan *evalPlan) ([]agg.Factor
 // use — then one dot product per object per timestamp.
 func (e *Engine) occupancyRows(ctx context.Context, plan *evalPlan) (*FactorSet, error) {
 	times := plan.query.Times
-	refine := e.exactPassFor(ctx, plan).refine
+	exact := e.exactPassFor(ctx, plan).exact
 	rows := make([]agg.Factor, 0, e.db.Len())
 	for _, grp := range e.db.groupByChain() {
 		kerns := make([]*kern, len(times))
@@ -247,7 +247,7 @@ func (e *Engine) occupancyRows(ctx context.Context, plan *evalPlan) (*FactorSet,
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				r, _, err := refine(kerns[ti], ctx, o, -1)
+				r, err := exact(kerns[ti], ctx, o)
 				if err != nil {
 					return nil, err
 				}

@@ -86,6 +86,10 @@ type evalPlan struct {
 	seed      int64
 	useCache  bool
 	useFilter bool
+	// bar is the acceptance bar scan's filter gate reads before each
+	// object: the threshold, or −1 without one. The top-k fold raises it
+	// to the heap's minimum once the heap is full.
+	bar       float64
 	cacheRep  cacheTally
 	filterRep FilterReport
 }
@@ -142,7 +146,11 @@ func (e *Engine) prepare(req Request) (*evalPlan, error) {
 		p.useCache = p.useCache && *req.useCache
 	}
 	p.useFilter = req.useFilter == nil || *req.useFilter
-	if p.plans != nil && (req.threshold != nil || req.topK > 0) {
+	p.bar = -1
+	if req.threshold != nil {
+		p.bar = *req.threshold
+	}
+	if p.plans != nil && p.ranked() {
 		annotateFilterOps(p.plans, e, p.query)
 	}
 	return p, nil
@@ -199,7 +207,7 @@ func (e *Engine) evaluatePlan(ctx context.Context, plan *evalPlan) (*Response, e
 	}
 
 	results := make([]Result, 0, e.db.Len())
-	for r, serr := range e.stream(ctx, plan, plan.tau) {
+	for r, serr := range e.stream(ctx, plan) {
 		if serr != nil {
 			return nil, serr
 		}
@@ -211,25 +219,22 @@ func (e *Engine) evaluatePlan(ctx context.Context, plan *evalPlan) (*Response, e
 }
 
 // topK runs ranked retrieval: the stream folded through a k-sized
-// min-heap, so memory stays O(k) whatever the database size. The bar it
-// hands the filter gate is the threshold (−1 without one) while the heap
-// has room, then the larger of the threshold and the heap's minimum: an
-// object with upper bound ub < bar has true probability ≤ ub < bar, so
-// it loses every comparison, id tie-breaks included.
+// min-heap, so memory stays O(k) whatever the database size. Once the
+// heap is full, the fold raises the plan's bar to the larger of the
+// threshold and the heap's minimum: an object with upper bound ub < bar
+// has true probability ≤ ub < bar, so it loses every comparison, id
+// tie-breaks included.
 func (e *Engine) topK(ctx context.Context, plan *evalPlan) ([]Result, error) {
-	kk, tau := plan.req.topK, plan.tau()
+	kk, tau := plan.req.topK, plan.bar
 	h := &resultMinHeap{}
-	bar := func() float64 {
-		if h.Len() == kk && (*h)[0].Prob > tau {
-			return (*h)[0].Prob
-		}
-		return tau
-	}
-	for r, err := range e.stream(ctx, plan, bar) {
+	for r, err := range e.stream(ctx, plan) {
 		if err != nil {
 			return nil, err
 		}
 		pushTopK(h, kk, r)
+		if h.Len() == kk && (*h)[0].Prob > tau {
+			plan.bar = (*h)[0].Prob
+		}
 	}
 	out := make([]Result, h.Len())
 	for i := len(out) - 1; i >= 0; i-- {
@@ -279,19 +284,18 @@ func (e *Engine) EvaluateSeq(ctx context.Context, req Request) iter.Seq2[Result,
 			}
 		}
 	}
-	return e.stream(ctx, plan, plan.tau)
+	return e.stream(ctx, plan)
 }
 
 // stream is the per-object stream every consumer folds: scanMC for
 // sampling, scan for the exact strategies, with the threshold applied
-// on the fly. bar is the consumer's acceptance bar, read by scan's
-// filter gate before each object.
-func (e *Engine) stream(ctx context.Context, plan *evalPlan, bar func() float64) iter.Seq2[Result, error] {
+// on the fly.
+func (e *Engine) stream(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
 	var inner iter.Seq2[Result, error]
 	if plan.strategy == StrategyMonteCarlo && plan.req.Predicate != PredicateEventually {
 		inner = e.scanMC(ctx, plan)
 	} else {
-		inner = e.scan(ctx, plan, bar)
+		inner = e.scan(ctx, plan)
 	}
 	if plan.req.threshold == nil {
 		return inner
@@ -313,18 +317,17 @@ func (e *Engine) stream(ctx context.Context, plan *evalPlan, bar func() float64)
 	}
 }
 
-// refineFunc evaluates one object exactly at an acceptance bar.
-// qualified is false only when the evaluation proved the result below
-// bar and stopped early; a bar ≤ 0 asks for the full evaluation.
-type refineFunc func(k *kern, ctx context.Context, o *Object, bar float64) (r Result, qualified bool, err error)
-
 // exactPass is one predicate × strategy pair of the exact strategies:
 // the kernel a chain group compiles to, the exact evaluation of one of
 // its objects, and the workers the object-based passes fan out to
-// (warm: pre-build the chain's transpose first).
+// (warm: pre-build the chain's transpose first). bracket, when set, is
+// how the filter gate refines at its bar instead of exact: the
+// evaluation stops early once it proves the result below the bar
+// (qualified = false); a bar ≤ 0 asks for the full evaluation.
 type exactPass struct {
 	kernel  func(chainGroup) (*kern, error)
-	refine  refineFunc
+	exact   func(*kern, context.Context, *Object) (Result, error)
+	bracket func(k *kern, ctx context.Context, o *Object, bar float64) (r Result, qualified bool, err error)
 	workers int
 	warm    bool
 }
@@ -335,26 +338,20 @@ type exactPass struct {
 // the kernels whose forward pass reads the transpose (exists, ktimes —
 // not the augmented expression pass, which only steps forward) pre-build
 // it so the workers' lazy initialization cannot race. The object-based
-// exists/forall pass refines with its bracket at the bar; every other
-// pair runs its exact evaluator in full.
+// exists/forall pass is the one with a bracket; every other pair
+// refines with its exact evaluator in full.
 func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 	ob := plan.strategy == StrategyObjectBased
 	p := exactPass{workers: 1}
 	if ob {
 		p.workers = plan.workers
 	}
-	full := func(eval func(*kern, context.Context, *Object) (Result, error)) refineFunc {
-		return func(k *kern, ctx context.Context, o *Object, _ float64) (Result, bool, error) {
-			r, err := eval(k, ctx, o)
-			return r, true, err
-		}
-	}
 	switch pred := plan.req.Predicate; pred {
 	case PredicateExpr:
 		p.kernel = func(grp chainGroup) (*kern, error) { return e.exprGroupKernel(grp, plan) }
-		p.refine = full((*kern).exprExact)
+		p.exact = (*kern).exprExact
 		if ob {
-			p.refine = full((*kern).exprOBExact)
+			p.exact = (*kern).exprOBExact
 		}
 	case PredicateEventually:
 		region := sortedSet(plan.query.States)
@@ -365,24 +362,27 @@ func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 			k.hitting, err = k.hittingFor(ctx, region, plan.req.maxSteps, plan.req.tol)
 			return k, err
 		}
-		p.refine = full((*kern).eventuallyExact)
+		p.exact = (*kern).eventuallyExact
 	default: // exists / forall / ktimes
 		forAll := pred == PredicateForAll
 		p.warm = ob
 		p.kernel = func(grp chainGroup) (*kern, error) { return e.groupKernel(grp, plan, forAll) }
 		switch {
 		case pred == PredicateKTimes && ob:
-			p.refine = full((*kern).ktimesOBExact)
+			p.exact = (*kern).ktimesOBExact
 		case pred == PredicateKTimes:
-			p.refine = full((*kern).ktimesQBExact)
+			p.exact = (*kern).ktimesQBExact
 		case ob:
-			p.refine = func(k *kern, ctx context.Context, o *Object, bar float64) (Result, bool, error) {
+			p.exact = func(k *kern, ctx context.Context, o *Object) (Result, error) {
+				return k.obExistsExact(ctx, o, forAll)
+			}
+			p.bracket = func(k *kern, ctx context.Context, o *Object, bar float64) (Result, bool, error) {
 				return k.obExistsRefine(ctx, o, forAll, bar)
 			}
 		default:
-			p.refine = full(func(k *kern, ctx context.Context, o *Object) (Result, error) {
+			p.exact = func(k *kern, ctx context.Context, o *Object) (Result, error) {
 				return k.existsExact(ctx, o, forAll)
-			})
+			}
 		}
 	}
 	return p
@@ -392,15 +392,18 @@ func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 // one kernel per group, one exact pass per object — serially, or through
 // parallelOrdered when the pass fans out (in-order delivery, the
 // lowest-index error). When the plan's filter engages (filtered), each
-// object of the serial loop first passes the gate (filter.go): bounded,
-// then pruned, certified or refined at the consumer's bar. A group's
-// kernel is built when the scan reaches the group, so a window that
-// fails to compile against a later group's state space surfaces after
-// the earlier groups' results — the same rule for every strategy, worker
-// count and consumer.
-func (e *Engine) scan(ctx context.Context, plan *evalPlan, bar func() float64) iter.Seq2[Result, error] {
+// object of the serial loop first passes the filter gate (filter.go):
+// it is bounded, then pruned below plan.bar — the one value the consumer
+// hands back into the loop — answered from the exact-zero certificate,
+// or refined at the bar. A group's kernel is built when the scan reaches
+// the group, so a window that fails to compile against a later group's
+// state space surfaces after the earlier groups' results — the same rule
+// for every strategy, worker count and consumer.
+func (e *Engine) scan(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
 	pass := e.exactPassFor(ctx, plan)
 	gated := plan.filtered()
+	bound := plan.upperBound()
+	certify, certified := plan.certificate()
 	return func(yield func(Result, error) bool) {
 		for _, grp := range e.db.groupByChain() {
 			k, err := pass.kernel(grp)
@@ -413,8 +416,7 @@ func (e *Engine) scan(ctx context.Context, plan *evalPlan, bar func() float64) i
 					grp.chain.Transposed()
 				}
 				for r, err := range parallelOrdered(ctx, len(grp.objects), pass.workers, func(ctx context.Context, i int) (Result, error) {
-					r, _, err := pass.refine(k, ctx, grp.objects[i], -1)
-					return r, err
+					return pass.exact(k, ctx, grp.objects[i])
 				}) {
 					if err != nil {
 						yield(Result{}, err)
@@ -431,12 +433,35 @@ func (e *Engine) scan(ctx context.Context, plan *evalPlan, bar func() float64) i
 					yield(Result{}, err)
 					return
 				}
-				var r Result
-				keep := true
+				r, keep, err := Result{}, true, error(nil)
 				if gated {
-					r, keep, err = plan.gate(ctx, pass.refine, k, o, bar())
+					// The filter gate, inline: most objects end at the
+					// bound or the certificate, where a call per object
+					// would cost more than the gate saves on a
+					// query-based top-k or count.
+					plan.filterRep.Candidates++
+					var ub float64
+					var ok bool
+					ub, ok, err = bound(k, ctx, o)
+					switch {
+					case err != nil:
+					case ok && plan.bar >= 0 && ub < plan.bar:
+						plan.filterRep.Pruned++
+						continue
+					case ok && ub == 0 && certify:
+						plan.filterRep.Pruned++
+						r = Result{ObjectID: o.ID, Prob: certified}
+					case pass.bracket != nil:
+						if r, keep, err = pass.bracket(k, ctx, o, plan.bar); err == nil {
+							plan.filterRep.Refined++
+						}
+					default:
+						if r, err = pass.exact(k, ctx, o); err == nil {
+							plan.filterRep.Refined++
+						}
+					}
 				} else {
-					r, _, err = pass.refine(k, ctx, o, -1)
+					r, err = pass.exact(k, ctx, o)
 				}
 				if err != nil {
 					yield(Result{}, err)

@@ -6,19 +6,22 @@ import "context"
 // spatial query processing (Züfle's overview, §filter–refine; Range
 // Queries on Uncertain Data applies it to threshold/top-k retrieval) —
 // is a per-object gate inside scan (evaluate.go), the one loop of the
-// exact strategies. The gate bounds each object with conservative
-// probability bounds from boolean reachability envelopes (kernel.go),
-// which cost bit-ops instead of float sweeps and are shared per (chain,
-// window, observation time) through the score cache. It then prunes the
-// object when the bound proves it below the consumer's bar, answers it
-// from the exact-zero certificate, or refines it with the SAME exact
-// evaluator the ungated scan runs, so filtered and unfiltered results
-// are byte-identical — the filter can only skip work, never change
-// answers.
+// exact strategies; this file holds its rules: when it engages
+// (filtered), the bound it reads (upperBound) and what the exact-zero
+// certificate answers (certificate). The gate bounds each object with
+// conservative probability bounds from boolean reachability envelopes
+// (kernel.go), which cost bit-ops instead of float sweeps and are shared
+// per (chain, window, observation time) through the score cache. It
+// then prunes the object when the bound proves it below the consumer's
+// bar, answers it from the exact-zero certificate, or refines it with
+// the SAME exact evaluator the ungated scan runs, so filtered and
+// unfiltered results are byte-identical — the filter can only skip
+// work, never change answers.
 //
-// The consumer supplies only the bar: the threshold for a thresholded
-// stream, the larger of the threshold and the heap's minimum for top-k,
-// none for the count aggregate, which prunes nothing and reads the gate
+// The consumer's only input to the loop is the bar, plan.bar: the
+// threshold for a thresholded stream; the threshold (−1 without one)
+// raised by the top-k fold to the heap's minimum once the heap is full;
+// −1 for the count aggregate, which prunes nothing and reads the gate
 // for its certificates alone. The object-based exists/forall refine
 // brackets the forward pass at the bar (existsOBRefine): it aborts as
 // soon as the accumulated ◆ mass proves the object below it (Section
@@ -41,15 +44,6 @@ type FilterReport struct {
 
 // ranked reports whether the request thresholds or ranks its results.
 func (p *evalPlan) ranked() bool { return p.req.threshold != nil || p.req.topK > 0 }
-
-// tau is the request's threshold, or −1 without one: the bar below
-// which no result qualifies.
-func (p *evalPlan) tau() float64 {
-	if p.req.threshold == nil {
-		return -1
-	}
-	return *p.req.threshold
-}
 
 // filtered reports whether scan's filter gate engages for this plan: a
 // ranked request over a boundable predicate, or a count aggregate over
@@ -74,42 +68,29 @@ func (p *evalPlan) filtered() bool {
 	}
 }
 
-// gate is the filter stage of scan for one object: bound it, then prune
-// it below bar, answer it from the exact-zero certificate, or refine it
-// at bar. keep is false when the object cannot qualify. A bar < 0 prunes
-// nothing.
-func (p *evalPlan) gate(ctx context.Context, refine refineFunc, k *kern, o *Object, bar float64) (r Result, keep bool, err error) {
-	p.filterRep.Candidates++
-	ub, ok, err := p.upperBound(ctx, k, o)
-	if err != nil {
-		return Result{}, false, err
+// certificate reports whether the gate answers an object whose upper
+// bound is exactly 0 without refining it, and with what probability.
+// That zero is the exact-zero certificate (kern.existsUpper): P∃ over
+// the kernel's window is 0, so an exists-object answers 0 and, for the
+// count aggregate, a forall-object 1 − 0 = 1. A ranked forall reads a
+// different bound (upperBound) and a ktimes result carries a
+// distribution, so neither is certified.
+func (p *evalPlan) certificate() (ok bool, prob float64) {
+	switch {
+	case p.req.Predicate == PredicateExists:
+		return true, 0
+	case p.req.Predicate == PredicateForAll && !p.ranked():
+		return true, 1
+	default:
+		return false, 0
 	}
-	if ok && bar >= 0 && ub < bar {
-		p.filterRep.Pruned++
-		return Result{}, false, nil
-	}
-	if ok && ub == 0 && (p.req.Predicate == PredicateExists || !p.ranked()) {
-		// The exact-zero certificate (kern.existsUpper): P∃ over the
-		// kernel's window is bit-exactly 0, so an exists-object answers
-		// 0 and, for the count aggregate, a forall-object 1 − 0 = 1.
-		p.filterRep.Pruned++
-		r = Result{ObjectID: o.ID}
-		if p.req.Predicate == PredicateForAll {
-			r.Prob = 1
-		}
-		return r, true, nil
-	}
-	r, keep, err = refine(k, ctx, o, bar)
-	if err != nil {
-		return Result{}, false, err
-	}
-	p.filterRep.Refined++
-	return r, keep, nil
 }
 
-// upperBound returns the bound the gate reads for o, where k is the
-// group kernel over the evaluation window (already complemented for
-// PST∀Q). ok is false when no cheap bound exists and o must be refined.
+// upperBound returns the bound the gate reads for the plan's objects
+// against the group kernel k over the evaluation window (already
+// complemented for PST∀Q): a conservative upper bound on an object's
+// result, and ok = false when no cheap bound exists and the object must
+// be refined.
 //
 // For exists and ktimes (whose Prob is P(≥1 visit) = P∃) the bound is
 // the initial mass on the possible-envelope. For a ranked forall, P∀ =
@@ -117,15 +98,17 @@ func (p *evalPlan) gate(ctx context.Context, refine refineFunc, k *kern, o *Obje
 // complemented exists-query: the initial mass on the certain-envelope.
 // The count aggregate's forall prunes nothing and reads the
 // possible-envelope of the complement window for its certificate alone.
-func (p *evalPlan) upperBound(ctx context.Context, k *kern, o *Object) (float64, bool, error) {
+func (p *evalPlan) upperBound() func(k *kern, ctx context.Context, o *Object) (ub float64, ok bool, err error) {
 	switch {
 	case p.req.Predicate == PredicateExpr:
-		return k.exprUpper(ctx, o)
+		return (*kern).exprUpper
 	case p.req.Predicate == PredicateForAll && p.ranked():
-		lo, ok, err := k.existsLower(ctx, o)
-		return 1 - lo, ok, err
+		return func(k *kern, ctx context.Context, o *Object) (float64, bool, error) {
+			lo, ok, err := k.existsLower(ctx, o)
+			return 1 - lo, ok, err
+		}
 	default:
-		return k.existsUpper(ctx, o)
+		return (*kern).existsUpper
 	}
 }
 
