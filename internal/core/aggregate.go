@@ -230,7 +230,7 @@ func (e *Engine) countFactors(ctx context.Context, plan *evalPlan) ([]agg.Factor
 // use — then one dot product per object per timestamp.
 func (e *Engine) occupancyRows(ctx context.Context, plan *evalPlan) (*FactorSet, error) {
 	times := plan.query.Times
-	exact := e.exactPassFor(ctx, plan).exact
+	exact := exactPassFor(ctx, plan).exact
 	rows := make([]agg.Factor, 0, e.db.Len())
 	for _, grp := range e.db.groupByChain() {
 		kerns := make([]*kern, len(times))

@@ -302,18 +302,12 @@ func (e *Engine) stream(ctx context.Context, plan *evalPlan) iter.Seq2[Result, e
 	}
 	tau := *plan.req.threshold
 	return func(yield func(Result, error) bool) {
-		for r, err := range inner {
+		inner(func(r Result, err error) bool {
 			if err != nil {
-				yield(Result{}, err)
-				return
+				return yield(Result{}, err)
 			}
-			if r.Prob < tau {
-				continue
-			}
-			if !yield(r, nil) {
-				return
-			}
-		}
+			return r.Prob < tau || yield(r, nil)
+		})
 	}
 }
 
@@ -325,7 +319,7 @@ func (e *Engine) stream(ctx context.Context, plan *evalPlan) iter.Seq2[Result, e
 // evaluation stops early once it proves the result below the bar
 // (qualified = false); a bar ≤ 0 asks for the full evaluation.
 type exactPass struct {
-	kernel  func(chainGroup) (*kern, error)
+	kernel  func(*Engine, chainGroup, *evalPlan) (*kern, error)
 	exact   func(*kern, context.Context, *Object) (Result, error)
 	bracket func(k *kern, ctx context.Context, o *Object, bar float64) (r Result, qualified bool, err error)
 	workers int
@@ -340,7 +334,7 @@ type exactPass struct {
 // it so the workers' lazy initialization cannot race. The object-based
 // exists/forall pass is the one with a bracket; every other pair
 // refines with its exact evaluator in full.
-func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
+func exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 	ob := plan.strategy == StrategyObjectBased
 	p := exactPass{workers: 1}
 	if ob {
@@ -348,7 +342,7 @@ func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 	}
 	switch pred := plan.req.Predicate; pred {
 	case PredicateExpr:
-		p.kernel = func(grp chainGroup) (*kern, error) { return e.exprGroupKernel(grp, plan) }
+		p.kernel = (*Engine).exprGroupKernel
 		p.exact = (*kern).exprExact
 		if ob {
 			p.exact = (*kern).exprOBExact
@@ -356,7 +350,7 @@ func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 	case PredicateEventually:
 		region := sortedSet(plan.query.States)
 		p.workers = 1
-		p.kernel = func(grp chainGroup) (*kern, error) {
+		p.kernel = func(e *Engine, grp chainGroup, plan *evalPlan) (*kern, error) {
 			k := e.kernel(grp.chain, nil, plan)
 			var err error
 			k.hitting, err = k.hittingFor(ctx, region, plan.req.maxSteps, plan.req.tol)
@@ -364,25 +358,17 @@ func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 		}
 		p.exact = (*kern).eventuallyExact
 	default: // exists / forall / ktimes
-		forAll := pred == PredicateForAll
 		p.warm = ob
-		p.kernel = func(grp chainGroup) (*kern, error) { return e.groupKernel(grp, plan, forAll) }
+		p.kernel = (*Engine).groupKernel
 		switch {
 		case pred == PredicateKTimes && ob:
 			p.exact = (*kern).ktimesOBExact
 		case pred == PredicateKTimes:
 			p.exact = (*kern).ktimesQBExact
 		case ob:
-			p.exact = func(k *kern, ctx context.Context, o *Object) (Result, error) {
-				return k.obExistsExact(ctx, o, forAll)
-			}
-			p.bracket = func(k *kern, ctx context.Context, o *Object, bar float64) (Result, bool, error) {
-				return k.obExistsRefine(ctx, o, forAll, bar)
-			}
+			p.exact, p.bracket = (*kern).obExistsExact, (*kern).obExistsRefine
 		default:
-			p.exact = func(k *kern, ctx context.Context, o *Object) (Result, error) {
-				return k.existsExact(ctx, o, forAll)
-			}
+			p.exact = (*kern).existsExact
 		}
 	}
 	return p
@@ -400,13 +386,13 @@ func (e *Engine) exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 // state space surfaces after the earlier groups' results — the same rule
 // for every strategy, worker count and consumer.
 func (e *Engine) scan(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
-	pass := e.exactPassFor(ctx, plan)
+	pass := exactPassFor(ctx, plan)
 	gated := plan.filtered()
 	bound := plan.upperBound()
 	certify, certified := plan.certificate()
 	return func(yield func(Result, error) bool) {
 		for _, grp := range e.db.groupByChain() {
-			k, err := pass.kernel(grp)
+			k, err := pass.kernel(e, grp, plan)
 			if err != nil {
 				yield(Result{}, err)
 				return
@@ -476,16 +462,19 @@ func (e *Engine) scan(ctx context.Context, plan *evalPlan) iter.Seq2[Result, err
 }
 
 // groupKernel compiles the plan's window for one chain group (taking the
-// PST∀Q complement when requested) and binds it to the engine kernel.
-func (e *Engine) groupKernel(grp chainGroup, plan *evalPlan, complement bool) (*kern, error) {
+// complement for PST∀Q) and binds it to the engine kernel.
+func (e *Engine) groupKernel(grp chainGroup, plan *evalPlan) (*kern, error) {
 	w, err := compile(plan.query, grp.chain.NumStates())
 	if err != nil {
 		return nil, err
 	}
-	if complement {
+	forAll := plan.req.Predicate == PredicateForAll
+	if forAll {
 		w = w.complemented()
 	}
-	return e.kernel(grp.chain, w, plan), nil
+	k := e.kernel(grp.chain, w, plan)
+	k.forAll = forAll
+	return k, nil
 }
 
 // mcSampler compiles the plan's predicate against one chain and returns

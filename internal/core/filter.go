@@ -117,9 +117,9 @@ func (p *evalPlan) upperBound() func(k *kern, ctx context.Context, o *Object) (u
 // early as the bracket allows, skipping the rest of the forward pass.
 // Ineligible shapes (k = 0, multi-observation, after-horizon, bar ≤ 0)
 // fall back to the plain exact pass.
-func (k *kern) obExistsRefine(ctx context.Context, o *Object, forAll bool, bar float64) (Result, bool, error) {
+func (k *kern) obExistsRefine(ctx context.Context, o *Object, bar float64) (Result, bool, error) {
 	if bar <= 0 || !k.boundable(o) {
-		r, err := k.obExistsExact(ctx, o, forAll)
+		r, err := k.obExistsExact(ctx, o)
 		return r, true, err
 	}
 	seed, err := k.seedFor(ctx, o)
@@ -130,14 +130,14 @@ func (k *kern) obExistsRefine(ctx context.Context, o *Object, forAll bool, bar f
 	// Result < bar translates to: exists — P∃ < bar (reject below);
 	// forall — 1 − P∃ < bar, i.e. P∃ > 1 − bar (reject above).
 	rejectBelow, rejectAbove := bar, 2.0
-	if forAll {
+	if k.forAll {
 		rejectBelow, rejectAbove = -1, 1-bar
 	}
 	p, qualified, err := existsOBRefine(ctx, k.chain, seed, k.w, rejectBelow, rejectAbove, k.pool)
 	if err != nil || !qualified {
 		return Result{}, false, err
 	}
-	if forAll {
+	if k.forAll {
 		p = 1 - p
 	}
 	return Result{ObjectID: o.ID, Prob: p}, true, nil

@@ -29,7 +29,10 @@ import (
 type kern struct {
 	chain *markov.Chain
 	w     *window
-	cache *SharedCache // nil: engine-wide caching disabled for this request
+	// forAll marks w as the complement of a PST∀Q's window: the exists
+	// evaluators then answer 1 − P∃(w).
+	forAll bool
+	cache  *SharedCache // nil: engine-wide caching disabled for this request
 	// tier, when set alongside cache, coordinates sweep computation
 	// fleet-wide (sweeptier.go): wireable kinds consult it after a local
 	// miss, adopting a peer's payload or computing under a lease.
@@ -425,7 +428,7 @@ func (k *kern) existsLower(ctx context.Context, o *Object) (lo float64, ok bool,
 // existsExact answers one object with the query-based strategy (backward
 // scoring sweep + dot product), handling the k = 0, multi-observation
 // and after-horizon cases exactly like the historical stream core.
-func (k *kern) existsExact(ctx context.Context, o *Object, forAll bool) (Result, error) {
+func (k *kern) existsExact(ctx context.Context, o *Object) (Result, error) {
 	var p float64
 	var err error
 	switch {
@@ -442,7 +445,7 @@ func (k *kern) existsExact(ctx context.Context, o *Object, forAll bool) (Result,
 	// A sweep held against its far value can round a score a last bit
 	// past 1 (querybased.go): answers stay inside [0, 1].
 	p = clamp01(p)
-	if forAll {
+	if k.forAll {
 		p = 1 - p
 	}
 	return Result{ObjectID: o.ID, Prob: p}, nil
@@ -470,14 +473,14 @@ func (k *kern) existsDot(ctx context.Context, o *Object) (float64, error) {
 }
 
 // obExistsExact answers one object with the object-based strategy (a
-// forward pass). The kern's window must already be the complemented one
-// for forAll requests (an empty window then answers 1 − 0).
-func (k *kern) obExistsExact(ctx context.Context, o *Object, forAll bool) (Result, error) {
+// forward pass). For PST∀Q the kern's window is the complemented one (an
+// empty window then answers 1 − 0).
+func (k *kern) obExistsExact(ctx context.Context, o *Object) (Result, error) {
 	p, err := k.obExists(ctx, o)
 	if err != nil {
 		return Result{}, err
 	}
-	if forAll {
+	if k.forAll {
 		p = 1 - p
 	}
 	return Result{ObjectID: o.ID, Prob: p}, nil
