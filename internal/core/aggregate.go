@@ -204,9 +204,9 @@ func (e *Engine) factorSet(ctx context.Context, plan *evalPlan, spec AggSpec) (*
 // engine's emission order from the same per-object stream the
 // per-object request runs, so strategy semantics (including the
 // Monte-Carlo rng discipline) are exactly those of that request. A
-// count request carries no threshold, so the bar it hands scan's filter
-// gate is −1: the gate prunes nothing and answers from its certificate
-// alone (see the file comment).
+// count request carries no threshold, so plan.bar stays −1: scan's
+// filter gate prunes nothing and answers from its certificate alone
+// (see the file comment).
 func (e *Engine) countFactors(ctx context.Context, plan *evalPlan) ([]agg.Factor, error) {
 	factors := make([]agg.Factor, 0, e.db.Len())
 	for r, err := range e.stream(ctx, plan) {
