@@ -25,18 +25,17 @@ staticcheck:
 	fi
 
 # fuzz-smoke gives every fuzz target a short budget: parser (text query
-# language), wire request decoder, the wire result decoders (response and
-# factor set, stream line and update — each differential against
-# encoding/json), sparse builder/CSR invariants and the
-# VecMat/MatVec/CopyFrom kernels against their naive references, shard hash
-# ring (determinism / balance / minimal movement), store image and
-# import-frame decoders, sweep-tier payload decoder, the query-based
+# language, which is also the wire request codec), the wire result
+# decoders (response and factor set, stream line and update — each
+# differential against encoding/json), sparse builder/CSR invariants and
+# the VecMat/MatVec/CopyFrom kernels against their naive references,
+# shard hash ring (determinism / balance / minimal movement), store image
+# and import-frame decoders, sweep-tier payload decoder, the query-based
 # sweeps against their dense references and possible-worlds enumeration,
 # and the scan's filter gate against the ungated scan.
 # CI runs it after make ci.
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
-	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeResponse -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeStreamLine -fuzztime 15s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzBuilderCSR -fuzztime 15s

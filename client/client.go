@@ -1,8 +1,8 @@
 // Package client is the Go client for a ustserve server: the remote
-// twin of ust.Engine.Evaluate. Requests travel as canonical wire JSON
-// and results decode back to the exact float64 bits the server
-// computed, so a remote Query returns byte-identical results to
-// in-process evaluation of the same request.
+// twin of ust.Engine.Evaluate. Requests travel in their canonical text
+// form (package ust/query) and results decode back to the exact float64
+// bits the server computed, so a remote Query returns byte-identical
+// results to in-process evaluation of the same request.
 //
 //	c := client.New("http://localhost:8080", nil)
 //	resp, err := c.Query(ctx, "fleet", ust.NewRequest(ust.PredicateExists,
@@ -359,16 +359,18 @@ func toWireObservation(obs ust.Observation) (wire.Observation, error) {
 	return wire.Observation{Time: obs.Time, States: sup, Probs: probs}, nil
 }
 
+// queryEnvelope addresses a request to a dataset, in its canonical text
+// form (see package ust/query).
 func queryEnvelope(dataset string, req ust.Request) ([]byte, error) {
-	wr, err := wire.FromRequest(req)
+	q, err := wire.EncodeRequest(req)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(wire.QueryEnvelope{Dataset: dataset, Request: &wr})
+	return textEnvelope(dataset, string(q))
 }
 
-// textEnvelope addresses a text-language query (see package ust/query)
-// to a dataset; the server parses it.
+// textEnvelope addresses a text-language query to a dataset; the server
+// parses it.
 func textEnvelope(dataset, query string) ([]byte, error) {
 	return json.Marshal(wire.QueryEnvelope{Dataset: dataset, Query: query})
 }

@@ -2,7 +2,7 @@
 // against a stored dataset (see ustgen) — either in-process through the
 // unified Request/Evaluate API, or against a running ustserve with
 // -remote (results are byte-identical either way; the request travels
-// as canonical wire JSON).
+// in its canonical text form, package ust/query).
 //
 // Usage:
 //

@@ -450,7 +450,7 @@ func TestRawWireContract(t *testing.T) {
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer func() { svc.Close(); ts.Close() }()
 
-	body := `{"dataset":"d","request":{"predicate":"exists","states":[0,1],"times":[2,3]}}`
+	body := `{"dataset":"d","query":"exists(states(0,1) @ [2,3])"}`
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +475,7 @@ func TestRawWireContract(t *testing.T) {
 	}
 
 	// Unknown fields must be rejected (strict decoding end to end).
-	bad := `{"dataset":"d","request":{"predicate":"exists","bogus":1}}`
+	bad := `{"dataset":"d","query":"exists(states(0) @ {1})","bogus":1}`
 	resp2, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)

@@ -128,17 +128,18 @@ func TestFacadeServiceAndWire(t *testing.T) {
 	req := ust.NewRequest(ust.PredicateExists,
 		ust.WithStates([]int{0, 1}), ust.WithTimes([]int{2, 3}), ust.WithTopK(3))
 
-	// The wire codec round-trips the request exactly.
-	data, err := ust.MarshalRequest(req)
+	// The text form — what travels on the wire — round-trips the
+	// request exactly.
+	text, err := ust.FormatQuery(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ust.UnmarshalRequest(data)
+	back, err := ust.ParseQuery(text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, req) {
-		t.Fatalf("wire round-trip changed request: %#v vs %#v", back, req)
+		t.Fatalf("text round-trip changed request: %#v vs %#v", back, req)
 	}
 
 	resp, err := svc.Evaluate(context.Background(), "d", back)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"ust/internal/spatial"
@@ -296,13 +298,34 @@ func (x Expr) validateNode() error {
 }
 
 // String renders the expression in the text query language of package
-// ust/query ("exists(states(1,2) @ [5,15]) and not forall(…)"). Regions
-// outside the rect/circle vocabulary render as region(?); use the wire
-// codec for a lossless encoding.
+// ust/query ("exists(states(1,2) @ [5,15]) and not forall(…)"). A region
+// type outside the library's algebra renders as region(?); WriteText
+// reports it instead.
 func (x Expr) String() string {
 	var b strings.Builder
-	x.format(&b, 0)
+	_ = x.WriteText(&b)
 	return b.String()
+}
+
+// WriteText writes the expression in the text query language. It fails
+// on what the language cannot carry — a region type outside the
+// library's algebra, a non-finite coordinate or a negative id — after
+// writing the rest.
+func (x Expr) WriteText(b *strings.Builder) error {
+	t := textWriter{b: b}
+	x.format(&t, 0)
+	return t.err
+}
+
+// WritePredicateText writes one predicate over its window in the text
+// query language: name(space @ times), the space being the region's
+// geometric terms followed by states(...). withTimes false leaves the
+// time window out (an eventually-query's optional horizon). It fails
+// like WriteText.
+func WritePredicateText(b *strings.Builder, name string, states []int, region spatial.Region, times []int, withTimes bool) error {
+	t := textWriter{b: b}
+	t.predicate(name, states, region, times, withTimes)
+	return t.err
 }
 
 // precedence: or < and < then < not/atom. A child at strictly lower
@@ -320,100 +343,219 @@ func (x Expr) precedence() int {
 	}
 }
 
-func (x Expr) format(b *strings.Builder, parentPrec int) {
+func (x Expr) format(t *textWriter, parentPrec int) {
 	prec := x.precedence()
 	paren := prec < parentPrec
 	if paren {
-		b.WriteByte('(')
+		t.b.WriteByte('(')
 	}
 	switch x.op {
 	case ExprLeaf:
-		x.atom.format(b)
+		name := "exists"
+		if x.atom.ForAll {
+			name = "forall"
+		}
+		t.predicate(name, x.atom.States, x.atom.Region, x.atom.Times, true)
 	case ExprNot:
-		b.WriteString("not ")
-		x.kids[0].format(b, 4)
+		t.b.WriteString("not ")
+		x.kids[0].format(t, 4)
 	default:
 		for i := range x.kids {
 			if i > 0 {
-				b.WriteByte(' ')
-				b.WriteString(x.op.String())
-				b.WriteByte(' ')
+				t.b.WriteByte(' ')
+				t.b.WriteString(x.op.String())
+				t.b.WriteByte(' ')
 			}
-			x.kids[i].format(b, prec)
+			x.kids[i].format(t, prec)
 		}
 	}
 	if paren {
-		b.WriteByte(')')
+		t.b.WriteByte(')')
 	}
 }
 
-func (a ExprAtom) format(b *strings.Builder) {
-	if a.ForAll {
-		b.WriteString("forall(")
-	} else {
-		b.WriteString("exists(")
-	}
-	switch {
-	case a.Region != nil && len(a.States) > 0:
-		formatRegion(b, a.Region)
-		b.WriteByte('+')
-		formatStates(b, a.States)
-	case a.Region != nil:
-		formatRegion(b, a.Region)
-	default:
-		formatStates(b, a.States)
-	}
-	b.WriteString(" @ ")
-	formatTimes(b, a.Times)
-	b.WriteByte(')')
+// textWriter is the one printer of the text query language (package
+// ust/query parses it back). err keeps the first term the language
+// cannot carry; writing goes on past it.
+type textWriter struct {
+	b   *strings.Builder
+	err error
+	num [32]byte
 }
 
-func formatRegion(b *strings.Builder, r spatial.Region) {
+func (t *textWriter) fail(format string, args ...any) {
+	if t.err == nil {
+		t.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (t *textWriter) predicate(name string, states []int, region spatial.Region, times []int, withTimes bool) {
+	t.b.WriteString(name)
+	t.b.WriteByte('(')
+	if n := t.terms(region, 0); n == 0 || len(states) > 0 {
+		if n > 0 {
+			t.b.WriteByte('+')
+		}
+		t.b.WriteString("states(")
+		t.intSet(states)
+		t.b.WriteByte(')')
+	}
+	if withTimes {
+		t.b.WriteString(" @ ")
+		t.times(times)
+	}
+	t.b.WriteByte(')')
+}
+
+// terms writes r as '+'-joined geometric terms after the n already
+// written and returns the new count. A union contributes its members —
+// nested unions flattened, empty ones dropped — and a difference with
+// an empty subtrahend its base. That is the canonical form: the parser
+// reads several terms back as one flat union, a single term as itself
+// and no term as no region, which resolve to the same states.
+func (t *textWriter) terms(r spatial.Region, n int) int {
+	switch v := r.(type) {
+	case nil:
+		return n
+	case spatial.Union:
+		for _, m := range v {
+			n = t.terms(m, n)
+		}
+		return n
+	case spatial.Difference:
+		if emptyRegion(v.Base) {
+			return n
+		}
+		if emptyRegion(v.Sub) {
+			return t.terms(v.Base, n)
+		}
+	}
+	if n > 0 {
+		t.b.WriteByte('+')
+	}
 	switch v := r.(type) {
 	case spatial.Rect:
-		fmt.Fprintf(b, "region(%g,%g,%g,%g)", v.MinX, v.MinY, v.MaxX, v.MaxY)
+		t.call("region", v.MinX, v.MinY, v.MaxX, v.MaxY)
 	case spatial.Circle:
-		fmt.Fprintf(b, "circle(%g,%g,%g)", v.Center.X, v.Center.Y, v.Radius)
+		t.call("circle", v.Center.X, v.Center.Y, v.Radius)
+	case spatial.Polygon:
+		t.b.WriteString("polygon(")
+		for i, p := range v.Vertices {
+			if i > 0 {
+				t.b.WriteByte(',')
+			}
+			t.float(p.X)
+			t.b.WriteByte(',')
+			t.float(p.Y)
+		}
+		t.b.WriteByte(')')
+	case spatial.Difference:
+		t.b.WriteString("minus(")
+		t.terms(v.Base, 0)
+		t.b.WriteByte(',')
+		t.terms(v.Sub, 0)
+		t.b.WriteByte(')')
 	default:
-		b.WriteString("region(?)")
+		t.b.WriteString("region(?)")
+		t.fail("core: region type %T has no text form", r)
+	}
+	return n + 1
+}
+
+// emptyRegion reports whether r writes no term: nil, a union of empty
+// regions, or a difference with an empty base.
+func emptyRegion(r spatial.Region) bool {
+	switch v := r.(type) {
+	case nil:
+		return true
+	case spatial.Union:
+		for _, m := range v {
+			if !emptyRegion(m) {
+				return false
+			}
+		}
+		return true
+	case spatial.Difference:
+		return emptyRegion(v.Base)
+	default:
+		return false
 	}
 }
 
-// formatStates renders a sorted id set with contiguous runs collapsed to
-// lo-hi ranges — the canonical form package ust/query parses back.
-func formatStates(b *strings.Builder, ids []int) {
-	b.WriteString("states(")
-	formatIntSet(b, ids)
-	b.WriteByte(')')
+func (t *textWriter) call(name string, args ...float64) {
+	t.b.WriteString(name)
+	t.b.WriteByte('(')
+	for i, v := range args {
+		if i > 0 {
+			t.b.WriteByte(',')
+		}
+		t.float(v)
+	}
+	t.b.WriteByte(')')
 }
 
-func formatTimes(b *strings.Builder, times []int) {
+func (t *textWriter) float(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		t.fail("core: coordinate %g has no text form", v)
+	}
+	t.b.Write(strconv.AppendFloat(t.num[:0], v, 'g', -1, 64))
+}
+
+func (t *textWriter) id(v int) {
+	if v < 0 {
+		t.fail("core: negative id %d has no text form", v)
+	}
+	t.b.Write(strconv.AppendInt(t.num[:0], int64(v), 10))
+}
+
+// times writes a time window: contiguous sets as [lo,hi], others as
+// {…}.
+func (t *textWriter) times(times []int) {
+	times = canonicalSet(times)
 	if n := len(times); n > 1 && times[n-1]-times[0] == n-1 {
-		fmt.Fprintf(b, "[%d,%d]", times[0], times[n-1])
+		t.b.WriteByte('[')
+		t.id(times[0])
+		t.b.WriteByte(',')
+		t.id(times[n-1])
+		t.b.WriteByte(']')
 		return
 	}
-	b.WriteByte('{')
-	formatIntSet(b, times)
-	b.WriteByte('}')
+	t.b.WriteByte('{')
+	t.intSet(times)
+	t.b.WriteByte('}')
 }
 
-func formatIntSet(b *strings.Builder, ids []int) {
+// intSet writes an id set sorted and deduplicated, with contiguous runs
+// of three or more collapsed to lo-hi ranges.
+func (t *textWriter) intSet(ids []int) {
+	ids = canonicalSet(ids)
 	for i := 0; i < len(ids); {
 		j := i
 		for j+1 < len(ids) && ids[j+1] == ids[j]+1 {
 			j++
 		}
 		if i > 0 {
-			b.WriteByte(',')
+			t.b.WriteByte(',')
 		}
+		t.id(ids[i])
 		switch {
-		case j == i:
-			fmt.Fprintf(b, "%d", ids[i])
 		case j == i+1:
-			fmt.Fprintf(b, "%d,%d", ids[i], ids[j])
-		default:
-			fmt.Fprintf(b, "%d-%d", ids[i], ids[j])
+			t.b.WriteByte(',')
+			t.id(ids[j])
+		case j > i+1:
+			t.b.WriteByte('-')
+			t.id(ids[j])
 		}
 		i = j + 1
 	}
+}
+
+// canonicalSet is sortedSet without the copy when ids already is one.
+func canonicalSet(ids []int) []int {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return sortedSet(ids)
+		}
+	}
+	return ids
 }

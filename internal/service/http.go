@@ -19,7 +19,6 @@ import (
 	"ust/internal/shard"
 	"ust/internal/store"
 	"ust/internal/wire"
-	"ust/query"
 )
 
 // The HTTP/NDJSON front end over a Service. Routes (all bodies JSON
@@ -331,34 +330,19 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, limit int64, into any)
 	return wire.StrictUnmarshal(body, into)
 }
 
-// decodeEnvelope reads and strictly decodes a query envelope body. The
-// request may arrive in either form: the structured wire shape
-// ("request") or the text query language ("query"), parsed server-side
-// — the same compound queries, rankings and strategy hints either way.
-// A body over maxRequestBody is refused with ErrBodyTooLarge.
+// decodeEnvelope reads and strictly decodes a query envelope body: a
+// dataset name and a request in the text query language. A body over
+// maxRequestBody is refused with ErrBodyTooLarge.
 func decodeEnvelope(w http.ResponseWriter, r *http.Request) (string, core.Request, error) {
 	var env wire.QueryEnvelope
 	if err := readJSONBody(w, r, maxRequestBody, &env); err != nil {
 		return "", core.Request{}, err
 	}
-	switch {
-	case env.Request != nil && env.Query != "":
-		return "", core.Request{}, fmt.Errorf("%w: envelope carries both request and query", wire.ErrDecode)
-	case env.Request != nil:
-		req, err := env.Request.ToRequest()
-		if err != nil {
-			return "", core.Request{}, err
-		}
-		return env.Dataset, req, nil
-	case env.Query != "":
-		req, err := query.Parse(env.Query)
-		if err != nil {
-			return "", core.Request{}, fmt.Errorf("%w: %v", wire.ErrDecode, err)
-		}
-		return env.Dataset, req, nil
-	default:
-		return "", core.Request{}, fmt.Errorf("%w: envelope carries neither request nor query", wire.ErrDecode)
+	req, err := wire.DecodeRequest([]byte(env.Query))
+	if err != nil {
+		return "", core.Request{}, err
 	}
+	return env.Dataset, req, nil
 }
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {

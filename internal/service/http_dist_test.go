@@ -99,14 +99,7 @@ func TestFactorsEndpoint(t *testing.T) {
 	_, base := distTestServer(t, Config{})
 	req := core.NewAggRequest(core.PredicateExists, core.AggSpec{Kind: core.AggCount},
 		core.WithStates([]int{0, 1}), core.WithTimes([]int{1, 2}))
-	wreq, err := wire.FromRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(wire.QueryEnvelope{Dataset: "d", Request: &wreq})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := envelope(t, "d", req)
 	resp, err := http.Post(base+"/v1/factors", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -31,8 +31,8 @@ func TestStreamStatusOnBadRequest(t *testing.T) {
 		body   string
 		status int
 	}{
-		"unknown dataset":         {`{"dataset":"nope","request":{"predicate":"exists","states":[0],"times":[1]}}`, http.StatusNotFound},
-		"region without resolver": {`{"dataset":"d","request":{"predicate":"exists","region":{"type":"rect","min":[0,0],"max":[1,1]},"times":[1]}}`, http.StatusBadRequest},
+		"unknown dataset":         {`{"dataset":"nope","query":"exists(states(0) @ {1})"}`, http.StatusNotFound},
+		"region without resolver": {`{"dataset":"d","query":"exists(region(0,0,1,1) @ {1})"}`, http.StatusBadRequest},
 	}
 	for name, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json", strings.NewReader(tc.body))
@@ -68,7 +68,7 @@ func TestMetricsShowCoalescing(t *testing.T) {
 	}
 	defer func() { testHookEvalStart = nil }()
 
-	body := `{"dataset":"d","request":{"predicate":"exists","states":[0,1],"times":[2,3]}}`
+	body := `{"dataset":"d","query":"exists(states(0,1) @ [2,3])"}`
 	post := func() error {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -179,7 +179,7 @@ func TestStreamFlushesAgedLine(t *testing.T) {
 	got := make(chan line, 1)
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json",
-			strings.NewReader(`{"dataset":"d","request":{"predicate":"exists","states":[0],"times":[1]}}`))
+			strings.NewReader(`{"dataset":"d","query":"exists(states(0) @ {1})"}`))
 		if err != nil {
 			got <- line{err: err}
 			return
@@ -239,7 +239,7 @@ func TestStreamAbortDuringAgedFlush(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json",
-			strings.NewReader(`{"dataset":"d","request":{"predicate":"exists","states":[0],"times":[1]}}`))
+			strings.NewReader(`{"dataset":"d","query":"exists(states(0) @ {1})"}`))
 		if err == nil {
 			_, err = io.ReadAll(resp.Body)
 			resp.Body.Close()

@@ -38,7 +38,7 @@ func TestOverloadReturns429AndIsCounted(t *testing.T) {
 
 	// A healthy query first, so the metrics later show the ok outcome
 	// next to the overloaded one.
-	if code, body := query(`{"dataset":"d","request":{"predicate":"exists","states":[0,1],"times":[2,3]}}`); code != http.StatusOK {
+	if code, body := query(`{"dataset":"d","query":"exists(states(0,1) @ [2,3])"}`); code != http.StatusOK {
 		t.Fatalf("healthy query: %d %s", code, body)
 	}
 
@@ -57,7 +57,7 @@ func TestOverloadReturns429AndIsCounted(t *testing.T) {
 		defer wg.Done()
 		// The holder occupies the only admission slot; its own outcome
 		// (it outlives its deadline inside the hook) is irrelevant here.
-		query(`{"dataset":"d","request":{"predicate":"exists","states":[0,1],"times":[2,3]}}`)
+		query(`{"dataset":"d","query":"exists(states(0,1) @ [2,3])"}`)
 	}()
 	<-entered
 
@@ -67,7 +67,7 @@ func TestOverloadReturns429AndIsCounted(t *testing.T) {
 	// every attempt must be rejected — never queued behind the holder.
 	saw429 := false
 	for i := 0; i < 50 && !saw429; i++ {
-		body := fmt.Sprintf(`{"dataset":"d","request":{"predicate":"exists","states":[0,1],"times":[%d]}}`, 4+i)
+		body := fmt.Sprintf(`{"dataset":"d","query":"exists(states(0,1) @ {%d})"}`, 4+i)
 		code, respBody := query(body)
 		switch code {
 		case http.StatusTooManyRequests:

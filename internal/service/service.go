@@ -765,7 +765,7 @@ func (s *Service) admit(ctx context.Context) (release func(), err error) {
 
 // resolveRegion attaches the dataset's resolver to region-carrying
 // requests — top-level regions and compound-expression atoms alike
-// (wire-decoded and text-parsed requests arrive with nil resolvers).
+// (decoded requests arrive with nil resolvers).
 func (ds *dataset) resolveRegion(req core.Request) (core.Request, error) {
 	if !req.NeedsResolver() {
 		return req, nil
@@ -839,9 +839,9 @@ func (s *Service) Evaluate(ctx context.Context, name string, req core.Request) (
 }
 
 // flightKey derives the single-flight key: dataset identity, database
-// generation and the request's canonical wire bytes. Requests that
-// cannot be canonically encoded (exotic region implementations) simply
-// skip coalescing.
+// generation and the request's canonical text (its wire form). Requests
+// the text cannot carry (exotic region implementations) simply skip
+// coalescing.
 func (s *Service) flightKey(ds *dataset, req core.Request) (string, bool) {
 	enc, err := wire.EncodeRequest(req)
 	if err != nil {

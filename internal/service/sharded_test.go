@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -110,7 +109,7 @@ func TestShardedServiceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardedHugeTopKOverHTTP sends a top_k no database can fill —
+// TestShardedHugeTopKOverHTTP sends a top-k no database can fill —
 // math.MaxInt — to a two-shard service over HTTP: the answer is every
 // result, ranked exactly as a single engine ranks them, and the server
 // stays up.
@@ -127,14 +126,7 @@ func TestShardedHugeTopKOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := wire.FromRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(wire.QueryEnvelope{Dataset: "d", Request: &wr})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := envelope(t, "d", req)
 	for round := 0; round < 2; round++ {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {

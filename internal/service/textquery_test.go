@@ -2,11 +2,14 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,10 +20,10 @@ import (
 	"ust/query"
 )
 
-// The acceptance path for the text query language: the SAME query
-// string must be accepted by the HTTP /v1/query envelope, by
-// Service.Subscribe (via query.Parse), and must produce results
-// identical to the structured wire form of the same request.
+// The acceptance path for the text query language, the one request
+// encoding: the SAME query string must be accepted by the HTTP
+// /v1/query envelope and by Service.Subscribe (via query.Parse), and
+// must produce results identical to in-process evaluation.
 
 const compoundText = "exists(states(0) @ [2,3]) and not forall(states(1,2) @ [1,2])"
 
@@ -34,12 +37,26 @@ func textTestService(t *testing.T) *Service {
 	return svc
 }
 
+// envelope is a query envelope body addressing req, in its text form,
+// to a dataset.
+func envelope(t *testing.T, dataset string, req core.Request) []byte {
+	t.Helper()
+	q, err := wire.EncodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(wire.QueryEnvelope{Dataset: dataset, Query: string(q)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 func TestTextQueryOverHTTP(t *testing.T) {
 	svc := textTestService(t)
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 
-	// Text envelope.
 	body := `{"dataset":"d","query":"` + compoundText + `"}`
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -49,49 +66,34 @@ func TestTextQueryOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("text query: status %d", resp.StatusCode)
 	}
-	var textResp wire.Response
-	if err := json.NewDecoder(resp.Body).Decode(&textResp); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wire.DecodeResponse(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The equivalent structured envelope.
 	req, err := query.Parse(compoundText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := wire.FromRequest(req)
+	want, err := core.NewEngine(paperDB(t), core.Options{}).Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := json.Marshal(wire.QueryEnvelope{Dataset: "d", Request: &wr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(string(env)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var structResp wire.Response
-	if err := json.NewDecoder(resp2.Body).Decode(&structResp); err != nil {
-		t.Fatal(err)
+	if len(want.Results) == 0 || !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("results differ:\n  http       %+v\n  in-process %+v", got.Results, want.Results)
 	}
 
-	if len(textResp.Results) == 0 || len(textResp.Results) != len(structResp.Results) {
-		t.Fatalf("results differ: text %d, structured %d", len(textResp.Results), len(structResp.Results))
-	}
-	for i := range textResp.Results {
-		if textResp.Results[i].Object != structResp.Results[i].Object ||
-			textResp.Results[i].Prob != structResp.Results[i].Prob {
-			t.Fatalf("result %d differs: %+v vs %+v", i, textResp.Results[i], structResp.Results[i])
-		}
-	}
-
-	// Bad text queries are 400s, not 500s.
+	// Bad envelopes are 400s, not 500s; a member other than dataset and
+	// query is one.
 	for _, bad := range []string{
 		`{"dataset":"d","query":"exsts(states(1) @ [1,2])"}`,
 		`{"dataset":"d"}`,
 		`{"dataset":"d","query":"exists(states(0) @ [1,2])","request":{"predicate":"exists"}}`,
+		`{"dataset":"d","request":{"predicate":"exists","states":[0],"times":[1]}}`,
 	} {
 		r, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(bad))
 		if err != nil {
@@ -101,6 +103,41 @@ func TestTextQueryOverHTTP(t *testing.T) {
 		if r.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad envelope %s: status %d, want 400", bad, r.StatusCode)
 		}
+	}
+}
+
+// TestOverBudgetQueryIs400 sends a 36-byte query whose range would
+// expand to 16 GB: the parser's id budget refuses it before expanding
+// anything, the answer is a 400, and the server keeps serving.
+func TestOverBudgetQueryIs400(t *testing.T) {
+	svc := textTestService(t)
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	post := func(q string) (int, string) {
+		t.Helper()
+		body, err := json.Marshal(wire.QueryEnvelope{Dataset: "d", Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	hostile := "exists(states(0-2000000000) @ [0,1])"
+	if len(hostile) != 36 {
+		t.Fatalf("hostile query is %d bytes", len(hostile))
+	}
+	for range 3 {
+		if code, body := post(hostile); code != http.StatusBadRequest || !strings.Contains(body, "ids") {
+			t.Fatalf("over-budget query: status %d body %s, want 400 naming the id budget", code, body)
+		}
+	}
+	if code, body := post("exists(states(0,1) @ [0,1])"); code != http.StatusOK {
+		t.Fatalf("server stopped serving: status %d body %s", code, body)
 	}
 }
 
@@ -165,9 +202,8 @@ func TestTextQuerySubscribe(t *testing.T) {
 	}
 }
 
-// TestCompoundCoalescing pins that single-flight keying works unchanged
-// for compound queries: the expression round-trips through the wire
-// encoding the flight key is derived from.
+// TestCompoundCoalescing pins that single-flight keying works for
+// compound queries: the flight key is the expression's text form.
 func TestCompoundCoalescing(t *testing.T) {
 	svc := textTestService(t)
 	req, err := query.Parse("exists(states(0) @ [2,3]) and exists(states(1) @ [1,3])")

@@ -1,70 +1,12 @@
 package wire
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"ust/internal/core"
 )
-
-// FuzzDecodeRequest drives hostile bytes through the strict request
-// decoder. Invariants: never panic; whatever decodes successfully must
-// re-encode, and the re-encoded canonical form must be a fixed point
-// (encode ∘ decode is idempotent) — the property the service layer's
-// single-flight keying relies on.
-func FuzzDecodeRequest(f *testing.F) {
-	seeds := []string{
-		`{"predicate":"exists"}`,
-		`{"predicate":"forall","states":[1,2,3],"times":[4,5]}`,
-		`{"predicate":"ktimes","states":[0],"times":[1],"strategy":"ob","workers":-1}`,
-		`{"predicate":"eventually","states":[2],"hitting":{"max_steps":100,"tol":1e-9}}`,
-		`{"predicate":"exists","states":[1],"times":[2],"auto_plan":true,"threshold":0.5,"top_k":3}`,
-		`{"predicate":"exists","monte_carlo":{"samples":10,"seed":-4},"cache":false,"filter_refine":true}`,
-		`{"predicate":"exists","region":{"type":"rect","min":[0,0],"max":[2,2]},"times":[1]}`,
-		`{"predicate":"exists","region":{"type":"union","regions":[{"type":"circle","center":[1,1],"radius":2}]}}`,
-		`{"predicate":"exists","region":{"type":"difference","base":{"type":"rect","min":[0,0],"max":[9,9]},"sub":{"type":"polygon","vertices":[[0,0],[1,0],[0,1]]}}}`,
-		`{"predicate":"exists","states":[18446744073709551615]}`,
-		`{"predicate":"exists","threshold":1e308}`,
-		`{"predicate":"expr","expr":{"op":"atom","states":[1,2],"times":[3,4]}}`,
-		`{"predicate":"expr","expr":{"op":"and","operands":[{"op":"atom","states":[1],"times":[2]},{"op":"not","operands":[{"op":"atom","forall":true,"states":[3],"times":[4]}]}]},"threshold":0.5}`,
-		`{"predicate":"expr","expr":{"op":"then","operands":[{"op":"atom","states":[1],"times":[2]},{"op":"atom","region":{"type":"circle","center":[1,1],"radius":2},"times":[5]}]}}`,
-		`{"predicate":"expr","expr":{"op":"or","operands":[]}}`,
-		`{"predicate":"exists","expr":{"op":"atom"}}`,
-		`{"predicate":"exists","states":[2],"times":[3],"aggregate":{"kind":"count","min_count":3}}`,
-		`{"predicate":"exists","states":[1],"times":[0,5],"aggregate":{"kind":"occupancy"}}`,
-		`{"predicate":"ktimes","states":[4],"times":[1,2],"aggregate":{"kind":"count"},"strategy":"ob"}`,
-		`{"predicate":"expr","expr":{"op":"atom","states":[1],"times":[2]},"aggregate":{"kind":"count","min_count":1}}`,
-		`{"predicate":"exists","aggregate":{"kind":"median"}}`,
-		`{"predicate":"exists","aggregate":{"kind":"count","min_count":-1}}`,
-		`[]`, `null`, `{}`, `{{`, "\x00\xff", `{"predicate":"exists"}{"predicate":"exists"}`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRequest(data)
-		if err != nil {
-			return // rejected is fine; panicking is not
-		}
-		enc, err := EncodeRequest(req)
-		if err != nil {
-			t.Fatalf("decoded request does not re-encode: %v (input %q)", err, data)
-		}
-		req2, err := DecodeRequest(enc)
-		if err != nil {
-			t.Fatalf("canonical form does not decode: %v (canonical %q)", err, enc)
-		}
-		enc2, err := EncodeRequest(req2)
-		if err != nil {
-			t.Fatalf("second encode failed: %v", err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("canonical form unstable:\n  first  %s\n  second %s", enc, enc2)
-		}
-	})
-}
 
 // allocated returns the bytes fn allocates.
 func allocated(fn func()) uint64 {

@@ -1,21 +1,24 @@
-// Package wire gives the query API a stable, strict JSON encoding: the
-// network contract between ustserve, the client package and any non-Go
-// caller. Every part of a core.Request — predicate, raw state/time
-// windows, geometric regions, strategy and planner hints, ranking,
-// budgets and cache toggles — round-trips exactly, and Response/Result
-// round-trip with float64 precision intact (encoding/json emits the
-// shortest representation that parses back to the identical bits, so
-// remote results can be byte-identical to in-process evaluation).
+// Package wire is the network contract between ustserve, the client
+// package and any non-Go caller.
 //
-// Decoding is strict and fuzz-safe: unknown fields, unknown enum
-// values, trailing garbage, malformed geometry and absurd sizes are
-// errors, never panics. The one lossy spot is deliberate: a Request's
-// Resolver (an in-process index) cannot travel; regions are encoded
-// geometrically and the server re-attaches its dataset's resolver.
+// A request travels in one form: the text query language of package
+// ust/query. EncodeRequest is query.Format and DecodeRequest is
+// query.Parse, so the canonical text is at once the body a client sends
+// (the "query" member of a QueryEnvelope), the key the service's
+// single-flight coalesces on, the form a coordinator forwards to its
+// workers and the description the load generator prints. Every part of
+// a core.Request — predicate, raw state/time windows, geometric regions,
+// compound expressions, aggregates, strategy and planner hints, ranking,
+// budgets and cache toggles — round-trips. The one lossy spot is
+// deliberate: a Request's Resolver (an in-process index) cannot travel;
+// regions are written geometrically and the server re-attaches its
+// dataset's resolver.
 //
 // The shapes that carry results — Response, StreamLine, Update and
-// FactorSet — have a hand-written codec (codec.go), because they are
-// what a served request spends its time on:
+// FactorSet — round-trip with float64 precision intact, so remote
+// results can be byte-identical to in-process evaluation. They have a
+// hand-written codec (codec.go), because they are what a served request
+// spends its time on:
 //
 //   - Encoding (AppendResponse, AppendStreamLine, AppendUpdate,
 //     AppendFactorSet) appends to a byte slice straight from core
@@ -33,7 +36,7 @@
 //     overflowing ids and counts, and numbers outside float64's range.
 //     Arrays are capped at maxWireInts elements.
 //
-// The exported wire structs and their From*/To* converters stay the
+// The exported result structs and their From*/To* converters stay the
 // documented shape and the reference the codec is tested against;
 // each result shape has exactly one decoder.
 package wire
@@ -46,39 +49,15 @@ import (
 	"math"
 
 	"ust/internal/core"
-	"ust/internal/spatial"
+	"ust/query"
 )
 
 // ErrDecode wraps every decoding failure.
 var ErrDecode = errors.New("wire: bad message")
 
-// Request is the JSON shape of a core.Request.
-type Request struct {
-	Predicate    string      `json:"predicate"`
-	States       []int       `json:"states,omitempty"`
-	Times        []int       `json:"times,omitempty"`
-	Region       *Region     `json:"region,omitempty"`
-	Expr         *Expr       `json:"expr,omitempty"`
-	Strategy     string      `json:"strategy,omitempty"`
-	AutoPlan     bool        `json:"auto_plan,omitempty"`
-	Threshold    *float64    `json:"threshold,omitempty"`
-	TopK         int         `json:"top_k,omitempty"`
-	Workers      int         `json:"workers,omitempty"`
-	MonteCarlo   *MonteCarlo `json:"monte_carlo,omitempty"`
-	Hitting      *Hitting    `json:"hitting,omitempty"`
-	Cache        *bool       `json:"cache,omitempty"`
-	FilterRefine *bool       `json:"filter_refine,omitempty"`
-	Aggregate    *Aggregate  `json:"aggregate,omitempty"`
-}
-
-// Aggregate is the JSON shape of a core.AggSpec: it turns the request
-// into a database-level aggregate over its predicate.
-//
-//	{"predicate":"exists","states":[2],"times":[3],"aggregate":{"kind":"count","min_count":3}}
-type Aggregate struct {
-	Kind     string `json:"kind"`
-	MinCount int    `json:"min_count,omitempty"`
-}
+// maxWireInts bounds decoded arrays; hostile messages must not force
+// pathological allocations.
+const maxWireInts = 1 << 24
 
 // AggPoint is the JSON shape of one occupancy-profile timestep.
 type AggPoint struct {
@@ -99,53 +78,6 @@ type AggResult struct {
 	Mode     int        `json:"mode,omitempty"`
 	Tail     float64    `json:"tail,omitempty"`
 	Profile  []AggPoint `json:"profile,omitempty"`
-}
-
-// Expr is the JSON shape of a core.Expr: a tagged tree over exists/
-// forall atoms.
-//
-//	{"op":"atom","forall":true,"states":[3,4],"times":[0,9]}
-//	{"op":"and","operands":[...]}   (also "or", "then")
-//	{"op":"not","operands":[{...}]}
-type Expr struct {
-	Op       string  `json:"op"`
-	ForAll   bool    `json:"forall,omitempty"`
-	States   []int   `json:"states,omitempty"`
-	Times    []int   `json:"times,omitempty"`
-	Region   *Region `json:"region,omitempty"`
-	Operands []Expr  `json:"operands,omitempty"`
-}
-
-// MonteCarlo is the sampling budget of a Request.
-type MonteCarlo struct {
-	Samples int   `json:"samples"`
-	Seed    int64 `json:"seed"`
-}
-
-// Hitting is the fixed-point budget of eventually-requests.
-type Hitting struct {
-	MaxSteps int     `json:"max_steps,omitempty"`
-	Tol      float64 `json:"tol,omitempty"`
-}
-
-// Region is the JSON shape of a spatial.Region: a tagged union over the
-// library's region algebra.
-//
-//	{"type":"rect","min":[x,y],"max":[x,y]}
-//	{"type":"circle","center":[x,y],"radius":r}
-//	{"type":"polygon","vertices":[[x,y],...]}
-//	{"type":"union","regions":[...]}
-//	{"type":"difference","base":{...},"sub":{...}}
-type Region struct {
-	Type     string       `json:"type"`
-	Min      *[2]float64  `json:"min,omitempty"`
-	Max      *[2]float64  `json:"max,omitempty"`
-	Center   *[2]float64  `json:"center,omitempty"`
-	Radius   float64      `json:"radius,omitempty"`
-	Vertices [][2]float64 `json:"vertices,omitempty"`
-	Regions  []Region     `json:"regions,omitempty"`
-	Base     *Region      `json:"base,omitempty"`
-	Sub      *Region      `json:"sub,omitempty"`
 }
 
 // Result is the JSON shape of a core.Result.
@@ -186,14 +118,12 @@ type Response struct {
 	Agg      *AggResult     `json:"agg,omitempty"`
 }
 
-// QueryEnvelope is the body of POST /v1/query, /v1/query/stream and
-// /v1/subscribe: a request addressed to a named dataset. Exactly one of
-// Request (structured wire form) or Query (the compact text query
-// language of package ust/query, parsed server-side) must be set.
+// QueryEnvelope is the body of POST /v1/query, /v1/query/stream,
+// /v1/subscribe and /v1/factors: a request in the text query language,
+// addressed to a named dataset.
 type QueryEnvelope struct {
-	Dataset string   `json:"dataset"`
-	Request *Request `json:"request,omitempty"`
-	Query   string   `json:"query,omitempty"`
+	Dataset string `json:"dataset"`
+	Query   string `json:"query"`
 }
 
 // StreamLine is one NDJSON line of a /v1/query/stream response: exactly
@@ -251,136 +181,7 @@ type ErrorBody struct {
 	Error string `json:"error"`
 }
 
-// --- Request codec --------------------------------------------------------
-
-func predicateName(p core.Predicate) (string, error) {
-	switch p {
-	case core.PredicateExists:
-		return "exists", nil
-	case core.PredicateForAll:
-		return "forall", nil
-	case core.PredicateKTimes:
-		return "ktimes", nil
-	case core.PredicateEventually:
-		return "eventually", nil
-	case core.PredicateExpr:
-		return "expr", nil
-	default:
-		return "", fmt.Errorf("wire: unknown predicate %v", p)
-	}
-}
-
-func parsePredicate(s string) (core.Predicate, error) {
-	switch s {
-	case "exists":
-		return core.PredicateExists, nil
-	case "forall":
-		return core.PredicateForAll, nil
-	case "ktimes":
-		return core.PredicateKTimes, nil
-	case "eventually":
-		return core.PredicateEventually, nil
-	case "expr":
-		return core.PredicateExpr, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown predicate %q", ErrDecode, s)
-	}
-}
-
-// --- Expr codec -----------------------------------------------------------
-
-func fromExpr(x core.Expr) (Expr, error) {
-	if a, ok := x.Atom(); ok {
-		w := Expr{Op: "atom", ForAll: a.ForAll, States: a.States, Times: a.Times}
-		if a.Region != nil {
-			reg, err := fromRegion(a.Region)
-			if err != nil {
-				return Expr{}, err
-			}
-			w.Region = &reg
-		}
-		return w, nil
-	}
-	var op string
-	switch x.Op() {
-	case core.ExprAnd:
-		op = "and"
-	case core.ExprOr:
-		op = "or"
-	case core.ExprNot:
-		op = "not"
-	case core.ExprThen:
-		op = "then"
-	default:
-		return Expr{}, fmt.Errorf("wire: unknown expression op %v", x.Op())
-	}
-	kids := x.Operands()
-	w := Expr{Op: op, Operands: make([]Expr, len(kids))}
-	for i, kid := range kids {
-		enc, err := fromExpr(kid)
-		if err != nil {
-			return Expr{}, err
-		}
-		w.Operands[i] = enc
-	}
-	return w, nil
-}
-
-// maxExprDepth bounds expression nesting so hostile input cannot drive
-// unbounded recursion. (The atom budget is enforced by the engine's own
-// validation; depth is the decoder's concern.)
-const maxExprDepth = 64
-
-func (w Expr) toExpr(depth int) (core.Expr, error) {
-	if depth > maxExprDepth {
-		return core.Expr{}, fmt.Errorf("%w: expression nesting deeper than %d", ErrDecode, maxExprDepth)
-	}
-	switch w.Op {
-	case "atom":
-		if len(w.States) > maxWireInts || len(w.Times) > maxWireInts {
-			return core.Expr{}, fmt.Errorf("%w: atom window too large", ErrDecode)
-		}
-		a := core.ExprAtom{ForAll: w.ForAll, States: w.States, Times: w.Times}
-		if w.Region != nil {
-			reg, err := w.Region.toRegion(0)
-			if err != nil {
-				return core.Expr{}, err
-			}
-			a.Region = reg
-		}
-		if len(w.Operands) != 0 {
-			return core.Expr{}, fmt.Errorf("%w: atom with operands", ErrDecode)
-		}
-		return core.NewAtom(a), nil
-	case "and", "or", "not", "then":
-		if w.ForAll || w.States != nil || w.Times != nil || w.Region != nil {
-			return core.Expr{}, fmt.Errorf("%w: %s node with atom fields", ErrDecode, w.Op)
-		}
-		kids := make([]core.Expr, len(w.Operands))
-		for i, kw := range w.Operands {
-			kid, err := kw.toExpr(depth + 1)
-			if err != nil {
-				return core.Expr{}, err
-			}
-			kids[i] = kid
-		}
-		switch w.Op {
-		case "and":
-			return core.And(kids...), nil
-		case "or":
-			return core.Or(kids...), nil
-		case "then":
-			return core.Then(kids...), nil
-		default: // not
-			if len(kids) != 1 {
-				return core.Expr{}, fmt.Errorf("%w: not takes exactly one operand, got %d", ErrDecode, len(kids))
-			}
-			return core.Not(kids[0]), nil
-		}
-	default:
-		return core.Expr{}, fmt.Errorf("%w: unknown expression op %q", ErrDecode, w.Op)
-	}
-}
+// --- Enum names -----------------------------------------------------------
 
 func aggKindName(k core.AggKind) (string, error) {
 	switch k {
@@ -430,192 +231,35 @@ func parseStrategy(s string) (core.Strategy, error) {
 	}
 }
 
-// FromRequest converts a core.Request into its wire shape. It fails on
-// region implementations outside the library's algebra (those cannot be
-// expressed geometrically on the wire).
-func FromRequest(r core.Request) (Request, error) {
-	pred, err := predicateName(r.Predicate)
-	if err != nil {
-		return Request{}, err
-	}
-	w := Request{
-		Predicate: pred,
-		States:    r.States,
-		Times:     r.Times,
-		TopK:      r.TopKHint(),
-		Workers:   r.ParallelismHint(),
-		AutoPlan:  r.AutoPlanHint(),
-	}
-	if r.Region != nil {
-		reg, rerr := fromRegion(r.Region)
-		if rerr != nil {
-			return Request{}, rerr
-		}
-		w.Region = &reg
-	}
-	if x, ok := r.ExprHint(); ok {
-		enc, xerr := fromExpr(x)
-		if xerr != nil {
-			return Request{}, xerr
-		}
-		w.Expr = &enc
-	}
-	if s, ok := r.StrategyHint(); ok {
-		name, serr := strategyName(s)
-		if serr != nil {
-			return Request{}, serr
-		}
-		w.Strategy = name
-	}
-	if tau, ok := r.ThresholdHint(); ok {
-		w.Threshold = &tau
-	}
-	if samples, seed, ok := r.MonteCarloHint(); ok {
-		w.MonteCarlo = &MonteCarlo{Samples: samples, Seed: seed}
-	}
-	if maxSteps, tol := r.HittingHint(); maxSteps != 0 || tol != 0 {
-		w.Hitting = &Hitting{MaxSteps: maxSteps, Tol: tol}
-	}
-	if enabled, ok := r.CacheHint(); ok {
-		w.Cache = &enabled
-	}
-	if enabled, ok := r.FilterRefineHint(); ok {
-		w.FilterRefine = &enabled
-	}
-	if spec, ok := r.AggregateHint(); ok {
-		kind, kerr := aggKindName(spec.Kind)
-		if kerr != nil {
-			return Request{}, kerr
-		}
-		w.Aggregate = &Aggregate{Kind: kind, MinCount: spec.MinCount}
-	}
-	return w, nil
-}
+// --- Request codec ---------------------------------------------------------
 
-// maxWireInts bounds decoded state/time lists; hostile messages must not
-// force pathological allocations. (A million-state window is legitimate;
-// the engine re-validates ids against the actual state space anyway.)
-const maxWireInts = 1 << 24
-
-// ToRequest converts a wire Request back into a core.Request. The
-// Resolver is left nil — the serving layer attaches the dataset's
-// resolver when the request carries a region.
-func (w Request) ToRequest() (core.Request, error) {
-	pred, err := parsePredicate(w.Predicate)
-	if err != nil {
-		return core.Request{}, err
-	}
-	if len(w.States) > maxWireInts || len(w.Times) > maxWireInts {
-		return core.Request{}, fmt.Errorf("%w: window too large", ErrDecode)
-	}
-	var opts []core.RequestOption
-	if w.States != nil {
-		opts = append(opts, core.WithStates(w.States))
-	}
-	if w.Times != nil {
-		opts = append(opts, core.WithTimes(w.Times))
-	}
-	if w.Region != nil {
-		reg, rerr := w.Region.toRegion(0)
-		if rerr != nil {
-			return core.Request{}, rerr
-		}
-		opts = append(opts, core.WithRegion(reg, nil))
-	}
-	if (pred == core.PredicateExpr) != (w.Expr != nil) {
-		return core.Request{}, fmt.Errorf("%w: predicate %q and expr field must come together", ErrDecode, w.Predicate)
-	}
-	if w.Expr != nil {
-		x, xerr := w.Expr.toExpr(0)
-		if xerr != nil {
-			return core.Request{}, xerr
-		}
-		opts = append(opts, core.WithExpr(x))
-	}
-	if w.AutoPlan {
-		opts = append(opts, core.WithAutoPlan())
-	}
-	if w.Strategy != "" {
-		s, serr := parseStrategy(w.Strategy)
-		if serr != nil {
-			return core.Request{}, serr
-		}
-		opts = append(opts, core.WithStrategy(s))
-	}
-	if w.Threshold != nil {
-		if *w.Threshold < 0 || *w.Threshold > 1 || math.IsNaN(*w.Threshold) {
-			return core.Request{}, fmt.Errorf("%w: threshold %v outside [0,1]", ErrDecode, *w.Threshold)
-		}
-		opts = append(opts, core.WithThreshold(*w.Threshold))
-	}
-	if w.TopK < 0 {
-		return core.Request{}, fmt.Errorf("%w: negative top_k %d", ErrDecode, w.TopK)
-	}
-	if w.TopK > 0 {
-		opts = append(opts, core.WithTopK(w.TopK))
-	}
-	if w.Workers != 0 {
-		workers := w.Workers
-		if workers < 0 {
-			workers = 0 // WithParallelism maps ≤0 to "GOMAXPROCS"
-		}
-		opts = append(opts, core.WithParallelism(workers))
-	}
-	if w.MonteCarlo != nil {
-		if w.MonteCarlo.Samples < 0 {
-			return core.Request{}, fmt.Errorf("%w: negative monte_carlo.samples", ErrDecode)
-		}
-		opts = append(opts, core.WithMonteCarloBudget(w.MonteCarlo.Samples, w.MonteCarlo.Seed))
-	}
-	if w.Hitting != nil {
-		if math.IsNaN(w.Hitting.Tol) {
-			return core.Request{}, fmt.Errorf("%w: hitting.tol is NaN", ErrDecode)
-		}
-		opts = append(opts, core.WithHittingLimits(w.Hitting.MaxSteps, w.Hitting.Tol))
-	}
-	if w.Cache != nil {
-		opts = append(opts, core.WithCache(*w.Cache))
-	}
-	if w.FilterRefine != nil {
-		opts = append(opts, core.WithFilterRefine(*w.FilterRefine))
-	}
-	if w.Aggregate != nil {
-		kind, kerr := parseAggKind(w.Aggregate.Kind)
-		if kerr != nil {
-			return core.Request{}, kerr
-		}
-		if w.Aggregate.MinCount < 0 {
-			return core.Request{}, fmt.Errorf("%w: negative aggregate min_count %d", ErrDecode, w.Aggregate.MinCount)
-		}
-		opts = append(opts, core.WithAggregate(core.AggSpec{Kind: kind, MinCount: w.Aggregate.MinCount}))
-	}
-	return core.NewRequest(pred, opts...), nil
-}
-
-// EncodeRequest marshals a core.Request to its canonical wire bytes.
-// The encoding is deterministic, which is what lets the service layer
-// key single-flight coalescing on it.
+// EncodeRequest writes a core.Request in its canonical text form
+// (query.Format). The encoding is deterministic, which is what lets the
+// service layer key single-flight coalescing on it. It fails on what
+// the text language cannot carry: a region type outside the library's
+// algebra, a non-finite number, or a negative id or count.
 func EncodeRequest(r core.Request) ([]byte, error) {
-	w, err := FromRequest(r)
+	s, err := query.Format(r)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(w)
+	return []byte(s), nil
 }
 
-// DecodeRequest strictly unmarshals wire bytes into a core.Request:
-// unknown fields, unknown enum values and trailing garbage are errors.
+// DecodeRequest parses a request's text form (query.Parse). Every
+// failure, a *query.ParseError with its position, is wrapped in
+// ErrDecode.
 func DecodeRequest(data []byte) (core.Request, error) {
-	var w Request
-	if err := StrictUnmarshal(data, &w); err != nil {
-		return core.Request{}, err
+	req, err := query.Parse(string(data))
+	if err != nil {
+		return core.Request{}, fmt.Errorf("%w: %w", ErrDecode, err)
 	}
-	return w.ToRequest()
+	return req, nil
 }
 
 // StrictUnmarshal decodes one JSON value with unknown fields disallowed
 // and rejects trailing non-whitespace — the decoding contract every
-// wire consumer (request decoder, HTTP handlers) shares.
+// JSON body the HTTP handlers read shares.
 func StrictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -626,107 +270,6 @@ func StrictUnmarshal(data []byte, v any) error {
 		return fmt.Errorf("%w: trailing data", ErrDecode)
 	}
 	return nil
-}
-
-// --- Region codec ---------------------------------------------------------
-
-func pt(p spatial.Point) *[2]float64 { return &[2]float64{p.X, p.Y} }
-
-func fromRegion(r spatial.Region) (Region, error) {
-	switch v := r.(type) {
-	case spatial.Rect:
-		return Region{Type: "rect", Min: &[2]float64{v.MinX, v.MinY}, Max: &[2]float64{v.MaxX, v.MaxY}}, nil
-	case spatial.Circle:
-		return Region{Type: "circle", Center: pt(v.Center), Radius: v.Radius}, nil
-	case spatial.Polygon:
-		verts := make([][2]float64, len(v.Vertices))
-		for i, p := range v.Vertices {
-			verts[i] = [2]float64{p.X, p.Y}
-		}
-		return Region{Type: "polygon", Vertices: verts}, nil
-	case spatial.Union:
-		members := make([]Region, len(v))
-		for i, m := range v {
-			enc, err := fromRegion(m)
-			if err != nil {
-				return Region{}, err
-			}
-			members[i] = enc
-		}
-		return Region{Type: "union", Regions: members}, nil
-	case spatial.Difference:
-		base, err := fromRegion(v.Base)
-		if err != nil {
-			return Region{}, err
-		}
-		sub, err := fromRegion(v.Sub)
-		if err != nil {
-			return Region{}, err
-		}
-		return Region{Type: "difference", Base: &base, Sub: &sub}, nil
-	default:
-		return Region{}, fmt.Errorf("wire: region type %T has no wire encoding", r)
-	}
-}
-
-// maxRegionDepth bounds union/difference nesting so hostile input cannot
-// drive unbounded recursion.
-const maxRegionDepth = 64
-
-func (w Region) toRegion(depth int) (spatial.Region, error) {
-	if depth > maxRegionDepth {
-		return nil, fmt.Errorf("%w: region nesting deeper than %d", ErrDecode, maxRegionDepth)
-	}
-	switch w.Type {
-	case "rect":
-		if w.Min == nil || w.Max == nil {
-			return nil, fmt.Errorf("%w: rect needs min and max", ErrDecode)
-		}
-		return spatial.NewRect(w.Min[0], w.Min[1], w.Max[0], w.Max[1]), nil
-	case "circle":
-		if w.Center == nil {
-			return nil, fmt.Errorf("%w: circle needs a center", ErrDecode)
-		}
-		if w.Radius < 0 || math.IsNaN(w.Radius) {
-			return nil, fmt.Errorf("%w: circle radius %v", ErrDecode, w.Radius)
-		}
-		return spatial.Circle{Center: spatial.Point{X: w.Center[0], Y: w.Center[1]}, Radius: w.Radius}, nil
-	case "polygon":
-		verts := make([]spatial.Point, len(w.Vertices))
-		for i, v := range w.Vertices {
-			verts[i] = spatial.Point{X: v[0], Y: v[1]}
-		}
-		pg, err := spatial.NewPolygon(verts)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDecode, err)
-		}
-		return pg, nil
-	case "union":
-		members := make(spatial.Union, len(w.Regions))
-		for i, m := range w.Regions {
-			dec, err := m.toRegion(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			members[i] = dec
-		}
-		return members, nil
-	case "difference":
-		if w.Base == nil || w.Sub == nil {
-			return nil, fmt.Errorf("%w: difference needs base and sub", ErrDecode)
-		}
-		base, err := w.Base.toRegion(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := w.Sub.toRegion(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		return spatial.Difference{Base: base, Sub: sub}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown region type %q", ErrDecode, w.Type)
-	}
 }
 
 // --- Result / Response codec ----------------------------------------------

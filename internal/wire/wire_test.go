@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -11,9 +12,11 @@ import (
 	"ust/internal/spatial"
 )
 
-// roundTrip encodes and strictly re-decodes one request, failing the
-// test on any mismatch. DeepEqual sees the unexported hint fields, so
-// this pins every option, not just the exported window.
+// roundTrip encodes and re-decodes one request, failing the test on any
+// mismatch. DeepEqual sees the unexported hint fields, so this pins
+// every option, not just the exported window. The text form is
+// canonical — windows sorted and deduplicated — so the requests below
+// are built in that form.
 func roundTrip(t *testing.T, req core.Request) {
 	t.Helper()
 	data, err := EncodeRequest(req)
@@ -33,7 +36,7 @@ func TestRequestRoundTripEveryOption(t *testing.T) {
 	reqs := []core.Request{
 		core.NewRequest(core.PredicateExists),
 		core.NewRequest(core.PredicateExists,
-			core.WithStates([]int{3, 1, 2}), core.WithTimes([]int{5, 7})),
+			core.WithStates([]int{1, 2, 3}), core.WithTimes([]int{5, 7})),
 		core.NewRequest(core.PredicateForAll,
 			core.WithStates([]int{0}), core.WithTimeRange(2, 9),
 			core.WithStrategy(core.StrategyObjectBased), core.WithParallelism(4)),
@@ -101,18 +104,28 @@ func TestRequestRoundTripAggregate(t *testing.T) {
 	}
 }
 
-func TestDecodeRequestAggregateStrict(t *testing.T) {
-	cases := map[string]string{
-		"unknown kind":       `{"predicate":"exists","aggregate":{"kind":"median"}}`,
-		"empty kind":         `{"predicate":"exists","aggregate":{}}`,
-		"negative min_count": `{"predicate":"exists","aggregate":{"kind":"count","min_count":-1}}`,
-		"unknown agg field":  `{"predicate":"exists","aggregate":{"kind":"count","max_count":4}}`,
-	}
+// rejects fails the test unless every input is refused with ErrDecode.
+func rejects(t *testing.T, cases map[string]string) {
+	t.Helper()
 	for name, body := range cases {
-		if _, err := DecodeRequest([]byte(body)); err == nil {
-			t.Errorf("%s: decode accepted %s", name, body)
+		_, err := DecodeRequest([]byte(body))
+		if err == nil {
+			t.Errorf("%s: decode accepted %q", name, body)
+		} else if !errors.Is(err, ErrDecode) {
+			t.Errorf("%s: error %v does not wrap ErrDecode", name, err)
 		}
 	}
+}
+
+func TestDecodeRequestAggregateStrict(t *testing.T) {
+	rejects(t, map[string]string{
+		"unknown kind":        "median(exists(states(1) @ {2}))",
+		"empty aggregate":     "count()",
+		"negative min_count":  "count(exists(states(1) @ {2})) where min=-1",
+		"unknown agg field":   "count(exists(states(1) @ {2})) where max=4",
+		"min without agg":     "exists(states(1) @ {2}) where min=1",
+		"occupancy of ktimes": "occupancy(ktimes(states(1) @ {2}))",
+	})
 }
 
 func TestResponseRoundTripAggregate(t *testing.T) {
@@ -180,18 +193,14 @@ func TestDecodeResponseAggregateStrict(t *testing.T) {
 }
 
 func TestDecodeRequestExprValidation(t *testing.T) {
-	bad := []string{
-		`{"predicate":"expr"}`,                                                             // expr predicate without a tree
-		`{"predicate":"exists","expr":{"op":"atom"}}`,                                      // tree without the expr predicate
-		`{"predicate":"expr","expr":{"op":"nand","operands":[]}}`,                          // unknown op
-		`{"predicate":"expr","expr":{"op":"atom","operands":[{"op":"atom"}]}}`,             // atom with operands
-		`{"predicate":"expr","expr":{"op":"not","states":[1],"operands":[{"op":"atom"}]}}`, // combinator with atom fields
-	}
-	for _, s := range bad {
-		if _, err := DecodeRequest([]byte(s)); err == nil {
-			t.Errorf("DecodeRequest(%s) succeeded", s)
-		}
-	}
+	rejects(t, map[string]string{
+		"dangling or":       "exists(states(1) @ {2}) or",
+		"unknown op":        "exists(states(1) @ {2}) nand exists(states(3) @ {4})",
+		"not without atom":  "not",
+		"unclosed group":    "(exists(states(1) @ {2})",
+		"non-boolean atom":  "ktimes(states(1) @ {2}) and exists(states(3) @ {4})",
+		"eventually in and": "eventually(states(1)) or exists(states(3) @ {4})",
+	})
 }
 
 func TestRequestRoundTripRegions(t *testing.T) {
@@ -213,7 +222,19 @@ func TestRequestRoundTripRegions(t *testing.T) {
 			core.WithRegion(reg, nil), core.WithTimes([]int{3}))
 		roundTrip(t, req)
 	}
+	// A region type outside the library's algebra has no text form.
+	foreign := core.NewRequest(core.PredicateExists,
+		core.WithRegion(spatial.Union{spatial.NewRect(0, 0, 1, 1), blob{}}, nil), core.WithTimes([]int{3}))
+	if data, err := EncodeRequest(foreign); err == nil {
+		t.Fatalf("foreign region encoded as %q", data)
+	}
 }
+
+// blob is a region type outside the library's algebra.
+type blob struct{}
+
+func (blob) Contains(spatial.Point) bool { return false }
+func (blob) BBox() spatial.Rect          { return spatial.Rect{} }
 
 func mustPolygon(t *testing.T, pts []spatial.Point) spatial.Polygon {
 	t.Helper()
@@ -225,33 +246,34 @@ func mustPolygon(t *testing.T, pts []spatial.Point) spatial.Polygon {
 }
 
 func TestDecodeRequestStrict(t *testing.T) {
-	cases := map[string]string{
-		"unknown field":       `{"predicate":"exists","bogus":1}`,
-		"unknown predicate":   `{"predicate":"sometimes"}`,
-		"missing predicate":   `{}`,
-		"unknown strategy":    `{"predicate":"exists","strategy":"quantum"}`,
-		"trailing garbage":    `{"predicate":"exists"} {"x":1}`,
-		"negative top_k":      `{"predicate":"exists","top_k":-3}`,
-		"threshold above one": `{"predicate":"exists","threshold":1.5}`,
-		"negative samples":    `{"predicate":"exists","monte_carlo":{"samples":-1,"seed":0}}`,
-		"bad region type":     `{"predicate":"exists","region":{"type":"blob"}}`,
-		"rect without max":    `{"predicate":"exists","region":{"type":"rect","min":[0,0]}}`,
-		"negative radius":     `{"predicate":"exists","region":{"type":"circle","center":[0,0],"radius":-1}}`,
-		"two-point polygon":   `{"predicate":"exists","region":{"type":"polygon","vertices":[[0,0],[1,1]]}}`,
-		"not json":            `hello`,
-		"wrong type":          `{"predicate":17}`,
-	}
-	for name, body := range cases {
-		if _, err := DecodeRequest([]byte(body)); err == nil {
-			t.Errorf("%s: decode accepted %s", name, body)
-		}
-	}
+	rejects(t, map[string]string{
+		"unknown setting":     "exists(states(1) @ {2}) where bogus=1",
+		"unknown predicate":   "sometimes(states(1) @ {2})",
+		"missing predicate":   "(states(1) @ {2})",
+		"empty":               "",
+		"unknown strategy":    "exists(states(1) @ {2}) where strategy=quantum",
+		"trailing garbage":    "exists(states(1) @ {2}) {x}",
+		"negative top":        "exists(states(1) @ {2}) where top=-3",
+		"threshold above one": "exists(states(1) @ {2}) where tau=1.5",
+		"negative samples":    "exists(states(1) @ {2}) where samples=-1 seed=0",
+		"negative id":         "exists(states(-1) @ {2})",
+		"overflowing id":      "exists(states(18446744073709551615) @ {2})",
+		"over-budget range":   "exists(states(0-2000000000) @ [0,1])",
+		"bad region type":     "exists(blob(1,2) @ {2})",
+		"rect without max":    "exists(region(0,0) @ {2})",
+		"negative radius":     "exists(circle(0,0,-1) @ {2})",
+		"two-point polygon":   "exists(polygon(0,0,1,1) @ {2})",
+		"odd polygon":         "exists(polygon(0,0,1,1,2) @ {2})",
+		"minus of states":     "exists(minus(states(1),region(0,0,1,1)) @ {2})",
+		"one-sided minus":     "exists(minus(region(0,0,1,1)) @ {2})",
+		"structured json":     `{"predicate":"exists","states":[1],"times":[2]}`,
+		"not a query":         "hello",
+	})
 }
 
 func TestDecodeRequestRegionDepthBounded(t *testing.T) {
-	deep := strings.Repeat(`{"type":"difference","sub":{"type":"rect","min":[0,0],"max":[1,1]},"base":`, 80) +
-		`{"type":"rect","min":[0,0],"max":[1,1]}` + strings.Repeat(`}`, 80)
-	if _, err := DecodeRequest([]byte(`{"predicate":"exists","region":` + deep + `}`)); err == nil {
+	deep := strings.Repeat("minus(", 80) + "region(0,0,1,1)" + strings.Repeat(",region(0,0,1,1))", 80)
+	if _, err := DecodeRequest([]byte("exists(" + deep + " @ {1})")); err == nil {
 		t.Fatal("deeply nested region accepted")
 	}
 }
@@ -280,5 +302,37 @@ func TestResponseRoundTripExactFloats(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, resp) {
 		t.Fatalf("response round-trip mismatch:\n  sent %#v\n  got  %#v", resp, got)
+	}
+}
+
+// BenchmarkRequestRoundTrip is one request's trip through the codec as
+// a served query makes it: the client's envelope (EncodeRequest), the
+// server's envelope and request decode, and the single-flight key
+// (EncodeRequest again). The request is shaped like the serve_hot
+// workload's: exists over 100 contiguous states, a 5-step window, top 10.
+func BenchmarkRequestRoundTrip(b *testing.B) {
+	req := core.NewRequest(core.PredicateExists,
+		core.WithStates(core.Interval(4200, 4299)), core.WithTimeRange(20, 24), core.WithTopK(10))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q, err := EncodeRequest(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := json.Marshal(QueryEnvelope{Dataset: "bench", Query: string(q)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var env QueryEnvelope
+		if err := StrictUnmarshal(body, &env); err != nil {
+			b.Fatal(err)
+		}
+		got, err := DecodeRequest([]byte(env.Query))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := EncodeRequest(got); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

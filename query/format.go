@@ -2,21 +2,24 @@ package query
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"ust/internal/core"
-	"ust/internal/spatial"
 )
 
 // Format renders a request in the text query language, canonically:
-// sorted deduped windows with contiguous runs collapsed, settings in a
-// fixed order. Format(Parse(s)) is a fixed point. It fails on requests
-// the language cannot express — geometric regions outside the
-// rect/circle vocabulary (polygons, unions, differences travel over
-// the structured wire form instead).
+// sorted deduped windows with contiguous runs collapsed, a union's
+// members as one '+' sum, settings in a fixed order. Format(Parse(s)) is
+// a fixed point. It fails on requests the language cannot express: a
+// region type outside the library's algebra, a non-finite number, or a
+// negative id or count.
 func Format(req core.Request) (string, error) {
 	var b strings.Builder
-	if spec, ok := req.AggregateHint(); ok {
+	b.Grow(64)
+	spec, isAgg := req.AggregateHint()
+	if isAgg {
 		switch spec.Kind {
 		case core.AggCount:
 			b.WriteString("count(")
@@ -26,187 +29,114 @@ func Format(req core.Request) (string, error) {
 			return "", fmt.Errorf("query: aggregate kind %v has no text form", spec.Kind)
 		}
 	}
+	var err error
 	switch req.Predicate {
 	case core.PredicateExpr:
 		x, ok := req.ExprHint()
 		if !ok {
 			return "", fmt.Errorf("query: expression request without an expression")
 		}
-		if err := checkExprRegions(x); err != nil {
-			return "", err
-		}
-		b.WriteString(x.String())
+		err = x.WriteText(&b)
 	case core.PredicateExists, core.PredicateForAll, core.PredicateKTimes, core.PredicateEventually:
-		b.WriteString(req.Predicate.String())
-		b.WriteByte('(')
-		if err := formatSpace(&b, req.States, req.Region); err != nil {
-			return "", err
-		}
-		if req.Predicate != core.PredicateEventually || len(req.Times) > 0 {
-			b.WriteString(" @ ")
-			formatTimes(&b, req.Times)
-		}
-		b.WriteByte(')')
+		withTimes := req.Predicate != core.PredicateEventually || len(req.Times) > 0
+		err = core.WritePredicateText(&b, req.Predicate.String(), req.States, req.Region, req.Times, withTimes)
 	default:
 		return "", fmt.Errorf("query: unknown predicate %v", req.Predicate)
 	}
-	if _, ok := req.AggregateHint(); ok {
+	if err != nil {
+		return "", err
+	}
+	if isAgg {
 		b.WriteByte(')')
 	}
-	settings := formatSettings(req)
-	if settings != "" {
-		b.WriteString(" where ")
-		b.WriteString(settings)
+	if err := writeSettings(&b, req); err != nil {
+		return "", err
 	}
 	return b.String(), nil
 }
 
-func checkExprRegions(x core.Expr) error {
-	if a, ok := x.Atom(); ok {
-		return checkRegion(a.Region)
-	}
-	for _, kid := range x.Operands() {
-		if err := checkExprRegions(kid); err != nil {
-			return err
+// writeSettings writes the where-clause in canonical key order, only for
+// non-default hints. A negative count has no text form (the engine
+// rejects it too).
+func writeSettings(b *strings.Builder, req core.Request) error {
+	var err error
+	n := 0
+	key := func(k string) {
+		if n == 0 {
+			b.WriteString(" where ")
+		} else {
+			b.WriteByte(' ')
 		}
+		n++
+		b.WriteString(k)
+		b.WriteByte('=')
 	}
-	return nil
-}
-
-func checkRegion(r spatial.Region) error {
-	switch r.(type) {
-	case nil, spatial.Rect, spatial.Circle:
-		return nil
-	default:
-		return fmt.Errorf("query: region type %T has no text form; use the structured wire request", r)
+	var num [32]byte
+	writeInt := func(k string, v int64) {
+		key(k)
+		b.Write(strconv.AppendInt(num[:0], v, 10))
 	}
-}
-
-func formatSpace(b *strings.Builder, states []int, region spatial.Region) error {
-	if err := checkRegion(region); err != nil {
-		return err
-	}
-	switch {
-	case region != nil && len(states) > 0:
-		formatRegion(b, region)
-		b.WriteByte('+')
-		formatStates(b, states)
-	case region != nil:
-		formatRegion(b, region)
-	default:
-		formatStates(b, states)
-	}
-	return nil
-}
-
-func formatRegion(b *strings.Builder, r spatial.Region) {
-	switch v := r.(type) {
-	case spatial.Rect:
-		fmt.Fprintf(b, "region(%g,%g,%g,%g)", v.MinX, v.MinY, v.MaxX, v.MaxY)
-	case spatial.Circle:
-		fmt.Fprintf(b, "circle(%g,%g,%g)", v.Center.X, v.Center.Y, v.Radius)
-	}
-}
-
-func formatStates(b *strings.Builder, ids []int) {
-	b.WriteString("states(")
-	formatIntSet(b, normalize(ids))
-	b.WriteByte(')')
-}
-
-func formatTimes(b *strings.Builder, times []int) {
-	times = normalize(times)
-	if n := len(times); n > 1 && times[n-1]-times[0] == n-1 {
-		fmt.Fprintf(b, "[%d,%d]", times[0], times[n-1])
-		return
-	}
-	b.WriteByte('{')
-	formatIntSet(b, times)
-	b.WriteByte('}')
-}
-
-// normalize sorts and dedupes, matching what NewQuery does at
-// evaluation time — the canonical form the fixed point relies on.
-func normalize(ids []int) []int {
-	q := core.NewQuery(ids, nil)
-	return q.States
-}
-
-// formatIntSet renders a sorted id set with contiguous runs of three or
-// more collapsed to lo-hi ranges.
-func formatIntSet(b *strings.Builder, ids []int) {
-	for i := 0; i < len(ids); {
-		j := i
-		for j+1 < len(ids) && ids[j+1] == ids[j]+1 {
-			j++
+	writeCount := func(k string, v int) {
+		if v < 0 && err == nil {
+			err = fmt.Errorf("query: %s=%d has no text form", k, v)
 		}
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		switch {
-		case j == i:
-			fmt.Fprintf(b, "%d", ids[i])
-		case j == i+1:
-			fmt.Fprintf(b, "%d,%d", ids[i], ids[j])
-		default:
-			fmt.Fprintf(b, "%d-%d", ids[i], ids[j])
-		}
-		i = j + 1
+		writeInt(k, int64(v))
 	}
-}
-
-// formatSettings emits the where-clause in canonical key order, only
-// for non-default hints.
-func formatSettings(req core.Request) string {
-	var parts []string
-	if spec, ok := req.AggregateHint(); ok && spec.MinCount > 0 {
-		parts = append(parts, fmt.Sprintf("min=%d", spec.MinCount))
+	writeFloat := func(k string, v float64) {
+		if (math.IsNaN(v) || math.IsInf(v, 0)) && err == nil {
+			err = fmt.Errorf("query: %s=%g has no text form", k, v)
+		}
+		key(k)
+		b.Write(strconv.AppendFloat(num[:0], v, 'g', -1, 64))
+	}
+	if spec, ok := req.AggregateHint(); ok && spec.MinCount != 0 {
+		writeCount("min", spec.MinCount)
 	}
 	if tau, ok := req.ThresholdHint(); ok {
-		parts = append(parts, fmt.Sprintf("tau=%g", tau))
+		writeFloat("tau", tau)
 	}
-	if k := req.TopKHint(); k > 0 {
-		parts = append(parts, fmt.Sprintf("top=%d", k))
+	if k := req.TopKHint(); k != 0 {
+		writeCount("top", k)
 	}
 	if req.AutoPlanHint() {
-		parts = append(parts, "strategy=auto")
+		key("strategy")
+		b.WriteString("auto")
 	} else if s, ok := req.StrategyHint(); ok {
-		name := "qb"
+		key("strategy")
 		switch s {
 		case core.StrategyObjectBased:
-			name = "ob"
+			b.WriteString("ob")
 		case core.StrategyMonteCarlo:
-			name = "mc"
+			b.WriteString("mc")
+		default:
+			b.WriteString("qb")
 		}
-		parts = append(parts, "strategy="+name)
 	}
 	if w := req.ParallelismHint(); w != 0 {
-		if w < 0 {
-			w = 0 // "all cores" round-trips as workers=0
-		}
-		parts = append(parts, fmt.Sprintf("workers=%d", w))
+		writeInt("workers", int64(max(w, 0))) // "all cores" (-1) round-trips as workers=0
 	}
 	if samples, seed, ok := req.MonteCarloHint(); ok {
-		if samples > 0 {
-			parts = append(parts, fmt.Sprintf("samples=%d", samples))
+		if samples != 0 {
+			writeCount("samples", samples)
 		}
-		parts = append(parts, fmt.Sprintf("seed=%d", seed))
+		writeInt("seed", seed)
 	}
 	if enabled, ok := req.CacheHint(); ok {
-		parts = append(parts, "cache="+onOff(enabled))
+		key("cache")
+		b.WriteString(onOff(enabled))
 	}
 	if enabled, ok := req.FilterRefineHint(); ok {
-		parts = append(parts, "filter="+onOff(enabled))
+		key("filter")
+		b.WriteString(onOff(enabled))
 	}
-	if steps, tol := req.HittingHint(); steps != 0 || tol != 0 {
-		if steps != 0 {
-			parts = append(parts, fmt.Sprintf("steps=%d", steps))
-		}
-		if tol != 0 {
-			parts = append(parts, fmt.Sprintf("tol=%g", tol))
-		}
+	steps, tol := req.HittingHint() // steps ≤ 0 and tol 0 mean "the default"
+	if steps > 0 {
+		writeInt("steps", int64(steps))
 	}
-	return strings.Join(parts, " ")
+	if tol != 0 {
+		writeFloat("tol", tol)
+	}
+	return err
 }
 
 func onOff(v bool) string {

@@ -1,11 +1,15 @@
 package query
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// FuzzParseQuery pins the parser's two safety properties: no input can
-// panic it, and every accepted input round-trips through Format as a
-// fixed point (Format∘Parse is idempotent) — the canonical form is
-// stable and stays accepted.
+// FuzzParseQuery pins the parser's safety properties: no input can
+// panic it or drive it into unbounded recursion, and every accepted
+// input round-trips through Format as a fixed point (Format∘Parse is
+// idempotent) — the canonical form, which is also the wire form and
+// the single-flight key, is stable and stays accepted.
 func FuzzParseQuery(f *testing.F) {
 	for _, seed := range []string{
 		"exists(states(100-120) @ [20,25]) where tau=0.3 strategy=auto",
@@ -23,6 +27,36 @@ func FuzzParseQuery(f *testing.F) {
 		"e(", "where", "exists(states(1) @ [1,2]) where tau=..5",
 		"count(", "occupancy(ktimes(states(1) @ {1}))",
 		"exists(states(1) @ [1,2]) where min=1",
+		// Every predicate, setting, region and aggregate shape, and
+		// malformed input.
+		"exists(states() @ {})",
+		"forall(states(1-3) @ [4,5])",
+		"ktimes(states(0) @ {1}) where strategy=ob workers=0",
+		"eventually(states(2)) where steps=100 tol=1e-9",
+		"exists(states(1) @ {2}) where tau=0.5 top=3 strategy=auto",
+		"exists(states() @ {}) where samples=10 seed=-4 cache=off filter=on",
+		"exists(region(0,0,2,2) @ {1})",
+		"exists(circle(1,1,2)+polygon(0,0,1,0,0,1) @ {})",
+		"exists(minus(region(0,0,9,9),polygon(0,0,1,0,0,1)) @ {})",
+		"exists(states(18446744073709551615) @ {1})",
+		"exists(states(1) @ {1}) where tau=1e308",
+		"exists(states(1,2) @ [3,4])",
+		"exists(states(1) @ {2}) and not forall(states(3) @ {4}) where tau=0.5",
+		"exists(states(1) @ {2}) then exists(circle(1,1,2) @ {5})",
+		"exists(states(1) @ {2}) or",
+		"exists(@ {1})",
+		"count(exists(states(2) @ {3})) where min=3",
+		"occupancy(exists(states(1) @ [0,5]))",
+		"count(ktimes(states(4) @ [1,2])) where strategy=ob",
+		"count(exists(states(1) @ {2}) and exists(states(3) @ {4})) where min=1",
+		"median(exists(states(1) @ {2}))",
+		"count(exists(states(1) @ {2})) where min=-1",
+		"[]", "null", "{}", "((", "\x00\xff",
+		"exists(states() @ {}) exists(states() @ {})",
+		// Mixed unions, nested differences, float edges, deep nesting.
+		"exists(region(0,0,1,1)+circle(5,5,1)+states(3,9) @ {1}) and forall(polygon(0,0,4,0,2,3) @ {2})",
+		"exists(minus(region(-0,-0,1,1)+circle(1,1,1e-7),minus(circle(0,0,1e308),region(0,0,1,1))) @ {1}) where tau=-0",
+		"exists(" + strings.Repeat("minus(", 10000) + "region(0,0,1,1)" + strings.Repeat(",circle(0,0,1))", 10000) + " @ {1})",
 	} {
 		f.Add(seed)
 	}
@@ -33,8 +67,8 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		canonical, err := Format(req)
 		if err != nil {
-			// Parse never produces regions outside the text vocabulary,
-			// so every parsed request must format.
+			// Parse produces only regions, numbers and ids the text
+			// vocabulary carries, so every parsed request must format.
 			t.Fatalf("Format(Parse(%q)): %v", input, err)
 		}
 		req2, err := Parse(canonical)

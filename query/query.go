@@ -1,13 +1,14 @@
 // Package query implements the compact text query language of the ust
-// engine: a one-line, human-writable form of a core.Request, accepted
-// everywhere a structured request is — `ustquery -q`, the HTTP API's
-// "query" envelope field, and Service.Subscribe via ParseQuery in the
-// facade.
+// engine: a one-line, human-writable form of a core.Request, and the
+// one request encoding — `ustquery -q`, the HTTP API's "query" envelope
+// field (what the Go client sends), the service's single-flight key, and
+// Service.Subscribe via ParseQuery in the facade.
 //
 //	exists(states(100-120) @ [20,25]) where tau=0.3 strategy=auto
 //	exists(region(10,20,0,30) @ [5,15]) and not forall(states(3,4) @ [0,9])
 //	exists(states(7) @ [5,10]) then exists(states(9) @ [20,30]) where top=5
 //	eventually(states(40,41)) where steps=500 tol=1e-9
+//	exists(minus(polygon(0,0,8,0,4,6),circle(4,2,1))+region(9,9,12,12) @ [5,15])
 //
 // A single atom parses to the corresponding atomic predicate request;
 // any use of and/or/not/then parses to a compound-expression request
@@ -17,11 +18,16 @@
 // canonical form: Format(Parse(s)) is a fixed point, which the parser
 // fuzz test pins.
 //
+// Parse is safe on hostile input: nesting is capped at 64 levels and
+// the whole query at 1<<24 ids, each range or interval charged before
+// it is expanded.
+//
 // See README.md in this directory for the full grammar.
 package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,12 +48,10 @@ func (e *ParseError) Error() string {
 
 // Parse compiles a text query into a core.Request. Geometric regions
 // are left unresolved (nil resolver); the serving layer attaches its
-// dataset's spatial index, exactly as with wire-decoded requests.
+// dataset's spatial index.
 func Parse(input string) (core.Request, error) {
-	p := &parser{}
-	if err := p.lex(input); err != nil {
-		return core.Request{}, err
-	}
+	p := &parser{in: input}
+	p.advance()
 	aggPos, err := p.parseAggHead()
 	if err != nil {
 		return core.Request{}, err
@@ -64,21 +68,20 @@ func Parse(input string) (core.Request, error) {
 			return core.Request{}, p.errAt(aggPos, "occupancy(...) takes a single exists(...) atom")
 		}
 	}
-	opts, err := p.parseSettings()
+	req, err := root.toRequest()
 	if err != nil {
+		return core.Request{}, err
+	}
+	if err := p.parseSettings(&req); err != nil {
 		return core.Request{}, err
 	}
 	if tok := p.peek(); tok.kind != tokEOF {
 		return core.Request{}, p.errAt(tok.pos, "unexpected %q", tok.text)
 	}
-	req, err := root.toRequest()
-	if err != nil {
-		return core.Request{}, err
-	}
 	if p.agg != nil {
-		opts = append(opts, core.WithAggregate(*p.agg))
+		core.WithAggregate(*p.agg)(&req)
 	}
-	return req.With(opts...), nil
+	return req, nil
 }
 
 // parseAggHead consumes a leading count( / occupancy( aggregate wrapper,
@@ -89,7 +92,7 @@ func (p *parser) parseAggHead() (int, error) {
 	if t.kind != tokIdent || (t.text != "count" && t.text != "occupancy") {
 		return 0, nil
 	}
-	p.ti++
+	p.advance()
 	if _, err := p.expect("("); err != nil {
 		return 0, err
 	}
@@ -130,11 +133,7 @@ func (n *node) toRequest() (core.Request, error) {
 		case "eventually":
 			pred = core.PredicateEventually
 		}
-		opts := []core.RequestOption{core.WithStates(n.states), core.WithTimes(n.times)}
-		if n.region != nil {
-			opts = append(opts, core.WithRegion(n.region, nil))
-		}
-		return core.NewRequest(pred, opts...), nil
+		return core.Request{Predicate: pred, States: n.states, Times: n.times, Region: n.region}, nil
 	}
 	x, err := n.toExpr()
 	if err != nil {
@@ -184,6 +183,7 @@ const (
 	tokIdent
 	tokNumber
 	tokPunct
+	tokBad // a character outside the language; p.lexErr says which
 )
 
 type token struct {
@@ -192,15 +192,37 @@ type token struct {
 	pos  int
 }
 
+// The parser's limits on hostile input.
+const (
+	// maxNesting bounds parentheses, not and minus(...) nesting, so no
+	// input drives unbounded recursion.
+	maxNesting = 64
+	// maxIDs bounds the ids one query may name, ranges and intervals
+	// counted before they are expanded, so no short input forces a huge
+	// allocation. A million-state window is legitimate; the engine
+	// re-validates ids against the actual state space anyway.
+	maxIDs = 1 << 24
+)
+
+// parser lexes on demand: tok is the one token of lookahead.
 type parser struct {
-	toks []token
-	ti   int
+	in     string
+	off    int // byte offset the next token is lexed from
+	tok    token
+	lexErr error
+	depth  int // current nesting, against maxNesting
+	ids    int // ids named so far, against maxIDs
 	// agg is the aggregate wrapper (count/occupancy), when present; its
 	// MinCount is filled by the where-clause "min" setting.
 	agg *core.AggSpec
 }
 
+// errAt reports a syntax error. A character the lexer refused wins: it
+// sits at or before the token the parser stopped on.
 func (p *parser) errAt(pos int, format string, args ...any) error {
+	if p.lexErr != nil {
+		return p.lexErr
+	}
 	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
@@ -210,62 +232,64 @@ func isIdentRune(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func (p *parser) lex(in string) error {
-	i := 0
-	for i < len(in) {
-		c := in[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case isIdentRune(c):
-			start := i
-			for i < len(in) && (isIdentRune(in[i]) || isDigit(in[i])) {
-				i++
-			}
-			p.toks = append(p.toks, token{kind: tokIdent, text: strings.ToLower(in[start:i]), pos: start})
-		case isDigit(c) || c == '.' && i+1 < len(in) && isDigit(in[i+1]):
-			start := i
-			for i < len(in) && (isDigit(in[i]) || in[i] == '.') {
-				i++
-			}
-			// Exponent: 1e9, 2.5e-3. The sign belongs to the number.
-			if i < len(in) && (in[i] == 'e' || in[i] == 'E') {
-				j := i + 1
-				if j < len(in) && (in[j] == '+' || in[j] == '-') {
-					j++
-				}
-				if j < len(in) && isDigit(in[j]) {
-					i = j
-					for i < len(in) && isDigit(in[i]) {
-						i++
-					}
-				}
-			}
-			p.toks = append(p.toks, token{kind: tokNumber, text: in[start:i], pos: start})
-		case strings.IndexByte("()[]{},@+-=", c) >= 0:
-			p.toks = append(p.toks, token{kind: tokPunct, text: string(c), pos: i})
-			i++
-		default:
-			return &ParseError{Pos: i, Msg: fmt.Sprintf("unexpected character %q", c)}
-		}
+// advance lexes the next token into p.tok. A bad character becomes a
+// tokBad token the lexer never moves past.
+func (p *parser) advance() {
+	if p.tok.kind == tokBad {
+		return
 	}
-	p.toks = append(p.toks, token{kind: tokEOF, text: "end of query", pos: len(in)})
-	return nil
+	in, i := p.in, p.off
+	for i < len(in) && (in[i] == ' ' || in[i] == '\t' || in[i] == '\n' || in[i] == '\r') {
+		i++
+	}
+	start := i
+	switch {
+	case i == len(in):
+		p.tok = token{kind: tokEOF, text: "end of query", pos: i}
+	case isIdentRune(in[i]):
+		for i < len(in) && (isIdentRune(in[i]) || isDigit(in[i])) {
+			i++
+		}
+		p.tok = token{kind: tokIdent, text: strings.ToLower(in[start:i]), pos: start}
+	case isDigit(in[i]) || in[i] == '.' && i+1 < len(in) && isDigit(in[i+1]):
+		for i < len(in) && (isDigit(in[i]) || in[i] == '.') {
+			i++
+		}
+		// Exponent: 1e9, 2.5e-3. The sign belongs to the number.
+		if i < len(in) && (in[i] == 'e' || in[i] == 'E') {
+			j := i + 1
+			if j < len(in) && (in[j] == '+' || in[j] == '-') {
+				j++
+			}
+			if j < len(in) && isDigit(in[j]) {
+				i = j
+				for i < len(in) && isDigit(in[i]) {
+					i++
+				}
+			}
+		}
+		p.tok = token{kind: tokNumber, text: in[start:i], pos: start}
+	case strings.IndexByte("()[]{},@+-=", in[i]) >= 0:
+		i++
+		p.tok = token{kind: tokPunct, text: in[start:i], pos: start}
+	default:
+		p.tok = token{kind: tokBad, text: in[start : start+1], pos: start}
+		p.lexErr = &ParseError{Pos: start, Msg: fmt.Sprintf("unexpected character %q", in[start])}
+	}
+	p.off = i
 }
 
-func (p *parser) peek() token { return p.toks[p.ti] }
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.ti]
-	if t.kind != tokEOF {
-		p.ti++
-	}
+	t := p.tok
+	p.advance()
 	return t
 }
 
 func (p *parser) accept(punct string) bool {
 	if t := p.peek(); t.kind == tokPunct && t.text == punct {
-		p.ti++
+		p.advance()
 		return true
 	}
 	return false
@@ -273,7 +297,7 @@ func (p *parser) accept(punct string) bool {
 
 func (p *parser) acceptIdent(word string) bool {
 	if t := p.peek(); t.kind == tokIdent && t.text == word {
-		p.ti++
+		p.advance()
 		return true
 	}
 	return false
@@ -296,9 +320,6 @@ func (p *parser) expectInt() (int, error) {
 	if err != nil {
 		return 0, p.errAt(t.pos, "expected an integer, got %q", t.text)
 	}
-	if v < 0 {
-		return 0, p.errAt(t.pos, "negative value %d", v)
-	}
 	return v, nil
 }
 
@@ -318,6 +339,26 @@ func (p *parser) expectFloat() (float64, error) {
 		v = -v
 	}
 	return v, nil
+}
+
+// enter descends one nesting level at pos; leave climbs back.
+func (p *parser) enter(pos int) error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errAt(pos, "nesting deeper than %d", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// spend charges the ids lo..hi against the query's budget, before they
+// are expanded.
+func (p *parser) spend(pos, lo, hi int) error {
+	if hi-lo >= maxIDs-p.ids {
+		return p.errAt(pos, "query names more than %d ids", maxIDs)
+	}
+	p.ids += hi - lo + 1
+	return nil
 }
 
 // --- grammar ---------------------------------------------------------------
@@ -382,25 +423,31 @@ func (p *parser) parseThen() (*node, error) {
 }
 
 func (p *parser) parseUnary() (*node, error) {
-	if t := p.peek(); t.kind == tokIdent && t.text == "not" {
-		p.ti++
+	t := p.peek()
+	isNot := t.kind == tokIdent && t.text == "not"
+	if !isNot && (t.kind != tokPunct || t.text != "(") {
+		return p.parseAtom()
+	}
+	if err := p.enter(t.pos); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	p.advance()
+	if isNot {
 		kid, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &node{op: core.ExprNot, kids: []*node{kid}, pos: t.pos}, nil
 	}
-	if p.accept("(") {
-		x, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return x, nil
+	x, err := p.parseExpr()
+	if err != nil {
+		return nil, err
 	}
-	return p.parseAtom()
+	if _, err := p.expect(")"); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 func (p *parser) parseAtom() (*node, error) {
@@ -439,16 +486,11 @@ func (p *parser) parseAtom() (*node, error) {
 	return n, nil
 }
 
-// parseSpace: one or more '+'-joined spatial terms (raw states, a rect,
-// a circle).
+// parseSpace: one or more '+'-joined terms, states(...) or geometric;
+// several geometric terms form one union.
 func (p *parser) parseSpace(n *node) error {
 	for {
-		t := p.next()
-		if t.kind != tokIdent {
-			return p.errAt(t.pos, "expected states(...), region(...) or circle(...), got %q", t.text)
-		}
-		switch t.text {
-		case "states":
+		if p.acceptIdent("states") {
 			if _, err := p.expect("("); err != nil {
 				return err
 			}
@@ -456,65 +498,150 @@ func (p *parser) parseSpace(n *node) error {
 			if err != nil {
 				return err
 			}
-			n.states = append(n.states, ids...)
-		case "region":
-			if n.region != nil {
-				return p.errAt(t.pos, "at most one geometric region per atom")
+			if n.states == nil {
+				n.states = ids
+			} else {
+				n.states = append(n.states, ids...)
 			}
-			if _, err := p.expect("("); err != nil {
+		} else {
+			r, err := p.parseRegion("states(...) or a region term")
+			if err != nil {
 				return err
 			}
-			var c [4]float64
-			for i := range c {
-				if i > 0 {
-					if _, err := p.expect(","); err != nil {
-						return err
-					}
-				}
-				v, err := p.expectFloat()
-				if err != nil {
-					return err
-				}
-				c[i] = v
-			}
-			if _, err := p.expect(")"); err != nil {
-				return err
-			}
-			n.region = spatial.NewRect(c[0], c[1], c[2], c[3])
-		case "circle":
-			if n.region != nil {
-				return p.errAt(t.pos, "at most one geometric region per atom")
-			}
-			if _, err := p.expect("("); err != nil {
-				return err
-			}
-			var c [3]float64
-			for i := range c {
-				if i > 0 {
-					if _, err := p.expect(","); err != nil {
-						return err
-					}
-				}
-				v, err := p.expectFloat()
-				if err != nil {
-					return err
-				}
-				c[i] = v
-			}
-			if _, err := p.expect(")"); err != nil {
-				return err
-			}
-			if c[2] < 0 {
-				return p.errAt(t.pos, "negative circle radius %g", c[2])
-			}
-			n.region = spatial.Circle{Center: spatial.Point{X: c[0], Y: c[1]}, Radius: c[2]}
-		default:
-			return p.errAt(t.pos, "expected states(...), region(...) or circle(...), got %q", t.text)
+			n.region = unionWith(n.region, r)
 		}
 		if !p.accept("+") {
 			return nil
 		}
 	}
+}
+
+// parseRegionSum: one or more '+'-joined geometric terms, the operands
+// of minus(...).
+func (p *parser) parseRegionSum() (spatial.Region, error) {
+	var sum spatial.Region
+	for {
+		r, err := p.parseRegion("a region term")
+		if err != nil {
+			return nil, err
+		}
+		sum = unionWith(sum, r)
+		if !p.accept("+") {
+			return sum, nil
+		}
+	}
+}
+
+// unionWith adds the term r to the region sum: the first term stands
+// alone, several form one flat union.
+func unionWith(sum, r spatial.Region) spatial.Region {
+	switch u := sum.(type) {
+	case nil:
+		return r
+	case spatial.Union:
+		return append(u, r)
+	default:
+		return spatial.Union{sum, r}
+	}
+}
+
+// parseRegion: one geometric term — region(x1,y1,x2,y2), circle(cx,cy,r),
+// polygon(x1,y1,x2,y2,x3,y3,...) or minus(sum, sum). want names what
+// the caller accepts, for the error.
+func (p *parser) parseRegion(want string) (spatial.Region, error) {
+	t := p.next()
+	if t.kind != tokIdent {
+		return nil, p.errAt(t.pos, "expected %s, got %q", want, t.text)
+	}
+	var c [4]float64
+	switch t.text {
+	case "region":
+		v, err := p.parseNums(c[:0], 4)
+		if err != nil {
+			return nil, err
+		}
+		return spatial.NewRect(v[0], v[1], v[2], v[3]), nil
+	case "circle":
+		v, err := p.parseNums(c[:0], 3)
+		if err != nil {
+			return nil, err
+		}
+		if v[2] < 0 {
+			return nil, p.errAt(t.pos, "negative circle radius %g", v[2])
+		}
+		return spatial.Circle{Center: spatial.Point{X: v[0], Y: v[1]}, Radius: v[2]}, nil
+	case "polygon":
+		v, err := p.parseNums(nil, -1)
+		if err != nil {
+			return nil, err
+		}
+		if len(v)%2 != 0 {
+			return nil, p.errAt(t.pos, "polygon takes x,y pairs, got %d numbers", len(v))
+		}
+		verts := make([]spatial.Point, len(v)/2)
+		for i := range verts {
+			verts[i] = spatial.Point{X: v[2*i], Y: v[2*i+1]}
+		}
+		pg, err := spatial.NewPolygon(verts)
+		if err != nil {
+			return nil, p.errAt(t.pos, "%v", err)
+		}
+		return pg, nil
+	case "minus":
+		if err := p.enter(t.pos); err != nil {
+			return nil, err
+		}
+		defer p.leave()
+		if _, err := p.expect("("); err != nil {
+			return nil, err
+		}
+		base, err := p.parseRegionSum()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(","); err != nil {
+			return nil, err
+		}
+		sub, err := p.parseRegionSum()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(")"); err != nil {
+			return nil, err
+		}
+		return spatial.Difference{Base: base, Sub: sub}, nil
+	default:
+		return nil, p.errAt(t.pos, "expected %s, got %q", want, t.text)
+	}
+}
+
+// parseNums: "(" num {"," num} ")" appended to c — exactly n numbers,
+// or any positive count when n < 0.
+func (p *parser) parseNums(c []float64, n int) ([]float64, error) {
+	if _, err := p.expect("("); err != nil {
+		return nil, err
+	}
+	for {
+		v, err := p.expectFloat()
+		if err != nil {
+			return nil, err
+		}
+		c = append(c, v)
+		if len(c) == n {
+			break
+		}
+		if n < 0 {
+			if !p.accept(",") {
+				break
+			}
+		} else if _, err := p.expect(","); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := p.expect(")"); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // parseTimes: "[lo,hi]" interval sugar or "{a,b,c-d}" explicit set.
@@ -534,6 +661,9 @@ func (p *parser) parseTimes() ([]int, error) {
 		}
 		if hi < lo {
 			return nil, p.errAt(hiTok.pos, "inverted interval [%d,%d]", lo, hi)
+		}
+		if err := p.spend(hiTok.pos, lo, hi); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect("]"); err != nil {
 			return nil, err
@@ -559,18 +689,22 @@ func (p *parser) parseIntSet(closing string) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
+		hi, hiTok := lo, p.peek()
 		if p.accept("-") {
-			hiTok := p.peek()
-			hi, err := p.expectInt()
-			if err != nil {
+			hiTok = p.peek()
+			if hi, err = p.expectInt(); err != nil {
 				return nil, err
 			}
 			if hi < lo {
 				return nil, p.errAt(hiTok.pos, "inverted range %d-%d", lo, hi)
 			}
-			out = append(out, core.Interval(lo, hi)...)
-		} else {
-			out = append(out, lo)
+		}
+		if err := p.spend(hiTok.pos, lo, hi); err != nil {
+			return nil, err
+		}
+		out = slices.Grow(out, hi-lo+1)
+		for v := range hi - lo + 1 {
+			out = append(out, lo+v)
 		}
 		if p.accept(closing) {
 			return out, nil
@@ -583,11 +717,11 @@ func (p *parser) parseIntSet(closing string) ([]int, error) {
 
 // --- where clause ----------------------------------------------------------
 
-func (p *parser) parseSettings() ([]core.RequestOption, error) {
+// parseSettings applies the where-clause to req.
+func (p *parser) parseSettings(req *core.Request) error {
 	if !p.acceptIdent("where") {
-		return nil, nil
+		return nil
 	}
-	var opts []core.RequestOption
 	var mcSamples int
 	var mcSeed int64
 	haveMC := false
@@ -596,97 +730,107 @@ func (p *parser) parseSettings() ([]core.RequestOption, error) {
 		if t.kind != tokIdent {
 			break
 		}
-		p.ti++
+		p.advance()
 		if _, err := p.expect("="); err != nil {
-			return nil, err
+			return err
 		}
 		switch t.text {
 		case "tau":
 			v, err := p.expectFloat()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			opts = append(opts, core.WithThreshold(v))
+			if !(v >= 0 && v <= 1) {
+				return p.errAt(t.pos, "tau %g outside [0,1]", v)
+			}
+			core.WithThreshold(v)(req)
 		case "top":
 			v, err := p.expectInt()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			opts = append(opts, core.WithTopK(v))
+			core.WithTopK(v)(req)
 		case "strategy":
 			s := p.next()
 			switch s.text {
 			case "auto":
-				opts = append(opts, core.WithAutoPlan())
+				core.WithAutoPlan()(req)
 			case "qb":
-				opts = append(opts, core.WithStrategy(core.StrategyQueryBased))
+				core.WithStrategy(core.StrategyQueryBased)(req)
 			case "ob":
-				opts = append(opts, core.WithStrategy(core.StrategyObjectBased))
+				core.WithStrategy(core.StrategyObjectBased)(req)
 			case "mc":
-				opts = append(opts, core.WithStrategy(core.StrategyMonteCarlo))
+				core.WithStrategy(core.StrategyMonteCarlo)(req)
 			default:
-				return nil, p.errAt(s.pos, "unknown strategy %q (auto|qb|ob|mc)", s.text)
+				return p.errAt(s.pos, "unknown strategy %q (auto|qb|ob|mc)", s.text)
 			}
 		case "workers":
 			v, err := p.expectInt()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			opts = append(opts, core.WithParallelism(v))
+			core.WithParallelism(v)(req)
 		case "samples":
 			v, err := p.expectInt()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			mcSamples, haveMC = v, true
 		case "seed":
-			v, err := p.expectInt()
-			if err != nil {
-				return nil, err
+			sign := ""
+			if p.accept("-") {
+				sign = "-"
 			}
-			mcSeed, haveMC = int64(v), true
+			n := p.next()
+			v, err := strconv.ParseInt(sign+n.text, 10, 64)
+			if n.kind != tokNumber || err != nil {
+				return p.errAt(n.pos, "expected an integer seed, got %q", n.text)
+			}
+			mcSeed, haveMC = v, true
 		case "cache":
 			v, err := p.parseOnOff(t.text)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			opts = append(opts, core.WithCache(v))
+			core.WithCache(v)(req)
 		case "filter":
 			v, err := p.parseOnOff(t.text)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			opts = append(opts, core.WithFilterRefine(v))
+			core.WithFilterRefine(v)(req)
 		case "steps":
 			v, err := p.expectInt()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			opts = append(opts, hittingSteps(v))
+			_, tol := req.HittingHint()
+			core.WithHittingLimits(v, tol)(req)
 		case "tol":
 			v, err := p.expectFloat()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			opts = append(opts, hittingTol(v))
+			steps, _ := req.HittingHint()
+			core.WithHittingLimits(steps, v)(req)
 		case "min":
 			if p.agg == nil {
-				return nil, p.errAt(t.pos, "min applies to count(...)/occupancy(...) queries only")
+				return p.errAt(t.pos, "min applies to count(...)/occupancy(...) queries only")
 			}
 			v, err := p.expectInt()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			p.agg.MinCount = v
 		default:
-			return nil, p.errAt(t.pos, "unknown setting %q (min, tau, top, strategy, workers, samples, seed, cache, filter, steps, tol)", t.text)
+			return p.errAt(t.pos, "unknown setting %q (min, tau, top, strategy, workers, samples, seed, cache, filter, steps, tol)", t.text)
 		}
 		p.accept(",")
 	}
 	if haveMC {
-		opts = append(opts, core.WithMonteCarloBudget(mcSamples, mcSeed))
+		core.WithMonteCarloBudget(mcSamples, mcSeed)(req)
 	}
-	return opts, nil
+	return nil
 }
 
 func (p *parser) parseOnOff(key string) (bool, error) {
@@ -698,21 +842,5 @@ func (p *parser) parseOnOff(key string) (bool, error) {
 		return false, nil
 	default:
 		return false, p.errAt(t.pos, "%s wants on/off, got %q", key, t.text)
-	}
-}
-
-// hittingSteps/hittingTol compose into one WithHittingLimits without
-// clobbering the other half.
-func hittingSteps(v int) core.RequestOption {
-	return func(r *core.Request) {
-		_, tol := r.HittingHint()
-		core.WithHittingLimits(v, tol)(r)
-	}
-}
-
-func hittingTol(v float64) core.RequestOption {
-	return func(r *core.Request) {
-		steps, _ := r.HittingHint()
-		core.WithHittingLimits(steps, v)(r)
 	}
 }

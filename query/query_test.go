@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -220,6 +222,10 @@ func TestFormatRoundTrip(t *testing.T) {
 		"count(exists(states(1) @ [1,2]) and not forall(states(3) @ [0,2]))",
 		"occupancy(exists(states(7-9) @ [0,10])) where min=2 filter=off",
 		"count(ktimes(states(5) @ {1,3,5})) where workers=2",
+		"exists(polygon(0,0,4,0,2,3)+states(9) @ [1,2]) where strategy=mc samples=5 seed=-17",
+		"exists(states(1) @ {1}) where seed=-9223372036854775808",
+		"exists(region(0,0,1,1)+circle(5,5,1) @ {3}) and forall(minus(region(0,0,9,9),polygon(1,1,2,1,1,2)) @ {4})",
+		"exists(minus(region(-1,-1,1,1)+circle(3,3,1e-07),minus(circle(0,0,0.5),region(0,0,1e+308,1))) @ {0})",
 	}
 	for _, in := range cases {
 		req := mustParse(t, in)
@@ -239,18 +245,124 @@ func TestFormatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFormatRejectsInexpressible pins the failure mode for regions the
-// language cannot carry.
+// blob is a region type outside the library's algebra.
+type blob struct{}
+
+func (blob) Contains(spatial.Point) bool { return false }
+func (blob) BBox() spatial.Rect          { return spatial.Rect{} }
+
+// TestFormatRejectsInexpressible pins the failure mode for what the
+// language cannot carry: foreign region types, non-finite numbers, and
+// negative ids and counts.
 func TestFormatRejectsInexpressible(t *testing.T) {
-	pg, err := spatial.NewPolygon([]spatial.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}})
+	window := core.WithTimes([]int{1})
+	for name, req := range map[string]core.Request{
+		"foreign region": core.NewRequest(core.PredicateExists, core.WithRegion(blob{}, nil), window),
+		"foreign region in a union": core.NewRequest(core.PredicateExists,
+			core.WithRegion(spatial.Union{spatial.NewRect(0, 0, 1, 1), blob{}}, nil), window),
+		"foreign region in an atom": core.NewExprRequest(core.Not(core.ExistsAtom(
+			core.WithRegion(blob{}, nil), window))),
+		"infinite coordinate": core.NewRequest(core.PredicateExists,
+			core.WithRegion(spatial.Circle{Radius: math.Inf(1)}, nil), window),
+		"NaN threshold":  core.NewRequest(core.PredicateExists, window, core.WithThreshold(math.NaN())),
+		"negative state": core.NewRequest(core.PredicateExists, core.WithStates([]int{-1}), window),
+	} {
+		if out, err := Format(req); err == nil {
+			t.Errorf("%s: formatted as %q", name, out)
+		}
+	}
+}
+
+// TestRegionCanonicalForm pins how every region of the library's algebra
+// prints: a union's members as one '+' sum, nested unions flattened and
+// empty ones dropped, a one-member union as its member, and a difference
+// as minus(...), or as its base when the subtrahend is empty.
+func TestRegionCanonicalForm(t *testing.T) {
+	rect := spatial.NewRect(0, 0, 2, 2)
+	circle := spatial.Circle{Center: spatial.Point{X: 1, Y: 1}, Radius: 0.5}
+	pg, err := spatial.NewPolygon([]spatial.Point{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 2, Y: -3.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := core.NewRequest(core.PredicateExists,
-		core.WithRegion(pg, nil), core.WithTimes([]int{1}))
-	if _, err := Format(req); err == nil {
-		t.Fatal("polygon region formatted")
+	cases := []struct {
+		region spatial.Region
+		states []int
+		want   string
+	}{
+		{pg, nil, "exists(polygon(0,0,4,0,2,-3.5) @ {1})"},
+		{spatial.Union{rect, circle}, nil, "exists(region(0,0,2,2)+circle(1,1,0.5) @ {1})"},
+		{spatial.Union{rect, spatial.Union{circle, pg}}, []int{7},
+			"exists(region(0,0,2,2)+circle(1,1,0.5)+polygon(0,0,4,0,2,-3.5)+states(7) @ {1})"},
+		{spatial.Union{circle}, nil, "exists(circle(1,1,0.5) @ {1})"},
+		{spatial.Union{}, nil, "exists(states() @ {1})"},
+		{spatial.Union{spatial.Union{}, rect}, []int{3}, "exists(region(0,0,2,2)+states(3) @ {1})"},
+		{spatial.Difference{Base: rect, Sub: circle}, nil, "exists(minus(region(0,0,2,2),circle(1,1,0.5)) @ {1})"},
+		{spatial.Difference{Base: spatial.Union{rect, pg}, Sub: spatial.Difference{Base: circle, Sub: rect}}, nil,
+			"exists(minus(region(0,0,2,2)+polygon(0,0,4,0,2,-3.5),minus(circle(1,1,0.5),region(0,0,2,2))) @ {1})"},
+		{spatial.Difference{Base: rect, Sub: spatial.Union{}}, nil, "exists(region(0,0,2,2) @ {1})"},
+		{spatial.Difference{Base: spatial.Union{}, Sub: rect}, []int{4}, "exists(states(4) @ {1})"},
 	}
+	for _, tc := range cases {
+		req := core.NewRequest(core.PredicateExists, core.WithRegion(tc.region, nil),
+			core.WithStates(tc.states), core.WithTimes([]int{1}))
+		got, err := Format(req)
+		if err != nil {
+			t.Errorf("Format(%#v): %v", tc.region, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("Format(%#v) = %q, want %q", tc.region, got, tc.want)
+		}
+		if again, err := Format(mustParse(t, got)); err != nil || again != got {
+			t.Errorf("fixed point broken: %q -> %q (%v)", got, again, err)
+		}
+	}
+}
+
+// TestParseBoundsHostileInput pins the parser's two limits: a range or
+// interval is charged against the query's id budget before it is
+// expanded, so a few bytes cannot ask for gigabytes, and nesting stops
+// at 64 levels.
+func TestParseBoundsHostileInput(t *testing.T) {
+	for _, in := range []string{
+		"exists(states(0-20000000) @ [0,1])",
+		"exists(states(1) @ [0,9223372036854775807])",
+		"exists(states(0-1000) @ [0,1]) and exists(states(5,0-16777215) @ [0,1])",
+	} {
+		var err error
+		grew := allocated(func() { _, err = Parse(in) })
+		if err == nil {
+			t.Errorf("Parse(%q) accepted an over-budget query", in)
+		} else if !strings.Contains(err.Error(), "ids") {
+			t.Errorf("Parse(%q) = %v, want the id budget error", in, err)
+		}
+		if grew >= 1<<20 {
+			t.Errorf("Parse(%q) allocated %d bytes before refusing", in, grew)
+		}
+	}
+
+	deepRegion := "exists(" + strings.Repeat("minus(", 65) + "region(0,0,1,1)" +
+		strings.Repeat(",circle(0,0,1))", 65) + " @ {1})"
+	deepExpr := strings.Repeat("not ", 65) + "exists(states(1) @ {1})"
+	deepParens := strings.Repeat("(", 65) + "exists(states(1) @ {1})" + strings.Repeat(")", 65)
+	for _, in := range []string{deepRegion, deepExpr, deepParens} {
+		if _, err := Parse(in); err == nil || !strings.Contains(err.Error(), "nesting deeper than 64") {
+			t.Errorf("Parse(%.40q...) = %v, want the nesting error", in, err)
+		}
+	}
+	if _, err := Parse("exists(" + strings.Repeat("minus(", 64) + "region(0,0,1,1)" +
+		strings.Repeat(",circle(0,0,1))", 64) + " @ {1})"); err != nil {
+		t.Errorf("64 nested minus(...): %v", err)
+	}
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestParsedQueryEvaluates runs a parsed compound query end-to-end and

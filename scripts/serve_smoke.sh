@@ -50,7 +50,7 @@ echo "serve-smoke: remote ustquery matches in-process ustquery"
 diff "$TMP/remote.out" "$TMP/local.out"
 
 echo "serve-smoke: curl query"
-curl -fsS "$BASE/v1/query" -d '{"dataset":"smoke","request":{"predicate":"exists","states":[100,120,140],"times":[10,14],"top_k":3}}' \
+curl -fsS "$BASE/v1/query" -d '{"dataset":"smoke","query":"exists(states(100,120,140) @ [10,14]) where top=3"}' \
     | grep -q '"strategy":"qb"'
 
 echo "serve-smoke: the same text query end-to-end (-q local, -q remote, curl)"
@@ -82,7 +82,7 @@ grep -q '\^' "$TMP/parse-err.out"
 
 echo "serve-smoke: subscribe round-trip (snapshot line + pushed update)"
 curl -fsSN --no-buffer "$BASE/v1/subscribe" \
-    -d '{"dataset":"smoke","request":{"predicate":"exists","states":[100,120,140],"times":[10,14]}}' \
+    -d '{"dataset":"smoke","query":"exists(states(100,120,140) @ [10,14])"}' \
     >"$TMP/sub.out" &
 SUB_PID=$!
 i=0

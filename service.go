@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"ust/internal/service"
-	"ust/internal/wire"
 )
 
 // The service layer: a multi-tenant, wire-ready server over the query
@@ -60,14 +59,3 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // (load, ingest, inspect), /healthz and /metrics. Mount it on any
 // http.Server; cmd/ustserve is a thin wrapper around exactly this.
 func NewServiceHandler(svc *Service) http.Handler { return service.NewHandler(svc) }
-
-// MarshalRequest encodes a Request into its canonical wire JSON — the
-// network contract accepted by POST /v1/query. Every option
-// round-trips; the one exception is WithRegion's resolver (an
-// in-process index), which the serving dataset re-attaches.
-func MarshalRequest(r Request) ([]byte, error) { return wire.EncodeRequest(r) }
-
-// UnmarshalRequest strictly decodes wire JSON into a Request: unknown
-// fields, unknown enum values and trailing garbage are errors, never
-// panics.
-func UnmarshalRequest(data []byte) (Request, error) { return wire.DecodeRequest(data) }
