@@ -25,7 +25,7 @@ staticcheck:
 	fi
 
 # fuzz-smoke gives every fuzz target a short budget: parser (text query
-# language, which is also the wire request codec), the wire result
+# language), wire request codec (the same language), the wire result
 # decoders (response and factor set, stream line and update — each
 # differential against encoding/json), sparse builder/CSR invariants and
 # the VecMat/MatVec/CopyFrom kernels against their naive references,
@@ -36,6 +36,7 @@ staticcheck:
 # CI runs it after make ci.
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 20s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeResponse -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeStreamLine -fuzztime 15s
 	$(GO) test ./internal/sparse -run '^$$' -fuzz FuzzBuilderCSR -fuzztime 15s

@@ -1,12 +1,75 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"ust/internal/core"
 )
+
+// FuzzDecodeRequest drives hostile bytes through the request codec,
+// the text language behind EncodeRequest and DecodeRequest.
+// Invariants: never panic; every rejection wraps ErrDecode; whatever
+// decodes re-encodes, and the re-encoded canonical form is a fixed
+// point (encode ∘ decode is idempotent) — the property the service
+// layer's single-flight keying relies on.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, s := range []string{
+		"exists(states() @ {})",
+		"forall(states(1-3) @ [4,5])",
+		"ktimes(states(0) @ {1}) where strategy=ob workers=0",
+		"eventually(states(2)) where steps=100 tol=1e-9",
+		"exists(states(1) @ {2}) where tau=0.5 top=3 strategy=auto",
+		"exists(states() @ {}) where samples=10 seed=-4 cache=off filter=on",
+		"exists(region(0,0,2,2) @ {1})",
+		"exists(circle(1,1,2)+polygon(0,0,1,0,0,1) @ {})",
+		"exists(minus(region(0,0,9,9),polygon(0,0,1,0,0,1)) @ {})",
+		"exists(states(18446744073709551615) @ {1})",
+		"exists(states(1) @ {1}) where tau=1e308",
+		"exists(states(1,2) @ [3,4])",
+		"exists(states(1) @ {2}) and not forall(states(3) @ {4}) where tau=0.5",
+		"exists(states(1) @ {2}) then exists(circle(1,1,2) @ {5})",
+		"exists(states(1) @ {2}) or",
+		"exists(@ {1})",
+		"count(exists(states(2) @ {3})) where min=3",
+		"occupancy(exists(states(1) @ [0,5]))",
+		"count(ktimes(states(4) @ [1,2])) where strategy=ob",
+		"count(exists(states(1) @ {2}) and exists(states(3) @ {4})) where min=1",
+		"median(exists(states(1) @ {2}))",
+		"count(exists(states(1) @ {2})) where min=-1",
+		"[]", "null", "{}", "((", "\x00\xff",
+		"exists(states() @ {}) exists(states() @ {})",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeRequest(data)
+		if err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("rejection does not wrap ErrDecode: %v (input %q)", err, data)
+			}
+			return // rejected is fine; panicking is not
+		}
+		enc, err := EncodeRequest(req)
+		if err != nil {
+			t.Fatalf("decoded request does not re-encode: %v (input %q)", err, data)
+		}
+		req2, err := DecodeRequest(enc)
+		if err != nil {
+			t.Fatalf("canonical form does not decode: %v (canonical %q)", err, enc)
+		}
+		enc2, err := EncodeRequest(req2)
+		if err != nil {
+			t.Fatalf("second encode failed: %v", err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("canonical form unstable:\n  first  %s\n  second %s", enc, enc2)
+		}
+	})
+}
 
 // allocated returns the bytes fn allocates.
 func allocated(fn func()) uint64 {
