@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 
@@ -69,43 +70,94 @@ type kern struct {
 	// short-circuits the per-object lookups — a scan over a million
 	// objects takes the engine-wide mutex once per distinct sweep, not
 	// once per object. Untracked by CacheReport, which therefore counts
-	// DISTINCT sweep fetches of the evaluation, not object touches.
-	// Guarded by mu.
-	local map[scoreKey]scoreValue
+	// DISTINCT sweep fetches of the evaluation, not object touches. A key
+	// enters it in flight, before its fetch, so parallel workers that miss
+	// it together wait here and the evaluation's cache traffic does not
+	// depend on scheduling. Guarded by mu.
+	local map[scoreKey]*memoEntry
 	// mu guards local and pins: cheap (uncontended in the serial paths,
 	// and the parallel workers only touch it once per fetch, never
 	// inside a sweep).
 	mu sync.Mutex
 }
 
+// memoEntry is one key of a kern's request-local memo. done closes when
+// the fetch that entered it settles; err is then nil and v the payload,
+// or the entry has left the memo.
+type memoEntry struct {
+	done chan struct{}
+	v    scoreValue
+	err  error
+}
+
+// errFetchAbandoned marks a memo entry whose fetch panicked.
+var errFetchAbandoned = errors.New("core: sweep fetch abandoned")
+
 // fetch returns the payload for key, computing it at most once per
 // distinct key across every engine sharing the cache — and, with a
-// sweep tier, across the fleet. The request-local memo answers first;
-// then the cache board either serves the value (a hit) or grants this
-// caller the key's lease (a miss) while every concurrent caller of the
-// same key waits — a waiter whose own context ends returns ctx.Err()
-// instead of overstaying its deadline behind another caller's sweep.
-// Under the lease, a wireable kind asks the tier, which is advisory: a
-// peer's payload settles the lease without computing (and turns the
-// miss back into a hit), while a payload that fails to decode, an
-// Acquire error or an empty grant all degrade to local compute. A
-// compute failure (typically the caller's context cancelling mid-sweep)
-// releases both leases, so the next waiter — here or on a peer —
-// computes with its own context at once.
+// sweep tier, across the fleet. The request-local memo answers first:
+// a caller that finds the key in flight there waits for it, and takes
+// the key over if that fetch fails. Then the cache board either serves
+// the value (a hit) or grants this caller the key's lease (a miss)
+// while every concurrent caller of the same key waits — a waiter whose
+// own context ends returns ctx.Err() instead of overstaying its deadline
+// behind another caller's sweep. Under the lease, a wireable kind asks
+// the tier, which is advisory: a peer's payload settles the lease
+// without computing (and turns the miss back into a hit), while a
+// payload that fails to decode, an Acquire error or an empty grant all
+// degrade to local compute. A compute failure (typically the caller's
+// context cancelling mid-sweep) releases both leases, so the next
+// waiter — here or on a peer — computes with its own context at once.
 func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreValue, error)) (scoreValue, error) {
-	k.mu.Lock()
-	v, ok := k.local[key]
-	k.mu.Unlock()
-	if ok {
-		return v, nil
+	for {
+		k.mu.Lock()
+		m, ok := k.local[key]
+		if !ok {
+			if k.local == nil {
+				k.local = map[scoreKey]*memoEntry{}
+			}
+			m = &memoEntry{done: make(chan struct{}), err: errFetchAbandoned}
+			k.local[key] = m
+		}
+		k.mu.Unlock()
+		if !ok {
+			return k.settle(ctx, key, m, compute)
+		}
+		select {
+		case <-m.done:
+		case <-ctx.Done():
+			return scoreValue{}, ctx.Err()
+		}
+		if m.err == nil {
+			return m.v, nil
+		}
 	}
+}
+
+// settle runs the fetch of a memo entry this caller entered, and takes
+// the entry out of the memo again unless it succeeded.
+func (k *kern) settle(ctx context.Context, key scoreKey, m *memoEntry, compute func() (scoreValue, error)) (scoreValue, error) {
+	defer func() {
+		if m.err != nil {
+			k.mu.Lock()
+			delete(k.local, key)
+			k.mu.Unlock()
+		}
+		close(m.done)
+	}()
+	m.v, m.err = k.load(ctx, key, compute)
+	return m.v, m.err
+}
+
+// load is fetch below the request-local memo: the board, the tier and
+// the compute.
+func (k *kern) load(ctx context.Context, key scoreKey, compute func() (scoreValue, error)) (scoreValue, error) {
 	if k.cache == nil {
 		v, err := compute()
 		if err != nil {
 			return scoreValue{}, err
 		}
 		v.trim()
-		k.memo(key, v)
 		return v, nil
 	}
 	board := k.cache.board
@@ -115,7 +167,6 @@ func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreVal
 	}
 	if lease == 0 {
 		k.rep.hit()
-		k.memo(key, v)
 		return v, nil
 	}
 	k.rep.miss()
@@ -133,7 +184,6 @@ func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreVal
 				board.Fill(key, lease, peer)
 				k.cache.adopted.Add(1)
 				k.rep.adopted()
-				k.memo(key, peer)
 				return peer, nil
 			}
 		}
@@ -147,22 +197,12 @@ func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreVal
 		return scoreValue{}, err
 	}
 	v.trim()
-	k.memo(key, v)
 	board.Fill(key, lease, v)
 	if tierLease != "" {
 		// Best-effort publish: a Fill error only costs peers a recompute.
 		_ = k.tier.Fill(ctx, sk, tierLease, encodeSweepValue(v))
 	}
 	return v, nil
-}
-
-func (k *kern) memo(key scoreKey, v scoreValue) {
-	k.mu.Lock()
-	if k.local == nil {
-		k.local = map[scoreKey]scoreValue{}
-	}
-	k.local[key] = v
-	k.mu.Unlock()
 }
 
 // kernel builds the sweep kernel for one chain group under a prepared
