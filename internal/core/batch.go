@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"iter"
-	"math/bits"
 	"runtime"
 	"sort"
 
@@ -24,10 +23,13 @@ import (
 // every request's scoring vector in a cache-friendly state-major block.
 // The matrix read — the memory-bound part of a sweep — is amortized
 // over the whole batch, which is where the wall-clock win comes from
-// even on a single core; BenchmarkEvaluateBatch measures it. Fused
-// results are bit-identical to the serial sweeps by construction (same
-// additions in the same order, zero terms interspersed), so EvaluateBatch
-// answers are byte-identical to sequential Evaluate calls.
+// even on a single core; BenchmarkEvaluateBatch measures it. The fused
+// block is the same lane block a serial sweep steps (querybased.go),
+// only wider: every column sums its rows in ascending order whatever
+// the other columns hold, so fused results are bit-identical to the
+// serial sweeps by construction (same additions in the same order, zero
+// terms interspersed), and EvaluateBatch answers are byte-identical to
+// sequential Evaluate calls.
 //
 // The fused vectors are published through the engine's score cache, so
 // after the warm phase every request's normal evaluation path runs with
@@ -336,121 +338,62 @@ func newFusedSchedule(units []sweepUnit, width int) *fusedSchedule {
 	return sch
 }
 
-// fusedExistsSweeps runs the PST∃Q backward sweeps of all units — same
-// chain, arbitrary windows and observation times — in one pass down the
-// absolute time axis and publishes each resulting scoring vector to the
-// score cache. Columns join the block at their activation time (the
-// descending sort makes live columns a prefix): leaders at their horizon
-// exactly like hitScores's lane (held against the same far value),
-// followers as a copy of their leader's column at the fork point. Each
-// column replays exactly the addition
-// sequence of hitScores for its unit — skipped all-zero states,
-// inactive columns and shared suffixes only elide or share identical
-// terms — so the cached vectors are bit-identical to what the serial
-// path would have computed.
-func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, units []sweepUnit) error {
-	if len(units) == 1 {
-		// A lone sweep gains nothing from the block layout; run the
-		// plain kernel and seed the cache with its result.
-		score, err := hitScores(ctx, chain, units[0].w, units[0].t0, e.pool)
-		if err != nil {
-			return err
-		}
-		e.cache.board.Put(units[0].key, scoreValue{vecs: []*sparse.Vec{score}})
-		return nil
-	}
-	sch := newFusedSchedule(units, maxFusedColumns)
-	n := chain.NumStates()
-	K := len(sch.lanes)
-	// A column whose region covers most of S is held against the far
-	// value 1, as hitScores holds it: its leader starts as the horizon's
-	// pin leaves the serial lane, and its pins zero the region on the live
-	// rows instead. Only the other columns materialize their region states
-	// as a pin list.
-	far := make([]bool, K)
-	pins := make([][]int32, K)
-	for k, lane := range sch.lanes {
-		if far[k] = lane.u.w.coversMost(); !far[k] {
-			pins[k] = regionPins(lane.u.w)
-		}
-	}
-	// live holds every row of cur that may be non-zero, nextLive the
-	// rows next was last written on: pins, forks, retirements and steps
-	// visit only those, so a step costs the columns' reach, not n·K.
-	cur := make([]float64, n*K)
-	next := make([]float64, n*K)
-	live, nextLive := sparse.NewBitset(n), sparse.NewBitset(n)
-	extract := func(k int) *sparse.Vec {
-		col := make([]float64, n)
-		for s := range col {
-			col[s] = cur[s*K+k]
-			if far[k] {
-				col[s] = max(0, 1-col[s])
-			}
-		}
-		return sparse.AdoptDense(col)
-	}
+// fusedBlock is what a fused kernel does to its block of columns; run
+// drives it down the schedule.
+type fusedBlock struct {
+	open    func(k int)               // column k activates at t
+	pin     func(k int)               // t is one of column k's query times
+	fork    func(k, leader int)       // column k starts as a copy of leader
+	retire  func(k int)               // column k has no dependent left
+	publish func(key scoreKey, k int) // column k is unit key's answer
+	step    func(active int)          // one backward step of columns [0, active)
+}
+
+// run moves the block down the absolute time axis, from the latest
+// horizon to the earliest observation time. Columns join at their
+// activation time (the descending sort makes live columns a prefix):
+// leaders at their horizon, followers as a copy of their leader at the
+// fork point, after this step's pins, so the copy includes them (the
+// leader pins at the fork time whenever the follower would). Every unit
+// is published at its observation time, an alias off its leader.
+func (sch *fusedSchedule) run(ctx context.Context, b fusedBlock) error {
 	resolve := func(k int) {
 		sch.pending[k]--
 		if sch.pending[k] == 0 {
-			live.Range(func(s int) { cur[s*K+k] = 0 }) // retire the column
+			b.retire(k)
 		}
 	}
-
-	extracted := make([]bool, K)
+	extracted := make([]bool, len(sch.lanes))
 	active := 0 // live-column prefix: lanes[0:active] have act ≥ t
-	mt := chain.Transposed()
 	for t := sch.maxH; ; t-- {
 		newlyActive := active
-		for ; active < K && sch.lanes[active].act >= t; active++ {
-			if k := active; far[k] && sch.lanes[k].leader < 0 {
-				sch.lanes[k].u.w.eachOutsideState(func(s int) {
-					cur[s*K+k] = 1
-					live.Set(s)
-				})
-			}
+		for ; active < len(sch.lanes) && sch.lanes[active].act >= t; active++ {
+			b.open(active)
 		}
 		// Pin every live, unretired column whose window covers t.
 		for k, lane := range sch.lanes[:active] {
-			if sch.pending[k] == 0 || !lane.u.w.atTime(t) {
-				continue
-			}
-			if far[k] {
-				live.Range(func(s int) {
-					if lane.u.w.inRegion(s) {
-						cur[s*K+k] = 0
-					}
-				})
-				continue
-			}
-			for _, s := range pins[k] {
-				cur[int(s)*K+k] = 1
-				live.Set(int(s))
+			if sch.pending[k] > 0 && lane.u.w.atTime(t) {
+				b.pin(k)
 			}
 		}
-		// Fork freshly activated follower columns off their leaders
-		// (after pinning, so the copy includes this step's pins — the
-		// leader pins at the fork time whenever the follower would).
 		for k := newlyActive; k < active; k++ {
 			if l := sch.lanes[k].leader; l >= 0 {
-				live.Range(func(s int) { cur[s*K+k] = cur[s*K+l] })
+				b.fork(k, l)
 				resolve(l)
 			}
 		}
-		// Extract every unit whose observation time this is.
 		for ui, u := range sch.order {
 			if u.t0 != t {
 				continue
 			}
 			if lane, ok := sch.aliases[ui]; ok {
-				e.cache.board.Put(u.key, scoreValue{vecs: []*sparse.Vec{extract(lane)}})
+				b.publish(u.key, lane)
 				resolve(lane)
 				continue
 			}
-			k := sch.laneOf[ui]
-			if k < active && !extracted[k] {
-				e.cache.board.Put(u.key, scoreValue{vecs: []*sparse.Vec{extract(k)}})
+			if k := sch.laneOf[ui]; k < active && !extracted[k] {
 				extracted[k] = true
+				b.publish(u.key, k)
 				resolve(k)
 			}
 		}
@@ -460,50 +403,37 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fusedStepBack(next, cur, nextLive, live, mt, K, active)
-		cur, next = next, cur
-		live, nextLive = nextLive, live
+		b.step(active)
 	}
 }
 
-// fusedStepBack advances the first `active` columns one backward step:
-// the block analogue of chain.StepBack (dst = x · Mᵀ, Gustavson row
-// scatter). xLive holds every row of x that can be non-zero; they are
-// visited in ascending order, and a row whose live columns are all zero
-// is skipped without touching the matrix row at all, so a step costs the
-// columns' reach, not n·K. dst is cleared on the rows dstLive held, and
-// dstLive becomes the rows written. The loop makes no call per row or
-// edge (Bitset.Set inlines).
-func fusedStepBack(dst, x []float64, dstLive, xLive *sparse.Bitset, mt *sparse.CSR, K, active int) {
-	dstLive.Range(func(j int) { clear(dst[j*K : j*K+K]) })
-	dstLive.Reset()
-	for wi, w := range xLive.Words64() {
-		for ; w != 0; w &= w - 1 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			xb := x[i*K : i*K+active : i*K+active]
-			nz := false
-			for _, v := range xb {
-				if v != 0 {
-					nz = true
-					break
-				}
-			}
-			if !nz {
-				continue
-			}
-			cols, vals := mt.RowSlices(i)
-			vals = vals[:len(cols)] // equal lengths: lets the compiler drop bounds checks
-			for p, j := range cols {
-				v := vals[p]
-				dstLive.Set(j)
-				db := dst[j*K : j*K+active : j*K+active]
-				db = db[:len(xb)]
-				for c, xc := range xb {
-					db[c] += xc * v
-				}
-			}
-		}
-	}
+// fusedExistsSweeps runs the PST∃Q backward sweeps of all units — same
+// chain, arbitrary windows and observation times — as one lane block
+// (querybased.go) and publishes each resulting scoring vector to the
+// score cache. A leader opens exactly like hitScores's lane (held
+// against the same far value). Each column replays exactly the additions
+// of hitScores for its unit — rows in ascending order, inactive columns
+// and shared suffixes only elide or share identical terms — so the
+// cached vectors are bit-identical to what the serial path computes.
+func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, units []sweepUnit) error {
+	sch := newFusedSchedule(units, maxFusedColumns)
+	K := len(sch.lanes)
+	blk := newLaneBlock(chain.NumStates(), K, e.fpool)
+	defer blk.release()
+	pins := make([][]int32, K)
+	mt := chain.Transposed()
+	return sch.run(ctx, fusedBlock{
+		open: func(k int) {
+			pins[k] = blk.open(k, sch.lanes[k].u.w, sch.lanes[k].leader < 0)
+		},
+		pin:    func(k int) { blk.pin(k, sch.lanes[k].u.w, pins[k]) },
+		fork:   blk.copyColumn,
+		retire: blk.zeroColumn,
+		publish: func(key scoreKey, k int) {
+			e.cache.board.Put(key, scoreValue{vecs: []*sparse.Vec{blk.column(k)}})
+		},
+		step: func(active int) { blk.stepBack(mt, active) },
+	})
 }
 
 // fusedMaskSweeps runs the boolean reachability-envelope sweeps of all
@@ -522,83 +452,44 @@ func (e *Engine) fusedMaskSweeps(ctx context.Context, chain *markov.Chain, units
 	for k, lane := range sch.lanes {
 		pins[k] = regionPins(lane.u.w) // inverted windows: no full-mask walk per step
 	}
-	extract := func(cur []uint64, k int) *sparse.Bitset {
-		bits := sparse.NewBitset(n)
-		bit := uint64(1) << uint(k)
-		for s, w := range cur {
-			if w&bit != 0 {
-				bits.Set(s)
-			}
-		}
-		return bits
-	}
-	resolve := func(cur []uint64, k int) {
-		sch.pending[k]--
-		if sch.pending[k] == 0 {
-			mask := ^(uint64(1) << uint(k))
-			for s := range cur {
-				cur[s] &= mask // retire the bit column
-			}
-		}
-	}
-
 	cur := make([]uint64, n)
 	next := make([]uint64, n)
-	extracted := make([]bool, len(sch.lanes))
-	active := 0
 	m := chain.Matrix()
-	for t := sch.maxH; ; t-- {
-		newlyActive := active
-		for active < len(sch.lanes) && sch.lanes[active].act >= t {
-			active++
-		}
-		for k, lane := range sch.lanes[:active] {
-			if sch.pending[k] > 0 && lane.u.w.atTime(t) {
-				bit := uint64(1) << uint(k)
-				for _, s := range pins[k] {
-					cur[s] |= bit
+	return sch.run(ctx, fusedBlock{
+		open: func(int) {},
+		pin: func(k int) {
+			for _, s := range pins[k] {
+				cur[s] |= 1 << uint(k)
+			}
+		},
+		fork: func(k, l int) {
+			for s := range cur {
+				cur[s] |= ((cur[s] >> uint(l)) & 1) << uint(k)
+			}
+		},
+		retire: func(k int) {
+			for s := range cur {
+				cur[s] &^= 1 << uint(k)
+			}
+		},
+		publish: func(key scoreKey, k int) {
+			bits := sparse.NewBitset(n)
+			for s, w := range cur {
+				if w&(1<<uint(k)) != 0 {
+					bits.Set(s)
 				}
 			}
-		}
-		for k := newlyActive; k < active; k++ {
-			if l := sch.lanes[k].leader; l >= 0 {
-				shift := uint(k)
-				from := uint(l)
-				for s := range cur {
-					cur[s] |= ((cur[s] >> from) & 1) << shift
-				}
-				resolve(cur, l)
+			e.cache.board.Put(key, scoreValue{bits: bits})
+		},
+		step: func(int) {
+			if certain {
+				fusedStepBackCertain(next, cur, m)
+			} else {
+				fusedStepBackSupport(next, cur, m)
 			}
-		}
-		for ui, u := range sch.order {
-			if u.t0 != t {
-				continue
-			}
-			if lane, ok := sch.aliases[ui]; ok {
-				e.cache.board.Put(u.key, scoreValue{bits: extract(cur, lane)})
-				resolve(cur, lane)
-				continue
-			}
-			k := sch.laneOf[ui]
-			if k < active && !extracted[k] {
-				e.cache.board.Put(u.key, scoreValue{bits: extract(cur, k)})
-				extracted[k] = true
-				resolve(cur, k)
-			}
-		}
-		if t == sch.minT0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if certain {
-			fusedStepBackCertain(next, cur, m)
-		} else {
-			fusedStepBackSupport(next, cur, m)
-		}
-		cur, next = next, cur
-	}
+			cur, next = next, cur
+		},
+	})
 }
 
 // fusedStepBackSupport is the word-packed StepBackSupport: lane word i

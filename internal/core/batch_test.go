@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -150,11 +152,10 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 
 // TestEvaluateBatchMatchesSequentialWide runs the byte-identity check on
 // the benchmark's T1 shape — |S| = 10⁴, five successors within ±20 ids,
-// random weights — where a lane held against the far value 1 stays
-// sparse for many steps: the forall lanes and an exists region covering
-// most of S. (A plain exists lane over a small region is left out: the
-// serial sweep walks it in support-list order, the fused kernel in
-// ascending rows, so it can differ in a last bit once it stays sparse.)
+// random weights — where lanes stay sparse for many steps: plain exists
+// lanes over small regions, forall lanes and an exists region covering
+// most of S, held against the far value 1, and a ktimes and an
+// expression request beside them.
 func TestEvaluateBatchMatchesSequentialWide(t *testing.T) {
 	const n = 10000
 	rng := rand.New(rand.NewSource(31))
@@ -194,8 +195,15 @@ func TestEvaluateBatchMatchesSequentialWide(t *testing.T) {
 			NewRequest(PredicateForAll, region, WithTimeRange(10+2*i, 25)),
 			NewRequest(PredicateForAll, region, WithTimes([]int{12, 15 + i, 21, 25}), WithTopK(5)),
 			NewRequest(PredicateExists, WithStates(Interval(100*i, 7000+100*i)), WithTimeRange(8, 20+i)),
+			NewRequest(PredicateExists, region, WithTimeRange(10+2*i, 25)),
+			NewRequest(PredicateExists, region, WithTimes([]int{14, 18 + i, 25}), WithTopK(5)),
 		)
 	}
+	reqs = append(reqs,
+		NewRequest(PredicateKTimes, WithStates(Interval(5000, 5099)), WithTimeRange(21, 25)),
+		NewExprRequest(And(ExistsAtom(WithStates(Interval(5000, 5099)), WithTimeRange(15, 25)),
+			Not(ForAllAtom(WithStates(Interval(5040, 5139)), WithTimeRange(18, 22))))),
+	)
 	ctx := context.Background()
 	seqEngine := build()
 	var want []*Response
@@ -215,19 +223,27 @@ func TestEvaluateBatchMatchesSequentialWide(t *testing.T) {
 	}
 }
 
-// TestFusedSweepBitIdentical pins the fused block kernel against the
-// serial hitScores sweep, vector by vector, bit by bit.
+// TestFusedSweepBitIdentical pins a multi-unit block — leaders, forked
+// followers and aliases, near and far lanes — against width-1 blocks of
+// the same units and against hitScores, vector by vector, bit by bit,
+// support order and storage mode included; and the word-packed envelope
+// sweeps over the same schedule against supportEnvelope.
 func TestFusedSweepBitIdentical(t *testing.T) {
+	const n = 30
 	rng := rand.New(rand.NewSource(23))
-	chain := randomChainN(rng, 30, 4)
-	e := NewEngine(NewDatabase(chain), Options{})
+	chain := randomChainN(rng, n, 4)
 	ctx := context.Background()
-
-	var units []sweepUnit
-	var wants []struct {
-		w  *window
-		t0 int
+	unit := func(states, times []int, invert bool, t0 int) sweepUnit {
+		w, err := compile(NewQuery(states, times), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if invert {
+			w = w.complemented()
+		}
+		return sweepUnit{key: scoreKey{chain: chain, kind: kindExists, sig: w.signature(), t0: t0}, w: w, t0: t0}
 	}
+	var units []sweepUnit
 	for i := 0; i < 12; i++ {
 		// Every third unit is complemented, and every fourth region covers
 		// most of the states: lanes held against both far values.
@@ -236,7 +252,7 @@ func TestFusedSweepBitIdentical(t *testing.T) {
 			fill = 0.8
 		}
 		var states []int
-		for s := 0; s < 30; s++ {
+		for s := 0; s < n; s++ {
 			if rng.Float64() < fill {
 				states = append(states, s)
 			}
@@ -245,52 +261,179 @@ func TestFusedSweepBitIdentical(t *testing.T) {
 			states = []int{i}
 		}
 		lo := rng.Intn(5)
-		w, err := compile(NewQuery(states, Interval(lo+2, lo+4+rng.Intn(6))), 30)
-		if err != nil {
-			t.Fatal(err)
+		times := Interval(lo+2, lo+6+rng.Intn(6))
+		units = append(units, unit(states, times, i%3 == 1, rng.Intn(3)))
+		if i%2 == 0 {
+			// A suffix of the window: observed before its first time it
+			// forks off the leader, observed inside it an alias.
+			suffix := times[2:]
+			units = append(units, unit(states, suffix, i%3 == 1, rng.Intn(2)), unit(states, suffix, i%3 == 1, suffix[0]+rng.Intn(2)))
 		}
-		if i%3 == 1 {
-			w = w.complemented()
+	}
+	lanes, aliases, _ := planFusedLanes(units, maxFusedColumns)
+	followers := 0
+	for _, l := range lanes {
+		if l.leader >= 0 {
+			followers++
 		}
-		t0 := rng.Intn(3)
-		units = append(units, sweepUnit{
-			key: scoreKey{chain: chain, kind: kindExists, sig: w.signature(), t0: t0},
-			w:   w, t0: t0,
-		})
-		wants = append(wants, struct {
-			w  *window
-			t0 int
-		}{w, t0})
 	}
-	// The fused kernel's contract: units arrive sorted by descending
-	// horizon (warmBatch's schedule).
-	order := make([]int, len(units))
-	for i := range order {
-		order[i] = i
+	if followers == 0 || len(aliases) == 0 {
+		t.Fatalf("schedule has %d followers and %d aliases: the block shares nothing", followers, len(aliases))
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return units[b].w.horizon - units[a].w.horizon })
-	sorted := make([]sweepUnit, len(units))
-	for i, idx := range order {
-		sorted[i] = units[idx]
-	}
-	if err := e.fusedExistsSweeps(ctx, chain, sorted); err != nil {
+
+	e := NewEngine(NewDatabase(chain), Options{})
+	if err := e.fusedExistsSweeps(ctx, chain, units); err != nil {
 		t.Fatal(err)
 	}
 	for i, u := range units {
-		v, lease, err := e.cache.board.Acquire(ctx, u.key)
-		if err != nil || lease != 0 {
-			t.Fatalf("unit %d not cached (lease %d, err %v)", i, lease, err)
+		got := cachedScore(t, e, u.key)
+		single := NewEngine(NewDatabase(chain), Options{})
+		if err := single.fusedExistsSweeps(ctx, chain, []sweepUnit{u}); err != nil {
+			t.Fatal(err)
 		}
-		want, err := hitScores(ctx, chain, wants[i].w, wants[i].t0, nil)
+		serial, err := hitScores(ctx, chain, u.w, u.t0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s := 0; s < 30; s++ {
-			if got, exp := v.vecs[0].At(s), want.At(s); got != exp {
-				t.Fatalf("unit %d state %d: fused %v != serial %v", i, s, got, exp)
+		for _, want := range []*sparse.Vec{cachedScore(t, single, u.key), serial} {
+			if !identicalVec(got, want) {
+				t.Fatalf("unit %d: block %v != width-1 %v", i, got, want)
 			}
 		}
 	}
+
+	// The word-packed envelope sweeps run the same schedule.
+	for _, kind := range []scoreKind{kindPossible, kindCertain} {
+		masks := make([]sweepUnit, len(units))
+		for i, u := range units {
+			masks[i] = u
+			masks[i].key.kind = kind
+		}
+		if err := e.fusedMaskSweeps(ctx, chain, masks, kind == kindCertain); err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range masks {
+			v, lease, err := e.cache.board.Acquire(ctx, u.key)
+			if err != nil || lease != 0 {
+				t.Fatalf("mask %d not cached (lease %d, err %v)", i, lease, err)
+			}
+			want, err := supportEnvelope(ctx, chain, u.w, u.t0, kind == kindCertain, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.bits.Equal(want) {
+				t.Fatalf("kind %v unit %d: fused envelope differs from supportEnvelope", kind, i)
+			}
+		}
+	}
+}
+
+// cachedScore reads a published scoring vector off the engine's board.
+func cachedScore(t *testing.T, e *Engine, key scoreKey) *sparse.Vec {
+	t.Helper()
+	v, lease, err := e.cache.board.Acquire(context.Background(), key)
+	if err != nil || lease != 0 {
+		t.Fatalf("key %+v not cached (lease %d, err %v)", key, lease, err)
+	}
+	return v.vecs[0]
+}
+
+// identicalVec reports whether two vectors hold the same bits in the
+// same storage mode and support order.
+func identicalVec(a, b *sparse.Vec) bool {
+	if a.Len() != b.Len() || a.Dense() != b.Dense() {
+		return false
+	}
+	for s := 0; s < a.Len(); s++ {
+		if math.Float64bits(a.At(s)) != math.Float64bits(b.At(s)) {
+			return false
+		}
+	}
+	var sa, sb []int
+	a.Range(func(i int, _ float64) { sa = append(sa, i) })
+	b.Range(func(i int, _ float64) { sb = append(sb, i) })
+	return slices.Equal(sa, sb)
+}
+
+// FuzzEvaluateBatch holds EvaluateBatch to sequential Evaluate calls on
+// newClipCase's island chains: a random batch of exists, forall, ktimes
+// and expression requests over the case's window, its suffixes (which
+// the fused block forks or aliases) and overlapping random windows, on
+// objects observed at mixed times. The results must be deeply equal.
+func FuzzEvaluateBatch(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		c := newClipCase(rng)
+		n := c.db.chain.NumStates()
+		base := sortedSet(c.times)
+		// Every window ends at or after the case's horizon, which no object
+		// is observed after.
+		window := func() []int {
+			if rng.Intn(2) == 0 {
+				return base[rng.Intn(len(base)):]
+			}
+			lo := rng.Intn(base[len(base)-1] + 1)
+			return Interval(lo, base[len(base)-1]+rng.Intn(3))
+		}
+		region := func() []int {
+			switch rng.Intn(3) {
+			case 0:
+				return c.states
+			case 1:
+				lo := rng.Intn(n)
+				return Interval(lo, min(n-1, lo+rng.Intn(4)))
+			default:
+				lo := rng.Intn(n / 3)
+				return Interval(lo, min(n-1, lo+n/2+rng.Intn(n/2))) // most of S
+			}
+		}
+		var reqs []Request
+		for i := 2 + rng.Intn(10); i > 0; i-- {
+			opts := []RequestOption{WithStates(region()), WithTimes(window())}
+			switch rng.Intn(3) {
+			case 1:
+				opts = append(opts, WithTopK(1+rng.Intn(4)))
+			case 2:
+				opts = append(opts, WithThreshold(rng.Float64()))
+			}
+			switch rng.Intn(5) {
+			case 0:
+				reqs = append(reqs, NewRequest(PredicateForAll, opts...))
+			case 1:
+				reqs = append(reqs, NewRequest(PredicateKTimes, opts[:2]...))
+			case 2:
+				other := ExistsAtom(WithStates(region()), WithTimes(window()))
+				if rng.Intn(2) == 0 {
+					other = Not(ForAllAtom(WithStates(region()), WithTimes(window())))
+				}
+				reqs = append(reqs, NewExprRequest(Or(ExistsAtom(opts[:2]...), other), opts[2:]...))
+			default:
+				reqs = append(reqs, NewRequest(PredicateExists, opts...))
+			}
+		}
+		ctx := context.Background()
+		seq := NewEngine(c.db, Options{})
+		want := make([][]Result, len(reqs))
+		for i, req := range reqs {
+			resp, err := seq.Evaluate(ctx, req)
+			if err != nil {
+				t.Fatalf("request %d (%v): %v", i, req, err)
+			}
+			want[i] = resp.Results
+		}
+		got, err := NewEngine(c.db, Options{}).EvaluateBatch(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range reqs {
+			if !reflect.DeepEqual(got[i].Results, want[i]) {
+				t.Fatalf("request %d (%v): batch %+v, sequential %+v", i, reqs[i], got[i].Results, want[i])
+			}
+		}
+	})
 }
 
 func TestEvaluateBatchSeqPerItemErrors(t *testing.T) {

@@ -120,10 +120,15 @@ func (ic *IntervalChain) BoundScores(q Query, t0 int) (loScore, hiScore *sparse.
 	}
 	bufLo := sparse.NewVec(n)
 	bufHi := sparse.NewVec(n)
+	pin := func() {
+		w.eachRegionState(func(s int) {
+			loScore.Set(s, 1)
+			hiScore.Set(s, 1)
+		})
+	}
 	for t := w.horizon; t > t0; t-- {
 		if w.atTime(t) {
-			pinLane(loScore, w, false)
-			pinLane(hiScore, w, false)
+			pin()
 		}
 		sparse.MatVec(bufLo, ic.lo, loScore)
 		loScore, bufLo = bufLo, loScore
@@ -132,8 +137,7 @@ func (ic *IntervalChain) BoundScores(q Query, t0 int) (loScore, hiScore *sparse.
 		clip1(hiScore)
 	}
 	if w.atTime(t0) {
-		pinLane(loScore, w, false)
-		pinLane(hiScore, w, false)
+		pin()
 	}
 	return loScore, hiScore, nil
 }

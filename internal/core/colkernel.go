@@ -22,9 +22,13 @@ import (
 
 // regionPins materializes the window's (possibly inverted) spatial
 // predicate as a flat state list — the columnar form of eachRegionState,
-// built once per kern and reused across objects.
+// built once per kern or sweep and reused across objects and steps.
 func regionPins(w *window) []int32 {
-	var pins []int32
+	size := len(w.states)
+	if w.invert {
+		size = len(w.mask) - size
+	}
+	pins := make([]int32, 0, size)
 	w.eachRegionState(func(s int) { pins = append(pins, int32(s)) })
 	return pins
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync"
 
@@ -81,72 +80,48 @@ type kern struct {
 	mu sync.Mutex
 }
 
-// memoEntry is one key of a kern's request-local memo. done closes when
-// the fetch that entered it settles; err is then nil and v the payload,
-// or the entry has left the memo.
+// memoEntry is one key of a kern's request-local memo: the key's fetch,
+// run once, its outcome shared by every caller.
 type memoEntry struct {
-	done chan struct{}
-	v    scoreValue
-	err  error
+	get func() (scoreValue, error)
 }
-
-// errFetchAbandoned marks a memo entry whose fetch panicked.
-var errFetchAbandoned = errors.New("core: sweep fetch abandoned")
 
 // fetch returns the payload for key, computing it at most once per
 // distinct key across every engine sharing the cache — and, with a
-// sweep tier, across the fleet. The request-local memo answers first:
-// a caller that finds the key in flight there waits for it, and takes
-// the key over if that fetch fails. Then the cache board either serves
-// the value (a hit) or grants this caller the key's lease (a miss)
-// while every concurrent caller of the same key waits — a waiter whose
-// own context ends returns ctx.Err() instead of overstaying its deadline
-// behind another caller's sweep. Under the lease, a wireable kind asks
-// the tier, which is advisory: a peer's payload settles the lease
-// without computing (and turns the miss back into a hit), while a
-// payload that fails to decode, an Acquire error or an empty grant all
-// degrade to local compute. A compute failure (typically the caller's
-// context cancelling mid-sweep) releases both leases, so the next
-// waiter — here or on a peer — computes with its own context at once.
+// sweep tier, across the fleet. The request-local memo answers first: a
+// caller that finds the key in flight there waits for that fetch and
+// shares its outcome, and a failed fetch leaves the memo, so the next
+// caller fetches afresh. Then the cache board either serves the value (a
+// hit) or grants this caller the key's lease (a miss) while every
+// concurrent caller of the same key waits — a waiter whose own context
+// ends returns ctx.Err() instead of overstaying its deadline behind
+// another caller's sweep. Under the lease, a wireable kind asks the
+// tier, which is advisory: a peer's payload settles the lease without
+// computing (and turns the miss back into a hit), while a payload that
+// fails to decode, an Acquire error or an empty grant all degrade to
+// local compute. A compute failure (typically the caller's context
+// cancelling mid-sweep) releases both leases, so the next waiter — here
+// or on a peer — computes with its own context at once.
 func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreValue, error)) (scoreValue, error) {
-	for {
+	k.mu.Lock()
+	m := k.local[key]
+	if m == nil {
+		if k.local == nil {
+			k.local = map[scoreKey]*memoEntry{}
+		}
+		m = &memoEntry{get: sync.OnceValues(func() (scoreValue, error) { return k.load(ctx, key, compute) })}
+		k.local[key] = m
+	}
+	k.mu.Unlock()
+	v, err := m.get()
+	if err != nil {
 		k.mu.Lock()
-		m, ok := k.local[key]
-		if !ok {
-			if k.local == nil {
-				k.local = map[scoreKey]*memoEntry{}
-			}
-			m = &memoEntry{done: make(chan struct{}), err: errFetchAbandoned}
-			k.local[key] = m
+		if k.local[key] == m {
+			delete(k.local, key)
 		}
 		k.mu.Unlock()
-		if !ok {
-			return k.settle(ctx, key, m, compute)
-		}
-		select {
-		case <-m.done:
-		case <-ctx.Done():
-			return scoreValue{}, ctx.Err()
-		}
-		if m.err == nil {
-			return m.v, nil
-		}
 	}
-}
-
-// settle runs the fetch of a memo entry this caller entered, and takes
-// the entry out of the memo again unless it succeeded.
-func (k *kern) settle(ctx context.Context, key scoreKey, m *memoEntry, compute func() (scoreValue, error)) (scoreValue, error) {
-	defer func() {
-		if m.err != nil {
-			k.mu.Lock()
-			delete(k.local, key)
-			k.mu.Unlock()
-		}
-		close(m.done)
-	}()
-	m.v, m.err = k.load(ctx, key, compute)
-	return m.v, m.err
+	return v, err
 }
 
 // load is fetch below the request-local memo: the board, the tier and
@@ -228,7 +203,7 @@ func (e *Engine) kernel(chain *markov.Chain, w *window, plan *evalPlan) *kern {
 func (k *kern) existsScoreAt(ctx context.Context, t0 int) (*sparse.Vec, error) {
 	key := scoreKey{chain: k.chain, kind: kindExists, sig: k.w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		score, serr := hitScores(ctx, k.chain, k.w, t0, k.pool)
+		score, serr := hitScores(ctx, k.chain, k.w, t0, k.fpool)
 		if serr != nil {
 			return scoreValue{}, serr
 		}
@@ -245,7 +220,7 @@ func (k *kern) existsScoreAt(ctx context.Context, t0 int) (*sparse.Vec, error) {
 func (k *kern) ktimesBacksAt(ctx context.Context, t0 int) ([]*sparse.Vec, error) {
 	key := scoreKey{chain: k.chain, kind: kindKTimes, sig: k.w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		backs, berr := kTimesBackward(ctx, k.chain, k.w, t0, k.pool)
+		backs, berr := kTimesBackward(ctx, k.chain, k.w, t0, k.fpool)
 		if berr != nil {
 			return scoreValue{}, berr
 		}
@@ -390,7 +365,7 @@ func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int
 }
 
 // orRegion adds every state of the (possibly inverted) spatial predicate
-// to the set — the boolean twin of pinLane.
+// to the set — the boolean twin of laneBlock.pin.
 func orRegion(b *sparse.Bitset, w *window) {
 	w.eachRegionState(func(s int) { b.Set(s) })
 }
@@ -634,10 +609,7 @@ func (k *kern) regionPins() []int32 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.pins == nil {
-		k.pins = regionPins(k.w)
-		if k.pins == nil {
-			k.pins = []int32{} // distinguish "built, empty" from "unbuilt"
-		}
+		k.pins = regionPins(k.w) // never nil, even for an empty region
 	}
 	return k.pins
 }

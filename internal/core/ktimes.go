@@ -100,74 +100,63 @@ func shiftDown(rows []*sparse.Vec, w *window) {
 // in-window states to consume one visit. Each object is then answered
 // with |T□|+1 dot products.
 //
-// Only B_1 … B_K are swept. Every world makes some number of visits, so
-// B_0 = 1 − Σ_{k≥1} B_k on a row-stochastic chain (querybased.go): B_0 is
-// the lane whose far value is 1, and the offset it would store is the sum
-// of the others. Each B_k with k ≥ 1 lives on the backward reach of S□.
+// Only B_1 … B_K are swept, as the lanes of one block (querybased.go):
+// one matrix traversal per step serves all K. Every world makes some
+// number of visits, so B_0 = 1 − Σ_{k≥1} B_k on a row-stochastic chain:
+// B_0 is the lane whose far value is 1, and the offset it would store is
+// the sum of the others, written into the block's last lane at t0. Each
+// B_k with k ≥ 1 lives on the backward reach of S□.
 
 // kTimesBackward produces the scoring vectors B_0 … B_K at time t0,
-// checking ctx once per backward step. The returned vectors are owned by
-// the caller (and typically handed to the score cache).
-func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *sparse.VecPool) ([]*sparse.Vec, error) {
-	backs := make([]*sparse.Vec, w.k+1)
-	backs[0] = pool.Get(chain.NumStates())
-	if err := visitLanes(ctx, chain, w, t0, backs[1:], pool); err != nil {
-		pool.Put(backs[0])
-		return nil, err
+// checking ctx once per backward step. Its block comes from fpool (nil
+// allowed); the returned vectors are owned by the caller (and typically
+// handed to the score cache).
+func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int, fpool *sparse.FloatPool) ([]*sparse.Vec, error) {
+	K := w.k
+	blk := newLaneBlock(chain.NumStates(), K+1, fpool)
+	defer blk.release()
+	mt := chain.Transposed()
+	active := 0 // lanes B_1 … B_active can be non-zero: one per visit consumed
+	for t := w.horizon; t >= t0; t-- {
+		if w.atTime(t) {
+			consumeVisit(blk, w)
+			active = min(active+1, K)
+		}
+		if t == t0 {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		blk.stepBack(mt, active)
 	}
-	for _, v := range backs[1:] {
-		v.Range(func(s int, x float64) { backs[0].Add(s, x) })
+	blk.far[K] = true
+	blk.live.Range(func(s int) {
+		row := blk.row(s)
+		for _, x := range row[:K] {
+			row[K] += x
+		}
+	})
+	backs := []*sparse.Vec{blk.column(K)}
+	for k := range K {
+		backs = append(backs, blk.column(k))
 	}
-	settleFar(backs[0])
 	return backs, nil
 }
 
-// visitLanes runs the sweep of B_1 … B_K down to t0 into visits (one
-// slot per query timestamp), drawing every vector from pool. On error
-// the vectors are back in the pool.
-func visitLanes(ctx context.Context, chain *markov.Chain, w *window, t0 int, visits []*sparse.Vec, pool *sparse.VecPool) error {
-	n := chain.NumStates()
-	for k := range visits {
-		visits[k] = pool.Get(n)
-	}
-	buf := pool.Get(n)
-	defer func() { pool.Put(buf) }() // the swap buffer of the last step
-	for t := w.horizon; t > t0; t-- {
-		if err := ctx.Err(); err != nil {
-			for _, v := range visits {
-				pool.Put(v)
-			}
-			return err
-		}
-		if w.atTime(t) {
-			consumeVisit(visits, w)
-		}
-		// B_k(t-1) = M · B_k(t) for every k ≥ 1.
-		for k := range visits {
-			chain.StepBack(buf, visits[k])
-			visits[k], buf = buf, visits[k]
-		}
-	}
-	if w.atTime(t0) {
-		consumeVisit(visits, w)
-	}
-	return nil
-}
-
-// consumeVisit re-indexes B_1 … B_K at a query timestamp: a world
-// standing inside the window consumes one visit, so B_k[s ∈ S□] becomes
-// B_{k-1}[s], with B_0[s] = 1 − Σ_{k≥1} B_k[s] read off the others (and a
-// world inside the window cannot have zero visits from here on). Each
-// state moves top-down, so each level moves once.
-func consumeVisit(visits []*sparse.Vec, w *window) {
+// consumeVisit re-indexes B_1 … B_K (lanes 0 … K−1) at a query
+// timestamp: a world standing inside the window consumes one visit, so
+// B_k[s ∈ S□] becomes B_{k-1}[s], with B_0[s] = 1 − Σ_{k≥1} B_k[s] read
+// off the others (and a world inside the window cannot have zero visits
+// from here on).
+func consumeVisit(blk *laneBlock, w *window) {
 	w.eachRegionState(func(s int) {
+		row := blk.row(s)[:blk.k-1]
 		sum := 0.0
-		for _, v := range visits {
-			sum += v.At(s)
+		for _, x := range row {
+			sum += x
 		}
-		for k := len(visits) - 1; k >= 1; k-- {
-			visits[k].Set(s, visits[k-1].At(s))
-		}
-		visits[0].Set(s, max(0, 1-sum))
+		copy(row[1:], row)
+		row[0] = max(0, 1-sum)
 	})
 }

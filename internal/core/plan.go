@@ -241,89 +241,61 @@ func (prog *exprProg) constResult() float64 {
 // returns the 2^m scoring vectors S_b: entry s of S_b is the
 // probability that a world at state s at t0, having already accumulated
 // flag word b (events at t0 included), ends up accepted. Requires
-// t0 ≤ prog.horizon.
+// t0 ≤ prog.horizon. The 2^m lanes are one block (querybased.go), from
+// fpool (nil allowed).
 //
-// Lane b is held against its far value (querybased.go): the answer of a
-// world that never meets a small region, accept[b ∪ the atoms whose fire
-// region covers more than half of S and still have an event ahead]. It
-// changes only at such an atom's last event, whose gather rewrites the
-// lane anyway, so every lane lives on the backward reach of the small
+// Lane b is held against its far value: the answer of a world that
+// never meets a small region, accept[b ∪ the atoms whose fire region
+// covers more than half of S and still have an event ahead]. It changes
+// only at such an atom's last event, whose gather rewrites the lane
+// anyway, so every lane lives on the backward reach of the small
 // regions — the event states of exprEvent.
-func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, pool *sparse.VecPool) ([]*sparse.Vec, error) {
-	lanes, far, err := exprLanes(ctx, chain, prog, t0, pool)
-	if err != nil {
-		return nil, err
-	}
-	for b, v := range lanes {
-		if far[b] {
-			settleFar(v)
-		}
-	}
-	return lanes, nil
-}
-
-// exprLanes is exprBackward's sweep without the final materialization:
-// the lanes at t0 and which of them are held against the far value 1.
-func exprLanes(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, pool *sparse.VecPool) ([]*sparse.Vec, []bool, error) {
-	n := chain.NumStates()
+func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, fpool *sparse.FloatPool) ([]*sparse.Vec, error) {
 	nb := 1 << prog.m
-	cur := make([]*sparse.Vec, nb)
-	next := make([]*sparse.Vec, nb)
-	far := make([]bool, nb)
-	for b := range cur {
-		cur[b], next[b] = pool.Get(n), pool.Get(n)
-		far[b] = prog.accept[b]
-	}
-	gather := pool.Get(n)
-	defer pool.Put(gather)
-	release := func(vs []*sparse.Vec) {
-		for _, v := range vs {
-			pool.Put(v)
-		}
-	}
-
+	blk := newLaneBlock(chain.NumStates(), nb, fpool)
+	defer blk.release()
+	copy(blk.far, prog.accept)
+	mt := chain.Transposed()
+	from := make([]int, nb)
 	ahead := 0 // atoms covering most of S with an event after t
 	for t := prog.horizon; t > t0; t-- {
 		if err := ctx.Err(); err != nil {
-			release(cur)
-			release(next)
-			return nil, nil, err
+			return nil, err
 		}
-		ev := prog.events[t]
-		if ev == nil {
-			for b := range cur {
-				chain.StepBack(next[b], cur[b])
+		if ev := prog.events[t]; ev != nil {
+			// Gather the event re-indexing at time t: a world arriving at
+			// state s fires its word there, so its continuation comes from
+			// that member of the family. A typical state fires ev.base,
+			// and lane b|base is held against the same far value as the
+			// gathered lane b, so its offset carries over: the gather is a
+			// lane permutation plus the event states' rewrites.
+			ahead |= ev.base
+			for b := range from {
+				from[b] = b | ev.base
 			}
-			cur, next = next, cur
-			continue
-		}
-		// Gather the event re-indexing at time t: a world arriving at
-		// state s fires its word there, so its continuation comes from
-		// that member of the family. A typical state fires ev.base, and
-		// lane b|base is held against the same far value as the gathered
-		// lane, so its offset carries over; only the event states are
-		// rewritten.
-		ahead |= ev.base
-		for b := range cur {
-			farB := prog.accept[b|ahead]
-			gather.CopyFrom(cur[b|ev.base])
+			blk.permute(from)
 			for i, s := range ev.states {
-				src := b | ev.fired[i]
-				x := cur[src].At(s)
-				if far[src] != farB {
-					x = max(0, 1-x)
+				old, row := blk.prev(s), blk.row(s)
+				for b := range row {
+					src := b | ev.fired[i]
+					x := old[src]
+					if blk.far[src] != prog.accept[b|ahead] {
+						x = max(0, 1-x)
+					}
+					row[b] = x
 				}
-				gather.Set(s, x)
 			}
-			chain.StepBack(next[b], gather)
+			for b := range blk.far {
+				blk.far[b] = prog.accept[b|ahead]
+			}
 		}
-		for b := range far {
-			far[b] = prog.accept[b|ahead]
-		}
-		cur, next = next, cur
+		blk.stepBack(mt, nb)
 	}
-	release(next)
-	return cur, far, nil
+	family := make([]*sparse.Vec, nb)
+	for b := range family {
+		family[b] = blk.column(b)
+	}
+	return family, nil
 }
 
 // exprDot answers one object from a backward family: the initial mass
@@ -496,7 +468,7 @@ func (e *Engine) exprGroupKernel(grp chainGroup, plan *evalPlan) (*kern, error) 
 func (k *kern) exprScoresAt(ctx context.Context, t0 int) ([]*sparse.Vec, error) {
 	key := scoreKey{chain: k.chain, kind: kindExpr, sig: k.prog.sig, t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		family, ferr := exprBackward(ctx, k.chain, k.prog, t0, k.pool)
+		family, ferr := exprBackward(ctx, k.chain, k.prog, t0, k.fpool)
 		if ferr != nil {
 			return scoreValue{}, ferr
 		}

@@ -10,13 +10,13 @@ import (
 	"ust/internal/sparse"
 )
 
-// The query-based sweeps hold every lane against its far value
-// (querybased.go). The passes below are the historical dense sweeps:
-// the complement region pinned to 1 state by state, B_0 swept from all
-// ones, accepted flag words started as all-ones lanes, and every
-// backward step a row-major MatVec. They are the references the far-value
-// sweeps are held to: every vector entry within 1e-12, every answer
-// within 1e-9 of possible-worlds enumeration.
+// The query-based sweeps run their lanes as one block, each held against
+// its far value (querybased.go). The passes below are the historical
+// dense sweeps: the complement region pinned to 1 state by state, B_0
+// swept from all ones, accepted flag words started as all-ones lanes,
+// and every backward step a row-major MatVec. They are the references
+// the block sweeps are held to: every vector entry within 1e-12, every
+// answer within 1e-9 of possible-worlds enumeration.
 
 // hitScoresRef is the dense PST∃Q sweep: the region's states are pinned
 // to 1 whatever its size.
@@ -195,29 +195,23 @@ func sameVec(tb testing.TB, tag string, got, want *sparse.Vec, tol float64) {
 	}
 }
 
-// nonNegative fails unless every stored entry of a lane is ≥ 0.
-func nonNegative(tb testing.TB, tag string, lanes ...*sparse.Vec) {
+// inUnit fails unless every entry of a materialized lane is a
+// probability: at least 0, and above 1 by rounding only. A lane held
+// against the far value 1 settles to 1 − offset, so an entry well above
+// 1 is a negative stored offset.
+func inUnit(tb testing.TB, tag string, lanes ...*sparse.Vec) {
 	tb.Helper()
 	for i, v := range lanes {
-		v.Range(func(s int, x float64) {
-			if x < 0 {
-				tb.Fatalf("%s lane %d state %d: stored offset %v < 0", tag, i, s, x)
+		for s := 0; s < v.Len(); s++ {
+			if x := v.At(s); x < 0 || x > 1+1e-12 || math.IsNaN(x) {
+				tb.Fatalf("%s lane %d state %d: %v is not a probability", tag, i, s, x)
 			}
-		})
+		}
 	}
 }
 
-// settled is a materialized copy of a lane held against far.
-func settled(v *sparse.Vec, far bool) *sparse.Vec {
-	v = v.Clone()
-	if far {
-		settleFar(v)
-	}
-	return v
-}
-
-// checkQBCase holds the far-value sweeps of one case to the references
-// at every observation time up to the horizon (before, inside and at the
+// checkQBCase holds the block sweeps of one case to the references at
+// every observation time up to the horizon (before, inside and at the
 // end of the window), for the window and its complement, and every
 // query-based answer to possible-worlds enumeration.
 func checkQBCase(tb testing.TB, rng *rand.Rand, c qbCase) {
@@ -232,37 +226,34 @@ func checkQBCase(tb testing.TB, rng *rand.Rand, c qbCase) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	fpool := &sparse.FloatPool{}
 	for _, kw := range []*window{w, w.complemented()} {
 		for t0 := 0; t0 <= kw.horizon; t0++ {
-			lane, far, err := hitLane(ctx, c.chain, kw, t0, nil)
+			score, err := hitScores(ctx, c.chain, kw, t0, fpool)
 			if err != nil {
 				tb.Fatal(err)
 			}
-			nonNegative(tb, "exists", lane)
-			sameVec(tb, "exists", settled(lane, far), hitScoresRef(c.chain, kw, t0), 1e-12)
+			inUnit(tb, "exists", score)
+			sameVec(tb, "exists", score, hitScoresRef(c.chain, kw, t0), 1e-12)
 
-			visits := make([]*sparse.Vec, kw.k)
-			if err := visitLanes(ctx, c.chain, kw, t0, visits, nil); err != nil {
-				tb.Fatal(err)
-			}
-			nonNegative(tb, "ktimes", visits...)
-			backs, err := kTimesBackward(ctx, c.chain, kw, t0, nil)
+			backs, err := kTimesBackward(ctx, c.chain, kw, t0, fpool)
 			if err != nil {
 				tb.Fatal(err)
 			}
+			inUnit(tb, "ktimes", backs...)
 			for k, ref := range kTimesBackwardRef(c.chain, kw, t0) {
 				sameVec(tb, "ktimes", backs[k], ref, 1e-12)
 			}
 		}
 	}
 	for t0 := 0; t0 <= prog.horizon; t0++ {
-		lanes, far, err := exprLanes(ctx, c.chain, prog, t0, nil)
+		family, err := exprBackward(ctx, c.chain, prog, t0, fpool)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		nonNegative(tb, "expr", lanes...)
+		inUnit(tb, "expr", family...)
 		for b, ref := range exprBackwardRef(c.chain, prog, t0) {
-			sameVec(tb, "expr", settled(lanes[b], far[b]), ref, 1e-12)
+			sameVec(tb, "expr", family[b], ref, 1e-12)
 		}
 	}
 

@@ -12,7 +12,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -256,36 +255,6 @@ func (v *Vec) Range(fn func(i int, x float64)) {
 			fn(i, x)
 		}
 	}
-}
-
-// SortSupport orders a sparse-mode vector's support list ascending, so
-// that Range and VecMat visit its entries in the order they visit a
-// dense-mode vector's. A dense-mode vector is left as it is. seen is
-// scratch over v's dimension, empty on entry and again on return: the
-// sort marks the support in it and reads it back, O(|support| + span/64)
-// for a support spanning span ids, where a comparison sort would cost a
-// log factor per entry every step of a sweep.
-func (v *Vec) SortSupport(seen *Bitset) {
-	if v.dense || len(v.supp) < 2 {
-		return
-	}
-	if seen.n != len(v.data) {
-		panic(fmt.Sprintf("sparse: SortSupport scratch dimension %d != %d", seen.n, len(v.data)))
-	}
-	lo, hi := len(v.data), 0
-	for _, i := range v.supp {
-		seen.words[i>>6] |= 1 << (uint(i) & 63)
-		lo, hi = min(lo, i), max(hi, i)
-	}
-	out := v.supp[:0]
-	for wi := lo >> 6; wi <= hi>>6; wi++ {
-		w := seen.words[wi]
-		seen.words[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			out = append(out, wi<<6+bits.TrailingZeros64(w))
-		}
-	}
-	v.supp = out
 }
 
 // Support returns the indices of non-zero entries in ascending order.

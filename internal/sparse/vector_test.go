@@ -3,7 +3,6 @@ package sparse
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -151,28 +150,6 @@ func TestVecSupportSorted(t *testing.T) {
 		if got[k] != want[k] {
 			t.Fatalf("Support = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestVecSortSupportOrdersRange(t *testing.T) {
-	v := NewVec(200)
-	for _, i := range []int{170, 7, 2, 64, 9, 0, 63, 199} {
-		v.Set(i, float64(i+1))
-	}
-	seen := NewBitset(200)
-	v.SortSupport(seen)
-	if seen.Any() {
-		t.Fatal("SortSupport left its scratch set non-empty")
-	}
-	var got []int
-	v.Range(func(i int, x float64) {
-		if x != float64(i+1) {
-			t.Fatalf("entry %d = %g after SortSupport, want %d", i, x, i+1)
-		}
-		got = append(got, i)
-	})
-	if want := []int{0, 2, 7, 9, 63, 64, 170, 199}; !slices.Equal(got, want) {
-		t.Fatalf("Range order after SortSupport = %v, want %v", got, want)
 	}
 }
 
