@@ -32,6 +32,7 @@ staticcheck:
 # shard hash ring (determinism / balance / minimal movement), store image
 # and import-frame decoders, sweep-tier payload decoder, the query-based
 # sweeps against their dense references and possible-worlds enumeration,
+# batch evaluation against sequential evaluation (byte-identical results)
 # and the scan's filter gate against the ungated scan.
 # CI runs it after make ci.
 fuzz-smoke:
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSweepValue -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzQBSweeps -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEvaluateBatch -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFilterRefine -fuzztime 15s
 
 fmt-check:
@@ -141,9 +143,12 @@ bench:
 # and the load are gated on B/op too, where an object-sized copy per
 # write or an |S|-wide array per loaded pdf shows, and so are the
 # query-based sweeps, where a per-sweep |S|×K block or a per-chain table
-# of M^j·1 vectors would show. The three consumers of the one exact scan
-# loop — top-k, threshold and the count aggregate — are gated on
-# allocs/op, so the loop cannot start allocating per object.
+# of M^j·1 vectors would show; the sweeps are gated on allocs/op too, so
+# their lane block cannot start allocating per step, and the batched
+# evaluation on B/op, where an unpooled fused block shows. The three
+# consumers of the one exact scan loop — top-k, threshold and the count
+# aggregate — are gated on allocs/op, so the loop cannot start
+# allocating per object.
 # Missing baseline entries (fresh checkout, renamed benchmark) pass with
 # a notice.
 alloc-gate:
@@ -160,7 +165,10 @@ alloc-gate:
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped -gate-metric B/op < .gate.jsonl
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkQBSweep' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkQBSweep < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkQBSweep -gate-metric B/op < .gate.jsonl
+	@$(GO) test . -run '^$$' -bench 'BenchmarkEvaluateBatch/batched$$' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkEvaluateBatch/batched -gate-metric B/op < .gate.jsonl
 	@$(GO) test . -run '^$$' -bench 'BenchmarkFilterRefine|BenchmarkAggregateCount/engine$$' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkFilterRefineTopK < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkFilterRefineThreshold < .gate.jsonl

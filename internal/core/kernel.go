@@ -83,7 +83,9 @@ type kern struct {
 // memoEntry is one key of a kern's request-local memo: the key's fetch,
 // run once, its outcome shared by every caller.
 type memoEntry struct {
-	get func() (scoreValue, error)
+	once sync.Once
+	v    scoreValue
+	err  error
 }
 
 // fetch returns the payload for key, computing it at most once per
@@ -109,19 +111,19 @@ func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreVal
 		if k.local == nil {
 			k.local = map[scoreKey]*memoEntry{}
 		}
-		m = &memoEntry{get: sync.OnceValues(func() (scoreValue, error) { return k.load(ctx, key, compute) })}
+		m = &memoEntry{}
 		k.local[key] = m
 	}
 	k.mu.Unlock()
-	v, err := m.get()
-	if err != nil {
+	m.once.Do(func() { m.v, m.err = k.load(ctx, key, compute) })
+	if m.err != nil {
 		k.mu.Lock()
 		if k.local[key] == m {
 			delete(k.local, key)
 		}
 		k.mu.Unlock()
 	}
-	return v, err
+	return m.v, m.err
 }
 
 // load is fetch below the request-local memo: the board, the tier and
