@@ -25,10 +25,11 @@ import (
 //   - query-based: ONE backward sweep per (chain, observation time)
 //     producing 2^m scoring vectors — shared across all objects of the
 //     group through the score cache — then a flag-aware dot product per
-//     object. Each lane is held against its far value (querybased.go),
-//     so the sweep costs the backward reach of the atoms' small regions
-//     (a forall-atom's S□, an exists-atom's own region), not |S| per
-//     lane per step;
+//     object. The 2^m lanes are one lane block (querybased.go), so each
+//     step traverses the matrix once for all of them, and each lane is
+//     held against its far value, so the sweep costs the backward reach
+//     of the atoms' small regions (a forall-atom's S□, an exists-atom's
+//     own region), not |S| per lane per step;
 //   - object-based: one forward pass per object over the (lazily
 //     materialized) flag-indexed vector family, the direct analogue of
 //     the PSTkQ count-matrix pass in ktimes.go.
