@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ust/internal/core"
 	"ust/internal/markov"
@@ -225,5 +227,68 @@ func TestShardImportFailuresMetric(t *testing.T) {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestImportRepeatedColumnKeepsServing sends a worker a CRC-valid frame
+// whose inline own chain repeats a column in one row. The import fails
+// with ErrBadIngest anchored on store.ErrCorrupt, and the dataset keeps
+// serving: Info and a valid import still return. The call runs under a
+// recover, as an HTTP handler's would, so a decoder panic shows as the
+// lock it leaves behind.
+func TestImportRepeatedColumnKeepsServing(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	db := paperDB(t)
+	if err := svc.Create("d", db, nil); err != nil {
+		t.Fatal(err)
+	}
+	own := otherChain(t)
+	obj := core.MustObject(500, own, core.Observation{Time: 0, PDF: markov.PointDistribution(3, 1)})
+	good, err := store.NewFrameEncoder(db.DefaultChain()).Encode([]*core.Object{obj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain bytes.Buffer
+	if err := store.SaveChain(&chain, own); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(good, chain.Bytes()[16:chain.Len()-8]) // the own chain's CSR, inline
+	if at < 0 {
+		t.Fatal("own chain not inline in the frame")
+	}
+	// The CSR's columns follow rows, cols, the row count, three row
+	// lengths and the column count; the first row holds two columns.
+	cols := at + 8*(3+3+1)
+	bad := bytes.Clone(good)
+	copy(bad[cols+8:cols+16], bad[cols:cols+8])
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-8]))
+
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		err = svc.ImportObjects("d", 1, bad)
+	}()
+	if !errors.Is(err, ErrBadIngest) || !errors.Is(err, store.ErrCorrupt) {
+		t.Errorf("repeated column: %v, want ErrBadIngest anchored on store.ErrCorrupt", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		if _, err := svc.Info("d"); err != nil {
+			done <- err
+			return
+		}
+		done <- svc.ImportObjects("d", 1, good)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("after the refused frame: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dataset is still locked after the refused frame")
 	}
 }

@@ -494,8 +494,9 @@ func (s *Service) Observe(name string, objectID int, obs core.Observation) error
 	if err != nil {
 		return err
 	}
-	ds.mu.Lock()
 	err = func() error {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
 		o := ds.db.Get(objectID)
 		if o == nil {
 			return fmt.Errorf("%w: unknown object %d in dataset %q", ErrBadIngest, objectID, name)
@@ -513,7 +514,6 @@ func (s *Service) Observe(name string, objectID int, obs core.Observation) error
 		}
 		return nil
 	}()
-	ds.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -602,8 +602,9 @@ func (s *Service) ImportObjects(name string, gen uint64, image []byte) error {
 	}
 	start := time.Now()
 	objects := 0
-	ds.mu.Lock()
 	err = func() error {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
 		if ds.single == nil {
 			return fmt.Errorf("%w: dataset %q is sharded; workers import into unsharded datasets", ErrBadIngest, name)
 		}
@@ -637,7 +638,6 @@ func (s *Service) ImportObjects(name string, gen uint64, image []byte) error {
 		objects = batch.Len()
 		return nil
 	}()
-	ds.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -696,8 +696,9 @@ func (s *Service) EvictObjects(name string, gen uint64, ids []int) error {
 	if err != nil {
 		return err
 	}
-	ds.mu.Lock()
 	err = func() error {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
 		if ds.single == nil {
 			return fmt.Errorf("%w: dataset %q is sharded; workers evict from unsharded datasets", ErrBadIngest, name)
 		}
@@ -717,7 +718,6 @@ func (s *Service) EvictObjects(name string, gen uint64, ids []int) error {
 		ds.lastGen = gen
 		return nil
 	}()
-	ds.mu.Unlock()
 	if err != nil {
 		return err
 	}
