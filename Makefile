@@ -29,8 +29,9 @@ staticcheck:
 # decoders (response and factor set, stream line and update — each
 # differential against encoding/json), sparse builder/CSR invariants and
 # the VecMat/MatVec/CopyFrom kernels against their naive references,
-# shard hash ring (determinism / balance / minimal movement), store image
-# and import-frame decoders, sweep-tier payload decoder, the query-based
+# shard hash ring (determinism / balance / minimal movement), store image,
+# chain and import-frame decoders (each input also re-sealed with a valid
+# footer, so the section parser is reached), sweep-tier payload decoder, the query-based
 # sweeps against their dense references and possible-worlds enumeration,
 # batch evaluation against sequential evaluation (byte-identical results)
 # and the scan's filter gate against the ungated scan.
@@ -133,15 +134,17 @@ bench:
 	@rm -f .bench.jsonl
 
 # alloc-gate re-runs the ingest benchmark, the object-based scan
-# benchmark, the HTTP serving benchmark, the fleet write benchmark and
-# the mapped store load and fails ci when their allocs/op regress more
-# than 20% past the BENCH.json baseline — the single-copy WithObservation
-# + column-reuse ingest path, the pooled, clone-free forward pass, the
-# append-encoded, single-pass result codec, the coordinator's write path
-# (catalogue, no shadow database) and loaded pdfs that view their column
-# segment stay cheap by construction, not by convention. The write path
-# and the load are gated on B/op too, where an object-sized copy per
-# write or an |S|-wide array per loaded pdf shows, and so are the
+# benchmark, the HTTP serving benchmark, the fleet write benchmark, the
+# mapped store load and the store writers (database image and write
+# frame) and fails ci when their allocs/op regress more than 20% past the
+# BENCH.json baseline — the single-copy WithObservation + column-reuse
+# ingest path, the pooled, clone-free forward pass, the append-encoded,
+# single-pass result codec, the coordinator's write path (catalogue, no
+# shadow database), loaded pdfs that view their column segment and
+# images appended into one presized buffer stay cheap by construction,
+# not by convention. The write path, the load and the store writers are
+# gated on B/op too, where an object-sized copy per write, an |S|-wide
+# array per loaded pdf or a re-grown image buffer shows, and so are the
 # query-based sweeps, where a per-sweep |S|×K block or a per-chain table
 # of M^j·1 vectors would show; the sweeps are gated on allocs/op too, so
 # their lane block cannot start allocating per step, and the batched
@@ -164,6 +167,11 @@ alloc-gate:
 	@$(GO) test ./internal/store -run '^$$' -bench 'BenchmarkLoadDatabase/v2-mapped$$' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped -gate-metric B/op < .gate.jsonl
+	@$(GO) test ./internal/store -run '^$$' -bench 'BenchmarkSaveDatabase|BenchmarkEncodeFrame' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkSaveDatabase/v2 < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkSaveDatabase/v2 -gate-metric B/op < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkEncodeFrame < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkEncodeFrame -gate-metric B/op < .gate.jsonl
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkQBSweep' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkQBSweep < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkQBSweep -gate-metric B/op < .gate.jsonl

@@ -1,18 +1,17 @@
 // Command ustgen generates datasets — the synthetic workloads of the
 // paper's Table I or road-network-backed databases — and persists them
-// in the library's binary format (or JSON with -json).
+// in the library's binary store format, version 2.
 //
 // Usage:
 //
 //	ustgen -out data.ustd [-kind synthetic|munich|na]
 //	       [-objects N] [-states N] [-object-spread N] [-state-spread N]
-//	       [-max-step N] [-network-scale N] [-seed N] [-json] [-format v1|v2]
+//	       [-max-step N] [-network-scale N] [-seed N]
 //
-// -o is shorthand for -out; the emitted binary store format is exactly
-// what `ustserve -dataset name=file.ust` loads and what
-// `PUT /v1/datasets/{name}` accepts, so generated workloads feed the
-// server directly. A .json extension (or -json) selects the JSON
-// interchange form instead.
+// -o is shorthand for -out, which only names the file: whatever its
+// extension, the image is exactly what `ustserve -dataset name=file.ust`
+// loads and what `PUT /v1/datasets/{name}` accepts, so generated
+// workloads feed the server directly.
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 
 	"ust/internal/core"
 	"ust/internal/gen"
@@ -40,8 +38,6 @@ func main() {
 	maxStep := flag.Int("max-step", 40, "locality window (synthetic only)")
 	netScale := flag.Int("network-scale", 10, "divide network node/edge counts by this factor")
 	seed := flag.Int64("seed", 42, "generator seed")
-	asJSON := flag.Bool("json", false, "write JSON instead of binary")
-	format := flag.String("format", "v2", "binary store version: v2 (columnar, zero-copy loadable) or v1 (legacy row-oriented)")
 	flag.Parse()
 
 	if *out == "" {
@@ -76,17 +72,7 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	switch {
-	case *asJSON || strings.HasSuffix(*out, ".json"):
-		err = store.ExportJSON(f, db)
-	case *format == "v1":
-		err = store.SaveDatabaseV1(f, db)
-	case *format == "v2":
-		err = store.SaveDatabase(f, db)
-	default:
-		err = fmt.Errorf("unknown -format %q (v1 or v2)", *format)
-	}
-	if err != nil {
+	if err := store.SaveDatabase(f, db); err != nil {
 		fatal(err)
 	}
 	info, _ := f.Stat()

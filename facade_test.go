@@ -7,6 +7,8 @@ package ust_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -32,30 +34,51 @@ func facadeDB(t testing.TB) *ust.Database {
 	return db
 }
 
-func TestFacadePersistRoundTrip(t *testing.T) {
-	db := facadeDB(t)
-	var bin, js bytes.Buffer
-	if err := ust.SaveDatabase(&bin, db); err != nil {
+// storeFixture reads one of the store's golden images.
+func storeFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("internal", "store", "testdata", name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ust.ExportDatabaseJSON(&js, db); err != nil {
+	return data
+}
+
+// TestFacadePersistRoundTrip drives the facade's codec: a database and
+// a chain round-trip through the binary format, and the legacy forms —
+// the golden version-1 image and JSON document — load to the database
+// whose version-2 image is the golden v2.ustd.
+func TestFacadePersistRoundTrip(t *testing.T) {
+	db := facadeDB(t)
+	var bin bytes.Buffer
+	if err := ust.SaveDatabase(&bin, db); err != nil {
 		t.Fatal(err)
 	}
 	fromBin, err := ust.LoadDatabase(bytes.NewReader(bin.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, err := ust.ImportDatabaseJSON(bytes.NewReader(js.Bytes()))
+	q := ust.NewQuery([]int{0, 1}, []int{2, 3})
+	want := ask(t, ust.NewEngine(db, ust.Options{}), ust.PredicateExists, q)
+	if got := ask(t, ust.NewEngine(fromBin, ust.Options{}), ust.PredicateExists, q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("binary round-trip changed results: %+v vs %+v", got, want)
+	}
+
+	fromV1, err := ust.LoadDatabase(bytes.NewReader(storeFixture(t, "v1.ustd")))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	q := ust.NewQuery([]int{0, 1}, []int{2, 3})
-	want := ask(t, ust.NewEngine(db, ust.Options{}), ust.PredicateExists, q)
-	for name, loaded := range map[string]*ust.Database{"binary": fromBin, "json": fromJSON} {
-		got := ask(t, ust.NewEngine(loaded, ust.Options{}), ust.PredicateExists, q)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s round-trip changed results: %+v vs %+v", name, got, want)
+	fromJSON, err := ust.ImportDatabaseJSON(bytes.NewReader(storeFixture(t, "db.json")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, loaded := range map[string]*ust.Database{"v1": fromV1, "json": fromJSON} {
+		var again bytes.Buffer
+		if err := ust.SaveDatabase(&again, loaded); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), storeFixture(t, "v2.ustd")) {
+			t.Fatalf("the %s fixture does not load to the database of v2.ustd", name)
 		}
 	}
 

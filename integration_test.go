@@ -119,17 +119,29 @@ func TestEndToEndLifecycle(t *testing.T) {
 		}
 	}
 
-	// 6. JSON export of the mutated database round-trips.
-	var jbuf bytes.Buffer
-	if err := store.ExportJSON(&jbuf, reloaded); err != nil {
-		t.Fatalf("export: %v", err)
+	// 6. The mutated database, its new sighting included, round-trips
+	// through the store; the JSON interchange form still loads.
+	var saved bytes.Buffer
+	if err := store.SaveDatabase(&saved, reloaded); err != nil {
+		t.Fatalf("save: %v", err)
 	}
-	back, err := store.ImportJSON(&jbuf)
+	back, err := store.LoadDatabaseMapped(saved.Bytes())
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if back.Len() != reloaded.Len() || len(back.Get(target).Observations) != len(reloaded.Get(target).Observations) {
+		t.Errorf("store round trip lost objects or sightings: %d vs %d objects", back.Len(), reloaded.Len())
+	}
+	fromJSON, err := store.ImportJSON(bytes.NewReader(storeFixture(t, "db.json")))
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	if back.Len() != reloaded.Len() {
-		t.Errorf("JSON round trip lost objects: %d vs %d", back.Len(), reloaded.Len())
+	var again bytes.Buffer
+	if err := store.SaveDatabase(&again, fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), storeFixture(t, "v2.ustd")) {
+		t.Error("the JSON fixture does not load to the database of v2.ustd")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"ust/internal/core"
 	"ust/internal/gen"
+	"ust/internal/markov"
 )
 
 // benchParams is the load-benchmark corpus shape: |D|=1000 objects over
@@ -22,44 +23,17 @@ var benchParams = gen.Params{
 }
 
 // BenchmarkLoadDatabase compares the dataset load paths on the same
-// corpus: the JSON interchange decoder, the v1 binary reader, the v2
-// streaming reader, and the v2 zero-copy mapped decoder (the ustserve
-// upload path). The mapped/v2 ratio over v1-json is the store format's
-// headline acceptance number. v2-mapped-table1 loads the paper's
-// default scale with the mapped decoder.
+// version-2 image: the reader entry point, which copies the stream
+// first, and the zero-copy mapped decoder (the ustserve upload path).
+// v2-mapped-table1 loads the paper's default scale with the mapped
+// decoder.
 func BenchmarkLoadDatabase(b *testing.B) {
 	db := genDB(b, benchParams)
-	var jsonBuf, v1Buf, v2Buf bytes.Buffer
-	if err := ExportJSON(&jsonBuf, db); err != nil {
-		b.Fatal(err)
-	}
-	if err := SaveDatabaseV1(&v1Buf, db); err != nil {
-		b.Fatal(err)
-	}
+	var v2Buf bytes.Buffer
 	if err := SaveDatabase(&v2Buf, db); err != nil {
 		b.Fatal(err)
 	}
 
-	b.Run("v1-json", func(b *testing.B) {
-		data := jsonBuf.Bytes()
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ImportJSON(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v1-binary", func(b *testing.B) {
-		data := v1Buf.Bytes()
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := LoadDatabase(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("v2", func(b *testing.B) {
 		data := v2Buf.Bytes()
 		b.SetBytes(int64(len(data)))
@@ -101,20 +75,11 @@ func benchMapped(b *testing.B, data []byte) {
 	}
 }
 
-// BenchmarkSaveDatabase measures the two binary writers on the same
+// BenchmarkSaveDatabase measures the database writer on the load
 // corpus.
 func BenchmarkSaveDatabase(b *testing.B) {
 	db := genDB(b, benchParams)
 	var buf bytes.Buffer
-	b.Run("v1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := SaveDatabaseV1(&buf, db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("v2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -124,4 +89,32 @@ func BenchmarkSaveDatabase(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEncodeFrame encodes the frame a fleet_mixed write ships to
+// its worker: one object of the |S| = 10⁴ corpus holding its five-state
+// fix and a full-support sighting, the repo benchmark's observe op.
+func BenchmarkEncodeFrame(b *testing.B) {
+	ds := gen.MustGenerate(benchParams)
+	n := benchParams.NumStates
+	ids, weights := make([]int, n), make([]float64, n)
+	for i := range ids {
+		ids[i], weights[i] = i, 1
+	}
+	weights[n/2] = float64(n)
+	sighting, err := markov.WeightedOver(n, ids, weights)
+	if err != nil {
+		b.Fatal(err)
+	}
+	objs := []*core.Object{core.MustObject(0, nil,
+		core.Observation{Time: 0, PDF: ds.Objects[0]},
+		core.Observation{Time: 41, PDF: sighting})}
+	enc := NewFrameEncoder(ds.Chain)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.Encode(objs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -124,7 +124,7 @@ func TestFrameRejections(t *testing.T) {
 	// fingerprint, then |S|.
 	wrongStates := append([]byte(nil), frame...)
 	binary.LittleEndian.PutUint64(wrongStates[24:], uint64(def.NumStates()+1))
-	fixupCRC(wrongStates)
+	reseal(wrongStates)
 	if _, err := DecodeObjectFrame(wrongStates, resolverOf(def)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("|S| mismatch: %v, want ErrCorrupt", err)
 	}

@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ust/internal/core"
@@ -28,65 +30,93 @@ func decodeAlloc(decode func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzDecodeStoreV2 hammers the mapped decoder with arbitrary bytes,
-// seeded with valid v1 and v2 images and systematic truncations. The
-// contract: never panic, never allocate unboundedly; failures are
-// ErrCorrupt (or a clean unsupported-version error), and any input that
-// decodes successfully must re-encode successfully. Decoding allocates
+// resealed returns data as given and, when it is long enough to carry a
+// footer, a copy with guard and CRC rewritten: a fuzzer rarely finds a
+// valid checksum, so the re-sealed copy is what reaches the parser.
+func resealed(data []byte) [][]byte {
+	if len(data) < footerLen {
+		return [][]byte{data}
+	}
+	sealed := bytes.Clone(data)
+	reseal(sealed)
+	return [][]byte{data, sealed}
+}
+
+// inContract fails t unless err wraps one of allowed or is a clean
+// unsupported-version error.
+func inContract(t *testing.T, err error, allowed ...error) {
+	t.Helper()
+	for _, a := range allowed {
+		if errors.Is(err, a) {
+			return
+		}
+	}
+	if !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("decode error outside the contract: %v", err)
+	}
+}
+
+// decodeWithin runs decode and fails t if it allocated more than
+// decodeAllocLimit(data).
+func decodeWithin(t *testing.T, data []byte, decode func()) {
+	t.Helper()
+	if grew, limit := decodeAlloc(decode), decodeAllocLimit(data); grew > limit {
+		t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(data), grew, limit)
+	}
+}
+
+// FuzzDecodeStoreV2 hammers the mapped decoder and the chain reader with
+// arbitrary bytes, each input as given and re-sealed (see resealed),
+// seeded with valid v1 and v2 images, systematic truncations, and
+// CRC-valid images with a corrupt interior — one of them a chain row that
+// repeats a column. The contract: never panic, never allocate
+// unboundedly; failures are ErrCorrupt (or a clean unsupported-version
+// error), and whatever decodes must re-encode. Decoding allocates
 // within decodeAllocLimit.
 func FuzzDecodeStoreV2(f *testing.F) {
 	db := testDB(f)
-	var v2, v1 bytes.Buffer
-	if err := SaveDatabase(&v2, db); err != nil {
-		f.Fatal(err)
+	v2 := saveV2(f, db)
+	f.Add(v2)
+	f.Add(golden(f, "v1.ustd"))
+	for _, cut := range []int{0, 4, 12, 16, len(v2) / 2, len(v2) - 9, len(v2) - 1} {
+		f.Add(v2[:cut])
 	}
-	if err := SaveDatabaseV1(&v1, db); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
-	for _, cut := range []int{0, 4, 12, 16, len(v2.Bytes()) / 2, len(v2.Bytes()) - 9, len(v2.Bytes()) - 1} {
-		if cut >= 0 && cut <= v2.Len() {
-			f.Add(v2.Bytes()[:cut])
-		}
-	}
-	// A CRC-valid file with a corrupt interior exercises the parser
-	// (not just the checksum gate).
-	inner := append([]byte(nil), v2.Bytes()...)
-	if len(inner) > 40 {
-		inner[30] ^= 0xff
-		fixupCRC(inner)
-		f.Add(inner)
-	}
+	inner := bytes.Clone(v2)
+	inner[30] ^= 0xff
+	reseal(inner)
+	f.Add(inner)
+	f.Add(repeatColumn(f, v2, csrAt(f, v2, db.DefaultChain())))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var loaded *core.Database
-		var err error
-		if grew, limit := decodeAlloc(func() { loaded, err = LoadDatabaseMapped(data) }), decodeAllocLimit(data); grew > limit {
-			t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(data), grew, limit)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !bytes.Contains([]byte(err.Error()), []byte("unsupported version")) {
-				t.Fatalf("decode error outside the contract: %v", err)
+		for _, image := range resealed(data) {
+			var loaded *core.Database
+			var err error
+			decodeWithin(t, image, func() { loaded, err = LoadDatabaseMapped(image) })
+			if err != nil {
+				inContract(t, err, ErrCorrupt)
+			} else if err := SaveDatabase(io.Discard, loaded); err != nil {
+				t.Fatalf("decoded database failed to re-encode: %v", err)
 			}
-			return
-		}
-		var out bytes.Buffer
-		if err := SaveDatabase(&out, loaded); err != nil {
-			t.Fatalf("decoded database failed to re-encode: %v", err)
+			var chain *markov.Chain
+			decodeWithin(t, image, func() { chain, err = LoadChain(bytes.NewReader(image)) })
+			if err != nil {
+				inContract(t, err, ErrCorrupt)
+			} else if err := SaveChain(io.Discard, chain); err != nil {
+				t.Fatalf("decoded chain failed to re-encode: %v", err)
+			}
 		}
 	})
 }
 
 // FuzzDecodeObjectFrame hammers the frame decoder — what a worker runs
-// on every /import body — with arbitrary bytes against a receiver that
-// holds the default chain and one own chain. Seeds: frames with the own
-// chain inline and by reference, a full image, truncations, and
-// CRC-valid frames with a corrupt interior (so the section parser is
-// reached, not just the checksum gate). The contract: never panic;
-// failures are ErrCorrupt, ErrUnknownChain or a clean
-// unsupported-version error; whatever decodes re-encodes as a frame;
-// decoding allocates within decodeAllocLimit.
+// on every /import body — with arbitrary bytes, each input as given and
+// re-sealed, against a receiver that holds the default chain and one own
+// chain. Seeds: frames with the own chain inline and by reference, a
+// full image, truncations, and CRC-valid frames with a corrupt interior
+// (one of them an inline own chain whose row repeats a column). The
+// contract: never panic; failures are ErrCorrupt, ErrUnknownChain or a
+// clean unsupported-version error; whatever decodes re-encodes as a
+// frame; decoding allocates within decodeAllocLimit.
 func FuzzDecodeObjectFrame(f *testing.F) {
 	db := testDB(f) // object 7 carries its own chain
 	def, own := db.DefaultChain(), db.Get(7).Chain
@@ -106,28 +136,26 @@ func FuzzDecodeObjectFrame(f *testing.F) {
 		f.Add(byRef[:cut])
 	}
 	for at := 12; at < len(byRef)-8; at += 7 {
-		bad := append([]byte(nil), byRef...)
+		bad := bytes.Clone(byRef)
 		bad[at] ^= 0xff
-		fixupCRC(bad)
+		reseal(bad)
 		f.Add(bad)
 	}
+	f.Add(repeatColumn(f, inline, csrAt(f, inline, own)))
 	resolve := resolverOf(def, own)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got *core.Database
-		var err error
-		if grew, limit := decodeAlloc(func() { got, err = DecodeObjectFrame(data, resolve) }), decodeAllocLimit(data); grew > limit {
-			t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(data), grew, limit)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnknownChain) &&
-				!bytes.Contains([]byte(err.Error()), []byte("unsupported version")) {
-				t.Fatalf("decode error outside the contract: %v", err)
+		for _, image := range resealed(data) {
+			var got *core.Database
+			var err error
+			decodeWithin(t, image, func() { got, err = DecodeObjectFrame(image, resolve) })
+			if err != nil {
+				inContract(t, err, ErrCorrupt, ErrUnknownChain)
+				continue
 			}
-			return
-		}
-		if _, err := NewFrameEncoder(got.DefaultChain()).Encode(got.Objects()); err != nil {
-			t.Fatalf("decoded frame failed to re-encode: %v", err)
+			if _, err := NewFrameEncoder(got.DefaultChain()).Encode(got.Objects()); err != nil {
+				t.Fatalf("decoded frame failed to re-encode: %v", err)
+			}
 		}
 	})
 }

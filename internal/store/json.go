@@ -11,7 +11,7 @@ import (
 )
 
 // JSON interchange types. The JSON form is verbose but diffable and
-// readable by other tooling; the binary form is the storage format.
+// written by other tooling; the binary form is the storage format.
 
 // ChainJSON is the JSON shape of a transition matrix.
 type ChainJSON struct {
@@ -46,17 +46,6 @@ type DatabaseJSON struct {
 	Objects      []ObjectJSON `json:"objects"`
 }
 
-func chainToJSON(c *markov.Chain) ChainJSON {
-	out := ChainJSON{NumStates: c.NumStates()}
-	m := c.Matrix()
-	for i := 0; i < m.Rows(); i++ {
-		m.Row(i, func(j int, p float64) {
-			out.Transitions = append(out.Transitions, TransitionJSON{From: i, To: j, P: p})
-		})
-	}
-	return out
-}
-
 func chainFromJSON(cj ChainJSON) (*markov.Chain, error) {
 	if cj.NumStates < 1 {
 		return nil, fmt.Errorf("store: chain with %d states", cj.NumStates)
@@ -71,31 +60,9 @@ func chainFromJSON(cj ChainJSON) (*markov.Chain, error) {
 	return markov.NewChain(b.Build())
 }
 
-// ExportJSON writes the database as an indented JSON document.
-func ExportJSON(w io.Writer, db *core.Database) error {
-	doc := DatabaseJSON{DefaultChain: chainToJSON(db.DefaultChain())}
-	for _, o := range db.Objects() {
-		oj := ObjectJSON{ID: o.ID}
-		if o.Chain != nil {
-			cj := chainToJSON(o.Chain)
-			oj.Chain = &cj
-		}
-		for _, ob := range o.Observations {
-			obJSON := ObservationJSON{Time: ob.Time}
-			for _, s := range ob.PDF.Support() {
-				obJSON.States = append(obJSON.States, s)
-				obJSON.Probs = append(obJSON.Probs, ob.PDF.P(s))
-			}
-			oj.Observations = append(oj.Observations, obJSON)
-		}
-		doc.Objects = append(doc.Objects, oj)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// ImportJSON reads a document written by ExportJSON.
+// ImportJSON reads a JSON interchange document (DatabaseJSON). The store
+// writes only the binary form; the JSON reader stays for documents
+// written by earlier versions and by other tooling.
 func ImportJSON(r io.Reader) (*core.Database, error) {
 	var doc DatabaseJSON
 	dec := json.NewDecoder(r)

@@ -225,17 +225,18 @@ func TestBadMagicAndVersion(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTrip pins the JSON reader to the golden document: it
+// loads to the fixture database, whose version-2 image is the golden
+// v2.ustd.
 func TestJSONRoundTrip(t *testing.T) {
-	db := testDB(t)
-	var buf bytes.Buffer
-	if err := ExportJSON(&buf, db); err != nil {
-		t.Fatalf("ExportJSON: %v", err)
-	}
-	got, err := ImportJSON(&buf)
+	got, err := ImportJSON(bytes.NewReader(golden(t, "db.json")))
 	if err != nil {
 		t.Fatalf("ImportJSON: %v", err)
 	}
-	assertDatabasesEqual(t, db, got)
+	assertDatabasesEqual(t, fixtureDB(t), got)
+	if !bytes.Equal(saveV2(t, got), golden(t, "v2.ustd")) {
+		t.Fatal("the JSON document's database does not save to v2.ustd")
+	}
 }
 
 func TestJSONRejectsGarbage(t *testing.T) {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 
 	"ust/internal/core"
 	"ust/internal/markov"
-	"ust/internal/sparse"
 )
 
 // The version-2 columnar object section (tag OBC0). Layout:
@@ -87,27 +85,24 @@ func (e *FrameEncoder) Reset() { e.held = map[uint64]bool{e.def.Fingerprint(): t
 // database: their column segments are derived from the boxed pdfs, bit
 // for bit.
 func (e *FrameEncoder) Encode(objs []*core.Object) ([]byte, error) {
-	var buf bytes.Buffer
-	out := newWriter(&buf)
-	out.write(magic[:])
-	out.u32(formatVersion2)
-	out.u32(2)
-	out.write(tagChainRef[:])
-	out.write(chainRef(e.def))
 	segs := make([]core.ObsSeg, len(objs))
 	for i, o := range objs {
 		segs[i] = extractSeg(o)
 	}
+	out := newWriter(4+chainRefLen+columnarLen(objs, segs), formatVersion2, 2)
+	out.raw(tagChainRef[:])
+	out.chainRef(e.def)
 	writeColumnarSection(out, objs, segs, func(fp uint64) bool {
 		known := e.held[fp]
 		e.held[fp] = true
 		return known
 	})
-	if err := out.finish(); err != nil {
+	frame, err := out.finish()
+	if err != nil {
 		e.Reset() // held may name chains of a frame that never existed
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return frame, nil
 }
 
 // DecodeObjectFrame decodes a store image whose chains may travel by
@@ -120,31 +115,30 @@ func (e *FrameEncoder) Encode(objs []*core.Object) ([]byte, error) {
 // nil; that is LoadDatabaseMapped, whose aliasing contract applies here
 // too.
 func DecodeObjectFrame(data []byte, resolve func(fingerprint uint64) *markov.Chain) (*core.Database, error) {
-	version, sections, body, err := envelope(data)
-	if err != nil {
+	chains := &chainLookup{resolve: resolve}
+	version, s, err := readImage(data, chains)
+	switch {
+	case err != nil:
 		return nil, err
+	case s.chain == nil:
+		return nil, corrupt("no chain section")
+	case version == formatVersion:
+		db := core.NewDatabase(s.chain)
+		if s.rows != nil {
+			if err := s.rows(db); err != nil {
+				return nil, err
+			}
+		}
+		return db, nil
+	case s.cols == nil:
+		return nil, corrupt("no object section")
 	}
-	switch version {
-	case formatVersion:
-		return loadV1(newReader(bytes.NewReader(body[12:])), sections)
-	case formatVersion2:
-		return loadV2(body, sections, resolve)
-	default:
-		return nil, fmt.Errorf("store: unsupported version %d (supported: %d, %d)",
-			version, formatVersion, formatVersion2)
-	}
+	return decodeColumnar(s.cols, s.chain, chains)
 }
 
 // chainRefLen is the byte length of a chain reference: u64 fingerprint,
 // u64 |S|.
 const chainRefLen = 16
-
-func chainRef(c *markov.Chain) []byte {
-	ref := make([]byte, chainRefLen)
-	binary.LittleEndian.PutUint64(ref, c.Fingerprint())
-	binary.LittleEndian.PutUint64(ref[8:], uint64(c.NumStates()))
-	return ref
-}
 
 // chainLookup resolves chain references for one image: the caller's
 // resolver first (its chains are the receiver's canonical pointers),
@@ -154,9 +148,12 @@ type chainLookup struct {
 	inline  []*markov.Chain
 }
 
-func (l *chainLookup) deref(ref []byte) (*markov.Chain, error) {
-	fp := binary.LittleEndian.Uint64(ref)
-	states := binary.LittleEndian.Uint64(ref[8:])
+// deref reads a chain reference at c and returns the chain it names.
+func (l *chainLookup) deref(c *cursor) *markov.Chain {
+	fp, states := c.u64(), c.u64()
+	if c.err != nil {
+		return nil
+	}
 	var ch *markov.Chain
 	if l.resolve != nil {
 		ch = l.resolve(fp)
@@ -168,15 +165,30 @@ func (l *chainLookup) deref(ref []byte) (*markov.Chain, error) {
 	}
 	switch {
 	case ch == nil && l.resolve == nil:
-		return nil, fmt.Errorf("%w: self-contained image references chain %#x", ErrCorrupt, fp)
+		c.fail("self-contained image references chain %#x", fp)
 	case ch == nil:
-		return nil, fmt.Errorf("%w %#x", ErrUnknownChain, fp)
+		c.err = fmt.Errorf("%w %#x", ErrUnknownChain, fp)
+	case uint64(ch.NumStates()) != states:
+		c.fail("chain %#x referenced over %d states, held over %d", fp, states, ch.NumStates())
+	default:
+		return ch
 	}
-	if uint64(ch.NumStates()) != states {
-		return nil, fmt.Errorf("%w: chain %#x referenced over %d states, held over %d",
-			ErrCorrupt, fp, states, ch.NumStates())
+	return nil
+}
+
+// columnarLen bounds the length of the OBC0 section writeColumnarSection
+// emits for objs: fixed-width fields exactly, every varint at its widest
+// and every own chain inline.
+func columnarLen(objs []*core.Object, segs []core.ObsSeg) int {
+	n := 4 + 8 + 7*8 + 8 + 1 + 7 // tag, count, block lengths, chain count, pad
+	for i, o := range objs {
+		obs, supp := segs[i].Len(), len(segs[i].IDs)
+		n += binary.MaxVarintLen64*(2+2*obs+supp) + 8*supp
+		if o.Chain != nil {
+			n += binary.MaxVarintLen64 + 8 + max(csrLen(o.Chain.Matrix()), chainRefLen)
+		}
 	}
-	return ch, nil
+	return n
 }
 
 // writeColumnarSection emits the OBC0 section for objs, whose column
@@ -184,109 +196,94 @@ func (l *chainLookup) deref(ref []byte) (*markov.Chain, error) {
 // (a self-contained image); otherwise a chain whose fingerprint known
 // reports as held by the receiver is written as a reference.
 func writeColumnarSection(out *writer, objs []*core.Object, segs []core.ObsSeg, known func(uint64) bool) {
-	out.write(tagColumnar[:])
+	out.raw(tagColumnar[:])
 	out.u64(uint64(len(objs)))
 
 	// ids
-	out.block(func(b *writer) {
+	out.block(func() {
 		prev := int64(0)
 		for _, o := range objs {
-			b.svarint(int64(o.ID) - prev)
+			out.svarint(int64(o.ID) - prev)
 			prev = int64(o.ID)
 		}
 	})
 	// counts
-	out.block(func(b *writer) {
+	out.block(func() {
 		for _, o := range objs {
-			b.uvarint(uint64(len(o.Observations)))
+			out.uvarint(uint64(len(o.Observations)))
 		}
 	})
 	// times
-	out.block(func(b *writer) {
+	out.block(func() {
 		for _, o := range objs {
-			prev := int64(0)
-			for k, ob := range o.Observations {
+			prev := 0
+			for _, ob := range o.Observations {
 				if ob.Time > math.MaxInt32 {
-					b.err = fmt.Errorf("store: object %d observation time %d overflows the v2 format", o.ID, ob.Time)
+					out.err = fmt.Errorf("store: object %d observation time %d overflows the v2 format", o.ID, ob.Time)
 					return
 				}
-				if k == 0 {
-					b.uvarint(uint64(ob.Time))
-				} else {
-					b.uvarint(uint64(int64(ob.Time) - prev))
-				}
-				prev = int64(ob.Time)
+				out.uvarint(uint64(ob.Time - prev))
+				prev = ob.Time
 			}
 		}
 	})
 	// lens
-	out.block(func(b *writer) {
+	out.block(func() {
 		for _, seg := range segs {
 			for k := 0; k < seg.Len(); k++ {
-				b.uvarint(uint64(seg.Off[k+1] - seg.Off[k]))
+				out.uvarint(uint64(seg.Off[k+1] - seg.Off[k]))
 			}
 		}
 	})
 	// states
-	out.block(func(b *writer) {
+	out.block(func() {
 		for _, seg := range segs {
 			for k := 0; k < seg.Len(); k++ {
 				ids, _ := seg.Supp(k)
-				prev := int64(0)
-				for j, s := range ids {
-					if j == 0 {
-						b.uvarint(uint64(s))
-					} else {
-						b.uvarint(uint64(int64(s) - prev))
-					}
-					prev = int64(s)
+				prev := int32(0)
+				for _, s := range ids {
+					out.uvarint(uint64(s - prev))
+					prev = s
 				}
 			}
 		}
 	})
 	// chains
-	out.block(func(b *writer) {
+	out.block(func() {
 		count := 0
 		for _, o := range objs {
 			if o.Chain != nil {
 				count++
 			}
 		}
-		b.u64(uint64(count))
+		out.u64(uint64(count))
 		for i, o := range objs {
 			if o.Chain == nil {
 				continue
 			}
-			var payload []byte
-			if known != nil && known(o.Chain.Fingerprint()) {
-				payload = chainRef(o.Chain)
-			} else if payload, b.err = csrBytes(o.Chain.Matrix()); b.err != nil {
-				return
-			}
-			b.uvarint(uint64(i))
-			b.u64(uint64(len(payload)))
-			b.write(payload)
+			out.uvarint(uint64(i))
+			out.block(func() {
+				if known != nil && known(o.Chain.Fingerprint()) {
+					out.chainRef(o.Chain)
+				} else {
+					writeCSR(out, o.Chain.Matrix())
+				}
+			})
 		}
 	})
 	// probs: padded so the float column lands on an 8-aligned file
-	// offset. The pad is computed against the writer's running offset —
-	// everything before this block has variable (varint) length.
+	// offset — everything before this block has variable (varint) length.
 	total := 0
 	for _, seg := range segs {
 		total += len(seg.Probs)
 	}
-	padStart := out.offset() + 8 + 1 // length prefix + padLen byte
-	padLen := int((8 - padStart%8) % 8)
+	padLen := (8 - (len(out.buf)+8+1)%8) % 8 // after the length prefix and padLen byte
 	out.u64(uint64(1 + padLen + 8*total))
-	out.u8(byte(padLen))
-	if padLen > 0 {
-		out.write(make([]byte, padLen))
-	}
-	var scratch [8]byte
+	out.raw([]byte{byte(padLen)})
+	out.raw(make([]byte, padLen))
 	for _, seg := range segs {
 		for _, p := range seg.Probs {
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(p))
-			out.write(scratch[:])
+			out.f64(p)
 		}
 	}
 }
@@ -312,9 +309,15 @@ func segments(db *core.Database) []core.ObsSeg {
 // writer's path for objects without a current plane entry (every object
 // of a frame: frames are encoded without a database).
 func extractSeg(o *core.Object) core.ObsSeg {
+	supp := 0
+	for _, ob := range o.Observations {
+		supp += ob.PDF.NNZ()
+	}
 	seg := core.ObsSeg{
 		Times: make([]int32, len(o.Observations)),
 		Off:   make([]int32, len(o.Observations)+1),
+		IDs:   make([]int32, 0, supp),
+		Probs: make([]float64, 0, supp),
 	}
 	for k, ob := range o.Observations {
 		seg.Times[k] = int32(ob.Time)
@@ -324,187 +327,25 @@ func extractSeg(o *core.Object) core.ObsSeg {
 	return seg
 }
 
-// csrBytes encodes a CSR matrix standalone (for the per-object chain
-// entries, which need a byte-length prefix).
-func csrBytes(m *sparse.CSR) ([]byte, error) {
-	var buf bytes.Buffer
-	sub := newWriter(&buf)
-	writeCSR(sub, m)
-	if sub.err != nil {
-		return nil, sub.err
-	}
-	if err := sub.w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// byteCursor walks one decoded block.
-type byteCursor struct {
-	b   []byte
-	pos int
-}
-
-func (c *byteCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *byteCursor) svarint() (int64, error) {
-	v, n := binary.Varint(c.b[c.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *byteCursor) u64() (uint64, error) {
-	if len(c.b)-c.pos < 8 {
-		return 0, fmt.Errorf("%w: truncated block", ErrCorrupt)
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.pos:])
-	c.pos += 8
-	return v, nil
-}
-
-func (c *byteCursor) take(n int) ([]byte, error) {
-	if n < 0 || len(c.b)-c.pos < n {
-		return nil, fmt.Errorf("%w: truncated block", ErrCorrupt)
-	}
-	out := c.b[c.pos : c.pos+n]
-	c.pos += n
-	return out, nil
-}
-
-func (c *byteCursor) mustEnd() error {
-	if c.pos != len(c.b) {
-		return fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, len(c.b)-c.pos)
-	}
-	return nil
-}
-
-// v2Decoder walks the body slice with file-absolute offsets (needed for
-// the probability column's alignment contract).
-type v2Decoder struct {
-	body []byte
-	off  int
-}
-
-func (d *v2Decoder) take(n int) ([]byte, error) {
-	if n < 0 || len(d.body)-d.off < n {
-		return nil, fmt.Errorf("%w: truncated section", ErrCorrupt)
-	}
-	out := d.body[d.off : d.off+n]
-	d.off += n
-	return out, nil
-}
-
-func (d *v2Decoder) u64() (uint64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// block reads a u64 length prefix and returns the payload slice plus the
-// file offset of its first byte.
-func (d *v2Decoder) block() ([]byte, int, error) {
-	n, err := d.u64()
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > uint64(len(d.body)-d.off) {
-		return nil, 0, fmt.Errorf("%w: block length %d exceeds file", ErrCorrupt, n)
-	}
-	start := d.off
-	payload, err := d.take(int(n))
-	return payload, start, err
-}
-
-// columnarBlocks is the skimmed (not yet decoded) OBC0 section.
+// columnarBlocks is the skimmed (not yet decoded) OBC0 section: a
+// cursor over each block.
 type columnarBlocks struct {
-	count                                 uint64
-	ids, counts, times, lens, states, chs []byte
-	probs                                 []byte
-	probsOff                              int
+	count                                    uint64
+	ids, counts, times, lens, states, chains cursor
+	probs                                    cursor
 }
 
-// skimColumnar slices the OBC0 blocks out of the body without
+// skimColumnar slices the OBC0 blocks out of the section without
 // interpreting them — decoding waits until the chain section is known.
-func skimColumnar(d *v2Decoder) (*columnarBlocks, error) {
-	var cb columnarBlocks
-	var err error
-	if cb.count, err = d.u64(); err != nil {
-		return nil, err
+func skimColumnar(c *cursor) *columnarBlocks {
+	cb := &columnarBlocks{count: c.u64()}
+	if c.err == nil && cb.count > maxSliceLen {
+		c.fail("object count %d", cb.count)
 	}
-	if cb.count > maxSliceLen {
-		return nil, fmt.Errorf("%w: object count %d", ErrCorrupt, cb.count)
+	for _, b := range []*cursor{&cb.ids, &cb.counts, &cb.times, &cb.lens, &cb.states, &cb.chains, &cb.probs} {
+		*b = c.block()
 	}
-	for _, dst := range []*[]byte{&cb.ids, &cb.counts, &cb.times, &cb.lens, &cb.states, &cb.chs} {
-		if *dst, _, err = d.block(); err != nil {
-			return nil, err
-		}
-	}
-	if cb.probs, cb.probsOff, err = d.block(); err != nil {
-		return nil, err
-	}
-	return &cb, nil
-}
-
-// loadV2 decodes a version-2 body.
-func loadV2(body []byte, sections uint32, resolve func(uint64) *markov.Chain) (*core.Database, error) {
-	d := &v2Decoder{body: body, off: 12}
-	chains := &chainLookup{resolve: resolve}
-	var chain *markov.Chain
-	var cb *columnarBlocks
-	for i := uint32(0); i < sections; i++ {
-		tag, err := d.take(4)
-		if err != nil {
-			return nil, err
-		}
-		switch *(*[4]byte)(tag) {
-		case tagChain:
-			br := bytes.NewReader(body[d.off:])
-			before := br.Len()
-			c, err := readChain(newRawReader(br))
-			if err != nil {
-				return nil, err
-			}
-			chain = c
-			chains.inline = append(chains.inline, c)
-			d.off += before - br.Len()
-		case tagChainRef:
-			ref, err := d.take(chainRefLen)
-			if err != nil {
-				return nil, err
-			}
-			if chain, err = chains.deref(ref); err != nil {
-				return nil, err
-			}
-		case tagColumnar:
-			if cb, err = skimColumnar(d); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("%w: unexpected section %q", ErrCorrupt, tag)
-		}
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: trailing bytes after last section", ErrCorrupt)
-	}
-	if chain == nil {
-		return nil, fmt.Errorf("%w: no chain section", ErrCorrupt)
-	}
-	if cb == nil {
-		return nil, fmt.Errorf("%w: no object section", ErrCorrupt)
-	}
-	return decodeColumnar(cb, chain, chains)
+	return cb
 }
 
 // decodeColumnar materializes the database from skimmed blocks: shared
@@ -517,151 +358,115 @@ func loadV2(body []byte, sections uint32, resolve func(uint64) *markov.Chain) (*
 // against the block lengths before anything is allocated: what a corrupt
 // image can make the decoder allocate is linear in its length.
 func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup) (*core.Database, error) {
-	if cb.count > uint64(len(cb.ids)) || cb.count > uint64(len(cb.counts)) {
-		return nil, fmt.Errorf("%w: %d objects in %d id bytes", ErrCorrupt, cb.count, len(cb.ids))
+	if cb.count > uint64(cb.ids.left()) || cb.count > uint64(cb.counts.left()) {
+		return nil, corrupt("%d objects in %d id bytes", cb.count, cb.ids.left())
 	}
 	n := int(cb.count)
 
 	// Object ids.
 	ids := make([]int, n)
-	cur := byteCursor{b: cb.ids}
+	c := &cb.ids
 	prev := int64(0)
 	for i := range ids {
-		d, err := cur.svarint()
-		if err != nil {
-			return nil, err
-		}
-		prev += d
+		prev += c.svarint()
 		ids[i] = int(prev)
 	}
-	if err := cur.mustEnd(); err != nil {
-		return nil, err
+	if c.end(); c.err != nil {
+		return nil, c.err
 	}
 
 	// Observation counts.
 	counts := make([]int, n)
 	totalObs := 0
-	cur = byteCursor{b: cb.counts}
+	c = &cb.counts
 	for i := range counts {
-		v, err := cur.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 || v > maxSliceLen {
-			return nil, fmt.Errorf("%w: object %d has %d observations", ErrCorrupt, ids[i], v)
+		v := c.uvarint()
+		if c.err == nil && (v == 0 || v > maxSliceLen) {
+			c.fail("object %d has %d observations", ids[i], v)
 		}
 		counts[i] = int(v)
 		totalObs += int(v)
 	}
-	if err := cur.mustEnd(); err != nil {
-		return nil, err
+	if c.end(); c.err != nil {
+		return nil, c.err
 	}
-	if totalObs > len(cb.times) || totalObs > len(cb.lens) {
-		return nil, fmt.Errorf("%w: %d observations in %d time bytes", ErrCorrupt, totalObs, len(cb.times))
+	if totalObs > cb.times.left() || totalObs > cb.lens.left() {
+		return nil, corrupt("%d observations in %d time bytes", totalObs, cb.times.left())
 	}
 
 	// Own chains (decoded before state ids: they set the per-object
 	// state-space bound).
 	ownChains := map[int]*markov.Chain{}
-	cur = byteCursor{b: cb.chs}
-	nChains, err := cur.u64()
-	if err != nil {
-		return nil, err
+	c = &cb.chains
+	nChains := c.u64()
+	if c.err == nil && nChains > cb.count {
+		c.fail("%d own chains for %d objects", nChains, cb.count)
 	}
-	if nChains > cb.count {
-		return nil, fmt.Errorf("%w: %d own chains for %d objects", ErrCorrupt, nChains, cb.count)
-	}
-	for c := uint64(0); c < nChains; c++ {
-		idx, err := cur.uvarint()
-		if err != nil {
-			return nil, err
+	for k := uint64(0); k < nChains && c.err == nil; k++ {
+		idx := c.uvarint()
+		if c.err == nil && idx >= cb.count {
+			c.fail("chain for object index %d of %d", idx, cb.count)
 		}
-		if idx >= cb.count {
-			return nil, fmt.Errorf("%w: chain for object index %d of %d", ErrCorrupt, idx, cb.count)
+		payload := c.block()
+		var ch *markov.Chain
+		if payload.left() == chainRefLen {
+			ch = chains.deref(&payload)
+		} else if ch = readChain(&payload); ch != nil {
+			chains.inline = append(chains.inline, ch)
 		}
-		clen, err := cur.u64()
-		if err != nil {
-			return nil, err
-		}
-		payload, err := cur.take(int(clen))
-		if err != nil {
-			return nil, err
-		}
-		if clen == chainRefLen {
-			if ownChains[int(idx)], err = chains.deref(payload); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		br := bytes.NewReader(payload)
-		ch, err := readChain(newRawReader(br))
-		if err != nil {
-			return nil, err
-		}
-		if br.Len() != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes after chain", ErrCorrupt, br.Len())
+		if payload.end(); payload.err != nil {
+			return nil, payload.err
 		}
 		ownChains[int(idx)] = ch
-		chains.inline = append(chains.inline, ch)
 	}
-	if err := cur.mustEnd(); err != nil {
-		return nil, err
+	if c.end(); c.err != nil {
+		return nil, c.err
 	}
 
 	// Observation times, delta-decoded into one arena.
 	timesArena := make([]int32, totalObs)
-	cur = byteCursor{b: cb.times}
+	c = &cb.times
 	pos := 0
 	for i := 0; i < n; i++ {
 		t := uint64(0)
 		for k := 0; k < counts[i]; k++ {
-			d, err := cur.uvarint()
-			if err != nil {
-				return nil, err
+			d := c.uvarint()
+			if c.err == nil && d > math.MaxInt32-t {
+				c.fail("observation time %d past %d", d, math.MaxInt32-t)
 			}
-			if k == 0 {
-				t = d
-			} else {
-				t += d
-			}
-			if t > math.MaxInt32 {
-				return nil, fmt.Errorf("%w: observation time %d", ErrCorrupt, t)
-			}
+			t += d
 			timesArena[pos] = int32(t)
 			pos++
 		}
 	}
-	if err := cur.mustEnd(); err != nil {
-		return nil, err
+	if c.end(); c.err != nil {
+		return nil, c.err
 	}
 
 	// Support lengths and per-object offset arenas.
 	lens := make([]int32, totalObs)
 	offArena := make([]int32, totalObs+n)
 	totalSupp := 0
-	cur = byteCursor{b: cb.lens}
+	c = &cb.lens
 	for i := range lens {
-		v, err := cur.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 || v > maxSliceLen {
-			return nil, fmt.Errorf("%w: observation support %d", ErrCorrupt, v)
+		v := c.uvarint()
+		if c.err == nil && (v == 0 || v > maxSliceLen) {
+			c.fail("observation support %d", v)
 		}
 		lens[i] = int32(v)
 		totalSupp += int(v)
 	}
-	if err := cur.mustEnd(); err != nil {
-		return nil, err
+	if c.end(); c.err != nil {
+		return nil, c.err
 	}
-	if totalSupp > len(cb.states) || 8*totalSupp >= len(cb.probs) {
-		return nil, fmt.Errorf("%w: %d support entries in %d state bytes", ErrCorrupt, totalSupp, len(cb.states))
+	if totalSupp > cb.states.left() || 8*totalSupp >= cb.probs.left() {
+		return nil, corrupt("%d support entries in %d state bytes", totalSupp, cb.states.left())
 	}
 
 	// Support state ids, delta-decoded and range-checked against each
 	// object's effective state space.
 	idArena := make([]int32, totalSupp)
-	cur = byteCursor{b: cb.states}
+	c = &cb.states
 	pos = 0
 	obsIdx := 0
 	for i := 0; i < n; i++ {
@@ -672,43 +477,37 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 		for k := 0; k < counts[i]; k++ {
 			s := uint64(0)
 			for j := int32(0); j < lens[obsIdx]; j++ {
-				d, err := cur.uvarint()
-				if err != nil {
-					return nil, err
+				d := c.uvarint()
+				switch {
+				case c.err != nil:
+				case j > 0 && d == 0:
+					c.fail("duplicate support state")
+				case d >= uint64(states)-s:
+					c.fail("state %d + %d outside %d", s, d, states)
 				}
-				if j == 0 {
-					s = d
-				} else {
-					if d == 0 {
-						return nil, fmt.Errorf("%w: duplicate support state", ErrCorrupt)
-					}
-					s += d
-				}
-				if s >= uint64(states) {
-					return nil, fmt.Errorf("%w: state %d outside %d", ErrCorrupt, s, states)
-				}
+				s += d
 				idArena[pos] = int32(s)
 				pos++
 			}
 			obsIdx++
 		}
 	}
-	if err := cur.mustEnd(); err != nil {
-		return nil, err
+	if c.end(); c.err != nil {
+		return nil, c.err
 	}
 
 	// The probability column: pad, then raw little-endian float64s.
 	// Adopt the file bytes zero-copy when the column is 8-aligned in
 	// memory and the host is little-endian; decode-copy otherwise.
-	if len(cb.probs) < 1 {
-		return nil, fmt.Errorf("%w: empty probability block", ErrCorrupt)
+	c = &cb.probs
+	var raw []byte
+	if pad := c.take(1); pad != nil {
+		c.take(int(pad[0]))
+		raw = c.take(8 * totalSupp)
 	}
-	padLen := int(cb.probs[0])
-	if len(cb.probs) != 1+padLen+8*totalSupp {
-		return nil, fmt.Errorf("%w: probability block %d bytes, want %d",
-			ErrCorrupt, len(cb.probs), 1+padLen+8*totalSupp)
+	if c.end(); c.err != nil {
+		return nil, c.err
 	}
-	raw := cb.probs[1+padLen:]
 	var probs []float64
 	if totalSupp == 0 {
 		probs = nil
@@ -722,7 +521,7 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 	}
 	for _, p := range probs {
 		if !(p > 0) || math.IsInf(p, 0) {
-			return nil, fmt.Errorf("%w: non-positive observation probability %g", ErrCorrupt, p)
+			return nil, corrupt("non-positive observation probability %g", p)
 		}
 	}
 
@@ -772,10 +571,10 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 	for _, rec := range recs {
 		o, err := core.NewObjectSorted(rec.id, rec.chain, rec.obs)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return nil, corrupt("%v", err)
 		}
 		if err := db.Add(o); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return nil, corrupt("%v", err)
 		}
 	}
 	return db, nil

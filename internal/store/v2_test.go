@@ -15,10 +15,49 @@ import (
 	"ust/internal/sparse"
 )
 
-// fixupCRC recomputes a test-mutated file's footer CRC so the mutation
-// reaches the parser instead of the checksum gate.
-func fixupCRC(data []byte) {
+// reseal rewrites a test-mutated image's footer guard and CRC in place,
+// so the mutation reaches the parser instead of the checksum gate.
+func reseal(data []byte) {
+	binary.LittleEndian.PutUint32(data[len(data)-8:], footerGuard)
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-8]))
+}
+
+// csrAt returns the offset in image of chain c's CSR encoding.
+func csrAt(t testing.TB, image []byte, c *markov.Chain) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveChain(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	csr := buf.Bytes()[headerLen+4 : buf.Len()-footerLen]
+	at := bytes.Index(image, csr)
+	if at < 0 {
+		t.Fatal("chain not found in the image")
+	}
+	return at
+}
+
+// repeatColumn returns a re-sealed copy of image in which the CSR at
+// off repeats a column: the first row with two entries gets its first
+// column twice. Every writer emits strictly ascending columns, so every
+// decoder must refuse it.
+func repeatColumn(t testing.TB, image []byte, off int) []byte {
+	t.Helper()
+	out := bytes.Clone(image)
+	rows := int(binary.LittleEndian.Uint64(out[off:]))
+	lens := off + 24        // after rows, cols and the row count
+	at := lens + 8*rows + 8 // after the row lengths and the column count
+	for i := 0; i < rows; i++ {
+		l := int(binary.LittleEndian.Uint64(out[lens+8*i:]))
+		if l >= 2 {
+			copy(out[at+8:at+16], out[at:at+8])
+			reseal(out)
+			return out
+		}
+		at += 8 * l
+	}
+	t.Fatal("no chain row with two entries")
+	return nil
 }
 
 // genDB builds a database from a synthetic dataset, upgrading every
@@ -94,74 +133,52 @@ func TestV2RoundTripByteIdentical(t *testing.T) {
 	}
 }
 
-// TestV1CrossReadByteIdentical pins backward compatibility: a v1 file
-// loads through the new reader, and re-saving it as v1 reproduces the
-// original bytes exactly.
+// TestV1CrossReadByteIdentical pins backward compatibility: the golden
+// version-1 image loads, through either entry point, to the database
+// whose version-2 image is the golden v2.ustd byte for byte.
 func TestV1CrossReadByteIdentical(t *testing.T) {
-	db := testDB(t)
-	var v1 bytes.Buffer
-	if err := SaveDatabaseV1(&v1, db); err != nil {
-		t.Fatalf("SaveDatabaseV1: %v", err)
-	}
-	loaded, err := LoadDatabase(bytes.NewReader(v1.Bytes()))
+	v1 := golden(t, "v1.ustd")
+	loaded, err := LoadDatabase(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatalf("LoadDatabase(v1): %v", err)
 	}
-	var again bytes.Buffer
-	if err := SaveDatabaseV1(&again, loaded); err != nil {
-		t.Fatalf("re-save v1: %v", err)
-	}
-	if !bytes.Equal(v1.Bytes(), again.Bytes()) {
-		t.Fatal("v1 load → v1 save not byte-identical")
-	}
-
-	// And the mapped entry point accepts v1 images too.
-	if _, err := LoadDatabaseMapped(v1.Bytes()); err != nil {
+	mapped, err := LoadDatabaseMapped(v1)
+	if err != nil {
 		t.Fatalf("LoadDatabaseMapped(v1): %v", err)
+	}
+	for name, db := range map[string]*core.Database{"LoadDatabase": loaded, "LoadDatabaseMapped": mapped} {
+		if !bytes.Equal(saveV2(t, db), golden(t, "v2.ustd")) {
+			t.Fatalf("%s: the v1 image's database does not save to v2.ustd", name)
+		}
 	}
 }
 
-// TestV2MatchesV1Semantics loads the same database through both formats
-// and compares every observation pdf value and chain entry.
+// TestV2MatchesV1Semantics loads the golden version-1 and version-2
+// images of one database and compares every observation pdf value, bit
+// for bit, and every own chain entry.
 func TestV2MatchesV1Semantics(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		p := gen.Params{NumObjects: 8, NumStates: 40, ObjectSpread: 3, StateSpread: 4, MaxStep: 10, Seed: seed}
-		wantDB := genDB(t, p)
-		v2 := saveV2(t, wantDB)
-		got, err := LoadDatabaseMapped(v2)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	v1, err := LoadDatabaseMapped(golden(t, "v1.ustd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadDatabaseMapped(golden(t, "v2.ustd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameObjects(t, got, v1.Objects())
+	for _, want := range v1.Objects() {
+		o := got.Get(want.ID)
+		if (o.Chain == nil) != (want.Chain == nil) || o.Chain != nil && !o.Chain.Matrix().Equal(want.Chain.Matrix(), 0) {
+			t.Fatalf("object %d: own chain differs", want.ID)
 		}
-		if got.Len() != wantDB.Len() {
-			t.Fatalf("seed %d: %d objects, want %d", seed, got.Len(), wantDB.Len())
+		// The column plane must be pre-seeded and claimed.
+		seg, ok := got.Columns().Segment(want.ID)
+		if !ok || seg.Len() != len(want.Observations) {
+			t.Fatalf("object %d plane segment missing or wrong length", want.ID)
 		}
-		for _, want := range wantDB.Objects() {
-			o := got.Get(want.ID)
-			if o == nil {
-				t.Fatalf("seed %d: object %d missing", seed, want.ID)
-			}
-			if len(o.Observations) != len(want.Observations) {
-				t.Fatalf("seed %d: object %d has %d observations, want %d",
-					seed, want.ID, len(o.Observations), len(want.Observations))
-			}
-			for k, ob := range o.Observations {
-				wb := want.Observations[k]
-				if ob.Time != wb.Time {
-					t.Fatalf("seed %d: object %d obs %d time %d, want %d", seed, want.ID, k, ob.Time, wb.Time)
-				}
-				for _, s := range wb.PDF.Support() {
-					if ob.PDF.P(s) != wb.PDF.P(s) {
-						t.Fatalf("seed %d: object %d obs %d state %d: %g, want %g",
-							seed, want.ID, k, s, ob.PDF.P(s), wb.PDF.P(s))
-					}
-				}
-			}
-			// The column plane must be pre-seeded and claimed.
-			seg, ok := got.Columns().Segment(want.ID)
-			if !ok || seg.Len() != len(want.Observations) {
-				t.Fatalf("seed %d: object %d plane segment missing or wrong length", seed, want.ID)
-			}
-		}
+	}
+	if !got.DefaultChain().Matrix().Equal(v1.DefaultChain().Matrix(), 0) {
+		t.Fatal("default chain differs")
 	}
 }
 
@@ -233,31 +250,15 @@ func TestV2ProbColumnAligned(t *testing.T) {
 		p := gen.Params{NumObjects: objects, NumStates: 30, ObjectSpread: 2, StateSpread: 3, MaxStep: 8, Seed: int64(objects)}
 		data := saveV2(t, genDB(t, p))
 
-		d := &v2Decoder{body: data[:len(data)-8], off: 12}
-		var cb *columnarBlocks
-		for {
-			tag, err := d.take(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if *(*[4]byte)(tag) == tagChain {
-				br := bytes.NewReader(d.body[d.off:])
-				before := br.Len()
-				if _, err := readChain(newRawReader(br)); err != nil {
-					t.Fatal(err)
-				}
-				d.off += before - br.Len()
-				continue
-			}
-			if cb, err = skimColumnar(d); err != nil {
-				t.Fatal(err)
-			}
-			break
+		_, sec, err := readImage(data, &chainLookup{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		padLen := int(cb.probs[0])
-		if (cb.probsOff+1+padLen)%8 != 0 {
+		probs := sec.cols.probs
+		padLen := int(probs.b[probs.off])
+		if (probs.off+1+padLen)%8 != 0 {
 			t.Fatalf("objects=%d: prob column at file offset %d, not 8-aligned",
-				objects, cb.probsOff+1+padLen)
+				objects, probs.off+1+padLen)
 		}
 	}
 }
@@ -329,9 +330,48 @@ func TestUnsupportedVersionMessage(t *testing.T) {
 	data := saveV2(t, testDB(t))
 	bad := append([]byte(nil), data...)
 	bad[4] = 9 // version field
-	fixupCRC(bad)
+	reseal(bad)
 	_, err := LoadDatabaseMapped(bad)
 	if err == nil || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("version gate: err = %v, want non-corrupt unsupported-version error", err)
+	}
+}
+
+// TestRepeatedColumnIsCorrupt feeds every decoder a CRC-valid image
+// whose chain repeats a column in one row — the default chain of a chain
+// image and of a database image, and an own chain travelling inline in a
+// frame. Each is ErrCorrupt, never a panic.
+func TestRepeatedColumnIsCorrupt(t *testing.T) {
+	db := testDB(t)
+	def, own := db.DefaultChain(), db.Get(7).Chain
+	var chain bytes.Buffer
+	if err := SaveChain(&chain, def); err != nil {
+		t.Fatal(err)
+	}
+	image := saveV2(t, db)
+	frame, err := NewFrameEncoder(def).Encode(db.Objects())
+	if err != nil {
+		t.Fatal(err)
+	}
+	badChain := repeatColumn(t, chain.Bytes(), csrAt(t, chain.Bytes(), def))
+	badImage := repeatColumn(t, image, csrAt(t, image, def))
+	badFrame := repeatColumn(t, frame, csrAt(t, frame, own))
+	for name, decode := range map[string]func() error{
+		"LoadChain": func() error {
+			_, err := LoadChain(bytes.NewReader(badChain))
+			return err
+		},
+		"LoadDatabaseMapped": func() error {
+			_, err := LoadDatabaseMapped(badImage)
+			return err
+		},
+		"DecodeObjectFrame": func() error {
+			_, err := DecodeObjectFrame(badFrame, resolverOf(def))
+			return err
+		},
+	} {
+		if err := decode(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
 	}
 }

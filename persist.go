@@ -7,21 +7,17 @@ import (
 )
 
 // Persistence entry points: the compact, checksummed binary format that
-// ustgen writes and ustserve loads, plus a verbose JSON interchange
-// form. These wrap internal/store, which was previously unreachable
-// from the public API.
+// ustgen writes and ustserve loads. Databases are written in store
+// format version 2 only; the readers also accept version-1 images and
+// the JSON interchange form. These wrap internal/store.
 
 // SaveDatabase writes db (default chain and all objects) in the binary
 // store format — the columnar version 2, whose delta-encoded observation
 // blocks both shrink the file and enable the zero-copy load path.
 func SaveDatabase(w io.Writer, db *Database) error { return store.SaveDatabase(w, db) }
 
-// SaveDatabaseV1 writes db in the legacy row-oriented version-1 format,
-// for interchange with older readers.
-func SaveDatabaseV1(w io.Writer, db *Database) error { return store.SaveDatabaseV1(w, db) }
-
-// LoadDatabase reads a database written by SaveDatabase — either format
-// version (integrity is CRC-verified before any parsing).
+// LoadDatabase reads a database written by SaveDatabase, or a legacy
+// version-1 image (integrity is CRC-verified before any parsing).
 func LoadDatabase(r io.Reader) (*Database, error) { return store.LoadDatabase(r) }
 
 // LoadDatabaseMapped decodes a complete in-memory store image. For
@@ -38,9 +34,7 @@ func SaveChain(w io.Writer, c *Chain) error { return store.SaveChain(w, c) }
 // LoadChain reads a chain written by SaveChain.
 func LoadChain(r io.Reader) (*Chain, error) { return store.LoadChain(r) }
 
-// ExportDatabaseJSON writes db as an indented JSON document — verbose
-// but diffable and readable by non-Go tooling.
-func ExportDatabaseJSON(w io.Writer, db *Database) error { return store.ExportJSON(w, db) }
-
-// ImportDatabaseJSON reads a document written by ExportDatabaseJSON.
+// ImportDatabaseJSON reads a database from the JSON interchange form —
+// verbose but diffable, and written by non-Go tooling. The library no
+// longer writes it; SaveDatabase is the storage format.
 func ImportDatabaseJSON(r io.Reader) (*Database, error) { return store.ImportJSON(r) }
