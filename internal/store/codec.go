@@ -69,8 +69,8 @@ func writeChainSection(out *writer, c *markov.Chain) {
 	writeCSR(out, c.Matrix())
 }
 
-// sections is what the sections of one image decode to.
-type sections struct {
+// decoded is what the sections of one image decode to.
+type decoded struct {
 	chain *markov.Chain              // CHN0 or CHR0
 	rows  func(*core.Database) error // OBJ0: adds the version-1 objects
 	cols  *columnarBlocks            // OBC0, skimmed
@@ -80,8 +80,8 @@ type sections struct {
 // OBJ0 in a version-1 image, CHN0, CHR0 and OBC0 in a version-2 one.
 // Chain references resolve through chains, which collects the chains
 // the image carries inline.
-func readImage(data []byte, chains *chainLookup) (uint32, sections, error) {
-	var s sections
+func readImage(data []byte, chains *chainLookup) (uint32, decoded, error) {
+	var s decoded
 	version, n, c, err := envelope(data)
 	if err != nil {
 		return 0, s, err

@@ -24,9 +24,10 @@ import (
 //	frame-ref.ustd     the same objects, the encoder's second frame:
 //	                   every chain by reference
 //
-// The version-1 and JSON writers are gone; their images stay as inputs
-// the readers must keep accepting. The other four pin today's writers
-// byte for byte (TestStoreBytesPinned).
+// Nothing writes the version-1 and JSON forms, so those two images
+// cannot be regenerated: they are inputs the readers must keep
+// accepting. The other four pin today's writers byte for byte
+// (TestStoreBytesPinned).
 
 // fixtureDB is the database of the golden images: a small generated
 // dataset whose every third object carries a second observation

@@ -61,8 +61,8 @@ func chainFromJSON(cj ChainJSON) (*markov.Chain, error) {
 }
 
 // ImportJSON reads a JSON interchange document (DatabaseJSON). The store
-// writes only the binary form; the JSON reader stays for documents
-// written by earlier versions and by other tooling.
+// writes only the binary form; the reader is for documents written by
+// other tooling and by earlier versions of this one.
 func ImportJSON(r io.Reader) (*core.Database, error) {
 	var doc DatabaseJSON
 	dec := json.NewDecoder(r)

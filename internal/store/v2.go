@@ -330,9 +330,8 @@ func extractSeg(o *core.Object) core.ObsSeg {
 // columnarBlocks is the skimmed (not yet decoded) OBC0 section: a
 // cursor over each block.
 type columnarBlocks struct {
-	count                                    uint64
-	ids, counts, times, lens, states, chains cursor
-	probs                                    cursor
+	count                                           uint64
+	ids, counts, times, lens, states, chains, probs cursor
 }
 
 // skimColumnar slices the OBC0 blocks out of the section without

@@ -35,6 +35,6 @@ func SaveChain(w io.Writer, c *Chain) error { return store.SaveChain(w, c) }
 func LoadChain(r io.Reader) (*Chain, error) { return store.LoadChain(r) }
 
 // ImportDatabaseJSON reads a database from the JSON interchange form —
-// verbose but diffable, and written by non-Go tooling. The library no
-// longer writes it; SaveDatabase is the storage format.
+// verbose but diffable, and written by non-Go tooling. The library reads
+// the form but does not write it: SaveDatabase is the storage format.
 func ImportDatabaseJSON(r io.Reader) (*Database, error) { return store.ImportJSON(r) }
