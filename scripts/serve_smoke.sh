@@ -107,9 +107,9 @@ grep -q '"object":9999' "$TMP/sub.out"
 kill "$SUB_PID" 2>/dev/null || true
 
 echo "serve-smoke: upload a v2 dataset via PUT /v1/datasets and query it"
-# ustgen emits store format v2 by default; the server adopts the columns
-# zero-copy via LoadDatabaseMapped, so this exercises the mapped load
-# path end-to-end over HTTP.
+# ustgen writes store format v2, the only database format the store
+# writes; the server adopts the columns zero-copy via LoadDatabaseMapped,
+# so this exercises the mapped load path end-to-end over HTTP.
 "$TMP/ustgen" -o "$TMP/upload.ust" -objects 100 -states 1000 -seed 11 >/dev/null
 head -c 8 "$TMP/upload.ust" | od -An -tx1 | grep -q '55 53 54 44 02 00 00 00' # "USTD" v2 magic
 curl -fsS -X PUT "$BASE/v1/datasets/uploaded" --data-binary @"$TMP/upload.ust" >/dev/null
