@@ -8,12 +8,12 @@ GO ?= go
 # 74.8%; keep a small buffer for flaky branches).
 COVER_FLOOR ?= 73.0
 
-.PHONY: ci fmt-check vet staticcheck build test race examples benchmark-check serve-smoke dist-smoke load-smoke fuzz-smoke bench alloc-gate cover loc clean
+.PHONY: ci fmt-check vet staticcheck build test race flake-check examples benchmark-check serve-smoke dist-smoke load-smoke fuzz-smoke bench alloc-gate cover loc clean
 
 # cover runs the full (shuffled) suite with a coverage profile, so ci
 # does not also run the plain `test` target — that would execute the
 # identical suite twice. `race` is a separate instrumented build.
-ci: fmt-check vet staticcheck build cover race examples benchmark-check alloc-gate serve-smoke dist-smoke load-smoke
+ci: fmt-check vet staticcheck build cover race flake-check examples benchmark-check alloc-gate serve-smoke dist-smoke load-smoke
 
 # staticcheck runs when the binary is available (CI installs it; local
 # boxes without it skip with a notice instead of failing the build).
@@ -71,6 +71,13 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# flake-check runs the count aggregate's factor/stream pin 300 times
+# (about 2 s). Its quick.Check draws fresh random instances on every
+# run, so a defect that breaks the last bit of 3 % of instances passes
+# a single shuffled run 97 % of the time; 300 runs catch it.
+flake-check:
+	$(GO) test ./internal/core -run '^TestExpectedCountAggPin$$' -count=300
 
 # cover runs the (shuffled) suite with statement coverage and fails
 # below COVER_FLOOR, so the conformance/shard suites' coverage is

@@ -31,12 +31,13 @@
 // -stream the PMF arrives as NDJSON rows {"count":k,"p":…} (occupancy:
 // one row per timestep), with -json as a single document.
 //
-// Threshold and top-k queries run through the engine's filter–refine
-// path, and repeated evaluations share backward sweeps via the score
-// cache; the per-query cache/filter statistics are reported on stderr.
-// -no-cache / -no-filter disable either (results are identical; with
-// -strategy ob, -no-filter also runs the paper's unclipped forward pass,
-// whose answers agree with the clipped ones to 1e-12).
+// Object-based threshold and top-k queries run through the engine's
+// filter–refine path (query-based answers are dot products and are not
+// filtered), and repeated evaluations share backward sweeps via the
+// score cache; the per-query cache/filter statistics are reported on
+// stderr. -no-cache / -no-filter disable either (results are identical;
+// with -strategy ob, -no-filter also runs the paper's unclipped forward
+// pass, whose answers agree with the clipped ones to 1e-12).
 //
 // State and time ranges accept "lo-hi" intervals or comma-separated
 // lists ("100-120" or "5,9,13" or a mix: "1-3,7"). -times is optional

@@ -110,16 +110,18 @@ func main() {
 	}
 
 	// --- Threshold test with filter–refine (Section V-C pruning). ---
-	// "Who has P∃ ≥ 0.5?" Cheap reachability bounds decide most
-	// customers without an exact evaluation; Response.Filter reports
-	// the funnel.
+	// "Who has P∃ ≥ 0.5?" Under the object-based strategy, where each
+	// exact answer is a forward pass, cheap reachability bounds decide
+	// most customers without one; Response.Filter reports the funnel.
+	// (A query-based answer is a dot product, cheaper than any bound,
+	// so that strategy does not filter.)
 	likely, err := engine.Evaluate(ctx, ust.NewRequest(ust.PredicateExists,
-		append(window, ust.WithThreshold(0.5))...))
+		append(window, ust.WithThreshold(0.5), ust.WithStrategy(ust.StrategyObjectBased))...))
 	if err != nil {
 		log.Fatal(err)
 	}
 	f := likely.Filter
-	fmt.Printf("\nthreshold test (P(visit) ≥ 0.5): %d customers qualify; of %d candidates, %d decided by bounds alone, %d evaluated exactly\n",
+	fmt.Printf("\nthreshold test (P(visit) ≥ 0.5): %d customers qualify; of %d candidates, %d decided by bounds alone, %d forward passes\n",
 		len(likely.Results), f.Candidates, f.Pruned, f.Refined)
 }
 

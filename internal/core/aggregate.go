@@ -20,15 +20,16 @@ import (
 // product (internal/agg) makes the distribution byte-identical across
 // the in-process engine, the shard router and the remote service.
 //
-// For exists and forall, scan's filter gate (filter.go) brackets each
-// object with the reachability envelopes before any exact evaluation.
-// The count's bar is −1, so nothing is pruned; the gate answers from
-// its certificate alone. An exists-object whose possible-envelope mass
-// is exactly zero carries the zero certificate (kern.existsUpper) and
-// enters the product as the factor [1, 0]; a forall-object whose
-// COMPLEMENT-window envelope mass is exactly zero is certain (P∀ = 1 −
-// 0, exactly 1) and enters as [0, 1]. Everything else is refined by the
-// exact evaluator.
+// For exists and forall under the object-based strategy, scan's filter
+// gate (filter.go) brackets each object with the reachability envelopes
+// before any forward pass. The count's bar is −1, so nothing is pruned;
+// the gate answers from its certificate alone. An exists-object whose
+// possible-envelope mass is exactly zero carries the zero certificate
+// (kern.existsUpper) and enters the product as the factor [1, 0]; a
+// forall-object whose COMPLEMENT-window envelope mass is exactly zero is
+// certain (P∀ = 1 − 0, exactly 1) and enters as [0, 1]. Everything else
+// is refined by the exact evaluator. Query-based counts fold every
+// object's exact dot product.
 
 // AggKind selects the aggregate computed by WithAggregate.
 type AggKind int

@@ -180,7 +180,10 @@ func TestAggPMFPropertiesQuick(t *testing.T) {
 // the count aggregate. Each object's Bernoulli factor carries the same
 // bit-exact P∃ the per-object stream emits, so the plain sum over
 // factors in emission order reproduces the sum of streamed probabilities
-// bit for bit, and Agg.Mean agrees with it to float tolerance.
+// bit for bit, and Agg.Mean agrees with it to float tolerance. The named
+// seeds come first: each is an instance where a query-based count once
+// answered an object from an exact-zero certificate (0) while the stream
+// dotted a score a few ulps above it.
 func TestExpectedCountAggPin(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
@@ -208,6 +211,11 @@ func TestExpectedCountAggPin(t *testing.T) {
 		}
 		return factors == streamed && math.Abs(resp.Agg.Mean-streamed) <= 1e-12*(1+streamed)
 	}
+	for _, seed := range []int64{6816999787278074552, 2208572406728789279, 904121217909182691, -3199309500688501926} {
+		if !f(seed) {
+			t.Errorf("seed %d: factors and stream disagree", seed)
+		}
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
@@ -233,21 +241,23 @@ func disconnectedPairDB(t *testing.T) *Database {
 	return db
 }
 
-// TestAggCertificatesPruneAndStayExact: envelope certificates answer
-// certain objects in O(1) — visible in the filter report — without
-// changing a single PMF bit relative to the filter-disabled evaluation.
+// TestAggCertificatesPruneAndStayExact: under the object-based strategy,
+// the one that filters, envelope certificates answer certain objects in
+// O(1) — visible in the filter report — without changing a single PMF
+// bit relative to the filter-disabled evaluation.
 func TestAggCertificatesPruneAndStayExact(t *testing.T) {
 	e := NewEngine(disconnectedPairDB(t), Options{})
 	ctx := context.Background()
+	ob := WithStrategy(StrategyObjectBased)
 
 	// Exists over {2,3}: object 1 is certified impossible (p = 0).
 	q := NewQuery([]int{2, 3}, []int{1, 2})
-	on, err := e.Evaluate(ctx, NewAggRequest(PredicateExists, AggSpec{Kind: AggCount}, WithWindow(q)))
+	on, err := e.Evaluate(ctx, NewAggRequest(PredicateExists, AggSpec{Kind: AggCount}, WithWindow(q), ob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	off, err := e.Evaluate(ctx, NewAggRequest(PredicateExists, AggSpec{Kind: AggCount},
-		WithWindow(q), WithFilterRefine(false)))
+		WithWindow(q), ob, WithFilterRefine(false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +283,12 @@ func TestAggCertificatesPruneAndStayExact(t *testing.T) {
 	// complement envelope certifies p = 1 exactly; object 1 certifies
 	// p = 0 — wait, for-all of an object outside the region is 0 but
 	// that is NOT a complement-envelope certificate; it refines.
-	fa, err := e.Evaluate(ctx, NewAggRequest(PredicateForAll, AggSpec{Kind: AggCount}, WithWindow(q)))
+	fa, err := e.Evaluate(ctx, NewAggRequest(PredicateForAll, AggSpec{Kind: AggCount}, WithWindow(q), ob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	faOff, err := e.Evaluate(ctx, NewAggRequest(PredicateForAll, AggSpec{Kind: AggCount},
-		WithWindow(q), WithFilterRefine(false)))
+		WithWindow(q), ob, WithFilterRefine(false)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,8 +286,8 @@ func sortedKeys(m map[int]bool) []int {
 	return out
 }
 
-// fusedSchedule is the shared per-block bookkeeping of both fused
-// kernels: planned lanes, alias extractions and dependency counts.
+// fusedSchedule is the per-block bookkeeping of the fused sweep:
+// planned lanes, alias extractions and dependency counts.
 type fusedSchedule struct {
 	lanes   []fusedLane
 	aliases map[int]int
@@ -338,47 +338,53 @@ func newFusedSchedule(units []sweepUnit, width int) *fusedSchedule {
 	return sch
 }
 
-// fusedBlock is what a fused kernel does to its block of columns; run
-// drives it down the schedule.
-type fusedBlock struct {
-	open    func(k int)               // column k activates at t
-	pin     func(k int)               // t is one of column k's query times
-	fork    func(k, leader int)       // column k starts as a copy of leader
-	retire  func(k int)               // column k has no dependent left
-	publish func(key scoreKey, k int) // column k is unit key's answer
-	step    func(active int)          // one backward step of columns [0, active)
-}
-
-// run moves the block down the absolute time axis, from the latest
-// horizon to the earliest observation time. Columns join at their
+// fusedExistsSweeps runs the PST∃Q backward sweeps of all units — same
+// chain, arbitrary windows and observation times — as one lane block
+// (querybased.go) and publishes each resulting scoring vector to the
+// score cache. The block moves down the absolute time axis, from the
+// latest horizon to the earliest observation time. Columns join at their
 // activation time (the descending sort makes live columns a prefix):
-// leaders at their horizon, followers as a copy of their leader at the
-// fork point, after this step's pins, so the copy includes them (the
+// leaders at their horizon, opened exactly like hitScores's lane (held
+// against the same far value), followers as a copy of their leader at
+// the fork point, after this step's pins, so the copy includes them (the
 // leader pins at the fork time whenever the follower would). Every unit
-// is published at its observation time, an alias off its leader.
-func (sch *fusedSchedule) run(ctx context.Context, b fusedBlock) error {
+// is published at its observation time, an alias off its leader. Each
+// column replays exactly the additions of hitScores for its unit — rows
+// in ascending order, inactive columns and shared suffixes only elide or
+// share identical terms — so the cached vectors are bit-identical to
+// what the serial path computes.
+func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, units []sweepUnit) error {
+	sch := newFusedSchedule(units, maxFusedColumns)
+	blk := newLaneBlock(chain.NumStates(), len(sch.lanes), e.fpool)
+	defer blk.release()
+	pins := make([][]int32, len(sch.lanes))
+	mt := chain.Transposed()
 	resolve := func(k int) {
 		sch.pending[k]--
 		if sch.pending[k] == 0 {
-			b.retire(k)
+			blk.zeroColumn(k)
 		}
+	}
+	publish := func(key scoreKey, k int) {
+		e.cache.board.Put(key, scoreValue{vecs: []*sparse.Vec{blk.column(k)}})
+		resolve(k)
 	}
 	extracted := make([]bool, len(sch.lanes))
 	active := 0 // live-column prefix: lanes[0:active] have act ≥ t
 	for t := sch.maxH; ; t-- {
 		newlyActive := active
 		for ; active < len(sch.lanes) && sch.lanes[active].act >= t; active++ {
-			b.open(active)
+			pins[active] = blk.open(active, sch.lanes[active].u.w, sch.lanes[active].leader < 0)
 		}
 		// Pin every live, unretired column whose window covers t.
 		for k, lane := range sch.lanes[:active] {
 			if sch.pending[k] > 0 && lane.u.w.atTime(t) {
-				b.pin(k)
+				blk.pin(k, lane.u.w, pins[k])
 			}
 		}
 		for k := newlyActive; k < active; k++ {
 			if l := sch.lanes[k].leader; l >= 0 {
-				b.fork(k, l)
+				blk.copyColumn(k, l)
 				resolve(l)
 			}
 		}
@@ -387,14 +393,12 @@ func (sch *fusedSchedule) run(ctx context.Context, b fusedBlock) error {
 				continue
 			}
 			if lane, ok := sch.aliases[ui]; ok {
-				b.publish(u.key, lane)
-				resolve(lane)
+				publish(u.key, lane)
 				continue
 			}
 			if k := sch.laneOf[ui]; k < active && !extracted[k] {
 				extracted[k] = true
-				b.publish(u.key, k)
-				resolve(k)
+				publish(u.key, k)
 			}
 		}
 		if t == sch.minT0 {
@@ -403,123 +407,6 @@ func (sch *fusedSchedule) run(ctx context.Context, b fusedBlock) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		b.step(active)
-	}
-}
-
-// fusedExistsSweeps runs the PST∃Q backward sweeps of all units — same
-// chain, arbitrary windows and observation times — as one lane block
-// (querybased.go) and publishes each resulting scoring vector to the
-// score cache. A leader opens exactly like hitScores's lane (held
-// against the same far value). Each column replays exactly the additions
-// of hitScores for its unit — rows in ascending order, inactive columns
-// and shared suffixes only elide or share identical terms — so the
-// cached vectors are bit-identical to what the serial path computes.
-func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, units []sweepUnit) error {
-	sch := newFusedSchedule(units, maxFusedColumns)
-	K := len(sch.lanes)
-	blk := newLaneBlock(chain.NumStates(), K, e.fpool)
-	defer blk.release()
-	pins := make([][]int32, K)
-	mt := chain.Transposed()
-	return sch.run(ctx, fusedBlock{
-		open: func(k int) {
-			pins[k] = blk.open(k, sch.lanes[k].u.w, sch.lanes[k].leader < 0)
-		},
-		pin:    func(k int) { blk.pin(k, sch.lanes[k].u.w, pins[k]) },
-		fork:   blk.copyColumn,
-		retire: blk.zeroColumn,
-		publish: func(key scoreKey, k int) {
-			e.cache.board.Put(key, scoreValue{vecs: []*sparse.Vec{blk.column(k)}})
-		},
-		step: func(active int) { blk.stepBack(mt, active) },
-	})
-}
-
-// fusedMaskSweeps runs the boolean reachability-envelope sweeps of all
-// units — same chain, same envelope kind — as ONE word-packed sweep:
-// bit k of the uint64 lane word is unit k's bitset, so a single OR
-// (possible-envelope) or AND (certain-envelope) per transition edge
-// advances every unit at once. Up to 64 units amortize each matrix
-// traversal, and the same suffix-sharing schedule as the float kernel
-// applies: follower bits copy their leader's bit at the fork point,
-// alias units are read straight off the leader. Booleans make
-// bit-identity to supportEnvelope trivial.
-func (e *Engine) fusedMaskSweeps(ctx context.Context, chain *markov.Chain, units []sweepUnit, certain bool) error {
-	sch := newFusedSchedule(units, 64)
-	n := chain.NumStates()
-	pins := make([][]int32, len(sch.lanes))
-	for k, lane := range sch.lanes {
-		pins[k] = regionPins(lane.u.w) // inverted windows: no full-mask walk per step
-	}
-	cur := make([]uint64, n)
-	next := make([]uint64, n)
-	m := chain.Matrix()
-	return sch.run(ctx, fusedBlock{
-		open: func(int) {},
-		pin: func(k int) {
-			for _, s := range pins[k] {
-				cur[s] |= 1 << uint(k)
-			}
-		},
-		fork: func(k, l int) {
-			for s := range cur {
-				cur[s] |= ((cur[s] >> uint(l)) & 1) << uint(k)
-			}
-		},
-		retire: func(k int) {
-			for s := range cur {
-				cur[s] &^= 1 << uint(k)
-			}
-		},
-		publish: func(key scoreKey, k int) {
-			bits := sparse.NewBitset(n)
-			for s, w := range cur {
-				if w&(1<<uint(k)) != 0 {
-					bits.Set(s)
-				}
-			}
-			e.cache.board.Put(key, scoreValue{bits: bits})
-		},
-		step: func(int) {
-			if certain {
-				fusedStepBackCertain(next, cur, m)
-			} else {
-				fusedStepBackSupport(next, cur, m)
-			}
-			cur, next = next, cur
-		},
-	})
-}
-
-// fusedStepBackSupport is the word-packed StepBackSupport: lane word i
-// becomes the OR of its successors' words ("some successor can still
-// satisfy the predicate").
-func fusedStepBackSupport(dst, x []uint64, m *sparse.CSR) {
-	for i := range dst {
-		cols, _ := m.RowSlices(i)
-		var w uint64
-		for _, j := range cols {
-			w |= x[j]
-		}
-		dst[i] = w
-	}
-}
-
-// fusedStepBackCertain is the word-packed StepBackCertain: lane word i
-// becomes the AND of its successors' words; dangling states (no
-// successors) are conservatively zero, exactly like the serial kernel.
-func fusedStepBackCertain(dst, x []uint64, m *sparse.CSR) {
-	for i := range dst {
-		cols, _ := m.RowSlices(i)
-		if len(cols) == 0 {
-			dst[i] = 0
-			continue
-		}
-		w := ^uint64(0)
-		for _, j := range cols {
-			w &= x[j]
-		}
-		dst[i] = w
+		blk.stepBack(mt, active)
 	}
 }

@@ -226,8 +226,7 @@ func TestEvaluateBatchMatchesSequentialWide(t *testing.T) {
 // TestFusedSweepBitIdentical pins a multi-unit block — leaders, forked
 // followers and aliases, near and far lanes — against width-1 blocks of
 // the same units and against hitScores, vector by vector, bit by bit,
-// support order and storage mode included; and the word-packed envelope
-// sweeps over the same schedule against supportEnvelope.
+// support order and storage mode included.
 func TestFusedSweepBitIdentical(t *testing.T) {
 	const n = 30
 	rng := rand.New(rand.NewSource(23))
@@ -302,30 +301,6 @@ func TestFusedSweepBitIdentical(t *testing.T) {
 		}
 	}
 
-	// The word-packed envelope sweeps run the same schedule.
-	for _, kind := range []scoreKind{kindPossible, kindCertain} {
-		masks := make([]sweepUnit, len(units))
-		for i, u := range units {
-			masks[i] = u
-			masks[i].key.kind = kind
-		}
-		if err := e.fusedMaskSweeps(ctx, chain, masks, kind == kindCertain); err != nil {
-			t.Fatal(err)
-		}
-		for i, u := range masks {
-			v, lease, err := e.cache.board.Acquire(ctx, u.key)
-			if err != nil || lease != 0 {
-				t.Fatalf("mask %d not cached (lease %d, err %v)", i, lease, err)
-			}
-			want, err := supportEnvelope(ctx, chain, u.w, u.t0, kind == kindCertain, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !v.bits.Equal(want) {
-				t.Fatalf("kind %v unit %d: fused envelope differs from supportEnvelope", kind, i)
-			}
-		}
-	}
 }
 
 // cachedScore reads a published scoring vector off the engine's board.

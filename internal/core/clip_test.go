@@ -138,12 +138,11 @@ func TestClippedMatchesUnclipped(t *testing.T) {
 			if err != nil || !reflect.DeepEqual(parallel.Results, clipped.Results) {
 				t.Fatalf("seed %d %v: parallel clipped scan (err %v) is not bit-identical to the serial one", seed, pred, err)
 			}
-			// The kernel the scan used, for the envelope it clipped against.
+			// The window the scan used, for the envelope it clipped against.
 			kw := w
 			if pred == PredicateForAll {
 				kw = w.complemented()
 			}
-			k := e.kernel(chain, kw, &evalPlan{useFilter: true})
 			for i, got := range clipped.Results {
 				want := literal.Results[i]
 				o := c.db.Get(got.ObjectID)
@@ -175,7 +174,7 @@ func TestClippedMatchesUnclipped(t *testing.T) {
 				} else {
 					sawDense++
 				}
-				pm, err := k.possibleMaskAt(ctx, o.First().Time)
+				pm, err := supportEnvelope(ctx, chain, kw, o.First().Time, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,9 +194,12 @@ func TestClippedMatchesUnclipped(t *testing.T) {
 	}
 }
 
-// TestReachConeIsTheEnvelopeFamily pins the cone to the envelopes the
-// filter stage already trusts: cone[t−t0] is possibleMaskAt(t), bit for
-// bit, at every t up to the horizon, for plain and complemented windows.
+// TestReachConeIsTheEnvelopeFamily pins the cone to the possible-
+// envelope family: cone[t−t0] is supportEnvelope's possible-envelope at
+// t, bit for bit, at every t up to the horizon, for plain and
+// complemented windows; past the horizon, and for an empty window (an
+// expression atom's fire window can be either), coneFor is the one
+// entry supportEnvelope answers.
 func TestReachConeIsTheEnvelopeFamily(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 40; seed++ {
@@ -220,17 +222,38 @@ func TestReachConeIsTheEnvelopeFamily(t *testing.T) {
 					t.Fatalf("seed %d: cone from %d has %d envelopes, want %d", seed, t0, len(cone), kw.horizon-t0+1)
 				}
 				for tt := t0; tt <= kw.horizon; tt++ {
-					pm, err := k.possibleMaskAt(ctx, tt)
+					pm, err := supportEnvelope(ctx, chain, kw, tt, false, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !cone[tt-t0].Equal(pm) {
-						t.Fatalf("seed %d invert=%v: cone from %d at t=%d differs from possibleMaskAt", seed, kw.invert, t0, tt)
+						t.Fatalf("seed %d invert=%v: cone from %d at t=%d differs from supportEnvelope", seed, kw.invert, t0, tt)
 					}
 				}
 			}
 			if cone, err := e.kernel(chain, kw, &evalPlan{}).coneFrom(ctx, 0); cone != nil || err != nil {
 				t.Fatalf("a kern without the filter toggle clips: cone %v, err %v", cone, err)
+			}
+		}
+		empty, err := compile(NewQuery(c.states, nil), chain.NumStates())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := e.kernel(chain, w, nil)
+		for _, tc := range []struct {
+			w  *window
+			t0 int
+		}{{w, w.horizon + 1}, {empty, 0}, {empty.complemented(), 2}} {
+			cone, err := k.coneFor(ctx, tc.w, tc.t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := supportEnvelope(ctx, chain, tc.w, tc.t0, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cone) != 1 || !cone[0].Equal(want) {
+				t.Fatalf("seed %d: cone of k=%d window from %d is %v, want [%v]", seed, tc.w.k, tc.t0, cone, want)
 			}
 		}
 	}

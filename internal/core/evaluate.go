@@ -27,8 +27,9 @@ func errEventuallyMultiObs(o *Object) error {
 // Every exact evaluation runs one object loop, scan: the plain stream,
 // the thresholded stream, top-k and the count aggregate's factors. Its
 // consumers differ only in the bar they hand the loop's filter gate
-// (filter.go) and in how they fold what it emits. Monte-Carlo sampling
-// runs scanMC, whose rng order is observable output.
+// (filter.go, object-based plans only) and in how they fold what it
+// emits. Monte-Carlo sampling runs scanMC, whose rng order is
+// observable output.
 
 // Evaluator is the query surface every engine implementation serves:
 // the in-process Engine, the shard router, and (shape-wise) the remote
@@ -66,7 +67,8 @@ type Response struct {
 	Cache CacheReport
 	// Filter reports the filter–refine funnel of this evaluation:
 	// Candidates considered, Pruned excluded by cheap bounds alone,
-	// Refined evaluated exactly. Zero when the filter did not engage.
+	// Refined evaluated exactly. Zero when the filter did not engage,
+	// which is always the case for the query-based strategy.
 	Filter FilterReport
 	// Agg is the aggregate answer for WithAggregate requests (Results is
 	// empty then: the aggregate IS the answer); nil otherwise.
@@ -150,9 +152,6 @@ func (e *Engine) prepare(req Request) (*evalPlan, error) {
 	if req.threshold != nil {
 		p.bar = *req.threshold
 	}
-	if p.plans != nil && p.ranked() {
-		annotateFilterOps(p.plans, e, p.query)
-	}
 	return p, nil
 }
 
@@ -221,9 +220,10 @@ func (e *Engine) evaluatePlan(ctx context.Context, plan *evalPlan) (*Response, e
 // topK runs ranked retrieval: the stream folded through a k-sized
 // min-heap, so memory stays O(k) whatever the database size. Once the
 // heap is full, the fold raises the plan's bar to the larger of the
-// threshold and the heap's minimum: an object with upper bound ub < bar
-// has true probability ≤ ub < bar, so it loses every comparison, id
-// tie-breaks included.
+// threshold and the heap's minimum. An object whose probability is below
+// the bar loses every comparison, id tie-breaks included, so the
+// object-based gate may prune it on its bound alone; the query-based
+// stream hands the heap every object's exact value, and the heap cuts.
 func (e *Engine) topK(ctx context.Context, plan *evalPlan) ([]Result, error) {
 	kk, tau := plan.req.topK, plan.bar
 	h := &resultMinHeap{}
@@ -377,14 +377,15 @@ func exactPassFor(ctx context.Context, plan *evalPlan) exactPass {
 // scan is the one loop of the exact strategies: chain groups in order,
 // one kernel per group, one exact pass per object — serially, or through
 // parallelOrdered when the pass fans out (in-order delivery, the
-// lowest-index error). When the plan's filter engages (filtered), each
-// object of the serial loop first passes the filter gate (filter.go):
-// it is bounded, then pruned below plan.bar — the one value the consumer
-// hands back into the loop — answered from the exact-zero certificate,
-// or refined at the bar. A group's kernel is built when the scan reaches
-// the group, so a window that fails to compile against a later group's
-// state space surfaces after the earlier groups' results — the same rule
-// for every strategy, worker count and consumer.
+// lowest-index error). When the plan's filter engages (filtered: a
+// serial object-based plan), each object of the loop first passes the
+// filter gate (filter.go): it is bounded, then pruned below plan.bar —
+// the one value the consumer hands back into the loop — answered from
+// the exact-zero certificate, or refined at the bar. A group's kernel is
+// built when the scan reaches the group, so a window that fails to
+// compile against a later group's state space surfaces after the earlier
+// groups' results — the same rule for every strategy, worker count and
+// consumer.
 func (e *Engine) scan(ctx context.Context, plan *evalPlan) iter.Seq2[Result, error] {
 	pass := exactPassFor(ctx, plan)
 	gated := plan.filtered()
@@ -422,9 +423,7 @@ func (e *Engine) scan(ctx context.Context, plan *evalPlan) iter.Seq2[Result, err
 				r, keep, err := Result{}, true, error(nil)
 				if gated {
 					// The filter gate, inline: most objects end at the
-					// bound or the certificate, where a call per object
-					// would cost more than the gate saves on a
-					// query-based top-k or count.
+					// bound or the certificate.
 					plan.filterRep.Candidates++
 					var ub float64
 					var ok bool

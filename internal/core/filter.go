@@ -8,15 +8,22 @@ import "context"
 // is a per-object gate inside scan (evaluate.go), the one loop of the
 // exact strategies; this file holds its rules: when it engages
 // (filtered), the bound it reads (upperBound) and what the exact-zero
-// certificate answers (certificate). The gate bounds each object with
+// certificate answers (certificate).
+//
+// Filter–refine pays only where refinement is the expensive step, and
+// that is the object-based strategy, whose refinement is a forward pass.
+// The query-based strategy answers an object with one dot product
+// against a score vector the request sweeps anyway (Section V-C), which
+// costs less than any bound would; its objects all get the exact value
+// and the consumer cuts on it, so the gate never engages there. Under
+// the object-based strategy the gate bounds each object with
 // conservative probability bounds from boolean reachability envelopes
-// (kernel.go), which cost bit-ops instead of float sweeps and are shared
-// per (chain, window, observation time) through the score cache. It
-// then prunes the object when the bound proves it below the consumer's
-// bar, answers it from the exact-zero certificate, or refines it with
-// the SAME exact evaluator the ungated scan runs, so filtered and
-// unfiltered results are byte-identical — the filter can only skip
-// work, never change answers.
+// (kernel.go): the possible-envelope is cone[0] of the window's reach
+// cone, the same boolean sweep the clipped forward pass reads, and the
+// certain-envelope its dual. It then prunes the object when the bound
+// proves it below the consumer's bar, answers it from the exact-zero
+// certificate, or refines it with the SAME exact evaluator the ungated
+// scan runs.
 //
 // The consumer's only input to the loop is the bar, plan.bar: the
 // threshold for a thresholded stream; the threshold (−1 without one)
@@ -30,7 +37,8 @@ import "context"
 // FilterReport summarizes the filter–refine funnel of one evaluation,
 // reported on Response.Filter. Candidates = Pruned + Refined; the ratio
 // Refined/Candidates is the fraction of the database that needed exact
-// per-object work.
+// per-object work. Only the object-based strategy filters: the report
+// is zero for every other strategy.
 type FilterReport struct {
 	// Candidates is the number of objects the filter considered.
 	Candidates int
@@ -45,16 +53,16 @@ type FilterReport struct {
 // ranked reports whether the request thresholds or ranks its results.
 func (p *evalPlan) ranked() bool { return p.req.threshold != nil || p.req.topK > 0 }
 
-// filtered reports whether scan's filter gate engages for this plan: a
-// ranked request over a boundable predicate, or a count aggregate over
-// exists/forall, whose certificates answer objects in O(1). The gate
-// runs on the exact strategies' serial loop only: Monte-Carlo
-// evaluation consumes a shared rng stream whose sequence is part of the
-// observable output, so skipping an object would change every later
-// answer, and the parallel object-based fan-out has no bar to read
-// (the top-k bar evolves object by object).
+// filtered reports whether scan's filter gate engages for this plan: an
+// object-based plan, serial, that is ranked over a boundable predicate
+// or counts over exists/forall, whose certificates answer objects in
+// O(1). The query-based strategy's exact value is a dot product, cheaper
+// than any bound, and Monte-Carlo evaluation consumes a shared rng
+// stream whose sequence is part of the observable output, so skipping an
+// object would change every later answer; the parallel object-based
+// fan-out has no bar to read (the top-k bar evolves object by object).
 func (p *evalPlan) filtered() bool {
-	if !p.useFilter || p.strategy == StrategyMonteCarlo || p.strategy == StrategyObjectBased && p.workers > 1 {
+	if !p.useFilter || p.strategy != StrategyObjectBased || p.workers > 1 {
 		return false
 	}
 	switch p.req.Predicate {

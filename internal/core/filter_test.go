@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ust/internal/markov"
@@ -167,8 +168,10 @@ func TestFilterIneligibleShapes(t *testing.T) {
 
 // TestFilterPrunesUnreachableObjects checks the funnel itself: on the
 // line-walk database a window at the far end is unreachable within the
-// horizon for most objects, which must be pruned without exact
-// evaluation — at least 2× fewer refinements than candidates.
+// horizon for most objects, which the object-based gate must prune
+// without exact evaluation — at least 2× fewer refinements than
+// candidates. The query-based strategy never engages the gate: it
+// reports a zero funnel and the filter-off response.
 func TestFilterPrunesUnreachableObjects(t *testing.T) {
 	db := lineWalkDB(t, 200, 100, 11)
 	e := NewEngine(db, Options{})
@@ -188,7 +191,18 @@ func TestFilterPrunesUnreachableObjects(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		exact, err := e.Evaluate(context.Background(), req.With(WithFilterRefine(false)))
+		if err != nil {
+			t.Fatalf("%s exact: %v", tc.name, err)
+		}
+		responsesEqual(t, tc.name, resp, exact)
 		f := resp.Filter
+		if strings.HasSuffix(tc.name, "/qb") {
+			if f != (FilterReport{}) {
+				t.Fatalf("%s: the query-based gate engaged: %+v", tc.name, f)
+			}
+			continue
+		}
 		if f.Candidates != db.Len() {
 			t.Fatalf("%s: Candidates = %d, want %d", tc.name, f.Candidates, db.Len())
 		}
@@ -198,11 +212,6 @@ func TestFilterPrunesUnreachableObjects(t *testing.T) {
 		if f.Refined*2 > f.Candidates {
 			t.Fatalf("%s: refined %d of %d candidates, want ≥2× pruning", tc.name, f.Refined, f.Candidates)
 		}
-		exact, err := e.Evaluate(context.Background(), req.With(WithFilterRefine(false)))
-		if err != nil {
-			t.Fatalf("%s exact: %v", tc.name, err)
-		}
-		responsesEqual(t, tc.name, resp, exact)
 	}
 }
 

@@ -74,6 +74,11 @@ type kern struct {
 	// it together wait here and the evaluation's cache traffic does not
 	// depend on scheduling. Guarded by mu.
 	local map[scoreKey]*memoEntry
+	// score and scoreT0 are the last PST∃Q scoring vector existsDot
+	// fetched and its observation time. Unguarded: the query-based pass
+	// that reads them is serial (exactPassFor).
+	score   *sparse.Vec
+	scoreT0 int
 	// mu guards local and pins: cheap (uncontended in the serial paths,
 	// and the parallel workers only touch it once per fetch, never
 	// inside a sweep).
@@ -261,32 +266,15 @@ func (k *kern) hittingFor(ctx context.Context, region []int, maxSteps int, tol f
 	return v.vecs[0], nil
 }
 
-// possibleMaskAt returns the backward reachability envelope at t0: the
-// states from which a trajectory CAN satisfy the (possibly inverted)
-// window predicate. Mass outside the envelope can never contribute, so
-// an object's initial mass on it upper-bounds its query probability.
-func (k *kern) possibleMaskAt(ctx context.Context, t0 int) (*sparse.Bitset, error) {
-	return k.maskAt(ctx, t0, kindPossible)
-}
-
-// certainMaskAt returns the dual envelope: the states from which EVERY
-// trajectory satisfies the predicate. Initial mass on it lower-bounds
-// the query probability.
-func (k *kern) certainMaskAt(ctx context.Context, t0 int) (*sparse.Bitset, error) {
-	return k.maskAt(ctx, t0, kindCertain)
-}
-
-func (k *kern) maskAt(ctx context.Context, t0 int, kind scoreKind) (*sparse.Bitset, error) {
-	return k.maskFor(ctx, k.w, t0, kind)
-}
-
-// maskFor is maskAt over an explicit window — the compound-expression
-// bounds need envelopes for each atom's fire window, not the kern's
-// own.
-func (k *kern) maskFor(ctx context.Context, w *window, t0 int, kind scoreKind) (*sparse.Bitset, error) {
-	key := scoreKey{chain: k.chain, kind: kind, sig: w.signature(), t0: t0}
+// certainMask returns the "hits with certainty" envelope of window w at
+// t0: the states from which EVERY trajectory satisfies the (possibly
+// inverted) window predicate. Initial mass on it lower-bounds the query
+// probability. w is the kern's own window or, for the compound-
+// expression bounds, one atom's fire window.
+func (k *kern) certainMask(ctx context.Context, w *window, t0 int) (*sparse.Bitset, error) {
+	key := scoreKey{chain: k.chain, kind: kindCertain, sig: w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		m, merr := supportEnvelope(ctx, k.chain, w, t0, kind == kindCertain, nil)
+		m, merr := supportEnvelope(ctx, k.chain, w, t0, true, nil)
 		if merr != nil {
 			return scoreValue{}, merr
 		}
@@ -298,22 +286,38 @@ func (k *kern) maskFor(ctx context.Context, w *window, t0 int, kind scoreKind) (
 	return v.bits, nil
 }
 
-// coneFrom returns the window's reach cone from t0 on: the possible-
-// envelope at every t ∈ [t0, horizon], indexed t−t0, from one boolean
-// backward sweep (cone[0] is possibleMaskAt(t0), bit for bit). Fetched
-// like any sweep — request memo, then the board — but never shipped
-// over the sweep tier. nil when the kern does not clip. Requires a
+// coneFrom returns the kern's reach cone from t0 on (coneFor) when the
+// kern clips its forward passes, and nil when it does not. Requires a
 // non-empty window and t0 ≤ horizon.
 func (k *kern) coneFrom(ctx context.Context, t0 int) ([]*sparse.Bitset, error) {
 	if !k.clip {
 		return nil, nil
 	}
-	key := scoreKey{chain: k.chain, kind: kindCone, sig: k.w.signature(), t0: t0}
+	return k.coneFor(ctx, k.w, t0)
+}
+
+// coneFor returns window w's reach cone from t0 on: the possible-
+// envelope at every t ∈ [t0, horizon], indexed t−t0, from one boolean
+// backward sweep. cone[0] is the possible-envelope at t0 — the states
+// from which a trajectory CAN satisfy the window predicate — so mass
+// outside it can never contribute, and an object's initial mass on it
+// upper-bounds its query probability. An empty window, or a t0 past the
+// horizon, has the one-entry cone of supportEnvelope's empty answer.
+// Fetched like any sweep — request memo, then the board — but never
+// shipped over the sweep tier.
+func (k *kern) coneFor(ctx context.Context, w *window, t0 int) ([]*sparse.Bitset, error) {
+	key := scoreKey{chain: k.chain, kind: kindCone, sig: w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		cone := make([]*sparse.Bitset, k.w.horizon-t0+1)
-		if _, cerr := supportEnvelope(ctx, k.chain, k.w, t0, false, cone); cerr != nil {
+		n := 1
+		if w.k > 0 && t0 <= w.horizon {
+			n = w.horizon - t0 + 1
+		}
+		cone := make([]*sparse.Bitset, n)
+		m, cerr := supportEnvelope(ctx, k.chain, w, t0, false, cone)
+		if cerr != nil {
 			return scoreValue{}, cerr
 		}
+		cone[0] = m
 		return scoreValue{cone: cone}, nil
 	})
 	return v.cone, err
@@ -387,18 +391,18 @@ func (k *kern) boundable(o *Object) bool {
 }
 
 // existsUpper returns a conservative upper bound on P∃(o) under the
-// kern's window. ok is false when o is not boundable. A returned bound
-// of exactly 0 is not merely conservative but EXACT: the observation
-// support is disjoint from the reachability envelope, the score
-// vector's support is contained in that envelope (float propagation
-// follows the same edge structure and can only shrink support), so the
-// exact dot product — and the OB forward pass's absorbed mass — is
-// bit-exactly 0.0. Filter paths answer such objects without refinement.
+// kern's window: the initial mass on the reach cone's possible-envelope.
+// ok is false when o is not boundable. Under the object-based strategy,
+// the only one that filters, a returned bound of exactly 0 is not
+// merely conservative but EXACT: the observation support is disjoint
+// from the envelope, and the forward pass only ever moves mass along
+// the edges the envelope follows, so its absorbed mass is bit-exactly
+// 0.0. The gate answers such objects without refinement.
 func (k *kern) existsUpper(ctx context.Context, o *Object) (hi float64, ok bool, err error) {
 	if !k.boundable(o) {
 		return 1, false, nil
 	}
-	pm, err := k.possibleMaskAt(ctx, o.First().Time)
+	cone, err := k.coneFor(ctx, k.w, o.First().Time)
 	if err != nil {
 		return 1, false, err
 	}
@@ -407,7 +411,7 @@ func (k *kern) existsUpper(ctx context.Context, o *Object) (hi float64, ok bool,
 	if mass <= 0 {
 		return 1, false, nil
 	}
-	raw := pdf.MassOn(pm)
+	raw := pdf.MassOn(cone[0])
 	if raw == 0 {
 		return 0, true, nil
 	}
@@ -420,7 +424,7 @@ func (k *kern) existsLower(ctx context.Context, o *Object) (lo float64, ok bool,
 	if !k.boundable(o) {
 		return 0, false, nil
 	}
-	cm, err := k.certainMaskAt(ctx, o.First().Time)
+	cm, err := k.certainMask(ctx, k.w, o.First().Time)
 	if err != nil {
 		return 0, false, err
 	}
@@ -471,7 +475,9 @@ func (k *kern) existsExact(ctx context.Context, o *Object) (Result, error) {
 // existsDot is the single-observation QB core: dot the observation pdf
 // with the (cached) scoring vector. Normalization is folded into the
 // result (dot(pdf, s)/mass == dot(pdf/mass, s)) so the per-object cost
-// is O(|supp(pdf)|) — no O(|S|) clone per object per request.
+// is O(|supp(pdf)|) — no O(|S|) clone per object per request. The kern
+// keeps the last vector it fetched, so a run of objects observed at one
+// time pays one fetch, not a memo lookup each.
 func (k *kern) existsDot(ctx context.Context, o *Object) (float64, error) {
 	first := o.First()
 	if first.Time > k.w.horizon {
@@ -482,11 +488,14 @@ func (k *kern) existsDot(ctx context.Context, o *Object) (float64, error) {
 	if mass == 0 {
 		return 0, errZeroMass(o.ID)
 	}
-	score, err := k.existsScoreAt(ctx, first.Time)
-	if err != nil {
-		return 0, err
+	if k.score == nil || k.scoreT0 != first.Time {
+		score, err := k.existsScoreAt(ctx, first.Time)
+		if err != nil {
+			return 0, err
+		}
+		k.score, k.scoreT0 = score, first.Time
 	}
-	return pdf.Dot(score) / mass, nil
+	return pdf.Dot(k.score) / mass, nil
 }
 
 // obExistsExact answers one object with the object-based strategy (a

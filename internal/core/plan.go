@@ -536,7 +536,8 @@ func (k *kern) exprUpper(ctx context.Context, o *Object) (float64, bool, error) 
 
 // exprBounds computes [lo, hi] bounds on the expression probability.
 // Per atom, the probability of FIRING is bracketed by the initial mass
-// on the certain/possible envelopes of its fire window (kernel.go);
+// on the certain-envelope and on the reach cone's possible-envelope of
+// its fire window (kernel.go);
 // the brackets are folded through the expression tree:
 //
 //	not:      [1−hi, 1−lo]
@@ -554,15 +555,15 @@ func (k *kern) exprBounds(ctx context.Context, o *Object) (lo, hi float64, ok bo
 	}
 	fired := make([][2]float64, k.prog.m)
 	for i, w := range k.prog.fire {
-		pm, merr := k.maskFor(ctx, w, t0, kindPossible)
+		cone, merr := k.coneFor(ctx, w, t0)
 		if merr != nil {
 			return 0, 1, false, merr
 		}
-		cm, merr := k.maskFor(ctx, w, t0, kindCertain)
+		cm, merr := k.certainMask(ctx, w, t0)
 		if merr != nil {
 			return 0, 1, false, merr
 		}
-		fired[i] = [2]float64{pdf.MassOn(cm) / mass, pdf.MassOn(pm) / mass}
+		fired[i] = [2]float64{pdf.MassOn(cm) / mass, pdf.MassOn(cone[0]) / mass}
 	}
 	idx := 0
 	lo, hi = foldBounds(*k.exprTree, &idx, fired)

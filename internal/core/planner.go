@@ -31,13 +31,6 @@ type CostEstimate struct {
 	Sweeps int
 	// Ops approximates the touched non-zero count.
 	Ops float64
-	// FilterOps approximates the extra cost of the filter stage
-	// (boolean envelope sweeps, in the same touched-entries units scaled
-	// by the 64× word-packing) when the request carries a threshold or
-	// top-k and the strategy is filter-eligible; 0 otherwise. The filter
-	// pays this once per (chain, observation time) to skip Ops-scale
-	// exact work per pruned object.
-	FilterOps float64
 }
 
 // estimateAvgRowNNZ samples rows to approximate nnz per row.
@@ -105,39 +98,6 @@ func (e *Engine) planExists(q Query) ([]CostEstimate, error) {
 	return plans, nil
 }
 
-// annotateFilterOps fills CostEstimate.FilterOps for a threshold/top-k
-// request: one boolean backward sweep per (chain, distinct observation
-// time) — the envelope kernels touch every transition non-zero per
-// step, like the float sweeps, just with a bit-set instead of a
-// multiply-add — plus a bound dot per object. Reported for
-// EXPLAIN-style introspection; the actual funnel lands in
-// Response.Filter.
-func annotateFilterOps(plans []CostEstimate, e *Engine, q Query) {
-	horizon := q.Horizon()
-	ops := 0.0
-	for _, grp := range e.db.groupByChain() {
-		times := map[int]bool{}
-		for _, o := range grp.objects {
-			first := o.First()
-			if first.Time > horizon {
-				continue
-			}
-			times[first.Time] = true
-			// One mask-mass dot per object over its observation support.
-			ops += float64(first.PDF.NNZ())
-		}
-		for t0 := range times {
-			ops += float64(horizon-t0) * float64(grp.chain.NNZ())
-		}
-	}
-	for i := range plans {
-		switch plans[i].Strategy {
-		case StrategyQueryBased, StrategyObjectBased:
-			plans[i].FilterOps = ops
-		}
-	}
-}
-
 // --- multi-query optimizer -------------------------------------------------
 //
 // Batch requests (batch.go) are planned together: the optimizer walks
@@ -161,11 +121,10 @@ type sweepUnit struct {
 }
 
 // warmBatch pre-computes the distinct sweep work the plans will need:
-// float scoring sweeps for query-based exists/forall plans (fused in
-// state-major blocks) and boolean reachability envelopes for
-// filter-eligible threshold/top-k plans (fused 64 to the machine word).
-// The other predicates' sweeps (ktimes families, hitting fixed points,
-// expression families) still deduplicate across the batch through the
+// the float scoring sweeps of query-based exists/forall plans, fused in
+// state-major blocks. The other predicates' sweeps (ktimes families,
+// hitting fixed points, expression families) and the object-based
+// plans' reach cones still deduplicate across the batch through the
 // score cache, they just run at first use. A nil cache disables warming
 // entirely.
 func (e *Engine) warmBatch(ctx context.Context, plans []*evalPlan) error {
@@ -173,49 +132,14 @@ func (e *Engine) warmBatch(ctx context.Context, plans []*evalPlan) error {
 		return nil
 	}
 	seen := map[scoreKey]bool{}
-	type chainUnits struct {
-		exists, possible, certain []sweepUnit
-	}
-	perChain := map[*markov.Chain]*chainUnits{}
+	perChain := map[*markov.Chain][]sweepUnit{}
 	chains := []*markov.Chain{}
-	add := func(chain *markov.Chain, key scoreKey, w *window, t0 int) {
-		if seen[key] || e.cache.board.Contains(key) {
-			return
-		}
-		seen[key] = true
-		cu := perChain[chain]
-		if cu == nil {
-			cu = &chainUnits{}
-			perChain[chain] = cu
-			chains = append(chains, chain)
-		}
-		u := sweepUnit{key: key, w: w, t0: t0}
-		switch key.kind {
-		case kindPossible:
-			cu.possible = append(cu.possible, u)
-		case kindCertain:
-			cu.certain = append(cu.certain, u)
-		default:
-			cu.exists = append(cu.exists, u)
-		}
-	}
 	for _, plan := range plans {
-		if plan == nil || !plan.useCache {
+		if plan == nil || !plan.useCache || plan.strategy != StrategyQueryBased {
 			continue
 		}
 		forAll := plan.req.Predicate == PredicateForAll
 		if plan.req.Predicate != PredicateExists && !forAll {
-			continue
-		}
-		needFloat := plan.strategy == StrategyQueryBased
-		// The filter's upper bound reads one envelope per object: the
-		// possible-mask for exists, the certain-mask (of the complemented
-		// window the kernel evaluates) for forall.
-		maskKind, needMask := kindPossible, plan.ranked() && plan.filtered()
-		if forAll {
-			maskKind = kindCertain
-		}
-		if !needFloat && !needMask {
 			continue
 		}
 		for _, grp := range e.db.groupByChain() {
@@ -237,19 +161,23 @@ func (e *Engine) warmBatch(ctx context.Context, plans []*evalPlan) error {
 				if t0 > w.horizon {
 					continue
 				}
-				if needFloat {
-					add(grp.chain, scoreKey{chain: grp.chain, kind: kindExists, sig: w.signature(), t0: t0}, w, t0)
+				key := scoreKey{chain: grp.chain, kind: kindExists, sig: w.signature(), t0: t0}
+				if seen[key] || e.cache.board.Contains(key) {
+					continue
 				}
-				if needMask {
-					add(grp.chain, scoreKey{chain: grp.chain, kind: maskKind, sig: w.signature(), t0: t0}, w, t0)
+				seen[key] = true
+				if perChain[grp.chain] == nil {
+					chains = append(chains, grp.chain)
 				}
+				perChain[grp.chain] = append(perChain[grp.chain], sweepUnit{key: key, w: w, t0: t0})
 			}
 		}
 	}
-	// Descending horizon keeps the fused float block's live columns a
-	// prefix; ties broken deterministically regardless of map iteration
-	// order. Mask blocks use the same schedule for determinism.
-	byHorizon := func(units []sweepUnit) {
+	for _, chain := range chains {
+		units := perChain[chain]
+		// Descending horizon keeps the fused block's live columns a
+		// prefix; ties broken deterministically regardless of map
+		// iteration order.
 		sort.Slice(units, func(a, b int) bool {
 			if units[a].w.horizon != units[b].w.horizon {
 				return units[a].w.horizon > units[b].w.horizon
@@ -259,25 +187,11 @@ func (e *Engine) warmBatch(ctx context.Context, plans []*evalPlan) error {
 			}
 			return units[a].t0 < units[b].t0
 		})
-	}
-	for _, chain := range chains {
-		cu := perChain[chain]
-		byHorizon(cu.exists)
 		width := fusedWidth(chain.NumStates())
-		for start := 0; start < len(cu.exists); start += width {
-			end := min(start+width, len(cu.exists))
-			if err := e.fusedExistsSweeps(ctx, chain, cu.exists[start:end]); err != nil {
+		for start := 0; start < len(units); start += width {
+			end := min(start+width, len(units))
+			if err := e.fusedExistsSweeps(ctx, chain, units[start:end]); err != nil {
 				return err
-			}
-		}
-		for _, masks := range [][]sweepUnit{cu.possible, cu.certain} {
-			byHorizon(masks)
-			for start := 0; start < len(masks); start += 64 {
-				end := min(start+64, len(masks))
-				certain := len(masks) > 0 && masks[0].key.kind == kindCertain
-				if err := e.fusedMaskSweeps(ctx, chain, masks[start:end], certain); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -287,8 +201,7 @@ func (e *Engine) warmBatch(ctx context.Context, plans []*evalPlan) error {
 // PlanRequest resolves the strategy Evaluate would run req with —
 // engine default, per-request override, or the cost planner's choice
 // for WithAutoPlan — plus the planner's estimates when auto-planning
-// engaged (annotated with filter costs for ranked requests, exactly as
-// Response.Plans reports them). It validates the request and resolves
+// engaged (exactly as Response.Plans reports them). It validates the request and resolves
 // its window, so a nil error here means the request is well-formed.
 // The shard router uses it to plan once, over the full database, and
 // pin every shard to the same strategy.
@@ -301,9 +214,9 @@ func (e *Engine) PlanRequest(req Request) (Strategy, []CostEstimate, error) {
 }
 
 // WarmBatch precomputes and publishes to the score cache every backward
-// sweep the requests' query-based evaluations and filter stages will
-// need, using the fused state-major kernels — EvaluateBatch's warm
-// phase as a standalone entry point. The shard router calls it once on
+// sweep the requests' query-based exists/forall evaluations will need,
+// using the fused state-major kernel — EvaluateBatch's warm phase as a
+// standalone entry point. The shard router calls it once on
 // a full-database engine so that the per-shard batch evaluations all
 // hit the shared cache instead of warming per shard. Malformed requests
 // are skipped (their own evaluation surfaces the error).

@@ -270,21 +270,21 @@ func WithCache(enabled bool) RequestOption {
 	return func(r *Request) { r.useCache = &enabled }
 }
 
-// WithFilterRefine toggles the filter–refine stage for WithThreshold /
-// WithTopK requests on the exact strategies: cheap reachability-envelope
-// bounds prune objects that provably cannot qualify before any exact
-// per-object evaluation runs. On by default; the filter is strictly
-// conservative, so the switch exists for benchmarking and fallback.
-// Response.Filter reports the funnel.
+// WithFilterRefine is the object-based strategy's toggle, for its gate
+// and its clip alike. Gate: for WithThreshold / WithTopK requests and
+// exists/forall counts, cheap reachability-envelope bounds prune objects
+// that provably cannot qualify, or answer them outright, before any
+// forward pass runs; Response.Filter reports the funnel. Clip: every
+// forward pass, ranked or not, drops the frontier mass that has left the
+// window's reach cone (the envelope the gate bounds with, kept for every
+// timestamp). On by default; off, the strategy is the paper's algorithm
+// as written — one full pass per object. Object-based exists/forall
+// answers agree to the bit while the unclipped frontier stays sparse and
+// within 1e-12 otherwise, PSTkQ distributions within 1e-12.
 //
-// The same toggle governs the object-based forward pass, ranked or not:
-// on, every pass drops the frontier mass that has left the window's
-// reach cone (the envelope the filter bounds with, kept for every
-// timestamp); off, it is the paper's algorithm as written — one full
-// pass per object. Query-based and Monte-Carlo answers do not depend on
-// the toggle at all; object-based exists/forall answers agree to the bit
-// while the unclipped frontier stays sparse and within 1e-12 otherwise,
-// PSTkQ distributions within 1e-12.
+// Under the query-based strategy, whose per-object answer is one dot
+// product, and under Monte-Carlo sampling the toggle changes nothing:
+// not an answer, not the funnel (always zero), not the work done.
 func WithFilterRefine(enabled bool) RequestOption {
 	return func(r *Request) { r.useFilter = &enabled }
 }

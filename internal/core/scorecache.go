@@ -14,9 +14,10 @@ import (
 // repeated Evaluate calls, subscription refreshes, the experiment
 // harness and ustquery sessions against one engine, and across the
 // engines of a shard router. The cache is a Board (board.go) over those
-// sweep results plus the boolean reachability envelopes the filter stage
-// derives from the same keys: size-bounded LRU, and a per-key lease so
-// that concurrent misses on one key compute it once.
+// sweep results plus the boolean reachability envelopes the object-based
+// filter and forward passes derive from the same keys: size-bounded LRU,
+// and a per-key lease so that concurrent misses on one key compute it
+// once.
 //
 // Nothing invalidates an entry, because no key can go stale: the sweep
 // and envelope kinds are pure functions of the immutable chain, the
@@ -28,7 +29,9 @@ import (
 // cached for everything that did not change. Engine.InvalidateCache is
 // the manual override.
 
-// scoreKind discriminates what a cache entry holds.
+// scoreKind discriminates what a cache entry holds. The values travel
+// over the sweep tier (SweepKey.Kind), so a retired kind leaves its
+// number unused rather than handing it to another kind.
 type scoreKind uint8
 
 const (
@@ -39,9 +42,9 @@ const (
 	// kindHitting: the fixed-point hitting-probability vector
 	// (PredicateEventually); t0 is unused, sig folds in maxSteps/tol.
 	kindHitting
-	// kindPossible: the "can possibly hit" reachability envelope.
-	kindPossible
-	// kindCertain: the "hits with certainty" envelope.
+	_
+	// kindCertain: the "hits with certainty" envelope (kern.certainMask),
+	// the object-based filter's lower bound.
 	kindCertain
 	// kindExpr: the 2^m augmented backward family of a compound
 	// expression (plan.go); sig is the expression signature.
@@ -56,9 +59,10 @@ const (
 	// query time.
 	kindPosterior
 	// kindCone: the reach cone of a window — its possible-envelope at
-	// every time from t0 to the horizon (kern.coneFrom), which the
-	// object-based forward passes clip their frontier against. Local
-	// only: it never travels over the sweep tier.
+	// every time from t0 to the horizon (kern.coneFor), which the
+	// object-based forward passes clip their frontier against and whose
+	// first entry is the object-based filter's upper bound. Local only:
+	// it never travels over the sweep tier.
 	kindCone
 )
 

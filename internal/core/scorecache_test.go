@@ -146,7 +146,7 @@ func TestScoreCacheGenerationInvalidation(t *testing.T) {
 	ctx := context.Background()
 
 	sweepKey := scoreKey{chain: chain, kind: kindExists, sig: 1, t0: 0}
-	maskKey := scoreKey{chain: chain, kind: kindPossible, sig: 1, t0: 0}
+	maskKey := scoreKey{chain: chain, kind: kindCertain, sig: 1, t0: 0}
 	c.board.Put(sweepKey, scoreValue{vecs: []*sparse.Vec{vec}})
 	c.board.Put(maskKey, scoreValue{bits: sparse.NewBitset(4)})
 

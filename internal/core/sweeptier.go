@@ -66,7 +66,7 @@ type SweepTier interface {
 // payload in any process. The serial-keyed per-object kinds stay local.
 func (k scoreKind) wireable() bool {
 	switch k {
-	case kindExists, kindKTimes, kindHitting, kindPossible, kindCertain, kindExpr:
+	case kindExists, kindKTimes, kindHitting, kindCertain, kindExpr:
 		return true
 	}
 	return false

@@ -318,10 +318,6 @@ func (e *encoder) plans(ps []core.CostEstimate) {
 		e.int(p.Sweeps)
 		e.raw(`,"ops":`)
 		e.float(p.Ops)
-		if p.FilterOps != 0 {
-			e.raw(`,"filter_ops":`)
-			e.float(p.FilterOps)
-		}
 		e.b = append(e.b, '}')
 	}
 	e.b = append(e.b, ']')
@@ -409,7 +405,7 @@ func (e *encoder) agg(a *AggResult) {
 var (
 	responseKeys  = []string{"results", "strategy", "plans", "cache", "filter", "agg"}
 	resultKeys    = []string{"object", "prob", "dist"}
-	planKeys      = []string{"strategy", "sweeps", "ops", "filter_ops"}
+	planKeys      = []string{"strategy", "sweeps", "ops"}
 	cacheKeys     = []string{"hits", "misses"}
 	filterKeys    = []string{"candidates", "pruned", "refined"}
 	aggKeys       = []string{"kind", "min_count", "pmf", "mean", "variance", "mode", "tail", "profile"}
@@ -959,10 +955,8 @@ func (d *decoder) plan() (p CostEstimate, err error) {
 			p.Strategy, err = d.string()
 		case 1:
 			p.Sweeps, err = d.int()
-		case 2:
-			p.Ops, err = d.float()
 		default:
-			p.FilterOps, err = d.float()
+			p.Ops, err = d.float()
 		}
 		return err
 	})

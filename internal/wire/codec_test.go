@@ -164,9 +164,6 @@ func (g valueGen) plans() []core.CostEstimate {
 	ps := make([]core.CostEstimate, 1+g.rng.Intn(3))
 	for i := range ps {
 		ps[i] = core.CostEstimate{Strategy: g.strategy(), Sweeps: g.count(), Ops: g.float()}
-		if g.rng.Intn(2) == 0 {
-			ps[i].FilterOps = g.float()
-		}
 	}
 	return ps
 }

@@ -55,7 +55,7 @@ func FromFactorSet(fs *core.FactorSet) (FactorSet, error) {
 		if perr != nil {
 			return FactorSet{}, perr
 		}
-		w.Plans = append(w.Plans, CostEstimate{Strategy: ps, Sweeps: p.Sweeps, Ops: p.Ops, FilterOps: p.FilterOps})
+		w.Plans = append(w.Plans, CostEstimate{Strategy: ps, Sweeps: p.Sweeps, Ops: p.Ops})
 	}
 	return w, nil
 }
@@ -92,7 +92,7 @@ func (w FactorSet) ToFactorSet() (*core.FactorSet, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		fs.Plans = append(fs.Plans, core.CostEstimate{Strategy: ps, Sweeps: p.Sweeps, Ops: p.Ops, FilterOps: p.FilterOps})
+		fs.Plans = append(fs.Plans, core.CostEstimate{Strategy: ps, Sweeps: p.Sweeps, Ops: p.Ops})
 	}
 	return fs, nil
 }

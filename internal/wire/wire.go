@@ -89,10 +89,9 @@ type Result struct {
 
 // CostEstimate is the JSON shape of a planner estimate.
 type CostEstimate struct {
-	Strategy  string  `json:"strategy"`
-	Sweeps    int     `json:"sweeps"`
-	Ops       float64 `json:"ops"`
-	FilterOps float64 `json:"filter_ops,omitempty"`
+	Strategy string  `json:"strategy"`
+	Sweeps   int     `json:"sweeps"`
+	Ops      float64 `json:"ops"`
 }
 
 // CacheReport mirrors core.CacheReport.
@@ -388,7 +387,7 @@ func FromResponse(resp *core.Response) (Response, error) {
 		if perr != nil {
 			return Response{}, perr
 		}
-		w.Plans = append(w.Plans, CostEstimate{Strategy: ps, Sweeps: p.Sweeps, Ops: p.Ops, FilterOps: p.FilterOps})
+		w.Plans = append(w.Plans, CostEstimate{Strategy: ps, Sweeps: p.Sweeps, Ops: p.Ops})
 	}
 	if resp.Agg != nil {
 		a, aerr := fromAggResult(resp.Agg)
@@ -417,7 +416,7 @@ func (w Response) ToResponse() (*core.Response, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		resp.Plans = append(resp.Plans, core.CostEstimate{Strategy: ps, Sweeps: p.Sweeps, Ops: p.Ops, FilterOps: p.FilterOps})
+		resp.Plans = append(resp.Plans, core.CostEstimate{Strategy: ps, Sweeps: p.Sweeps, Ops: p.Ops})
 	}
 	if w.Agg != nil {
 		a, aerr := w.Agg.toAggResult()

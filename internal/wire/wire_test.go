@@ -284,7 +284,7 @@ func TestResponseRoundTripExactFloats(t *testing.T) {
 	for i, p := range probs {
 		resp.Results = append(resp.Results, core.Result{ObjectID: i, Prob: p, Dist: []float64{1 - p, p}})
 	}
-	resp.Plans = []core.CostEstimate{{Strategy: core.StrategyQueryBased, Sweeps: 2, Ops: 123.5, FilterOps: 7}}
+	resp.Plans = []core.CostEstimate{{Strategy: core.StrategyQueryBased, Sweeps: 2, Ops: 123.5}}
 	resp.Cache = core.CacheReport{Hits: 3, Misses: 1}
 	resp.Filter = core.FilterReport{Candidates: 6, Pruned: 4, Refined: 2}
 

@@ -285,15 +285,15 @@ func WithHittingLimits(maxSteps int, tol float64) RequestOption {
 // traffic. Results are identical either way.
 func WithCache(enabled bool) RequestOption { return core.WithCache(enabled) }
 
-// WithFilterRefine toggles the filter–refine stage for threshold/top-k
-// requests on the exact strategies (on by default): cheap reachability
-// bounds prune objects before any exact evaluation, and
-// Response.Filter reports the funnel. The same toggle governs the
-// object-based forward pass of any request: on, each pass is clipped to
-// the window's reach cone; off, it is the paper's full pass per object.
-// Query-based and Monte-Carlo answers are identical either way;
-// object-based ones agree to 1e-12 (to the bit while the unclipped
-// frontier stays sparse).
+// WithFilterRefine is the object-based strategy's toggle (on by
+// default), for its filter–refine stage and its clip alike: cheap
+// reachability bounds prune threshold/top-k candidates before any
+// forward pass, Response.Filter reports the funnel, and every forward
+// pass is clipped to the window's reach cone; off, it is the paper's
+// full pass per object. Object-based answers agree to 1e-12 either way
+// (to the bit while the unclipped frontier stays sparse). Under the
+// query-based and Monte-Carlo strategies it changes nothing: same
+// answers, same (zero) funnel.
 func WithFilterRefine(enabled bool) RequestOption { return core.WithFilterRefine(enabled) }
 
 // --- compound expressions -------------------------------------------------
