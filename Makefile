@@ -158,7 +158,9 @@ bench:
 # evaluation on B/op, where an unpooled fused block shows. The three
 # consumers of the one exact scan loop — top-k, threshold and the count
 # aggregate — are gated on allocs/op, so the loop cannot start
-# allocating per object.
+# allocating per object. The multi-observation exists and posterior
+# passes are gated on allocs/op and B/op, so their pooled lane blocks
+# cannot start allocating per object either.
 # Missing baseline entries (fresh checkout, renamed benchmark) pass with
 # a notice.
 alloc-gate:
@@ -188,6 +190,11 @@ alloc-gate:
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkFilterRefineTopK < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkFilterRefineThreshold < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkAggregateCount/engine < .gate.jsonl
+	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkMultiObs(Exists|Posterior)/columnar$$' -benchmem -benchtime=200x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsExists/columnar < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsExists/columnar -gate-metric B/op < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsPosterior/columnar < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsPosterior/columnar -gate-metric B/op < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total
