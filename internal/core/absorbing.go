@@ -85,17 +85,10 @@ func NewAugmentedChain(chain *markov.Chain, regionStates []int) *AugmentedChain 
 	return &AugmentedChain{base: chain, minus: minus, plus: plus}
 }
 
-// ExtendVec embeds a |S|-dimensional distribution into the extended
-// space with zero initial hit mass.
-func (a *AugmentedChain) ExtendVec(v *sparse.Vec) *sparse.Vec {
-	out := sparse.NewVec(a.base.NumStates() + 1)
-	v.Range(func(i int, x float64) { out.Set(i, x) })
-	return out
-}
-
 // ExistsOBAugmented evaluates P∃ exactly as Section V-A writes it: the
 // extended distribution vector is multiplied with the materialized M−
-// or M+ at every step, and the answer is the final mass of ◆.
+// or M+ at every step, and the answer is the final mass of ◆. The
+// product is the lane kernel's (querybased.go) over S ∪ {◆}.
 func ExistsOBAugmented(chain *markov.Chain, regionStates []int, times []int, init *sparse.Vec, t0 int) (float64, error) {
 	q := NewQuery(regionStates, times)
 	w, err := compile(q, chain.NumStates())
@@ -109,23 +102,23 @@ func ExistsOBAugmented(chain *markov.Chain, regionStates []int, times []int, ini
 		return 0, fmt.Errorf("core: start time %d after query horizon %d", t0, w.horizon)
 	}
 	aug := NewAugmentedChain(chain, q.States)
-	cur := aug.ExtendVec(init)
-	// Footnote 2: if t0 itself is a query time, mass inside S□ moves to
-	// ◆ before any transition.
-	if w.atTime(t0) {
-		hit := sweepHits(cur, w) // mask is n states; ◆ (index n) unaffected
-		cur.Add(aug.HitState(), hit)
-	}
-	next := sparse.NewVec(cur.Len())
+	cur := newLaneBlock(aug.HitState()+1, 1)
+	init.Range(func(i int, x float64) {
+		// Footnote 2: if t0 itself is a query time, mass inside S□
+		// moves to ◆ before any transition.
+		if w.atTime(t0) && w.inRegion(i) {
+			i = aug.HitState()
+		}
+		cur.row(i)[0] += x
+	})
 	for t := t0; t < w.horizon; t++ {
 		if w.atTime(t + 1) {
-			sparse.VecMat(next, cur, aug.plus)
+			cur.step(aug.plus, 1)
 		} else {
-			sparse.VecMat(next, cur, aug.minus)
+			cur.step(aug.minus, 1)
 		}
-		cur, next = next, cur
 	}
-	return cur.At(aug.HitState()), nil
+	return cur.cur[aug.HitState()], nil
 }
 
 // ExistsQBAugmented evaluates P∃ with the transposed materialized
@@ -149,22 +142,24 @@ func ExistsQBAugmented(chain *markov.Chain, regionStates []int, times []int, ini
 		aug.minusT = aug.minus.Transpose()
 		aug.plusT = aug.plus.Transpose()
 	}
-	score := sparse.NewVec(chain.NumStates() + 1)
-	score.Set(aug.HitState(), 1)
-	next := sparse.NewVec(score.Len())
+	score := newLaneBlock(aug.HitState()+1, 1)
+	score.row(aug.HitState())[0] = 1
 	for t := w.horizon; t > t0; t-- {
 		if w.atTime(t) {
-			sparse.VecMat(next, score, aug.plusT)
+			score.step(aug.plusT, 1)
 		} else {
-			sparse.VecMat(next, score, aug.minusT)
+			score.step(aug.minusT, 1)
 		}
-		score, next = next, score
 	}
-	ext := aug.ExtendVec(init)
-	if w.atTime(t0) {
+	p := 0.0
+	init.Range(func(s int, x float64) {
 		// Footnote 2 again: worlds starting inside the window at t0 are
 		// immediate hits regardless of the backward scores.
-		w.eachRegionState(func(s int) { score.Set(s, 1) })
-	}
-	return ext.Dot(score), nil
+		if w.atTime(t0) && w.inRegion(s) {
+			p += x
+		} else {
+			p += x * score.cur[s]
+		}
+	})
+	return p, nil
 }

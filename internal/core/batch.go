@@ -355,8 +355,8 @@ func newFusedSchedule(units []sweepUnit, width int) *fusedSchedule {
 // what the serial path computes.
 func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, units []sweepUnit) error {
 	sch := newFusedSchedule(units, maxFusedColumns)
-	blk := newLaneBlock(chain.NumStates(), len(sch.lanes), e.fpool)
-	defer blk.release()
+	blk := e.blocks.get(chain.NumStates(), len(sch.lanes))
+	defer e.blocks.put(blk)
 	pins := make([][]int32, len(sch.lanes))
 	mt := chain.Transposed()
 	resolve := func(k int) {
@@ -407,6 +407,6 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		blk.stepBack(mt, active)
+		blk.step(mt, active)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ust/internal/markov"
-	"ust/internal/sparse"
 )
 
 // ingestDB builds a database of multi-observation objects for the
@@ -125,11 +124,11 @@ func BenchmarkMultiObsPosterior(b *testing.B) {
 	})
 
 	b.Run("columnar", func(b *testing.B) {
-		fpool := &sparse.FloatPool{}
+		pool := &blockPool{}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := posteriorAtSeg(chain, seg, at, fpool); err != nil {
+			if _, err := posteriorAtSeg(chain, seg, at, pool); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -176,11 +175,11 @@ func BenchmarkMultiObsExists(b *testing.B) {
 	})
 
 	b.Run("columnar", func(b *testing.B) {
-		fpool := &sparse.FloatPool{}
+		pool := &blockPool{}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := existsMultiObsSeg(context.Background(), chain, seg, w, nil, fpool); err != nil {
+			if _, err := existsMultiObsSeg(context.Background(), chain, seg, w, nil, pool); err != nil {
 				b.Fatal(err)
 			}
 		}

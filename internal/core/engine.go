@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"ust/internal/sparse"
-)
+import "fmt"
 
 // Strategy selects the evaluation plan for database-wide queries.
 type Strategy int
@@ -86,11 +82,10 @@ type Engine struct {
 	db   *Database
 	opts Options
 	// cache shares backward-sweep results engine-wide (nil when
-	// disabled); pool recycles sweep scratch buffers and fpool the flat
-	// lane blocks of the columnar multi-observation kernels.
-	cache *SharedCache
-	pool  *sparse.VecPool
-	fpool *sparse.FloatPool
+	// disabled); blocks recycles the lane blocks every sweep and pass
+	// steps.
+	cache  *SharedCache
+	blocks *blockPool
 }
 
 // NewEngine builds an engine over db with the given options.
@@ -98,7 +93,7 @@ func NewEngine(db *Database, opts Options) *Engine {
 	if db == nil {
 		panic("core: nil database")
 	}
-	e := &Engine{db: db, opts: opts.withDefaults(), pool: &sparse.VecPool{}, fpool: &sparse.FloatPool{}}
+	e := &Engine{db: db, opts: opts.withDefaults(), blocks: &blockPool{}}
 	switch {
 	case e.opts.Cache != nil:
 		e.cache = e.opts.Cache

@@ -14,10 +14,14 @@ import (
 // threshold) and the count aggregate — under both exact strategies.
 // The query-based strategy never engages the gate, so its responses
 // equal WithFilterRefine(false)'s whole, answers and funnel, bit for
-// bit. Under the object-based strategy answers agree within 1e-12 (the
-// clipped contract), where an object may cross the cut only on a tie
-// within 1e-12, and count PMFs within 1e-9; whenever the gate engaged it
-// saw every object once: Candidates = Pruned + Refined = |D|.
+// bit. Under the object-based strategy an exists or forall threshold or
+// top-k response equals the ungated one whole but for the funnel and the
+// cache traffic (the clipped pass is bit-exact, so no object can cross
+// the cut); ktimes and expression answers agree within 1e-12 (parked
+// mass joins a ktimes sum in another order), where an object may cross
+// the cut only on a tie within 1e-12, and count PMFs within 1e-9;
+// whenever the gate engaged it saw every object once: Candidates =
+// Pruned + Refined = |D|.
 func FuzzFilterRefine(f *testing.F) {
 	for seed := int64(0); seed < 256; seed++ {
 		f.Add(seed)
@@ -91,6 +95,14 @@ func checkFilterRefine(t *testing.T, rng *rand.Rand) {
 				if math.Abs(p-want.Agg.PMF[i]) > 1e-9 {
 					t.Fatalf("%v %v: count PMF[%d] %v, unfiltered %v", pred, strat, i, p, want.Agg.PMF[i])
 				}
+			}
+			continue
+		}
+		if pred == PredicateExists || pred == PredicateForAll {
+			g, w := *got, *want
+			g.Filter, g.Cache, w.Filter, w.Cache = FilterReport{}, CacheReport{}, FilterReport{}, CacheReport{}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%v ob k=%d τ=%v: filter on %+v, filter off %+v", pred, k, tau, got, want)
 			}
 			continue
 		}

@@ -22,8 +22,9 @@ import (
 // forward algorithm over a compiled (non-empty) window: it steps the
 // count matrix forward from the seed, checking ctx once per transition.
 // The returned slice has |T□|+1 entries; entry k is P(object inside S□
-// at exactly k query timestamps). All |T□|+2 scratch rows come from pool
-// (nil allowed) and return to it.
+// at exactly k query timestamps). The matrix is one block of |T□|+1
+// lanes, lane k holding C(t)'s row k, from pool (nil allowed): one
+// traversal of M per step moves every visit count reachable so far.
 //
 // With a reach cone the pass clips every row before it steps: mass that
 // has left the cone can never enter S□ at a query time again, so its
@@ -31,66 +32,53 @@ import (
 // to the horizon. The parked mass joins the sum in a different order
 // than the unclipped pass adds it, so clipped distributions agree with
 // unclipped ones to rounding (1e-12), not to the bit.
-func kTimesForward(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window, pool *sparse.VecPool) ([]float64, error) {
-	n := chain.NumStates()
-	rows := make([]*sparse.Vec, w.k+1)
-	rows[0] = seed.start(pool)
-	for i := 1; i < len(rows); i++ {
-		rows[i] = pool.Get(n)
-	}
-	buf := pool.Get(n)
-	defer func() {
-		for _, r := range rows {
-			pool.Put(r)
-		}
-		pool.Put(buf)
-	}()
-	out := make([]float64, w.k+1)
+func kTimesForward(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window, pool *blockPool) ([]float64, error) {
+	K := w.k + 1
+	b := seed.open(pool, K)
+	defer pool.put(b)
+	m := chain.Matrix()
+	out := make([]float64, K)
+	active := 1 // visit counts 0 … active−1 can hold mass: one more per query time
 	if w.atTime(seed.t0) {
-		shiftDown(rows, w)
+		addVisit(b, w)
+		active = min(active+1, K)
 	}
 	for t := seed.t0; t < w.horizon; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Rows above the number of processed query times are all zero;
-		// stepping them would be wasted work but correct. Step every
-		// non-empty row.
-		for i := range rows {
-			out[i] += seed.clip(rows[i], t)
-			if rows[i].NNZ() == 0 {
-				continue
-			}
-			chain.Step(buf, rows[i])
-			rows[i], buf = buf, rows[i]
+		seed.clip(b, t, out)
+		if !b.live.Any() {
+			break // every world's count is final
 		}
+		b.step(m, active)
 		if w.atTime(t + 1) {
-			shiftDown(rows, w)
+			addVisit(b, w)
+			active = min(active+1, K)
 		}
 	}
-	for i, r := range rows {
-		out[i] += r.Sum()
-	}
+	b.live.Range(func(s int) {
+		for c, x := range b.cur[s*K : s*K+K] {
+			out[c] += x
+		}
+	})
 	return out, nil
 }
 
-// shiftDown moves the in-window mass of row k into row k+1 (same
-// states), from the top down so each world shifts exactly once. Mass in
-// the last row stays: it has already visited at every query timestamp
-// processed so far and the final shift would exceed |T□| (impossible —
-// the last shift happens at the last query time, so the top row can only
-// receive).
-func shiftDown(rows []*sparse.Vec, w *window) {
-	for i := len(rows) - 2; i >= 0; i-- {
-		src, dst := rows[i], rows[i+1]
-		src.Range(func(s int, x float64) {
-			if w.inRegion(s) {
-				dst.Add(s, x)
-				src.Set(s, 0)
+// addVisit moves the mass on every live row inside the window up one
+// visit count at a query timestamp — the forward twin of consumeVisit —
+// from the top down so each world moves exactly once. Mass in the last
+// lane stays: it has already visited at every query timestamp.
+func addVisit(b *laneBlock, w *window) {
+	b.live.Range(func(s int) {
+		if w.inRegion(s) {
+			row := b.cur[s*b.k : s*b.k+b.k]
+			for c := b.k - 2; c >= 0; c-- {
+				row[c+1] += row[c]
+				row[c] = 0
 			}
-		})
-		src.Compact()
-	}
+		}
+	})
 }
 
 // The query-based PSTkQ sweep maintains, per chain group, the backward
@@ -108,13 +96,13 @@ func shiftDown(rows []*sparse.Vec, w *window) {
 // B_k with k ≥ 1 lives on the backward reach of S□.
 
 // kTimesBackward produces the scoring vectors B_0 … B_K at time t0,
-// checking ctx once per backward step. Its block comes from fpool (nil
+// checking ctx once per backward step. Its block comes from pool (nil
 // allowed); the returned vectors are owned by the caller (and typically
 // handed to the score cache).
-func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int, fpool *sparse.FloatPool) ([]*sparse.Vec, error) {
+func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *blockPool) ([]*sparse.Vec, error) {
 	K := w.k
-	blk := newLaneBlock(chain.NumStates(), K+1, fpool)
-	defer blk.release()
+	blk := pool.get(chain.NumStates(), K+1)
+	defer pool.put(blk)
 	mt := chain.Transposed()
 	active := 0 // lanes B_1 … B_active can be non-zero: one per visit consumed
 	for t := w.horizon; t >= t0; t-- {
@@ -128,7 +116,7 @@ func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		blk.stepBack(mt, active)
+		blk.step(mt, active)
 	}
 	blk.far[K] = true
 	blk.live.Range(func(s int) {

@@ -112,26 +112,24 @@ func KTimesOBAugmented(chain *markov.Chain, regionStates []int, times []int, ini
 
 	// Footnote 3: if t0 ∈ T□, worlds starting inside the window begin in
 	// block 1.
-	cur := sparse.NewVec(big)
+	cur := newLaneBlock(big, 1)
 	init.Range(func(s int, p float64) {
 		block := 0
 		if w.atTime(t0) && w.inRegion(s) {
 			block = 1
 		}
-		cur.Add(block*n+s, p)
+		cur.row(block*n + s)[0] += p
 	})
-	next := sparse.NewVec(big)
 	for t := t0; t < w.horizon; t++ {
 		if w.atTime(t + 1) {
-			sparse.VecMat(next, cur, aug.plus)
+			cur.step(aug.plus, 1)
 		} else {
-			sparse.VecMat(next, cur, aug.minus)
+			cur.step(aug.minus, 1)
 		}
-		cur, next = next, cur
 	}
 	out := make([]float64, w.k+1)
-	cur.Range(func(idx int, p float64) {
-		out[idx/n] += p
+	cur.live.Range(func(idx int) {
+		out[idx/n] += cur.cur[idx]
 	})
 	return out, nil
 }

@@ -243,7 +243,7 @@ func (prog *exprProg) constResult() float64 {
 // probability that a world at state s at t0, having already accumulated
 // flag word b (events at t0 included), ends up accepted. Requires
 // t0 ≤ prog.horizon. The 2^m lanes are one block (querybased.go), from
-// fpool (nil allowed).
+// pool (nil allowed).
 //
 // Lane b is held against its far value: the answer of a world that
 // never meets a small region, accept[b ∪ the atoms whose fire region
@@ -251,10 +251,10 @@ func (prog *exprProg) constResult() float64 {
 // only at such an atom's last event, whose gather rewrites the lane
 // anyway, so every lane lives on the backward reach of the small
 // regions — the event states of exprEvent.
-func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, fpool *sparse.FloatPool) ([]*sparse.Vec, error) {
+func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, pool *blockPool) ([]*sparse.Vec, error) {
 	nb := 1 << prog.m
-	blk := newLaneBlock(chain.NumStates(), nb, fpool)
-	defer blk.release()
+	blk := pool.get(chain.NumStates(), nb)
+	defer pool.put(blk)
 	copy(blk.far, prog.accept)
 	mt := chain.Transposed()
 	from := make([]int, nb)
@@ -290,7 +290,7 @@ func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 i
 				blk.far[b] = prog.accept[b|ahead]
 			}
 		}
-		blk.stepBack(mt, nb)
+		blk.step(mt, nb)
 	}
 	family := make([]*sparse.Vec, nb)
 	for b := range family {
@@ -328,12 +328,13 @@ func clamp01(p float64) float64 {
 
 // --- object-based core -----------------------------------------------------
 
-// exprForward is the augmented forward pass for one object: 2^m
-// flag-indexed mass vectors (materialized lazily — most flag words are
-// never reached), stepped jointly to the horizon; events move mass to
-// higher flag words in place. The returned value is the accepted mass,
-// unnormalized — callers divide by the pdf mass.
-func exprForward(ctx context.Context, chain *markov.Chain, init *markov.Distribution, t0 int, prog *exprProg, pool *sparse.VecPool) (float64, error) {
+// exprForward is the augmented forward pass for one object: one
+// single-lane block (querybased.go) per flag word, from pool (nil
+// allowed), opened lazily — most flag words are never reached — and
+// stepped to the horizon; events move mass to higher flag words in
+// place. The returned value is the accepted mass, unnormalized —
+// callers divide by the pdf mass.
+func exprForward(ctx context.Context, chain *markov.Chain, init *markov.Distribution, t0 int, prog *exprProg, pool *blockPool) (float64, error) {
 	if prog.horizon < t0 {
 		if prog.accept[0] {
 			return init.Mass(), nil
@@ -341,22 +342,19 @@ func exprForward(ctx context.Context, chain *markov.Chain, init *markov.Distribu
 		return 0, nil
 	}
 	n := chain.NumStates()
-	nb := 1 << prog.m
-	cur := make([]*sparse.Vec, nb)
-	get := func(b int) *sparse.Vec {
-		if cur[b] == nil {
-			cur[b] = pool.Get(n)
+	blks := make([]*laneBlock, 1<<prog.m)
+	get := func(b int) *laneBlock {
+		if blks[b] == nil {
+			blks[b] = pool.get(n, 1)
 		}
-		return cur[b]
+		return blks[b]
 	}
-	scratch := pool.Get(n)
 	defer func() {
-		for _, v := range cur {
-			if v != nil {
-				pool.Put(v)
+		for _, blk := range blks {
+			if blk != nil {
+				pool.put(blk)
 			}
 		}
-		pool.Put(scratch)
 	}()
 
 	seed := prog.deltas[t0]
@@ -365,47 +363,41 @@ func exprForward(ctx context.Context, chain *markov.Chain, init *markov.Distribu
 		if seed != nil {
 			b = int(seed[s])
 		}
-		get(b).Add(s, x)
+		get(b).row(s)[0] += x
 	})
 
+	m := chain.Matrix()
 	for t := t0; t < prog.horizon; t++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		for b := 0; b < nb; b++ {
-			if cur[b] == nil || cur[b].NNZ() == 0 {
-				continue
+		for _, blk := range blks {
+			if blk != nil {
+				blk.step(m, 1)
 			}
-			chain.Step(scratch, cur[b])
-			cur[b], scratch = scratch, cur[b]
 		}
 		if d := prog.deltas[t+1]; d != nil {
 			// Ascending flag order is safe: mass moved into b|d[s] has
 			// d[s] ⊆ flags already, so revisiting the target moves
 			// nothing twice.
-			for b := 0; b < nb; b++ {
-				v := cur[b]
-				if v == nil || v.NNZ() == 0 {
+			for b := range blks {
+				blk := blks[b]
+				if blk == nil {
 					continue
 				}
-				moved := false
-				v.Range(func(s int, x float64) {
-					if ds := int(d[s]); ds != 0 && b|ds != b {
-						get(b|ds).Add(s, x)
-						v.Set(s, 0)
-						moved = true
+				blk.live.Range(func(s int) {
+					if ds := int(d[s]); ds != 0 && b|ds != b && blk.cur[s] != 0 {
+						get(b | ds).row(s)[0] += blk.cur[s]
+						blk.cur[s] = 0
 					}
 				})
-				if moved {
-					v.Compact()
-				}
 			}
 		}
 	}
 	p := 0.0
-	for b, v := range cur {
-		if prog.accept[b] && v != nil {
-			p += v.Sum()
+	for b, blk := range blks {
+		if prog.accept[b] && blk != nil {
+			p += blk.sum(0)
 		}
 	}
 	return p, nil
@@ -469,7 +461,7 @@ func (e *Engine) exprGroupKernel(grp chainGroup, plan *evalPlan) (*kern, error) 
 func (k *kern) exprScoresAt(ctx context.Context, t0 int) ([]*sparse.Vec, error) {
 	key := scoreKey{chain: k.chain, kind: kindExpr, sig: k.prog.sig, t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		family, ferr := exprBackward(ctx, k.chain, k.prog, t0, k.fpool)
+		family, ferr := exprBackward(ctx, k.chain, k.prog, t0, k.blocks)
 		if ferr != nil {
 			return scoreValue{}, ferr
 		}
@@ -516,7 +508,7 @@ func (k *kern) exprOBExact(ctx context.Context, o *Object) (Result, error) {
 	if mass == 0 {
 		return Result{}, errZeroMass(o.ID)
 	}
-	p, err := exprForward(ctx, k.chain, pdf, first.Time, k.prog, k.pool)
+	p, err := exprForward(ctx, k.chain, pdf, first.Time, k.prog, k.blocks)
 	if err != nil {
 		return Result{}, err
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"ust/internal/markov"
@@ -226,17 +228,17 @@ func checkQBCase(tb testing.TB, rng *rand.Rand, c qbCase) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fpool := &sparse.FloatPool{}
+	pool := &blockPool{}
 	for _, kw := range []*window{w, w.complemented()} {
 		for t0 := 0; t0 <= kw.horizon; t0++ {
-			score, err := hitScores(ctx, c.chain, kw, t0, fpool)
+			score, err := hitScores(ctx, c.chain, kw, t0, pool)
 			if err != nil {
 				tb.Fatal(err)
 			}
 			inUnit(tb, "exists", score)
 			sameVec(tb, "exists", score, hitScoresRef(c.chain, kw, t0), 1e-12)
 
-			backs, err := kTimesBackward(ctx, c.chain, kw, t0, fpool)
+			backs, err := kTimesBackward(ctx, c.chain, kw, t0, pool)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -247,7 +249,7 @@ func checkQBCase(tb testing.TB, rng *rand.Rand, c qbCase) {
 		}
 	}
 	for t0 := 0; t0 <= prog.horizon; t0++ {
-		family, err := exprBackward(ctx, c.chain, prog, t0, fpool)
+		family, err := exprBackward(ctx, c.chain, prog, t0, pool)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -405,6 +407,44 @@ func TestQBSweepsRowDeviationBound(t *testing.T) {
 	if worst < 0.5 {
 		t.Fatalf("largest deviation %g·δ: the chain does not exercise the bound", worst)
 	}
+}
+
+// TestBlockPoolConcurrentFirstUse hammers the block pool from many
+// goroutines over a handful of shapes, first uses included: every get
+// must return an empty block of the asked shape — both buffers zero,
+// both live sets empty, every lane near — although put clears only the
+// rows its live sets hold. Run under -race (make race does).
+func TestBlockPoolConcurrentFirstUse(t *testing.T) {
+	var pool blockPool
+	shapes := [][2]int{{3, 1}, {17, 2}, {64, 1}, {64, 5}, {300, 3}}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for it := 0; it < 400; it++ {
+				sh := shapes[rng.Intn(len(shapes))]
+				b := pool.get(sh[0], sh[1])
+				if b.n != sh[0] || b.k != sh[1] || b.live.Any() || b.spareLive.Any() ||
+					slices.ContainsFunc(b.cur, func(x float64) bool { return x != 0 }) ||
+					slices.ContainsFunc(b.spare, func(x float64) bool { return x != 0 }) ||
+					slices.Contains(b.far, true) {
+					t.Errorf("get(%d, %d): a dirty block", sh[0], sh[1])
+					return
+				}
+				for range 2 { // dirty both buffers
+					for s := rng.Intn(3); s < b.n; s += 1 + rng.Intn(5) {
+						b.row(s)[rng.Intn(b.k)] = 1
+					}
+					b.swap()
+				}
+				b.far[rng.Intn(b.k)] = true
+				pool.put(b)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkQBSweep times one query-based sweep per predicate on the

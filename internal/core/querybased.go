@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"ust/internal/markov"
 	"ust/internal/sparse"
@@ -21,14 +24,18 @@ import (
 // the scores of states inside S□ by 1 (any world standing there is a
 // certain hit — the redirected column of M+), then applies Mᵀ.
 //
-// One kernel. Every backward sweep of this package — the PST∃Q score
-// here, PSTkQ's visit family (ktimes.go), an expression's flag-word
-// family (plan.go) and the batch's fused columns (batch.go) — runs its K
-// lanes as one laneBlock stepped by fusedStepBack: one traversal of the
-// transposed matrix per step for all K lanes, every lane summing its
-// rows in ascending order. A lane's bits therefore do not depend on the
-// block it shares, and EvaluateBatch is bit-identical to sequential
-// Evaluate by construction.
+// One kernel. Every sweep of this package runs its K lanes as one
+// laneBlock stepped by fusedStep: one traversal of the matrix per step
+// for all K lanes, every lane summing its rows in ascending order. Given
+// Mᵀ it steps backward — the PST∃Q score here, PSTkQ's visit family
+// (ktimes.go), an expression's flag-word family (plan.go), the batch's
+// fused columns (batch.go) and the posterior's likelihood (colkernel.go).
+// Given M it steps forward — every object-based pass (objectbased.go,
+// ktimes.go, plan.go) and the multi-observation and posterior passes
+// (colkernel.go). A lane's bits therefore do not depend on the block it
+// shares, EvaluateBatch is bit-identical to sequential Evaluate by
+// construction, and a forward pass clipped to its reach cone is
+// bit-identical to the unclipped one (objectbased.go).
 //
 // Far values. Every lane is stored as a non-negative offset from its far
 // value: the 0 or 1 that a state holds when it is outside the backward
@@ -49,20 +56,20 @@ import (
 // for t0 itself being a query timestamp (footnote 2 of the paper):
 // scores of states in S□ are pinned to 1. The sweep checks ctx once per
 // backward step and aborts with ctx.Err() on cancellation. Its block
-// comes from fpool (nil is allowed); the returned vector is freshly
+// comes from pool (nil is allowed); the returned vector is freshly
 // owned by the caller.
 //
 // A region covering more than half of S (the complement a PST∀Q
 // evaluates) is swept against the far value 1: the lane holds the
 // survival probability 1 − score, which lives on the backward reach of
 // the states outside the region — the paper's survival sweep.
-func hitScores(ctx context.Context, chain *markov.Chain, w *window, t0 int, fpool *sparse.FloatPool) (*sparse.Vec, error) {
+func hitScores(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *blockPool) (*sparse.Vec, error) {
 	n := chain.NumStates()
 	if w.k == 0 || w.horizon < t0 {
 		return sparse.NewVec(n), nil
 	}
-	blk := newLaneBlock(n, 1, fpool)
-	defer blk.release()
+	blk := pool.get(n, 1)
+	defer pool.put(blk)
 	pins := blk.open(0, w, true)
 	mt := chain.Transposed()
 	for t := w.horizon; ; t-- {
@@ -75,38 +82,93 @@ func hitScores(ctx context.Context, chain *markov.Chain, w *window, t0 int, fpoo
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		blk.stepBack(mt, 1)
+		blk.step(mt, 1)
 	}
 }
 
-// laneBlock is the state-major block of K backward lanes over n states:
-// row s holds every lane's entry at s, contiguously. Both buffers come
-// from a FloatPool and are zero outside their live rows, so every
-// operation visits live rows only. far[c] marks lane c as held against
-// the far value 1.
+// laneBlock is the state-major block of K lanes over n states: row s
+// holds every lane's entry at s, contiguously. Both buffers are zero
+// outside their live rows, so every operation visits live rows only.
+// far[c] marks lane c as held against the far value 1 (backward sweeps
+// only; a forward lane is mass, and its far value is 0).
 type laneBlock struct {
 	n, k            int
 	cur, spare      []float64
 	live, spareLive *sparse.Bitset
 	far             []bool
-	fpool           *sparse.FloatPool
 }
 
-func newLaneBlock(n, k int, fpool *sparse.FloatPool) *laneBlock {
+func newLaneBlock(n, k int) *laneBlock {
 	return &laneBlock{
 		n: n, k: k,
-		cur: fpool.Get(n * k), spare: fpool.Get(n * k),
+		cur: make([]float64, n*k), spare: make([]float64, n*k),
 		live: sparse.NewBitset(n), spareLive: sparse.NewBitset(n),
-		far:   make([]bool, k),
-		fpool: fpool,
+		far: make([]bool, k),
 	}
 }
 
-// release hands the buffers back to the pool; the block is dead after.
-func (b *laneBlock) release() {
-	b.fpool.Put(b.cur)
-	b.fpool.Put(b.spare)
-	b.cur, b.spare = nil, nil
+// blockPool recycles lane blocks — both buffers and both live bitsets —
+// across passes and requests, with one free list per (n, K) shape. A
+// block is taken with get and handed back with put, which clears its
+// live rows only: a per-object pass pays O(live) to recycle its block,
+// not n·K. The shape → free list map is copy-on-write, so a get or put
+// of a known shape is one atomic load and a map read. A nil *blockPool
+// allocates every block and drops what is put back.
+type blockPool struct {
+	mu     sync.Mutex // serializes growth of shapes
+	shapes atomic.Pointer[map[[2]int]*sync.Pool]
+}
+
+func (p *blockPool) freeList(n, k int) *sync.Pool {
+	key := [2]int{n, k}
+	if m := p.shapes.Load(); m != nil {
+		if fl := (*m)[key]; fl != nil {
+			return fl
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	grown := map[[2]int]*sync.Pool{}
+	if m := p.shapes.Load(); m != nil {
+		if fl := (*m)[key]; fl != nil {
+			return fl // a concurrent first use won the race
+		}
+		maps.Copy(grown, *m)
+	}
+	fl := &sync.Pool{New: func() any { return newLaneBlock(n, k) }}
+	grown[key] = fl
+	p.shapes.Store(&grown)
+	return fl
+}
+
+// get returns an empty block of K lanes over n states, every lane near.
+func (p *blockPool) get(n, k int) *laneBlock {
+	if p == nil {
+		return newLaneBlock(n, k)
+	}
+	return p.freeList(n, k).Get().(*laneBlock)
+}
+
+// put clears b's live rows and recycles it; b is dead after.
+func (p *blockPool) put(b *laneBlock) {
+	if p == nil {
+		return
+	}
+	clearRows(b.cur, b.live, b.k)
+	clearRows(b.spare, b.spareLive, b.k)
+	clear(b.far)
+	p.freeList(b.n, b.k).Put(b)
+}
+
+// clearRows zeroes buf's K-wide rows on live and empties live.
+func clearRows(buf []float64, live *sparse.Bitset, K int) {
+	for wi, w := range live.Words64() {
+		for ; w != 0; w &= w - 1 {
+			j := wi<<6 + bits.TrailingZeros64(w)
+			clear(buf[j*K : j*K+K])
+		}
+	}
+	live.Reset()
 }
 
 // row returns state s's lanes for writing and marks the row live.
@@ -115,12 +177,24 @@ func (b *laneBlock) row(s int) []float64 {
 	return b.cur[s*b.k : s*b.k+b.k : s*b.k+b.k]
 }
 
-// stepBack advances lanes [0, active) one backward step over the
-// transposed matrix mt; the other lanes are dropped.
-func (b *laneBlock) stepBack(mt *sparse.CSR, active int) {
-	fusedStepBack(b.spare, b.cur, b.spareLive, b.live, mt, b.k, active)
+// step advances lanes [0, active) one step over m — the chain's matrix
+// M forward, its transpose Mᵀ backward; the other lanes are dropped.
+func (b *laneBlock) step(m *sparse.CSR, active int) {
+	fusedStep(b.spare, b.cur, b.spareLive, b.live, m, b.k, active)
+	b.swap()
+}
+
+// swap makes the spare buffer current; the current one becomes spare.
+func (b *laneBlock) swap() {
 	b.cur, b.spare = b.spare, b.cur
 	b.live, b.spareLive = b.spareLive, b.live
+}
+
+// sum totals lane c over the live rows, in ascending order.
+func (b *laneBlock) sum(c int) float64 {
+	total := 0.0
+	b.live.Range(func(s int) { total += b.cur[s*b.k+c] })
+	return total
 }
 
 // open gives lane c window w's far value and returns w's region as a pin
@@ -167,7 +241,7 @@ func (b *laneBlock) zeroColumn(c int) {
 // permute replaces lane c by lane from[c] on every live row, through the
 // spare buffer; prev then reads a row as it was before.
 func (b *laneBlock) permute(from []int) {
-	b.spareLive.Range(func(s int) { clear(b.spare[s*b.k : s*b.k+b.k]) })
+	clearRows(b.spare, b.spareLive, b.k)
 	b.spareLive.CopyFrom(b.live)
 	b.live.Range(func(s int) {
 		src, dst := b.cur[s*b.k:s*b.k+b.k], b.spare[s*b.k:s*b.k+b.k]
@@ -175,8 +249,7 @@ func (b *laneBlock) permute(from []int) {
 			dst[c] = src[f]
 		}
 	})
-	b.cur, b.spare = b.spare, b.cur
-	b.live, b.spareLive = b.spareLive, b.live
+	b.swap()
 }
 
 func (b *laneBlock) prev(s int) []float64 { return b.spare[s*b.k : s*b.k+b.k] }
@@ -217,24 +290,19 @@ func (b *laneBlock) column(c int) *sparse.Vec {
 	return sparse.AdoptSparse(data, supp)
 }
 
-// fusedStepBack advances the first `active` columns of a state-major
-// block one backward step: the block analogue of chain.StepBack (dst =
-// x · Mᵀ, Gustavson row scatter). xLive holds every row of x that can be
-// non-zero; they are visited in ascending order, and a row whose live
-// columns are all zero is skipped without touching the matrix row at
-// all, so a step costs the columns' reach, not n·K. dst is cleared on
-// the rows dstLive held, and dstLive becomes the rows written. The loop
-// makes no call per row or edge (Bitset.Set inlines). A one-column block
-// (every PST∃Q sweep outside a batch) takes the same loop with its row
-// slicing written out: the general form costs it about a third more.
-func fusedStepBack(dst, x []float64, dstLive, xLive *sparse.Bitset, mt *sparse.CSR, K, active int) {
-	for wi, w := range dstLive.Words64() {
-		for ; w != 0; w &= w - 1 {
-			j := wi<<6 + bits.TrailingZeros64(w)
-			clear(dst[j*K : j*K+K])
-		}
-	}
-	dstLive.Reset()
+// fusedStep advances the first `active` columns of a state-major block
+// one step over m: dst = x · m, a Gustavson row scatter (dst[j] +=
+// x[i]·m[i,j]) — chain.Step given M, chain.StepBack given Mᵀ. xLive
+// holds every row of x that can be non-zero; they are visited in
+// ascending order, and a row whose live columns are all zero is skipped
+// without touching the matrix row at all, so a step costs the columns'
+// reach, not n·K. dst is cleared on the rows dstLive held, and dstLive
+// becomes the rows written. The loop makes no call per row or edge
+// (Bitset.Set inlines). A one-column block (every PST∃Q sweep outside a
+// batch, every exists pass) takes the same loop with its row slicing
+// written out: the general form costs it about a third more.
+func fusedStep(dst, x []float64, dstLive, xLive *sparse.Bitset, m *sparse.CSR, K, active int) {
+	clearRows(dst, dstLive, K)
 	if active == 0 {
 		return
 	}
@@ -246,7 +314,7 @@ func fusedStepBack(dst, x []float64, dstLive, xLive *sparse.Bitset, mt *sparse.C
 				if xi == 0 {
 					continue
 				}
-				cols, vals := mt.RowSlices(i)
+				cols, vals := m.RowSlices(i)
 				vals = vals[:len(cols)]
 				for p, j := range cols {
 					dstLive.Set(j)
@@ -265,7 +333,7 @@ func fusedStepBack(dst, x []float64, dstLive, xLive *sparse.Bitset, mt *sparse.C
 			if !nz {
 				continue
 			}
-			cols, vals := mt.RowSlices(i)
+			cols, vals := m.RowSlices(i)
 			vals = vals[:len(cols)] // equal lengths: lets the compiler drop bounds checks
 			for p, j := range cols {
 				v := vals[p]

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The raw-slice kernels (VecMat, MatVec, CopyFrom, Restrict) are pinned
+// The raw-slice kernels (VecMat, MatVec, CopyFrom) are pinned
 // to naive references written with the public entry-by-entry API — the
 // form the kernels had before they were unrolled. "Same" means the same
 // representation: value bits, support order and dense flag, because every
@@ -147,33 +147,6 @@ func FuzzVecMat(f *testing.F) {
 	})
 }
 
-func TestRestrict(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		_, x, _ := kernelCase(rng)
-		keep := NewBitset(x.Len())
-		for i := 0; i < x.Len(); i++ {
-			if rng.Intn(2) == 0 {
-				keep.Set(i)
-			}
-		}
-		want, wantDropped := x.Clone(), 0.0
-		x.Range(func(i int, v float64) {
-			if !keep.Has(i) {
-				wantDropped += v
-				want.Set(i, 0)
-			}
-		})
-		if !want.dense { // stale entries inside keep stay listed
-			want.supp = slices.DeleteFunc(want.supp, func(i int) bool { return !keep.Has(i) })
-		}
-		if dropped := x.Restrict(keep); dropped != wantDropped {
-			t.Fatalf("seed %d: dropped %g, want %g", seed, dropped, wantDropped)
-		}
-		sameRepr(t, "Restrict", x, want)
-	}
-}
-
 func TestTrimKeepsValue(t *testing.T) {
 	m := randomStochastic(rand.New(rand.NewSource(1)), 16, 6)
 	x, dst := NewVec(16), NewVec(16)
@@ -192,13 +165,12 @@ func TestTrimKeepsValue(t *testing.T) {
 	sameRepr(t, "Trim", dst, want)
 }
 
-// TestPoolsConcurrentFirstUse hammers both pools from many goroutines
-// over a handful of dimensions, first uses included: every Get must
-// return a zeroed buffer of the asked dimension whoever created the
+// TestPoolsConcurrentFirstUse hammers the vector pool from many
+// goroutines over a handful of dimensions, first uses included: every Get
+// must return a zeroed vector of the asked dimension whoever created the
 // dimension's pool. Run under -race (make race does).
 func TestPoolsConcurrentFirstUse(t *testing.T) {
 	var vp VecPool
-	var fp FloatPool
 	dims := []int{3, 17, 64, 300, 1024}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -208,21 +180,15 @@ func TestPoolsConcurrentFirstUse(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for it := 0; it < 400; it++ {
 				n := dims[rng.Intn(len(dims))]
-				v, b := vp.Get(n), fp.Get(n)
+				v := vp.Get(n)
 				if v.Len() != n || v.NNZ() != 0 || v.Dense() || v.Sum() != 0 {
 					t.Errorf("VecPool.Get(%d): len %d, nnz %d, dense %v", n, v.Len(), v.NNZ(), v.Dense())
 					return
 				}
-				if len(b) != n || slices.ContainsFunc(b, func(x float64) bool { return x != 0 }) {
-					t.Errorf("FloatPool.Get(%d): len %d or not zeroed", n, len(b))
-					return
-				}
 				for k := 0; k < n; k += 1 + rng.Intn(3) {
 					v.Set(k, 1)
-					b[k] = 1
 				}
 				vp.Put(v)
-				fp.Put(b)
 			}
 		}(g)
 	}

@@ -192,54 +192,11 @@ func (v *Vec) CopyFrom(w *Vec) {
 	v.supp = append(v.supp, w.supp...)
 }
 
-// Restrict zeroes every entry outside keep and returns the mass it
-// removed. The surviving support keeps its order (and a dense-mode
-// vector stays dense), so iteration over what is left visits the same
-// entries in the same sequence as before. A vector that already lies
-// inside keep costs one bit test per support entry (per 64 states when
-// dense) and no write.
-func (v *Vec) Restrict(keep *Bitset) float64 {
-	if v.Len() != keep.n {
-		panic(fmt.Sprintf("sparse: Restrict dimension mismatch %d != %d", v.Len(), keep.n))
-	}
-	dropped := 0.0
-	if v.dense {
-		for wi, w := range keep.words {
-			out := ^w
-			if wi == len(keep.words)-1 && keep.n&63 != 0 {
-				out &= 1<<uint(keep.n&63) - 1 // bits past the dimension are nobody's
-			}
-			for ; out != 0; out &= out - 1 {
-				i := wi<<6 + trailingZeros(out)
-				dropped += v.data[i]
-				v.data[i] = 0
-			}
-		}
-		return dropped
-	}
-	first := 0
-	for first < len(v.supp) && keep.Has(v.supp[first]) {
-		first++
-	}
-	out := v.supp[:first]
-	for _, i := range v.supp[first:] {
-		if keep.Has(i) {
-			out = append(out, i)
-		} else {
-			dropped += v.data[i]
-			v.data[i] = 0
-		}
-	}
-	v.supp = out
-	return dropped
-}
-
 // Range calls fn for every non-zero entry. Order is unspecified in sparse
 // mode and ascending in dense mode. The one mutation fn may perform on v
 // is zeroing entries it has been handed (Set(i, 0)): zero-writes never
 // touch the support list, and both iteration modes tolerate them — the
-// mass-moving kernels (sweepHits, shiftDown, the augmented expression
-// forward pass) rely on exactly this, followed by a Compact. Any other
+// test references' mass-moving steps rely on exactly this. Any other
 // mutation from fn is forbidden.
 func (v *Vec) Range(fn func(i int, x float64)) {
 	if v.dense {
