@@ -33,8 +33,11 @@ staticcheck:
 # chain and import-frame decoders (each input also re-sealed with a valid
 # footer, so the section parser is reached), sweep-tier payload decoder, the query-based
 # sweeps against their dense references and possible-worlds enumeration,
-# batch evaluation against sequential evaluation (byte-identical results)
-# and the scan's filter gate against the ungated scan.
+# batch evaluation against sequential evaluation (byte-identical results),
+# the scan's filter gate against the ungated scan, and the object-based
+# forward passes (exists, forall, ktimes, expressions, multi-observation)
+# against the materialized chains and possible-worlds enumeration, with
+# every clipped exists/forall pass bit-identical to the unclipped one.
 # CI runs it after make ci.
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
@@ -51,6 +54,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzQBSweeps -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEvaluateBatch -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFilterRefine -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzOBPasses -fuzztime 15s
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
