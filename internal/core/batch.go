@@ -355,8 +355,8 @@ func newFusedSchedule(units []sweepUnit, width int) *fusedSchedule {
 // what the serial path computes.
 func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, units []sweepUnit) error {
 	sch := newFusedSchedule(units, maxFusedColumns)
-	blk := e.blocks.get(chain.NumStates(), len(sch.lanes))
-	defer e.blocks.put(blk)
+	blk := lanes.get(chain.NumStates(), len(sch.lanes))
+	defer lanes.put(blk)
 	pins := make([][]int32, len(sch.lanes))
 	mt := chain.Transposed()
 	resolve := func(k int) {

@@ -289,7 +289,7 @@ func TestRefineQualifiedIsForward(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := existsForward(ctx, chain, from, w, k.blocks)
+				want, err := existsForward(ctx, chain, from, w, &lanes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -297,7 +297,7 @@ func TestRefineQualifiedIsForward(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					lo, hi = -1, rng.Float64()
 				}
-				p, qualified, err := existsOBRefine(ctx, chain, from, w, lo, hi, k.blocks)
+				p, qualified, err := existsOBRefine(ctx, chain, from, w, lo, hi, &lanes)
 				if err != nil {
 					t.Fatal(err)
 				}

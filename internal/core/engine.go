@@ -82,10 +82,8 @@ type Engine struct {
 	db   *Database
 	opts Options
 	// cache shares backward-sweep results engine-wide (nil when
-	// disabled); blocks recycles the lane blocks every sweep and pass
-	// steps.
-	cache  *SharedCache
-	blocks *blockPool
+	// disabled).
+	cache *SharedCache
 }
 
 // NewEngine builds an engine over db with the given options.
@@ -93,7 +91,7 @@ func NewEngine(db *Database, opts Options) *Engine {
 	if db == nil {
 		panic("core: nil database")
 	}
-	e := &Engine{db: db, opts: opts.withDefaults(), blocks: &blockPool{}}
+	e := &Engine{db: db, opts: opts.withDefaults()}
 	switch {
 	case e.opts.Cache != nil:
 		e.cache = e.opts.Cache

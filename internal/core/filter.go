@@ -141,7 +141,7 @@ func (k *kern) obExistsRefine(ctx context.Context, o *Object, bar float64) (Resu
 	if k.forAll {
 		rejectBelow, rejectAbove = -1, 1-bar
 	}
-	p, qualified, err := existsOBRefine(ctx, k.chain, seed, k.w, rejectBelow, rejectAbove, k.blocks)
+	p, qualified, err := existsOBRefine(ctx, k.chain, seed, k.w, rejectBelow, rejectAbove, &lanes)
 	if err != nil || !qualified {
 		return Result{}, false, err
 	}

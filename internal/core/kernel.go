@@ -36,9 +36,8 @@ type kern struct {
 	// tier, when set alongside cache, coordinates sweep computation
 	// fleet-wide (sweeptier.go): wireable kinds consult it after a local
 	// miss, adopting a peer's payload or computing under a lease.
-	tier   SweepTier
-	rep    *cacheTally
-	blocks *blockPool
+	tier SweepTier
+	rep  *cacheTally
 	// clip makes the object-based forward passes drop frontier mass that
 	// has left the window's reach cone (coneFrom). It rides the plan's
 	// filter–refine toggle: WithFilterRefine(false) is the paper-literal
@@ -190,7 +189,7 @@ func (k *kern) load(ctx context.Context, key scoreKey, compute func() (scoreValu
 // plan. plan may be nil (Marginal): caching is then on whenever the
 // engine has a cache, and traffic goes unreported.
 func (e *Engine) kernel(chain *markov.Chain, w *window, plan *evalPlan) *kern {
-	k := &kern{chain: chain, w: w, blocks: e.blocks, cols: e.db.cols}
+	k := &kern{chain: chain, w: w, cols: e.db.cols}
 	k.clip = plan != nil && plan.useFilter
 	if e.cache != nil && (plan == nil || plan.useCache) {
 		k.cache = e.cache
@@ -209,7 +208,7 @@ func (e *Engine) kernel(chain *markov.Chain, w *window, plan *evalPlan) *kern {
 func (k *kern) existsScoreAt(ctx context.Context, t0 int) (*sparse.Vec, error) {
 	key := scoreKey{chain: k.chain, kind: kindExists, sig: k.w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		score, serr := hitScores(ctx, k.chain, k.w, t0, k.blocks)
+		score, serr := hitScores(ctx, k.chain, k.w, t0, &lanes)
 		if serr != nil {
 			return scoreValue{}, serr
 		}
@@ -226,7 +225,7 @@ func (k *kern) existsScoreAt(ctx context.Context, t0 int) (*sparse.Vec, error) {
 func (k *kern) ktimesBacksAt(ctx context.Context, t0 int) ([]*sparse.Vec, error) {
 	key := scoreKey{chain: k.chain, kind: kindKTimes, sig: k.w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		backs, berr := kTimesBackward(ctx, k.chain, k.w, t0, k.blocks)
+		backs, berr := kTimesBackward(ctx, k.chain, k.w, t0, &lanes)
 		if berr != nil {
 			return scoreValue{}, berr
 		}
@@ -556,7 +555,7 @@ func (k *kern) obExists(ctx context.Context, o *Object) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return existsForward(ctx, k.chain, seed, k.w, k.blocks)
+	return existsForward(ctx, k.chain, seed, k.w, &lanes)
 }
 
 // seedFor validates a single-observation object for a forward pass over
@@ -588,7 +587,7 @@ func (k *kern) ktimesOBExact(ctx context.Context, o *Object) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	dist, err := kTimesForward(ctx, k.chain, seed, k.w, k.blocks)
+	dist, err := kTimesForward(ctx, k.chain, seed, k.w, &lanes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -633,7 +632,7 @@ func (k *kern) regionPins() []int32 {
 func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 	key := scoreKey{chain: k.chain, kind: kindMultiObs, sig: fnvMix(k.w.signature(), o.serial)}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		p, perr := existsMultiObsSeg(ctx, k.chain, segForObject(k.cols, o), k.w, k.regionPins(), k.blocks)
+		p, perr := existsMultiObsSeg(ctx, k.chain, segForObject(k.cols, o), k.w, k.regionPins(), &lanes)
 		if perr != nil {
 			return scoreValue{}, perr
 		}
@@ -652,7 +651,7 @@ func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 func (k *kern) posteriorOf(o *Object, t int) (*markov.Distribution, error) {
 	key := scoreKey{chain: k.chain, kind: kindPosterior, sig: fnvMix(fnvOffset, o.serial), t0: t}
 	v, err := k.fetch(context.Background(), key, func() (scoreValue, error) {
-		post, perr := posteriorAtSeg(k.chain, segForObject(k.cols, o), t, k.blocks)
+		post, perr := posteriorAtSeg(k.chain, segForObject(k.cols, o), t, &lanes)
 		if perr != nil {
 			return scoreValue{}, perr
 		}

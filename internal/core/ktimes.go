@@ -22,25 +22,28 @@ import (
 // forward algorithm over a compiled (non-empty) window: it steps the
 // count matrix forward from the seed, checking ctx once per transition.
 // The returned slice has |T□|+1 entries; entry k is P(object inside S□
-// at exactly k query timestamps). The matrix is one block of |T□|+1
-// lanes, lane k holding C(t)'s row k, from pool (nil allowed): one
-// traversal of M per step moves every visit count reachable so far.
+// at exactly k query timestamps). The matrix is one block from pool (nil
+// allowed) whose lane k holds C(t)'s row k: one traversal of M per step
+// moves every visit count reachable so far. A world reaches the count
+// |T□| only at the last query timestamp, the horizon, where no step
+// follows, so that count needs no lane: the block has |T□| lanes.
 //
-// With a reach cone the pass clips every row before it steps: mass that
-// has left the cone can never enter S□ at a query time again, so its
-// visit count is final — it is parked in out[k] instead of being carried
-// to the horizon. The parked mass joins the sum in a different order
-// than the unclipped pass adds it, so clipped distributions agree with
-// unclipped ones to rounding (1e-12), not to the bit.
+// Mass whose count is final is parked in out[k] instead of being
+// carried to the horizon: mass reaching the count |T□|, and, with a
+// reach cone, mass that has left the cone and can never enter S□ at a
+// query time again (the pass clips every row before it steps, and ends
+// when no row is left). The parked mass joins the sum in a different
+// order than the unclipped pass adds it, so clipped distributions agree
+// with unclipped ones to rounding (1e-12), not to the bit.
 func kTimesForward(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window, pool *blockPool) ([]float64, error) {
-	K := w.k + 1
+	K := w.k
 	b := seed.open(pool, K)
 	defer pool.put(b)
 	m := chain.Matrix()
-	out := make([]float64, K)
+	out := make([]float64, K+1)
 	active := 1 // visit counts 0 … active−1 can hold mass: one more per query time
 	if w.atTime(seed.t0) {
-		addVisit(b, w)
+		addVisit(b, w, out)
 		active = min(active+1, K)
 	}
 	for t := seed.t0; t < w.horizon; t++ {
@@ -53,7 +56,7 @@ func kTimesForward(ctx context.Context, chain *markov.Chain, seed forwardSeed, w
 		}
 		b.step(m, active)
 		if w.atTime(t + 1) {
-			addVisit(b, w)
+			addVisit(b, w, out)
 			active = min(active+1, K)
 		}
 	}
@@ -67,16 +70,17 @@ func kTimesForward(ctx context.Context, chain *markov.Chain, seed forwardSeed, w
 
 // addVisit moves the mass on every live row inside the window up one
 // visit count at a query timestamp — the forward twin of consumeVisit —
-// from the top down so each world moves exactly once. Mass in the last
-// lane stays: it has already visited at every query timestamp.
-func addVisit(b *laneBlock, w *window) {
+// from the top down so each world moves exactly once. Mass leaving the
+// last lane reaches the count |T□| and is parked in out.
+func addVisit(b *laneBlock, w *window, out []float64) {
 	b.live.Range(func(s int) {
 		if w.inRegion(s) {
 			row := b.cur[s*b.k : s*b.k+b.k]
-			for c := b.k - 2; c >= 0; c-- {
-				row[c+1] += row[c]
-				row[c] = 0
+			out[b.k] += row[b.k-1]
+			for c := b.k - 1; c > 0; c-- {
+				row[c] = row[c-1]
 			}
+			row[0] = 0
 		}
 	})
 }

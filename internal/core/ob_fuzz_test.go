@@ -162,7 +162,7 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 		}
 		obs := []Observation{first, {Time: first.Time + steps, PDF: pdf}}
 		seg := segFromObservations(obs)
-		got, err := existsMultiObsSeg(ctx, chain, seg, w, nil, e.blocks)
+		got, err := existsMultiObsSeg(ctx, chain, seg, w, nil, &lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 		}
 		near("multi-observation exists", o.ID, got, want)
 		at := first.Time + rng.Intn(steps+2)
-		post, err := posteriorAtSeg(chain, seg, at, e.blocks)
+		post, err := posteriorAtSeg(chain, seg, at, &lanes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -461,7 +461,7 @@ func (e *Engine) exprGroupKernel(grp chainGroup, plan *evalPlan) (*kern, error) 
 func (k *kern) exprScoresAt(ctx context.Context, t0 int) ([]*sparse.Vec, error) {
 	key := scoreKey{chain: k.chain, kind: kindExpr, sig: k.prog.sig, t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		family, ferr := exprBackward(ctx, k.chain, k.prog, t0, k.blocks)
+		family, ferr := exprBackward(ctx, k.chain, k.prog, t0, &lanes)
 		if ferr != nil {
 			return scoreValue{}, ferr
 		}
@@ -508,7 +508,7 @@ func (k *kern) exprOBExact(ctx context.Context, o *Object) (Result, error) {
 	if mass == 0 {
 		return Result{}, errZeroMass(o.ID)
 	}
-	p, err := exprForward(ctx, k.chain, pdf, first.Time, k.prog, k.blocks)
+	p, err := exprForward(ctx, k.chain, pdf, first.Time, k.prog, &lanes)
 	if err != nil {
 		return Result{}, err
 	}

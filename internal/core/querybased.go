@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"maps"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"ust/internal/markov"
 	"ust/internal/sparse"
@@ -99,57 +97,68 @@ type laneBlock struct {
 }
 
 func newLaneBlock(n, k int) *laneBlock {
-	return &laneBlock{
-		n: n, k: k,
-		cur: make([]float64, n*k), spare: make([]float64, n*k),
-		live: sparse.NewBitset(n), spareLive: sparse.NewBitset(n),
-		far: make([]bool, k),
+	b := &laneBlock{n: n, live: sparse.NewBitset(n), spareLive: sparse.NewBitset(n)}
+	b.reshape(k)
+	return b
+}
+
+// reshape gives an empty block k lanes, re-slicing its zero buffers when
+// they hold n·k values and allocating them when they do not.
+func (b *laneBlock) reshape(k int) {
+	if cap(b.cur) < b.n*k {
+		b.cur, b.spare = make([]float64, b.n*k), make([]float64, b.n*k)
 	}
+	if cap(b.far) < k {
+		b.far = make([]bool, k)
+	}
+	b.k, b.cur, b.spare, b.far = k, b.cur[:b.n*k], b.spare[:b.n*k], b.far[:k]
 }
 
 // blockPool recycles lane blocks — both buffers and both live bitsets —
-// across passes and requests, with one free list per (n, K) shape. A
-// block is taken with get and handed back with put, which clears its
-// live rows only: a per-object pass pays O(live) to recycle its block,
-// not n·K. The shape → free list map is copy-on-write, so a get or put
-// of a known shape is one atomic load and a map read. A nil *blockPool
-// allocates every block and drops what is put back.
+// across passes and requests. put clears a block's live rows only, so a
+// per-object pass pays O(live) to recycle its block, not n·K, and keeps
+// it idle for the next get over the same n, whatever its lane count: a
+// block keeps the largest buffers it was given, while the idle blocks
+// hold at most maxIdleBytes (past that a block is left to the
+// collector). Idle blocks are not dropped at every collection, as a
+// sync.Pool's are: a pool that lost its widest block at each collection
+// would allocate it again for most PSTkQ passes. The zero value is ready
+// to use; a nil *blockPool allocates every block and drops what is put
+// back.
 type blockPool struct {
-	mu     sync.Mutex // serializes growth of shapes
-	shapes atomic.Pointer[map[[2]int]*sync.Pool]
+	mu    sync.Mutex
+	idle  map[int][]*laneBlock // by state count
+	bytes int                  // buffer bytes of the idle blocks
 }
 
-func (p *blockPool) freeList(n, k int) *sync.Pool {
-	key := [2]int{n, k}
-	if m := p.shapes.Load(); m != nil {
-		if fl := (*m)[key]; fl != nil {
-			return fl
-		}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	grown := map[[2]int]*sync.Pool{}
-	if m := p.shapes.Load(); m != nil {
-		if fl := (*m)[key]; fl != nil {
-			return fl // a concurrent first use won the race
-		}
-		maps.Copy(grown, *m)
-	}
-	fl := &sync.Pool{New: func() any { return newLaneBlock(n, k) }}
-	grown[key] = fl
-	p.shapes.Store(&grown)
-	return fl
-}
+// maxIdleBytes bounds the buffer bytes a pool keeps idle.
+const maxIdleBytes = 32 << 20
+
+// lanes is the one block pool every engine's sweeps and passes draw on,
+// so that engines over the same state count — the shards of a process,
+// an engine built again over a reloaded database — share idle blocks
+// instead of each allocating its own.
+var lanes blockPool
 
 // get returns an empty block of K lanes over n states, every lane near.
 func (p *blockPool) get(n, k int) *laneBlock {
-	if p == nil {
-		return newLaneBlock(n, k)
+	if p != nil {
+		p.mu.Lock()
+		if free := p.idle[n]; len(free) > 0 {
+			b := free[len(free)-1]
+			free[len(free)-1] = nil
+			p.idle[n] = free[:len(free)-1]
+			p.bytes -= 16 * cap(b.cur)
+			p.mu.Unlock()
+			b.reshape(k)
+			return b
+		}
+		p.mu.Unlock()
 	}
-	return p.freeList(n, k).Get().(*laneBlock)
+	return newLaneBlock(n, k)
 }
 
-// put clears b's live rows and recycles it; b is dead after.
+// put clears b's live rows and keeps it idle; b is dead to the caller.
 func (p *blockPool) put(b *laneBlock) {
 	if p == nil {
 		return
@@ -157,7 +166,17 @@ func (p *blockPool) put(b *laneBlock) {
 	clearRows(b.cur, b.live, b.k)
 	clearRows(b.spare, b.spareLive, b.k)
 	clear(b.far)
-	p.freeList(b.n, b.k).Put(b)
+	size := 16 * cap(b.cur)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.bytes+size > maxIdleBytes {
+		return
+	}
+	if p.idle == nil {
+		p.idle = map[int][]*laneBlock{}
+	}
+	p.idle[b.n] = append(p.idle[b.n], b)
+	p.bytes += size
 }
 
 // clearRows zeroes buf's K-wide rows on live and empties live.
