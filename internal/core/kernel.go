@@ -15,9 +15,9 @@ import (
 // vector family, the unbounded-horizon hitting fixed point, and the
 // boolean reachability envelopes that bound them from above and below.
 // kern binds one chain and compiled window to the engine's shared score
-// cache and buffer pool so that Evaluate, EvaluateSeq, subscriptions,
-// the experiment harness and the CLIs all share the same sweeps instead
-// of each owning private ones.
+// cache so that Evaluate, EvaluateSeq, subscriptions, the experiment
+// harness and the CLIs all share the same sweeps instead of each owning
+// private ones.
 //
 // A kern is cheap to construct (no precomputation). Concurrent Evaluate
 // calls each build their own kern over the same underlying cache, which

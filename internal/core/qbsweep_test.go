@@ -411,9 +411,11 @@ func TestQBSweepsRowDeviationBound(t *testing.T) {
 
 // TestBlockPoolConcurrentFirstUse hammers the block pool from many
 // goroutines over a handful of shapes, first uses included: every get
-// must return an empty block of the asked shape — both buffers zero,
-// both live sets empty, every lane near — although put clears only the
-// rows its live sets hold. Run under -race (make race does).
+// must return an empty block of the asked shape — both buffers zero over
+// their whole capacity, both live sets empty, every lane near — although
+// put clears only the rows its live sets hold, and a block comes back
+// with the lane count of whichever pass used it last. Run under -race
+// (make race does).
 func TestBlockPoolConcurrentFirstUse(t *testing.T) {
 	var pool blockPool
 	shapes := [][2]int{{3, 1}, {17, 2}, {64, 1}, {64, 5}, {300, 3}}
@@ -427,9 +429,9 @@ func TestBlockPoolConcurrentFirstUse(t *testing.T) {
 				sh := shapes[rng.Intn(len(shapes))]
 				b := pool.get(sh[0], sh[1])
 				if b.n != sh[0] || b.k != sh[1] || b.live.Any() || b.spareLive.Any() ||
-					slices.ContainsFunc(b.cur, func(x float64) bool { return x != 0 }) ||
-					slices.ContainsFunc(b.spare, func(x float64) bool { return x != 0 }) ||
-					slices.Contains(b.far, true) {
+					slices.ContainsFunc(b.cur[:cap(b.cur)], func(x float64) bool { return x != 0 }) ||
+					slices.ContainsFunc(b.spare[:cap(b.spare)], func(x float64) bool { return x != 0 }) ||
+					slices.Contains(b.far[:cap(b.far)], true) {
 					t.Errorf("get(%d, %d): a dirty block", sh[0], sh[1])
 					return
 				}
