@@ -148,18 +148,19 @@ bench:
 # benchmark, the HTTP serving benchmark, the fleet write benchmark, the
 # mapped store load and the store writers (database image and write
 # frame) and fails ci when their allocs/op regress more than 20% past the
-# BENCH.json baseline — the single-copy WithObservation + column-reuse
-# ingest path, the pooled, clone-free forward pass, the append-encoded,
-# single-pass result codec, the coordinator's write path (catalogue, no
-# shadow database), loaded pdfs that view their column segment and
-# images appended into one presized buffer stay cheap by construction,
-# not by convention. The write path, the load and the store writers are
-# gated on B/op too, where an object-sized copy per write, an |S|-wide
-# array per loaded pdf or a re-grown image buffer shows, and so are the
-# query-based sweeps, where a per-sweep |S|×K block or a per-chain table
-# of M^j·1 vectors would show; the sweeps are gated on allocs/op too, so
-# their lane block cannot start allocating per step, and the batched
-# evaluation on B/op, where an unpooled fused block shows. The three
+# BENCH.json baseline — the single-copy WithObservation ingest path, the
+# pooled, clone-free forward pass, the append-encoded, single-pass
+# result codec, the coordinator's write path (catalogue, no shadow
+# database), loaded pdfs that view the image's columns and images
+# appended into one presized buffer stay cheap by construction, not by
+# convention. The ingest path, the write path, the load and the store
+# writers are gated on B/op too, where an object-sized copy per write,
+# an |S|-wide array per loaded pdf or a re-grown image buffer shows, and
+# so are the query-based sweeps, where a per-sweep |S|×K block or a
+# per-chain table of M^j·1 vectors would show; the sweeps are gated on
+# allocs/op too, so their lane block cannot start allocating per step,
+# and the batched evaluation on B/op, where an unpooled fused block
+# shows. The three
 # consumers of the one exact scan loop — top-k, threshold and the count
 # aggregate — are gated on allocs/op, so the loop cannot start
 # allocating per object. The multi-observation exists and posterior
@@ -170,6 +171,7 @@ bench:
 alloc-gate:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkIngest' -benchmem -benchtime=100x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkIngest < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkIngest/columnar -gate-metric B/op < .gate.jsonl
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkScanOB' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkScanOB < .gate.jsonl
 	@$(GO) test . -run '^$$' -bench 'BenchmarkServeHTTPQuery' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }

@@ -9,15 +9,18 @@ import (
 	"ust/internal/sparse"
 )
 
-// The multi-observation kernels. They consume ObsSeg column blocks
+// The multi-observation kernels. They read each observation's pdf
 // directly and run on lane blocks (querybased.go), stepped forward over
 // M by the kernel every other pass uses: the doubled state space of
 // Section VI is a K=2 block whose row s holds [pNot pHit], and the
 // posterior a K=1 block forward and another backward over Mᵀ for the
-// likelihood. An observation fusion is a gather over the observation's
-// support columns: the fused result's support is contained in the
-// observation's, so the fused block's live rows become that support, and
-// the only per-call state is the pooled blocks.
+// likelihood. An observation fusion is a gather over the pdf's support:
+// the fused result's support is contained in the observation's, so the
+// fused block's live rows become that support, and the only per-call
+// state is the pooled blocks. The per-row products do not depend on the
+// order a pdf visits its entries; every sum runs over the block's live
+// rows in ascending order, so a pdf gives the same bits whatever its
+// iteration order.
 
 // regionPins materializes the window's (possibly inverted) spatial
 // predicate as a flat state list — the columnar form of eachRegionState,
@@ -32,52 +35,41 @@ func regionPins(w *window) []int32 {
 	return pins
 }
 
-// fuse multiplies every lane elementwise by the observation pdf given as
-// support columns (Lemma 1), through the spare buffer, and returns the
-// total remaining mass: the live rows become the observation's support.
-func (b *laneBlock) fuse(ids []int32, probs []float64) float64 {
+// fuse multiplies every lane elementwise by the observation pdf (Lemma
+// 1), through the spare buffer: the live rows become the pdf's support.
+func (b *laneBlock) fuse(pdf *markov.Distribution) {
 	clearRows(b.spare, b.spareLive, b.k)
-	total := 0.0
-	for p, s := range ids {
-		src, dst := b.cur[int(s)*b.k:int(s)*b.k+b.k], b.spare[int(s)*b.k:int(s)*b.k+b.k]
-		row := 0.0
+	pdf.Range(func(s int, p float64) {
+		src, dst := b.cur[s*b.k:s*b.k+b.k], b.spare[s*b.k:s*b.k+b.k]
 		for c, x := range src {
-			dst[c] = x * probs[p]
-			row += dst[c]
+			dst[c] = x * p
 		}
-		total += row
-		b.spareLive.Set(int(s))
-	}
+		b.spareLive.Set(s)
+	})
 	b.swap()
-	return total
 }
 
-// seedSeg fills lane 0 with the segment's first observation, normalized.
-func (b *laneBlock) seedSeg(seg ObsSeg) error {
-	ids, probs := seg.Supp(0)
-	mass := 0.0
-	for _, v := range probs {
-		mass += v
-	}
+// seed fills lane 0 with the pdf, normalized.
+func (b *laneBlock) seed(pdf *markov.Distribution) error {
+	pdf.Range(func(s int, p float64) { b.row(s)[0] = p })
+	mass := b.sum(0)
 	if mass <= 0 {
 		return errImpossibleObs
 	}
 	inv := 1 / mass
-	for p, s := range ids {
-		b.row(int(s))[0] = probs[p] * inv
-	}
+	b.live.Range(func(s int) { b.cur[s*b.k] *= inv })
 	return nil
 }
 
 var errImpossibleObs = errors.New("core: observations are mutually impossible under the motion model")
 
-// existsMultiObsSeg computes P∃ for a multi-observation object from its
-// column segment. pins may be nil (derived from w); pool may be nil
+// existsMultiObsBlock computes P∃ for an object from its observations,
+// sorted by time. pins may be nil (derived from w); pool may be nil
 // (plain allocation). Semantics mirror existsMultiObsRow exactly — same
 // pass structure, same deferred normalization — modulo floating-point
 // summation order.
-func existsMultiObsSeg(ctx context.Context, chain *markov.Chain, seg ObsSeg, w *window, pins []int32, pool *blockPool) (float64, error) {
-	if seg.Len() == 0 {
+func existsMultiObsBlock(ctx context.Context, chain *markov.Chain, obs []Observation, w *window, pins []int32, pool *blockPool) (float64, error) {
+	if len(obs) == 0 {
 		return 0, fmt.Errorf("core: no observations")
 	}
 	if pins == nil {
@@ -85,15 +77,12 @@ func existsMultiObsSeg(ctx context.Context, chain *markov.Chain, seg ObsSeg, w *
 	}
 	blk := pool.get(chain.NumStates(), 2)
 	defer pool.put(blk)
-	if err := blk.seedSeg(seg); err != nil {
+	if err := blk.seed(obs[0].PDF); err != nil {
 		return 0, err
 	}
 
-	end := w.horizon
-	if last := int(seg.Times[seg.Len()-1]); last > end {
-		end = last
-	}
-	t := int(seg.Times[0])
+	end := max(w.horizon, obs[len(obs)-1].Time)
+	t := obs[0].Time
 	if w.atTime(t) {
 		transferPinned(blk, pins)
 	}
@@ -107,10 +96,11 @@ func existsMultiObsSeg(ctx context.Context, chain *markov.Chain, seg ObsSeg, w *
 		if w.atTime(t + 1) {
 			transferPinned(blk, pins)
 		}
-		if nextObs < seg.Len() && int(seg.Times[nextObs]) == t+1 {
-			oIds, oProbs := seg.Supp(nextObs)
+		if nextObs < len(obs) && obs[nextObs].Time == t+1 {
+			blk.fuse(obs[nextObs].PDF)
 			nextObs++
-			total := blk.fuse(oIds, oProbs)
+			total := 0.0
+			blk.live.Range(func(s int) { total += blk.cur[2*s] + blk.cur[2*s+1] })
 			if total == 0 {
 				return 0, errImpossibleObs
 			}
@@ -118,10 +108,10 @@ func existsMultiObsSeg(ctx context.Context, chain *markov.Chain, seg ObsSeg, w *
 			// under a common factor and renormalizing here prevents
 			// underflow across long observation sequences.
 			inv := 1 / total
-			for _, s := range oIds {
-				blk.cur[2*int(s)] *= inv
-				blk.cur[2*int(s)+1] *= inv
-			}
+			blk.live.Range(func(s int) {
+				blk.cur[2*s] *= inv
+				blk.cur[2*s+1] *= inv
+			})
 		}
 	}
 	b, c := 0.0, 0.0
@@ -147,30 +137,27 @@ func transferPinned(blk *laneBlock, pins []int32) {
 	}
 }
 
-// posteriorAtSeg computes the smoothed posterior P(o(t) | all
-// observations) from a column segment: a forward pass with observation
-// fusion, then — when observations exist after t — one backward
-// likelihood sweep, each a pooled single-lane block (pool may be nil).
-// The result is a fresh vector the caller owns.
-func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, pool *blockPool) (*sparse.Vec, error) {
-	if seg.Len() == 0 {
+// posteriorAtBlock computes the smoothed posterior P(o(t) | all
+// observations) from observations sorted by time: a forward pass with
+// observation fusion, then — when observations exist after t — one
+// backward likelihood sweep, each a pooled single-lane block (pool may
+// be nil). The result is a fresh vector the caller owns.
+func posteriorAtBlock(chain *markov.Chain, obs []Observation, t int, pool *blockPool) (*sparse.Vec, error) {
+	if len(obs) == 0 {
 		return nil, fmt.Errorf("core: no observations")
 	}
-	t0 := int(seg.Times[0])
+	t0 := obs[0].Time
 	if t < t0 {
 		return nil, fmt.Errorf("core: cannot infer before the first observation (t=%d < %d)", t, t0)
 	}
 	n := chain.NumStates()
 	blk := pool.get(n, 1)
 	defer pool.put(blk)
-	if err := blk.seedSeg(seg); err != nil {
+	if err := blk.seed(obs[0].PDF); err != nil {
 		return nil, err
 	}
 
-	end := t
-	if last := int(seg.Times[seg.Len()-1]); last > end {
-		end = last
-	}
+	end := max(t, obs[len(obs)-1].Time)
 	// atT is the forward mass at t, then the posterior's backing.
 	atT := make([]float64, n)
 	snapshot := func() { blk.live.Range(func(s int) { atT[s] = blk.cur[s] }) }
@@ -181,10 +168,9 @@ func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, pool *blockPool) (*s
 	m := chain.Matrix()
 	for tau := t0; tau < end; tau++ {
 		blk.step(m, 1)
-		if nextObs < seg.Len() && int(seg.Times[nextObs]) == tau+1 {
-			oIds, oProbs := seg.Supp(nextObs)
+		if nextObs < len(obs) && obs[nextObs].Time == tau+1 {
+			blk.fuse(obs[nextObs].PDF)
 			nextObs++
-			blk.fuse(oIds, oProbs)
 		}
 		if blk.sum(0) == 0 {
 			return nil, errImpossibleObs
@@ -205,13 +191,13 @@ func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, pool *blockPool) (*s
 			like.row(s)[0] = 1
 		}
 		mt := chain.Transposed()
-		obsIdx := seg.Len() - 1
+		obsIdx := len(obs) - 1
 		for tau := end; tau > t; tau-- {
-			for obsIdx >= 0 && int(seg.Times[obsIdx]) > tau {
+			for obsIdx >= 0 && obs[obsIdx].Time > tau {
 				obsIdx--
 			}
-			if obsIdx >= 0 && int(seg.Times[obsIdx]) == tau {
-				like.fuse(seg.Supp(obsIdx))
+			if obsIdx >= 0 && obs[obsIdx].Time == tau {
+				like.fuse(obs[obsIdx].PDF)
 			}
 			like.step(mt, 1)
 		}
@@ -245,17 +231,4 @@ func posteriorAtSeg(chain *markov.Chain, seg ObsSeg, t int, pool *blockPool) (*s
 		}
 	}
 	return sparse.AdoptSparse(atT, supp), nil
-}
-
-// segForObject returns the database plane's segment for exactly this
-// object version, falling back to a transient row→column conversion for
-// free-standing objects (plane-less callers, stale pointers, objects not
-// inserted into the kern's database).
-func segForObject(cols *ObsColumns, o *Object) ObsSeg {
-	if cols != nil {
-		if seg, ok := cols.segmentOf(o); ok {
-			return seg
-		}
-	}
-	return segFromObservations(o.Observations)
 }

@@ -10,131 +10,6 @@ import (
 	"ust/internal/markov"
 )
 
-// segEqual compares two column segments element-wise.
-func segEqual(a, b ObsSeg) bool {
-	if len(a.Times) != len(b.Times) || len(a.Off) != len(b.Off) ||
-		len(a.IDs) != len(b.IDs) || len(a.Probs) != len(b.Probs) {
-		return false
-	}
-	for i := range a.Times {
-		if a.Times[i] != b.Times[i] {
-			return false
-		}
-	}
-	for i := range a.Off {
-		if a.Off[i] != b.Off[i] {
-			return false
-		}
-	}
-	for i := range a.IDs {
-		if a.IDs[i] != b.IDs[i] || a.Probs[i] != b.Probs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestObsColumnsTracksMutations pins the plane invariant: after any
-// Add/ReplaceObject sequence, segmentOf(o) succeeds for every live
-// object and matches a fresh row→column conversion bit-exactly.
-func TestObsColumnsTracksMutations(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 12
-	chain := randomChainN(rng, n, 3)
-	db := NewDatabase(chain)
-
-	for id := 0; id < 6; id++ {
-		obs := []Observation{{Time: 0, PDF: markov.PointDistribution(n, rng.Intn(n))}}
-		for k := 0; k < rng.Intn(3); k++ {
-			obs = append(obs, Observation{
-				Time: 1 + 2*k,
-				PDF:  markov.UniformOver(n, rng.Perm(n)[:1+rng.Intn(3)]),
-			})
-		}
-		o, err := NewObject(id, nil, obs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.MustAdd(o)
-	}
-	checkPlane := func(stage string) {
-		t.Helper()
-		if db.Columns().Len() != db.Len() {
-			t.Fatalf("%s: plane has %d segments for %d objects", stage, db.Columns().Len(), db.Len())
-		}
-		for _, o := range db.Objects() {
-			seg, ok := db.Columns().segmentOf(o)
-			if !ok {
-				t.Fatalf("%s: no segment for live object %d", stage, o.ID)
-			}
-			if !segEqual(seg, segFromObservations(o.Observations)) {
-				t.Fatalf("%s: object %d segment diverged from its observations", stage, o.ID)
-			}
-		}
-	}
-	checkPlane("after add")
-
-	// Observation updates: the updated object's segment must follow it,
-	// and the superseded object must no longer resolve.
-	for round := 0; round < 8; round++ {
-		id := rng.Intn(db.Len())
-		old := db.Get(id)
-		updated, err := old.WithObservation(Observation{
-			Time: 20 + round,
-			PDF:  markov.UniformOver(n, rng.Perm(n)[:1+rng.Intn(4)]),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.ReplaceObject(updated); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := db.Columns().segmentOf(old); ok {
-			t.Fatalf("round %d: superseded object %d still resolves a segment", round, id)
-		}
-	}
-	checkPlane("after replace")
-}
-
-// TestPreSeededColumnsClaimed pins the bulk-load contract: a segment
-// published with AppendSeg before the matching Add is adopted (claimed
-// by serial) rather than re-derived, and mismatched pre-seeds are
-// discarded in favour of a fresh conversion.
-func TestPreSeededColumnsClaimed(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 8
-	chain := randomChainN(rng, n, 3)
-
-	o := MustObject(7, nil,
-		Observation{Time: 0, PDF: markov.PointDistribution(n, 2)},
-		Observation{Time: 3, PDF: markov.UniformOver(n, []int{1, 4, 5})})
-	seg := segFromObservations(o.Observations)
-
-	cols := NewObsColumns()
-	cols.AppendSeg(7, seg)
-	db := NewDatabaseWithColumns(chain, cols)
-	db.MustAdd(o)
-
-	got, ok := db.Columns().segmentOf(o)
-	if !ok {
-		t.Fatal("pre-seeded segment not claimed by Add")
-	}
-	if &got.Probs[0] != &seg.Probs[0] {
-		t.Fatal("Add re-derived columns instead of adopting the pre-seeded segment")
-	}
-
-	// A stale pre-seed (wrong observation count) must be replaced, not
-	// adopted.
-	cols2 := NewObsColumns()
-	cols2.AppendSeg(7, segFromObservations(o.Observations[:1]))
-	db2 := NewDatabaseWithColumns(chain, cols2)
-	db2.MustAdd(o)
-	got2, ok := db2.Columns().segmentOf(o)
-	if !ok || !segEqual(got2, seg) {
-		t.Fatal("mismatched pre-seed was not replaced by a fresh conversion")
-	}
-}
-
 // TestWithObservationSingleCopy pins the ingest fast path: appending a
 // sighting copies the observation slice exactly once (2 allocations:
 // the merged slice and the Object), keeps time order for out-of-order
@@ -193,9 +68,9 @@ func TestWithObservationSingleCopy(t *testing.T) {
 	}
 }
 
-// TestColumnarKernelsMatchRow cross-checks the vectorized column
-// kernels against the retained row-oriented baselines on random
-// multi-observation instances.
+// TestColumnarKernelsMatchRow cross-checks the lane-block
+// multi-observation passes against the retained row-oriented baselines
+// on random multi-observation instances.
 func TestColumnarKernelsMatchRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
@@ -221,11 +96,11 @@ func TestColumnarKernelsMatchRow(t *testing.T) {
 			t.Fatalf("trial %d: exists error mismatch: %v vs %v", trial, colErr, rowErr)
 		}
 		if colErr == nil && math.Abs(col-row) > 1e-12 {
-			t.Fatalf("trial %d: columnar P∃ = %g, row %g", trial, col, row)
+			t.Fatalf("trial %d: lane-block P∃ = %g, row %g", trial, col, row)
 		}
 
 		tq := rng.Intn(horizon + 1)
-		cd, cdErr := posteriorAtSeg(chain, segFromObservations(obs), tq, nil)
+		cd, cdErr := posteriorAtBlock(chain, obs, tq, nil)
 		rd, rdErr := posteriorAtRow(chain, obs, tq)
 		if (cdErr == nil) != (rdErr == nil) {
 			t.Fatalf("trial %d: posterior error mismatch: %v vs %v", trial, cdErr, rdErr)
@@ -235,7 +110,7 @@ func TestColumnarKernelsMatchRow(t *testing.T) {
 		}
 		for s := 0; s < n; s++ {
 			if math.Abs(cd.At(s)-rd.P(s)) > 1e-12 {
-				t.Fatalf("trial %d: posterior(t=%d) state %d: columnar %g, row %g",
+				t.Fatalf("trial %d: posterior(t=%d) state %d: lane-block %g, row %g",
 					trial, tq, s, cd.At(s), rd.P(s))
 			}
 		}

@@ -73,11 +73,7 @@ func probs(t testing.TB, e *Engine, pred Predicate, q Query, opts ...RequestOpti
 }
 
 // existsMultiObs computes P∃ for an observation list (sorted by time)
-// with the columnar kernel through a transient row→column conversion —
-// what the kern layer does over the database's columnar plane.
+// with the lane-block pass the kern layer runs, unpooled.
 func existsMultiObs(ctx context.Context, chain *markov.Chain, obs []Observation, w *window) (float64, error) {
-	if len(obs) == 0 {
-		return 0, fmt.Errorf("core: no observations")
-	}
-	return existsMultiObsSeg(ctx, chain, segFromObservations(obs), w, nil, nil)
+	return existsMultiObsBlock(ctx, chain, obs, w, nil, nil)
 }

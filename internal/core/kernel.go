@@ -43,12 +43,8 @@ type kern struct {
 	// filter–refine toggle: WithFilterRefine(false) is the paper-literal
 	// pass, and the oracle the clipped one is tested against.
 	clip bool
-	// cols is the owning database's columnar observation plane; the
-	// multi-observation and posterior kernels consume its column blocks
-	// directly instead of walking boxed pdfs.
-	cols *ObsColumns
 	// pins lazily materializes the window's region states for the flat
-	// transfer step of the columnar multi-observation pass. Guarded by
+	// transfer step of the multi-observation pass. Guarded by
 	// mu (shared-kern fan-out).
 	pins []int32
 	// prog/exprTree are set instead of w for compound-expression
@@ -189,7 +185,7 @@ func (k *kern) load(ctx context.Context, key scoreKey, compute func() (scoreValu
 // plan. plan may be nil (Marginal): caching is then on whenever the
 // engine has a cache, and traffic goes unreported.
 func (e *Engine) kernel(chain *markov.Chain, w *window, plan *evalPlan) *kern {
-	k := &kern{chain: chain, w: w, cols: e.db.cols}
+	k := &kern{chain: chain, w: w}
 	k.clip = plan != nil && plan.useFilter
 	if e.cache != nil && (plan == nil || plan.useCache) {
 		k.cache = e.cache
@@ -542,7 +538,7 @@ func (k *kern) ktimesQBExact(ctx context.Context, o *Object) (Result, error) {
 // obExists is the per-object OB core over the kern's window:
 // single-observation objects run the forward pass. Multi-observation
 // conditioning has no separate OB form — both strategies run the same
-// doubled-space pass (Section VI), consuming the columnar plane and
+// doubled-space pass (Section VI), reading the stored pdfs and
 // sharing cached per-object results across strategies.
 func (k *kern) obExists(ctx context.Context, o *Object) (float64, error) {
 	if k.w.k == 0 {
@@ -613,7 +609,7 @@ func (k *kern) eventuallyExact(_ context.Context, o *Object) (Result, error) {
 }
 
 // regionPins returns the window's region state list, materialized once
-// per kern for the columnar transfer step.
+// per kern for the multi-observation transfer step.
 func (k *kern) regionPins() []int32 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -624,7 +620,7 @@ func (k *kern) regionPins() []int32 {
 }
 
 // multiObsExists answers one multi-observation object through the
-// columnar doubled-space kernel, caching the scalar under a key derived
+// doubled-space lane-block pass, caching the scalar under a key derived
 // from the object's construction serial + window signature: repeat
 // queries over an unchanged object hit, ingest mints a new serial and
 // naturally misses, and entries for superseded objects age out of the
@@ -632,7 +628,7 @@ func (k *kern) regionPins() []int32 {
 func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 	key := scoreKey{chain: k.chain, kind: kindMultiObs, sig: fnvMix(k.w.signature(), o.serial)}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		p, perr := existsMultiObsSeg(ctx, k.chain, segForObject(k.cols, o), k.w, k.regionPins(), &lanes)
+		p, perr := existsMultiObsBlock(ctx, k.chain, o.Observations, k.w, k.regionPins(), &lanes)
 		if perr != nil {
 			return scoreValue{}, perr
 		}
@@ -645,13 +641,12 @@ func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 }
 
 // posteriorOf returns the object's smoothed posterior at time t through
-// the columnar kernel, cached per (object serial, t). The cached vector
-// is shared; the returned distribution is packed from it, so callers may
-// Fuse it like the historical PosteriorAt result.
+// the lane-block posterior pass, cached per (object serial, t). The
+// cached vector is shared; the returned distribution is packed from it.
 func (k *kern) posteriorOf(o *Object, t int) (*markov.Distribution, error) {
 	key := scoreKey{chain: k.chain, kind: kindPosterior, sig: fnvMix(fnvOffset, o.serial), t0: t}
 	v, err := k.fetch(context.Background(), key, func() (scoreValue, error) {
-		post, perr := posteriorAtSeg(k.chain, segForObject(k.cols, o), t, &lanes)
+		post, perr := posteriorAtBlock(k.chain, o.Observations, t, &lanes)
 		if perr != nil {
 			return scoreValue{}, perr
 		}
@@ -666,7 +661,7 @@ func (k *kern) posteriorOf(o *Object, t int) (*markov.Distribution, error) {
 // Marginal returns the exact marginal distribution P(o, t) of an object
 // at time t ≥ its first observation time. It is the only entry to the
 // cached posterior: for multi-observation objects the smoothed
-// posterior comes from the columnar kernel and repeat marginals of an
+// posterior comes from the lane-block posterior pass and repeat marginals of an
 // unchanged object are served from the score cache under its
 // construction serial.
 func (e *Engine) Marginal(o *Object, t int) (*markov.Distribution, error) {

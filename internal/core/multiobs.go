@@ -34,10 +34,7 @@ import (
 // at times ≤ max(t, last observation) and evolves/fuses in order, which
 // matches the paper's forward treatment.
 func PosteriorAt(chain *markov.Chain, obs []Observation, t int) (*markov.Distribution, error) {
-	if len(obs) == 0 {
-		return nil, fmt.Errorf("core: no observations")
-	}
-	post, err := posteriorAtSeg(chain, segFromObservations(obs), t, nil)
+	post, err := posteriorAtBlock(chain, obs, t, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -10,11 +10,11 @@ import (
 
 // The row-oriented multi-observation passes (Section VI): two sparse.Vec
 // halves of the doubled state space, stepped and fused with each stored
-// pdf's Vec. The engine runs the columnar kernels (colkernel.go); these
-// are their test references.
+// pdf's Vec. The engine runs the lane-block passes (colkernel.go);
+// these are their test references.
 
-// existsMultiObsRow is the historical Vec-based pass: the reference the
-// columnar kernel is cross-checked and benchmarked against.
+// existsMultiObsRow is the historical Vec-based pass: the reference
+// existsMultiObsBlock is cross-checked and benchmarked against.
 func existsMultiObsRow(ctx context.Context, chain *markov.Chain, obs []Observation, w *window) (float64, error) {
 	if len(obs) == 0 {
 		return 0, fmt.Errorf("core: no observations")
@@ -91,8 +91,9 @@ func transferHits(pNot, pHit *sparse.Vec, w *window) {
 }
 
 // posteriorAtRow is the historical Vec-based smoothing pass: the
-// reference for posteriorAtSeg. It allocates a fresh vector per backward
-// step, which is exactly the GC pressure posteriorAtSeg removes.
+// reference for posteriorAtBlock. It allocates a fresh vector per
+// backward step, which is exactly the GC pressure posteriorAtBlock
+// removes.
 func posteriorAtRow(chain *markov.Chain, obs []Observation, t int) (*markov.Distribution, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("core: no observations")

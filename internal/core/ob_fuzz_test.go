@@ -19,7 +19,8 @@ import (
 // multi-observation exists against the row pass existsMultiObsRow and
 // its posterior against posteriorAtRow — all within 1e-12. Every
 // exists/forall scan clipped to the reach cone must equal the unclipped
-// scan bit for bit.
+// scan bit for bit, and so must the multi-observation passes over a pdf
+// whose index column is descending and over the same pdf ascending.
 func FuzzOBPasses(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed)
@@ -152,17 +153,18 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 		steps := 1 + rng.Intn(4)
 		reach := chain.Advance(first.PDF.Vec().Clone(), steps).Support()
 		states := reach[:1+rng.Intn(len(reach))]
+		// Integer weights sum exactly in any order, so a pdf built over
+		// the states in reverse holds the same values.
 		weights := make([]float64, len(states))
 		for i := range weights {
-			weights[i] = 0.25 + rng.Float64()
+			weights[i] = float64(1 + rng.Intn(4))
 		}
 		pdf, err := markov.WeightedOver(n, states, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
 		obs := []Observation{first, {Time: first.Time + steps, PDF: pdf}}
-		seg := segFromObservations(obs)
-		got, err := existsMultiObsSeg(ctx, chain, seg, w, nil, &lanes)
+		got, err := existsMultiObsBlock(ctx, chain, obs, w, nil, &lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +174,7 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 		}
 		near("multi-observation exists", o.ID, got, want)
 		at := first.Time + rng.Intn(steps+2)
-		post, err := posteriorAtSeg(chain, seg, at, &lanes)
+		post, err := posteriorAtBlock(chain, obs, at, &lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +185,40 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 		for s := range n {
 			near("posterior", o.ID, post.At(s), ref.Vec().At(s))
 		}
+
+		// The later pdf rebuilt with its index column descending: the
+		// passes sum over their blocks' live rows in ascending order, so
+		// a pdf's iteration order must not move a bit.
+		desc, err := markov.WeightedOver(n, reversed(states), reversed(weights))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev := []Observation{first, {Time: obs[1].Time, PDF: desc}}
+		gotDesc, err := existsMultiObsBlock(ctx, chain, rev, w, nil, &lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotDesc) != math.Float64bits(got) {
+			t.Fatalf("object %d: exists %v over a descending pdf, %v over the ascending one", o.ID, gotDesc, got)
+		}
+		postDesc, err := posteriorAtBlock(chain, rev, at, &lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range n {
+			if math.Float64bits(postDesc.At(s)) != math.Float64bits(post.At(s)) {
+				t.Fatalf("object %d: posterior state %d %v over a descending pdf, %v over the ascending one",
+					o.ID, s, postDesc.At(s), post.At(s))
+			}
+		}
 	}
+}
+
+// reversed returns a reversed copy of xs.
+func reversed[T any](xs []T) []T {
+	out := slices.Clone(xs)
+	slices.Reverse(out)
+	return out
 }
 
 // fewWorlds reports whether enumerating o's worlds up to horizon stays

@@ -144,11 +144,6 @@ type Database struct {
 	objects []*Object
 	byID    map[int]*Object
 	pos     map[int]int // object id → index into objects
-	// cols is the columnar twin of objects: per-object observation
-	// segments the vectorized kernels and the store's v2 writer consume.
-	// Maintained by Add/ReplaceObject; pre-seeded by the store's mapped
-	// load path.
-	cols *ObsColumns
 	// version counts mutations (inserts and observation updates): the
 	// generation a subscription, the service's request coalescing and
 	// the shard router's writer check compare to decide staleness. (The engine's
@@ -164,7 +159,7 @@ func NewDatabase(defaultChain *markov.Chain) *Database {
 	if defaultChain == nil {
 		panic("core: nil default chain")
 	}
-	return &Database{chain: defaultChain, byID: map[int]*Object{}, pos: map[int]int{}, cols: NewObsColumns()}
+	return &Database{chain: defaultChain, byID: map[int]*Object{}, pos: map[int]int{}}
 }
 
 // DefaultChain returns the database's default motion model.
@@ -186,7 +181,6 @@ func (db *Database) Add(o *Object) error {
 	db.objects = append(db.objects, o)
 	db.byID[o.ID] = o
 	db.pos[o.ID] = len(db.objects) - 1
-	db.cols.add(o)
 	db.version.Add(1)
 	return nil
 }
@@ -204,8 +198,7 @@ func (db *Database) ReplaceObject(updated *Object) error {
 	if updated == nil {
 		return fmt.Errorf("core: nil object")
 	}
-	old := db.byID[updated.ID]
-	if old == nil {
+	if db.byID[updated.ID] == nil {
 		return fmt.Errorf("core: unknown object %d", updated.ID)
 	}
 	ch := db.ChainOf(updated)
@@ -217,7 +210,6 @@ func (db *Database) ReplaceObject(updated *Object) error {
 	}
 	db.objects[db.pos[updated.ID]] = updated
 	db.byID[updated.ID] = updated
-	db.cols.replace(old, updated)
 	db.version.Add(1)
 	return nil
 }
@@ -239,7 +231,6 @@ func (db *Database) Remove(id int) error {
 	}
 	delete(db.byID, id)
 	delete(db.pos, id)
-	db.cols.remove(id)
 	db.version.Add(1)
 	return nil
 }

@@ -13,9 +13,11 @@ import (
 // an index column and a value column (sparse.Packed), or all n values
 // once more than half of them are non-zero — so an observation over a
 // large state space costs its support, not |S|. A distribution is
-// immutable apart from Fuse, and every operation visits its entries in
-// the order the equivalent sparse.Vec would, so answers computed from it
-// carry the same bits.
+// immutable — a stored pdf is the only copy of its observation, read by
+// the engine's passes, the store's writer and the cache entries keyed by
+// its object — and every operation visits its entries in the order the
+// equivalent sparse.Vec would, so answers computed from it carry the
+// same bits.
 type Distribution struct {
 	p sparse.Packed
 	// vec is Vec's materialization, built on first use.
@@ -113,8 +115,8 @@ func FromVec(v *sparse.Vec) *Distribution { return &Distribution{p: v.Pack()} }
 // distribution over n states — adopting both slices, no copy — that
 // visits the entries in the given order. The caller warrants distinct
 // states inside [0, n) and must never write either slice afterwards; the
-// store's decoder makes each loaded pdf such a view over its object's
-// column segment.
+// store's decoder makes each loaded pdf such a view over its slice of
+// the image's state and probability columns.
 func FromColumns(n int, states []int32, probs []float64) *Distribution {
 	return &Distribution{p: sparse.AdoptSupport(n, states, probs)}
 }
@@ -161,11 +163,11 @@ func (d *Distribution) MassOn(b *sparse.Bitset) float64 { return d.p.MassOn(b) }
 // the distribution, in the mode and order its Vec would have.
 func (d *Distribution) CopyTo(v *sparse.Vec) { d.p.CopyTo(v) }
 
-// AppendColumns appends the support, ascending, and the matching masses:
-// the distribution's column-segment form.
-func (d *Distribution) AppendColumns(states []int32, probs []float64) ([]int32, []float64) {
-	return d.p.AppendSorted(states, probs)
-}
+// RangeAscending calls fn for every state carrying mass in ascending
+// state order, whatever the distribution's iteration order: the order
+// the store writes a pdf in. Only a sparse pdf whose support is not
+// ascending pays for a sorted copy.
+func (d *Distribution) RangeAscending(fn func(state int, p float64)) { d.p.RangeSorted(fn) }
 
 // Normalized returns the distribution scaled to unit mass (Vec.Normalize's
 // bits) and the mass before scaling. A zero distribution comes back
@@ -192,25 +194,6 @@ func (d *Distribution) Validate(tol float64) error {
 // so the copy shares them.
 func (d *Distribution) Clone() *Distribution { return &Distribution{p: d.p} }
 
-// Fuse combines d with an independent observation of the same epoch by
-// elementwise product followed by normalization (Lemma 1 of the paper).
-// It returns the pre-normalization mass, which is the probability that
-// the observation is consistent with d — zero means the observation
-// contradicts every possible world and the fused distribution is invalid.
-func (d *Distribution) Fuse(obs *Distribution) float64 {
-	n := d.NumStates()
-	v, w := scratch.Get(n), scratch.Get(n)
-	defer scratch.Put(v)
-	defer scratch.Put(w)
-	d.p.CopyTo(v)
-	obs.p.CopyTo(w)
-	v.Hadamard(w)
-	mass := v.Normalize()
-	d.p = v.Pack()
-	d.vec.Store(nil)
-	return mass
-}
-
 // Entropy returns the Shannon entropy in nats; a convenience for
 // diagnostics and examples (0 for a point observation).
 func (d *Distribution) Entropy() float64 {
@@ -235,15 +218,14 @@ func (d *Distribution) Mode() (state int, p float64) {
 	return state, p
 }
 
-// String renders the distribution compactly.
+// String renders the distribution compactly, ascending by state.
 func (d *Distribution) String() string {
-	ids, probs := d.AppendColumns(nil, nil)
 	out := "["
-	for k, i := range ids {
-		if k > 0 {
+	d.RangeAscending(func(i int, p float64) {
+		if len(out) > 1 {
 			out += " "
 		}
-		out += fmt.Sprintf("%d:%.6g", i, probs[k])
-	}
+		out += fmt.Sprintf("%d:%.6g", i, p)
+	})
 	return out + "]"
 }

@@ -2,9 +2,7 @@ package markov
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ust/internal/sparse"
 )
@@ -101,52 +99,6 @@ func TestWeightedOverDuplicateStatesAccumulate(t *testing.T) {
 	}
 }
 
-func TestFuseLemma1(t *testing.T) {
-	// Lemma 1: joint pdf of independent observations is the normalized
-	// elementwise product.
-	a := UniformOver(4, []int{0, 1, 2})
-	b := UniformOver(4, []int{1, 2, 3})
-	mass := a.Fuse(b)
-	// Product mass: states 1,2 each (1/3)(1/3) = 1/9 → total 2/9.
-	if math.Abs(mass-2.0/9) > 1e-12 {
-		t.Errorf("pre-normalization mass = %g, want 2/9", mass)
-	}
-	if math.Abs(a.P(1)-0.5) > 1e-12 || math.Abs(a.P(2)-0.5) > 1e-12 {
-		t.Errorf("fused = %v, want uniform on {1,2}", a)
-	}
-	if err := a.Validate(1e-12); err != nil {
-		t.Errorf("fused distribution invalid: %v", err)
-	}
-}
-
-func TestFuseContradiction(t *testing.T) {
-	a := PointDistribution(4, 0)
-	b := PointDistribution(4, 3)
-	if mass := a.Fuse(b); mass != 0 {
-		t.Errorf("contradictory fuse mass = %g, want 0", mass)
-	}
-	if a.Mass() != 0 {
-		t.Errorf("contradictory fuse left mass %g", a.Mass())
-	}
-}
-
-func TestFuseCommutesQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(12)
-		a1 := randomDistribution(rng, n)
-		b1 := randomDistribution(rng, n)
-		a2 := a1.Clone()
-		b2 := b1.Clone()
-		a1.Fuse(b1)
-		b2.Fuse(a2)
-		return a1.Vec().Equal(b2.Vec(), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestValidateDetectsNonUnitMass(t *testing.T) {
 	d := FromVec(sparse.NewVecFrom([]float64{0.5, 0, 0}))
 	if err := d.Validate(1e-9); err == nil {
@@ -155,11 +107,15 @@ func TestValidateDetectsNonUnitMass(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	d := PointDistribution(3, 1)
+	d := UniformOver(5, []int{4, 1})
 	c := d.Clone()
-	c.Fuse(PointDistribution(3, 0))
-	if d.P(1) != 1 || c.Mass() != 0 {
-		t.Error("Clone aliases original")
+	if c == d {
+		t.Fatal("Clone returned the receiver")
+	}
+	for i := range 5 {
+		if c.P(i) != d.P(i) {
+			t.Fatalf("Clone P(%d) = %g, want %g", i, c.P(i), d.P(i))
+		}
 	}
 }
 
@@ -189,18 +145,4 @@ func TestSupportAscending(t *testing.T) {
 	if len(sup) != 3 || sup[0] != 0 || sup[1] != 4 || sup[2] != 8 {
 		t.Errorf("Support = %v", sup)
 	}
-}
-
-func randomDistribution(rng *rand.Rand, n int) *Distribution {
-	v := sparse.NewVec(n)
-	for i := 0; i < n; i++ {
-		if rng.Float64() < 0.5 {
-			v.Set(i, rng.Float64()+1e-6)
-		}
-	}
-	if v.Sum() == 0 {
-		v.Set(rng.Intn(n), 1)
-	}
-	v.Normalize()
-	return FromVec(v)
 }

@@ -39,8 +39,8 @@ type Packed struct {
 // ownership, no copy — as a sparse-mode packed vector of dimension n that
 // iterates the entries in the given order. The caller warrants that the
 // indices are distinct and inside [0, n) and must not write either slice
-// afterwards; the store's columnar decoder hands over slices of its
-// observation segments this way.
+// afterwards; the store's columnar decoder hands over slices of an
+// image's state and probability columns this way.
 func AdoptSupport(n int, idx []int32, val []float64) Packed {
 	if len(idx) != len(val) {
 		panic(fmt.Sprintf("sparse: AdoptSupport with %d indices and %d values", len(idx), len(val)))
@@ -243,19 +243,21 @@ func (p Packed) Support() []int {
 	return out
 }
 
-// AppendSorted appends the non-zero entries to ids and vals, ascending
-// by index — the column-segment form of the vector — and returns the
-// extended slices.
-func (p Packed) AppendSorted(ids []int32, vals []float64) ([]int32, []float64) {
-	start := len(ids)
-	p.Range(func(i int, x float64) {
-		ids = append(ids, int32(i))
-		vals = append(vals, x)
-	})
-	if !p.sorted {
-		sort.Sort(byIndex{ids[start:], vals[start:]})
+// RangeSorted calls fn for every non-zero entry in ascending index
+// order: Range's own order, except for a sparse-mode vector whose index
+// column is not ascending, which it first sorts into a copy.
+func (p Packed) RangeSorted(fn func(i int, x float64)) {
+	if p.sorted {
+		p.Range(fn)
+		return
 	}
-	return ids, vals
+	b := byIndex{slices.Clone(p.idx), slices.Clone(p.val)}
+	sort.Sort(b)
+	for k, i := range b.idx {
+		if x := b.val[k]; x != 0 {
+			fn(int(i), x)
+		}
+	}
 }
 
 // byIndex sorts an index column and its value column together.

@@ -89,15 +89,12 @@ func TestPackedMatchesVec(t *testing.T) {
 			t.Fatalf("seed %d: Scaled visits %v, want %v", seed, got, want)
 		}
 
-		ids, vals := p.AppendSorted([]int32{-1}, []float64{-1})
-		sup := v.Support()
-		if len(ids) != len(sup)+1 {
-			t.Fatalf("seed %d: AppendSorted appended %d entries, want %d", seed, len(ids)-1, len(sup))
+		var ascending [][2]uint64
+		for _, i := range v.Support() {
+			ascending = append(ascending, [2]uint64{uint64(i), math.Float64bits(v.At(i))})
 		}
-		for k, i := range sup {
-			if int(ids[k+1]) != i || math.Float64bits(vals[k+1]) != math.Float64bits(v.At(i)) {
-				t.Fatalf("seed %d: AppendSorted entry %d = (%d, %v), want (%d, %v)", seed, k, ids[k+1], vals[k+1], i, v.At(i))
-			}
+		if got := entries(p.RangeSorted); !slices.Equal(got, ascending) {
+			t.Fatalf("seed %d: RangeSorted visits %v, want %v", seed, got, ascending)
 		}
 	}
 }

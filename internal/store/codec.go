@@ -37,11 +37,10 @@ func LoadChain(r io.Reader) (*markov.Chain, error) {
 // SaveDatabase writes the default chain and all objects in the current
 // (columnar, version-2) format.
 func SaveDatabase(w io.Writer, db *core.Database) error {
-	objs, segs := db.Objects(), segments(db)
-	def := db.DefaultChain()
-	out := newWriter(4+csrLen(def.Matrix())+columnarLen(objs, segs), formatVersion2, 2)
+	objs, def := db.Objects(), db.DefaultChain()
+	out := newWriter(4+csrLen(def.Matrix())+columnarLen(objs), formatVersion2, 2)
 	writeChainSection(out, def)
-	writeColumnarSection(out, objs, segs, nil)
+	writeColumnarSection(out, objs, nil)
 	return writeImage(w, out)
 }
 

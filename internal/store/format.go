@@ -38,8 +38,9 @@
 // by one raw little-endian float64 probability column padded to an
 // 8-aligned file offset. The columnar layout is both smaller (varints +
 // deltas) and the unit of the zero-copy load path: LoadDatabaseMapped
-// adopts the probability column and carves per-object segments out of
-// shared arenas instead of allocating per observation. Databases are
+// adopts the probability column and makes each pdf a view over its slice
+// of the state and probability columns instead of allocating per
+// observation. Databases are
 // written as version 2 only (SaveChain still writes its one section as
 // version 1); readers accept both.
 //

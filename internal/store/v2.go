@@ -48,10 +48,9 @@ var hostLittleEndian = func() bool {
 // LoadDatabaseMapped decodes a complete, self-contained in-memory store
 // image (any version). For version-2 images the probability column is
 // adopted zero-copy when its file offset is 8-aligned in data: the
-// returned database's observation pdfs and columnar segments alias data,
-// so the caller must not modify the buffer for the lifetime of the
-// database. Misaligned or big-endian loads transparently fall back to
-// copying.
+// returned database's observation pdfs alias data, so the caller must not
+// modify the buffer for the lifetime of the database. Misaligned or
+// big-endian loads transparently fall back to copying.
 func LoadDatabaseMapped(data []byte) (*core.Database, error) {
 	return DecodeObjectFrame(data, nil)
 }
@@ -82,17 +81,12 @@ func NewFrameEncoder(def *markov.Chain) *FrameEncoder {
 func (e *FrameEncoder) Reset() { e.held = map[uint64]bool{e.def.Fingerprint(): true} }
 
 // Encode returns objs as one frame, in slice order. The objects need no
-// database: their column segments are derived from the boxed pdfs, bit
-// for bit.
+// database: the frame is written from their pdfs.
 func (e *FrameEncoder) Encode(objs []*core.Object) ([]byte, error) {
-	segs := make([]core.ObsSeg, len(objs))
-	for i, o := range objs {
-		segs[i] = extractSeg(o)
-	}
-	out := newWriter(4+chainRefLen+columnarLen(objs, segs), formatVersion2, 2)
+	out := newWriter(4+chainRefLen+columnarLen(objs), formatVersion2, 2)
 	out.raw(tagChainRef[:])
 	out.chainRef(e.def)
-	writeColumnarSection(out, objs, segs, func(fp uint64) bool {
+	writeColumnarSection(out, objs, func(fp uint64) bool {
 		known := e.held[fp]
 		e.held[fp] = true
 		return known
@@ -179,11 +173,14 @@ func (l *chainLookup) deref(c *cursor) *markov.Chain {
 // columnarLen bounds the length of the OBC0 section writeColumnarSection
 // emits for objs: fixed-width fields exactly, every varint at its widest
 // and every own chain inline.
-func columnarLen(objs []*core.Object, segs []core.ObsSeg) int {
+func columnarLen(objs []*core.Object) int {
 	n := 4 + 8 + 7*8 + 8 + 1 + 7 // tag, count, block lengths, chain count, pad
-	for i, o := range objs {
-		obs, supp := segs[i].Len(), len(segs[i].IDs)
-		n += binary.MaxVarintLen64*(2+2*obs+supp) + 8*supp
+	for _, o := range objs {
+		supp := 0
+		for _, ob := range o.Observations {
+			supp += ob.PDF.NNZ()
+		}
+		n += binary.MaxVarintLen64*(2+2*len(o.Observations)+supp) + 8*supp
 		if o.Chain != nil {
 			n += binary.MaxVarintLen64 + 8 + max(csrLen(o.Chain.Matrix()), chainRefLen)
 		}
@@ -191,11 +188,12 @@ func columnarLen(objs []*core.Object, segs []core.ObsSeg) int {
 	return n
 }
 
-// writeColumnarSection emits the OBC0 section for objs, whose column
-// segments are segs. With known nil every own chain is written inline
-// (a self-contained image); otherwise a chain whose fingerprint known
-// reports as held by the receiver is written as a reference.
-func writeColumnarSection(out *writer, objs []*core.Object, segs []core.ObsSeg, known func(uint64) bool) {
+// writeColumnarSection emits the OBC0 section for objs, each pdf's
+// states carrying mass in ascending order. With known nil every own
+// chain is written inline (a self-contained image); otherwise a chain
+// whose fingerprint known reports as held by the receiver is written as
+// a reference.
+func writeColumnarSection(out *writer, objs []*core.Object, known func(uint64) bool) {
 	out.raw(tagColumnar[:])
 	out.u64(uint64(len(objs)))
 
@@ -228,23 +226,26 @@ func writeColumnarSection(out *writer, objs []*core.Object, segs []core.ObsSeg, 
 		}
 	})
 	// lens
+	total := 0
 	out.block(func() {
-		for _, seg := range segs {
-			for k := 0; k < seg.Len(); k++ {
-				out.uvarint(uint64(seg.Off[k+1] - seg.Off[k]))
+		for _, o := range objs {
+			for _, ob := range o.Observations {
+				l := 0
+				ob.PDF.Range(func(int, float64) { l++ })
+				out.uvarint(uint64(l))
+				total += l
 			}
 		}
 	})
 	// states
 	out.block(func() {
-		for _, seg := range segs {
-			for k := 0; k < seg.Len(); k++ {
-				ids, _ := seg.Supp(k)
-				prev := int32(0)
-				for _, s := range ids {
+		for _, o := range objs {
+			for _, ob := range o.Observations {
+				prev := 0
+				ob.PDF.RangeAscending(func(s int, _ float64) {
 					out.uvarint(uint64(s - prev))
 					prev = s
-				}
+				})
 			}
 		}
 	})
@@ -273,58 +274,15 @@ func writeColumnarSection(out *writer, objs []*core.Object, segs []core.ObsSeg, 
 	})
 	// probs: padded so the float column lands on an 8-aligned file
 	// offset — everything before this block has variable (varint) length.
-	total := 0
-	for _, seg := range segs {
-		total += len(seg.Probs)
-	}
 	padLen := (8 - (len(out.buf)+8+1)%8) % 8 // after the length prefix and padLen byte
 	out.u64(uint64(1 + padLen + 8*total))
 	out.raw([]byte{byte(padLen)})
 	out.raw(make([]byte, padLen))
-	for _, seg := range segs {
-		for _, p := range seg.Probs {
-			out.f64(p)
+	for _, o := range objs {
+		for _, ob := range o.Observations {
+			ob.PDF.RangeAscending(func(_ int, p float64) { out.f64(p) })
 		}
 	}
-}
-
-// segments returns the column segment of every object of db, preferring
-// the database's maintained column plane (bit-faithful to the boxed
-// pdfs) and falling back to extraction for objects without a current
-// segment.
-func segments(db *core.Database) []core.ObsSeg {
-	objs := db.Objects()
-	segs := make([]core.ObsSeg, len(objs))
-	for i, o := range objs {
-		if seg, ok := db.Columns().Segment(o.ID); ok && seg.Len() == len(o.Observations) {
-			segs[i] = seg
-			continue
-		}
-		segs[i] = extractSeg(o)
-	}
-	return segs
-}
-
-// extractSeg derives a column segment from an object's boxed pdfs — the
-// writer's path for objects without a current plane entry (every object
-// of a frame: frames are encoded without a database).
-func extractSeg(o *core.Object) core.ObsSeg {
-	supp := 0
-	for _, ob := range o.Observations {
-		supp += ob.PDF.NNZ()
-	}
-	seg := core.ObsSeg{
-		Times: make([]int32, len(o.Observations)),
-		Off:   make([]int32, len(o.Observations)+1),
-		IDs:   make([]int32, 0, supp),
-		Probs: make([]float64, 0, supp),
-	}
-	for k, ob := range o.Observations {
-		seg.Times[k] = int32(ob.Time)
-		seg.IDs, seg.Probs = ob.PDF.AppendColumns(seg.IDs, seg.Probs)
-		seg.Off[k+1] = int32(len(seg.IDs))
-	}
-	return seg
 }
 
 // columnarBlocks is the skimmed (not yet decoded) OBC0 section: a
@@ -348,12 +306,11 @@ func skimColumnar(c *cursor) *columnarBlocks {
 }
 
 // decodeColumnar materializes the database from skimmed blocks: shared
-// arenas for every per-observation slice, the probability column adopted
-// zero-copy when aligned, and the column plane pre-seeded so Database.Add
-// claims each segment instead of re-deriving it. Each observation pdf is
-// a view over its segment's support and mass columns, so the plane is
-// the only copy of a loaded observation. Every element an arena is sized
-// for costs at least one byte of its block, and the counts are checked
+// arenas for every per-observation slice and the probability column
+// adopted zero-copy when aligned. Each observation pdf is a view over its
+// slice of the state and probability columns, so the image is the only
+// copy of a loaded observation. Every element an arena is sized for
+// costs at least one byte of its block, and the counts are checked
 // against the block lengths before anything is allocated: what a corrupt
 // image can make the decoder allocate is linear in its length.
 func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup) (*core.Database, error) {
@@ -442,9 +399,8 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 		return nil, c.err
 	}
 
-	// Support lengths and per-object offset arenas.
+	// Support lengths.
 	lens := make([]int32, totalObs)
-	offArena := make([]int32, totalObs+n)
 	totalSupp := 0
 	c = &cb.lens
 	for i := range lens {
@@ -528,7 +484,6 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 	// Distribution that views its slice of the id and prob columns.
 	obsArena := make([]core.Observation, totalObs)
 
-	cols := core.NewObsColumns()
 	type objRec struct {
 		id    int
 		chain *markov.Chain
@@ -542,31 +497,20 @@ func decodeColumnar(cb *columnarBlocks, chain *markov.Chain, chains *chainLookup
 		if ownChain != nil {
 			states = ownChain.NumStates()
 		}
-		segStart := suppIdx
 		obsStart := obsIdx
-		off := offArena[:counts[i]+1]
-		offArena = offArena[counts[i]+1:]
 		for k := 0; k < counts[i]; k++ {
-			l := int(lens[obsIdx])
-			end := suppIdx + l
+			end := suppIdx + int(lens[obsIdx])
 			obsArena[obsIdx] = core.Observation{
 				Time: int(timesArena[obsIdx]),
 				PDF:  markov.FromColumns(states, idArena[suppIdx:end:end], probs[suppIdx:end:end]),
 			}
-			off[k+1] = off[k] + int32(l)
 			suppIdx = end
 			obsIdx++
 		}
-		cols.AppendSeg(ids[i], core.ObsSeg{
-			Times: timesArena[obsStart:obsIdx],
-			Off:   off,
-			IDs:   idArena[segStart:suppIdx],
-			Probs: probs[segStart:suppIdx],
-		})
 		recs[i] = objRec{id: ids[i], chain: ownChain, obs: obsArena[obsStart:obsIdx]}
 	}
 
-	db := core.NewDatabaseWithColumns(chain, cols)
+	db := core.NewDatabase(chain)
 	for _, rec := range recs {
 		o, err := core.NewObjectSorted(rec.id, rec.chain, rec.obs)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -96,6 +97,13 @@ func genDB(t testing.TB, p gen.Params) *core.Database {
 	return db
 }
 
+// rangeOrder returns the states of pdf in its iteration order.
+func rangeOrder(pdf *markov.Distribution) []int {
+	var out []int
+	pdf.Range(func(s int, _ float64) { out = append(out, s) })
+	return out
+}
+
 // saveV2 is a test shorthand.
 func saveV2(t testing.TB, db *core.Database) []byte {
 	t.Helper()
@@ -113,6 +121,26 @@ func saveV2(t testing.TB, db *core.Database) []byte {
 func TestV2RoundTripByteIdentical(t *testing.T) {
 	db := testDB(t)
 	first := saveV2(t, db)
+
+	// A pdf whose support was given descending is written ascending:
+	// its image is the ascending build's, byte for byte.
+	chain := gen.MustGenerate(gen.Params{NumObjects: 1, NumStates: 30, ObjectSpread: 2, StateSpread: 3, MaxStep: 8, Seed: 1}).Chain
+	images := map[string][]byte{}
+	for name, states := range map[string][]int{"ascending": {1, 3, 4}, "descending": {4, 3, 1}} {
+		pdf := markov.UniformOver(30, states)
+		if name == "descending" && slices.IsSorted(rangeOrder(pdf)) {
+			t.Fatal("the descending build iterates its support ascending")
+		}
+		unsorted := core.NewDatabase(chain)
+		unsorted.MustAdd(core.MustObject(5, nil,
+			core.Observation{Time: 0, PDF: markov.PointDistribution(30, 2)},
+			core.Observation{Time: 2, PDF: pdf}))
+		images[name] = saveV2(t, unsorted)
+	}
+	if !bytes.Equal(images["ascending"], images["descending"]) {
+		t.Fatal("a descending pdf's image differs from the ascending build's")
+	}
+
 	loaded, err := LoadDatabase(bytes.NewReader(first))
 	if err != nil {
 		t.Fatalf("LoadDatabase: %v", err)
@@ -170,11 +198,6 @@ func TestV2MatchesV1Semantics(t *testing.T) {
 		o := got.Get(want.ID)
 		if (o.Chain == nil) != (want.Chain == nil) || o.Chain != nil && !o.Chain.Matrix().Equal(want.Chain.Matrix(), 0) {
 			t.Fatalf("object %d: own chain differs", want.ID)
-		}
-		// The column plane must be pre-seeded and claimed.
-		seg, ok := got.Columns().Segment(want.ID)
-		if !ok || seg.Len() != len(want.Observations) {
-			t.Fatalf("object %d plane segment missing or wrong length", want.ID)
 		}
 	}
 	if !got.DefaultChain().Matrix().Equal(v1.DefaultChain().Matrix(), 0) {
@@ -264,23 +287,27 @@ func TestV2ProbColumnAligned(t *testing.T) {
 }
 
 // TestV2ZeroCopyAliasesBuffer pins the adopt: with an 8-aligned buffer,
-// the loaded pdf values point into the caller's bytes.
+// the loaded pdf values are the caller's bytes, so a byte flipped in the
+// buffer after the load shows in the pdf.
 func TestV2ZeroCopyAliasesBuffer(t *testing.T) {
 	data := saveV2(t, testDB(t))
 	db, err := LoadDatabaseMapped(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, ok := db.Columns().Segment(2)
-	if !ok || len(seg.Probs) == 0 {
-		t.Fatal("no segment for object 2")
+	// The column's first value is the first object's first observation
+	// on its lowest state.
+	_, sec, err := readImage(data, &chainLookup{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The segment's prob slice must alias data's backing array: its
-	// pointer lies within the buffer.
-	start := uintptr(unsafe.Pointer(&data[0]))
-	end := start + uintptr(len(data))
-	pp := uintptr(unsafe.Pointer(&seg.Probs[0]))
-	if pp < start || pp >= end {
+	probs := sec.cols.probs
+	at := probs.off + 1 + int(probs.b[probs.off])
+	pdf := db.Objects()[0].Observations[0].PDF
+	state := pdf.Support()[0]
+	before := pdf.P(state)
+	data[at] ^= 1 // the mantissa's lowest bit
+	if pdf.P(state) == before {
 		if uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
 			t.Skip("buffer not 8-aligned — copy fallback is the correct behavior")
 		}
