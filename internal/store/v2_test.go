@@ -97,13 +97,6 @@ func genDB(t testing.TB, p gen.Params) *core.Database {
 	return db
 }
 
-// rangeOrder returns the states of pdf in its iteration order.
-func rangeOrder(pdf *markov.Distribution) []int {
-	var out []int
-	pdf.Range(func(s int, _ float64) { out = append(out, s) })
-	return out
-}
-
 // saveV2 is a test shorthand.
 func saveV2(t testing.TB, db *core.Database) []byte {
 	t.Helper()
@@ -128,7 +121,9 @@ func TestV2RoundTripByteIdentical(t *testing.T) {
 	images := map[string][]byte{}
 	for name, states := range map[string][]int{"ascending": {1, 3, 4}, "descending": {4, 3, 1}} {
 		pdf := markov.UniformOver(30, states)
-		if name == "descending" && slices.IsSorted(rangeOrder(pdf)) {
+		var order []int
+		pdf.Range(func(s int, _ float64) { order = append(order, s) })
+		if name == "descending" && slices.IsSorted(order) {
 			t.Fatal("the descending build iterates its support ascending")
 		}
 		unsorted := core.NewDatabase(chain)
