@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"ust/internal/markov"
-	"ust/internal/sparse"
 )
 
 // Batch evaluation: answer many Requests as one unit of work, letting
@@ -366,7 +365,7 @@ func (e *Engine) fusedExistsSweeps(ctx context.Context, chain *markov.Chain, uni
 		}
 	}
 	publish := func(key scoreKey, k int) {
-		e.cache.board.Put(key, scoreValue{vecs: []*sparse.Vec{blk.column(k)}})
+		e.cache.board.Put(key, scoreValue{cols: [][]float64{blk.column(k)}})
 		resolve(k)
 	}
 	extracted := make([]bool, len(sch.lanes))

@@ -225,8 +225,7 @@ func TestEvaluateBatchMatchesSequentialWide(t *testing.T) {
 
 // TestFusedSweepBitIdentical pins a multi-unit block — leaders, forked
 // followers and aliases, near and far lanes — against width-1 blocks of
-// the same units and against hitScores, vector by vector, bit by bit,
-// support order and storage mode included.
+// the same units and against hitScores, column by column, bit by bit.
 func TestFusedSweepBitIdentical(t *testing.T) {
 	const n = 30
 	rng := rand.New(rand.NewSource(23))
@@ -294,8 +293,8 @@ func TestFusedSweepBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range []*sparse.Vec{cachedScore(t, single, u.key), serial} {
-			if !identicalVec(got, want) {
+		for _, want := range [][]float64{cachedScore(t, single, u.key), serial} {
+			if !identicalColumn(got, want) {
 				t.Fatalf("unit %d: block %v != width-1 %v", i, got, want)
 			}
 		}
@@ -303,31 +302,19 @@ func TestFusedSweepBitIdentical(t *testing.T) {
 
 }
 
-// cachedScore reads a published scoring vector off the engine's board.
-func cachedScore(t *testing.T, e *Engine, key scoreKey) *sparse.Vec {
+// cachedScore reads a published scoring column off the engine's board.
+func cachedScore(t *testing.T, e *Engine, key scoreKey) []float64 {
 	t.Helper()
 	v, lease, err := e.cache.board.Acquire(context.Background(), key)
 	if err != nil || lease != 0 {
 		t.Fatalf("key %+v not cached (lease %d, err %v)", key, lease, err)
 	}
-	return v.vecs[0]
+	return v.cols[0]
 }
 
-// identicalVec reports whether two vectors hold the same bits in the
-// same storage mode and support order.
-func identicalVec(a, b *sparse.Vec) bool {
-	if a.Len() != b.Len() || a.Dense() != b.Dense() {
-		return false
-	}
-	for s := 0; s < a.Len(); s++ {
-		if math.Float64bits(a.At(s)) != math.Float64bits(b.At(s)) {
-			return false
-		}
-	}
-	var sa, sb []int
-	a.Range(func(i int, _ float64) { sa = append(sa, i) })
-	b.Range(func(i int, _ float64) { sb = append(sb, i) })
-	return slices.Equal(sa, sb)
+// identicalColumn reports whether two columns hold the same bits.
+func identicalColumn(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // FuzzEvaluateBatch holds EvaluateBatch to sequential Evaluate calls on

@@ -271,8 +271,8 @@ func (e *Engine) ExistsThresholdClustered(q Query, tau float64, idx *ClusterInde
 			scores[key] = sp
 		}
 		x, _ := first.PDF.Normalized()
-		lo := x.Dot(sp.lo)
-		hi := x.Dot(sp.hi)
+		lo := x.Dot(sp.lo.RawData())
+		hi := x.Dot(sp.hi.RawData())
 		if hi > 1 {
 			hi = 1
 		}

@@ -141,8 +141,8 @@ func transferPinned(blk *laneBlock, pins []int32) {
 // observations) from observations sorted by time: a forward pass with
 // observation fusion, then — when observations exist after t — one
 // backward likelihood sweep, each a pooled single-lane block (pool may
-// be nil). The result is a fresh vector the caller owns.
-func posteriorAtBlock(chain *markov.Chain, obs []Observation, t int, pool *blockPool) (*sparse.Vec, error) {
+// be nil). The result is a fresh, immutable distribution.
+func posteriorAtBlock(chain *markov.Chain, obs []Observation, t int, pool *blockPool) (*markov.Distribution, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("core: no observations")
 	}
@@ -216,19 +216,21 @@ func posteriorAtBlock(chain *markov.Chain, obs []Observation, t int, pool *block
 	if mass == 0 {
 		return nil, errImpossibleObs
 	}
+	// Packed in the mode a Vec filled ascending would have: dense past
+	// DenseThreshold·n non-zeros, its ascending support otherwise.
 	inv := 1 / mass
 	if float64(nnz) > sparse.DenseThreshold*float64(n) {
 		for i, v := range atT {
 			atT[i] = v * inv
 		}
-		return sparse.AdoptDense(atT), nil
+		return markov.FromVec(sparse.AdoptDense(atT)), nil
 	}
-	supp := make([]int, 0, nnz)
+	states, probs := make([]int32, 0, nnz), make([]float64, 0, nnz)
 	for i, v := range atT {
 		if v != 0 {
-			atT[i] = v * inv
-			supp = append(supp, i)
+			states = append(states, int32(i))
+			probs = append(probs, v*inv)
 		}
 	}
-	return sparse.AdoptSparse(atT, supp), nil
+	return markov.FromColumns(n, states, probs), nil
 }

@@ -40,7 +40,7 @@ func eventuallyOne(db *Database, o *Object, region []int, maxSteps int, tol floa
 		return 0, err
 	}
 	init, _ := o.First().PDF.Normalized()
-	return math.Min(init.Dot(scores), 1), nil
+	return math.Min(init.Dot(scores.RawData()), 1), nil
 }
 
 func TestHittingScoresGamblersRuinFair(t *testing.T) {

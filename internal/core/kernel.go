@@ -53,8 +53,8 @@ type kern struct {
 	prog     *exprProg
 	exprTree *Expr
 	// hitting is set instead of w for eventually-requests: the group's
-	// fixed-point hitting vector, fetched once when the kernel is built.
-	hitting *sparse.Vec
+	// fixed-point hitting column, fetched once when the kernel is built.
+	hitting []float64
 	// local memoizes sweeps within this kern's lifetime (one chain group
 	// of one request). It serves two purposes: with the engine cache
 	// bypassed it preserves the historical one-sweep-per-
@@ -68,10 +68,10 @@ type kern struct {
 	// it together wait here and the evaluation's cache traffic does not
 	// depend on scheduling. Guarded by mu.
 	local map[scoreKey]*memoEntry
-	// score and scoreT0 are the last PST∃Q scoring vector existsDot
+	// score and scoreT0 are the last PST∃Q scoring column existsDot
 	// fetched and its observation time. Unguarded: the query-based pass
 	// that reads them is serial (exactPassFor).
-	score   *sparse.Vec
+	score   []float64
 	scoreT0 int
 	// mu guards local and pins: cheap (uncontended in the serial paths,
 	// and the parallel workers only touch it once per fetch, never
@@ -129,12 +129,7 @@ func (k *kern) fetch(ctx context.Context, key scoreKey, compute func() (scoreVal
 // the compute.
 func (k *kern) load(ctx context.Context, key scoreKey, compute func() (scoreValue, error)) (scoreValue, error) {
 	if k.cache == nil {
-		v, err := compute()
-		if err != nil {
-			return scoreValue{}, err
-		}
-		v.trim()
-		return v, nil
+		return compute()
 	}
 	board := k.cache.board
 	v, lease, err := board.Acquire(ctx, key)
@@ -172,7 +167,6 @@ func (k *kern) load(ctx context.Context, key scoreKey, compute func() (scoreValu
 		}
 		return scoreValue{}, err
 	}
-	v.trim()
 	board.Fill(key, lease, v)
 	if tierLease != "" {
 		// Best-effort publish: a Fill error only costs peers a recompute.
@@ -197,47 +191,47 @@ func (e *Engine) kernel(chain *markov.Chain, w *window, plan *evalPlan) *kern {
 	return k
 }
 
-// existsScoreAt returns the PST∃Q scoring vector for objects observed at
+// existsScoreAt returns the PST∃Q scoring column for objects observed at
 // time t0: entry s is the probability that a world at state s at t0
 // satisfies the predicate. Served from the shared cache when possible.
-// The returned vector is shared and must not be mutated.
-func (k *kern) existsScoreAt(ctx context.Context, t0 int) (*sparse.Vec, error) {
+// The returned column is shared and must not be mutated.
+func (k *kern) existsScoreAt(ctx context.Context, t0 int) ([]float64, error) {
 	key := scoreKey{chain: k.chain, kind: kindExists, sig: k.w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
 		score, serr := hitScores(ctx, k.chain, k.w, t0, &lanes)
 		if serr != nil {
 			return scoreValue{}, serr
 		}
-		return scoreValue{vecs: []*sparse.Vec{score}}, nil
+		return scoreValue{cols: [][]float64{score}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.vecs[0], nil
+	return v.cols[0], nil
 }
 
-// ktimesBacksAt returns the |T□|+1 PSTkQ backward vectors at time t0.
-// The returned vectors are shared and must not be mutated.
-func (k *kern) ktimesBacksAt(ctx context.Context, t0 int) ([]*sparse.Vec, error) {
+// ktimesBacksAt returns the |T□|+1 PSTkQ backward columns at time t0.
+// The returned columns are shared and must not be mutated.
+func (k *kern) ktimesBacksAt(ctx context.Context, t0 int) ([][]float64, error) {
 	key := scoreKey{chain: k.chain, kind: kindKTimes, sig: k.w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
 		backs, berr := kTimesBackward(ctx, k.chain, k.w, t0, &lanes)
 		if berr != nil {
 			return scoreValue{}, berr
 		}
-		return scoreValue{vecs: backs}, nil
+		return scoreValue{cols: backs}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.vecs, nil
+	return v.cols, nil
 }
 
-// hittingFor returns the unbounded-horizon hitting-probability vector
+// hittingFor returns the unbounded-horizon hitting-probability column
 // for the region, caching on the resolved (maxSteps, tol) so explicit
-// and defaulted limits share entries. The returned vector is shared and
+// and defaulted limits share entries. The returned column is shared and
 // must not be mutated.
-func (k *kern) hittingFor(ctx context.Context, region []int, maxSteps int, tol float64) (*sparse.Vec, error) {
+func (k *kern) hittingFor(ctx context.Context, region []int, maxSteps int, tol float64) ([]float64, error) {
 	maxSteps, tol = hittingLimits(k.chain.NumStates(), maxSteps, tol)
 	h := uint64(fnvOffset)
 	for _, s := range region {
@@ -252,12 +246,12 @@ func (k *kern) hittingFor(ctx context.Context, region []int, maxSteps int, tol f
 		if serr != nil {
 			return scoreValue{}, serr
 		}
-		return scoreValue{vecs: []*sparse.Vec{scores}}, nil
+		return scoreValue{cols: [][]float64{scores.RawData()}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.vecs[0], nil
+	return v.cols[0], nil
 }
 
 // certainMask returns the "hits with certainty" envelope of window w at
@@ -467,11 +461,11 @@ func (k *kern) existsExact(ctx context.Context, o *Object) (Result, error) {
 }
 
 // existsDot is the single-observation QB core: dot the observation pdf
-// with the (cached) scoring vector. Normalization is folded into the
-// result (dot(pdf, s)/mass == dot(pdf/mass, s)) so the per-object cost
-// is O(|supp(pdf)|) — no O(|S|) clone per object per request. The kern
-// keeps the last vector it fetched, so a run of objects observed at one
-// time pays one fetch, not a memo lookup each.
+// with the (cached) scoring column, the pdf driving. Normalization is
+// folded into the result (dot(pdf, s)/mass == dot(pdf/mass, s)) so the
+// per-object cost is O(|supp(pdf)|) — no O(|S|) clone per object per
+// request. The kern keeps the last column it fetched, so a run of
+// objects observed at one time pays one fetch, not a memo lookup each.
 func (k *kern) existsDot(ctx context.Context, o *Object) (float64, error) {
 	first := o.First()
 	if first.Time > k.w.horizon {
@@ -507,7 +501,7 @@ func (k *kern) obExistsExact(ctx context.Context, o *Object) (Result, error) {
 }
 
 // ktimesQBExact answers one object's PSTkQ distribution with the
-// query-based strategy: |T□|+1 (cached) backward vectors, |T□|+1 dots.
+// query-based strategy: |T□|+1 (cached) backward columns, |T□|+1 dots.
 func (k *kern) ktimesQBExact(ctx context.Context, o *Object) (Result, error) {
 	if k.w.k == 0 {
 		return kTimesResult(o.ID, []float64{1}), nil
@@ -591,7 +585,7 @@ func (k *kern) ktimesOBExact(ctx context.Context, o *Object) (Result, error) {
 }
 
 // eventuallyExact answers one object's unbounded-horizon hitting
-// probability: the pdf dotted with the group's hitting vector.
+// probability: the pdf dotted with the group's hitting column.
 func (k *kern) eventuallyExact(_ context.Context, o *Object) (Result, error) {
 	if len(o.Observations) > 1 {
 		return Result{}, errEventuallyMultiObs(o)
@@ -642,7 +636,8 @@ func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 
 // posteriorOf returns the object's smoothed posterior at time t through
 // the lane-block posterior pass, cached per (object serial, t). The
-// cached vector is shared; the returned distribution is packed from it.
+// returned distribution is the cached one: immutable, so every caller
+// shares it.
 func (k *kern) posteriorOf(o *Object, t int) (*markov.Distribution, error) {
 	key := scoreKey{chain: k.chain, kind: kindPosterior, sig: fnvMix(fnvOffset, o.serial), t0: t}
 	v, err := k.fetch(context.Background(), key, func() (scoreValue, error) {
@@ -650,12 +645,12 @@ func (k *kern) posteriorOf(o *Object, t int) (*markov.Distribution, error) {
 		if perr != nil {
 			return scoreValue{}, perr
 		}
-		return scoreValue{vecs: []*sparse.Vec{post}}, nil
+		return scoreValue{post: post}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return markov.FromVec(v.vecs[0]), nil
+	return v.post, nil
 }
 
 // Marginal returns the exact marginal distribution P(o, t) of an object

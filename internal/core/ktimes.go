@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"ust/internal/markov"
-	"ust/internal/sparse"
 )
 
 // PSTkQ (Definition 4, algorithm of Section VII): the probability
@@ -99,11 +98,11 @@ func addVisit(b *laneBlock, w *window, out []float64) {
 // the sum of the others, written into the block's last lane at t0. Each
 // B_k with k ≥ 1 lives on the backward reach of S□.
 
-// kTimesBackward produces the scoring vectors B_0 … B_K at time t0,
+// kTimesBackward produces the scoring columns B_0 … B_K at time t0,
 // checking ctx once per backward step. Its block comes from pool (nil
-// allowed); the returned vectors are owned by the caller (and typically
+// allowed); the returned columns are owned by the caller (and typically
 // handed to the score cache).
-func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *blockPool) ([]*sparse.Vec, error) {
+func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *blockPool) ([][]float64, error) {
 	K := w.k
 	blk := pool.get(chain.NumStates(), K+1)
 	defer pool.put(blk)
@@ -129,7 +128,7 @@ func kTimesBackward(ctx context.Context, chain *markov.Chain, w *window, t0 int,
 			row[K] += x
 		}
 	})
-	backs := []*sparse.Vec{blk.column(K)}
+	backs := [][]float64{blk.column(K)}
 	for k := range K {
 		backs = append(backs, blk.column(k))
 	}

@@ -34,11 +34,7 @@ import (
 // at times ≤ max(t, last observation) and evolves/fuses in order, which
 // matches the paper's forward treatment.
 func PosteriorAt(chain *markov.Chain, obs []Observation, t int) (*markov.Distribution, error) {
-	post, err := posteriorAtBlock(chain, obs, t, nil)
-	if err != nil {
-		return nil, err
-	}
-	return markov.FromVec(post), nil
+	return posteriorAtBlock(chain, obs, t, nil)
 }
 
 func errZeroMass(id int) error {

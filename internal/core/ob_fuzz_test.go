@@ -183,7 +183,7 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 			t.Fatal(err)
 		}
 		for s := range n {
-			near("posterior", o.ID, post.At(s), ref.Vec().At(s))
+			near("posterior", o.ID, post.P(s), ref.Vec().At(s))
 		}
 
 		// The later pdf rebuilt with its index column descending: the
@@ -206,9 +206,9 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 			t.Fatal(err)
 		}
 		for s := range n {
-			if math.Float64bits(postDesc.At(s)) != math.Float64bits(post.At(s)) {
+			if math.Float64bits(postDesc.P(s)) != math.Float64bits(post.P(s)) {
 				t.Fatalf("object %d: posterior state %d %v over a descending pdf, %v over the ascending one",
-					o.ID, s, postDesc.At(s), post.At(s))
+					o.ID, s, postDesc.P(s), post.P(s))
 			}
 		}
 	}

@@ -85,8 +85,8 @@ func TestPaperBackwardScoresExample2(t *testing.T) {
 	}
 	want := []float64{0.96, 0.864, 0.928}
 	for s, w := range want {
-		if math.Abs(scores.At(s)-w) > tol {
-			t.Errorf("score[s%d] = %.12f, want %g", s+1, scores.At(s), w)
+		if math.Abs(scores[s]-w) > tol {
+			t.Errorf("score[s%d] = %.12f, want %g", s+1, scores[s], w)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"ust/internal/markov"
-	"ust/internal/sparse"
 )
 
 // Compilation and evaluation of compound expressions (algebra.go) by
@@ -251,7 +250,7 @@ func (prog *exprProg) constResult() float64 {
 // only at such an atom's last event, whose gather rewrites the lane
 // anyway, so every lane lives on the backward reach of the small
 // regions — the event states of exprEvent.
-func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, pool *blockPool) ([]*sparse.Vec, error) {
+func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 int, pool *blockPool) ([][]float64, error) {
 	nb := 1 << prog.m
 	blk := pool.get(chain.NumStates(), nb)
 	defer pool.put(blk)
@@ -292,7 +291,7 @@ func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 i
 		}
 		blk.step(mt, nb)
 	}
-	family := make([]*sparse.Vec, nb)
+	family := make([][]float64, nb)
 	for b := range family {
 		family[b] = blk.column(b)
 	}
@@ -303,7 +302,7 @@ func exprBackward(ctx context.Context, chain *markov.Chain, prog *exprProg, t0 i
 // at state s starts with flag word deltas[t0][s] (events at the
 // observation time itself, footnote 3 of the paper applied per atom).
 // The result is unnormalized — callers divide by the pdf mass.
-func (prog *exprProg) exprDot(init *markov.Distribution, family []*sparse.Vec, t0 int) float64 {
+func (prog *exprProg) exprDot(init *markov.Distribution, family [][]float64, t0 int) float64 {
 	d := prog.deltas[t0]
 	p := 0.0
 	init.Range(func(s int, x float64) {
@@ -311,7 +310,7 @@ func (prog *exprProg) exprDot(init *markov.Distribution, family []*sparse.Vec, t
 		if d != nil {
 			b = int(d[s])
 		}
-		p += x * family[b].At(s)
+		p += x * family[b][s]
 	})
 	return p
 }
@@ -456,21 +455,21 @@ func (e *Engine) exprGroupKernel(grp chainGroup, plan *evalPlan) (*kern, error) 
 }
 
 // exprScoresAt returns the augmented backward family at t0, served from
-// the score cache when possible. The returned vectors are shared and
+// the score cache when possible. The returned columns are shared and
 // must not be mutated.
-func (k *kern) exprScoresAt(ctx context.Context, t0 int) ([]*sparse.Vec, error) {
+func (k *kern) exprScoresAt(ctx context.Context, t0 int) ([][]float64, error) {
 	key := scoreKey{chain: k.chain, kind: kindExpr, sig: k.prog.sig, t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
 		family, ferr := exprBackward(ctx, k.chain, k.prog, t0, &lanes)
 		if ferr != nil {
 			return scoreValue{}, ferr
 		}
-		return scoreValue{vecs: family}, nil
+		return scoreValue{cols: family}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.vecs, nil
+	return v.cols, nil
 }
 
 // exprExact answers one object with the query-based augmented sweep.

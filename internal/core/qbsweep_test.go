@@ -187,12 +187,16 @@ func newQBCase(rng *rand.Rand) qbCase {
 	return c
 }
 
-// sameVec fails unless got is within tol of want entry by entry.
-func sameVec(tb testing.TB, tag string, got, want *sparse.Vec, tol float64) {
+// sameVec fails unless the column got is within tol of want entry by
+// entry.
+func sameVec(tb testing.TB, tag string, got []float64, want *sparse.Vec, tol float64) {
 	tb.Helper()
+	if len(got) != want.Len() {
+		tb.Fatalf("%s: column over %d states, reference %d", tag, len(got), want.Len())
+	}
 	for s := 0; s < want.Len(); s++ {
-		if d := math.Abs(got.At(s) - want.At(s)); d > tol || math.IsNaN(d) {
-			tb.Fatalf("%s state %d: %v, reference %v", tag, s, got.At(s), want.At(s))
+		if d := math.Abs(got[s] - want.At(s)); d > tol || math.IsNaN(d) {
+			tb.Fatalf("%s state %d: %v, reference %v", tag, s, got[s], want.At(s))
 		}
 	}
 }
@@ -201,11 +205,11 @@ func sameVec(tb testing.TB, tag string, got, want *sparse.Vec, tol float64) {
 // probability: at least 0, and above 1 by rounding only. A lane held
 // against the far value 1 settles to 1 − offset, so an entry well above
 // 1 is a negative stored offset.
-func inUnit(tb testing.TB, tag string, lanes ...*sparse.Vec) {
+func inUnit(tb testing.TB, tag string, lanes ...[]float64) {
 	tb.Helper()
-	for i, v := range lanes {
-		for s := 0; s < v.Len(); s++ {
-			if x := v.At(s); x < 0 || x > 1+1e-12 || math.IsNaN(x) {
+	for i, col := range lanes {
+		for s, x := range col {
+			if x < 0 || x > 1+1e-12 || math.IsNaN(x) {
 				tb.Fatalf("%s lane %d state %d: %v is not a probability", tag, i, s, x)
 			}
 		}
@@ -384,7 +388,7 @@ func TestQBSweepsRowDeviationBound(t *testing.T) {
 					sameVec(t, "ktimes", backs[k], refs[k], bound)
 				}
 				for s := 0; s < n; s++ {
-					worst = max(worst, math.Abs(got.At(s)-ref.At(s))/delta, math.Abs(backs[0].At(s)-refs[0].At(s))/delta)
+					worst = max(worst, math.Abs(got[s]-ref.At(s))/delta, math.Abs(backs[0][s]-refs[0].At(s))/delta)
 				}
 			}
 		}

@@ -43,8 +43,9 @@ import (
 // lane: a sweep costs the reach of the small regions, never |S| a step.
 // A row that sums to 1 − δ instead of 1 moves an answer by at most δ per
 // step, so the error is bounded by (horizon − t0) × the chain's largest
-// row-sum deviation. The sweeps materialize their results at t0, once, so
-// cached vectors and the dot products that read them keep their shape.
+// row-sum deviation. The sweeps materialize their results at t0, once, as
+// plain columns of |S| values (laneBlock.column): the score cache holds
+// them, and every object's pdf drives its dot product against one.
 //
 // Sweep results are shared engine-wide through the score cache; the
 // per-object machinery lives in the kernel layer (kernel.go).
@@ -54,17 +55,17 @@ import (
 // for t0 itself being a query timestamp (footnote 2 of the paper):
 // scores of states in S□ are pinned to 1. The sweep checks ctx once per
 // backward step and aborts with ctx.Err() on cancellation. Its block
-// comes from pool (nil is allowed); the returned vector is freshly
+// comes from pool (nil is allowed); the returned column is freshly
 // owned by the caller.
 //
 // A region covering more than half of S (the complement a PST∀Q
 // evaluates) is swept against the far value 1: the lane holds the
 // survival probability 1 − score, which lives on the backward reach of
 // the states outside the region — the paper's survival sweep.
-func hitScores(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *blockPool) (*sparse.Vec, error) {
+func hitScores(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool *blockPool) ([]float64, error) {
 	n := chain.NumStates()
 	if w.k == 0 || w.horizon < t0 {
-		return sparse.NewVec(n), nil
+		return make([]float64, n), nil
 	}
 	blk := pool.get(n, 1)
 	defer pool.put(blk)
@@ -273,40 +274,24 @@ func (b *laneBlock) permute(from []int) {
 
 func (b *laneBlock) prev(s int) []float64 { return b.spare[s*b.k : s*b.k+b.k] }
 
-// column materializes lane c as a vector the caller owns, a far lane
-// settled to max(0, 1 − x) so that rounding cannot leave a negative
-// probability. With at most DenseThreshold·n non-zeros it is built in
-// sparse mode, its support ascending (the shape a Vec filled in
-// ascending order keeps), and in dense mode past that.
-func (b *laneBlock) column(c int) *sparse.Vec {
+// column materializes lane c as a column of n values the caller owns,
+// a far lane settled to max(0, 1 − x) so that rounding cannot leave a
+// negative probability.
+func (b *laneBlock) column(c int) []float64 {
 	data := make([]float64, b.n)
-	nnz := 0
 	if b.far[c] {
 		for s := range data {
 			data[s] = 1
 		}
-		nnz = b.n
 	}
 	b.live.Range(func(s int) {
 		x := b.cur[s*b.k+c]
 		if b.far[c] {
 			x = max(0, 1-x)
-			nnz--
 		}
-		if data[s] = x; x != 0 {
-			nnz++
-		}
+		data[s] = x
 	})
-	if nnz > int(sparse.DenseThreshold*float64(b.n)) {
-		return sparse.AdoptDense(data)
-	}
-	supp := make([]int, 0, nnz)
-	for s, x := range data {
-		if x != 0 {
-			supp = append(supp, s)
-		}
-	}
-	return sparse.AdoptSparse(data, supp)
+	return data
 }
 
 // fusedStep advances the first `active` columns of a state-major block

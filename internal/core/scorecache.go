@@ -35,11 +35,11 @@ import (
 type scoreKind uint8
 
 const (
-	// kindExists: one scoring vector from the PST∃Q backward sweep.
+	// kindExists: one scoring column from the PST∃Q backward sweep.
 	kindExists scoreKind = iota
-	// kindKTimes: the |T□|+1 backward vectors of the PSTkQ sweep.
+	// kindKTimes: the |T□|+1 backward columns of the PSTkQ sweep.
 	kindKTimes
-	// kindHitting: the fixed-point hitting-probability vector
+	// kindHitting: the fixed-point hitting-probability column
 	// (PredicateEventually); t0 is unused, sig folds in maxSteps/tol.
 	kindHitting
 	_
@@ -76,23 +76,29 @@ type scoreKey struct {
 	t0    int    // observation time the sweep descends to
 }
 
-// scoreValue is the payload of one entry: float vectors for exact
-// sweeps, bitsets for envelopes (one, or a reach cone's one per
-// timestamp), bare scalars for per-object results.
+// scoreValue is the payload of one entry: score columns of |S| values
+// for exact sweeps, bitsets for envelopes (one, or a reach cone's one per
+// timestamp), a packed distribution for a posterior, bare scalars for
+// per-object results.
 // Cached payloads are shared and must be treated as immutable by every
 // reader.
 type scoreValue struct {
-	vecs    []*sparse.Vec
+	cols    [][]float64
 	bits    *sparse.Bitset
 	cone    []*sparse.Bitset
+	post    *markov.Distribution
 	scalars []float64
 }
 
-// bytes approximates the resident size of the payload.
+// bytes approximates the resident size of the payload. A posterior is
+// charged as one |S| column, the array it was summed in.
 func (v scoreValue) bytes() int {
 	b := 8 * len(v.scalars)
-	for _, vec := range v.vecs {
-		b += 8 * vec.Len()
+	for _, col := range v.cols {
+		b += 8 * len(col)
+	}
+	if v.post != nil {
+		b += 8 * v.post.NumStates()
 	}
 	if v.bits != nil {
 		b += 8 * v.bits.Words()
@@ -101,15 +107,6 @@ func (v scoreValue) bytes() int {
 		b += 8 * m.Words()
 	}
 	return b
-}
-
-// trim drops what the sweep's vectors kept only to be refilled as pool
-// scratch (sparse.Vec.Trim): a computed payload is retained, and bytes
-// counts its backing arrays alone.
-func (v scoreValue) trim() {
-	for _, vec := range v.vecs {
-		vec.Trim()
-	}
 }
 
 // CacheStats is a snapshot of the engine score cache's lifetime

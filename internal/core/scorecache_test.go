@@ -142,12 +142,11 @@ func TestScoreCacheGenerationInvalidation(t *testing.T) {
 	c := NewSharedCache(1 << 20)
 	e := NewEngine(db, Options{Cache: c})
 	chain := db.DefaultChain()
-	vec := sparse.NewVec(4)
 	ctx := context.Background()
 
 	sweepKey := scoreKey{chain: chain, kind: kindExists, sig: 1, t0: 0}
 	maskKey := scoreKey{chain: chain, kind: kindCertain, sig: 1, t0: 0}
-	c.board.Put(sweepKey, scoreValue{vecs: []*sparse.Vec{vec}})
+	c.board.Put(sweepKey, scoreValue{cols: [][]float64{make([]float64, 4)}})
 	c.board.Put(maskKey, scoreValue{bits: sparse.NewBitset(4)})
 
 	if err := db.AddSimple(99, markov.PointDistribution(4, 0)); err != nil { // a database mutation

@@ -74,57 +74,65 @@ func (k scoreKind) wireable() bool {
 
 // --- payload codec --------------------------------------------------------
 //
-// The payload is the exact internal representation of a scoreValue, not
-// just its abstract value: Vec iteration (and therefore every dot
-// product downstream) follows the support list in insertion order, so
-// the codec round-trips the dense flag, the support order and the raw
-// float64 bits. A payload decoded on a peer behaves bit-identically to
-// the original — which is what lets remote-shard results stay pinned
-// byte-identical to a single engine.
+// The payload carries a scoreValue's columns as their float64 bits: every
+// dot product downstream is driven by the object's pdf, so a column's
+// values alone fix the bits of every answer, and a payload decoded on a
+// peer answers bit-identically to the original — which is what lets
+// remote-shard results stay pinned byte-identical to a single engine.
+// Each column travels in the smaller of two forms: its non-zeros as
+// (u32 index, f64 bits) pairs in ascending index order, or all n values.
 
 const (
 	sweepMagic   byte = 0x75 // 'u'
-	sweepVersion byte = 1
+	sweepVersion byte = 2
 )
 
-func encodeSweepValue(v scoreValue) []byte {
-	size := 2 + 4
-	for _, vec := range v.vecs {
-		data, supp, dense := vec.Repr()
-		size += 1 + 4
-		if dense {
-			size += 8 * len(data)
-		} else {
-			size += 4 + 12*len(supp)
+// Column forms on the wire.
+const (
+	colSparse byte = 0 // u32 nnz, then nnz (u32 index, f64 bits) pairs
+	colDense  byte = 1 // all n values
+)
+
+// nonZeros counts a column's non-zero values.
+func nonZeros(col []float64) int {
+	nnz := 0
+	for _, x := range col {
+		if x != 0 {
+			nnz++
 		}
 	}
-	size++
+	return nnz
+}
+
+func encodeSweepValue(v scoreValue) []byte {
+	size := 2 + 4 + 1 + 4 + 8*len(v.scalars)
+	for _, col := range v.cols {
+		size += 1 + 4 + min(4+12*nonZeros(col), 8*len(col))
+	}
 	if v.bits != nil {
 		size += 8 + 8*len(v.bits.Words64())
 	}
-	size += 4 + 8*len(v.scalars)
 
 	out := make([]byte, 0, size)
 	out = append(out, sweepMagic, sweepVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(v.vecs)))
-	for _, vec := range v.vecs {
-		data, supp, dense := vec.Repr()
-		if dense {
-			out = append(out, 1)
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
-			for _, x := range data {
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(v.cols)))
+	for _, col := range v.cols {
+		if nnz := nonZeros(col); 4+12*nnz < 8*len(col) {
+			out = append(out, colSparse)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(col)))
+			out = binary.LittleEndian.AppendUint32(out, uint32(nnz))
+			for i, x := range col {
+				if x != 0 {
+					out = binary.LittleEndian.AppendUint32(out, uint32(i))
+					out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+				}
 			}
 			continue
 		}
-		out = append(out, 0)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(supp)))
-		for _, i := range supp {
-			out = binary.LittleEndian.AppendUint32(out, uint32(i))
-		}
-		for _, i := range supp {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(data[i]))
+		out = append(out, colDense)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(col)))
+		for _, x := range col {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
 		}
 	}
 	if v.bits != nil {
@@ -148,46 +156,118 @@ func encodeSweepValue(v scoreValue) []byte {
 // sweepDecoder is a bounds-checked little-endian reader. The payload
 // comes from a peer over the network; every read validates remaining
 // length so a truncated or hostile payload decodes to an error, never a
-// panic.
+// panic. The first failure sticks: every later read returns zero.
 type sweepDecoder struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (d *sweepDecoder) u8() (byte, error) {
-	if d.off+1 > len(d.b) {
-		return 0, fmt.Errorf("core: sweep payload truncated at byte %d", d.off)
+func (d *sweepDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("core: sweep payload "+format, args...)
 	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
 }
 
-func (d *sweepDecoder) u32() (uint32, error) {
-	if d.off+4 > len(d.b) {
-		return 0, fmt.Errorf("core: sweep payload truncated at byte %d", d.off)
+// take returns the next k bytes, or nil past the end or a failure.
+func (d *sweepDecoder) take(k int) []byte {
+	if d.err != nil {
+		return nil
 	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v, nil
+	if d.off+k > len(d.b) {
+		d.fail("truncated at byte %d", d.off)
+		return nil
+	}
+	d.off += k
+	return d.b[d.off-k : d.off]
 }
 
-func (d *sweepDecoder) u64() (uint64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, fmt.Errorf("core: sweep payload truncated at byte %d", d.off)
+func (d *sweepDecoder) u8() byte {
+	if p := d.take(1); p != nil {
+		return p[0]
 	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
+	return 0
 }
 
-// count validates a declared element count against the bytes that
-// remain, so a hostile header cannot drive a huge allocation.
-func (d *sweepDecoder) count(n uint32, elemBytes int) (int, error) {
-	if int64(n)*int64(elemBytes) > int64(len(d.b)-d.off) {
-		return 0, fmt.Errorf("core: sweep payload declares %d elements past its end", n)
+func (d *sweepDecoder) u32() uint32 {
+	if p := d.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
 	}
-	return int(n), nil
+	return 0
+}
+
+func (d *sweepDecoder) u64() uint64 {
+	if p := d.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// fits validates a declared element count against the bytes that
+// remain, so a hostile header cannot drive a huge allocation: 0 once
+// anything failed.
+func (d *sweepDecoder) fits(n uint32, elemBytes int) int {
+	if d.err == nil && int64(n)*int64(elemBytes) > int64(len(d.b)-d.off) {
+		d.fail("declares %d elements past its end", n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// dim reads a declared dimension, which must be the chain's.
+func (d *sweepDecoder) dim(what string, numStates int) {
+	if n := d.u32(); d.err == nil && int64(n) != int64(numStates) {
+		d.fail("%s over %d states, chain has %d", what, n, numStates)
+	}
+}
+
+// score reads one column value: a finite score with a clear sign bit (a
+// sweep never writes −0). A column is a probability per state, and a NaN
+// from a corrupt peer would reach every answer dotted with it.
+func (d *sweepDecoder) score() float64 {
+	x := math.Float64frombits(d.u64())
+	if math.Signbit(x) || math.IsNaN(x) || math.IsInf(x, 1) {
+		d.fail("score %v is not a finite non-negative value", x)
+		return 0
+	}
+	return x
+}
+
+// column reads one score column over numStates states, in either form;
+// a sparse form must list its indices strictly ascending.
+func (d *sweepDecoder) column(numStates int) []float64 {
+	form := d.u8()
+	d.dim("column", numStates)
+	if d.err != nil {
+		return nil
+	}
+	switch form {
+	case colDense:
+		col := make([]float64, d.fits(uint32(numStates), 8))
+		for i := range col {
+			col[i] = d.score()
+		}
+		return col
+	case colSparse:
+		nnz := d.fits(d.u32(), 12)
+		if d.err != nil {
+			return nil
+		}
+		col := make([]float64, numStates)
+		for k, prev := 0, -1; k < nnz && d.err == nil; k++ {
+			i := int(d.u32())
+			if d.err == nil && (i >= numStates || i <= prev) {
+				d.fail("support index %d after %d, outside (%d, %d)", i, prev, prev, numStates)
+				break
+			}
+			col[i], prev = d.score(), i
+		}
+		return col
+	}
+	d.fail("column form %d unknown", form)
+	return nil
 }
 
 // decodeSweepValue parses an encoded payload, validating every declared
@@ -196,137 +276,31 @@ func (d *sweepDecoder) count(n uint32, elemBytes int) (int, error) {
 // falls back to local compute.
 func decodeSweepValue(b []byte, numStates int) (scoreValue, error) {
 	d := &sweepDecoder{b: b}
-	magic, err := d.u8()
-	if err != nil {
-		return scoreValue{}, err
-	}
-	ver, err := d.u8()
-	if err != nil {
-		return scoreValue{}, err
-	}
-	if magic != sweepMagic || ver != sweepVersion {
-		return scoreValue{}, fmt.Errorf("core: sweep payload magic/version %#x/%d not %#x/%d", magic, ver, sweepMagic, sweepVersion)
-	}
-	nvecs32, err := d.u32()
-	if err != nil {
-		return scoreValue{}, err
-	}
-	nvecs, err := d.count(nvecs32, 5)
-	if err != nil {
-		return scoreValue{}, err
+	if magic, ver := d.u8(), d.u8(); d.err == nil && (magic != sweepMagic || ver != sweepVersion) {
+		d.fail("magic/version %#x/%d not %#x/%d", magic, ver, sweepMagic, sweepVersion)
 	}
 	var v scoreValue
-	for range nvecs {
-		dense, derr := d.u8()
-		if derr != nil {
-			return scoreValue{}, derr
-		}
-		n32, derr := d.u32()
-		if derr != nil {
-			return scoreValue{}, derr
-		}
-		if int(n32) != numStates {
-			return scoreValue{}, fmt.Errorf("core: sweep payload vector over %d states, chain has %d", n32, numStates)
-		}
-		if dense == 1 {
-			cnt, cerr := d.count(n32, 8)
-			if cerr != nil {
-				return scoreValue{}, cerr
-			}
-			data := make([]float64, cnt)
-			for i := range data {
-				bits, berr := d.u64()
-				if berr != nil {
-					return scoreValue{}, berr
-				}
-				data[i] = math.Float64frombits(bits)
-			}
-			v.vecs = append(v.vecs, sparse.AdoptDense(data))
-			continue
-		}
-		nnz32, derr := d.u32()
-		if derr != nil {
-			return scoreValue{}, derr
-		}
-		nnz, derr := d.count(nnz32, 12)
-		if derr != nil {
-			return scoreValue{}, derr
-		}
-		supp := make([]int, nnz)
-		seen := make(map[int]bool, nnz)
-		for i := range supp {
-			si, serr := d.u32()
-			if serr != nil {
-				return scoreValue{}, serr
-			}
-			if int(si) >= numStates {
-				return scoreValue{}, fmt.Errorf("core: sweep payload support index %d out of range [0,%d)", si, numStates)
-			}
-			if seen[int(si)] {
-				return scoreValue{}, fmt.Errorf("core: sweep payload duplicate support index %d", si)
-			}
-			seen[int(si)] = true
-			supp[i] = int(si)
-		}
-		data := make([]float64, numStates)
-		for _, i := range supp {
-			bits, berr := d.u64()
-			if berr != nil {
-				return scoreValue{}, berr
-			}
-			data[i] = math.Float64frombits(bits)
-		}
-		v.vecs = append(v.vecs, sparse.AdoptSparse(data, supp))
+	for range d.fits(d.u32(), 5) {
+		v.cols = append(v.cols, d.column(numStates))
 	}
-	hasBits, err := d.u8()
-	if err != nil {
-		return scoreValue{}, err
-	}
-	if hasBits == 1 {
-		n32, berr := d.u32()
-		if berr != nil {
-			return scoreValue{}, berr
-		}
-		if int(n32) != numStates {
-			return scoreValue{}, fmt.Errorf("core: sweep payload bitset over %d states, chain has %d", n32, numStates)
-		}
-		nw32, berr := d.u32()
-		if berr != nil {
-			return scoreValue{}, berr
-		}
-		nw, berr := d.count(nw32, 8)
-		if berr != nil {
-			return scoreValue{}, berr
-		}
-		words := make([]uint64, nw)
+	if d.u8() == 1 {
+		d.dim("bitset", numStates)
+		words := make([]uint64, d.fits(d.u32(), 8))
 		for i := range words {
-			if words[i], berr = d.u64(); berr != nil {
-				return scoreValue{}, berr
-			}
+			words[i] = d.u64()
 		}
-		bits, berr := sparse.BitsetFromWords(numStates, words)
-		if berr != nil {
-			return scoreValue{}, berr
+		if d.err == nil {
+			v.bits, d.err = sparse.BitsetFromWords(numStates, words)
 		}
-		v.bits = bits
 	}
-	ns32, err := d.u32()
-	if err != nil {
-		return scoreValue{}, err
+	for range d.fits(d.u32(), 8) {
+		v.scalars = append(v.scalars, math.Float64frombits(d.u64()))
 	}
-	ns, err := d.count(ns32, 8)
-	if err != nil {
-		return scoreValue{}, err
+	if d.err == nil && d.off != len(b) {
+		d.fail("has %d trailing bytes", len(b)-d.off)
 	}
-	for range ns {
-		bits, serr := d.u64()
-		if serr != nil {
-			return scoreValue{}, serr
-		}
-		v.scalars = append(v.scalars, math.Float64frombits(bits))
-	}
-	if d.off != len(b) {
-		return scoreValue{}, fmt.Errorf("core: sweep payload has %d trailing bytes", len(b)-d.off)
+	if d.err != nil {
+		return scoreValue{}, d.err
 	}
 	return v, nil
 }

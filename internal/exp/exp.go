@@ -1,7 +1,9 @@
 // Package exp is the experiment harness: it regenerates every figure of
 // the paper's evaluation (Section VIII) as a table of measurements, at
-// configurable scale. cmd/ustbench is its CLI; the root bench_test.go
-// wraps each experiment in a testing.B benchmark.
+// configurable scale. cmd/ustbench is its CLI and its only caller: the
+// root bench_test.go's BenchmarkFig* series builds its own figure
+// workloads rather than running these experiments. ROADMAP item 10
+// plans one driver for both.
 package exp
 
 import (

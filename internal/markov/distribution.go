@@ -152,9 +152,9 @@ func (d *Distribution) Support() []int { return d.p.Support() }
 // iteration order.
 func (d *Distribution) Range(fn func(state int, p float64)) { d.p.Range(fn) }
 
-// Dot returns the inner product with a score vector, summed in the order
-// sparse.Vec.Dot sums it.
-func (d *Distribution) Dot(w *sparse.Vec) float64 { return d.p.Dot(w) }
+// Dot returns the inner product with a score column of NumStates()
+// values, summed in the distribution's iteration order.
+func (d *Distribution) Dot(w []float64) float64 { return d.p.Dot(w) }
 
 // MassOn returns the mass on the member states of b.
 func (d *Distribution) MassOn(b *sparse.Bitset) float64 { return d.p.MassOn(b) }

@@ -144,23 +144,6 @@ func (b *Bitset) check(o *Bitset) {
 	}
 }
 
-// MassOn returns the total mass of v on the member states: Σ_{i ∈ b} v[i].
-// It drives the filter stage's bound computation: the mass of an initial
-// distribution on a reachability envelope is an upper bound on the query
-// probability.
-func (b *Bitset) MassOn(v *Vec) float64 {
-	if v.Len() != b.n {
-		panic(fmt.Sprintf("sparse: MassOn dimension mismatch %d != %d", v.Len(), b.n))
-	}
-	s := 0.0
-	v.Range(func(i int, x float64) {
-		if b.Has(i) {
-			s += x
-		}
-	})
-	return s
-}
-
 // BoolVecMat computes the boolean row-vector product dst = x · M over the
 // (∨, ∧) semiring: dst[j] is set iff some i ∈ x has M[i,j] ≠ 0. It is the
 // support shadow of VecMat and costs one branch-free bit-set per touched

@@ -70,19 +70,6 @@ func TestBitsetSetOps(t *testing.T) {
 	}
 }
 
-func TestBitsetMassOn(t *testing.T) {
-	v := NewVec(10)
-	v.Set(1, 0.25)
-	v.Set(4, 0.5)
-	v.Set(9, 0.25)
-	b := NewBitset(10)
-	b.Set(4)
-	b.Set(9)
-	if got := b.MassOn(v); got != 0.75 {
-		t.Fatalf("MassOn = %g, want 0.75", got)
-	}
-}
-
 // TestBoolVecMatMatchesVecMat pins the boolean product to the support of
 // the float product on random sparse matrices.
 func TestBoolVecMatMatchesVecMat(t *testing.T) {

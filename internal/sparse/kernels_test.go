@@ -46,8 +46,8 @@ func refCopyFrom(dst, w *Vec) {
 // keeps its storage, empty), so only its length is held to zero.
 func sameRepr(t *testing.T, label string, got, want *Vec) {
 	t.Helper()
-	gd, gs, gdense := got.Repr()
-	wd, ws, wdense := want.Repr()
+	gd, gs, gdense := got.data, got.supp, got.dense
+	wd, ws, wdense := want.data, want.supp, want.dense
 	if gdense != wdense {
 		t.Fatalf("%s: dense = %v, want %v", label, gdense, wdense)
 	}
@@ -159,8 +159,8 @@ func TestTrimKeepsValue(t *testing.T) {
 	}
 	want := dst.Clone()
 	dst.Trim()
-	if _, supp, _ := dst.Repr(); supp != nil {
-		t.Fatalf("Trim left a support list of capacity %d on a dense vector", cap(supp))
+	if dst.supp != nil {
+		t.Fatalf("Trim left a support list of capacity %d on a dense vector", cap(dst.supp))
 	}
 	sameRepr(t, "Trim", dst, want)
 }

@@ -26,8 +26,7 @@ type Packed struct {
 	n   int
 	idx []int32   // support in iteration order; nil when full
 	val []float64 // values parallel to idx, or all n values when full
-	// dense: iterates ascending and, in Dot, lets a sparse-mode Vec drive,
-	// as a dense-mode Vec does.
+	// dense: iterates ascending, as a dense-mode Vec does.
 	dense bool
 	// full: val holds all n values.
 	full bool
@@ -146,24 +145,21 @@ func (p Packed) Sum() float64 {
 	return s
 }
 
-// Dot returns the inner product with w, summed in the order Vec.Dot sums
-// it for the same pair: w drives when p is dense-mode and w is not, p
-// drives otherwise.
-func (p Packed) Dot(w *Vec) float64 {
-	if p.n != w.Len() {
-		panic(fmt.Sprintf("sparse: Dot dimension mismatch %d != %d", p.n, w.Len()))
+// Dot returns the inner product with a column of Len() values, summed in
+// p's iteration order: p drives, whatever the column holds. A dense-mode p
+// walks ascending, so against a column it sums the same non-zero products
+// in the same order as an ascending walk of the column's non-zeros would.
+func (p Packed) Dot(w []float64) float64 {
+	if p.n != len(w) {
+		panic(fmt.Sprintf("sparse: Dot dimension mismatch %d != %d", p.n, len(w)))
 	}
 	s := 0.0
-	if p.dense && !w.dense {
-		w.Range(func(i int, x float64) { s += x * p.At(i) })
-		return s
-	}
-	p.Range(func(i int, x float64) { s += x * w.data[i] })
+	p.Range(func(i int, x float64) { s += x * w[i] })
 	return s
 }
 
 // MassOn returns the mass of p on the member states of b, summed in
-// iteration order (Bitset.MassOn's sum for the same vector).
+// iteration order.
 func (p Packed) MassOn(b *Bitset) float64 {
 	if p.n != b.n {
 		panic(fmt.Sprintf("sparse: MassOn dimension mismatch %d != %d", p.n, b.n))

@@ -35,11 +35,26 @@ func randomVec(rng *rand.Rand, n int) *Vec {
 	return v
 }
 
+// randomColumn draws a score column: non-negative, about half zeros.
+func randomColumn(rng *rand.Rand, n int) []float64 {
+	col := make([]float64, n)
+	for i := range col {
+		if rng.Intn(2) == 0 {
+			col[i] = rng.Float64()
+		}
+	}
+	return col
+}
+
 // TestPackedMatchesVec holds every Packed operation to the bits the Vec
-// it was packed from produces: iteration order, sums, dot products
-// against both modes of the other side, masses on a mask, and the state
-// CopyTo leaves a working vector in.
+// it was packed from produces: iteration order, sums, masses on a mask
+// and the state CopyTo leaves a working vector in. Dot against a score
+// column sums in the pdf's iteration order, whatever the mode — sparse
+// in insertion order, sparse ascending, dense, full — and for a
+// dense-mode pdf that is also the ascending sum over the column's
+// non-zeros, the order in which a sparse score vector drove the dot.
 func TestPackedMatchesVec(t *testing.T) {
+	modes := map[string]bool{}
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(60)
@@ -63,16 +78,43 @@ func TestPackedMatchesVec(t *testing.T) {
 		if got, want := p.Support(), v.Support(); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: Support %v, want %v", seed, got, want)
 		}
+		switch {
+		case p.full:
+			modes["full"] = true
+		case p.dense:
+			modes["dense"] = true
+		case slices.IsSorted(p.idx):
+			modes["sparse ascending"] = true
+		default:
+			modes["sparse insertion order"] = true
+		}
 		for trial := 0; trial < 4; trial++ {
-			w := randomVec(rng, n)
-			sameBits(t, "Dot", p.Dot(w), v.Dot(w))
+			col := randomColumn(rng, n)
+			inOrder := 0.0
+			v.Range(func(i int, x float64) { inOrder += x * col[i] })
+			sameBits(t, "Dot", p.Dot(col), inOrder)
+			if p.dense {
+				byColumn := 0.0
+				for i, c := range col {
+					if c != 0 {
+						byColumn += c * v.At(i)
+					}
+				}
+				sameBits(t, "Dot by column", p.Dot(col), byColumn)
+			}
 			mask := NewBitset(n)
 			for i := 0; i < n; i++ {
 				if rng.Intn(2) == 0 {
 					mask.Set(i)
 				}
 			}
-			sameBits(t, "MassOn", p.MassOn(mask), mask.MassOn(v))
+			onMask := 0.0
+			v.Range(func(i int, x float64) {
+				if mask.Has(i) {
+					onMask += x
+				}
+			})
+			sameBits(t, "MassOn", p.MassOn(mask), onMask)
 		}
 
 		got, want := randomVec(rng, n), NewVec(n)
@@ -97,6 +139,9 @@ func TestPackedMatchesVec(t *testing.T) {
 			t.Fatalf("seed %d: RangeSorted visits %v, want %v", seed, got, ascending)
 		}
 	}
+	if len(modes) != 4 {
+		t.Fatalf("the draws cover only the modes %v", modes)
+	}
 }
 
 // TestAdoptSupportKeepsOrder pins the view constructor: the entries are
@@ -106,7 +151,7 @@ func TestAdoptSupportKeepsOrder(t *testing.T) {
 	idx := []int32{7, 2, 9}
 	val := []float64{0.1, 0.3, 0.6}
 	p := AdoptSupport(10, idx, val)
-	ref := AdoptSparse(make([]float64, 10), []int{7, 2, 9})
+	ref := &Vec{data: make([]float64, 10), supp: []int{7, 2, 9}}
 	for k, i := range idx {
 		ref.data[i] = val[k]
 	}
@@ -114,7 +159,7 @@ func TestAdoptSupportKeepsOrder(t *testing.T) {
 		t.Fatalf("Range visits %v, want %v", got, want)
 	}
 	w := NewVecFrom([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	sameBits(t, "Dot", p.Dot(w), ref.Dot(w))
+	sameBits(t, "Dot", p.Dot(w.RawData()), ref.Dot(w))
 	if p.At(2) != 0.3 || p.At(3) != 0 {
 		t.Fatalf("At(2), At(3) = %v, %v", p.At(2), p.At(3))
 	}

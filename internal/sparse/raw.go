@@ -2,23 +2,8 @@ package sparse
 
 import "fmt"
 
-// Raw representation accessors. The networked sweep tier ships cached
-// sweep payloads between processes, and dot products over a Vec follow
-// its INTERNAL representation (dense flag, support order) — so a codec
-// that wants bit-identical results downstream must round-trip that
-// representation exactly, not just the abstract value. These accessors
-// expose and adopt it without copies.
-
-// Repr exposes the vector's internal representation: the dense backing
-// array, the support list (nil in dense mode) and the dense flag. All
-// returned slices are the live internals and must be treated as
-// read-only. Reconstructing a vector via AdoptDense(data) (dense) or
-// AdoptSparse(data, supp) (sparse) from copies of these yields a vector
-// whose every operation — including support-order-dependent iteration —
-// is bit-identical to the original's.
-func (v *Vec) Repr() (data []float64, supp []int, dense bool) {
-	return v.data, v.supp, v.dense
-}
+// Raw bitset accessors: the networked sweep tier ships a cached
+// envelope as its words and adopts them back without copies.
 
 // Words64 exposes the bitset's backing words without copying. Read-only.
 func (b *Bitset) Words64() []uint64 { return b.words }

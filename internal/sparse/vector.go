@@ -46,25 +46,10 @@ func NewVec(n int) *Vec {
 }
 
 // AdoptDense wraps data — taking ownership, no copy — as a dense-mode
-// vector: the O(1) constructor for bulk-computed payloads (the fused
-// batch sweeps gather whole columns at once). The caller must not
-// touch data afterwards.
+// vector: the O(1) constructor for a bulk-computed array (the smoothed
+// posterior packs one). The caller must not touch data afterwards.
 func AdoptDense(data []float64) *Vec {
 	return &Vec{data: data, dense: true}
-}
-
-// AdoptSparse wraps a dense backing array and its support list — taking
-// ownership of both, no copy — as a sparse-mode vector: the O(1)
-// constructor for computed payloads that already have both (a decoded
-// sweep-tier payload, a column kernel's posterior). Stored pdfs do not
-// take this shape: they are Packed, with no |S|-wide array. The caller
-// warrants that supp lists exactly the non-zero indices of data
-// (stale zero entries are tolerated, duplicates are not) and must not
-// touch either slice afterwards. Vectors whose support exceeds the
-// DenseThreshold stay in sparse mode; that is a performance statement,
-// not a correctness one.
-func AdoptSparse(data []float64, supp []int) *Vec {
-	return &Vec{data: data, supp: supp}
 }
 
 // NewVecFrom returns a vector with a copy of the given dense data.
@@ -154,7 +139,7 @@ func (v *Vec) Reset() {
 // Trim releases storage a vector keeps only for reuse as scratch: the
 // kernels leave a dense-mode destination its support list's capacity, so
 // that the next Reset-and-refill of a pooled vector grows nothing. Call it
-// on a vector that is retained instead of recycled (a cached sweep).
+// on a vector that is retained instead of recycled (Chain.Advance's result).
 func (v *Vec) Trim() {
 	if v.dense {
 		v.supp = nil
@@ -271,18 +256,6 @@ func (v *Vec) Dot(w *Vec) float64 {
 	s := 0.0
 	a.Range(func(i int, x float64) {
 		s += x * b.data[i]
-	})
-	return s
-}
-
-// DotDense returns the inner product of v with a raw dense slice.
-func (v *Vec) DotDense(w []float64) float64 {
-	if v.Len() != len(w) {
-		panic(fmt.Sprintf("sparse: DotDense dimension mismatch %d != %d", v.Len(), len(w)))
-	}
-	s := 0.0
-	v.Range(func(i int, x float64) {
-		s += x * w[i]
 	})
 	return s
 }

@@ -166,9 +166,6 @@ func TestVecDot(t *testing.T) {
 	if got := w.Dot(v); got != 1.0 {
 		t.Errorf("Dot not symmetric: %g", got)
 	}
-	if got := v.DotDense([]float64{1, 1, 1, 1}); got != 1.0 {
-		t.Errorf("DotDense = %g, want 1", got)
-	}
 }
 
 func TestVecDotMixedModes(t *testing.T) {
@@ -418,15 +415,6 @@ func TestVecDotDimensionPanics(t *testing.T) {
 		}
 	}()
 	NewVec(2).Dot(NewVec(3))
-}
-
-func TestVecDotDenseDimensionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DotDense dim mismatch did not panic")
-		}
-	}()
-	NewVec(2).DotDense([]float64{1})
 }
 
 func TestVecAddVecDimensionPanics(t *testing.T) {
