@@ -996,3 +996,44 @@ func BenchmarkDistributedObserve(b *testing.B) {
 	}
 	b.ReportMetric(float64(sent.Load())/float64(b.N), "wireB/op")
 }
+
+// BenchmarkClientObserve prices one remote write as a client sends it:
+// client.Observe of a full-support sighting (|S|=10000, the shape of a
+// fleet_mixed write) to a single service over loopback, against a
+// |D|=1000 dataset. wireB/op is the request body the client sends.
+func BenchmarkClientObserve(b *testing.B) {
+	const states = 10000
+	db := benchDB(b, 1000, states)
+	svc := ust.NewService(ust.ServiceConfig{})
+	defer svc.Close()
+	if err := svc.Create("bench", db, nil); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(ust.NewServiceHandler(svc))
+	defer ts.Close()
+	var sent atomic.Int64
+	hc := ts.Client()
+	hc.Transport = countingTransport{next: hc.Transport, bytes: &sent}
+	c := client.New(ts.URL, hc)
+	// Weights summing to 2^14: the normalized pdf is exact in binary.
+	ids := make([]int, states)
+	weights := make([]float64, states)
+	for i := range ids {
+		ids[i], weights[i] = i, 1
+	}
+	weights[states/2] = 1<<14 - (states - 1)
+	pdf, err := ust.WeightedOver(states, ids, weights)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		obs := ust.Observation{Time: 1 + i/1000, PDF: pdf}
+		if err := c.Observe(ctx, "bench", i%1000, obs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sent.Load())/float64(b.N), "wireB/op")
+}
