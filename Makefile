@@ -30,8 +30,9 @@ staticcheck:
 # differential against encoding/json), sparse builder/CSR invariants and
 # the VecMat/MatVec/CopyFrom kernels against their naive references,
 # shard hash ring (determinism / balance / minimal movement), store image,
-# chain and import-frame decoders (each input also re-sealed with a valid
-# footer, so the section parser is reached), sweep-tier payload decoder, the query-based
+# chain, import-frame and observation-frame decoders (each input also
+# re-sealed with a valid footer, so the section parser is reached),
+# sweep-tier payload decoder, the query-based
 # sweeps against their dense references and possible-worlds enumeration,
 # batch evaluation against sequential evaluation (byte-identical results),
 # the scan's filter gate against the ungated scan, and the object-based
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzRing -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeStoreV2 -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObservationFrame -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSweepValue -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzQBSweeps -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEvaluateBatch -fuzztime 15s
@@ -146,17 +148,18 @@ bench:
 
 # alloc-gate re-runs the ingest benchmark, the object-based scan
 # benchmark, the HTTP serving benchmark, the fleet write benchmark, the
-# mapped store load and the store writers (database image and write
-# frame) and fails ci when their allocs/op regress more than 20% past the
-# BENCH.json baseline — the single-copy WithObservation ingest path, the
-# pooled, clone-free forward pass, the append-encoded, single-pass
-# result codec, the coordinator's write path (catalogue, no shadow
-# database), loaded pdfs that view the image's columns and images
-# appended into one presized buffer stay cheap by construction, not by
-# convention. The ingest path, the write path, the load and the store
-# writers are gated on B/op too, where an object-sized copy per write,
-# an |S|-wide array per loaded pdf or a re-grown image buffer shows, and
-# so are the query-based sweeps, where a per-sweep |S|×K block or a
+# client write benchmark, the mapped store load and the store writers
+# (database image and write frame) and fails ci when their allocs/op
+# regress more than 20% past the BENCH.json baseline — the single-copy
+# WithObservation ingest path, the pooled, clone-free forward pass, the
+# append-encoded, single-pass result codec, the coordinator's write path
+# (catalogue, no shadow database), the client's observation frames (no
+# JSON text per write), loaded pdfs that view the image's columns and
+# images appended into one presized buffer stay cheap by construction,
+# not by convention. The ingest path, the write paths, the load and the
+# store writers are gated on B/op too, where an object-sized copy per
+# write, a pdf travelling as text, an |S|-wide array per loaded pdf or a
+# re-grown image buffer shows, and so are the query-based sweeps, where a per-sweep |S|×K block or a
 # per-chain table of M^j·1 vectors would show; the sweeps are gated on
 # allocs/op too, so their lane block cannot start allocating per step,
 # and the batched evaluation on B/op, where an unpooled fused block
@@ -179,6 +182,9 @@ alloc-gate:
 	@$(GO) test . -run '^$$' -bench 'BenchmarkDistributedObserve' -benchmem -benchtime=200x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkDistributedObserve < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkDistributedObserve -gate-metric B/op < .gate.jsonl
+	@$(GO) test . -run '^$$' -bench 'BenchmarkClientObserve' -benchmem -benchtime=50x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkClientObserve < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkClientObserve -gate-metric B/op < .gate.jsonl
 	@$(GO) test ./internal/store -run '^$$' -bench 'BenchmarkLoadDatabase/v2-mapped$$' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkLoadDatabase/v2-mapped -gate-metric B/op < .gate.jsonl

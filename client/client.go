@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"ust"
+	"ust/internal/store"
 	"ust/internal/wire"
 )
 
@@ -317,46 +318,36 @@ func (c *Client) DropDataset(ctx context.Context, name string) error {
 	return c.doJSON(ctx, http.MethodDelete, "/v1/datasets/"+name, nil, nil, false)
 }
 
-// Observe ingests one observation for an existing object.
+// Observe ingests one observation for an existing object. It travels
+// as an observation frame (store.EncodeObservationFrame).
 func (c *Client) Observe(ctx context.Context, dataset string, objectID int, obs ust.Observation) error {
-	wo, err := toWireObservation(obs)
-	if err != nil {
-		return err
-	}
-	payload := struct {
-		Object int `json:"object"`
-		wire.Observation
-	}{Object: objectID, Observation: wo}
-	return c.doJSON(ctx, http.MethodPost, "/v1/datasets/"+dataset+"/observe", payload, nil, false)
+	return c.postFrame(ctx, "/v1/datasets/"+dataset+"/observe", objectID, []ust.Observation{obs})
 }
 
 // Track registers a brand-new object (default motion model; objects
-// with a private chain cannot travel over the wire).
+// with a private chain cannot travel over the wire). Its observations
+// travel as one observation frame.
 func (c *Client) Track(ctx context.Context, dataset string, o *ust.Object) error {
 	if o.Chain != nil {
 		return fmt.Errorf("client: objects with a private chain cannot be tracked remotely")
 	}
-	payload := wire.Object{ID: o.ID}
-	for _, obs := range o.Observations {
-		wo, err := toWireObservation(obs)
-		if err != nil {
-			return err
-		}
-		payload.Observations = append(payload.Observations, wo)
-	}
-	return c.doJSON(ctx, http.MethodPost, "/v1/datasets/"+dataset+"/objects", payload, nil, false)
+	return c.postFrame(ctx, "/v1/datasets/"+dataset+"/objects", o.ID, o.Observations)
 }
 
-func toWireObservation(obs ust.Observation) (wire.Observation, error) {
-	if obs.PDF == nil {
-		return wire.Observation{}, fmt.Errorf("client: observation has no pdf")
+// postFrame sends object id's observations to path as an observation
+// frame. Never retried: ingest that died mid-flight may have applied.
+func (c *Client) postFrame(ctx context.Context, path string, id int, obs []ust.Observation) error {
+	frame, err := store.EncodeObservationFrame(id, obs)
+	if err != nil {
+		return fmt.Errorf("client: %w", err)
 	}
-	sup := obs.PDF.Support()
-	probs := make([]float64, len(sup))
-	for i, s := range sup {
-		probs[i] = obs.PDF.P(s)
+	resp, err := c.do(ctx, http.MethodPost, path, wire.ObservationFrameType, frame, false)
+	if err != nil {
+		return err
 	}
-	return wire.Observation{Time: obs.Time, States: sup, Probs: probs}, nil
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
 // queryEnvelope addresses a request to a dataset, in its canonical text

@@ -42,8 +42,10 @@
 //	GET  /metrics                    Prometheus text format
 //	GET  /v1/datasets                list datasets
 //	PUT  /v1/datasets/{name}         upload a dataset (binary store bytes)
-//	POST /v1/datasets/{name}/observe ingest an observation
-//	POST /v1/datasets/{name}/objects track a new object
+//	POST /v1/datasets/{name}/observe ingest an observation (JSON, or a
+//	                                 binary observation frame as the Go
+//	                                 client sends)
+//	POST /v1/datasets/{name}/objects track a new object (likewise)
 //	POST /v1/query                   batch query
 //	POST /v1/query/stream            streaming query (NDJSON)
 //	POST /v1/subscribe               standing query (NDJSON push)

@@ -31,8 +31,8 @@ import (
 //	GET    /v1/datasets/{name}          one dataset's info
 //	PUT    /v1/datasets/{name}          create from binary store bytes
 //	DELETE /v1/datasets/{name}          drop
-//	POST   /v1/datasets/{name}/observe  ingest one observation
-//	POST   /v1/datasets/{name}/objects  track a new object
+//	POST   /v1/datasets/{name}/observe  ingest one observation (frame or JSON)
+//	POST   /v1/datasets/{name}/objects  track a new object (frame or JSON)
 //	POST   /v1/query                    batch query → wire.Response
 //	POST   /v1/query/stream             query → NDJSON wire.StreamLine
 //	POST   /v1/subscribe                standing query → NDJSON wire.Update
@@ -42,6 +42,12 @@ import (
 //	POST   /v1/sweeps/acquire           sweep lease acquire (long-poll)
 //	POST   /v1/sweeps/fill              publish payload under a lease
 //	POST   /v1/sweeps/release           abandon a lease
+//
+// The two ingest routes read a body declared wire.ObservationFrameType
+// as an observation frame (store.DecodeObservationFrame), which is what
+// the Go client sends; every other body, curl -d's form content type
+// included, is JSON (wire.Observation with an "object" member, or
+// wire.Object). Both ground their pdfs through toObservation.
 //
 // Result bodies are appended by wire's hand codec into pooled buffers.
 // Streaming responses batch their lines (see lineWriter); closing the
@@ -467,25 +473,22 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var payload struct {
-		Object int `json:"object"`
-		wire.Observation
+	id, obs, err := s.readIngest(w, r, name, func(body []byte) (int, []wire.Observation, error) {
+		var payload struct {
+			Object int `json:"object"`
+			wire.Observation
+		}
+		err := wire.StrictUnmarshal(body, &payload)
+		return payload.Object, []wire.Observation{payload.Observation}, err
+	})
+	if err == nil && len(obs) != 1 {
+		err = fmt.Errorf("%w: an observe frame carries %d observations, want 1", wire.ErrDecode, len(obs))
 	}
-	if err := readJSONBody(w, r, maxRequestBody, &payload); err != nil {
-		writeError(w, err)
-		return
-	}
-	info, err := s.Info(name)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	obs, err := toObservation(info.States, payload.Observation)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := s.Observe(name, payload.Object, obs); err != nil {
+	if err := s.Observe(name, id, obs[0]); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -494,26 +497,16 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleTrack(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var payload wire.Object
-	if err := readJSONBody(w, r, maxRequestBody, &payload); err != nil {
-		writeError(w, err)
-		return
-	}
-	info, err := s.Info(name)
+	id, obs, err := s.readIngest(w, r, name, func(body []byte) (int, []wire.Observation, error) {
+		var payload wire.Object
+		err := wire.StrictUnmarshal(body, &payload)
+		return payload.ID, payload.Observations, err
+	})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	obs := make([]core.Observation, 0, len(payload.Observations))
-	for _, wo := range payload.Observations {
-		o, oerr := toObservation(info.States, wo)
-		if oerr != nil {
-			writeError(w, oerr)
-			return
-		}
-		obs = append(obs, o)
-	}
-	obj, err := core.NewObject(payload.ID, nil, obs...)
+	obj, err := core.NewObject(id, nil, obs...)
 	if err != nil {
 		writeError(w, fmt.Errorf("%w: %v", wire.ErrDecode, err))
 		return
@@ -523,6 +516,58 @@ func (s *Service) handleTrack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]string{"status": "tracked"})
+}
+
+// readIngest reads the body of an observe or objects request: an object
+// id and its observations, grounded against the named dataset's state
+// space. A body that declares wire.ObservationFrameType is an
+// observation frame; any other is JSON, which fromJSON decodes. Both
+// build every pdf through toObservation, so a frame and its JSON twin
+// ingest the same bits.
+func (s *Service) readIngest(w http.ResponseWriter, r *http.Request, name string,
+	fromJSON func(body []byte) (int, []wire.Observation, error)) (int, []core.Observation, error) {
+	body, err := readUpload(w, r, maxRequestBody)
+	if err != nil {
+		return 0, nil, err
+	}
+	var id int
+	var wobs []wire.Observation
+	frame := isObservationFrame(r)
+	if !frame {
+		// JSON needs no state space: a malformed body is a 400 before
+		// the dataset is looked up, as it always was.
+		if id, wobs, err = fromJSON(body); err != nil {
+			return 0, nil, err
+		}
+	}
+	info, err := s.Info(name)
+	if err != nil {
+		return 0, nil, err
+	}
+	if frame {
+		f, err := store.DecodeObservationFrame(body, info.States)
+		if err != nil {
+			return 0, nil, err
+		}
+		id = f.Object
+		for _, fo := range f.Observations {
+			wobs = append(wobs, wire.Observation{Time: fo.Time, States: fo.States, Probs: fo.Probs})
+		}
+	}
+	obs := make([]core.Observation, len(wobs))
+	for i, wo := range wobs {
+		if obs[i], err = toObservation(info.States, wo); err != nil {
+			return 0, nil, err
+		}
+	}
+	return id, obs, nil
+}
+
+// isObservationFrame reports whether r's body is an observation frame:
+// its declared media type, parameters aside, is wire.ObservationFrameType.
+func isObservationFrame(r *http.Request) bool {
+	mt, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
+	return strings.EqualFold(strings.TrimSpace(mt), wire.ObservationFrameType)
 }
 
 // handleFactors answers the distributed aggregate protocol: the factor

@@ -19,11 +19,14 @@ import (
 // between them is queueing (network, kernel, admission).
 //
 // Buckets follow the Prometheus convention (cumulative, le-labelled,
-// +Inf implicit in _count). The bounds ladder from 1ms to 10s — wide
-// enough that a subscribe held open for seconds lands in a real bucket
-// instead of saturating +Inf.
+// +Inf implicit in _count). The bounds ladder from 100µs to 10s: low
+// enough that a cached query or an observe, served in well under a
+// millisecond, lands in a bucket of its own size, and wide enough that
+// a subscribe held open for seconds lands in a real bucket instead of
+// saturating +Inf.
 
 var durationBuckets = [...]float64{
+	0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 

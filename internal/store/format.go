@@ -8,7 +8,7 @@
 //	version  uint32   1 or 2
 //	count    uint32   number of sections
 //	sections          repeated count times:
-//	  tag    [4]byte  "CHN0" | "CHR0" | "OBJ0" | "OBC0"
+//	  tag    [4]byte  "CHN0" | "CHR0" | "OBJ0" | "OBC0" | "OBS0"
 //	  payload          tag-specific encoding
 //	footer   uint32   0xC5C5C5C5 guard
 //	crc      uint32   CRC-32 (IEEE) over everything before the footer
@@ -21,6 +21,9 @@
 //	OBJ0  objects row-wise (version 1)               nothing: read only
 //	OBC0  objects columnar (version 2)               SaveDatabase,
 //	                                                 FrameEncoder
+//	OBS0  one object's observations, ungrounded:     EncodeObservationFrame
+//	      object id, then each pdf's values as
+//	      OBC0 lays them out (obsframe.go)
 //
 // A database image is one chain section followed by one object section.
 // An image with CHN0 is self-contained (a file, a dataset upload); one
@@ -29,6 +32,10 @@
 // DecodeObjectFrame with a resolver that knows the fingerprint
 // (markov.Chain.Fingerprint). Both are the same envelope and the same
 // decoder; LoadDatabaseMapped is DecodeObjectFrame without a resolver.
+// An image whose one section is OBS0 is an observation frame — what a
+// client sends to ingest a sighting — and decodes only through
+// DecodeObservationFrame, into values its receiver grounds against its
+// own state space.
 //
 // Version 1 stores objects row-wise in OBJ0 (ids, observation times,
 // sparse pdfs as (count, idx..., val...) with every integer a full
@@ -67,6 +74,8 @@ var (
 	tagChainRef = [4]byte{'C', 'H', 'R', '0'}
 	tagObjects  = [4]byte{'O', 'B', 'J', '0'}
 	tagColumnar = [4]byte{'O', 'B', 'C', '0'}
+	// tagObservations marks an observation frame's one section.
+	tagObservations = [4]byte{'O', 'B', 'S', '0'}
 )
 
 const (

@@ -152,15 +152,23 @@ type Update struct {
 	Error   string   `json:"error,omitempty"`
 }
 
-// Observation is the ingest shape of one sighting (the same sparse-pdf
-// layout as the JSON export format).
+// ObservationFrameType is the media type of an observation frame
+// (store.EncodeObservationFrame), the binary body the Go client sends to
+// the observe and objects endpoints. A request body is read as a frame
+// exactly when it declares this type (parameters aside); any other body
+// is read as JSON in the Observation and Object shapes below, which is
+// what curl sends.
+const ObservationFrameType = "application/vnd.ust.observation-frame"
+
+// Observation is the JSON ingest shape of one sighting (the same
+// sparse-pdf layout as the JSON export format).
 type Observation struct {
 	Time   int       `json:"time"`
 	States []int     `json:"states"`
 	Probs  []float64 `json:"probs"`
 }
 
-// Object is the ingest shape of a new object (default-chain only; motion
+// Object is the JSON ingest shape of a new object (default-chain only; motion
 // models do not travel over the wire).
 type Object struct {
 	ID           int           `json:"id"`
