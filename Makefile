@@ -32,8 +32,10 @@ staticcheck:
 # shard hash ring (determinism / balance / minimal movement), store image,
 # chain, import-frame and observation-frame decoders (each input also
 # re-sealed with a valid footer, so the section parser is reached),
-# sweep-tier payload decoder, the query-based
-# sweeps against their dense references and possible-worlds enumeration,
+# sweep-tier payload decoder, one lane-kernel step against a dense
+# Gustavson step (bit-identical lanes, an exact live set, zeros off it),
+# the query-based sweeps against their dense references and
+# possible-worlds enumeration,
 # batch evaluation against sequential evaluation (byte-identical results),
 # the scan's filter gate against the ungated scan, and the object-based
 # forward passes (exists, forall, ktimes, expressions, multi-observation)
@@ -53,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObservationFrame -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSweepValue -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLaneStep -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzQBSweeps -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEvaluateBatch -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFilterRefine -fuzztime 15s
@@ -168,7 +171,9 @@ bench:
 # aggregate — are gated on allocs/op, so the loop cannot start
 # allocating per object. The multi-observation exists and posterior
 # passes are gated on allocs/op and B/op, so their pooled lane blocks
-# cannot start allocating per object either.
+# cannot start allocating per object either, and so is the road-network
+# lane benchmark on allocs/op, where a pass on a chain without id
+# locality would show it.
 # Missing baseline entries (fresh checkout, renamed benchmark) pass with
 # a notice.
 alloc-gate:
@@ -207,6 +212,8 @@ alloc-gate:
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsExists/columnar -gate-metric B/op < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsPosterior/columnar < .gate.jsonl
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsPosterior/columnar -gate-metric B/op < .gate.jsonl
+	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkMunichLanes' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMunichLanes < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total

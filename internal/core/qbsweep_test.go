@@ -453,6 +453,42 @@ func TestBlockPoolConcurrentFirstUse(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBlockPoolIdleBytesBounded holds the pool's byte bound to the
+// memory its idle blocks hold — both buffers, both live sets and the far
+// flags, counted here from their capacities — not to the buffers alone:
+// blocks of 2^18 states whose buffers fill maxIdleBytes eight times over
+// exactly must not all be kept, because their live sets take more.
+func TestBlockPoolIdleBytesBounded(t *testing.T) {
+	held := func(b *laneBlock) int {
+		return 8*(cap(b.cur)+cap(b.spare)+len(b.live.Words64())+len(b.spareLive.Words64())) + cap(b.far)
+	}
+	const n = 1 << 18
+	var pool blockPool
+	var out []*laneBlock
+	for range 9 {
+		out = append(out, pool.get(n, 1))
+	}
+	for _, b := range out {
+		pool.put(b)
+		idle := 0
+		for _, ib := range pool.idle[n] {
+			idle += held(ib)
+		}
+		if idle > maxIdleBytes || pool.bytes != idle {
+			t.Fatalf("%d idle blocks hold %d bytes, the pool counts %d, bound %d", len(pool.idle[n]), idle, pool.bytes, maxIdleBytes)
+		}
+	}
+	if kept := len(pool.idle[n]); kept == 0 || kept >= 8 {
+		t.Fatalf("the pool kept %d blocks of %d bytes, want 1 to 7", kept, held(out[0]))
+	}
+	for range len(pool.idle[n]) {
+		pool.get(n, 1)
+	}
+	if pool.bytes != 0 {
+		t.Fatalf("an empty pool counts %d bytes", pool.bytes)
+	}
+}
+
 // BenchmarkQBSweep times one query-based sweep per predicate on the
 // benchmark's T1 shape: |S| = 10⁴, five successors within ±20 ids, a
 // 100-state region, the window [21, 25] and one object observed at 0.

@@ -86,10 +86,12 @@ func hitScores(ctx context.Context, chain *markov.Chain, w *window, t0 int, pool
 }
 
 // laneBlock is the state-major block of K lanes over n states: row s
-// holds every lane's entry at s, contiguously. Both buffers are zero
-// outside their live rows, so every operation visits live rows only.
-// far[c] marks lane c as held against the far value 1 (backward sweeps
-// only; a forward lane is mass, and its far value is 0).
+// holds every lane's entry at s, contiguously. Each buffer's live set is
+// exactly the rows written since the buffer was last cleared, and the
+// buffer is zero on every other row, so every operation visits live rows
+// only and a clear may sweep a span of rows without looking at which are
+// live. far[c] marks lane c as held against the far value 1 (backward
+// sweeps only; a forward lane is mass, and its far value is 0).
 type laneBlock struct {
 	n, k            int
 	cur, spare      []float64
@@ -101,6 +103,12 @@ func newLaneBlock(n, k int) *laneBlock {
 	b := &laneBlock{n: n, live: sparse.NewBitset(n), spareLive: sparse.NewBitset(n)}
 	b.reshape(k)
 	return b
+}
+
+// bytes is the memory b holds: both buffers, both live sets and the far
+// flags.
+func (b *laneBlock) bytes() int {
+	return 8*(cap(b.cur)+cap(b.spare)+b.live.Words()+b.spareLive.Words()) + cap(b.far)
 }
 
 // reshape gives an empty block k lanes, re-slicing its zero buffers when
@@ -115,24 +123,24 @@ func (b *laneBlock) reshape(k int) {
 	b.k, b.cur, b.spare, b.far = k, b.cur[:b.n*k], b.spare[:b.n*k], b.far[:k]
 }
 
-// blockPool recycles lane blocks — both buffers and both live bitsets —
+// blockPool recycles lane blocks — both buffers and both live sets —
 // across passes and requests. put clears a block's live rows only, so a
 // per-object pass pays O(live) to recycle its block, not n·K, and keeps
 // it idle for the next get over the same n, whatever its lane count: a
 // block keeps the largest buffers it was given, while the idle blocks
-// hold at most maxIdleBytes (past that a block is left to the
-// collector). Idle blocks are not dropped at every collection, as a
-// sync.Pool's are: a pool that lost its widest block at each collection
-// would allocate it again for most PSTkQ passes. The zero value is ready
-// to use; a nil *blockPool allocates every block and drops what is put
-// back.
+// hold at most maxIdleBytes of memory, counted by laneBlock.bytes (past
+// that a block is left to the collector). Idle blocks are not dropped at
+// every collection, as a sync.Pool's are: a pool that lost its widest
+// block at each collection would allocate it again for most PSTkQ
+// passes. The zero value is ready to use; a nil *blockPool allocates
+// every block and drops what is put back.
 type blockPool struct {
 	mu    sync.Mutex
 	idle  map[int][]*laneBlock // by state count
-	bytes int                  // buffer bytes of the idle blocks
+	bytes int                  // laneBlock.bytes of the idle blocks
 }
 
-// maxIdleBytes bounds the buffer bytes a pool keeps idle.
+// maxIdleBytes bounds the memory a pool keeps idle.
 const maxIdleBytes = 32 << 20
 
 // lanes is the one block pool every engine's sweeps and passes draw on,
@@ -149,7 +157,7 @@ func (p *blockPool) get(n, k int) *laneBlock {
 			b := free[len(free)-1]
 			free[len(free)-1] = nil
 			p.idle[n] = free[:len(free)-1]
-			p.bytes -= 16 * cap(b.cur)
+			p.bytes -= b.bytes()
 			p.mu.Unlock()
 			b.reshape(k)
 			return b
@@ -167,7 +175,7 @@ func (p *blockPool) put(b *laneBlock) {
 	clearRows(b.cur, b.live, b.k)
 	clearRows(b.spare, b.spareLive, b.k)
 	clear(b.far)
-	size := 16 * cap(b.cur)
+	size := b.bytes()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.bytes+size > maxIdleBytes {
@@ -180,13 +188,17 @@ func (p *blockPool) put(b *laneBlock) {
 	p.bytes += size
 }
 
-// clearRows zeroes buf's K-wide rows on live and empties live.
+// clearRows zeroes buf's K-wide rows on live and empties live. buf is
+// zero off live (the block's invariant), so each non-zero word of live
+// is cleared as one span, from its first live row to its last.
 func clearRows(buf []float64, live *sparse.Bitset, K int) {
 	for wi, w := range live.Words64() {
-		for ; w != 0; w &= w - 1 {
-			j := wi<<6 + bits.TrailingZeros64(w)
-			clear(buf[j*K : j*K+K])
+		if w == 0 {
+			continue
 		}
+		lo := wi<<6 + bits.TrailingZeros64(w)
+		hi := wi<<6 + 64 - bits.LeadingZeros64(w)
+		clear(buf[lo*K : hi*K])
 	}
 	live.Reset()
 }
@@ -200,7 +212,7 @@ func (b *laneBlock) row(s int) []float64 {
 // step advances lanes [0, active) one step over m — the chain's matrix
 // M forward, its transpose Mᵀ backward; the other lanes are dropped.
 func (b *laneBlock) step(m *sparse.CSR, active int) {
-	fusedStep(b.spare, b.cur, b.spareLive, b.live, m, b.k, active)
+	fusedStep(b, m, active)
 	b.swap()
 }
 
@@ -294,23 +306,31 @@ func (b *laneBlock) column(c int) []float64 {
 	return data
 }
 
-// fusedStep advances the first `active` columns of a state-major block
-// one step over m: dst = x · m, a Gustavson row scatter (dst[j] +=
-// x[i]·m[i,j]) — chain.Step given M, chain.StepBack given Mᵀ. xLive
-// holds every row of x that can be non-zero; they are visited in
-// ascending order, and a row whose live columns are all zero is skipped
-// without touching the matrix row at all, so a step costs the columns'
-// reach, not n·K. dst is cleared on the rows dstLive held, and dstLive
-// becomes the rows written. The loop makes no call per row or edge
-// (Bitset.Set inlines). A one-column block (every PST∃Q sweep outside a
-// batch, every exists pass) takes the same loop with its row slicing
-// written out: the general form costs it about a third more.
-func fusedStep(dst, x []float64, dstLive, xLive *sparse.Bitset, m *sparse.CSR, K, active int) {
-	clearRows(dst, dstLive, K)
+// fusedStep advances the first `active` lanes of b one step over m into
+// its spare buffer: spare = cur · m, a Gustavson row scatter (dst[j] +=
+// x[i]·m[i,j]) — chain.Step given M, chain.StepBack given Mᵀ. The live
+// rows of cur are visited in ascending order, and a row whose active
+// lanes are all zero is skipped without touching the matrix row at all,
+// so a step costs the lanes' reach, not n·K. The spare buffer is cleared
+// on the rows spareLive held, and spareLive becomes exactly the rows
+// written. A matrix row's destination bits are gathered in a register
+// while its (ascending) columns stay in one 64-row word, and ORed into
+// spareLive once per word the row reaches: setting a bit per non-zero
+// made each set wait on the store before it whenever neighbouring
+// non-zeros share a word, as they do on a chain with local successors.
+// The set stays exact: its rows, and the order every pass visits them
+// in, are the ones a set bit per non-zero gives. A one-lane block (every
+// PST∃Q sweep outside a batch, every exists pass) takes the same loop
+// with its row slicing written out: the general form costs it about a
+// third more.
+func fusedStep(b *laneBlock, m *sparse.CSR, active int) {
+	dst, x, K := b.spare, b.cur, b.k
+	clearRows(dst, b.spareLive, K)
 	if active == 0 {
 		return
 	}
-	for wi, w := range xLive.Words64() {
+	live := b.spareLive.Words64()
+	for wi, w := range b.live.Words64() {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
 			if K == 1 {
@@ -319,11 +339,20 @@ func fusedStep(dst, x []float64, dstLive, xLive *sparse.Bitset, m *sparse.CSR, K
 					continue
 				}
 				cols, vals := m.RowSlices(i)
+				if len(cols) == 0 {
+					continue
+				}
 				vals = vals[:len(cols)]
+				cw, acc := cols[0]>>6, uint64(0)
 				for p, j := range cols {
-					dstLive.Set(j)
+					if j>>6 != cw {
+						live[cw] |= acc
+						cw, acc = j>>6, 0
+					}
+					acc |= 1 << (uint(j) & 63)
 					dst[j] += xi * vals[p]
 				}
+				live[cw] |= acc
 				continue
 			}
 			xb := x[i*K : i*K+active : i*K+active]
@@ -338,16 +367,25 @@ func fusedStep(dst, x []float64, dstLive, xLive *sparse.Bitset, m *sparse.CSR, K
 				continue
 			}
 			cols, vals := m.RowSlices(i)
+			if len(cols) == 0 {
+				continue
+			}
 			vals = vals[:len(cols)] // equal lengths: lets the compiler drop bounds checks
+			cw, acc := cols[0]>>6, uint64(0)
 			for p, j := range cols {
 				v := vals[p]
-				dstLive.Set(j)
+				if j>>6 != cw {
+					live[cw] |= acc
+					cw, acc = j>>6, 0
+				}
+				acc |= 1 << (uint(j) & 63)
 				db := dst[j*K : j*K+active : j*K+active]
 				db = db[:len(xb)]
 				for c, xc := range xb {
 					db[c] += xc * v
 				}
 			}
+			live[cw] |= acc
 		}
 	}
 }

@@ -32,7 +32,9 @@ func (b *Bitset) Len() int { return b.n }
 // Words returns the number of backing 64-bit words (for cost models).
 func (b *Bitset) Words() int { return len(b.words) }
 
-// Set adds i to the set. It inlines, so kernels may call it per edge.
+// Set adds i to the set. It inlines, but it is a read-modify-write of
+// i's word: a kernel adding many rows per step gathers a word's bits in
+// a register and ORs them into Words64 once (the lane kernel, fusedStep).
 func (b *Bitset) Set(i int) {
 	if uint(i) >= uint(b.n) {
 		b.outOfRange(i)

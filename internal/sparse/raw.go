@@ -5,7 +5,9 @@ import "fmt"
 // Raw bitset accessors: the networked sweep tier ships a cached
 // envelope as its words and adopts them back without copies.
 
-// Words64 exposes the bitset's backing words without copying. Read-only.
+// Words64 exposes the bitset's backing words without copying. A caller
+// may OR in bits of members below Len() (the lane kernel adds its rows a
+// word at a time); a bit at or beyond Len() must never be set.
 func (b *Bitset) Words64() []uint64 { return b.words }
 
 // BitsetFromWords adopts a word slice — no copy — as a bitset over

@@ -27,8 +27,8 @@ const DenseThreshold = 0.25
 // number of non-zero entries is small it additionally tracks the support
 // (indices of non-zero entries) so that consumers can iterate in O(nnz).
 // Once the support grows past DenseThreshold*Len() the vector flips to
-// dense mode and the support list is abandoned (VecMat and MatVec keep
-// its storage on their destination for the next refill; see Trim).
+// dense mode and the support list is abandoned, its storage kept for the
+// next refill of a recycled vector (see Trim).
 //
 // The zero value is not usable; construct with NewVec.
 type Vec struct {
@@ -113,7 +113,7 @@ func (v *Vec) Add(i int, x float64) {
 func (v *Vec) maybeDensify() {
 	if !v.dense && len(v.supp) > v.denseLimit() {
 		v.dense = true
-		v.supp = nil
+		v.supp = v.supp[:0]
 	}
 }
 
@@ -136,9 +136,9 @@ func (v *Vec) Reset() {
 	v.dense = false
 }
 
-// Trim releases storage a vector keeps only for reuse as scratch: the
-// kernels leave a dense-mode destination its support list's capacity, so
-// that the next Reset-and-refill of a pooled vector grows nothing. Call it
+// Trim releases storage a vector keeps only for reuse as scratch: a
+// vector that turns dense keeps its support list's capacity, so that the
+// next Reset-and-refill of a pooled vector grows nothing. Call it
 // on a vector that is retained instead of recycled (Chain.Advance's result).
 func (v *Vec) Trim() {
 	if v.dense {

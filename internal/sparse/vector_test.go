@@ -80,6 +80,33 @@ func TestVecDensify(t *testing.T) {
 	}
 }
 
+// TestVecRefillAfterDensifyAllocatesNothing pins that a vector which
+// turned dense keeps its support list's capacity: a recycled scratch
+// vector (VecPool.Put resets it) refilled with a full-support pdf grows
+// nothing, where a support list dropped at every densify regrew by
+// append doubling on every refill.
+func TestVecRefillAfterDensifyAllocatesNothing(t *testing.T) {
+	const n = 10000
+	v := NewVec(n)
+	refill := func() {
+		v.Reset()
+		for i := range n {
+			v.Add(i, 1)
+		}
+	}
+	refill()
+	if !v.Dense() {
+		t.Fatal("a full-support fill should have densified")
+	}
+	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+		t.Fatalf("Reset and full refill allocated %v times per run, want 0", allocs)
+	}
+	v.Trim()
+	if v.supp != nil {
+		t.Fatalf("Trim kept a support list of capacity %d on a dense vector", cap(v.supp))
+	}
+}
+
 func TestVecResetRestoresSparse(t *testing.T) {
 	v := NewVec(16)
 	for i := 0; i < 16; i++ {
