@@ -185,3 +185,63 @@ func BenchmarkMultiObsExists(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMultiObsEvaluate times the engine on the shape of the
+// repository benchmark's fleet_mixed engines: scanOBDB's banded chain
+// (|S| = 10⁴, five successors within ±20 ids) and 1 000 objects on five
+// consecutive states at t = 0. An op gives 50 of them a new second fix, a
+// full-support sighting past the horizon, then evaluates 8 exists windows
+// (100-state regions, five timestamps inside [1, 30]) with the cache on:
+// the sweeps are warm, and each written object is a new version that
+// every window answers afresh. alloc-gate holds its allocs/op.
+func BenchmarkMultiObsEvaluate(b *testing.B) {
+	const n, objects, written, horizon = 10000, 1000, 50, 30
+	db := scanOBDB(b, objects, n)
+	rng := rand.New(rand.NewSource(9))
+	// Sightings weigh one state 2¹⁴ − 9 999 times the others; the pool
+	// is shared across writes, so an op builds no pdf.
+	sightings := make([]*markov.Distribution, written)
+	ids, weights := Interval(0, n-1), make([]float64, n)
+	for i := range sightings {
+		for s := range weights {
+			weights[s] = 1
+		}
+		weights[rng.Intn(n)] = 1<<14 - (n - 1)
+		pdf, err := markov.WeightedOver(n, ids, weights)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sightings[i] = pdf
+	}
+	reqs := make([]Request, 8)
+	for j := range reqs {
+		lo := rng.Intn(n - 100)
+		tlo := 1 + (2*j+1)*(horizon-4)/(2*len(reqs))
+		reqs[j] = NewRequest(PredicateExists, WithStates(Interval(lo, lo+99)), WithTimeRange(tlo, tlo+4))
+	}
+	e := NewEngine(db, Options{})
+	ctx := context.Background()
+	op := func(i int) {
+		for j := 0; j < written; j++ {
+			id := j * (objects / written)
+			o, err := NewObject(id, nil, db.Get(id).First(), Observation{Time: horizon + 1, PDF: sightings[(i+j)%written]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := db.ReplaceObject(o); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, req := range reqs {
+			if _, err := e.Evaluate(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	op(0) // warm: transpose, sweeps, pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i + 1)
+	}
+}
