@@ -40,7 +40,11 @@ staticcheck:
 # the scan's filter gate against the ungated scan, and the object-based
 # forward passes (exists, forall, ktimes, expressions, multi-observation)
 # against the materialized chains and possible-worlds enumeration, with
-# every clipped exists/forall pass bit-identical to the unclipped one.
+# every clipped exists/forall pass bit-identical to the unclipped one,
+# and the engine's multi-observation exists and forall against the
+# two-lane pass called directly (bit for bit, whether the envelope gate
+# answered or the pass ran) and the possible worlds, its posterior
+# against enumerated worlds too.
 # CI runs it after make ci.
 fuzz-smoke:
 	$(GO) test ./query -run '^$$' -fuzz FuzzParseQuery -fuzztime 20s
@@ -60,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEvaluateBatch -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFilterRefine -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzOBPasses -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzMultiObs -fuzztime 15s
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -173,7 +178,10 @@ bench:
 # passes are gated on allocs/op and B/op, so their pooled lane blocks
 # cannot start allocating per object either, and so is the road-network
 # lane benchmark on allocs/op, where a pass on a chain without id
-# locality would show it.
+# locality would show it. The engine-level multi-observation benchmark
+# is gated on allocs/op, where a two-lane pass for every object whose
+# first fix misses the window, instead of the envelope gate's one check
+# per object version, would show.
 # Missing baseline entries (fresh checkout, renamed benchmark) pass with
 # a notice.
 alloc-gate:
@@ -214,6 +222,8 @@ alloc-gate:
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsPosterior/columnar -gate-metric B/op < .gate.jsonl
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkMunichLanes' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMunichLanes < .gate.jsonl
+	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkMultiObsEvaluate' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkMultiObsEvaluate < .gate.jsonl
 	@rm -f .gate.jsonl
 
 # loc prints the non-test Go lines per package directory and the total

@@ -55,12 +55,18 @@ func TestOracleBitsPinned(t *testing.T) {
 // moves this constant. Re-record it only for a change that is meant to
 // alter that work, and say so.
 //
-// Last re-recorded when the filter gate came to serve the object-based
-// strategy alone: query-based responses report no funnel (filter on and
-// off do the same work), and an object-based gate reads its
-// possible-envelope off the reach cone its clipped pass fetches anyway,
-// so it makes one fetch fewer per (window, observation time).
-const oracleFunnel uint64 = 0xd3c7ead9eb2222a1
+// Last re-recorded when the multi-observation pass came to be gated on
+// the window's possible envelope at the first fix (kern.multiObsExists):
+// every multi-observation answer now fetches that envelope once per
+// (window, observation time), and an object whose first fix misses it
+// fetches its per-version check instead of its pass. No filter count
+// and no answer moved. The re-recording before it came when the filter
+// gate came to serve the object-based strategy alone: query-based
+// responses report no funnel (filter on and off do the same work), and
+// an object-based gate reads its possible-envelope off the reach cone
+// its clipped pass fetches anyway, so it makes one fetch fewer per
+// (window, observation time).
+const oracleFunnel uint64 = 0xdcbf35aafab258d
 
 // TestOracleFunnelPinned pins the work each answer took: per response,
 // the filter's Candidates, Pruned and Refined and the cache's Hits and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"ust/internal/markov"
 	"ust/internal/sparse"
@@ -80,39 +81,9 @@ func existsMultiObsBlock(ctx context.Context, chain *markov.Chain, obs []Observa
 	if err := blk.seed(obs[0].PDF); err != nil {
 		return 0, err
 	}
-
 	end := max(w.horizon, obs[len(obs)-1].Time)
-	t := obs[0].Time
-	if w.atTime(t) {
-		transferPinned(blk, pins)
-	}
-	nextObs := 1
-	m := chain.Matrix()
-	for ; t < end; t++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		blk.step(m, 2)
-		if w.atTime(t + 1) {
-			transferPinned(blk, pins)
-		}
-		if nextObs < len(obs) && obs[nextObs].Time == t+1 {
-			blk.fuse(obs[nextObs].PDF)
-			nextObs++
-			total := 0.0
-			blk.live.Range(func(s int) { total += blk.cur[2*s] + blk.cur[2*s+1] })
-			if total == 0 {
-				return 0, errImpossibleObs
-			}
-			// Rescale jointly; the ratio P(B)/(P(B)+P(C)) is invariant
-			// under a common factor and renormalizing here prevents
-			// underflow across long observation sequences.
-			inv := 1 / total
-			blk.live.Range(func(s int) {
-				blk.cur[2*s] *= inv
-				blk.cur[2*s+1] *= inv
-			})
-		}
+	if _, err := fuseForward(ctx, blk, chain, obs, end, w, pins); err != nil {
+		return 0, err
 	}
 	b, c := 0.0, 0.0
 	blk.live.Range(func(s int) {
@@ -124,6 +95,81 @@ func existsMultiObsBlock(ctx context.Context, chain *markov.Chain, obs []Observa
 		return 0, errImpossibleObs
 	}
 	return b / total, nil
+}
+
+// fuseForward steps a seeded block forward from the first observation's
+// time to end, fusing every later observation and rescaling all lanes
+// jointly after each fusion. With pins it is the doubled-space pass of
+// existsMultiObsBlock: lane 0 holds the worlds that have not hit window
+// w yet, lane 1 those that have, and at every window timestamp the
+// pinned region rows move from lane 0 to lane 1. Without, it is that
+// pass's lane 0 alone on a one-lane block — bit for bit, since a lane's
+// bits do not depend on the block it shares — as long as lane 1 would
+// stay zero (multiObsFeasible). It fails with errImpossibleObs when a
+// fusion leaves no mass. finite reports whether every rescale factor was
+// a finite positive number: only then does a zero lane stay +0.
+func fuseForward(ctx context.Context, blk *laneBlock, chain *markov.Chain, obs []Observation, end int, w *window, pins []int32) (finite bool, err error) {
+	t := obs[0].Time
+	if pins != nil && w.atTime(t) {
+		transferPinned(blk, pins)
+	}
+	nextObs := 1
+	m := chain.Matrix()
+	finite = true
+	for ; t < end; t++ {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		blk.step(m, blk.k)
+		if pins != nil && w.atTime(t+1) {
+			transferPinned(blk, pins)
+		}
+		if nextObs < len(obs) && obs[nextObs].Time == t+1 {
+			blk.fuse(obs[nextObs].PDF)
+			nextObs++
+			total := 0.0
+			blk.live.Range(func(s int) {
+				row := blk.cur[s*blk.k : s*blk.k+blk.k]
+				r := row[0]
+				for _, x := range row[1:] {
+					r += x
+				}
+				total += r
+			})
+			if total == 0 {
+				return false, errImpossibleObs
+			}
+			// Rescale jointly; the ratio P(B)/(P(B)+P(C)) is invariant
+			// under a common factor and renormalizing here prevents
+			// underflow across long observation sequences.
+			inv := 1 / total
+			finite = finite && inv > 0 && inv <= math.MaxFloat64
+			blk.live.Range(func(s int) {
+				row := blk.cur[s*blk.k : s*blk.k+blk.k]
+				for c := range row {
+					row[c] *= inv
+				}
+			})
+		}
+	}
+	return finite, nil
+}
+
+// multiObsFeasible runs existsMultiObsBlock's pass without a window on
+// one lane, from the first observation to the last: it fails with
+// errImpossibleObs exactly where the two-lane pass does whenever that
+// pass's hit lane stays zero, and reports whether every rescale factor
+// was finite (fuseForward). Past the last observation the pass only
+// steps its mass, rescaled to 1 there, over a row-stochastic matrix,
+// which cannot empty it, so the check does not depend on the window's
+// horizon: one per object version serves every window.
+func multiObsFeasible(ctx context.Context, chain *markov.Chain, obs []Observation, pool *blockPool) (bool, error) {
+	blk := pool.get(chain.NumStates(), 1)
+	defer pool.put(blk)
+	if err := blk.seed(obs[0].PDF); err != nil {
+		return false, err
+	}
+	return fuseForward(ctx, blk, chain, obs, obs[len(obs)-1].Time, nil, nil)
 }
 
 // transferPinned moves in-window mass from the pNot lane into the pHit

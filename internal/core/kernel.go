@@ -254,15 +254,24 @@ func (k *kern) hittingFor(ctx context.Context, region []int, maxSteps int, tol f
 	return v.cols[0], nil
 }
 
-// certainMask returns the "hits with certainty" envelope of window w at
-// t0: the states from which EVERY trajectory satisfies the (possibly
-// inverted) window predicate. Initial mass on it lower-bounds the query
-// probability. w is the kern's own window or, for the compound-
-// expression bounds, one atom's fire window.
-func (k *kern) certainMask(ctx context.Context, w *window, t0 int) (*sparse.Bitset, error) {
-	key := scoreKey{chain: k.chain, kind: kindCertain, sig: w.signature(), t0: t0}
+// envelope returns window w's envelope at t0, w being the kern's own
+// window or, for the compound-expression bounds, one atom's fire window.
+// With certain it is the "hits with certainty" envelope: the states from
+// which EVERY trajectory satisfies the (possibly inverted) window
+// predicate, so that initial mass on it lower-bounds the query
+// probability. Without, it is the possible envelope, coneFor's first
+// entry: the states from which SOME trajectory can, which the
+// multi-observation gate (multiObsExists) fetches without the rest of
+// the cone. Fetched like any sweep; the possible envelope, like the cone,
+// never travels over the sweep tier.
+func (k *kern) envelope(ctx context.Context, w *window, t0 int, certain bool) (*sparse.Bitset, error) {
+	kind := kindPossible
+	if certain {
+		kind = kindCertain
+	}
+	key := scoreKey{chain: k.chain, kind: kind, sig: w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		m, merr := supportEnvelope(ctx, k.chain, w, t0, true, nil)
+		m, merr := supportEnvelope(ctx, k.chain, w, t0, certain, nil)
 		if merr != nil {
 			return scoreValue{}, merr
 		}
@@ -371,9 +380,14 @@ const boundSlack = 1e-9
 
 // boundable reports whether o is eligible for envelope bounds: exactly
 // one observation, inside the horizon, against a non-empty window.
-// Ineligible objects are simply refined exactly (multi-observation
-// conditioning can concentrate mass anywhere, and after-horizon objects
-// must surface the same error the exact path raises).
+// Ineligible objects are simply refined exactly: later fixes can
+// concentrate an object's mass anywhere inside the envelopes, so the
+// first fix's mass on them bounds nothing, and after-horizon objects
+// must surface the same error the exact path raises. The one exact fact
+// the possible envelope does give about a multi-observation object — no
+// first-fix mass on it means P∃ = 0 — is applied inside the exact
+// evaluator (multiObsExists), where it also settles the object's
+// feasibility.
 func (k *kern) boundable(o *Object) bool {
 	return k.w.k > 0 && len(o.Observations) == 1 && o.First().Time <= k.w.horizon
 }
@@ -412,7 +426,7 @@ func (k *kern) existsLower(ctx context.Context, o *Object) (lo float64, ok bool,
 	if !k.boundable(o) {
 		return 0, false, nil
 	}
-	cm, err := k.certainMask(ctx, k.w, o.First().Time)
+	cm, err := k.envelope(ctx, k.w, o.First().Time, true)
 	if err != nil {
 		return 0, false, err
 	}
@@ -619,7 +633,30 @@ func (k *kern) regionPins() []int32 {
 // queries over an unchanged object hit, ingest mints a new serial and
 // naturally misses, and entries for superseded objects age out of the
 // LRU without any invalidation traffic.
+//
+// The pass is gated, exactly. Its hit lane takes mass only at the
+// window's region states and timestamps, which every path into them
+// reaches from the window's possible envelope at the first observation
+// time. A first fix with no mass on that envelope leaves the hit lane +0
+// on every row at every step, so the pass would return exactly +0, or
+// fail where its mass runs out: the object answers 0 after the per-
+// version check (feasible) that fails in the same places, and runs no
+// pass for this window.
 func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
+	first := o.First()
+	env, err := k.envelope(ctx, k.w, first.Time, false)
+	if err != nil {
+		return 0, err
+	}
+	if first.PDF.MassOn(env) == 0 {
+		exact, ferr := k.feasible(ctx, o)
+		if ferr != nil {
+			return 0, ferr
+		}
+		if exact {
+			return 0, nil
+		}
+	}
 	key := scoreKey{chain: k.chain, kind: kindMultiObs, sig: fnvMix(k.w.signature(), o.serial)}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
 		p, perr := existsMultiObsBlock(ctx, k.chain, o.Observations, k.w, k.regionPins(), &lanes)
@@ -632,6 +669,30 @@ func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 		return 0, err
 	}
 	return v.scalars[0], nil
+}
+
+// feasible runs the multi-observation gate's check (multiObsFeasible)
+// once per object version, cached under the object's serial: it fails
+// with errImpossibleObs where the pass would, and reports false when a
+// rescale factor of the pass was not finite, where the gate cannot vouch
+// for a +0 hit lane and the pass runs instead.
+func (k *kern) feasible(ctx context.Context, o *Object) (bool, error) {
+	key := scoreKey{chain: k.chain, kind: kindFeasible, sig: fnvMix(fnvOffset, o.serial)}
+	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
+		exact, ferr := multiObsFeasible(ctx, k.chain, o.Observations, &lanes)
+		if ferr != nil {
+			return scoreValue{}, ferr
+		}
+		flag := 0.0
+		if exact {
+			flag = 1
+		}
+		return scoreValue{scalars: []float64{flag}}, nil
+	})
+	if err != nil {
+		return false, err
+	}
+	return v.scalars[0] == 1, nil
 }
 
 // posteriorOf returns the object's smoothed posterior at time t through

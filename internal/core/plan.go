@@ -550,7 +550,7 @@ func (k *kern) exprBounds(ctx context.Context, o *Object) (lo, hi float64, ok bo
 		if merr != nil {
 			return 0, 1, false, merr
 		}
-		cm, merr := k.certainMask(ctx, w, t0)
+		cm, merr := k.envelope(ctx, w, t0, true)
 		if merr != nil {
 			return 0, 1, false, merr
 		}

@@ -22,7 +22,7 @@ import (
 // Nothing invalidates an entry, because no key can go stale: the sweep
 // and envelope kinds are pure functions of the immutable chain, the
 // window and the observation time, and the per-object kinds
-// (multi-observation results, posteriors) key themselves on the object's
+// (multi-observation results and checks, posteriors) key themselves on the object's
 // construction serial, which ingest replaces — a superseded object's
 // entries are never asked for again and age out of the LRU. That keeps
 // standing queries and ingest loops (Observe/Add, then Evaluate) fully
@@ -43,7 +43,7 @@ const (
 	// (PredicateEventually); t0 is unused, sig folds in maxSteps/tol.
 	kindHitting
 	_
-	// kindCertain: the "hits with certainty" envelope (kern.certainMask),
+	// kindCertain: the "hits with certainty" envelope (kern.envelope),
 	// the object-based filter's lower bound.
 	kindCertain
 	// kindExpr: the 2^m augmented backward family of a compound
@@ -64,6 +64,15 @@ const (
 	// first entry is the object-based filter's upper bound. Local only:
 	// it never travels over the sweep tier.
 	kindCone
+	// kindPossible: the possible envelope at t0 alone (kern.envelope),
+	// kindCone's first entry without the rest of the cone: the
+	// multi-observation gate's test. Local only, like kindCone.
+	kindPossible
+	// kindFeasible: one multi-observation object's gate check
+	// (kern.feasible), a scalar flag; sig is serial-based like
+	// kindMultiObs, with no window folded in: one entry per version
+	// serves every window.
+	kindFeasible
 )
 
 // scoreKey identifies one cached sweep. The chain pointer is identity:

@@ -199,10 +199,12 @@ func TestCacheSurvivesObservationUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sweep must survive the update untouched; the single allowed
-	// miss is object 0's first multi-observation evaluation, cached
-	// per-object under its new construction serial.
-	if resp.Cache.Misses > 1 {
+	// The sweep must survive the update untouched. The allowed misses
+	// are object 0's new entry — its pass, or the gate's check, cached
+	// per-object under its new construction serial — and the first fetch
+	// of the window's possible envelope at its first fix, which the
+	// multi-observation gate reads.
+	if resp.Cache.Misses > 2 {
 		t.Fatalf("observation update needlessly expired observation-independent sweeps: %+v", resp.Cache)
 	}
 	if resp.Cache.Hits == 0 {
@@ -388,8 +390,10 @@ func TestMonitorObserveUpdatesOnlyThatObject(t *testing.T) {
 	if after[2] != before[2] {
 		t.Errorf("object 2 changed: P = %g, was %g", after[2], before[2])
 	}
-	if resp.Cache.Misses > 1 || resp.Cache.Hits == 0 {
-		t.Errorf("re-read should miss on object 1's evaluation alone: %+v", resp.Cache)
+	// Object 1's pass and the window's possible envelope, which its
+	// gate fetches first, are the only new work.
+	if resp.Cache.Misses > 2 || resp.Cache.Hits == 0 {
+		t.Errorf("re-read should miss on object 1's evaluation and the window's envelope alone: %+v", resp.Cache)
 	}
 	if got := len(db.Get(1).Observations); got != 2 {
 		t.Errorf("object 1 has %d observations, want 2", got)

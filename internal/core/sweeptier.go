@@ -23,8 +23,8 @@ import (
 // dead coordinator slows the fleet down but never wedges or corrupts it.
 //
 // Only kinds that are pure functions of (chain, window, t0) travel:
-// the per-object kinds (kindMultiObs, kindPosterior) key on process-
-// unique object serials that mean nothing to a peer.
+// the per-object kinds (kindMultiObs, kindFeasible, kindPosterior) key
+// on process-unique object serials that mean nothing to a peer.
 
 // SweepKey names one sweep in process-independent terms. It is the wire
 // twin of scoreKey: the chain pointer becomes the chain's content
