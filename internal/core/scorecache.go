@@ -100,14 +100,14 @@ type scoreValue struct {
 }
 
 // bytes approximates the resident size of the payload. A posterior is
-// charged as one |S| column, the array it was summed in.
+// charged its packed columns (markov.Distribution.Bytes).
 func (v scoreValue) bytes() int {
 	b := 8 * len(v.scalars)
 	for _, col := range v.cols {
 		b += 8 * len(col)
 	}
 	if v.post != nil {
-		b += 8 * v.post.NumStates()
+		b += v.post.Bytes()
 	}
 	if v.bits != nil {
 		b += 8 * v.bits.Words()

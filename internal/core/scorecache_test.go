@@ -422,3 +422,29 @@ func TestMonitorTrack(t *testing.T) {
 		t.Error("duplicate Add accepted")
 	}
 }
+
+// TestPosteriorChargedItsSupport: a cached posterior is charged the
+// packed columns it holds, not an |S| column. A 5-entry posterior at
+// |S| = 10⁴ costs 60 bytes (12 an entry), where 8·|S| was 80 000.
+func TestPosteriorChargedItsSupport(t *testing.T) {
+	const n = 10000
+	chain := markov.MustChain(sparse.FromRows(n, n, func(i int) ([]int, []float64) {
+		return []int{i}, []float64{1}
+	}))
+	db := NewDatabase(chain)
+	o := MustObject(0, nil,
+		Observation{Time: 0, PDF: markov.UniformOver(n, Interval(5000, 5004))},
+		Observation{Time: 2, PDF: markov.UniformOver(n, Interval(4990, 5010))})
+	db.MustAdd(o)
+	e := NewEngine(db, Options{})
+	post, err := e.Marginal(o, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post.NNZ() != 5 {
+		t.Fatalf("posterior holds %d entries, want 5", post.NNZ())
+	}
+	if s := e.CacheStats(); s.Entries != 1 || s.Bytes >= 100 {
+		t.Fatalf("one 5-entry posterior cached as %+v, want one entry under 100 bytes", s)
+	}
+}

@@ -135,6 +135,10 @@ func (d *Distribution) Vec() *sparse.Vec {
 // NumStates returns the dimension of the state space.
 func (d *Distribution) NumStates() int { return d.p.Len() }
 
+// Bytes is the memory the packed pdf holds (sparse.Packed.Bytes); a
+// vector Vec has materialized is not counted.
+func (d *Distribution) Bytes() int { return d.p.Bytes() }
+
 // NNZ returns the number of stored support entries (Vec.NNZ's count).
 func (d *Distribution) NNZ() int { return d.p.NNZ() }
 

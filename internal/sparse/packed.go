@@ -79,6 +79,15 @@ func (v *Vec) Pack() Packed {
 // Len returns the dimension of the vector.
 func (p Packed) Len() int { return p.n }
 
+// Bytes is the memory p's columns hold: 8 bytes a value when full, 12
+// an entry (a 4-byte index and an 8-byte value) otherwise.
+func (p Packed) Bytes() int {
+	if p.full {
+		return 8 * len(p.val)
+	}
+	return 12 * len(p.idx)
+}
+
 // NNZ returns what Vec.NNZ returns for the same vector: the index
 // column's length, or a count of the non-zero values when full.
 func (p Packed) NNZ() int {
