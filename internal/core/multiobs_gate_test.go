@@ -336,3 +336,46 @@ func TestMultiObsGatePassCount(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiObsGateDeclinesOnOverflow: when a fusion's total is so small
+// that its inverse overflows, the pass's rescale turns its +0 hit lane
+// into NaN, so the gate must not answer 0 for it: the check reports the
+// overflow, the pass runs, and the engine's answer keeps the pass's
+// bits. The second fix weighs the only state the first can reach at
+// 1e-320 against 1 elsewhere.
+func TestMultiObsGateDeclinesOnOverflow(t *testing.T) {
+	const n = 200
+	chain := markov.MustChain(sparse.FromRows(n, n, func(i int) ([]int, []float64) {
+		return []int{i}, []float64{1}
+	}))
+	tiny, err := markov.WeightedOver(n, []int{10, 100}, []float64{1e-320, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := MustObject(0, nil,
+		Observation{Time: 0, PDF: markov.PointDistribution(n, 10)},
+		Observation{Time: 6, PDF: tiny})
+	db := NewDatabase(chain)
+	db.MustAdd(o)
+	q := NewQuery(Interval(150, 160), Interval(2, 4))
+	w, err := compile(q, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	exact, err := multiObsFeasible(ctx, chain, o.Observations, nil)
+	if err != nil || exact {
+		t.Fatalf("check: exact %v, err %v; want an overflowing rescale reported", exact, err)
+	}
+	want, err := existsMultiObsBlock(ctx, chain, o.Observations, w, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := askOne(NewEngine(db, Options{}), 0, PredicateExists, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Prob) != math.Float64bits(want) {
+		t.Fatalf("engine %v, pass %v", got.Prob, want)
+	}
+}
