@@ -32,6 +32,8 @@ staticcheck:
 # shard hash ring (determinism / balance / minimal movement), store image,
 # chain, import-frame and observation-frame decoders (each input also
 # re-sealed with a valid footer, so the section parser is reached),
+# the pdf builders (states in any order, with repeats: one ascending
+# form, the ascending sums, rejections, a frame round trip bit for bit),
 # sweep-tier payload decoder, one lane-kernel step against a dense
 # Gustavson step (bit-identical lanes, an exact live set, zeros off it),
 # the query-based sweeps against their dense references and
@@ -58,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeStoreV2 -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObjectFrame -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeObservationFrame -fuzztime 15s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDistributionBuild -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSweepValue -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLaneStep -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzQBSweeps -fuzztime 15s

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"ust/internal/core"
-	"ust/internal/markov"
-	"ust/internal/spatial"
 )
 
 // oracleBits is the FNV-64a digest of every single-engine answer of the
@@ -21,23 +19,26 @@ import (
 // Re-record it only for a change that is meant to alter answers, and say
 // so.
 //
-// Last re-recorded when every object-based pass moved onto the lane
-// block stepped by the kernel the backward sweeps use (querybased.go): a
-// pass now sums its rows in ascending order, where the vector passes it
-// replaced summed them in first-touch order. 871 of the 11 059 answer
-// values the tables produce moved, all under the object-based strategy
-// (exists, forall, ktimes, expressions and the count aggregate over
-// them): probabilities and distributions by at most 5.6e-16, a count
-// aggregate's variance of about 55 by 9.1e-13. No multi-observation
-// answer moved. The re-recording before it replaced the %+v print of
-// Response.Plans by each plan's fields hashed as words; no answer moved
-// there (a digest that skips the plans reads 0x6fd6556fa6abca01 before
-// and after).
-const oracleBits uint64 = 0x65a6c076d53a6d30
+// Last re-recorded when every pdf came to be built ascending (one order
+// for a sparse.Packed, whatever order its states were listed in): only
+// NewUnorderedDataset's answers moved, 936 of its 4 279 values, which
+// its out-of-order pdfs had summed in insertion order. Probabilities
+// moved by at most 4.5e-16, a count aggregate's mean of about 29 by
+// 1.5e-14 and its variance of about 55 by 3.5e-13; the Monte-Carlo cases
+// draw other samples, as a sampler walks a pdf's states in its order. A
+// digest over NewDataset's table alone reads 0x409d4ad3c02610f8, and one
+// over the multi-observation table before the ingest round
+// 0x977d2a45bc566c21, before and after. The re-recording before it came
+// when every object-based pass moved onto the lane block stepped by the
+// kernel the backward sweeps use (querybased.go): 871 of the 11 059
+// answer values moved, all under the object-based strategy, by at most
+// 5.6e-16 (a count variance by 9.1e-13); no multi-observation answer
+// moved.
+const oracleBits uint64 = 0x9871429d27c16efa
 
 // TestOracleBitsPinned pins the answers themselves, not just agreement
 // between implementations: the single-observation table over the
-// canonical dataset and over unorderedDataset, then the multi-observation
+// canonical dataset and over NewUnorderedDataset, then the multi-observation
 // table, each case as written and — where an exact strategy can be
 // forced — under both query-based and object-based evaluation, then the
 // multi-observation table again after an ingest round.
@@ -79,7 +80,7 @@ func TestOracleFunnelPinned(t *testing.T) {
 
 // oracleDigest folds every response of the conformance tables into one
 // digest with fold: the single-observation table over the canonical
-// dataset and over unorderedDataset, then the multi-observation table,
+// dataset and over NewUnorderedDataset, then the multi-observation table,
 // then the multi-observation table again after an ingest round.
 func oracleDigest(t *testing.T, fold func(hash.Hash64, core.Request, *core.Response)) uint64 {
 	t.Helper()
@@ -87,7 +88,7 @@ func oracleDigest(t *testing.T, fold func(hash.Hash64, core.Request, *core.Respo
 
 	db, res := NewDataset()
 	digestCases(t, h, core.NewEngine(db, core.Options{}), Cases(res), fold)
-	digestCases(t, h, core.NewEngine(unorderedDataset(), core.Options{}), Cases(res), fold)
+	digestCases(t, h, core.NewEngine(NewUnorderedDataset(), core.Options{}), Cases(res), fold)
 
 	mdb, mres := NewMultiObsDataset()
 	cases := MultiObsCases(mres)
@@ -104,36 +105,6 @@ func oracleDigest(t *testing.T, fold func(hash.Hash64, core.Request, *core.Respo
 	}
 	digestCases(t, h, core.NewEngine(mdb, core.Options{}), cases, fold)
 	return h.Sum64()
-}
-
-// unorderedDataset is the canonical dataset's chain mix and ids with
-// weighted pdfs whose states are listed out of order, so that summation
-// order depends on whether a pdf keeps its insertion order: four states
-// (a sparse pdf, visited in insertion order), twenty (past a quarter of
-// the 64 states: visited ascending) and forty (past half: stored dense).
-func unorderedDataset() *core.Database {
-	grid := spatial.NewGrid(8, 8)
-	walk, drift := gridChain(grid, false), gridChain(grid, true)
-	db := core.NewDatabase(walk)
-	for i := 0; i < 24; i++ {
-		var chain *markov.Chain
-		if i%3 == 1 {
-			chain = drift
-		}
-		width := []int{4, 4, 20, 1, 40}[i%5]
-		states := make([]int, width)
-		weights := make([]float64, width)
-		for k := range states {
-			states[k] = (i*13 + k*37) % 64 // 37 is coprime to 64: distinct, unordered
-			weights[k] = float64(1 + (i+k*k)%7)
-		}
-		pdf, err := markov.WeightedOver(64, states, weights)
-		if err != nil {
-			panic(err)
-		}
-		db.MustAdd(core.MustObject((i*37+5)%211, chain, core.Observation{Time: i % 4, PDF: pdf}))
-	}
-	return db
 }
 
 // digestCases folds every case's response into h with fold: as written,

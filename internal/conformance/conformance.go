@@ -90,6 +90,39 @@ func NewDataset() (*core.Database, spatial.Resolver) {
 	return db, grid
 }
 
+// NewUnorderedDataset is the canonical dataset's chain mix and ids with
+// weighted pdfs whose states are listed out of order — four (a sparse
+// pdf), twenty and forty (past half of the 64 states: stored as a full
+// column) — and whose observation times spread over 0..3. A pdf is
+// built ascending whatever order its states are listed in, so every
+// deployment shape, and a store or frame round trip, must answer this
+// dataset with the same bits as the canonical build. The canonical
+// table's resolver (NewDataset's) grounds its geometric cases.
+func NewUnorderedDataset() *core.Database {
+	grid := spatial.NewGrid(8, 8)
+	walk, drift := gridChain(grid, false), gridChain(grid, true)
+	db := core.NewDatabase(walk)
+	for i := 0; i < 24; i++ {
+		var chain *markov.Chain
+		if i%3 == 1 {
+			chain = drift
+		}
+		width := []int{4, 4, 20, 1, 40}[i%5]
+		states := make([]int, width)
+		weights := make([]float64, width)
+		for k := range states {
+			states[k] = (i*13 + k*37) % 64 // 37 is coprime to 64: distinct, unordered
+			weights[k] = float64(1 + (i+k*k)%7)
+		}
+		pdf, err := markov.WeightedOver(64, states, weights)
+		if err != nil {
+			panic(err)
+		}
+		db.MustAdd(core.MustObject((i*37+5)%211, chain, core.Observation{Time: i % 4, PDF: pdf}))
+	}
+	return db
+}
+
 // NewMultiObsDataset builds the multi-observation variant of the
 // canonical dataset: the same grid, chain mix, scattered ids and
 // initial pdfs, but every object carries three or four observations.

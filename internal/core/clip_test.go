@@ -76,7 +76,7 @@ func newClipCase(rng *rand.Rand) clipCase {
 		for i, s := range states {
 			v.Set(s, weights[i])
 		}
-		pdf := markov.FromVec(v)
+		pdf := markov.FromArray(v.RawData())
 		t0 := rng.Intn(4)
 		maxT0 = max(maxT0, t0)
 		db.MustAdd(MustObject(id, nil, Observation{Time: t0, PDF: pdf}))

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"ust/internal/markov"
-	"ust/internal/sparse"
 )
 
 // The multi-observation kernels. They read each observation's pdf
@@ -82,7 +81,7 @@ func existsMultiObsBlock(ctx context.Context, chain *markov.Chain, obs []Observa
 		return 0, err
 	}
 	end := max(w.horizon, obs[len(obs)-1].Time)
-	if _, err := fuseForward(ctx, blk, chain, obs, end, w, pins); err != nil {
+	if err := fuseForward(ctx, blk, chain, obs, end, w, pins); err != nil {
 		return 0, err
 	}
 	b, c := 0.0, 0.0
@@ -106,19 +105,17 @@ func existsMultiObsBlock(ctx context.Context, chain *markov.Chain, obs []Observa
 // pass's lane 0 alone on a one-lane block — bit for bit, since a lane's
 // bits do not depend on the block it shares — as long as lane 1 would
 // stay zero (multiObsFeasible). It fails with errImpossibleObs when a
-// fusion leaves no mass. finite reports whether every rescale factor was
-// a finite positive number: only then does a zero lane stay +0.
-func fuseForward(ctx context.Context, blk *laneBlock, chain *markov.Chain, obs []Observation, end int, w *window, pins []int32) (finite bool, err error) {
+// fusion leaves no mass. A zero lane stays +0 through every rescale.
+func fuseForward(ctx context.Context, blk *laneBlock, chain *markov.Chain, obs []Observation, end int, w *window, pins []int32) error {
 	t := obs[0].Time
 	if pins != nil && w.atTime(t) {
 		transferPinned(blk, pins)
 	}
 	nextObs := 1
 	m := chain.Matrix()
-	finite = true
 	for ; t < end; t++ {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return err
 		}
 		blk.step(m, blk.k)
 		if pins != nil && w.atTime(t+1) {
@@ -137,37 +134,42 @@ func fuseForward(ctx context.Context, blk *laneBlock, chain *markov.Chain, obs [
 				total += r
 			})
 			if total == 0 {
-				return false, errImpossibleObs
+				return errImpossibleObs
 			}
 			// Rescale jointly; the ratio P(B)/(P(B)+P(C)) is invariant
 			// under a common factor and renormalizing here prevents
-			// underflow across long observation sequences.
+			// underflow across long observation sequences. A subnormal
+			// total's inverse overflows, and 0·Inf would turn a zero
+			// lane into NaN: such a total divides instead.
 			inv := 1 / total
-			finite = finite && inv > 0 && inv <= math.MaxFloat64
+			overflow := inv > math.MaxFloat64
 			blk.live.Range(func(s int) {
 				row := blk.cur[s*blk.k : s*blk.k+blk.k]
 				for c := range row {
-					row[c] *= inv
+					if overflow {
+						row[c] /= total
+					} else {
+						row[c] *= inv
+					}
 				}
 			})
 		}
 	}
-	return finite, nil
+	return nil
 }
 
 // multiObsFeasible runs existsMultiObsBlock's pass without a window on
 // one lane, from the first observation to the last: it fails with
 // errImpossibleObs exactly where the two-lane pass does whenever that
-// pass's hit lane stays zero, and reports whether every rescale factor
-// was finite (fuseForward). Past the last observation the pass only
+// pass's hit lane stays zero. Past the last observation the pass only
 // steps its mass, rescaled to 1 there, over a row-stochastic matrix,
 // which cannot empty it, so the check does not depend on the window's
 // horizon: one per object version serves every window.
-func multiObsFeasible(ctx context.Context, chain *markov.Chain, obs []Observation, pool *blockPool) (bool, error) {
+func multiObsFeasible(ctx context.Context, chain *markov.Chain, obs []Observation, pool *blockPool) error {
 	blk := pool.get(chain.NumStates(), 1)
 	defer pool.put(blk)
 	if err := blk.seed(obs[0].PDF); err != nil {
-		return false, err
+		return err
 	}
 	return fuseForward(ctx, blk, chain, obs, obs[len(obs)-1].Time, nil, nil)
 }
@@ -252,31 +254,15 @@ func posteriorAtBlock(chain *markov.Chain, obs []Observation, t int, pool *block
 		}
 	}
 	mass := 0.0
-	nnz := 0
 	for _, v := range atT {
 		mass += v
-		if v != 0 {
-			nnz++
-		}
 	}
 	if mass == 0 {
 		return nil, errImpossibleObs
 	}
-	// Packed in the mode a Vec filled ascending would have: dense past
-	// DenseThreshold·n non-zeros, its ascending support otherwise.
 	inv := 1 / mass
-	if float64(nnz) > sparse.DenseThreshold*float64(n) {
-		for i, v := range atT {
-			atT[i] = v * inv
-		}
-		return markov.FromVec(sparse.AdoptDense(atT)), nil
-	}
-	states, probs := make([]int32, 0, nnz), make([]float64, 0, nnz)
 	for i, v := range atT {
-		if v != 0 {
-			states = append(states, int32(i))
-			probs = append(probs, v*inv)
-		}
+		atT[i] = v * inv
 	}
-	return markov.FromColumns(n, states, probs), nil
+	return markov.FromArray(atT), nil
 }

@@ -649,13 +649,7 @@ func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 		return 0, err
 	}
 	if first.PDF.MassOn(env) == 0 {
-		exact, ferr := k.feasible(ctx, o)
-		if ferr != nil {
-			return 0, ferr
-		}
-		if exact {
-			return 0, nil
-		}
+		return 0, k.feasible(ctx, o)
 	}
 	key := scoreKey{chain: k.chain, kind: kindMultiObs, sig: fnvMix(k.w.signature(), o.serial)}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
@@ -673,26 +667,13 @@ func (k *kern) multiObsExists(ctx context.Context, o *Object) (float64, error) {
 
 // feasible runs the multi-observation gate's check (multiObsFeasible)
 // once per object version, cached under the object's serial: it fails
-// with errImpossibleObs where the pass would, and reports false when a
-// rescale factor of the pass was not finite, where the gate cannot vouch
-// for a +0 hit lane and the pass runs instead.
-func (k *kern) feasible(ctx context.Context, o *Object) (bool, error) {
+// with errImpossibleObs where the pass would.
+func (k *kern) feasible(ctx context.Context, o *Object) error {
 	key := scoreKey{chain: k.chain, kind: kindFeasible, sig: fnvMix(fnvOffset, o.serial)}
-	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		exact, ferr := multiObsFeasible(ctx, k.chain, o.Observations, &lanes)
-		if ferr != nil {
-			return scoreValue{}, ferr
-		}
-		flag := 0.0
-		if exact {
-			flag = 1
-		}
-		return scoreValue{scalars: []float64{flag}}, nil
+	_, err := k.fetch(ctx, key, func() (scoreValue, error) {
+		return scoreValue{}, multiObsFeasible(ctx, k.chain, o.Observations, &lanes)
 	})
-	if err != nil {
-		return false, err
-	}
-	return v.scalars[0] == 1, nil
+	return err
 }
 
 // posteriorOf returns the object's smoothed posterior at time t through
@@ -736,5 +717,5 @@ func (e *Engine) Marginal(o *Object, t int) (*markov.Distribution, error) {
 	if init.Normalize() == 0 {
 		return nil, errZeroMass(o.ID)
 	}
-	return markov.FromVec(ch.Advance(init, t-first.Time)), nil
+	return markov.FromArray(ch.Advance(init, t-first.Time).RawData()), nil
 }

@@ -337,45 +337,61 @@ func TestMultiObsGatePassCount(t *testing.T) {
 	}
 }
 
-// TestMultiObsGateDeclinesOnOverflow: when a fusion's total is so small
-// that its inverse overflows, the pass's rescale turns its +0 hit lane
-// into NaN, so the gate must not answer 0 for it: the check reports the
-// overflow, the pass runs, and the engine's answer keeps the pass's
-// bits. The second fix weighs the only state the first can reach at
-// 1e-320 against 1 elsewhere.
-func TestMultiObsGateDeclinesOnOverflow(t *testing.T) {
+// TestMultiObsSubnormalTotalStaysFinite: when a fusion's total is so
+// small that its inverse overflows, the pass divides by the total
+// instead, so a zero lane stays +0 and the answer is finite. State 10
+// stays or moves to the absorbing state 11 with probability 1/2 a step;
+// the second fix weighs both at 2^-1040 against 1 elsewhere, so every
+// lane value is an exact dyadic and the worlds agree to the last bit or
+// near it. A window on state 11 runs the pass; one the first fix cannot
+// reach is answered 0 by the gate, whose check no longer declines.
+func TestMultiObsSubnormalTotalStaysFinite(t *testing.T) {
 	const n = 200
 	chain := markov.MustChain(sparse.FromRows(n, n, func(i int) ([]int, []float64) {
+		if i == 10 {
+			return []int{10, 11}, []float64{0.5, 0.5}
+		}
 		return []int{i}, []float64{1}
 	}))
-	tiny, err := markov.WeightedOver(n, []int{10, 100}, []float64{1e-320, 1})
+	tiny := math.Ldexp(1, -1040)
+	if 1/tiny <= math.MaxFloat64 {
+		t.Fatal("the fix's weight does not overflow its inverse")
+	}
+	fix, err := markov.WeightedOver(n, []int{10, 11, 100}, []float64{tiny, tiny, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := MustObject(0, nil,
 		Observation{Time: 0, PDF: markov.PointDistribution(n, 10)},
-		Observation{Time: 6, PDF: tiny})
+		Observation{Time: 6, PDF: fix})
 	db := NewDatabase(chain)
 	db.MustAdd(o)
-	q := NewQuery(Interval(150, 160), Interval(2, 4))
-	w, err := compile(q, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	exact, err := multiObsFeasible(ctx, chain, o.Observations, nil)
-	if err != nil || exact {
-		t.Fatalf("check: exact %v, err %v; want an overflowing rescale reported", exact, err)
+	if err := multiObsFeasible(ctx, chain, o.Observations, nil); err != nil {
+		t.Fatalf("check: %v", err)
 	}
-	want, err := existsMultiObsBlock(ctx, chain, o.Observations, w, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := askOne(NewEngine(db, Options{}), 0, PredicateExists, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got.Prob) != math.Float64bits(want) {
-		t.Fatalf("engine %v, pass %v", got.Prob, want)
+	for _, q := range []Query{NewQuery(Interval(11, 11), Interval(2, 4)), NewQuery(Interval(150, 160), Interval(2, 4))} {
+		w, err := compile(q, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := existsMultiObsBlock(ctx, chain, o.Observations, w, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := askOne(NewEngine(db, Options{}), 0, PredicateExists, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(got.Prob) || math.Float64bits(got.Prob) != math.Float64bits(want) {
+			t.Fatalf("%v: engine %v, pass %v", q, got.Prob, want)
+		}
+		bf, err := BruteForce(chain, o, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got.Prob-bf.PExists) > 1e-12 {
+			t.Fatalf("%v: engine %v, worlds %v", q, got.Prob, bf.PExists)
+		}
 	}
 }

@@ -143,7 +143,7 @@ func posteriorAtRow(chain *markov.Chain, obs []Observation, t int) (*markov.Dist
 	if atT.Normalize() == 0 {
 		return nil, fmt.Errorf("core: observations are mutually impossible under the motion model")
 	}
-	return markov.FromVec(atT), nil
+	return markov.FromArray(atT.RawData()), nil
 }
 
 // likelihoodBackward returns the vector L with L[s] = P(observations in

@@ -272,7 +272,7 @@ func checkQBCase(tb testing.TB, rng *rand.Rand, c qbCase) {
 			for _, s := range rng.Perm(n)[:1+rng.Intn(min(2, n))] {
 				v.Set(s, 0.25+rng.Float64())
 			}
-			db.MustAdd(MustObject(id, nil, Observation{Time: id, PDF: markov.FromVec(v)}))
+			db.MustAdd(MustObject(id, nil, Observation{Time: id, PDF: markov.FromArray(v.RawData())}))
 		}
 		return db
 	}

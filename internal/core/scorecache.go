@@ -69,9 +69,9 @@ const (
 	// multi-observation gate's test. Local only, like kindCone.
 	kindPossible
 	// kindFeasible: one multi-observation object's gate check
-	// (kern.feasible), a scalar flag; sig is serial-based like
-	// kindMultiObs, with no window folded in: one entry per version
-	// serves every window.
+	// (kern.feasible), an empty value: only its error matters. sig is
+	// serial-based like kindMultiObs, with no window folded in: one entry
+	// per version serves every window.
 	kindFeasible
 )
 

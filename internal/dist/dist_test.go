@@ -86,11 +86,23 @@ func newFleetVia(t *testing.T, db *core.Database, res spatial.Resolver, shards i
 // a live multi-process-shaped deployment at every worker count the PR
 // cares about: requests fan out to worker HTTP servers, results travel
 // back through the wire codec, aggregates come home as factors and fold
-// coordinator-side — all byte-identical to a single engine.
+// coordinator-side — all byte-identical to a single engine. The
+// unordered dataset's pdfs, built from states listed out of order, reach
+// the workers ascending as every pdf is stored, and answer there with
+// the coordinator's bits.
 func TestDistributedConformance(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", shards), func(t *testing.T) {
 			db, res := conformance.NewDataset()
+			f := newFleet(t, db, res, shards, core.Options{})
+			ref := core.NewEngine(db, core.Options{})
+			conformance.Verify(t, res, ref, f.router, conformance.Options{SkipSerialMC: true})
+		})
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("unordered/workers=%d", shards), func(t *testing.T) {
+			_, res := conformance.NewDataset()
+			db := conformance.NewUnorderedDataset()
 			f := newFleet(t, db, res, shards, core.Options{})
 			ref := core.NewEngine(db, core.Options{})
 			conformance.Verify(t, res, ref, f.router, conformance.Options{SkipSerialMC: true})

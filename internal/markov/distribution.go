@@ -3,6 +3,7 @@ package markov
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"ust/internal/sparse"
@@ -15,28 +16,14 @@ import (
 // large state space costs its support, not |S|. A distribution is
 // immutable — a stored pdf is the only copy of its observation, read by
 // the engine's passes, the store's writer and the cache entries keyed by
-// its object — and every operation visits its entries in the order the
-// equivalent sparse.Vec would, so answers computed from it carry the
-// same bits.
+// its object — and it has one order: every operation visits its states
+// ascending, whatever order they were listed in when it was built. A pdf
+// therefore gives the same bits in process, after a store round trip,
+// on a worker and through either ingest encoding.
 type Distribution struct {
 	p sparse.Packed
 	// vec is Vec's materialization, built on first use.
 	vec atomic.Pointer[sparse.Vec]
-}
-
-// scratch lends the constructors a dense working vector per dimension:
-// they accumulate exactly as a sparse.Vec does and pack the result.
-var scratch sparse.VecPool
-
-// build fills a pooled vector and packs it. fill reports the error that
-// aborts the construction, if any.
-func build(n int, fill func(v *sparse.Vec) error) (*Distribution, error) {
-	v := scratch.Get(n)
-	defer scratch.Put(v)
-	if err := fill(v); err != nil {
-		return nil, err
-	}
-	return &Distribution{p: v.Pack()}, nil
 }
 
 // NewDistribution returns the zero distribution over n states: no mass.
@@ -53,34 +40,37 @@ func PointDistribution(n, state int) *Distribution {
 	if state < 0 || state >= n {
 		panic(fmt.Sprintf("markov: state %d out of range [0,%d)", state, n))
 	}
-	d, _ := build(n, func(v *sparse.Vec) error { v.Set(state, 1); return nil })
-	return d
+	return &Distribution{p: sparse.Pack(n, []int32{int32(state)}, []float64{1})}
 }
 
 // UniformOver spreads mass uniformly over the given states: an imprecise
 // observation with no interior preference (the shape used by the paper's
-// object spread parameter).
+// object spread parameter). Each state listed gets 1/len(states); a
+// state listed twice gets it once.
 func UniformOver(n int, states []int) *Distribution {
 	if len(states) == 0 {
 		panic("markov: UniformOver with no states")
 	}
-	for _, s := range states {
+	idx := make([]int32, len(states))
+	for k, s := range states {
 		if s < 0 || s >= n {
 			panic(fmt.Sprintf("markov: state %d out of range [0,%d)", s, n))
 		}
+		idx[k] = int32(s)
 	}
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	val := make([]float64, len(idx))
 	p := 1 / float64(len(states))
-	d, _ := build(n, func(v *sparse.Vec) error {
-		for _, s := range states {
-			v.Set(s, p)
-		}
-		return nil
-	})
-	return d
+	for k := range val {
+		val[k] = p
+	}
+	return &Distribution{p: sparse.Pack(n, idx, val)}
 }
 
 // WeightedOver builds a distribution from parallel state/weight slices,
-// normalizing the weights to sum to one.
+// listed in any order, normalizing the weights to sum to one. A state
+// listed twice gets the sum of its weights.
 func WeightedOver(n int, states []int, weights []float64) (*Distribution, error) {
 	if len(states) != len(weights) {
 		return nil, fmt.Errorf("markov: %d states but %d weights", len(states), len(weights))
@@ -96,28 +86,61 @@ func WeightedOver(n int, states []int, weights []float64) (*Distribution, error)
 			return nil, fmt.Errorf("markov: negative weight %g for state %d", weights[k], s)
 		}
 	}
-	return build(n, func(v *sparse.Vec) error {
-		for k, s := range states {
-			v.Add(s, weights[k])
-		}
-		if v.Normalize() == 0 {
-			return fmt.Errorf("markov: all weights zero")
-		}
-		return nil
-	})
+	idx, val := sparse.Merge(states, weights)
+	return WeightedSorted(n, idx, val)
 }
 
-// FromVec returns a distribution with v's entries, packed in v's mode
-// (see sparse.Vec.Pack). It copies: v is not retained.
-func FromVec(v *sparse.Vec) *Distribution { return &Distribution{p: v.Pack()} }
+// WeightedSorted is WeightedOver for columns that are already strictly
+// ascending states inside [0, n) with non-negative weights — an
+// observation frame's, as its decoder validated them. It adopts both
+// slices and normalizes the weights in place, summed in ascending state
+// order as every other read of the pdf is. Each weight is multiplied by
+// the sum's inverse, or divided by a subnormal sum, whose inverse
+// overflows; a sum that overflows leaves the pdf empty, as scaling a Vec
+// by zero does.
+func WeightedSorted(n int, states []int32, weights []float64) (*Distribution, error) {
+	sum := 0.0
+	for _, w := range weights {
+		sum += w
+	}
+	if sum == 0 {
+		return nil, fmt.Errorf("markov: all weights zero")
+	}
+	switch inv := 1 / sum; {
+	case inv == 0:
+		states, weights = nil, nil
+	case inv > math.MaxFloat64:
+		for k := range weights {
+			weights[k] /= sum
+		}
+	case sum > 0:
+		for k := range weights {
+			weights[k] *= inv
+		}
+	}
+	return &Distribution{p: sparse.Pack(n, states, weights)}, nil
+}
+
+// FromArray returns the distribution with mass p[i] on state i, adopting
+// p — no copy — when more than half of it is non-zero: the constructor
+// for a bulk-computed array (a smoothed posterior, a marginal, a
+// stationary distribution). The caller must not write p afterwards.
+func FromArray(p []float64) *Distribution { return &Distribution{p: sparse.PackDense(p)} }
 
 // FromColumns wraps a support column and its mass column as a
-// distribution over n states — adopting both slices, no copy — that
-// visits the entries in the given order. The caller warrants distinct
-// states inside [0, n) and must never write either slice afterwards; the
-// store's decoder makes each loaded pdf such a view over its slice of
-// the image's state and probability columns.
+// distribution over n states. Strictly ascending columns are adopted as
+// they are, no copy: the store's decoder makes each loaded pdf such a
+// view over its slice of the image's state and probability columns, and
+// the caller must never write either slice afterwards. Columns listed in
+// any other order are merged into fresh ones (sparse.Merge), a repeated
+// state's masses summed.
 func FromColumns(n int, states []int32, probs []float64) *Distribution {
+	for k := 1; k < len(states); k++ {
+		if states[k] <= states[k-1] {
+			idx, val := sparse.Merge(states, probs)
+			return &Distribution{p: sparse.Pack(n, idx, val)}
+		}
+	}
 	return &Distribution{p: sparse.AdoptSupport(n, states, probs)}
 }
 
@@ -139,7 +162,7 @@ func (d *Distribution) NumStates() int { return d.p.Len() }
 // vector Vec has materialized is not counted.
 func (d *Distribution) Bytes() int { return d.p.Bytes() }
 
-// NNZ returns the number of stored support entries (Vec.NNZ's count).
+// NNZ returns the number of stored support entries (sparse.Packed.NNZ).
 func (d *Distribution) NNZ() int { return d.p.NNZ() }
 
 // P returns the probability mass on state i.
@@ -152,30 +175,25 @@ func (d *Distribution) Mass() float64 { return d.p.Sum() }
 // Support returns the states carrying mass, ascending.
 func (d *Distribution) Support() []int { return d.p.Support() }
 
-// Range calls fn for every state carrying mass, in the distribution's
-// iteration order.
+// Range calls fn for every state carrying mass, ascending.
 func (d *Distribution) Range(fn func(state int, p float64)) { d.p.Range(fn) }
 
 // Dot returns the inner product with a score column of NumStates()
-// values, summed in the distribution's iteration order.
+// values, summed in ascending state order.
 func (d *Distribution) Dot(w []float64) float64 { return d.p.Dot(w) }
 
-// MassOn returns the mass on the member states of b.
+// MassOn returns the mass on the member states of b, summed in ascending
+// state order.
 func (d *Distribution) MassOn(b *sparse.Bitset) float64 { return d.p.MassOn(b) }
 
 // CopyTo overwrites v — a working vector of the same dimension — with
-// the distribution, in the mode and order its Vec would have.
+// the distribution, as a Vec filled with it in ascending order is left
+// (sparse.Packed.CopyTo).
 func (d *Distribution) CopyTo(v *sparse.Vec) { d.p.CopyTo(v) }
 
-// RangeAscending calls fn for every state carrying mass in ascending
-// state order, whatever the distribution's iteration order: the order
-// the store writes a pdf in. Only a sparse pdf whose support is not
-// ascending pays for a sorted copy.
-func (d *Distribution) RangeAscending(fn func(state int, p float64)) { d.p.RangeSorted(fn) }
-
 // Normalized returns the distribution scaled to unit mass (Vec.Normalize's
-// bits) and the mass before scaling. A zero distribution comes back
-// unchanged with mass 0.
+// bits on the same entries) and the mass before scaling. A zero
+// distribution comes back unchanged with mass 0.
 func (d *Distribution) Normalized() (*Distribution, float64) {
 	s := d.p.Sum()
 	if s <= 0 {
@@ -211,11 +229,11 @@ func (d *Distribution) Entropy() float64 {
 }
 
 // Mode returns the state with the largest mass and that mass. Ties break
-// toward the smallest state index for determinism.
+// toward the smallest state index: the first one the ascending walk meets.
 func (d *Distribution) Mode() (state int, p float64) {
 	state = -1
 	d.p.Range(func(i int, x float64) {
-		if x > p || (x == p && i < state) {
+		if x > p {
 			state, p = i, x
 		}
 	})
@@ -225,7 +243,7 @@ func (d *Distribution) Mode() (state int, p float64) {
 // String renders the distribution compactly, ascending by state.
 func (d *Distribution) String() string {
 	out := "["
-	d.RangeAscending(func(i int, p float64) {
+	d.p.Range(func(i int, p float64) {
 		if len(out) > 1 {
 			out += " "
 		}

@@ -2,9 +2,8 @@ package markov
 
 import (
 	"math"
+	"slices"
 	"testing"
-
-	"ust/internal/sparse"
 )
 
 func TestPointDistribution(t *testing.T) {
@@ -99,8 +98,22 @@ func TestWeightedOverDuplicateStatesAccumulate(t *testing.T) {
 	}
 }
 
+// TestWeightedOverSubnormalWeights: weights whose sum is subnormal,
+// whose inverse overflows, are divided by the sum instead, so the pdf is
+// finite with unit mass where scaling by the inverse gave +Inf.
+func TestWeightedOverSubnormalWeights(t *testing.T) {
+	tiny := math.Ldexp(1, -1070)
+	d, err := WeightedOver(4, []int{3, 1}, []float64{3 * tiny, tiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.P(1) != 0.25 || d.P(3) != 0.75 || d.Mass() != 1 {
+		t.Errorf("P(1) %g, P(3) %g, mass %g; want 0.25, 0.75, 1", d.P(1), d.P(3), d.Mass())
+	}
+}
+
 func TestValidateDetectsNonUnitMass(t *testing.T) {
-	d := FromVec(sparse.NewVecFrom([]float64{0.5, 0, 0}))
+	d := FromArray([]float64{0.5, 0, 0})
 	if err := d.Validate(1e-9); err == nil {
 		t.Error("half-mass distribution validated")
 	}
@@ -119,16 +132,70 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestFromVecCopies(t *testing.T) {
-	v := sparse.NewVec(3)
-	v.Set(2, 1)
-	d := FromVec(v)
-	if d.P(2) != 1 {
-		t.Error("FromVec lost data")
+// TestFromArray pins the dense-array constructor's one form: past half
+// non-zero it adopts the array as the full column, otherwise it keeps
+// the ascending non-zeros in fresh columns, the array not retained.
+func TestFromArray(t *testing.T) {
+	sparseIn := []float64{0, 0.25, 0, 0.75}
+	d := FromArray(sparseIn)
+	sparseIn[1] = 0.5
+	if d.P(1) != 0.25 || d.NNZ() != 2 || d.Bytes() != 24 {
+		t.Errorf("sparse: P(1) %g, NNZ %d, %d bytes; want 0.25, 2, 24", d.P(1), d.NNZ(), d.Bytes())
 	}
-	v.Set(2, 0.5)
-	if d.P(2) != 1 {
-		t.Error("FromVec should not retain v")
+	full := []float64{0.5, 0, 0.25, 0.25}
+	d = FromArray(full)
+	if d.Bytes() != 32 || d.NNZ() != 3 || d.Mass() != 1 {
+		t.Errorf("full: %d bytes, NNZ %d, mass %g; want 32, 3, 1", d.Bytes(), d.NNZ(), d.Mass())
+	}
+	if got := d.Support(); !slices.Equal(got, []int{0, 2, 3}) {
+		t.Errorf("full: Support %v", got)
+	}
+}
+
+// TestBuildersListOrderFree builds one pdf from its states listed
+// ascending, descending and shuffled with a repeat, through every
+// builder that takes a list: each visits the states ascending, with the
+// same bits.
+func TestBuildersListOrderFree(t *testing.T) {
+	type entry struct {
+		s int
+		p float64
+	}
+	visits := func(d *Distribution) []entry {
+		var out []entry
+		d.Range(func(s int, p float64) { out = append(out, entry{s, p}) })
+		return out
+	}
+	states := [][]int{{1, 3, 6, 8}, {8, 6, 3, 1}, {6, 1, 8, 3, 6}}
+	weights := [][]float64{{0.125, 0.25, 0.375, 0.875}, {0.875, 0.375, 0.25, 0.125}, {0.25, 0.125, 0.875, 0.25, 0.125}}
+	var wantW, wantU, wantC []entry
+	for k := range states {
+		w, err := WeightedOver(10, states[k], weights[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := UniformOver(10, states[k][:4])
+		idx := make([]int32, len(states[k]))
+		for j, s := range states[k] {
+			idx[j] = int32(s)
+		}
+		c := FromColumns(10, idx, slices.Clone(weights[k]))
+		if k == 0 {
+			wantW, wantU, wantC = visits(w), visits(u), visits(c)
+			if !slices.IsSortedFunc(wantW, func(a, b entry) int { return a.s - b.s }) {
+				t.Fatalf("ascending build visits %v", wantW)
+			}
+			continue
+		}
+		if got := visits(w); !slices.Equal(got, wantW) {
+			t.Errorf("WeightedOver %v: %v, want %v", states[k], got, wantW)
+		}
+		if got := visits(u); !slices.Equal(got, wantU) {
+			t.Errorf("UniformOver %v: %v, want %v", states[k][:4], got, wantU)
+		}
+		if got := visits(c); !slices.Equal(got, wantC) {
+			t.Errorf("FromColumns %v: %v, want %v", states[k], got, wantC)
+		}
 	}
 }
 

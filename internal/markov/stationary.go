@@ -37,7 +37,7 @@ func Stationary(c *Chain, maxIter int, tol float64) (*Distribution, int, error) 
 		c.Step(next, cur)
 		if l1Dist(cur, next) < tol {
 			next.Normalize()
-			return FromVec(next), iter, nil
+			return FromArray(next.RawData()), iter, nil
 		}
 		cur, next = next, cur
 	}

@@ -521,38 +521,46 @@ func (s *Service) handleTrack(w http.ResponseWriter, r *http.Request) {
 // readIngest reads the body of an observe or objects request: an object
 // id and its observations, grounded against the named dataset's state
 // space. A body that declares wire.ObservationFrameType is an
-// observation frame; any other is JSON, which fromJSON decodes. Both
-// build every pdf through toObservation, so a frame and its JSON twin
-// ingest the same bits.
+// observation frame, whose decoder hands over each pdf's ascending
+// states and probabilities validated, ready for markov.WeightedSorted;
+// any other is JSON, which fromJSON decodes and toObservation builds
+// through markov.WeightedOver. Both normalize the same entries in the
+// same ascending order, so a frame and its JSON twin ingest the same
+// bits.
 func (s *Service) readIngest(w http.ResponseWriter, r *http.Request, name string,
 	fromJSON func(body []byte) (int, []wire.Observation, error)) (int, []core.Observation, error) {
 	body, err := readUpload(w, r, maxRequestBody)
 	if err != nil {
 		return 0, nil, err
 	}
-	var id int
-	var wobs []wire.Observation
-	frame := isObservationFrame(r)
-	if !frame {
-		// JSON needs no state space: a malformed body is a 400 before
-		// the dataset is looked up, as it always was.
-		if id, wobs, err = fromJSON(body); err != nil {
+	if isObservationFrame(r) {
+		info, err := s.Info(name)
+		if err != nil {
 			return 0, nil, err
 		}
-	}
-	info, err := s.Info(name)
-	if err != nil {
-		return 0, nil, err
-	}
-	if frame {
 		f, err := store.DecodeObservationFrame(body, info.States)
 		if err != nil {
 			return 0, nil, err
 		}
-		id = f.Object
-		for _, fo := range f.Observations {
-			wobs = append(wobs, wire.Observation{Time: fo.Time, States: fo.States, Probs: fo.Probs})
+		obs := make([]core.Observation, len(f.Observations))
+		for i, fo := range f.Observations {
+			pdf, err := markov.WeightedSorted(info.States, fo.States, fo.Probs)
+			if err != nil {
+				return 0, nil, fmt.Errorf("%w: %v", wire.ErrDecode, err)
+			}
+			obs[i] = core.Observation{Time: fo.Time, PDF: pdf}
 		}
+		return f.Object, obs, nil
+	}
+	// JSON needs no state space: a malformed body is a 400 before the
+	// dataset is looked up, as it always was.
+	id, wobs, err := fromJSON(body)
+	if err != nil {
+		return 0, nil, err
+	}
+	info, err := s.Info(name)
+	if err != nil {
+		return 0, nil, err
 	}
 	obs := make([]core.Observation, len(wobs))
 	for i, wo := range wobs {

@@ -13,18 +13,28 @@ import (
 // cares about, to byte-identical results against a single engine over
 // the same database — the whole point of the merge layer. Serial
 // Monte-Carlo is exempt by documented design (per-object seeding); the
-// seeded MC cases cover sampling.
+// seeded MC cases cover sampling. The unordered dataset, whose pdfs are
+// built from states listed out of order, is held to the same bits.
 func TestShardedConformance(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db, res := conformance.NewDataset()
-			ref := core.NewEngine(db, core.Options{})
-			router, err := New(db, shards, core.Options{})
-			if err != nil {
-				t.Fatal(err)
+		for _, unordered := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d", shards)
+			if unordered {
+				name = "unordered/" + name
 			}
-			conformance.Verify(t, res, ref, router, conformance.Options{SkipSerialMC: true})
-		})
+			t.Run(name, func(t *testing.T) {
+				db, res := conformance.NewDataset()
+				if unordered {
+					db = conformance.NewUnorderedDataset()
+				}
+				ref := core.NewEngine(db, core.Options{})
+				router, err := New(db, shards, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				conformance.Verify(t, res, ref, router, conformance.Options{SkipSerialMC: true})
+			})
+		}
 	}
 }
 

@@ -129,25 +129,3 @@ func TestBoolMatVecAll(t *testing.T) {
 			dst.Has(0), dst.Has(1), dst.Has(2))
 	}
 }
-
-func TestVecPoolReuse(t *testing.T) {
-	var p VecPool
-	v := p.Get(16)
-	v.Set(3, 1)
-	p.Put(v)
-	w := p.Get(16)
-	if w.NNZ() != 0 || w.Sum() != 0 {
-		t.Fatalf("pooled vector not zeroed: %v", w)
-	}
-	// Different dimension must not hand back the same backing array.
-	u := p.Get(8)
-	if u.Len() != 8 {
-		t.Fatalf("Get(8).Len() = %d", u.Len())
-	}
-	var nilPool *VecPool
-	nv := nilPool.Get(4)
-	if nv.Len() != 4 {
-		t.Fatalf("nil pool Get failed")
-	}
-	nilPool.Put(nv) // must not panic
-}

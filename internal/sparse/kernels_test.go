@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 )
 
@@ -163,34 +162,4 @@ func TestTrimKeepsValue(t *testing.T) {
 		t.Fatalf("Trim left a support list of capacity %d on a dense vector", cap(dst.supp))
 	}
 	sameRepr(t, "Trim", dst, want)
-}
-
-// TestPoolsConcurrentFirstUse hammers the vector pool from many
-// goroutines over a handful of dimensions, first uses included: every Get
-// must return a zeroed vector of the asked dimension whoever created the
-// dimension's pool. Run under -race (make race does).
-func TestPoolsConcurrentFirstUse(t *testing.T) {
-	var vp VecPool
-	dims := []int{3, 17, 64, 300, 1024}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for it := 0; it < 400; it++ {
-				n := dims[rng.Intn(len(dims))]
-				v := vp.Get(n)
-				if v.Len() != n || v.NNZ() != 0 || v.Dense() || v.Sum() != 0 {
-					t.Errorf("VecPool.Get(%d): len %d, nnz %d, dense %v", n, v.Len(), v.NNZ(), v.Dense())
-					return
-				}
-				for k := 0; k < n; k += 1 + rng.Intn(3) {
-					v.Set(k, 1)
-				}
-				vp.Put(v)
-			}
-		}(g)
-	}
-	wg.Wait()
 }

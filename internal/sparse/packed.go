@@ -1,73 +1,96 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Packed is a read-only vector stored as its support: an index column and
 // a value column, with no backing array of length Len(). It is the shape
 // of a stored probability distribution — an observation pdf over a large
-// state space usually has a handful of non-zeros — and its operations
-// reproduce, bit for bit, what a Vec holding the same entries in the same
-// mode would compute.
+// state space usually has a handful of non-zeros.
 //
-// A Packed remembers the mode of the Vec it stands for. A sparse-mode one
-// iterates its index column in order (a Vec's support-list order); a
-// dense-mode one iterates ascending, and above half of Len() non-zeros it
-// stores all Len() values and no index column, so a full-support pdf does
-// not cost more than the dense array it replaces.
+// A Packed has one order: its index column is strictly ascending, and
+// every operation visits, sums and copies its entries in ascending index
+// order. Two Packed holding the same entries therefore give the same bits
+// from every operation, however their entries were listed when they were
+// built. The builders (Pack, PackDense, Merge) store all Len() values and
+// no index column once more than half of them are non-zero, so a
+// full-support pdf does not cost more than the dense array it replaces;
+// AdoptSupport keeps the columns it is handed. Both forms visit the same
+// entries in the same order.
 //
 // The zero value is an empty vector of dimension 0. Slices handed to
-// AdoptSupport, and those a Packed allocates, are never written after
-// construction, so copies of a Packed share them safely.
+// AdoptSupport and Pack, and those a Packed allocates, are never written
+// after construction, so copies of a Packed share them safely.
 type Packed struct {
 	n   int
-	idx []int32   // support in iteration order; nil when full
+	idx []int32   // ascending support; nil when full
 	val []float64 // values parallel to idx, or all n values when full
-	// dense: iterates ascending, as a dense-mode Vec does.
-	dense bool
-	// full: val holds all n values.
-	full bool
-	// sorted: idx is ascending (At binary-searches it).
-	sorted bool
 }
 
+// full reports whether val holds all n values: only then do the two
+// columns differ in length.
+func (p Packed) full() bool { return len(p.idx) != len(p.val) }
+
 // AdoptSupport wraps an index column and its value column — taking
-// ownership, no copy — as a sparse-mode packed vector of dimension n that
-// iterates the entries in the given order. The caller warrants that the
-// indices are distinct and inside [0, n) and must not write either slice
-// afterwards; the store's columnar decoder hands over slices of an
-// image's state and probability columns this way.
+// ownership, no copy — as a packed vector of dimension n. The indices
+// must be strictly ascending and inside [0, n); the caller must not write
+// either slice afterwards. The store's columnar decoder hands over slices
+// of an image's state and probability columns this way.
 func AdoptSupport(n int, idx []int32, val []float64) Packed {
 	if len(idx) != len(val) {
 		panic(fmt.Sprintf("sparse: AdoptSupport with %d indices and %d values", len(idx), len(val)))
 	}
-	return Packed{n: n, idx: idx, val: val, sorted: slices.IsSorted(idx)}
+	for k, i := range idx {
+		if i < 0 || int(i) >= n || (k > 0 && i <= idx[k-1]) {
+			panic(fmt.Sprintf("sparse: support %v is not strictly ascending inside [0,%d)", idx, n))
+		}
+	}
+	return Packed{n: n, idx: idx, val: val}
 }
 
-// Pack returns a copy of v's entries as a Packed in v's mode: a
-// sparse-mode v keeps its support-list order (stale zero entries
-// included, as NNZ counts them), a dense-mode one is stored ascending —
-// as all Len() values when more than half of them are non-zero, as its
-// non-zeros otherwise. v is not retained.
-func (v *Vec) Pack() Packed {
-	n := len(v.data)
-	if !v.dense {
-		p := Packed{n: n, idx: make([]int32, len(v.supp)), val: make([]float64, len(v.supp))}
-		for k, i := range v.supp {
-			p.idx[k], p.val[k] = int32(i), v.data[i]
+// Pack is AdoptSupport for a builder's own fresh columns: it drops the
+// zero entries, and stores all n values instead when more than half of
+// them are non-zero. Both slices may be reused for the result.
+func Pack(n int, idx []int32, val []float64) Packed {
+	k := 0
+	for j, x := range val {
+		if x != 0 {
+			idx[k], val[k] = idx[j], x
+			k++
 		}
-		p.sorted = slices.IsSorted(p.idx)
+	}
+	p := AdoptSupport(n, idx[:k], val[:k])
+	if 2*k <= n {
 		return p
 	}
-	nnz := v.NNZ()
-	if 2*nnz > n {
-		return Packed{n: n, val: append([]float64(nil), v.data...), dense: true, full: true, sorted: true}
+	if k == n { // every index present: val is the full column already
+		return Packed{n: n, val: p.val}
 	}
-	p := Packed{n: n, idx: make([]int32, 0, nnz), val: make([]float64, 0, nnz), dense: true, sorted: true}
-	for i, x := range v.data {
+	full := make([]float64, n)
+	for j, i := range p.idx {
+		full[i] = p.val[j]
+	}
+	return Packed{n: n, val: full}
+}
+
+// PackDense returns the non-zero entries of data as a packed vector of
+// dimension len(data), adopting data itself as the full column when more
+// than half of it is non-zero. The caller must not write data afterwards.
+func PackDense(data []float64) Packed {
+	nnz := 0
+	for _, x := range data {
+		if x != 0 {
+			nnz++
+		}
+	}
+	if 2*nnz > len(data) {
+		return Packed{n: len(data), val: data}
+	}
+	p := Packed{n: len(data), idx: make([]int32, 0, nnz), val: make([]float64, 0, nnz)}
+	for i, x := range data {
 		if x != 0 {
 			p.idx = append(p.idx, int32(i))
 			p.val = append(p.val, x)
@@ -76,22 +99,42 @@ func (v *Vec) Pack() Packed {
 	return p
 }
 
+// Merge sorts entries listed in any order, with repeats, into fresh
+// strictly ascending columns for Pack: a repeated index's values are
+// summed in the order given. The indices must be inside int32's range;
+// idx and val are not retained.
+func Merge[I int | int32](idx []I, val []float64) ([]int32, []float64) {
+	type entry struct {
+		i int32
+		x float64
+	}
+	es := make([]entry, len(idx))
+	for k, i := range idx {
+		es[k] = entry{int32(i), val[k]}
+	}
+	slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.i, b.i) })
+	outIdx, outVal := make([]int32, 0, len(es)), make([]float64, 0, len(es))
+	for _, e := range es {
+		if k := len(outIdx) - 1; k >= 0 && outIdx[k] == e.i {
+			outVal[k] += e.x
+			continue
+		}
+		outIdx, outVal = append(outIdx, e.i), append(outVal, e.x)
+	}
+	return outIdx, outVal
+}
+
 // Len returns the dimension of the vector.
 func (p Packed) Len() int { return p.n }
 
 // Bytes is the memory p's columns hold: 8 bytes a value when full, 12
 // an entry (a 4-byte index and an 8-byte value) otherwise.
-func (p Packed) Bytes() int {
-	if p.full {
-		return 8 * len(p.val)
-	}
-	return 12 * len(p.idx)
-}
+func (p Packed) Bytes() int { return 4*len(p.idx) + 8*len(p.val) }
 
-// NNZ returns what Vec.NNZ returns for the same vector: the index
-// column's length, or a count of the non-zero values when full.
+// NNZ returns the number of stored entries: the index column's length,
+// or a count of the non-zero values when full.
 func (p Packed) NNZ() int {
-	if !p.full {
+	if !p.full() {
 		return len(p.idx)
 	}
 	n := 0
@@ -103,34 +146,23 @@ func (p Packed) NNZ() int {
 	return n
 }
 
-// At returns the value at index i: O(1) when full, O(log nnz) over an
-// ascending index column, O(nnz) otherwise.
+// At returns the value at index i: O(1) when full, O(log nnz) otherwise.
 func (p Packed) At(i int) float64 {
 	if i < 0 || i >= p.n {
 		panic(fmt.Sprintf("sparse: index %d out of range [0,%d)", i, p.n))
 	}
-	if p.full {
+	if p.full() {
 		return p.val[i]
 	}
-	if p.sorted {
-		if k, ok := slices.BinarySearch(p.idx, int32(i)); ok {
-			return p.val[k]
-		}
-		return 0
-	}
-	for k, j := range p.idx {
-		if int(j) == i {
-			return p.val[k]
-		}
+	if k, ok := slices.BinarySearch(p.idx, int32(i)); ok {
+		return p.val[k]
 	}
 	return 0
 }
 
-// Range calls fn for every non-zero entry, in the order Vec.Range visits
-// the same vector: index-column order in sparse mode, ascending in dense
-// mode.
+// Range calls fn for every non-zero entry in ascending index order.
 func (p Packed) Range(fn func(i int, x float64)) {
-	if p.full {
+	if p.full() {
 		for i, x := range p.val {
 			if x != 0 {
 				fn(i, x)
@@ -145,7 +177,7 @@ func (p Packed) Range(fn func(i int, x float64)) {
 	}
 }
 
-// Sum returns the total mass, summed in iteration order.
+// Sum returns the total mass, summed in ascending index order.
 func (p Packed) Sum() float64 {
 	s := 0.0
 	for _, x := range p.val {
@@ -155,9 +187,9 @@ func (p Packed) Sum() float64 {
 }
 
 // Dot returns the inner product with a column of Len() values, summed in
-// p's iteration order: p drives, whatever the column holds. A dense-mode p
-// walks ascending, so against a column it sums the same non-zero products
-// in the same order as an ascending walk of the column's non-zeros would.
+// ascending index order over p's non-zeros: p drives, whatever the column
+// holds, so the sum is also the ascending sum over the column's non-zero
+// products.
 func (p Packed) Dot(w []float64) float64 {
 	if p.n != len(w) {
 		panic(fmt.Sprintf("sparse: Dot dimension mismatch %d != %d", p.n, len(w)))
@@ -168,7 +200,7 @@ func (p Packed) Dot(w []float64) float64 {
 }
 
 // MassOn returns the mass of p on the member states of b, summed in
-// iteration order.
+// ascending index order.
 func (p Packed) MassOn(b *Bitset) float64 {
 	if p.n != b.n {
 		panic(fmt.Sprintf("sparse: MassOn dimension mismatch %d != %d", p.n, b.n))
@@ -182,40 +214,33 @@ func (p Packed) MassOn(b *Bitset) float64 {
 	return s
 }
 
-// CopyTo overwrites v with p's entries, leaving v in the state
-// v.CopyFrom would leave it in from the Vec p stands for: the same mode
-// and, in sparse mode, the same support-list order.
+// CopyTo overwrites v with p's entries, leaving v as a Vec filled with
+// them in ascending order is left: dense past DenseThreshold·Len()
+// non-zeros, its ascending support list otherwise.
 func (p Packed) CopyTo(v *Vec) {
 	if v.Len() != p.n {
 		panic(fmt.Sprintf("sparse: CopyTo dimension mismatch %d != %d", v.Len(), p.n))
 	}
 	v.Reset()
-	if p.full {
+	if p.full() {
 		copy(v.data, p.val)
 		v.dense = true
 		return
 	}
 	for k, i := range p.idx {
-		v.data[i] = p.val[k]
-	}
-	if p.dense {
-		v.dense = true
-		return
-	}
-	for _, i := range p.idx {
-		v.supp = append(v.supp, int(i))
+		v.Set(int(i), p.val[k])
 	}
 }
 
-// Scaled returns p with every value multiplied by c, in p's mode and
-// order (Vec.Scale's products); the index column is shared. c must not be
-// negative; scaling by zero gives the empty vector, as Scale resets.
+// Scaled returns p with every value multiplied by c (Vec.Scale's
+// products); the index column is shared. c must not be negative; scaling
+// by zero gives the empty vector, as Scale resets.
 func (p Packed) Scaled(c float64) Packed {
 	if c < 0 {
 		panic("sparse: Scaled by negative factor on non-negative vector")
 	}
 	if c == 0 {
-		return Packed{n: p.n, sorted: true}
+		return Packed{n: p.n}
 	}
 	q := p
 	q.val = make([]float64, len(p.val))
@@ -225,11 +250,11 @@ func (p Packed) Scaled(c float64) Packed {
 	return q
 }
 
-// Vec returns a new Vec holding p's entries in p's mode — except that a
-// full p hands out its value column as the Vec's backing array, which
-// the caller must therefore treat as read-only.
+// Vec returns a new Vec holding p's entries as CopyTo leaves them —
+// except that a full p hands out its value column as the Vec's backing
+// array, which the caller must therefore treat as read-only.
 func (p Packed) Vec() *Vec {
-	if p.full {
+	if p.full() {
 		return &Vec{data: p.val, dense: true}
 	}
 	v := NewVec(p.n)
@@ -242,38 +267,5 @@ func (p Packed) Vec() *Vec {
 func (p Packed) Support() []int {
 	var out []int
 	p.Range(func(i int, _ float64) { out = append(out, i) })
-	if !p.sorted {
-		sort.Ints(out)
-	}
 	return out
-}
-
-// RangeSorted calls fn for every non-zero entry in ascending index
-// order: Range's own order, except for a sparse-mode vector whose index
-// column is not ascending, which it first sorts into a copy.
-func (p Packed) RangeSorted(fn func(i int, x float64)) {
-	if p.sorted {
-		p.Range(fn)
-		return
-	}
-	b := byIndex{slices.Clone(p.idx), slices.Clone(p.val)}
-	sort.Sort(b)
-	for k, i := range b.idx {
-		if x := b.val[k]; x != 0 {
-			fn(int(i), x)
-		}
-	}
-}
-
-// byIndex sorts an index column and its value column together.
-type byIndex struct {
-	idx []int32
-	val []float64
-}
-
-func (b byIndex) Len() int           { return len(b.idx) }
-func (b byIndex) Less(i, j int) bool { return b.idx[i] < b.idx[j] }
-func (b byIndex) Swap(i, j int) {
-	b.idx[i], b.idx[j] = b.idx[j], b.idx[i]
-	b.val[i], b.val[j] = b.val[j], b.val[i]
 }

@@ -46,62 +46,92 @@ func randomColumn(rng *rand.Rand, n int) []float64 {
 	return col
 }
 
-// TestPackedMatchesVec holds every Packed operation to the bits the Vec
-// it was packed from produces: iteration order, sums, masses on a mask
-// and the state CopyTo leaves a working vector in. Dot against a score
-// column sums in the pdf's iteration order, whatever the mode — sparse
-// in insertion order, sparse ascending, dense, full — and for a
-// dense-mode pdf that is also the ascending sum over the column's
-// non-zeros, the order in which a sparse score vector drove the dot.
+// ascendingTwin is the Vec a pdf with v's entries is read as: the same
+// non-zero values, set in ascending index order (dense past
+// DenseThreshold, its ascending support list otherwise).
+func ascendingTwin(v *Vec) *Vec {
+	w := NewVec(v.Len())
+	for i, x := range v.data {
+		if x != 0 {
+			w.Set(i, x)
+		}
+	}
+	return w
+}
+
+// TestPackedMatchesVec holds every Packed operation to the bits of a Vec
+// filled with the same entries in ascending order, whatever order the
+// entries were listed in: iteration order, sums, masses on a mask, the
+// state CopyTo leaves a working vector in, and the one form every
+// builder gives (full past half non-zero, the ascending support
+// otherwise). Dot against a score column sums in ascending order over
+// p's non-zeros, which is also the ascending sum over the column's
+// non-zero products.
 func TestPackedMatchesVec(t *testing.T) {
-	modes := map[string]bool{}
+	forms := map[string]bool{}
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(60)
 		v := randomVec(rng, n)
-		p := v.Pack()
+		asc := ascendingTwin(v)
+		p := PackDense(v.DenseData())
 
-		if p.Len() != n || p.NNZ() != v.NNZ() || p.dense != v.Dense() {
-			t.Fatalf("seed %d: len/nnz/dense %d/%d/%v, want %d/%d/%v",
-				seed, p.Len(), p.NNZ(), p.dense, n, v.NNZ(), v.Dense())
+		// The same entries listed in v's insertion order, one of them
+		// split in two and a zero weight added, merge to the same pdf.
+		var idx []int
+		var val []float64
+		v.Range(func(i int, x float64) { idx, val = append(idx, i), append(val, x) })
+		if len(idx) > 0 && rng.Intn(2) == 0 {
+			k := rng.Intn(len(idx))
+			half := val[k] / 2
+			if half+half == val[k] {
+				val[k] = half
+				idx, val = append(idx, idx[k]), append(val, half)
+			}
 		}
-		if want := v.Dense() && 2*v.NNZ() > n; p.full != want {
-			t.Fatalf("seed %d: full = %v, want %v", seed, p.full, want)
+		idx, val = append(idx, rng.Intn(n)), append(val, 0)
+		mi, mv := Merge(idx, val)
+		if q := Pack(n, mi, mv); !slices.Equal(entries(q.Range), entries(p.Range)) || q.full() != p.full() {
+			t.Fatalf("seed %d: Pack(Merge) visits %v (full %v), PackDense %v (full %v)",
+				seed, entries(q.Range), q.full(), entries(p.Range), p.full())
 		}
-		if got, want := entries(p.Range), entries(v.Range); !slices.Equal(got, want) {
+
+		if p.Len() != n || p.NNZ() != asc.NNZ() {
+			t.Fatalf("seed %d: len/nnz %d/%d, want %d/%d", seed, p.Len(), p.NNZ(), n, asc.NNZ())
+		}
+		if want := 2*asc.NNZ() > n; p.full() != want {
+			t.Fatalf("seed %d: full = %v, want %v", seed, p.full(), want)
+		}
+		if got, want := entries(p.Range), entries(asc.Range); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: Range visits %v, want %v", seed, got, want)
 		}
-		sameBits(t, "Sum", p.Sum(), v.Sum())
+		sameBits(t, "Sum", p.Sum(), asc.Sum())
 		for i := 0; i < n; i++ {
-			sameBits(t, "At", p.At(i), v.At(i))
+			sameBits(t, "At", p.At(i), asc.At(i))
 		}
 		if got, want := p.Support(), v.Support(); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: Support %v, want %v", seed, got, want)
 		}
 		switch {
-		case p.full:
-			modes["full"] = true
-		case p.dense:
-			modes["dense"] = true
-		case slices.IsSorted(p.idx):
-			modes["sparse ascending"] = true
+		case p.full():
+			forms["full"] = true
+		case asc.Dense():
+			forms["support, copied dense"] = true
 		default:
-			modes["sparse insertion order"] = true
+			forms["support, copied sparse"] = true
 		}
 		for trial := 0; trial < 4; trial++ {
 			col := randomColumn(rng, n)
 			inOrder := 0.0
-			v.Range(func(i int, x float64) { inOrder += x * col[i] })
+			asc.Range(func(i int, x float64) { inOrder += x * col[i] })
 			sameBits(t, "Dot", p.Dot(col), inOrder)
-			if p.dense {
-				byColumn := 0.0
-				for i, c := range col {
-					if c != 0 {
-						byColumn += c * v.At(i)
-					}
+			byColumn := 0.0
+			for i, c := range col {
+				if c != 0 {
+					byColumn += c * v.At(i)
 				}
-				sameBits(t, "Dot by column", p.Dot(col), byColumn)
 			}
+			sameBits(t, "Dot by column", p.Dot(col), byColumn)
 			mask := NewBitset(n)
 			for i := 0; i < n; i++ {
 				if rng.Intn(2) == 0 {
@@ -109,7 +139,7 @@ func TestPackedMatchesVec(t *testing.T) {
 				}
 			}
 			onMask := 0.0
-			v.Range(func(i int, x float64) {
+			asc.Range(func(i int, x float64) {
 				if mask.Has(i) {
 					onMask += x
 				}
@@ -117,53 +147,52 @@ func TestPackedMatchesVec(t *testing.T) {
 			sameBits(t, "MassOn", p.MassOn(mask), onMask)
 		}
 
-		got, want := randomVec(rng, n), NewVec(n)
-		want.CopyFrom(got) // the same dirty destination on both sides
+		got := randomVec(rng, n) // a dirty destination
 		p.CopyTo(got)
-		want.CopyFrom(v)
-		sameRepr(t, "CopyTo", got, want)
-		sameRepr(t, "Vec", p.Vec(), want)
+		sameRepr(t, "CopyTo", got, asc)
+		sameRepr(t, "Vec", p.Vec(), asc)
 
 		c := float64(1+rng.Intn(9)) / 7
-		scaled := v.Clone()
+		scaled := asc.Clone()
 		scaled.Scale(c)
 		if got, want := entries(p.Scaled(c).Range), entries(scaled.Range); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: Scaled visits %v, want %v", seed, got, want)
 		}
-
-		var ascending [][2]uint64
-		for _, i := range v.Support() {
-			ascending = append(ascending, [2]uint64{uint64(i), math.Float64bits(v.At(i))})
-		}
-		if got := entries(p.RangeSorted); !slices.Equal(got, ascending) {
-			t.Fatalf("seed %d: RangeSorted visits %v, want %v", seed, got, ascending)
-		}
 	}
-	if len(modes) != 4 {
-		t.Fatalf("the draws cover only the modes %v", modes)
+	if len(forms) != 3 {
+		t.Fatalf("the draws cover only the forms %v", forms)
 	}
 }
 
-// TestAdoptSupportKeepsOrder pins the view constructor: the entries are
-// visited in the order given, ascending or not, and a Vec built from
-// them the same way (sparse mode, that support list) agrees bit for bit.
+// TestAdoptSupportKeepsOrder pins the view constructor: strictly
+// ascending columns are adopted as they are, no copy and no dense
+// column even past half non-zero, and visited in that order; columns in
+// any other order, or outside [0, n), are refused.
 func TestAdoptSupportKeepsOrder(t *testing.T) {
-	idx := []int32{7, 2, 9}
-	val := []float64{0.1, 0.3, 0.6}
+	idx := []int32{2, 7, 8, 9}
+	val := []float64{0.3, 0.1, 0, 0.6}
 	p := AdoptSupport(10, idx, val)
-	ref := &Vec{data: make([]float64, 10), supp: []int{7, 2, 9}}
-	for k, i := range idx {
-		ref.data[i] = val[k]
+	if &p.idx[0] != &idx[0] || &p.val[0] != &val[0] || p.full() {
+		t.Fatal("AdoptSupport copied its columns")
 	}
-	if got, want := entries(p.Range), entries(ref.Range); !slices.Equal(got, want) {
+	want := [][2]uint64{{2, math.Float64bits(0.3)}, {7, math.Float64bits(0.1)}, {9, math.Float64bits(0.6)}}
+	if got := entries(p.Range); !slices.Equal(got, want) {
 		t.Fatalf("Range visits %v, want %v", got, want)
 	}
-	w := NewVecFrom([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	sameBits(t, "Dot", p.Dot(w.RawData()), ref.Dot(w))
-	if p.At(2) != 0.3 || p.At(3) != 0 {
-		t.Fatalf("At(2), At(3) = %v, %v", p.At(2), p.At(3))
+	if p.At(2) != 0.3 || p.At(3) != 0 || p.NNZ() != 4 {
+		t.Fatalf("At(2), At(3), NNZ = %v, %v, %d", p.At(2), p.At(3), p.NNZ())
 	}
-	if got := p.Support(); !slices.Equal(got, []int{2, 7, 9}) {
-		t.Fatalf("Support = %v", got)
+	if got := AdoptSupport(4, []int32{0, 1, 2}, []float64{1, 1, 1}); got.full() || got.Bytes() != 36 {
+		t.Fatalf("a view past half non-zero: full %v, %d bytes", got.full(), got.Bytes())
+	}
+	for name, bad := range map[string][]int32{"descending": {7, 2}, "repeated": {2, 2}, "outside": {2, 10}, "negative": {-1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s support %v adopted", name, bad)
+				}
+			}()
+			AdoptSupport(10, bad, []float64{0.5, 0.5})
+		}()
 	}
 }

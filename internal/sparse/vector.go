@@ -45,13 +45,6 @@ func NewVec(n int) *Vec {
 	return &Vec{data: make([]float64, n)}
 }
 
-// AdoptDense wraps data — taking ownership, no copy — as a dense-mode
-// vector: the O(1) constructor for a bulk-computed array (the smoothed
-// posterior packs one). The caller must not touch data afterwards.
-func AdoptDense(data []float64) *Vec {
-	return &Vec{data: data, dense: true}
-}
-
 // NewVecFrom returns a vector with a copy of the given dense data.
 func NewVecFrom(data []float64) *Vec {
 	v := NewVec(len(data))
@@ -138,7 +131,7 @@ func (v *Vec) Reset() {
 
 // Trim releases storage a vector keeps only for reuse as scratch: a
 // vector that turns dense keeps its support list's capacity, so that the
-// next Reset-and-refill of a pooled vector grows nothing. Call it
+// next Reset-and-refill of a recycled vector grows nothing. Call it
 // on a vector that is retained instead of recycled (Chain.Advance's result).
 func (v *Vec) Trim() {
 	if v.dense {

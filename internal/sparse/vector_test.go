@@ -82,7 +82,7 @@ func TestVecDensify(t *testing.T) {
 
 // TestVecRefillAfterDensifyAllocatesNothing pins that a vector which
 // turned dense keeps its support list's capacity: a recycled scratch
-// vector (VecPool.Put resets it) refilled with a full-support pdf grows
+// vector (Reset) refilled with a full-support pdf grows
 // nothing, where a support list dropped at every densify regrew by
 // append doubling on every refill.
 func TestVecRefillAfterDensifyAllocatesNothing(t *testing.T) {

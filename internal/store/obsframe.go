@@ -34,10 +34,11 @@ type ObservationFrame struct {
 }
 
 // FrameObservation is one observation of a frame: a time, the support
-// state ids ascending, and the probability on each.
+// state ids strictly ascending inside the receiver's state space, and
+// the probability on each — finite and non-negative, unnormalized.
 type FrameObservation struct {
 	Time   int
-	States []int
+	States []int32
 	Probs  []float64
 }
 
@@ -45,9 +46,7 @@ type FrameObservation struct {
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // EncodeObservationFrame returns obs as the observation frame of object
-// id. Each pdf is walked once, in ascending state order, whatever its
-// iteration order: a sparse pdf built in any order and its ascending
-// twin give the same frame.
+// id. Each pdf is walked once, in its one ascending order.
 func EncodeObservationFrame(id int, obs []core.Observation) ([]byte, error) {
 	size := 4 + 2*binary.MaxVarintLen64 // tag, id, count
 	entries := 0
@@ -82,7 +81,7 @@ func EncodeObservationFrame(id int, obs []core.Observation) ([]byte, error) {
 		out.uvarint(uint64(ob.Time))
 		out.uvarint(uint64(l))
 		prev := 0
-		ob.PDF.RangeAscending(func(s int, p float64) {
+		ob.PDF.Range(func(s int, p float64) {
 			out.uvarint(uint64(s - prev))
 			prev = s
 			binary.LittleEndian.PutUint64(out.buf[col+8*n:col+8*n+8], math.Float64bits(p))
@@ -142,7 +141,7 @@ func DecodeObservationFrame(data []byte, numStates int) (ObservationFrame, error
 		if c.err != nil {
 			return ObservationFrame{}, c.err
 		}
-		states := make([]int, l)
+		states := make([]int32, l)
 		s := uint64(0)
 		for j := range states {
 			d := c.uvarint()
@@ -154,7 +153,7 @@ func DecodeObservationFrame(data []byte, numStates int) (ObservationFrame, error
 				c.fail("state %d + %d outside %d", s, d, numStates)
 			}
 			s += d
-			states[j] = int(s)
+			states[j] = int32(s)
 		}
 		f.Observations[k] = FrameObservation{Time: int(t), States: states}
 		total += int(l)

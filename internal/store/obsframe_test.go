@@ -90,9 +90,9 @@ func badObservationFrames(t testing.TB) []struct {
 }
 
 // TestObservationFrameRoundTrip decodes what the encoder writes for
-// every pdf mode — a point, a sparse pdf in insertion order, a dense one
-// and a full-support one — to the entries RangeAscending visits, bit for
-// bit, with the object id and times intact.
+// every pdf shape — a point, a sparse pdf built out of order, a dense one
+// and a full-support one — to the entries Range visits, bit for bit, with
+// the object id and times intact.
 func TestObservationFrameRoundTrip(t *testing.T) {
 	full := make([]float64, obsStates)
 	for i := range full {
@@ -122,10 +122,10 @@ func TestObservationFrameRoundTrip(t *testing.T) {
 		}
 		for k, ob := range obs {
 			got := f.Observations[k]
-			var states []int
+			var states []int32
 			var probs []float64
-			ob.PDF.RangeAscending(func(s int, p float64) {
-				states = append(states, s)
+			ob.PDF.Range(func(s int, p float64) {
+				states = append(states, int32(s))
 				probs = append(probs, p)
 			})
 			if got.Time != ob.Time || len(got.States) != len(states) || len(got.Probs) != len(probs) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ust/internal/conformance"
 	"ust/internal/core"
 	"ust/internal/gen"
 	"ust/internal/markov"
@@ -30,10 +31,10 @@ func testChain(t testing.TB) *markov.Chain {
 }
 
 // exists answers the PST∃Q over q for every object of db.
-func exists(t testing.TB, db *core.Database, q core.Query) []core.Result {
+func exists(t testing.TB, db *core.Database, q core.Query, opts ...core.RequestOption) []core.Result {
 	t.Helper()
 	resp, err := core.NewEngine(db, core.Options{}).Evaluate(context.Background(),
-		core.NewRequest(core.PredicateExists, core.WithWindow(q)))
+		core.NewRequest(core.PredicateExists, append([]core.RequestOption{core.WithWindow(q)}, opts...)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,23 +125,37 @@ func assertDatabasesEqual(t *testing.T, want, got *core.Database) {
 	}
 }
 
+// TestRoundTripPreservesQueryResults: a persisted database answers
+// queries with the same bits — the unordered conformance dataset's pdfs,
+// built from states listed out of order, included — under both exact
+// strategies.
 func TestRoundTripPreservesQueryResults(t *testing.T) {
-	// End-to-end: persisted database answers queries identically.
-	db := testDB(t)
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadDatabase(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := core.NewQuery([]int{0, 1}, []int{2, 3})
-	before := exists(t, db, q)
-	after := exists(t, loaded, q)
-	for i := range before {
-		if before[i].ObjectID != after[i].ObjectID || math.Abs(before[i].Prob-after[i].Prob) > 1e-12 {
-			t.Errorf("result %d changed across persistence: %+v vs %+v", i, before[i], after[i])
+	for name, tc := range map[string]struct {
+		db *core.Database
+		q  core.Query
+	}{
+		"small":     {testDB(t), core.NewQuery([]int{0, 1}, []int{2, 3})},
+		"unordered": {conformance.NewUnorderedDataset(), core.NewQuery(core.Interval(10, 40), core.Interval(3, 6))},
+	} {
+		var buf bytes.Buffer
+		if err := SaveDatabase(&buf, tc.db); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadDatabase(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range []core.Strategy{core.StrategyQueryBased, core.StrategyObjectBased} {
+			before := exists(t, tc.db, tc.q, core.WithStrategy(strat))
+			after := exists(t, loaded, tc.q, core.WithStrategy(strat))
+			if len(before) != len(after) {
+				t.Fatalf("%s %v: %d results, %d after persistence", name, strat, len(before), len(after))
+			}
+			for i := range before {
+				if before[i].ObjectID != after[i].ObjectID || math.Float64bits(before[i].Prob) != math.Float64bits(after[i].Prob) {
+					t.Errorf("%s %v: result %d changed across persistence: %+v vs %+v", name, strat, i, before[i], after[i])
+				}
+			}
 		}
 	}
 }

@@ -242,7 +242,7 @@ func writeColumnarSection(out *writer, objs []*core.Object, known func(uint64) b
 		for _, o := range objs {
 			for _, ob := range o.Observations {
 				prev := 0
-				ob.PDF.RangeAscending(func(s int, _ float64) {
+				ob.PDF.Range(func(s int, _ float64) {
 					out.uvarint(uint64(s - prev))
 					prev = s
 				})
@@ -280,7 +280,7 @@ func writeColumnarSection(out *writer, objs []*core.Object, known func(uint64) b
 	out.raw(make([]byte, padLen))
 	for _, o := range objs {
 		for _, ob := range o.Observations {
-			ob.PDF.RangeAscending(func(_ int, p float64) { out.f64(p) })
+			ob.PDF.Range(func(_ int, p float64) { out.f64(p) })
 		}
 	}
 }
