@@ -101,9 +101,24 @@ func PackDense(data []float64) Packed {
 
 // Merge sorts entries listed in any order, with repeats, into fresh
 // strictly ascending columns for Pack: a repeated index's values are
-// summed in the order given. The indices must be inside int32's range;
+// summed in the order given. Entries listed ascending are merged as they
+// are, without a sorted copy. The indices must be inside int32's range;
 // idx and val are not retained.
 func Merge[I int | int32](idx []I, val []float64) ([]int32, []float64) {
+	outIdx, outVal := make([]int32, 0, len(idx)), make([]float64, 0, len(idx))
+	add := func(i int32, x float64) {
+		if k := len(outIdx) - 1; k >= 0 && outIdx[k] == i {
+			outVal[k] += x
+			return
+		}
+		outIdx, outVal = append(outIdx, i), append(outVal, x)
+	}
+	if slices.IsSorted(idx) {
+		for k, i := range idx {
+			add(int32(i), val[k])
+		}
+		return outIdx, outVal
+	}
 	type entry struct {
 		i int32
 		x float64
@@ -113,13 +128,8 @@ func Merge[I int | int32](idx []I, val []float64) ([]int32, []float64) {
 		es[k] = entry{int32(i), val[k]}
 	}
 	slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.i, b.i) })
-	outIdx, outVal := make([]int32, 0, len(es)), make([]float64, 0, len(es))
 	for _, e := range es {
-		if k := len(outIdx) - 1; k >= 0 && outIdx[k] == e.i {
-			outVal[k] += e.x
-			continue
-		}
-		outIdx, outVal = append(outIdx, e.i), append(outVal, e.x)
+		add(e.i, e.x)
 	}
 	return outIdx, outVal
 }
