@@ -17,10 +17,8 @@ import (
 // likelihood. An observation fusion is a gather over the pdf's support:
 // the fused result's support is contained in the observation's, so the
 // fused block's live rows become that support, and the only per-call
-// state is the pooled blocks. The per-row products do not depend on the
-// order a pdf visits its entries; every sum runs over the block's live
-// rows in ascending order, so a pdf gives the same bits whatever its
-// iteration order.
+// state is the pooled blocks. Every sum runs over the block's live rows
+// in ascending order, the order a pdf visits its entries in.
 
 // regionPins materializes the window's (possibly inverted) spatial
 // predicate as a flat state list — the columnar form of eachRegionState,

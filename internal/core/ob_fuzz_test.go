@@ -186,9 +186,8 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 			near("posterior", o.ID, post.P(s), ref.Vec().At(s))
 		}
 
-		// The later pdf rebuilt with its index column descending: the
-		// passes sum over their blocks' live rows in ascending order, so
-		// a pdf's iteration order must not move a bit.
+		// The later pdf rebuilt from its states listed descending: it is
+		// built ascending all the same, so not a bit may move.
 		desc, err := markov.WeightedOver(n, reversed(states), reversed(weights))
 		if err != nil {
 			t.Fatal(err)
