@@ -342,9 +342,9 @@ func TestMultiObsGatePassCount(t *testing.T) {
 // instead, so a zero lane stays +0 and the answer is finite. State 10
 // stays or moves to the absorbing state 11 with probability 1/2 a step;
 // the second fix weighs both at 2^-1040 against 1 elsewhere, so every
-// lane value is an exact dyadic and the worlds agree to the last bit or
-// near it. A window on state 11 runs the pass; one the first fix cannot
-// reach is answered 0 by the gate, whose check no longer declines.
+// lane value is an exact dyadic and the worlds agree within 1e-12. A
+// window on state 11 runs the pass; one the first fix cannot reach is
+// answered 0 by the gate, after its check.
 func TestMultiObsSubnormalTotalStaysFinite(t *testing.T) {
 	const n = 200
 	chain := markov.MustChain(sparse.FromRows(n, n, func(i int) ([]int, []float64) {

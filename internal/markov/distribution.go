@@ -187,7 +187,7 @@ func (d *Distribution) Dot(w []float64) float64 { return d.p.Dot(w) }
 func (d *Distribution) MassOn(b *sparse.Bitset) float64 { return d.p.MassOn(b) }
 
 // CopyTo overwrites v — a working vector of the same dimension — with
-// the distribution, as a Vec filled with it in ascending order is left
+// the distribution, leaving it as filling it in ascending order would
 // (sparse.Packed.CopyTo).
 func (d *Distribution) CopyTo(v *sparse.Vec) { d.p.CopyTo(v) }
 

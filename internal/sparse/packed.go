@@ -15,11 +15,11 @@ import (
 // every operation visits, sums and copies its entries in ascending index
 // order. Two Packed holding the same entries therefore give the same bits
 // from every operation, however their entries were listed when they were
-// built. The builders (Pack, PackDense, Merge) store all Len() values and
-// no index column once more than half of them are non-zero, so a
-// full-support pdf does not cost more than the dense array it replaces;
-// AdoptSupport keeps the columns it is handed. Both forms visit the same
-// entries in the same order.
+// built. Pack and PackDense store all Len() values and no index column
+// once more than half of them are non-zero, so a full-support pdf does
+// not cost more than the dense array it replaces; AdoptSupport keeps the
+// columns it is handed. Both forms visit the same entries in the same
+// order.
 //
 // The zero value is an empty vector of dimension 0. Slices handed to
 // AdoptSupport and Pack, and those a Packed allocates, are never written
@@ -45,7 +45,7 @@ func AdoptSupport(n int, idx []int32, val []float64) Packed {
 	}
 	for k, i := range idx {
 		if i < 0 || int(i) >= n || (k > 0 && i <= idx[k-1]) {
-			panic(fmt.Sprintf("sparse: support %v is not strictly ascending inside [0,%d)", idx, n))
+			panic(fmt.Sprintf("sparse: support index %d at %d is not strictly ascending inside [0,%d)", i, k, n))
 		}
 	}
 	return Packed{n: n, idx: idx, val: val}
@@ -224,9 +224,9 @@ func (p Packed) MassOn(b *Bitset) float64 {
 	return s
 }
 
-// CopyTo overwrites v with p's entries, leaving v as a Vec filled with
-// them in ascending order is left: dense past DenseThreshold·Len()
-// non-zeros, its ascending support list otherwise.
+// CopyTo overwrites v with p's entries, leaving v as filling it with them
+// in ascending order would: dense past DenseThreshold·Len() non-zeros,
+// its ascending support list otherwise.
 func (p Packed) CopyTo(v *Vec) {
 	if v.Len() != p.n {
 		panic(fmt.Sprintf("sparse: CopyTo dimension mismatch %d != %d", v.Len(), p.n))

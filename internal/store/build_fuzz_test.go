@@ -53,9 +53,9 @@ func visits(d *markov.Distribution) []entry {
 // ascending, the total summed ascending and every sum scaled by its
 // inverse, or divided by a subnormal total, and the entries that
 // underflow to zero dropped — an overflowing total leaves no entries. ok
-// is false for an
-// input WeightedOver rejects: mismatched or empty columns, a state
-// outside [0, n), a negative weight, or weights that are all zero.
+// is false for an input WeightedOver rejects: mismatched or empty
+// columns, a state outside [0, n), a negative weight, or weights that
+// are all zero.
 func ascendingWeighted(n int, states []int, weights []float64) (out []entry, ok bool) {
 	if len(states) != len(weights) || len(states) == 0 {
 		return nil, false
