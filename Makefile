@@ -170,7 +170,9 @@ bench:
 # not by convention. The ingest path, the write paths, the load and the
 # store writers are gated on B/op too, where an object-sized copy per
 # write, a pdf travelling as text, an |S|-wide array per loaded pdf or a
-# re-grown image buffer shows, and so are the query-based sweeps, where a per-sweep |S|×K block or a
+# re-grown image buffer shows, and so is the object-based scan, where a
+# reach cone stored as one |S|-wide set per step would show, and so are
+# the query-based sweeps, where a per-sweep |S|×K block or a
 # per-chain table of M^j·1 vectors would show; the sweeps are gated on
 # allocs/op too, so their lane block cannot start allocating per step,
 # and the batched evaluation on B/op, where an unpooled fused block
@@ -193,6 +195,7 @@ alloc-gate:
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkIngest/columnar -gate-metric B/op < .gate.jsonl
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkScanOB' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkScanOB < .gate.jsonl
+	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkScanOB -gate-metric B/op < .gate.jsonl
 	@$(GO) test . -run '^$$' -bench 'BenchmarkServeHTTPQuery' -benchmem -benchtime=20x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
 	@$(GO) run ./cmd/benchjson -o '' -baseline BENCH.json -gate BenchmarkServeHTTPQuery < .gate.jsonl
 	@$(GO) test . -run '^$$' -bench 'BenchmarkDistributedObserve' -benchmem -benchtime=200x -json > .gate.jsonl || { cat .gate.jsonl; rm -f .gate.jsonl; exit 1; }
