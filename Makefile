@@ -41,8 +41,9 @@ staticcheck:
 # batch evaluation against sequential evaluation (byte-identical results),
 # the scan's filter gate against the ungated scan, and the object-based
 # forward passes (exists, forall, ktimes, expressions, multi-observation)
-# against the materialized chains and possible-worlds enumeration, with
-# every clipped exists/forall pass bit-identical to the unclipped one,
+# against the materialized chains and possible-worlds enumeration (the
+# forall survival pass against the complement pass too), with every
+# clipped exists/forall pass bit-identical to the unclipped one,
 # and the engine's multi-observation exists and forall against the
 # two-lane pass called directly (bit for bit, whether the envelope gate
 # answered or the pass ran) and the possible worlds, its posterior

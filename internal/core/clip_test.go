@@ -12,12 +12,14 @@ import (
 	"ust/internal/sparse"
 )
 
-// The object-based forward passes clip their frontier against the
-// window's reach cone unless the request says WithFilterRefine(false),
-// which runs the paper-literal pass. These tests hold the clipped pass to
-// that oracle under the exactness contract DESIGN.md states:
-// exists/forall bit-identical, ktimes within 1e-12 and summing to one,
-// unreachable objects exactly 0 (forall exactly 1).
+// The object-based forward passes clip their frontier against the reach
+// cone of S□ — PST∀Q's survival pass included — unless the request says
+// WithFilterRefine(false), which runs the unclipped pass. These tests
+// hold the clipped pass to that oracle under the exactness contract
+// DESIGN.md states: exists/forall bit-identical, ktimes within 1e-12 and
+// summing to one, objects out of the cone's reach exactly 0 (exists and
+// forall alike), and forall objects no world of which can leave S□
+// exactly 1.
 
 // islandChain builds a chain over two islands, [0, cut) and [cut, n),
 // with no transition between them: a window on one island is out of
@@ -93,17 +95,25 @@ func newClipCase(rng *rand.Rand) clipCase {
 	return c
 }
 
-// clipDrops reports whether the clipped exists pass over w drops a live
-// row of seed's frontier at some step: the case where clipped ≡
-// unclipped says more than that the clip did nothing. It replays
-// existsOBRefine's loop with no band.
-func clipDrops(chain *markov.Chain, seed forwardSeed, w *window) bool {
+// clipDrops reports whether the clipped exists pass over w (forall:
+// the survival pass) drops a live row of seed's frontier at some step:
+// the case where clipped ≡ unclipped says more than that the clip did
+// nothing. It replays existsOBRefine's (forallOBRefine's) loop with no
+// bar.
+func clipDrops(chain *markov.Chain, seed forwardSeed, w *window, forall bool) bool {
 	b := seed.open(nil, 1)
+	settle := func() {
+		if forall {
+			confine(b, w)
+		} else {
+			absorb(b, w)
+		}
+	}
 	if w.atTime(seed.t0) {
-		absorb(b, w)
+		settle()
 	}
 	for t := seed.t0; t < w.horizon; t++ {
-		keep := seed.cone[t-seed.t0].Words64()
+		keep := coneSet(seed.cone, t-seed.t0).Words64()
 		for wi, word := range b.live.Words64() {
 			if word&^keep[wi] != 0 {
 				return true
@@ -111,15 +121,40 @@ func clipDrops(chain *markov.Chain, seed forwardSeed, w *window) bool {
 		}
 		b.step(chain.Matrix(), 1)
 		if w.atTime(t + 1) {
-			absorb(b, w)
+			settle()
 		}
 	}
 	return false
 }
 
+// coneSet expands a reach cone's envelope at t0+i into a whole set.
+func coneSet(c *reachCone, i int) *sparse.Bitset {
+	out := sparse.NewBitset(c.first.Len())
+	lo, words := c.span(i)
+	copy(out.Words64()[lo:], words)
+	return out
+}
+
+// forallComplementRef is the PST∀Q pass the survival pass replaced:
+// 1 − P∃ over the complement S \ S□ (Section V), unclipped. The survival
+// pass agrees with it within 1e-12, not to the bit.
+func forallComplementRef(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window) (float64, error) {
+	seed.cone = nil
+	p, err := existsForward(ctx, chain, seed, w.complemented(), nil)
+	return 1 - p, err
+}
+
+// forallKernel is the kern a PST∀Q scan builds (groupKernel): the
+// complemented window, the query's own one as forAll.
+func forallKernel(e *Engine, chain *markov.Chain, w *window, plan *evalPlan) *kern {
+	k := e.kernel(chain, w.complemented(), plan)
+	k.forAll = w
+	return k
+}
+
 func TestClippedMatchesUnclipped(t *testing.T) {
 	ctx := context.Background()
-	var sawDropped, sawUnreachable int
+	var sawDropped, sawUnreachable, sawCertain int
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := newClipCase(rng)
@@ -144,12 +179,13 @@ func TestClippedMatchesUnclipped(t *testing.T) {
 			if err != nil || !reflect.DeepEqual(parallel.Results, clipped.Results) {
 				t.Fatalf("seed %d %v: parallel clipped scan (err %v) is not bit-identical to the serial one", seed, pred, err)
 			}
-			// The window the scan used, for the envelope it clipped against.
-			kw := w
-			if pred == PredicateForAll {
-				kw = w.complemented()
+			// The kern the scan used, for the cone it clipped to: S□'s,
+			// for forall too.
+			forall := pred == PredicateForAll
+			k := e.kernel(chain, w, &evalPlan{useFilter: true})
+			if forall {
+				k = forallKernel(e, chain, w, &evalPlan{useFilter: true})
 			}
-			k := e.kernel(chain, kw, &evalPlan{useFilter: true})
 			for i, got := range clipped.Results {
 				want := literal.Results[i]
 				o := c.db.Get(got.ObjectID)
@@ -179,35 +215,48 @@ func TestClippedMatchesUnclipped(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if clipDrops(chain, from, kw) {
+				if clipDrops(chain, from, w, forall) {
 					sawDropped++
 				}
-				pm, err := supportEnvelope(ctx, chain, kw, o.First().Time, false, nil)
+				// Out of reach of S□'s cone: no world is ever inside S□ at
+				// a query time, so exists and forall are exactly 0.
+				if o.First().PDF.MassOn(from.cone.first) == 0 {
+					sawUnreachable++
+					if got.Prob != 0 {
+						t.Fatalf("seed %d %v object %d: out of reach, answered %v", seed, pred, o.ID, got.Prob)
+					}
+				}
+				if !forall {
+					continue
+				}
+				// No mass on the complement's possible envelope: no world
+				// can leave S□ at a query time, so forall is exactly 1.
+				out, err := supportEnvelope(ctx, chain, w.complemented(), o.First().Time, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if o.First().PDF.MassOn(pm) == 0 {
-					sawUnreachable++
-					if p := got.Prob; (pred == PredicateExists && p != 0) || (pred == PredicateForAll && p != 1) {
-						t.Fatalf("seed %d %v object %d: out of reach, answered %v", seed, pred, o.ID, p)
+				if o.First().PDF.MassOn(out) == 0 {
+					sawCertain++
+					if got.Prob != 1 {
+						t.Fatalf("seed %d forall object %d: no world can leave S□, answered %v", seed, o.ID, got.Prob)
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d clipped passes dropped live rows, %d unreachable objects", sawDropped, sawUnreachable)
-	if sawDropped == 0 || sawUnreachable == 0 {
-		t.Fatalf("cases do not cover the contract: %d clipped passes dropped live rows, %d unreachable objects",
-			sawDropped, sawUnreachable)
+	t.Logf("%d clipped passes dropped live rows, %d unreachable objects, %d certain forall objects", sawDropped, sawUnreachable, sawCertain)
+	if sawDropped == 0 || sawUnreachable == 0 || sawCertain == 0 {
+		t.Fatalf("cases do not cover the contract: %d clipped passes dropped live rows, %d unreachable objects, %d certain forall objects",
+			sawDropped, sawUnreachable, sawCertain)
 	}
 }
 
 // TestReachConeIsTheEnvelopeFamily pins the cone to the possible-
-// envelope family: cone[t−t0] is supportEnvelope's possible-envelope at
-// t, bit for bit, at every t up to the horizon, for plain and
-// complemented windows; past the horizon, and for an empty window (an
-// expression atom's fire window can be either), coneFor is the one
-// entry supportEnvelope answers.
+// envelope family: its set at t, expanded from its span, is
+// supportEnvelope's possible-envelope at t, bit for bit, at every t up to
+// the horizon, for plain and complemented windows; past the horizon, and
+// for an empty window (an expression atom's fire window can be either),
+// coneFor is the one set supportEnvelope answers.
 func TestReachConeIsTheEnvelopeFamily(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 40; seed++ {
@@ -226,15 +275,15 @@ func TestReachConeIsTheEnvelopeFamily(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(cone) != kw.horizon-t0+1 {
-					t.Fatalf("seed %d: cone from %d has %d envelopes, want %d", seed, t0, len(cone), kw.horizon-t0+1)
+				if len(cone.spans)+1 != kw.horizon-t0+1 {
+					t.Fatalf("seed %d: cone from %d has %d envelopes, want %d", seed, t0, len(cone.spans)+1, kw.horizon-t0+1)
 				}
 				for tt := t0; tt <= kw.horizon; tt++ {
 					pm, err := supportEnvelope(ctx, chain, kw, tt, false, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !cone[tt-t0].Equal(pm) {
+					if !coneSet(cone, tt-t0).Equal(pm) || tt == t0 && !cone.first.Equal(pm) {
 						t.Fatalf("seed %d invert=%v: cone from %d at t=%d differs from supportEnvelope", seed, kw.invert, t0, tt)
 					}
 				}
@@ -260,19 +309,23 @@ func TestReachConeIsTheEnvelopeFamily(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(cone) != 1 || !cone[0].Equal(want) {
-				t.Fatalf("seed %d: cone of k=%d window from %d is %v, want [%v]", seed, tc.w.k, tc.t0, cone, want)
+			if len(cone.spans) != 0 || !cone.first.Equal(want) {
+				t.Fatalf("seed %d: cone of k=%d window from %d has %d spans and first set %v, want none and %v", seed, tc.w.k, tc.t0, len(cone.spans), cone.first, want)
 			}
 		}
 	}
 }
 
-// TestRefineQualifiedIsForward: when the bracketed pass runs to
+// TestRefineQualifiedIsForward: when a bracketed pass runs to
 // completion its answer is the plain pass's, to the bit, with and
-// without a cone; and both reject the same malformed objects with the
-// shared errors.
+// without a cone, and a pass it rejects has an exact value below the
+// bar — for exists (existsOBRefine) and for the forall survival pass
+// (forallOBRefine), called directly and through the kern's refine step,
+// whose exact-1 certificate must match too; and every pass rejects the
+// same malformed objects with the shared errors.
 func TestRefineQualifiedIsForward(t *testing.T) {
 	ctx := context.Background()
+	var sawRejected [2]int
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := newClipCase(rng)
@@ -284,28 +337,52 @@ func TestRefineQualifiedIsForward(t *testing.T) {
 		}
 		for _, plan := range []*evalPlan{{useFilter: true}, {}} {
 			k := e.kernel(chain, w, plan)
+			fk := forallKernel(e, chain, w, plan)
 			for _, o := range c.db.Objects() {
-				from, err := k.seedFor(ctx, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := existsForward(ctx, chain, from, w, &lanes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lo, hi := rng.Float64(), 1+rng.Float64()
-				if rng.Intn(2) == 0 {
-					lo, hi = -1, rng.Float64()
-				}
-				p, qualified, err := existsOBRefine(ctx, chain, from, w, lo, hi, &lanes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if qualified && p != want {
-					t.Fatalf("seed %d object %d band [%g,%g]: refine %v, forward %v", seed, o.ID, lo, hi, p, want)
-				}
-				if !qualified && want >= lo && want <= hi {
-					t.Fatalf("seed %d object %d: %v lies inside [%g,%g] but the pass rejected it", seed, o.ID, want, lo, hi)
+				for fi, pass := range []func(context.Context, *markov.Chain, forwardSeed, *window, float64, *blockPool) (float64, bool, error){existsOBRefine, forallOBRefine} {
+					kk := k
+					if fi == 1 {
+						kk = fk
+					}
+					from, err := kk.seedFor(ctx, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _, err := pass(ctx, chain, from, w, -1, &lanes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exact, err := kk.obExistsExact(ctx, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bar := rng.Float64()
+					p, qualified, err := pass(ctx, chain, from, w, bar, &lanes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if qualified && p != want {
+						t.Fatalf("seed %d pass %d object %d bar %g: refine %v, plain %v", seed, fi, o.ID, bar, p, want)
+					}
+					if !qualified {
+						sawRejected[fi]++
+						if want >= bar {
+							t.Fatalf("seed %d pass %d object %d: %v is not below the bar %g but the pass rejected it", seed, fi, o.ID, want, bar)
+						}
+					}
+					r, qualified, err := kk.obExistsRefine(ctx, o, bar)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if qualified && math.Float64bits(r.Prob) != math.Float64bits(exact.Prob) {
+						t.Fatalf("seed %d pass %d object %d bar %g: kern refine %v, exact %v", seed, fi, o.ID, bar, r.Prob, exact.Prob)
+					}
+					if !qualified && exact.Prob >= bar {
+						t.Fatalf("seed %d pass %d object %d: %v is not below the bar %g but the kern rejected it", seed, fi, o.ID, exact.Prob, bar)
+					}
+					if fi == 1 && exact.Prob != 1 && exact.Prob != want {
+						t.Fatalf("seed %d forall object %d: kern %v, survival pass %v", seed, o.ID, exact.Prob, want)
+					}
 				}
 			}
 			n := chain.NumStates()
@@ -316,12 +393,18 @@ func TestRefineQualifiedIsForward(t *testing.T) {
 				want error
 			}{{late, errObservedAfterHorizon(900, w.horizon+1, w.horizon)}, {empty, errZeroMass(901)}} {
 				_, existsErr := k.obExists(ctx, bad.o)
+				_, _, forallErr := fk.obExistsRefine(ctx, bad.o, 0.5)
 				_, ktimesErr := k.ktimesOBExact(ctx, bad.o)
-				if existsErr == nil || ktimesErr == nil || existsErr.Error() != bad.want.Error() || ktimesErr.Error() != bad.want.Error() {
-					t.Fatalf("object %d: exists %v, ktimes %v, want %v", bad.o.ID, existsErr, ktimesErr, bad.want)
+				for _, err := range []error{existsErr, forallErr, ktimesErr} {
+					if err == nil || err.Error() != bad.want.Error() {
+						t.Fatalf("object %d: exists %v, forall %v, ktimes %v, want %v", bad.o.ID, existsErr, forallErr, ktimesErr, bad.want)
+					}
 				}
 			}
 		}
+	}
+	if sawRejected[0] == 0 || sawRejected[1] == 0 {
+		t.Fatalf("cases reject no object: exists %d, forall %d", sawRejected[0], sawRejected[1])
 	}
 }
 
@@ -356,29 +439,31 @@ func scanOBRequest(pred Predicate, opts ...RequestOption) Request {
 }
 
 // TestScanOBAllocation is the allocation guard of the object-based scan:
-// at |D|=200, |S|=10⁴ with the cache off, one exists scan allocates less
-// than 256 KiB in all — results, the reach cone and the per-pass
-// bookkeeping. Before the pooled seed it cloned a dense |S|-vector per
-// object: 16 MB.
+// at |D|=200, |S|=10⁴ with the cache off, one exists scan and one forall
+// scan each allocate less than 256 KiB in all — results, the reach cone
+// and the per-pass bookkeeping. Before the pooled seed a scan cloned a
+// dense |S|-vector per object: 16 MB.
 func TestScanOBAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
 	e := NewEngine(scanOBDB(t, 200, 10000), Options{CacheBytes: -1})
 	ctx := context.Background()
-	req := scanOBRequest(PredicateExists)
-	if _, err := e.Evaluate(ctx, req); err != nil { // warm: transpose, pool
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	resp, err := e.Evaluate(ctx, req)
-	runtime.ReadMemStats(&after)
-	if err != nil || len(resp.Results) != 200 {
-		t.Fatalf("scan: %d results, err %v", len(resp.Results), err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
-		t.Fatalf("one object-based exists scan allocated %d KiB, want < 256", got>>10)
+	for _, pred := range []Predicate{PredicateExists, PredicateForAll} {
+		req := scanOBRequest(pred)
+		if _, err := e.Evaluate(ctx, req); err != nil { // warm: transpose, pool
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := e.Evaluate(ctx, req)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(resp.Results) != 200 {
+			t.Fatalf("%v scan: %d results, err %v", pred, len(resp.Results), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+			t.Fatalf("one object-based %v scan allocated %d KiB, want < 256", pred, got>>10)
+		}
 	}
 }
 

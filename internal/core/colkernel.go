@@ -26,7 +26,7 @@ import (
 func regionPins(w *window) []int32 {
 	size := len(w.states)
 	if w.invert {
-		size = len(w.mask) - size
+		size = w.mask.Len() - size
 	}
 	pins := make([]int32, 0, size)
 	w.eachRegionState(func(s int) { pins = append(pins, int32(s)) })

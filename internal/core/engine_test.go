@@ -255,10 +255,11 @@ func TestExistsThreshold(t *testing.T) {
 	}
 }
 
-// TestExistsOBBoundsBracket pins the bracketing forward pass behind
-// threshold and top-k refinement (existsOBRefine): hit mass is a lower
-// bound, hit plus free mass an upper bound, so a pass either proves the
-// answer outside the band and stops, or finishes with the exact value.
+// TestExistsOBBoundsBracket pins the bracketing forward passes behind
+// threshold and top-k refinement: for exists (existsOBRefine) hit plus
+// free mass is an upper bound, for forall (forallOBRefine) the mass that
+// has survived so far, so a pass either proves the answer below the bar
+// and stops, or finishes with the exact value.
 func TestExistsOBBoundsBracket(t *testing.T) {
 	db, o := paperDB(t)
 	chain := db.ChainOf(o)
@@ -266,12 +267,12 @@ func TestExistsOBBoundsBracket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const exact = 0.864
-	refine := func(mass, rejectBelow, rejectAbove float64) (float64, bool) {
+	const exact, exactForAll = 0.864, 0.192
+	refine := func(pass func(context.Context, *markov.Chain, forwardSeed, *window, float64, *blockPool) (float64, bool, error), mass, rejectBelow float64) (float64, bool) {
 		t.Helper()
 		init := o.First().PDF.Vec().Clone()
 		init.Scale(mass)
-		p, qualified, rerr := existsOBRefine(context.Background(), chain, forwardSeed{pdf: markov.FromArray(init.RawData()), mass: 1}, w, rejectBelow, rejectAbove, nil)
+		p, qualified, rerr := pass(context.Background(), chain, forwardSeed{pdf: markov.FromArray(init.RawData()), mass: 1}, w, rejectBelow, nil)
 		if rerr != nil {
 			t.Fatalf("refine: %v", rerr)
 		}
@@ -280,23 +281,27 @@ func TestExistsOBBoundsBracket(t *testing.T) {
 
 	// τ well below the true value: nothing to refute, the pass completes
 	// with the exact probability.
-	if p, ok := refine(1, 0.2, 2); !ok || math.Abs(p-exact) > tol {
+	if p, ok := refine(existsOBRefine, 1, 0.2); !ok || math.Abs(p-exact) > tol {
 		t.Errorf("τ=0.2: (%g, %v), want (%g, true)", p, ok, exact)
-	}
-	// A rejection bar above the hit mass already absorbed at t=2 (0.32):
-	// refuted by the lower bound before the last step.
-	if _, ok := refine(1, -1, 0.3); ok {
-		t.Error("rejectAbove=0.3 should be refuted by the lower bound")
 	}
 	// Hit plus free mass can never exceed the mass that entered the
 	// pass: half the mass cannot reach τ=0.9, refuted by the upper bound.
-	if _, ok := refine(0.5, 0.9, 2); ok {
+	if _, ok := refine(existsOBRefine, 0.5, 0.9); ok {
 		t.Error("τ=0.9 on half the mass should be refuted by the upper bound")
 	}
 	// τ just above the true value cannot be refuted while free mass
 	// remains: the pass completes and the caller compares the exact value.
-	if p, ok := refine(1, 0.87, 2); !ok || math.Abs(p-exact) > tol {
+	if p, ok := refine(existsOBRefine, 1, 0.87); !ok || math.Abs(p-exact) > tol {
 		t.Errorf("τ=0.87: (%g, %v), want (%g, true)", p, ok, exact)
+	}
+	// The survival pass: a bar below P∀ completes exactly; the mass left
+	// inside S□ at t=2, the first query time, is at most P∃ = 0.864, so a
+	// bar of 0.9 is refuted there, before the last step.
+	if p, ok := refine(forallOBRefine, 1, 0.1); !ok || math.Abs(p-exactForAll) > tol {
+		t.Errorf("forall τ=0.1: (%g, %v), want (%g, true)", p, ok, exactForAll)
+	}
+	if _, ok := refine(forallOBRefine, 1, 0.9); ok {
+		t.Error("forall τ=0.9 should be refuted by the surviving mass at t=2")
 	}
 }
 

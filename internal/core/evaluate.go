@@ -467,12 +467,11 @@ func (e *Engine) groupKernel(grp chainGroup, plan *evalPlan) (*kern, error) {
 	if err != nil {
 		return nil, err
 	}
-	forAll := plan.req.Predicate == PredicateForAll
-	if forAll {
-		w = w.complemented()
+	if plan.req.Predicate != PredicateForAll {
+		return e.kernel(grp.chain, w, plan), nil
 	}
-	k := e.kernel(grp.chain, w, plan)
-	k.forAll = forAll
+	k := e.kernel(grp.chain, w.complemented(), plan)
+	k.forAll = w
 	return k, nil
 }
 

@@ -30,9 +30,11 @@ import "context"
 // raised by the top-k fold to the heap's minimum once the heap is full;
 // −1 for the count aggregate, which prunes nothing and reads the gate
 // for its certificates alone. The object-based exists/forall refine
-// brackets the forward pass at the bar (existsOBRefine): it aborts as
-// soon as the accumulated ◆ mass proves the object below it (Section
-// V-C's pruning), again without affecting survivors' values.
+// brackets the forward pass at the bar (existsOBRefine, forallOBRefine):
+// it aborts as soon as the mass that can still count — ◆ mass plus free
+// mass for exists, the surviving mass for forall — proves the object
+// below it (Section V-C's pruning), again without affecting survivors'
+// values.
 
 // FilterReport summarizes the filter–refine funnel of one evaluation,
 // reported on Response.Filter. Candidates = Pruned + Refined; the ratio
@@ -120,33 +122,53 @@ func (p *evalPlan) upperBound() func(k *kern, ctx context.Context, o *Object) (u
 	}
 }
 
-// obExistsRefine is the OB refine step with lower/upper-bound
-// bracketing against the acceptance bar: P(result) < bar is proven as
-// early as the bracket allows, skipping the rest of the forward pass.
-// Ineligible shapes (k = 0, multi-observation, after-horizon, bar ≤ 0)
-// fall back to the plain exact pass.
+// obExistsRefine is the OB refine step of exists and forall, bracketed
+// against the acceptance bar: P(result) < bar is proven as early as the
+// bracket allows, skipping the rest of the forward pass (bar ≤ 0: no
+// bracket, the exact pass). An exists object runs existsOBRefine over
+// the kern's window. A forall object runs the survival pass over the
+// query's own window (forallOBRefine), unless its first fix puts no mass
+// on the complement's possible-envelope (possible): no world can then
+// leave S□ at a query time, and it answers exactly 1 with no step taken.
+// The multi-observation and k = 0 shapes answer through obExists.
 func (k *kern) obExistsRefine(ctx context.Context, o *Object, bar float64) (Result, bool, error) {
-	if bar <= 0 || !k.boundable(o) {
-		r, err := k.obExistsExact(ctx, o)
-		return r, true, err
+	if k.w.k == 0 || len(o.Observations) > 1 {
+		p, err := k.obExists(ctx, o)
+		if err != nil {
+			return Result{}, false, err
+		}
+		if k.forAll != nil {
+			p = 1 - p
+		}
+		return Result{ObjectID: o.ID, Prob: p}, true, nil
 	}
 	seed, err := k.seedFor(ctx, o)
 	if err != nil {
 		return Result{}, false, err
 	}
-	// The pass computes P∃ over k.w (the complemented window for PST∀Q).
-	// Result < bar translates to: exists — P∃ < bar (reject below);
-	// forall — 1 − P∃ < bar, i.e. P∃ > 1 − bar (reject above).
-	rejectBelow, rejectAbove := bar, 2.0
-	if k.forAll {
-		rejectBelow, rejectAbove = -1, 1-bar
+	var p float64
+	var qualified bool
+	if k.forAll == nil {
+		p, qualified, err = existsOBRefine(ctx, k.chain, seed, k.w, bar, &lanes)
+	} else {
+		p, qualified, err = k.obForAll(ctx, seed, bar)
 	}
-	p, qualified, err := existsOBRefine(ctx, k.chain, seed, k.w, rejectBelow, rejectAbove, &lanes)
 	if err != nil || !qualified {
 		return Result{}, false, err
 	}
-	if k.forAll {
-		p = 1 - p
-	}
 	return Result{ObjectID: o.ID, Prob: p}, true, nil
+}
+
+// obForAll answers a single-observation forall seed: exactly 1 when its
+// first fix puts no mass on the complement's possible-envelope, else the
+// survival pass bracketed at bar.
+func (k *kern) obForAll(ctx context.Context, seed forwardSeed, bar float64) (float64, bool, error) {
+	env, err := k.possible(ctx, seed.t0)
+	if err != nil {
+		return 0, false, err
+	}
+	if seed.pdf.MassOn(env) == 0 {
+		return 1, true, nil
+	}
+	return forallOBRefine(ctx, k.chain, seed, k.forAll, bar, &lanes)
 }

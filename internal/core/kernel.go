@@ -29,9 +29,11 @@ import (
 type kern struct {
 	chain *markov.Chain
 	w     *window
-	// forAll marks w as the complement of a PST∀Q's window: the exists
-	// evaluators then answer 1 − P∃(w).
-	forAll bool
+	// forAll is set for a PST∀Q: the query's own window, of which w is
+	// the complement. The query-based and multi-observation evaluators
+	// answer 1 − P∃(w); the object-based single-observation pass runs
+	// over forAll itself, as a survival pass (forallOBRefine).
+	forAll *window
 	cache  *SharedCache // nil: engine-wide caching disabled for this request
 	// tier, when set alongside cache, coordinates sweep computation
 	// fleet-wide (sweeptier.go): wireable kinds consult it after a local
@@ -39,7 +41,7 @@ type kern struct {
 	tier SweepTier
 	rep  *cacheTally
 	// clip makes the object-based forward passes drop frontier mass that
-	// has left the window's reach cone (coneFrom). It rides the plan's
+	// has left the reach cone of S□ (coneFrom). It rides the plan's
 	// filter–refine toggle: WithFilterRefine(false) is the paper-literal
 	// pass, and the oracle the clipped one is tested against.
 	clip bool
@@ -283,49 +285,109 @@ func (k *kern) envelope(ctx context.Context, w *window, t0 int, certain bool) (*
 	return v.bits, nil
 }
 
-// coneFrom returns the kern's reach cone from t0 on (coneFor) when the
-// kern clips its forward passes, and nil when it does not. Requires a
-// non-empty window and t0 ≤ horizon.
-func (k *kern) coneFrom(ctx context.Context, t0 int) ([]*sparse.Bitset, error) {
+// coneFrom returns the reach cone from t0 on (coneFor) that the kern's
+// forward passes clip to when the kern clips, and nil when it does not:
+// the cone of the kern's window, or under PST∀Q the cone of the query's
+// own window, which the survival pass clips to. Requires a non-empty
+// window and t0 ≤ horizon.
+func (k *kern) coneFrom(ctx context.Context, t0 int) (*reachCone, error) {
 	if !k.clip {
 		return nil, nil
 	}
-	return k.coneFor(ctx, k.w, t0)
+	w := k.w
+	if k.forAll != nil {
+		w = k.forAll
+	}
+	return k.coneFor(ctx, w, t0)
 }
 
 // coneFor returns window w's reach cone from t0 on: the possible-
-// envelope at every t ∈ [t0, horizon], indexed t−t0, from one boolean
-// backward sweep. cone[0] is the possible-envelope at t0 — the states
-// from which a trajectory CAN satisfy the window predicate — so mass
-// outside it can never contribute, and an object's initial mass on it
-// upper-bounds its query probability. An empty window, or a t0 past the
-// horizon, has the one-entry cone of supportEnvelope's empty answer.
-// Fetched like any sweep — request memo, then the board — but never
-// shipped over the sweep tier.
-func (k *kern) coneFor(ctx context.Context, w *window, t0 int) ([]*sparse.Bitset, error) {
+// envelope at every t ∈ [t0, horizon], from one boolean backward sweep.
+// Its first set is the possible-envelope at t0 — the states from which a
+// trajectory CAN satisfy the window predicate — so mass outside it can
+// never contribute, and an object's initial mass on it upper-bounds its
+// query probability. An empty window, or a t0 past the horizon, has the
+// one-set cone of supportEnvelope's empty answer. Fetched like any sweep
+// — request memo, then the board — but never shipped over the sweep
+// tier.
+func (k *kern) coneFor(ctx context.Context, w *window, t0 int) (*reachCone, error) {
 	key := scoreKey{chain: k.chain, kind: kindCone, sig: w.signature(), t0: t0}
 	v, err := k.fetch(ctx, key, func() (scoreValue, error) {
-		n := 1
-		if w.k > 0 && t0 <= w.horizon {
-			n = w.horizon - t0 + 1
+		scratch := coneScratch.Get().(*[]uint64)
+		defer coneScratch.Put(scratch)
+		cone := &reachCone{words: (*scratch)[:0]}
+		if w.k > 0 && t0 < w.horizon {
+			cone.spans = make([]coneSpan, w.horizon-t0)
 		}
-		cone := make([]*sparse.Bitset, n)
 		m, cerr := supportEnvelope(ctx, k.chain, w, t0, false, cone)
+		*scratch = cone.words[:0]
 		if cerr != nil {
 			return scoreValue{}, cerr
 		}
-		cone[0] = m
+		cone.first = m
+		cone.words = append(make([]uint64, 0, len(cone.words)), cone.words...)
 		return scoreValue{cone: cone}, nil
 	})
 	return v.cone, err
 }
 
+// coneScratch recycles the buffer a reach cone's spans are gathered in,
+// so that a cone allocates its backing array once, at its exact size.
+var coneScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
+// reachCone is a window's possible-envelope at every time from t0 to the
+// horizon (kern.coneFor): the sets a forward pass clips to. The envelope
+// at t0 is kept whole, as first: the filter gate, existsUpper, the
+// expression bounds and the certificates read it. Every later one is kept
+// as a span — its words from the first non-zero one to the last — all in
+// one backing array: on a spatially local chain a cone hugs its window,
+// so a span is a few words where the whole set is |S|/64.
+type reachCone struct {
+	first *sparse.Bitset
+	spans []coneSpan // spans[i−1]: the envelope at t0+i
+	words []uint64
+}
+
+// coneSpan is one envelope of a reachCone: words[from:to] are its words
+// lo, lo+1, …; every word outside them is empty.
+type coneSpan struct{ lo, from, to int32 }
+
+// span returns the envelope at t0+i as the words from word lo on; every
+// word outside them is empty.
+func (c *reachCone) span(i int) (lo int, words []uint64) {
+	if i == 0 {
+		return 0, c.first.Words64()
+	}
+	sp := c.spans[i-1]
+	return int(sp.lo), c.words[sp.from:sp.to]
+}
+
+// keep records m as the envelope at t0+i, i ≥ 1.
+func (c *reachCone) keep(i int, m *sparse.Bitset) {
+	ws := m.Words64()
+	lo, hi := 0, len(ws)
+	for lo < hi && ws[lo] == 0 {
+		lo++
+	}
+	for hi > lo && ws[hi-1] == 0 {
+		hi--
+	}
+	from := len(c.words)
+	c.words = append(c.words, ws[lo:hi]...)
+	c.spans[i-1] = coneSpan{lo: int32(lo), from: int32(from), to: int32(len(c.words))}
+}
+
+// bytes is what the cone holds: its first set whole, its spans' words.
+func (c *reachCone) bytes() int {
+	return 8*(c.first.Words()+len(c.words)) + 12*len(c.spans)
+}
+
 // supportEnvelope runs the boolean shadow of the backward sweep: the
 // same loop shape as hitScores, propagating supports instead of mass.
 // certain selects the all-successors (lower-bound) propagation. A
-// non-nil trail (horizon−t0+1 long) keeps the envelope of every time
-// the sweep passes: trail[t−t0] is what the sweep down to t returns.
-func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int, certain bool, trail []*sparse.Bitset) (*sparse.Bitset, error) {
+// non-nil cone, its spans presized to horizon−t0, keeps the envelope of
+// every time t > t0 the sweep passes: what the sweep down to t returns.
+func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int, certain bool, cone *reachCone) (*sparse.Bitset, error) {
 	n := chain.NumStates()
 	m := sparse.NewBitset(n)
 	if w.k == 0 || w.horizon < t0 {
@@ -339,8 +401,8 @@ func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int
 		if w.atTime(t) {
 			orRegion(m, w)
 		}
-		if trail != nil {
-			trail[t-t0] = m.Clone()
+		if cone != nil {
+			cone.keep(t-t0, m)
 		}
 		if certain {
 			chain.StepBackCertain(next, m)
@@ -350,9 +412,12 @@ func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int
 		if m.Count() == n && next.Count() == n {
 			// The full set steps back onto itself, so it is the envelope of
 			// every earlier time as well (the complemented windows of PST∀Q
-			// get here within a step or two).
-			for i := 0; trail != nil && i < t-t0; i++ {
-				trail[i] = next
+			// get here within a step or two): those times share one span.
+			if cone != nil && t-t0 > 1 {
+				cone.keep(t-t0-1, next)
+				for i := 1; i < t-t0-1; i++ {
+					cone.spans[i-1] = cone.spans[t-t0-2]
+				}
 			}
 			return next, nil
 		}
@@ -360,9 +425,6 @@ func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int
 	}
 	if w.atTime(t0) {
 		orRegion(m, w)
-	}
-	if trail != nil {
-		trail[0] = m
 	}
 	return m, nil
 }
@@ -393,7 +455,7 @@ func (k *kern) boundable(o *Object) bool {
 }
 
 // existsUpper returns a conservative upper bound on P∃(o) under the
-// kern's window: the initial mass on the reach cone's possible-envelope.
+// kern's window: the initial mass on its possible-envelope (possible).
 // ok is false when o is not boundable. Under the object-based strategy,
 // the only one that filters, a returned bound of exactly 0 is not
 // merely conservative but EXACT: the observation support is disjoint
@@ -404,7 +466,7 @@ func (k *kern) existsUpper(ctx context.Context, o *Object) (hi float64, ok bool,
 	if !k.boundable(o) {
 		return 1, false, nil
 	}
-	cone, err := k.coneFor(ctx, k.w, o.First().Time)
+	env, err := k.possible(ctx, o.First().Time)
 	if err != nil {
 		return 1, false, err
 	}
@@ -413,11 +475,27 @@ func (k *kern) existsUpper(ctx context.Context, o *Object) (hi float64, ok bool,
 	if mass <= 0 {
 		return 1, false, nil
 	}
-	raw := pdf.MassOn(cone[0])
+	raw := pdf.MassOn(env)
 	if raw == 0 {
 		return 0, true, nil
 	}
 	return raw/mass + boundSlack, true, nil
+}
+
+// possible returns the possible-envelope of the kern's window at t0: its
+// reach cone's first set, which the clipped exists and ktimes passes
+// fetch anyway. Under PST∀Q the window is the complement, whose cone no
+// pass clips to (the survival pass clips to S□'s), so it is the envelope
+// alone (kindPossible): no first-fix mass on it certifies P∀ = 1.
+func (k *kern) possible(ctx context.Context, t0 int) (*sparse.Bitset, error) {
+	if k.forAll != nil {
+		return k.envelope(ctx, k.w, t0, false)
+	}
+	cone, err := k.coneFor(ctx, k.w, t0)
+	if err != nil {
+		return nil, err
+	}
+	return cone.first, nil
 }
 
 // existsLower returns a conservative lower bound on P∃(o). ok is false
@@ -468,7 +546,7 @@ func (k *kern) existsExact(ctx context.Context, o *Object) (Result, error) {
 	// A sweep held against its far value can round a score a last bit
 	// past 1 (querybased.go): answers stay inside [0, 1].
 	p = clamp01(p)
-	if k.forAll {
+	if k.forAll != nil {
 		p = 1 - p
 	}
 	return Result{ObjectID: o.ID, Prob: p}, nil
@@ -500,18 +578,11 @@ func (k *kern) existsDot(ctx context.Context, o *Object) (float64, error) {
 	return pdf.Dot(k.score) / mass, nil
 }
 
-// obExistsExact answers one object with the object-based strategy (a
-// forward pass). For PST∀Q the kern's window is the complemented one (an
-// empty window then answers 1 − 0).
+// obExistsExact answers one object with the object-based strategy: the
+// refine step with no bar.
 func (k *kern) obExistsExact(ctx context.Context, o *Object) (Result, error) {
-	p, err := k.obExists(ctx, o)
-	if err != nil {
-		return Result{}, err
-	}
-	if k.forAll {
-		p = 1 - p
-	}
-	return Result{ObjectID: o.ID, Prob: p}, nil
+	r, _, err := k.obExistsRefine(ctx, o, -1)
+	return r, err
 }
 
 // ktimesQBExact answers one object's PSTkQ distribution with the
@@ -543,7 +614,7 @@ func (k *kern) ktimesQBExact(ctx context.Context, o *Object) (Result, error) {
 	return kTimesResult(o.ID, dist), nil
 }
 
-// obExists is the per-object OB core over the kern's window:
+// obExists is the per-object OB exists core over the kern's window:
 // single-observation objects run the forward pass. Multi-observation
 // conditioning has no separate OB form — both strategies run the same
 // doubled-space pass (Section VI), reading the stored pdfs and
@@ -563,7 +634,8 @@ func (k *kern) obExists(ctx context.Context, o *Object) (float64, error) {
 }
 
 // seedFor validates a single-observation object for a forward pass over
-// the kern's (non-empty) window and assembles what the pass starts from.
+// the kern's (non-empty) window and assembles what the pass starts from,
+// its reach cone included (coneFrom).
 func (k *kern) seedFor(ctx context.Context, o *Object) (forwardSeed, error) {
 	first := o.First()
 	if first.Time > k.w.horizon {

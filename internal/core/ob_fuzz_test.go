@@ -15,12 +15,16 @@ import (
 // worlds on random island chains (newClipCase): exists, forall and ktimes
 // against the materialized augmented chains (ExistsOBAugmented,
 // KTimesOBAugmented) and, where an object has few enough worlds to
-// enumerate, BruteForce; an expression against BruteForceExpr; a
-// multi-observation exists against the row pass existsMultiObsRow and
-// its posterior against posteriorAtRow — all within 1e-12. Every
-// exists/forall scan clipped to the reach cone must equal the unclipped
-// scan bit for bit, and so must the multi-observation passes over a pdf
-// whose index column is descending and over the same pdf ascending.
+// enumerate, BruteForce; the forall survival pass also against the
+// complement pass it replaced (forallComplementRef); an expression
+// against BruteForceExpr; a multi-observation exists against the row pass
+// existsMultiObsRow and its posterior against posteriorAtRow — all within
+// 1e-12. Every exists/forall scan clipped to the reach cone must equal
+// the unclipped scan bit for bit, an object out of reach of S□'s cone
+// must answer exists and forall exactly 0, and one with no mass on the
+// complement's possible-envelope forall exactly 1; and the
+// multi-observation passes over a pdf whose index column is descending
+// must equal those over the same pdf ascending, bit for bit.
 func FuzzOBPasses(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed)
@@ -38,6 +42,10 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 	n := chain.NumStates()
 	e := NewEngine(c.db, Options{})
 	q := NewQuery(c.states, c.times)
+	w, err := compile(q, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	near := func(tag string, id int, got, want float64) {
 		t.Helper()
 		if d := math.Abs(got - want); d > 1e-12 || math.IsNaN(d) {
@@ -94,8 +102,29 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 		if len(got) != len(dist) {
 			t.Fatalf("ktimes object %d: %d counts, reference %d", o.ID, len(got), len(dist))
 		}
+		pAll := answers[PredicateForAll][o.ID].Prob
 		near("exists", o.ID, answers[PredicateExists][o.ID].Prob, pe)
-		near("forall", o.ID, answers[PredicateForAll][o.ID].Prob, 1-pOut)
+		near("forall", o.ID, pAll, 1-pOut)
+		ref, err := forallComplementRef(ctx, chain, forwardSeed{pdf: first.PDF, mass: first.PDF.Mass(), t0: first.Time}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		near("forall vs complement pass", o.ID, pAll, ref)
+		for _, tc := range []struct {
+			w    *window
+			want float64
+		}{{w, 0}, {w.complemented(), 1}} {
+			env, err := supportEnvelope(ctx, chain, tc.w, first.Time, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.PDF.MassOn(env) != 0 {
+				continue
+			}
+			if pAll != tc.want || tc.want == 0 && answers[PredicateExists][o.ID].Prob != 0 {
+				t.Fatalf("object %d: exists %v, forall %v, want forall exactly %v", o.ID, answers[PredicateExists][o.ID].Prob, pAll, tc.want)
+			}
+		}
 		for k, p := range dist {
 			near("ktimes", o.ID, got[k], p)
 		}
@@ -121,7 +150,7 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			near("forall vs worlds", o.ID, 1-pOut, bf.PForAll)
+			near("forall vs worlds", o.ID, pAll, bf.PForAll)
 		}
 	}
 
@@ -144,10 +173,6 @@ func checkOBPasses(t *testing.T, rng *rand.Rand) {
 
 	// A second fix on states the first can reach, so the observations
 	// are possible together.
-	w, err := compile(q, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, o := range c.db.Objects() {
 		first := o.First()
 		steps := 1 + rng.Intn(4)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -274,6 +275,14 @@ func (db *Database) ChainOf(o *Object) *markov.Chain {
 // preserving insertion order within groups. The query-based strategy
 // runs one backward sweep per group (Section V-C).
 func (db *Database) groupByChain() []chainGroup {
+	// Most databases hold one chain: one group, the object list copied
+	// once rather than grown an append at a time.
+	if len(db.objects) > 0 {
+		ch := db.ChainOf(db.objects[0])
+		if !slices.ContainsFunc(db.objects, func(o *Object) bool { return db.ChainOf(o) != ch }) {
+			return []chainGroup{{chain: ch, objects: slices.Clone(db.objects)}}
+		}
+	}
 	var groups []chainGroup
 	index := map[*markov.Chain]int{}
 	for _, o := range db.objects {

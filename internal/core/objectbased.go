@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"ust/internal/markov"
-	"ust/internal/sparse"
 )
 
 // The object-based (OB) strategy of Section V-A evaluates a query for one
@@ -20,6 +19,12 @@ import (
 // The materialized variant lives in absorbing.go and is used to validate
 // this one (and in the ablation benchmark).
 //
+// PST∀Q is not run as 1 − PST∃Q over the complement S \ S□ (Section V),
+// whose reach cone is nearly all of S, but as a survival pass: at each
+// query timestamp the mass outside S□ is dropped instead of absorbed, and
+// what is left at the horizon is the answer. It clips to S□'s own reach
+// cone, so it costs what an exists pass costs.
+//
 // Every pass is a lane block (querybased.go) stepped forward over M by
 // the kernel the backward sweeps use: exists and forall one lane, PSTkQ
 // one lane per visit count (ktimes.go), an expression one single-lane
@@ -33,10 +38,11 @@ type forwardSeed struct {
 	pdf  *markov.Distribution
 	mass float64
 	t0   int
-	// cone[t-t0] is the possible-envelope at time t ∈ [t0, horizon]: the
-	// states from which a trajectory can still be inside S□ at a query
-	// time ≥ t. nil runs the paper-literal pass (WithFilterRefine(false)).
-	cone []*sparse.Bitset
+	// cone is the reach cone of the window the pass clips to, from t0 on:
+	// the states from which a trajectory can still be inside S□ at a
+	// query time ≥ t. nil runs the paper-literal pass
+	// (WithFilterRefine(false)).
+	cone *reachCone
 }
 
 // open draws a block of k lanes from pool and fills lane 0 with
@@ -53,18 +59,42 @@ func (s forwardSeed) open(pool *blockPool, k int) *laneBlock {
 // outside the reach cone, adding lane c's dropped mass to parked[c]
 // (parked nil: discarded). Such mass is dead to the window: a state
 // outside cone[t] has no successor inside cone[t+1], so it can never be
-// absorbed, and it only ever feeds other non-cone rows. A cone row
-// therefore receives the same addends in the same ascending row order
-// with or without the clip, and exists/forall answers keep the unclipped
-// pass's bits exactly.
+// inside S□ at a query time again, and it only ever feeds other non-cone
+// rows. A cone row therefore receives the same addends in the same
+// ascending row order with or without the clip, and exists/forall
+// answers keep the unclipped pass's bits exactly.
+//
+// One walk over the live words: a word inside the cone's span keeps
+// w & cone and zeroes the rows it drops; a word outside the span is
+// dropped whole.
 func (s forwardSeed) clip(b *laneBlock, t int, parked []float64) {
 	if s.cone == nil {
 		return
 	}
-	keep := s.cone[t-s.t0]
-	kw := keep.Words64()
-	for wi, w := range b.live.Words64() {
-		for out := w &^ kw[wi]; out != 0; out &= out - 1 {
+	lo, kw := s.cone.span(t - s.t0)
+	lw := b.live.Words64()
+	for wi, w := range lw {
+		if w == 0 {
+			continue
+		}
+		keep := uint64(0)
+		if j := uint(wi - lo); j < uint(len(kw)) {
+			keep = kw[j]
+		}
+		out := w &^ keep
+		if out == 0 {
+			continue
+		}
+		lw[wi] = w & keep
+		if keep == 0 && parked == nil {
+			// The block is zero off its live rows: clear the word's rows
+			// as one span, from its first live row to its last.
+			first := wi<<6 + bits.TrailingZeros64(w)
+			last := wi<<6 + 64 - bits.LeadingZeros64(w)
+			clear(b.cur[first*b.k : last*b.k])
+			continue
+		}
+		for ; out != 0; out &= out - 1 {
 			i := wi<<6 + bits.TrailingZeros64(out)
 			row := b.cur[i*b.k : i*b.k+b.k]
 			if parked != nil {
@@ -75,7 +105,6 @@ func (s forwardSeed) clip(b *laneBlock, t int, parked []float64) {
 			clear(row)
 		}
 	}
-	b.live.And(keep)
 }
 
 // absorb moves lane 0's mass on the live rows inside w's region into the
@@ -92,28 +121,43 @@ func absorb(b *laneBlock, w *window) float64 {
 	return moved
 }
 
+// confine drops every live row outside w's region — the worlds that
+// leave S□ at a query time, and so fail PST∀Q — zeroing the row and
+// taking it off the live set.
+func confine(b *laneBlock, w *window) {
+	lw := b.live.Words64()
+	for wi, word := range lw {
+		for x := word; x != 0; x &= x - 1 {
+			i := wi<<6 + bits.TrailingZeros64(x)
+			if !w.inRegion(i) {
+				clear(b.cur[i*b.k : i*b.k+b.k])
+				word &^= 1 << uint(i&63)
+			}
+		}
+		lw[wi] = word
+	}
+}
+
 // existsForward computes P∃(o, S□, T□) for one object's seed, stepping
 // forward to the query horizon: the OB strategy's exact pass, which is
-// the bracketed pass below with no band to fall outside of.
+// the bracketed pass below with no bar to fall below.
 func existsForward(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window, pool *blockPool) (float64, error) {
-	p, _, err := existsOBRefine(ctx, chain, seed, w, -1, 2, pool)
+	p, _, err := existsOBRefine(ctx, chain, seed, w, -1, pool)
 	return p, err
 }
 
-// existsOBRefine is the OB forward pass, bracketed against a rejection
-// band: it either proves the exact P∃ falls outside [rejectBelow,
-// rejectAbove] and stops early (qualified = false, p meaningless), or
-// runs to completion and returns the exact probability. The proof side
-// brackets the answer: the accumulated hit mass is a lower bound, hit
-// plus the free (unabsorbed, still inside the reach cone) mass an upper
-// bound. Rejection widens the band by boundSlack so float rounding can
-// only make the filter keep more, never drop a qualifying object.
-// Disable a side with rejectBelow ≤ 0 / rejectAbove ≥ 1+. The pass
-// checks ctx once per forward step and aborts with ctx.Err() on
-// cancellation; its one-lane block comes from pool (nil is allowed). A
-// seed whose support misses its cone ends at the bit-exact 0 with no
-// step taken.
-func existsOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window, rejectBelow, rejectAbove float64, pool *blockPool) (p float64, qualified bool, err error) {
+// existsOBRefine is the OB exists pass, bracketed against a bar: it
+// either proves the exact P∃ falls below rejectBelow and stops early
+// (qualified = false, p meaningless), or runs to completion and returns
+// the exact probability. The proof reads an upper bound: the accumulated
+// hit mass plus the free (unabsorbed, still inside the reach cone) mass.
+// Rejection widens the bar by boundSlack so float rounding can only
+// make the filter keep more, never drop a qualifying object. rejectBelow
+// ≤ 0 disables it. The pass checks ctx once per forward step and aborts
+// with ctx.Err() on cancellation; its one-lane block comes from pool
+// (nil is allowed). A seed whose support misses its cone ends at the
+// bit-exact 0 with no step taken.
+func existsOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window, rejectBelow float64, pool *blockPool) (p float64, qualified bool, err error) {
 	b := seed.open(pool, 1)
 	defer pool.put(b)
 	m := chain.Matrix()
@@ -127,10 +171,7 @@ func existsOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, 
 		}
 		seed.clip(b, t, nil)
 		if rejectBelow > 0 && hit+b.sum(0) < rejectBelow-boundSlack {
-			return 0, false, nil // provably below the band
-		}
-		if hit > rejectAbove+boundSlack {
-			return 0, false, nil // provably above the band
+			return 0, false, nil // provably below the bar
 		}
 		if !b.live.Any() {
 			break // every world absorbed or out of reach
@@ -141,4 +182,42 @@ func existsOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, 
 		}
 	}
 	return hit, true, nil
+}
+
+// forallOBRefine is the OB PST∀Q pass over the query's own window w (not
+// its complement): a survival pass. At every query timestamp it drops
+// the live rows outside S□ (confine), and it returns the mass left on
+// the live rows at the horizon, summed in ascending order. The live mass
+// never grows (up to the chain's row-sum rounding), so it is an upper
+// bound at every step: the pass stops as soon as it falls below
+// rejectBelow − boundSlack (qualified = false); rejectBelow ≤ 0 disables
+// the bracket. The seed clips to w's own reach cone: a row outside it
+// cannot be inside S□ at some later query time, so it is dropped there
+// anyway, and the surviving rows receive the same addends in the same
+// order with or without the clip — bit for bit. A seed whose support
+// misses the cone ends at the bit-exact 0 with no step taken.
+func forallOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, w *window, rejectBelow float64, pool *blockPool) (p float64, qualified bool, err error) {
+	b := seed.open(pool, 1)
+	defer pool.put(b)
+	m := chain.Matrix()
+	if w.atTime(seed.t0) {
+		confine(b, w)
+	}
+	for t := seed.t0; t < w.horizon; t++ {
+		if err := ctx.Err(); err != nil {
+			return 0, false, err
+		}
+		seed.clip(b, t, nil)
+		if !b.live.Any() {
+			return 0, true, nil // every world left S□ or its reach
+		}
+		if rejectBelow > 0 && b.sum(0) < rejectBelow-boundSlack {
+			return 0, false, nil // provably below the bar
+		}
+		b.step(m, 1)
+		if w.atTime(t + 1) {
+			confine(b, w)
+		}
+	}
+	return b.sum(0), true, nil
 }

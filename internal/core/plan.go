@@ -554,7 +554,7 @@ func (k *kern) exprBounds(ctx context.Context, o *Object) (lo, hi float64, ok bo
 		if merr != nil {
 			return 0, 1, false, merr
 		}
-		fired[i] = [2]float64{pdf.MassOn(cm) / mass, pdf.MassOn(cone[0]) / mass}
+		fired[i] = [2]float64{pdf.MassOn(cm) / mass, pdf.MassOn(cone.first) / mass}
 	}
 	idx := 0
 	lo, hi = foldBounds(*k.exprTree, &idx, fired)

@@ -10,6 +10,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"ust/internal/sparse"
 )
 
 // Query is a probabilistic spatio-temporal query window Q = S□ × T□:
@@ -66,8 +68,8 @@ func (q Query) String() string {
 // spatial predicate, which is how PST∀Q queries the complement region
 // without materializing |S| − |S□| state ids.
 type window struct {
-	mask    []bool
-	states  []int // sorted unique region states (the mask's true set)
+	mask    sparse.Bitset
+	states  []int // sorted unique region states (the mask's members)
 	invert  bool
 	timeSet map[int]bool
 	horizon int
@@ -80,14 +82,14 @@ func compile(q Query, numStates int) (*window, error) {
 		return nil, err
 	}
 	w := &window{
-		mask:    make([]bool, numStates),
+		mask:    *sparse.NewBitset(numStates),
 		states:  sortedSet(q.States),
 		timeSet: make(map[int]bool, len(q.Times)),
 		horizon: q.Horizon(),
 		k:       len(q.Times),
 	}
 	for _, s := range w.states {
-		w.mask[s] = true
+		w.mask.Set(s)
 	}
 	for _, t := range q.Times {
 		w.timeSet[t] = true
@@ -151,8 +153,8 @@ func (w *window) eachState(invert bool, fn func(s int)) {
 		}
 		return
 	}
-	for s, in := range w.mask {
-		if !in {
+	for s := range w.mask.Len() {
+		if !w.mask.Has(s) {
 			fn(s)
 		}
 	}
@@ -160,7 +162,7 @@ func (w *window) eachState(invert bool, fn func(s int)) {
 
 // inRegion reports whether state s satisfies the (possibly inverted)
 // spatial predicate.
-func (w *window) inRegion(s int) bool { return w.mask[s] != w.invert }
+func (w *window) inRegion(s int) bool { return w.mask.Has(s) != w.invert }
 
 // coversMost reports whether the (possibly inverted) spatial predicate
 // holds on more than half of the states: the backward sweeps then hold
@@ -168,9 +170,9 @@ func (w *window) inRegion(s int) bool { return w.mask[s] != w.invert }
 func (w *window) coversMost() bool {
 	size := len(w.states)
 	if w.invert {
-		size = len(w.mask) - size
+		size = w.mask.Len() - size
 	}
-	return 2*size > len(w.mask)
+	return 2*size > w.mask.Len()
 }
 
 // atTime reports whether timestamp t belongs to T□.

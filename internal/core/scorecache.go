@@ -86,15 +86,15 @@ type scoreKey struct {
 }
 
 // scoreValue is the payload of one entry: score columns of |S| values
-// for exact sweeps, bitsets for envelopes (one, or a reach cone's one per
-// timestamp), a packed distribution for a posterior, bare scalars for
+// for exact sweeps, a bitset for an envelope, a reach cone (its first
+// set whole, its later ones as word spans), a packed distribution for a posterior, bare scalars for
 // per-object results.
 // Cached payloads are shared and must be treated as immutable by every
 // reader.
 type scoreValue struct {
 	cols    [][]float64
 	bits    *sparse.Bitset
-	cone    []*sparse.Bitset
+	cone    *reachCone
 	post    *markov.Distribution
 	scalars []float64
 }
@@ -112,8 +112,8 @@ func (v scoreValue) bytes() int {
 	if v.bits != nil {
 		b += 8 * v.bits.Words()
 	}
-	for _, m := range v.cone {
-		b += 8 * m.Words()
+	if v.cone != nil {
+		b += v.cone.bytes()
 	}
 	return b
 }
