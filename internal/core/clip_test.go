@@ -408,6 +408,68 @@ func TestRefineQualifiedIsForward(t *testing.T) {
 	}
 }
 
+// TestRefineBracketsRowGrowth holds the bounds and brackets to a chain
+// whose rows sum to 1 + δ, which NewChain accepts for δ up to
+// markov.DefaultTolerance: every step grows the live mass by 1 + δ, so
+// an object whose exact answer sits at the bar has less mass than the
+// bar until the horizon. The gate's bound and both passes must keep it:
+// the pass qualifies it with its plain answer, and a request thresholded
+// at that answer returns it, with the filter on and off.
+func TestRefineBracketsRowGrowth(t *testing.T) {
+	const n, horizon, delta = 4, 30, 0.9 * markov.DefaultTolerance
+	chain := markov.MustChain(sparse.FromRows(n, n, func(i int) ([]int, []float64) {
+		return []int{i}, []float64{1 + delta}
+	}))
+	db := NewDatabase(chain)
+	db.MustAdd(MustObject(0, nil, Observation{Time: 0, PDF: markov.UniformOver(n, []int{0, 1})}))
+	o := db.Get(0)
+	ctx := context.Background()
+	e := NewEngine(db, Options{})
+	for _, c := range []struct {
+		pred  Predicate
+		times []int
+	}{{PredicateExists, []int{horizon}}, {PredicateForAll, Interval(0, horizon)}} {
+		w, err := compile(NewQuery([]int{0}, c.times), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := &evalPlan{useFilter: true}
+		k, pass := e.kernel(chain, w, plan), existsOBRefine
+		if c.pred == PredicateForAll {
+			k, pass = forallKernel(e, chain, w, plan), forallOBRefine
+		}
+		seed, err := k.seedFor(ctx, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := pass(ctx, chain, seed, w, -1, &lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want-0.5 < 10*boundSlack {
+			t.Fatalf("%v: answer %v does not outgrow the starting mass 0.5 by more than boundSlack", c.pred, want)
+		}
+		p, qualified, err := pass(ctx, chain, seed, w, want, &lanes)
+		if err != nil || !qualified || p != want {
+			t.Fatalf("%v: a bar at the answer %v: qualified %v, %v, err %v", c.pred, want, qualified, p, err)
+		}
+		ranked := &evalPlan{req: NewRequest(c.pred, WithThreshold(want))}
+		if ub, ok, err := ranked.upperBound()(k, ctx, o); err != nil || !ok || ub < want {
+			t.Fatalf("%v: gate bound %v (ok %v, err %v) below the answer %v", c.pred, ub, ok, err, want)
+		}
+		for _, filter := range []bool{true, false} {
+			resp, err := e.Evaluate(ctx, NewRequest(c.pred, WithStates([]int{0}), WithTimes(c.times),
+				WithStrategy(StrategyObjectBased), WithThreshold(want), WithFilterRefine(filter)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Results) != 1 || resp.Results[0].Prob != want {
+				t.Fatalf("%v filter %v: thresholded at the answer %v, got %+v", c.pred, filter, want, resp.Results)
+			}
+		}
+	}
+}
+
 // scanOBDB is the benchmark's scan_ob shape: a banded chain of five
 // successors a state, objects on five consecutive states observed at 0.
 func scanOBDB(tb testing.TB, objects, n int) *Database {

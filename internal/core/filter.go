@@ -103,9 +103,11 @@ func (p *evalPlan) certificate() (ok bool, prob float64) {
 // be refined.
 //
 // For exists and ktimes (whose Prob is P(≥1 visit) = P∃) the bound is
-// the initial mass on the possible-envelope. For a ranked forall, P∀ =
-// 1 − P∃(complement window), so the bound needs the LOWER bound of the
-// complemented exists-query: the initial mass on the certain-envelope.
+// the initial mass on the possible-envelope. For a ranked forall the
+// bound is the initial mass off the complement's certain-envelope (1 −
+// existsLower): mass on it surely leaves S□ at a query time, so the
+// survival pass drops it. Both grow by what the steps to the horizon can
+// add (liveGrowth).
 // The count aggregate's forall prunes nothing and reads the
 // possible-envelope of the complement window for its certificate alone.
 func (p *evalPlan) upperBound() func(k *kern, ctx context.Context, o *Object) (ub float64, ok bool, err error) {
@@ -115,7 +117,10 @@ func (p *evalPlan) upperBound() func(k *kern, ctx context.Context, o *Object) (u
 	case p.req.Predicate == PredicateForAll && p.ranked():
 		return func(k *kern, ctx context.Context, o *Object) (float64, bool, error) {
 			lo, ok, err := k.existsLower(ctx, o)
-			return 1 - lo, ok, err
+			if !ok || err != nil {
+				return 1, ok, err
+			}
+			return (1 - lo) * liveGrowth(k.w.horizon-o.First().Time), true, nil
 		}
 	default:
 		return (*kern).existsUpper

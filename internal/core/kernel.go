@@ -455,8 +455,9 @@ func (k *kern) boundable(o *Object) bool {
 }
 
 // existsUpper returns a conservative upper bound on P∃(o) under the
-// kern's window: the initial mass on its possible-envelope (possible).
-// ok is false when o is not boundable. Under the object-based strategy,
+// kern's window: the initial mass on its possible-envelope (possible),
+// grown by what the steps to the horizon can add (liveGrowth). ok is
+// false when o is not boundable. Under the object-based strategy,
 // the only one that filters, a returned bound of exactly 0 is not
 // merely conservative but EXACT: the observation support is disjoint
 // from the envelope, and the forward pass only ever moves mass along
@@ -479,7 +480,7 @@ func (k *kern) existsUpper(ctx context.Context, o *Object) (hi float64, ok bool,
 	if raw == 0 {
 		return 0, true, nil
 	}
-	return raw/mass + boundSlack, true, nil
+	return raw/mass*liveGrowth(k.w.horizon-o.First().Time) + boundSlack, true, nil
 }
 
 // possible returns the possible-envelope of the kern's window at t0: its

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/bits"
 
 	"ust/internal/markov"
@@ -150,9 +151,10 @@ func existsForward(ctx context.Context, chain *markov.Chain, seed forwardSeed, w
 // either proves the exact P∃ falls below rejectBelow and stops early
 // (qualified = false, p meaningless), or runs to completion and returns
 // the exact probability. The proof reads an upper bound: the accumulated
-// hit mass plus the free (unabsorbed, still inside the reach cone) mass.
-// Rejection widens the bar by boundSlack so float rounding can only
-// make the filter keep more, never drop a qualifying object. rejectBelow
+// hit mass plus the free (unabsorbed, still inside the reach cone) mass,
+// grown by what the remaining steps can add (liveGrowth). Rejection
+// widens the bar by boundSlack so float rounding can only make the
+// filter keep more, never drop a qualifying object. rejectBelow
 // ≤ 0 disables it. The pass checks ctx once per forward step and aborts
 // with ctx.Err() on cancellation; its one-lane block comes from pool
 // (nil is allowed). A seed whose support misses its cone ends at the
@@ -170,7 +172,7 @@ func existsOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, 
 			return 0, false, err
 		}
 		seed.clip(b, t, nil)
-		if rejectBelow > 0 && hit+b.sum(0) < rejectBelow-boundSlack {
+		if rejectBelow > 0 && hit+b.sum(0)*liveGrowth(w.horizon-t) < rejectBelow-boundSlack {
 			return 0, false, nil // provably below the bar
 		}
 		if !b.live.Any() {
@@ -184,11 +186,19 @@ func existsOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, 
 	return hit, true, nil
 }
 
+// liveGrowth bounds the factor by which steps more forward steps can grow
+// a pass's live mass. NewChain accepts rows that sum to up to
+// 1 + markov.DefaultTolerance, and each step can scale the mass by that
+// much, which over a few steps outgrows boundSlack.
+func liveGrowth(steps int) float64 {
+	return math.Pow(1+markov.DefaultTolerance, float64(steps))
+}
+
 // forallOBRefine is the OB PST∀Q pass over the query's own window w (not
 // its complement): a survival pass. At every query timestamp it drops
 // the live rows outside S□ (confine), and it returns the mass left on
-// the live rows at the horizon, summed in ascending order. The live mass
-// never grows (up to the chain's row-sum rounding), so it is an upper
+// the live rows at the horizon, summed in ascending order. The live mass,
+// grown by what the remaining steps can add (liveGrowth), is an upper
 // bound at every step: the pass stops as soon as it falls below
 // rejectBelow − boundSlack (qualified = false); rejectBelow ≤ 0 disables
 // the bracket. The seed clips to w's own reach cone: a row outside it
@@ -211,7 +221,7 @@ func forallOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, 
 		if !b.live.Any() {
 			return 0, true, nil // every world left S□ or its reach
 		}
-		if rejectBelow > 0 && b.sum(0) < rejectBelow-boundSlack {
+		if rejectBelow > 0 && b.sum(0)*liveGrowth(w.horizon-t) < rejectBelow-boundSlack {
 			return 0, false, nil // provably below the bar
 		}
 		b.step(m, 1)
