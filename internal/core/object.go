@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"slices"
+	"iter"
 	"sort"
 	"sync/atomic"
 
@@ -273,29 +273,51 @@ func (db *Database) ChainOf(o *Object) *markov.Chain {
 
 // groupByChain partitions the database's objects by effective chain,
 // preserving insertion order within groups. The query-based strategy
-// runs one backward sweep per group (Section V-C).
+// runs one backward sweep per group (Section V-C). A counting pass comes
+// first, so that every group is filled at its exact size, all of them in
+// one backing array; both passes take a run of objects under one chain
+// at a time.
 func (db *Database) groupByChain() []chainGroup {
-	// Most databases hold one chain: one group, the object list copied
-	// once rather than grown an append at a time.
-	if len(db.objects) > 0 {
-		ch := db.ChainOf(db.objects[0])
-		if !slices.ContainsFunc(db.objects, func(o *Object) bool { return db.ChainOf(o) != ch }) {
-			return []chainGroup{{chain: ch, objects: slices.Clone(db.objects)}}
-		}
-	}
+	type slot struct{ group, n int }
+	index := map[*markov.Chain]slot{}
 	var groups []chainGroup
-	index := map[*markov.Chain]int{}
-	for _, o := range db.objects {
-		ch := db.ChainOf(o)
-		gi, ok := index[ch]
+	for ch, run := range db.chainRuns() {
+		s, ok := index[ch]
 		if !ok {
-			gi = len(groups)
-			index[ch] = gi
+			s.group = len(groups)
 			groups = append(groups, chainGroup{chain: ch})
 		}
-		groups[gi].objects = append(groups[gi].objects, o)
+		s.n += len(run)
+		index[ch] = s
+	}
+	backing := make([]*Object, len(db.objects))
+	for gi, off := 0, 0; gi < len(groups); gi++ {
+		n := index[groups[gi].chain].n
+		groups[gi].objects = backing[off : off : off+n]
+		off += n
+	}
+	for ch, run := range db.chainRuns() {
+		g := &groups[index[ch].group]
+		g.objects = append(g.objects, run...)
 	}
 	return groups
+}
+
+// chainRuns yields the database's objects as maximal runs of consecutive
+// objects under one effective chain, in insertion order.
+func (db *Database) chainRuns() iter.Seq2[*markov.Chain, []*Object] {
+	return func(yield func(*markov.Chain, []*Object) bool) {
+		for objs := db.objects; len(objs) > 0; {
+			ch, j := db.ChainOf(objs[0]), 1
+			for j < len(objs) && db.ChainOf(objs[j]) == ch {
+				j++
+			}
+			if !yield(ch, objs[:j]) {
+				return
+			}
+			objs = objs[j:]
+		}
+	}
 }
 
 type chainGroup struct {

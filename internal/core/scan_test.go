@@ -129,6 +129,44 @@ func TestScanExact(t *testing.T) {
 	}
 }
 
+// TestGroupByChainInterleaved pins the chain groups of a database whose
+// chains interleave: first-seen group order, insertion order within a
+// group, and groups that share a backing array at their exact sizes, so
+// appending to one cannot overwrite the next.
+func TestGroupByChainInterleaved(t *testing.T) {
+	chainA := markov.MustChain(sparse.FromDense([][]float64{{1, 0}, {0, 1}}))
+	chainB := markov.MustChain(sparse.FromDense([][]float64{{0, 1}, {1, 0}}))
+	chainC := markov.MustChain(sparse.FromDense([][]float64{{0.5, 0.5}, {0.5, 0.5}}))
+	db := NewDatabase(chainA)
+	for id, ch := range []*markov.Chain{nil, chainB, chainB, nil, chainC, chainB, nil, chainA} {
+		db.MustAdd(MustObject(id, ch, Observation{Time: 0, PDF: markov.PointDistribution(2, 0)}))
+	}
+	groups := db.groupByChain()
+	want := []struct {
+		chain *markov.Chain
+		ids   []int
+	}{{chainA, []int{0, 3, 6, 7}}, {chainB, []int{1, 2, 5}}, {chainC, []int{4}}}
+	if len(groups) != len(want) {
+		t.Fatalf("%d groups, want %d", len(groups), len(want))
+	}
+	for gi, g := range groups {
+		var ids []int
+		for _, o := range g.objects {
+			ids = append(ids, o.ID)
+		}
+		if g.chain != want[gi].chain || !reflect.DeepEqual(ids, want[gi].ids) || cap(g.objects) != len(g.objects) {
+			t.Fatalf("group %d: ids %v cap %d, want ids %v", gi, ids, cap(g.objects), want[gi].ids)
+		}
+	}
+	_ = append(groups[0].objects, nil)
+	if groups[1].objects[0].ID != 1 {
+		t.Fatal("appending to one group overwrote the next")
+	}
+	if got := NewDatabase(chainA).groupByChain(); len(got) != 0 {
+		t.Fatalf("an empty database has %d groups", len(got))
+	}
+}
+
 // TestScanErrors pins where a scan stops. A poisoned object (observed
 // after the horizon) at evaluation index i surfaces the same error from
 // Evaluate and EvaluateSeq, with exactly the i results before it
