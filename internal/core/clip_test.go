@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ust/internal/markov"
@@ -130,8 +131,10 @@ func clipDrops(chain *markov.Chain, seed forwardSeed, w *window, forall bool) bo
 // coneSet expands a reach cone's envelope at t0+i into a whole set.
 func coneSet(c *reachCone, i int) *sparse.Bitset {
 	out := sparse.NewBitset(c.first.Len())
-	lo, words := c.span(i)
-	copy(out.Words64()[lo:], words)
+	r := c.at(i)
+	for wi := range out.Words64() {
+		out.Words64()[wi] = r.word(wi)
+	}
 	return out
 }
 
@@ -251,8 +254,86 @@ func TestClippedMatchesUnclipped(t *testing.T) {
 	}
 }
 
+// TestReachConeMarkedSteps runs the cone and the clipped passes on a
+// chain without id locality: a banded chain whose states are shuffled,
+// so a cone's later envelopes are a few states in each of many words and
+// are kept as their marked non-zero words. Each expands to
+// supportEnvelope's set, and the clipped exists and forall scans are the
+// unclipped ones bit for bit.
+func TestReachConeMarkedSteps(t *testing.T) {
+	const n = 16384
+	rng := rand.New(rand.NewSource(3))
+	perm := rng.Perm(n) // perm[p]: the state at band position p
+	pos := make([]int, n)
+	for p, s := range perm {
+		pos[s] = p
+	}
+	chain := markov.MustChain(sparse.FromRows(n, n, func(i int) ([]int, []float64) {
+		var idx []int
+		var vals []float64
+		for p := max(pos[i]-2, 0); p <= min(pos[i]+2, n-1); p++ {
+			idx = append(idx, perm[p])
+			vals = append(vals, 1)
+		}
+		for k := range vals {
+			vals[k] /= float64(len(vals))
+		}
+		return idx, vals
+	}))
+	db := NewDatabase(chain)
+	for id := 0; id < 40; id++ {
+		p := 1960 + rng.Intn(100)
+		db.MustAdd(MustObject(id, nil, Observation{Time: 0, PDF: markov.UniformOver(n, perm[p:p+3])}))
+	}
+	region := slices.Sorted(slices.Values(perm[2000:2040]))
+	times := Interval(6, 9)
+	w, err := compile(NewQuery(region, times), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	e := NewEngine(db, Options{})
+	cone, err := e.kernel(chain, w, &evalPlan{useFilter: true}).coneFrom(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := 0
+	for i := 0; i <= w.horizon; i++ {
+		want, err := supportEnvelope(ctx, chain, w, i, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !coneSet(cone, i).Equal(want) {
+			t.Fatalf("cone at t=%d differs from supportEnvelope", i)
+		}
+		if i > 0 && cone.at(i).mark != nil {
+			marked++
+		}
+	}
+	if marked == 0 {
+		t.Fatal("no step of the cone is kept as marked words")
+	}
+	for _, pred := range []Predicate{PredicateExists, PredicateForAll} {
+		req := NewRequest(pred, WithStates(region), WithTimes(times), WithStrategy(StrategyObjectBased))
+		clipped, err := e.Evaluate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		literal, err := e.Evaluate(ctx, req.With(WithFilterRefine(false)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(clipped.Results, literal.Results) {
+			t.Fatalf("%v: clipped %+v, unclipped %+v", pred, clipped.Results, literal.Results)
+		}
+		if !slices.ContainsFunc(clipped.Results, func(r Result) bool { return r.Prob > 0 && r.Prob < 1 }) {
+			t.Fatalf("%v: no answer strictly between 0 and 1", pred)
+		}
+	}
+}
+
 // TestReachConeIsTheEnvelopeFamily pins the cone to the possible-
-// envelope family: its set at t, expanded from its span, is
+// envelope family: its set at t, expanded from its step, is
 // supportEnvelope's possible-envelope at t, bit for bit, at every t up to
 // the horizon, for plain and complemented windows; past the horizon, and
 // for an empty window (an expression atom's fire window can be either),
@@ -275,8 +356,8 @@ func TestReachConeIsTheEnvelopeFamily(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(cone.spans)+1 != kw.horizon-t0+1 {
-					t.Fatalf("seed %d: cone from %d has %d envelopes, want %d", seed, t0, len(cone.spans)+1, kw.horizon-t0+1)
+				if len(cone.steps)+1 != kw.horizon-t0+1 {
+					t.Fatalf("seed %d: cone from %d has %d envelopes, want %d", seed, t0, len(cone.steps)+1, kw.horizon-t0+1)
 				}
 				for tt := t0; tt <= kw.horizon; tt++ {
 					pm, err := supportEnvelope(ctx, chain, kw, tt, false, nil)
@@ -309,8 +390,8 @@ func TestReachConeIsTheEnvelopeFamily(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(cone.spans) != 0 || !cone.first.Equal(want) {
-				t.Fatalf("seed %d: cone of k=%d window from %d has %d spans and first set %v, want none and %v", seed, tc.w.k, tc.t0, len(cone.spans), cone.first, want)
+			if len(cone.steps) != 0 || !cone.first.Equal(want) {
+				t.Fatalf("seed %d: cone of k=%d window from %d has %d steps and first set %v, want none and %v", seed, tc.w.k, tc.t0, len(cone.steps), cone.first, want)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"sync"
 
 	"ust/internal/markov"
@@ -317,7 +318,7 @@ func (k *kern) coneFor(ctx context.Context, w *window, t0 int) (*reachCone, erro
 		defer coneScratch.Put(scratch)
 		cone := &reachCone{words: (*scratch)[:0]}
 		if w.k > 0 && t0 < w.horizon {
-			cone.spans = make([]coneSpan, w.horizon-t0)
+			cone.steps = make([]coneStep, w.horizon-t0)
 		}
 		m, cerr := supportEnvelope(ctx, k.chain, w, t0, false, cone)
 		*scratch = cone.words[:0]
@@ -331,7 +332,7 @@ func (k *kern) coneFor(ctx context.Context, w *window, t0 int) (*reachCone, erro
 	return v.cone, err
 }
 
-// coneScratch recycles the buffer a reach cone's spans are gathered in,
+// coneScratch recycles the buffer a reach cone's steps are gathered in,
 // so that a cone allocates its backing array once, at its exact size.
 var coneScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
@@ -339,30 +340,40 @@ var coneScratch = sync.Pool{New: func() any { return new([]uint64) }}
 // horizon (kern.coneFor): the sets a forward pass clips to. The envelope
 // at t0 is kept whole, as first: the filter gate, existsUpper, the
 // expression bounds and the certificates read it. Every later one is kept
-// as a span — its words from the first non-zero one to the last — all in
-// one backing array: on a spatially local chain a cone hugs its window,
-// so a span is a few words where the whole set is |S|/64.
+// as the words of its span — from its first non-zero word to its last —
+// all in one backing array. On a spatially local chain a cone hugs its
+// window, so a span is a few words where the whole set is |S|/64. Where
+// the span is mostly empty words, as on a chain without id locality, the
+// step keeps only its non-zero words, with one bit a span word marking
+// which words those are.
 type reachCone struct {
 	first *sparse.Bitset
-	spans []coneSpan // spans[i−1]: the envelope at t0+i
+	steps []coneStep // steps[i−1]: the envelope at t0+i
 	words []uint64
 }
 
-// coneSpan is one envelope of a reachCone: words[from:to] are its words
-// lo, lo+1, …; every word outside them is empty.
-type coneSpan struct{ lo, from, to int32 }
+// coneStep is one later envelope of a reachCone. words[nz:end] are its
+// non-zero words in ascending order; bit j of words[mark:nz] is set when
+// word lo+j is one of them. A step with no mark words (mark == nz) keeps
+// its whole span: words[nz:end] are its words lo, lo+1, …. Every word
+// outside the span is empty.
+type coneStep struct{ lo, mark, nz, end int32 }
 
-// span returns the envelope at t0+i as the words from word lo on; every
-// word outside them is empty.
-func (c *reachCone) span(i int) (lo int, words []uint64) {
+// at returns a reader of the envelope at t0+i.
+func (c *reachCone) at(i int) coneWords {
 	if i == 0 {
-		return 0, c.first.Words64()
+		return coneWords{words: c.first.Words64()}
 	}
-	sp := c.spans[i-1]
-	return int(sp.lo), c.words[sp.from:sp.to]
+	st := c.steps[i-1]
+	r := coneWords{lo: int(st.lo), words: c.words[st.nz:st.end]}
+	if st.mark < st.nz {
+		r.mark = c.words[st.mark:st.nz]
+	}
+	return r
 }
 
-// keep records m as the envelope at t0+i, i ≥ 1.
+// keep records m as the envelope at t0+i, i ≥ 1: as its whole span, or
+// as its non-zero words and their marks where that is smaller.
 func (c *reachCone) keep(i int, m *sparse.Bitset) {
 	ws := m.Words64()
 	lo, hi := 0, len(ws)
@@ -372,20 +383,71 @@ func (c *reachCone) keep(i int, m *sparse.Bitset) {
 	for hi > lo && ws[hi-1] == 0 {
 		hi--
 	}
-	from := len(c.words)
-	c.words = append(c.words, ws[lo:hi]...)
-	c.spans[i-1] = coneSpan{lo: int32(lo), from: int32(from), to: int32(len(c.words))}
+	nonzero := 0
+	for _, x := range ws[lo:hi] {
+		if x != 0 {
+			nonzero++
+		}
+	}
+	mark, nz := len(c.words), len(c.words)
+	if marks := (hi - lo + 63) / 64; nonzero+marks < hi-lo {
+		c.words = append(c.words, make([]uint64, marks)...)
+		nz = len(c.words)
+		for j, x := range ws[lo:hi] {
+			if x != 0 {
+				c.words[mark+j>>6] |= 1 << uint(j&63)
+				c.words = append(c.words, x)
+			}
+		}
+	} else {
+		c.words = append(c.words, ws[lo:hi]...)
+	}
+	c.steps[i-1] = coneStep{lo: int32(lo), mark: int32(mark), nz: int32(nz), end: int32(len(c.words))}
 }
 
-// bytes is what the cone holds: its first set whole, its spans' words.
+// bytes is what the cone holds: its first set whole, its steps' words.
 func (c *reachCone) bytes() int {
-	return 8*(c.first.Words()+len(c.words)) + 12*len(c.spans)
+	return 8*(c.first.Words()+len(c.words)) + 16*len(c.steps)
+}
+
+// coneWords reads one envelope of a reachCone (reachCone.at) a word at
+// a time, in ascending word order.
+type coneWords struct {
+	lo    int
+	mark  []uint64 // nil: words are the envelope's words lo, lo+1, …
+	words []uint64
+	// mi and rank are where the last read stopped: rank counts the
+	// non-zero words that mark[:mi] marks.
+	mi, rank int
+}
+
+// word returns the envelope's word wi. Calls must not go back: wi never
+// falls below an earlier call's.
+func (r *coneWords) word(wi int) uint64 {
+	j := uint(wi - r.lo)
+	if r.mark == nil {
+		if j < uint(len(r.words)) {
+			return r.words[j]
+		}
+		return 0
+	}
+	if j >= 64*uint(len(r.mark)) {
+		return 0
+	}
+	for ; r.mi < int(j>>6); r.mi++ {
+		r.rank += bits.OnesCount64(r.mark[r.mi])
+	}
+	m, bit := r.mark[r.mi], uint64(1)<<(j&63)
+	if m&bit == 0 {
+		return 0
+	}
+	return r.words[r.rank+bits.OnesCount64(m&(bit-1))]
 }
 
 // supportEnvelope runs the boolean shadow of the backward sweep: the
 // same loop shape as hitScores, propagating supports instead of mass.
 // certain selects the all-successors (lower-bound) propagation. A
-// non-nil cone, its spans presized to horizon−t0, keeps the envelope of
+// non-nil cone, its steps presized to horizon−t0, keeps the envelope of
 // every time t > t0 the sweep passes: what the sweep down to t returns.
 func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int, certain bool, cone *reachCone) (*sparse.Bitset, error) {
 	n := chain.NumStates()
@@ -412,11 +474,11 @@ func supportEnvelope(ctx context.Context, chain *markov.Chain, w *window, t0 int
 		if m.Count() == n && next.Count() == n {
 			// The full set steps back onto itself, so it is the envelope of
 			// every earlier time as well (the complemented windows of PST∀Q
-			// get here within a step or two): those times share one span.
+			// get here within a step or two): those times share one step.
 			if cone != nil && t-t0 > 1 {
 				cone.keep(t-t0-1, next)
 				for i := 1; i < t-t0-1; i++ {
-					cone.spans[i-1] = cone.spans[t-t0-2]
+					cone.steps[i-1] = cone.steps[t-t0-2]
 				}
 			}
 			return next, nil

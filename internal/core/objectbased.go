@@ -65,23 +65,19 @@ func (s forwardSeed) open(pool *blockPool, k int) *laneBlock {
 // ascending row order with or without the clip, and exists/forall
 // answers keep the unclipped pass's bits exactly.
 //
-// One walk over the live words: a word inside the cone's span keeps
-// w & cone and zeroes the rows it drops; a word outside the span is
-// dropped whole.
+// One walk over the live words: a word keeps w & cone and zeroes the
+// rows it drops; a word where the cone is empty is dropped whole.
 func (s forwardSeed) clip(b *laneBlock, t int, parked []float64) {
 	if s.cone == nil {
 		return
 	}
-	lo, kw := s.cone.span(t - s.t0)
+	cone := s.cone.at(t - s.t0)
 	lw := b.live.Words64()
 	for wi, w := range lw {
 		if w == 0 {
 			continue
 		}
-		keep := uint64(0)
-		if j := uint(wi - lo); j < uint(len(kw)) {
-			keep = kw[j]
-		}
+		keep := cone.word(wi)
 		out := w &^ keep
 		if out == 0 {
 			continue

@@ -87,8 +87,8 @@ type scoreKey struct {
 
 // scoreValue is the payload of one entry: score columns of |S| values
 // for exact sweeps, a bitset for an envelope, a reach cone (its first
-// set whole, its later ones as word spans), a packed distribution for a posterior, bare scalars for
-// per-object results.
+// set whole, its later ones as word spans or marked words), a packed
+// distribution for a posterior, bare scalars for per-object results.
 // Cached payloads are shared and must be treated as immutable by every
 // reader.
 type scoreValue struct {
