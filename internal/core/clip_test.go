@@ -551,6 +551,56 @@ func TestRefineBracketsRowGrowth(t *testing.T) {
 	}
 }
 
+// TestForAllStrategiesOnShortRows pins the cross-strategy contract for
+// PST∀Q on a chain whose rows sum to 1 − δ, which NewChain accepts. The
+// object-based survival pass answers the mass of the worlds that stay in
+// S□; the query-based sweep answers 1 − P∃ over the complement, which
+// also counts the mass the short rows lose as surviving. So the QB
+// answer exceeds the OB one by at most (horizon − t0)·δ, and by more than
+// rounding on some object.
+func TestForAllStrategiesOnShortRows(t *testing.T) {
+	const n, delta = 24, 0.9 * markov.DefaultTolerance
+	rng := rand.New(rand.NewSource(11))
+	chain := markov.MustChain(sparse.FromRows(n, n, func(i int) ([]int, []float64) {
+		idx := []int{i, (i + 1) % n, (i + 5) % n}
+		vals := []float64{0.5, 0.3, 0.2}
+		for k := range vals {
+			vals[k] *= 1 - delta
+		}
+		return idx, vals
+	}))
+	db := NewDatabase(chain)
+	for id := 0; id < 30; id++ {
+		db.MustAdd(MustObject(id, nil, Observation{Time: rng.Intn(3), PDF: markov.UniformOver(n, rng.Perm(n)[:1+rng.Intn(3)])}))
+	}
+	e := NewEngine(db, Options{})
+	ctx := context.Background()
+	widest := 0.0
+	for c := 0; c < 20; c++ {
+		a := rng.Intn(n - 12)
+		times := Interval(3, 3+rng.Intn(6))
+		var answers [2][]Result
+		for i, s := range []Strategy{StrategyObjectBased, StrategyQueryBased} {
+			resp, err := e.Evaluate(ctx, NewRequest(PredicateForAll, WithStates(Interval(a, a+11)), WithTimes(times), WithStrategy(s)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = resp.Results
+		}
+		for j, ob := range answers[0] {
+			qb := answers[1][j]
+			bound := float64(times[len(times)-1]-db.Get(ob.ObjectID).First().Time)*delta + 1e-12
+			if gap := qb.Prob - ob.Prob; ob.ObjectID != qb.ObjectID || gap < -1e-12 || gap > bound {
+				t.Fatalf("case %d object %d: OB %v, QB (object %d) %v, want QB − OB in [−1e-12, %v]", c, ob.ObjectID, ob.Prob, qb.ObjectID, qb.Prob, bound)
+			}
+			widest = max(widest, qb.Prob-ob.Prob)
+		}
+	}
+	if widest <= 1e-12 {
+		t.Fatalf("QB and OB forall never differ by more than rounding (widest %v)", widest)
+	}
+}
+
 // scanOBDB is the benchmark's scan_ob shape: a banded chain of five
 // successors a state, objects on five consecutive states observed at 0.
 func scanOBDB(tb testing.TB, objects, n int) *Database {
