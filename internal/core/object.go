@@ -275,8 +275,8 @@ func (db *Database) ChainOf(o *Object) *markov.Chain {
 // preserving insertion order within groups. The query-based strategy
 // runs one backward sweep per group (Section V-C). A counting pass comes
 // first, so that every group is filled at its exact size, all of them in
-// one backing array; both passes take a run of objects under one chain
-// at a time.
+// one backing array. Both passes take a run of objects under one chain
+// at a time, so they look a chain up once a run, not once an object.
 func (db *Database) groupByChain() []chainGroup {
 	type slot struct{ group, n int }
 	index := map[*markov.Chain]slot{}

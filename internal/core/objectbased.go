@@ -182,9 +182,9 @@ func existsOBRefine(ctx context.Context, chain *markov.Chain, seed forwardSeed, 
 	return hit, true, nil
 }
 
-// liveGrowth bounds the factor by which steps more forward steps can grow
-// a pass's live mass. NewChain accepts rows that sum to up to
-// 1 + markov.DefaultTolerance, and each step can scale the mass by that
+// liveGrowth bounds the factor by which a pass's live mass can grow over
+// the given number of forward steps. NewChain accepts rows that sum to up
+// to 1 + markov.DefaultTolerance, so each step can scale the mass by that
 // much, which over a few steps outgrows boundSlack.
 func liveGrowth(steps int) float64 {
 	return math.Pow(1+markov.DefaultTolerance, float64(steps))
